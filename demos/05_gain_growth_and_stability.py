@@ -13,8 +13,7 @@ bend the trajectory to zero in the remaining delta/eps' of time.
 """
 
 from tvglab import (
-    ControllerSpec,
-    InjectionSpec,
+    differentiator_error_model,
     falsify_uniform_stability,
     gain_supremum_scan,
     instability_witness_time,
@@ -25,8 +24,8 @@ from tvglab import (
 def main():
     rhos = (1e-1, 1e-2, 1e-3, 1e-4)
     print("== feedback supremum over ||x||inf <= 1, t <= 1 - rho ==")
-    control = gain_supremum_scan(ControllerSpec.reference(), 1.0, rhos)
-    diff = gain_supremum_scan(InjectionSpec.prescribed_time_diff(), 1.0, rhos)
+    control = gain_supremum_scan(reference_loop(), 1.0, rhos)
+    diff = gain_supremum_scan(differentiator_error_model(), 1.0, rhos)
     print(f"  {'rho':>6}  {'control sup':>14}  {'injection sup':>14}  {'6/rho^2':>14}")
     for rc, ri in zip(control.rows, diff.rows):
         print(f"  {rc.rho:>6}  {rc.supremum:>14.1f}  {ri.supremum:>14.1f}"

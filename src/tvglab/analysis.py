@@ -19,9 +19,7 @@ import numpy as np
 
 from .core import (
     CONTROL_LOOP,
-    DIFF_ERROR,
-    ControllerSpec,
-    InjectionSpec,
+    GainTable,
     NoiseSource,
     NumericalFailure,
     SystemModel,
@@ -164,7 +162,7 @@ def _canonical_corner(delta: float, signs: np.ndarray) -> tuple[float, ...]:
     return tuple(float(delta * s) for s in signs)
 
 
-def gain_supremum_scan(spec: Union[ControllerSpec, InjectionSpec], delta: float,
+def gain_supremum_scan(model: SystemModel, delta: float,
                        rho_ladder: Sequence[float], time_samples: int = 64) -> GainScanTable:
     """Maximize the feedback magnitude over the state box and the time range.
 
@@ -179,15 +177,15 @@ def gain_supremum_scan(spec: Union[ControllerSpec, InjectionSpec], delta: float,
     rhos = [float(r) for r in rho_ladder]
     if any(b >= a for a, b in zip(rhos, rhos[1:])) or not rhos:
         raise ValueError("rho_ladder must be strictly decreasing")
-    T = spec.T
+    T = model.T
     if rhos[0] >= T or rhos[-1] <= 0.0:
         raise ValueError("rho values must lie in (0, T)")
-    is_control = isinstance(spec, ControllerSpec)
+    is_control = model.variant == CONTROL_LOOP
     rows = []
     for rho in rhos:
         u_grid = np.geomspace(T, rho, time_samples)
         u_grid[-1] = rho  # exact endpoint
-        vals = np.array([[g.value_at(u) for g in spec.gains] for u in u_grid])
+        vals = np.array([[g.value_at(u) for g in model.gains.gains] for u in u_grid])
         if is_control:
             totals = delta * np.abs(vals).sum(axis=1)
             j = int(np.argmax(totals))
@@ -203,16 +201,16 @@ def gain_supremum_scan(spec: Union[ControllerSpec, InjectionSpec], delta: float,
             rows.append(GainScanRow(rho=rho, supremum=float(per[j, i]),
                                     arg_state=(delta,), arg_time=T - u_star,
                                     arg_channel=int(i)))
-    return GainScanTable(rows=tuple(rows), delta=delta, kind=spec.kind)
+    return GainScanTable(rows=tuple(rows), delta=delta, kind=model.gains.kind)
 
 
-def gain_bound_at(spec: Union[ControllerSpec, InjectionSpec], rho: float, delta: float) -> float:
+def gain_bound_at(model: SystemModel, rho: float, delta: float) -> float:
     """Closed-form box supremum of the feedback magnitude at t = T - rho."""
-    if delta <= 0.0 or rho <= 0.0 or rho >= spec.T:
+    if delta <= 0.0 or rho <= 0.0 or rho >= model.T:
         raise ValueError("need delta > 0 and rho in (0, T)")
-    if isinstance(spec, ControllerSpec):
-        return delta * sum(abs(g.value_at(rho)) for g in spec.gains)
-    return delta * max(abs(g.value_at(rho)) for g in spec.gains)
+    if model.variant == CONTROL_LOOP:
+        return delta * sum(abs(g.value_at(rho)) for g in model.gains.gains)
+    return delta * max(abs(g.value_at(rho)) for g in model.gains.gains)
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +373,6 @@ def evaluate_stop_time(model: SystemModel, t_stop: float, initial_conditions: Se
                             slope=slope, intercept=intercept, r_squared=r2)
 
 
-def _switched_off(model: SystemModel) -> SystemModel:
-    if model.variant == CONTROL_LOOP:
-        return replace(model, controller=ControllerSpec.zero(model.n, model.horizon.T))
-    return replace(model, injection=InjectionSpec.zero(model.n, model.horizon.T))
-
-
 def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequence,
                       noise: NoiseArg = None,
                       opts: Optional[IntegrationOptions] = None) -> WorkaroundReport:
@@ -397,7 +389,7 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
     T = model.horizon.T
     rho_min = opts.rho_min if opts.rho_min is not None else model.horizon.rho_min
     t_end = T - rho_min
-    off_model = _switched_off(model)
+    off_model = replace(model, gains=GainTable.zero(model.n))
     cases = []
     flags = []
     for idx, xi in enumerate(initial_conditions):

@@ -25,7 +25,7 @@ gate has passed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,8 +33,8 @@ import numpy as np
 from .core import (
     CONTROL_LOOP,
     DIFF_ERROR,
-    ControllerSpec,
     NoiseSource,
+    RationalGain,
     SystemModel,
 )
 from .integrate import (
@@ -411,26 +411,26 @@ class ControllerTerminalNoise(NoiseSource):
         return eta
 
 
-def _solve_profile(controller: ControllerSpec, epsilon: float) -> tuple[float, ...]:
+def _solve_profile(gains: tuple[RationalGain, ...], epsilon: float) -> tuple[float, ...]:
     """Per-channel profile coefficients c_i (xi_i = c_i * u) cancelling every
     singular term of the controller along the planned cascade."""
-    n = controller.n
+    n = len(gains)
     neg_powers = sorted({
-        1 - p for g in controller.gains[:-1] for c, p in g.terms if c != 0.0 and 1 - p < 0
+        1 - p for g in gains[:-1] for c, p in g.terms if c != 0.0 and 1 - p < 0
     } | {
-        -p for c, p in controller.gains[-1].terms if c != 0.0 and p > 0
+        -p for c, p in gains[-1].terms if c != 0.0 and p > 0
     })
     if not neg_powers:
         return tuple(0.0 for _ in range(n - 1))
     rows = {m: i for i, m in enumerate(neg_powers)}
     A = np.zeros((len(neg_powers), n - 1))
     b = np.zeros(len(neg_powers))
-    for i, g in enumerate(controller.gains[:-1]):
+    for i, g in enumerate(gains[:-1]):
         for c, p in g.terms:
             m = 1 - p
             if m in rows:
                 A[rows[m], i] += c
-    for c, p in controller.gains[-1].terms:
+    for c, p in gains[-1].terms:
         m = -p
         if m in rows:
             b[rows[m]] += c * (-2.0 * epsilon)
@@ -444,7 +444,8 @@ def _solve_profile(controller: ControllerSpec, epsilon: float) -> tuple[float, .
     return tuple(float(v) for v in sol)
 
 
-def _build_forcing(controller: ControllerSpec, profile: tuple[float, ...], epsilon: float) -> _PolyU:
+def _build_forcing(gains: tuple[RationalGain, ...], profile: tuple[float, ...],
+                   epsilon: float) -> _PolyU:
     """Controller output along the planned cascade, as a polynomial in u.
 
     Raises when singular terms fail to cancel, since the construction only
@@ -452,12 +453,12 @@ def _build_forcing(controller: ControllerSpec, profile: tuple[float, ...], epsil
     """
     laurent = _PolyU()
     mags: dict[int, float] = {}
-    for i, g in enumerate(controller.gains[:-1]):
+    for i, g in enumerate(gains[:-1]):
         ci = profile[i]
         for c, p in g.terms:
             laurent.add_term(1 - p, c * ci)
             mags[1 - p] = mags.get(1 - p, 0.0) + abs(c * ci)
-    for c, p in controller.gains[-1].terms:
+    for c, p in gains[-1].terms:
         laurent.add_term(-p, c * (-2.0 * epsilon))
         mags[-p] = mags.get(-p, 0.0) + abs(c * 2.0 * epsilon)
     out = _PolyU()
@@ -486,7 +487,7 @@ def terminal_plan_window(n: int, eta_bar: float, epsilon: float, T: float = 1.0
     return (max(T - eta_inf / (12.0 * epsilon), T - 0.5), T)
 
 
-def controller_terminal_error_noise(controller: ControllerSpec, eta_bar: float, epsilon: float,
+def controller_terminal_error_noise(model: SystemModel, eta_bar: float, epsilon: float,
                                     profile_coeffs=None, psi_init=None,
                                     s: Optional[float] = None
                                     ) -> tuple[ControllerTerminalNoise, CascadePlan]:
@@ -501,13 +502,15 @@ def controller_terminal_error_noise(controller: ControllerSpec, eta_bar: float, 
     values of channels 1..n-1 (default zero, each bounded by
     eta_bar / (4 sqrt(n))).
     """
+    if model.variant != CONTROL_LOOP:
+        raise ValueError("terminal tracking attack applies to the control loop")
     if eta_bar <= 0.0 or epsilon <= 0.0:
         raise ValueError("eta_bar and epsilon must be positive")
-    n = controller.n
-    T = controller.T
+    n = model.n
+    T = model.T
     eta_inf = eta_bar / math.sqrt(n)
     if profile_coeffs is None:
-        profile_coeffs = _solve_profile(controller, epsilon)
+        profile_coeffs = _solve_profile(model.gains.gains, epsilon)
     profile_coeffs = tuple(float(c) for c in profile_coeffs)
     if len(profile_coeffs) != n - 1:
         raise ValueError(f"profile needs {n - 1} coefficients, got {len(profile_coeffs)}")
@@ -520,7 +523,7 @@ def controller_terminal_error_noise(controller: ControllerSpec, eta_bar: float, 
     if any(abs(v) > cap * (1.0 + 1e-12) for v in psi_init):
         raise ValueError(f"planned start values must satisfy |psi_i(s)| <= {cap!r}")
 
-    forcing = _build_forcing(controller, profile_coeffs, epsilon)
+    forcing = _build_forcing(model.gains.gains, profile_coeffs, epsilon)
 
     def build(w: float) -> CascadePlan:
         s_val = T - w
@@ -695,9 +698,7 @@ def run_controller_terminal_attack(model: SystemModel, eta_bar: float, epsilon: 
     noise; reports the sup-norm tracking error and the terminal state at
     T - rho.  Verdict: terminal norm >= epsilon.
     """
-    if model.variant != CONTROL_LOOP:
-        raise ValueError("terminal tracking attack applies to the control loop")
-    noise, plan = controller_terminal_error_noise(model.controller, eta_bar, epsilon,
+    noise, plan = controller_terminal_error_noise(model, eta_bar, epsilon,
                                                   profile_coeffs=profile_coeffs,
                                                   psi_init=psi_init, s=s)
     opts = opts or IntegrationOptions()
@@ -758,7 +759,7 @@ def run_controller_terminal_attack_with_prelude(model: SystemModel, eta_bar: flo
             if window_ok and heads_ok:
                 try:
                     _, plan = controller_terminal_error_noise(
-                        model.controller, eta_bar, epsilon,
+                        model, eta_bar, epsilon,
                         psi_init=tuple(float(v) for v in x_ev[: n - 1]), s=s_ev)
                 except ValueError as exc:
                     last_err = str(exc)

@@ -18,7 +18,6 @@ significant digits so a re-parse reproduces every value bit-exactly.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -29,13 +28,11 @@ import numpy as np
 from .core import (
     CONTROL_LOOP,
     DIFF_ERROR,
-    ControllerSpec,
     DisturbanceSpec,
-    InjectionSpec,
+    GainTable,
     Horizon,
     NumericalFailure,
     SystemModel,
-    ZeroNoise,
 )
 from .integrate import IntegrationOptions, OutputGrid, Trajectory, integrate
 from .oracle import verify_solver_against_oracle
@@ -49,7 +46,6 @@ from .attack import (
 from .analysis import (
     DeadlineReport,
     GainScanTable,
-    StabilityWitness,
     WorkaroundReport,
     check_absolute_deadline,
     evaluate_deadzone,
@@ -107,6 +103,11 @@ def _parse_gains(text: str) -> tuple[tuple[tuple[float, int], ...], ...]:
             terms.append((float(c_txt), int(p_txt)))
         out.append(tuple(terms))
     return tuple(out)
+
+
+def _format_gains(tables) -> str:
+    """Gain tables in _parse_gains syntax, so the echo parses back exactly."""
+    return "; ".join(" ".join(f"{fmt(c)},{p}" for c, p in ch) for ch in tables)
 
 
 def _parse_bool(text: str) -> bool:
@@ -401,32 +402,21 @@ def build_disturbance(cfg: ExperimentConfig) -> DisturbanceSpec:
 
 def build_model(cfg: ExperimentConfig) -> SystemModel:
     T = cfg.values["system.T"]
-    rho_min = cfg.values["system.rho_min"] or 0.0
-    horizon = Horizon(T=T, rho_min=rho_min)
+    horizon = Horizon(T=T, rho_min=cfg.values["system.rho_min"] or 0.0)
     disturbance = build_disturbance(cfg)
     variant = cfg.values["system.variant"]
-    if variant == CONTROL_LOOP:
-        kind = cfg.values["system.controller"]
-        if kind == "reference":
-            if cfg.values["system.T"] != 1.0 and "system.T" in cfg.explicit:
-                raise ConfigError(["system.T: the reference controller is defined for T = 1"])
-            controller = ControllerSpec.reference()
-        elif kind == "zero":
-            controller = ControllerSpec.zero(cfg.values["system.n"], T)
-        else:
-            controller = ControllerSpec.rational(cfg.values["system.gains"], T=T)
-        return SystemModel(variant=CONTROL_LOOP, horizon=horizon, controller=controller,
-                           disturbance=disturbance)
-    kind = cfg.values["system.injection"]
-    if kind == "pt_diff2":
-        injection = InjectionSpec.prescribed_time_diff(cfg.values["system.ell1"],
-                                                       cfg.values["system.ell2"], T=T)
+    kind = cfg.values["system.controller" if variant == CONTROL_LOOP else "system.injection"]
+    if kind == "reference":
+        if T != 1.0 and "system.T" in cfg.explicit:
+            raise ConfigError(["system.T: the reference controller is defined for T = 1"])
+        gains = GainTable.reference()
+    elif kind == "pt_diff2":
+        gains = GainTable.prescribed_time_diff(cfg.values["system.ell1"], cfg.values["system.ell2"])
     elif kind == "zero":
-        injection = InjectionSpec.zero(cfg.values["system.n"], T)
+        gains = GainTable.zero(cfg.values["system.n"])
     else:
-        injection = InjectionSpec.rational(cfg.values["system.gains"], T=T)
-    return SystemModel(variant=DIFF_ERROR, horizon=horizon, injection=injection,
-                       disturbance=disturbance)
+        gains = GainTable.rational(cfg.values["system.gains"])
+    return SystemModel(variant=variant, horizon=horizon, gains=gains, disturbance=disturbance)
 
 
 def build_options(cfg: ExperimentConfig, grid: Optional[OutputGrid] = None) -> IntegrationOptions:
@@ -456,6 +446,8 @@ def config_echo_lines(cfg: ExperimentConfig) -> list[str]:
             txt = "true" if val else "false"
         elif isinstance(val, float):
             txt = fmt(val)
+        elif key == "system.gains":
+            txt = _format_gains(val)
         elif isinstance(val, tuple):
             if val and isinstance(val[0], tuple):
                 txt = "; ".join(",".join(fmt(x) for x in grp) for grp in val)
@@ -774,8 +766,7 @@ def _run_attack(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def _run_gain_scan(cfg: ExperimentConfig, out_dir: str) -> int:
     model = build_model(cfg)
-    spec = model.controller if model.variant == CONTROL_LOOP else model.injection
-    table = gain_supremum_scan(spec, cfg.values["scan.delta"], cfg.values["scan.rhos"],
+    table = gain_supremum_scan(model, cfg.values["scan.delta"], cfg.values["scan.rhos"],
                                time_samples=cfg.values["scan.time_samples"])
     csv_path = _out_path(cfg, out_dir, "gain_scan")
     write_scan_csv(csv_path, table, cfg)
@@ -924,10 +915,10 @@ def _run_selftest(cfg: ExperimentConfig, out_dir: str) -> int:
     traj_paths.append((p, 0.1))
     checks.append(("differentiator terminal ramp", out_dt.verdict))
 
-    tab_c = gain_supremum_scan(ControllerSpec.reference(), 1.0, (1e-1, 1e-2, 1e-3))
+    tab_c = gain_supremum_scan(reference_loop(), 1.0, (1e-1, 1e-2, 1e-3))
     write_scan_csv(_out_path(cfg, out_dir, "selftest_gain_scan_control"), tab_c, None)
     checks.append(("controller gain scan monotone", tab_c.monotone))
-    tab_d = gain_supremum_scan(InjectionSpec.prescribed_time_diff(), 1.0, (1e-1, 1e-2, 1e-3))
+    tab_d = gain_supremum_scan(differentiator_error_model(), 1.0, (1e-1, 1e-2, 1e-3))
     write_scan_csv(_out_path(cfg, out_dir, "selftest_gain_scan_diff"), tab_d, None)
     checks.append(("injection gain scan monotone", tab_d.monotone))
 

@@ -3,17 +3,17 @@
 Two closed-loop structures live on a horizon [0, T): an integrator chain
 under linear state feedback whose gains grow without bound as t -> T, and
 the estimation-error dynamics of a differentiator whose output-injection
-gains do the same.  This module holds the gain representation, the system
-specifications, the signal contracts (measurement noise, matched
-disturbance), and the right-hand-side evaluators shared by the integrator
-and the analysis routines.
+gains do the same.  Both are driven by one GainTable of per-channel
+rational gains in 1/(T - t).  This module holds the gains, the signal
+contracts (measurement noise, matched disturbance), and the system model
+whose right-hand side the integrator and the analysis routines share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -69,22 +69,6 @@ class RationalGain:
             acc += c / u**p
         return acc
 
-    def magnitude_at(self, u: float) -> float:
-        """Sum of term magnitudes at u; equals |value_at(u)| when all
-        coefficients share one sign (true for every built-in gain)."""
-        acc = 0.0
-        for c, p in self.terms:
-            acc += abs(c) / u**p
-        return acc
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c, _ in self.terms)
-
-    @property
-    def max_pole_order(self) -> int:
-        return max((p for c, p in self.terms if c != 0.0), default=0)
-
 
 def _as_gain(g) -> RationalGain:
     if isinstance(g, RationalGain):
@@ -98,80 +82,37 @@ PT_DIFF2 = "pt_diff2"
 
 
 @dataclass(frozen=True)
-class ControllerSpec:
-    """Linear state feedback v(t, x) = sum_i g_i(t) * x_i on [0, T)."""
+class GainTable:
+    """Per-channel rational gains g_i(t) in 1/(T - t) on [0, T).
+
+    The control loop applies them as state feedback v = sum_i g_i(t) * x_i;
+    the differentiator error model injects phi_i = g_i(t) * y into channel i,
+    where y is the measured first error component.  T comes from the
+    model's Horizon.
+    """
 
     kind: str
-    T: float
     gains: tuple[RationalGain, ...]
 
     def __post_init__(self):
-        if self.kind not in (REFERENCE, RATIONAL_TVG):
-            raise ValueError(f"unknown controller kind {self.kind!r}")
+        if self.kind not in (REFERENCE, PT_DIFF2, RATIONAL_TVG):
+            raise ValueError(f"unknown gain table kind {self.kind!r}")
         if len(self.gains) < 2:
-            raise ValueError("controller needs at least two state channels")
-        if not (math.isfinite(self.T) and self.T > 0.0):
-            raise ValueError("controller horizon T must be positive and finite")
+            raise ValueError("gain table needs at least two channels")
 
     @staticmethod
-    def reference() -> "ControllerSpec":
-        """Bundled second-order loop on T = 1 with gains -6/(1-t)^2 and -4/(1-t).
+    def reference() -> "GainTable":
+        """Bundled second-order feedback -6/(1-t)^2 and -4/(1-t), for T = 1.
 
         Every closed-loop solution is a cubic polynomial in (1 - t) and reaches
         zero exactly at t = 1 from any start time and state, which makes this
         loop the solver oracle (see tvglab.oracle.reference_solution).
         """
-        return ControllerSpec(
-            kind=REFERENCE,
-            T=1.0,
-            gains=(RationalGain(((-6.0, 2),)), RationalGain(((-4.0, 1),))),
-        )
+        return GainTable(kind=REFERENCE,
+                         gains=(RationalGain(((-6.0, 2),)), RationalGain(((-4.0, 1),))))
 
     @staticmethod
-    def rational(gains: Sequence, T: float = 1.0) -> "ControllerSpec":
-        """Controller from explicit per-channel (coefficient, pole_order) tables."""
-        return ControllerSpec(kind=RATIONAL_TVG, T=float(T), gains=tuple(_as_gain(g) for g in gains))
-
-    @staticmethod
-    def zero(n: int = 2, T: float = 1.0) -> "ControllerSpec":
-        """Open-loop chain: v identically zero (negative-control fixture)."""
-        return ControllerSpec.rational([() for _ in range(n)], T=T)
-
-    @property
-    def n(self) -> int:
-        return len(self.gains)
-
-    def evaluate(self, t: float, x) -> float:
-        """Controller output at time t for measured state x; rejects t >= T."""
-        u = self.T - t
-        if u <= 0.0:
-            raise ValueError(f"controller evaluated at t={t!r} >= deadline T={self.T!r}")
-        acc = 0.0
-        for g, xi in zip(self.gains, x):
-            acc += g.value_at(u) * xi
-        return acc
-
-
-@dataclass(frozen=True)
-class InjectionSpec:
-    """Output injection: channel i contributes phi_i(t, y) = g_i(t) * y,
-    where y is the measured first error component."""
-
-    kind: str
-    T: float
-    gains: tuple[RationalGain, ...]
-    ell: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in (PT_DIFF2, RATIONAL_TVG):
-            raise ValueError(f"unknown injection kind {self.kind!r}")
-        if len(self.gains) < 2:
-            raise ValueError("injection needs at least two error channels")
-        if not (math.isfinite(self.T) and self.T > 0.0):
-            raise ValueError("injection horizon T must be positive and finite")
-
-    @staticmethod
-    def prescribed_time_diff(ell1: float = 1.0, ell2: float = 1.0, T: float = 1.0) -> "InjectionSpec":
+    def prescribed_time_diff(ell1: float = 1.0, ell2: float = 1.0) -> "GainTable":
         """Second-order prescribed-time differentiator error injection.
 
         Channel gains are -(l1 + 6/(T-t)) and -(l2 + 3 l1/(T-t) + 6/(T-t)^2)
@@ -182,41 +123,17 @@ class InjectionSpec:
             raise ValueError("injection parameters l1, l2 must be positive")
         g1 = RationalGain(((-float(ell1), 0), (-6.0, 1)))
         g2 = RationalGain(((-float(ell2), 0), (-3.0 * float(ell1), 1), (-6.0, 2)))
-        return InjectionSpec(kind=PT_DIFF2, T=float(T), gains=(g1, g2), ell=(float(ell1), float(ell2)))
+        return GainTable(kind=PT_DIFF2, gains=(g1, g2))
 
     @staticmethod
-    def rational(gains: Sequence, T: float = 1.0) -> "InjectionSpec":
-        return InjectionSpec(kind=RATIONAL_TVG, T=float(T), gains=tuple(_as_gain(g) for g in gains))
+    def rational(tables: Sequence) -> "GainTable":
+        """Gains from explicit per-channel (coefficient, pole_order) tables."""
+        return GainTable(kind=RATIONAL_TVG, gains=tuple(_as_gain(g) for g in tables))
 
     @staticmethod
-    def zero(n: int = 2, T: float = 1.0) -> "InjectionSpec":
-        return InjectionSpec.rational([() for _ in range(n)], T=T)
-
-    @property
-    def n(self) -> int:
-        return len(self.gains)
-
-    def values(self, t: float, y: float) -> np.ndarray:
-        """All channel outputs phi_i(t, y); rejects t >= T."""
-        u = self.T - t
-        if u <= 0.0:
-            raise ValueError(f"injection evaluated at t={t!r} >= deadline T={self.T!r}")
-        out = np.empty(len(self.gains))
-        for i, g in enumerate(self.gains):
-            out[i] = g.value_at(u) * y
-        return out
-
-
-def eval_reference_controller(t: float, x) -> float:
-    """Output of the bundled reference controller at (t, x), t < 1."""
-    return ControllerSpec.reference().evaluate(t, x)
-
-
-def eval_differentiator_injection(t: float, y: float, spec: Optional[InjectionSpec] = None) -> np.ndarray:
-    """Injection channel outputs for measured first component y, t < T."""
-    if spec is None:
-        spec = InjectionSpec.prescribed_time_diff()
-    return spec.values(t, y)
+    def zero(n: int) -> "GainTable":
+        """All n gains identically zero (negative-control fixture)."""
+        return GainTable.rational([() for _ in range(n)])
 
 
 @dataclass(frozen=True)
@@ -321,71 +238,8 @@ class ZeroNoise(NoiseSource):
         return self._zero
 
 
-@dataclass(frozen=True)
-class SystemModel:
-    """A simulated system: variant, horizon, and the law driving channel n.
-
-    variant "control_loop":  x_i' = x_{i+1} (i < n),  x_n' = v(t, x + eta) + d(t)
-    variant "diff_error":    x_i' = x_{i+1} + phi_i(t, x_1 + eta_1) (i < n),
-                             x_n' = d(t) + phi_n(t, x_1 + eta_1)
-    """
-
-    variant: str
-    horizon: Horizon
-    controller: Optional[ControllerSpec] = None
-    injection: Optional[InjectionSpec] = None
-    disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
-
-    def __post_init__(self):
-        if self.variant == CONTROL_LOOP:
-            if self.controller is None:
-                raise ValueError("control_loop model needs a controller")
-            if abs(self.controller.T - self.horizon.T) > 0.0:
-                raise ValueError("controller horizon differs from model horizon")
-        elif self.variant == DIFF_ERROR:
-            if self.injection is None:
-                raise ValueError("diff_error model needs an injection")
-            if abs(self.injection.T - self.horizon.T) > 0.0:
-                raise ValueError("injection horizon differs from model horizon")
-        else:
-            raise ValueError(f"unknown system variant {self.variant!r}")
-
-    @property
-    def n(self) -> int:
-        if self.variant == CONTROL_LOOP:
-            return self.controller.n
-        return self.injection.n
-
-    @property
-    def T(self) -> float:
-        return self.horizon.T
-
-    def rhs(self, t: float, x: np.ndarray, eta) -> np.ndarray:
-        if self.variant == CONTROL_LOOP:
-            return control_loop_rhs(t, x, eta, self)
-        return diff_error_rhs(t, x, eta, self)
-
-    def gain_output(self, t: float, x: np.ndarray, eta) -> float:
-        """Scalar record of the algorithm output at (t, x): the controller
-        value, or the largest-magnitude injection channel (signed)."""
-        if self.variant == CONTROL_LOOP:
-            return self.controller.evaluate(t, x + eta)
-        phi = self.injection.values(t, float(x[0]) + _scalar(eta))
-        return float(phi[int(np.argmax(np.abs(phi)))])
-
-    def zero_noise(self) -> ZeroNoise:
-        return ZeroNoise(self.n if self.variant == CONTROL_LOOP else None)
-
-
-def control_loop_rhs(t: float, x: np.ndarray, eta, model: SystemModel) -> np.ndarray:
-    """Chain derivative under noisy state feedback; d enters the last channel."""
-    v = model.controller.evaluate(t, x + eta)
-    if not math.isfinite(v):
-        raise NumericalFailure(f"controller output not finite at t={t!r}")
-    dx = np.empty_like(x)
-    dx[:-1] = x[1:]
-    dx[-1] = v + model.disturbance(t)
-    return dx
+# gain table kinds each variant accepts
+_VARIANT_KINDS = {CONTROL_LOOP: (REFERENCE, RATIONAL_TVG), DIFF_ERROR: (PT_DIFF2, RATIONAL_TVG)}
 
 
 def _scalar(v) -> float:
@@ -394,15 +248,79 @@ def _scalar(v) -> float:
     return float(arr.reshape(-1)[0]) if arr.ndim else float(arr)
 
 
-def diff_error_rhs(t: float, x: np.ndarray, eta1, model: SystemModel) -> np.ndarray:
-    """Differentiator error derivative; only the first component is measured."""
-    phi = model.injection.values(t, float(x[0]) + _scalar(eta1))
-    if not np.all(np.isfinite(phi)):
-        raise NumericalFailure(f"injection output not finite at t={t!r}")
-    dx = np.empty_like(x)
-    dx[:-1] = x[1:] + phi[:-1]
-    dx[-1] = model.disturbance(t) + phi[-1]
-    return dx
+@dataclass(frozen=True)
+class SystemModel:
+    """A simulated system: variant, horizon, and the gains driving the chain.
+
+    variant "control_loop":  x_i' = x_{i+1} (i < n),  x_n' = v(t, x + eta) + d(t)
+    variant "diff_error":    x_i' = x_{i+1} + phi_i(t, x_1 + eta_1) (i < n),
+                             x_n' = d(t) + phi_n(t, x_1 + eta_1)
+    """
+
+    variant: str
+    horizon: Horizon
+    gains: GainTable
+    disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
+
+    def __post_init__(self):
+        kinds = _VARIANT_KINDS.get(self.variant)
+        if kinds is None:
+            raise ValueError(f"unknown system variant {self.variant!r}")
+        if self.gains.kind not in kinds:
+            raise ValueError(f"{self.gains.kind} gains cannot drive a {self.variant} model")
+
+    @property
+    def n(self) -> int:
+        return len(self.gains.gains)
+
+    @property
+    def T(self) -> float:
+        return self.horizon.T
+
+    def _outputs(self, t: float, x: np.ndarray, eta):
+        """Gain outputs for the measured signal: the feedback v(t, x + eta)
+        of the control loop, or the injection vector phi(t, x_1 + eta_1) of
+        the differentiator; rejects t >= T."""
+        u = self.horizon.T - t
+        if u <= 0.0:
+            raise ValueError(f"gains evaluated at t={t!r} >= deadline T={self.horizon.T!r}")
+        if self.variant == CONTROL_LOOP:
+            acc = 0.0
+            for g, xi in zip(self.gains.gains, x + eta):
+                acc += g.value_at(u) * xi
+            return acc
+        y = float(x[0]) + _scalar(eta)
+        out = np.empty(self.n)
+        for i, g in enumerate(self.gains.gains):
+            out[i] = g.value_at(u) * y
+        return out
+
+    def rhs(self, t: float, x: np.ndarray, eta) -> np.ndarray:
+        """Chain derivative under the measured signal; d enters the last channel."""
+        out = self._outputs(t, x, eta)
+        dx = np.empty_like(x)
+        if self.variant == CONTROL_LOOP:
+            if not math.isfinite(out):
+                raise NumericalFailure(f"controller output not finite at t={t!r}")
+            dx[:-1] = x[1:]
+            dx[-1] = out + self.disturbance(t)
+        else:
+            if not np.all(np.isfinite(out)):
+                raise NumericalFailure(f"injection output not finite at t={t!r}")
+            dx[:-1] = x[1:] + out[:-1]
+            dx[-1] = self.disturbance(t) + out[-1]
+        return dx
+
+    def gain_output(self, t: float, x: np.ndarray, eta) -> float:
+        """Scalar record of the algorithm output at (t, x): the controller
+        value, or the largest-magnitude injection channel (signed)."""
+        out = self._outputs(t, x, eta)
+        if self.variant == CONTROL_LOOP:
+            return out
+        return float(out[int(np.argmax(np.abs(out)))])
+
+    def zero_noise(self) -> ZeroNoise:
+        return ZeroNoise(self.n if self.variant == CONTROL_LOOP else None)
 
 
 def reference_loop(disturbance: Optional[DisturbanceSpec] = None, rho_min: float = 0.0) -> SystemModel:
@@ -410,7 +328,7 @@ def reference_loop(disturbance: Optional[DisturbanceSpec] = None, rho_min: float
     return SystemModel(
         variant=CONTROL_LOOP,
         horizon=Horizon(T=1.0, rho_min=rho_min),
-        controller=ControllerSpec.reference(),
+        gains=GainTable.reference(),
         disturbance=disturbance or DisturbanceSpec(),
     )
 
@@ -421,7 +339,7 @@ def rational_loop(gains: Sequence, T: float = 1.0,
     return SystemModel(
         variant=CONTROL_LOOP,
         horizon=Horizon(T=float(T), rho_min=rho_min),
-        controller=ControllerSpec.rational(gains, T=T),
+        gains=GainTable.rational(gains),
         disturbance=disturbance or DisturbanceSpec(),
     )
 
@@ -432,7 +350,7 @@ def open_loop_chain(n: int = 2, T: float = 1.0,
     return SystemModel(
         variant=CONTROL_LOOP,
         horizon=Horizon(T=float(T)),
-        controller=ControllerSpec.zero(n=n, T=T),
+        gains=GainTable.zero(n),
         disturbance=disturbance or DisturbanceSpec(),
     )
 
@@ -444,7 +362,7 @@ def differentiator_error_model(ell1: float = 1.0, ell2: float = 1.0, T: float = 
     return SystemModel(
         variant=DIFF_ERROR,
         horizon=Horizon(T=float(T), rho_min=rho_min),
-        injection=InjectionSpec.prescribed_time_diff(ell1=ell1, ell2=ell2, T=T),
+        gains=GainTable.prescribed_time_diff(ell1=ell1, ell2=ell2),
         disturbance=disturbance or DisturbanceSpec(),
     )
 
@@ -455,6 +373,6 @@ def rational_diff_error(gains: Sequence, T: float = 1.0,
     return SystemModel(
         variant=DIFF_ERROR,
         horizon=Horizon(T=float(T), rho_min=rho_min),
-        injection=InjectionSpec.rational(gains, T=T),
+        gains=GainTable.rational(gains),
         disturbance=disturbance or DisturbanceSpec(),
     )

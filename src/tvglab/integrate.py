@@ -16,7 +16,7 @@ interpolation over committed steps provides dense output in between.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -140,17 +140,8 @@ class Trajectory:
         tl = self.knot_ts[idx]
         h = self.knot_ts[idx + 1] - tl
         theta = np.clip((t_arr - tl) / h, 0.0, 1.0)[:, None]
-        x0 = self.knot_xs[idx]
-        x1 = self.knot_xs[idx + 1]
-        f0 = self.knot_fs[idx]
-        f1 = self.knot_fs[idx + 1]
-        hh = h[:, None]
-        t2 = theta * theta
-        t3 = t2 * theta
-        out = (x0 * (2.0 * t3 - 3.0 * t2 + 1.0)
-               + hh * f0 * (t3 - 2.0 * t2 + theta)
-               + x1 * (-2.0 * t3 + 3.0 * t2)
-               + hh * f1 * (t3 - t2))
+        out = _hermite(self.knot_xs[idx], self.knot_fs[idx], self.knot_xs[idx + 1],
+                       self.knot_fs[idx + 1], h[:, None], theta)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
         return out
@@ -158,6 +149,15 @@ class Trajectory:
     @property
     def completed(self) -> bool:
         return self.termination.kind == REACHED_END
+
+
+def _hermite(xl, fl, xr, fr, h, theta):
+    """Cubic Hermite interpolant over one step of length h, at fraction theta
+    of the step, from the end states xl, xr and end derivatives fl, fr."""
+    t2 = theta * theta
+    t3 = t2 * theta
+    return (xl * (2.0 * t3 - 3.0 * t2 + 1.0) + h * fl * (t3 - 2.0 * t2 + theta)
+            + xr * (-2.0 * t3 + 3.0 * t2) + h * fr * (t3 - t2))
 
 
 def _plain_float(value) -> float:
@@ -211,9 +211,6 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     def eta_norm(e):
         return float(np.linalg.norm(e)) if is_control else abs(e)
 
-    def rhs(t, state, e):
-        return model.rhs(t, state, e)
-
     grid = None
     if opts.output_grid is not None:
         grid = opts.output_grid.points(t0, t_end, T)
@@ -236,18 +233,10 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         sample_etas.append(np.array(e, dtype=float) if is_control else float(e))
         sample_gains.append(_plain_float(model.gain_output(t, state, e)))
 
-    def hermite(tl, xl, fl, tr, xr, fr, tq):
-        h = tr - tl
-        th = (tq - tl) / h
-        t2 = th * th
-        t3 = t2 * th
-        return (xl * (2.0 * t3 - 3.0 * t2 + 1.0) + h * fl * (t3 - 2.0 * t2 + th)
-                + xr * (-2.0 * t3 + 3.0 * t2) + h * fr * (t3 - t2))
-
     # initial commitment: let the source latch its first segment, then record
     noise.observe(t0, x)
     eta0 = eta_at(t0, x)
-    f0 = rhs(t0, x, eta0)
+    f0 = model.rhs(t0, x, eta0)
     record_sample(t0, x, eta0)
     knot_ts.append(t0)
     knot_xs.append(x.copy())
@@ -285,10 +274,10 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             for i, (c, arow) in enumerate(zip(_DP_C, _DP_A)):
                 ts_i = t + c * h
                 xs_i = x + h * np.dot(arow, k[: len(arow)])
-                k[i + 1] = rhs(ts_i, xs_i, eta_at(ts_i, xs_i))
+                k[i + 1] = model.rhs(ts_i, xs_i, eta_at(ts_i, xs_i))
             x_new = x + h * np.dot(_DP_B, k[:6])
             t_new = barrier if at_barrier else t + h
-            k[6] = rhs(t_new, x_new, eta_at(t_new, x_new))
+            k[6] = model.rhs(t_new, x_new, eta_at(t_new, x_new))
             if not np.all(np.isfinite(x_new)) or not np.all(np.isfinite(k)):
                 rejected = True
                 err = math.inf
@@ -309,6 +298,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
 
         # committed: emit any grid samples interior to the step
         f_new = k[6]
+        dt = t_new - t
         stop_hit = stop_condition is not None and stop_condition(t_new, x_new)
         if stop_hit:
             # bisect to the earliest time the condition holds on this step
@@ -317,24 +307,24 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
                 if hi - lo <= 1e-12:
                     break
                 mid = 0.5 * (lo + hi)
-                xm = hermite(t, x, f_start, t_new, x_new, f_new, mid)
+                xm = _hermite(x, f_start, x_new, f_new, dt, (mid - t) / dt)
                 if stop_condition(mid, xm):
                     hi = mid
                 else:
                     lo = mid
             t_ev = hi
-            x_ev = hermite(t, x, f_start, t_new, x_new, f_new, t_ev)
+            x_ev = _hermite(x, f_start, x_new, f_new, dt, (t_ev - t) / dt)
             if grid is not None:
                 while grid_idx < len(grid) and grid[grid_idx] < t_ev:
                     tq = grid[grid_idx]
                     if tq > t:
-                        xq = hermite(t, x, f_start, t_new, x_new, f_new, tq)
+                        xq = _hermite(x, f_start, x_new, f_new, dt, (tq - t) / dt)
                         record_sample(tq, xq, eta_at(tq, xq))
                     grid_idx += 1
             eta_ev = eta_at(t_ev, x_ev)
             knot_ts.append(t_ev)
             knot_xs.append(np.asarray(x_ev, dtype=float))
-            knot_fs.append(np.asarray(rhs(t_ev, x_ev, eta_ev), dtype=float))
+            knot_fs.append(np.asarray(model.rhs(t_ev, x_ev, eta_ev), dtype=float))
             record_sample(t_ev, np.asarray(x_ev, dtype=float), eta_ev)
             termination = Termination(kind=EVENT, t=t_ev)
             t = t_ev
@@ -344,7 +334,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             while grid_idx < len(grid) and grid[grid_idx] < t_new:
                 tq = grid[grid_idx]
                 if tq > t:
-                    xq = hermite(t, x, f_start, t_new, x_new, f_new, tq)
+                    xq = _hermite(x, f_start, x_new, f_new, dt, (tq - t) / dt)
                     record_sample(tq, xq, eta_at(tq, xq))
                 grid_idx += 1
 
@@ -355,7 +345,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         switched = noise.observe(t_new, x_new)
         if switched:
             switch_times.append(t_new)
-            f_new = rhs(t_new, x_new, eta_at(t_new, x_new))  # right-limit derivative
+            f_new = model.rhs(t_new, x_new, eta_at(t_new, x_new))  # right-limit derivative
             knot_fs[-1] = np.asarray(f_new, dtype=float)
         eta_right = eta_at(t_new, x_new)
         record_sample(t_new, x_new, eta_right)

@@ -26,8 +26,6 @@ from tvglab.attack import (
 )
 from tvglab.cli import main
 from tvglab.core import (
-    ControllerSpec,
-    InjectionSpec,
     differentiator_error_model,
     open_loop_chain,
     reference_loop,
@@ -138,9 +136,9 @@ def test_criterion_6_gain_supremum_growth():
     correction (printed below)."""
     rhos = (1e-1, 1e-2, 1e-3)
     scans = {
-        "control": (gain_supremum_scan(ControllerSpec.reference(), 1.0, rhos),
+        "control": (gain_supremum_scan(reference_loop(), 1.0, rhos),
                     lambda rho: 6.0 / rho**2 + 4.0 / rho),
-        "injection": (gain_supremum_scan(InjectionSpec.prescribed_time_diff(), 1.0, rhos),
+        "injection": (gain_supremum_scan(differentiator_error_model(), 1.0, rhos),
                       lambda rho: 1.0 + 3.0 / rho + 6.0 / rho**2),
     }
     lines = []

@@ -16,10 +16,10 @@ from tvglab.analysis import (
 )
 from tvglab.attack import controller_divergence_noise
 from tvglab.core import (
-    ControllerSpec,
-    InjectionSpec,
     differentiator_error_model,
     open_loop_chain,
+    rational_diff_error,
+    rational_loop,
     reference_loop,
 )
 from tvglab.oracle import reference_solution
@@ -82,7 +82,7 @@ def test_shrink_profile_validates_ladder():
 
 
 def test_gain_scan_control_exact_corner_values():
-    table = gain_supremum_scan(ControllerSpec.reference(), 1.0, (1e-1, 1e-2, 1e-3))
+    table = gain_supremum_scan(reference_loop(), 1.0, (1e-1, 1e-2, 1e-3))
     assert table.kind == "reference"
     assert table.monotone
     sups = [r.supremum for r in table.rows]
@@ -97,7 +97,7 @@ def test_gain_scan_control_exact_corner_values():
 
 
 def test_gain_scan_injection_exact_values():
-    table = gain_supremum_scan(InjectionSpec.prescribed_time_diff(), 1.0,
+    table = gain_supremum_scan(differentiator_error_model(), 1.0,
                                (1e-1, 1e-2, 1e-3))
     sups = [r.supremum for r in table.rows]
     # |phi2| = l2 + 3 l1/rho + 6/rho^2 dominates at every rung
@@ -109,21 +109,49 @@ def test_gain_scan_injection_exact_values():
 
 
 def test_gain_scan_scales_with_delta():
-    t1 = gain_supremum_scan(ControllerSpec.reference(), 1.0, (1e-2,))
-    t2 = gain_supremum_scan(ControllerSpec.reference(), 2.5, (1e-2,))
+    t1 = gain_supremum_scan(reference_loop(), 1.0, (1e-2,))
+    t2 = gain_supremum_scan(reference_loop(), 2.5, (1e-2,))
     assert t2.rows[0].supremum == pytest.approx(2.5 * t1.rows[0].supremum, rel=1e-12)
 
 
 def test_gain_bound_matches_scan():
-    assert gain_bound_at(ControllerSpec.reference(), 1e-2, 1.0) == pytest.approx(60400.0)
-    assert gain_bound_at(InjectionSpec.prescribed_time_diff(), 1e-2, 1.0) == pytest.approx(60301.0)
+    assert gain_bound_at(reference_loop(), 1e-2, 1.0) == pytest.approx(60400.0)
+    assert gain_bound_at(differentiator_error_model(), 1e-2, 1.0) == pytest.approx(60301.0)
+
+
+def test_gain_scan_control_on_a_longer_horizon():
+    # on T = 2 the scan runs in u = 2 - t; the box supremum at rho is
+    # delta * (|g1(rho)| + |g2(rho)|) = 0.5 * (6/rho^2 + 4/rho + 1)
+    model = rational_loop((((-6.0, 2),), ((-4.0, 1), (-1.0, 0))), T=2.0)
+    bound = gain_bound_at(model, 1e-2, 0.5)
+    assert bound == pytest.approx(0.5 * (60000.0 + 400.0 + 1.0), rel=1e-12)
+    table = gain_supremum_scan(model, 0.5, (1.0, 1e-1, 1e-2))
+    assert table.kind == "rational_tvg"
+    assert table.monotone
+    last = table.rows[-1]
+    assert last.supremum == pytest.approx(bound, rel=1e-12)
+    assert last.arg_time == pytest.approx(2.0 - 1e-2, rel=1e-12)
+    assert last.arg_state == (0.5, 0.5)
+
+
+def test_gain_scan_injection_on_a_longer_horizon():
+    # the strongest channel at rho = 1e-2 is |g2| = 6/rho^2 + 3/rho = 60300
+    model = rational_diff_error((((-6.0, 1), (-1.0, 0)), ((-6.0, 2), (-3.0, 1))), T=2.0)
+    bound = gain_bound_at(model, 1e-2, 2.0)
+    assert bound == pytest.approx(2.0 * 60300.0, rel=1e-12)
+    table = gain_supremum_scan(model, 2.0, (1.0, 1e-1, 1e-2))
+    assert table.monotone
+    last = table.rows[-1]
+    assert last.supremum == pytest.approx(bound, rel=1e-12)
+    assert last.arg_time == pytest.approx(2.0 - 1e-2, rel=1e-12)
+    assert last.arg_channel == 1
 
 
 def test_gain_scan_validates_ladder():
     with pytest.raises(ValueError):
-        gain_supremum_scan(ControllerSpec.reference(), 1.0, (1e-3, 1e-2))
+        gain_supremum_scan(reference_loop(), 1.0, (1e-3, 1e-2))
     with pytest.raises(ValueError):
-        gain_supremum_scan(ControllerSpec.reference(), 0.0, (1e-2,))
+        gain_supremum_scan(reference_loop(), 0.0, (1e-2,))
 
 
 def test_falsify_uniform_stability_reference_point():

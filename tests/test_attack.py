@@ -18,7 +18,7 @@ from tvglab.attack import (
     run_divergence_attack,
     terminal_plan_window,
 )
-from tvglab.core import ControllerSpec, differentiator_error_model, reference_loop
+from tvglab.core import differentiator_error_model, reference_loop
 
 
 def test_default_targets_double_from_unit_scale():
@@ -160,7 +160,7 @@ def test_terminal_plan_window_reference_point():
 
 
 def test_cascade_plan_structure():
-    noise, plan = controller_terminal_error_noise(ControllerSpec.reference(), 0.1, 0.5)
+    noise, plan = controller_terminal_error_noise(reference_loop(), 0.1, 0.5)
     # last channel is parked at -2 epsilon; first follows a straight line in u
     assert plan.psi[-1].coeffs == {0: -1.0}
     assert plan.profile[0].coeffs[1] == pytest.approx(4.0 * 0.5 / 3.0)

@@ -141,6 +141,34 @@ def test_simulate_writes_artifacts_and_exits_zero(tmp_path):
     assert parsed["ts"][0] == 0.0
 
 
+@pytest.mark.parametrize("variant, kind_key, gains, table", [
+    ("control_loop", "system.controller", "-6,2; -4,1", (((-6.0, 2),), ((-4.0, 1),))),
+    ("diff_error", "system.injection", "-6,1; -6,2", (((-6.0, 1),), ((-6.0, 2),))),
+], ids=["control_loop", "diff_error"])
+def test_rational_gains_run_and_echo_back(tmp_path, variant, kind_key, gains, table):
+    code = main(["simulate", "--system.variant", variant, f"--{kind_key}", "rational_tvg",
+                 "--system.gains", gains, "--sim.x0", "1,0",
+                 "--output.dir", str(tmp_path), "--output.prefix", "rat"])
+    assert code == 0
+    parsed = parse_trajectory_csv(str(tmp_path / "rat_simulate.csv"))
+    echo = [c for c in parsed["comments"] if c.startswith("# config: system.gains = ")]
+    assert len(echo) == 1
+    back = parse_config("scenario = simulate\nsim.x0 = 1,0\n" + echo[0][len("# config: "):])
+    assert back.values["system.gains"] == table
+
+
+def test_gains_echo_parses_back_with_an_empty_channel():
+    tables = (((-60.0, 3), (0.1, 0)), (), ((-9.0, 1),))
+    cfg = parse_config("scenario = simulate\nsim.x0 = 1,0,0\nsystem.controller = rational_tvg\n"
+                       "system.gains = -60,3 0.1,0; ; -9,1\n")
+    assert cfg.values["system.gains"] == tables
+    echo = [line for line in cli.config_echo_lines(cfg)
+            if line.startswith("# config: system.gains = ")]
+    assert len(echo) == 1
+    back = parse_config("scenario = simulate\nsim.x0 = 1,0,0\n" + echo[0][len("# config: "):])
+    assert back.values["system.gains"] == tables
+
+
 def test_exit_code_contract(tmp_path):
     out = ["--output.dir", str(tmp_path)]
     # 0: property held

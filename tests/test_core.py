@@ -7,19 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvglab.analysis import gain_bound_at
 from tvglab.core import (
     CONTROL_LOOP,
     DIFF_ERROR,
-    ControllerSpec,
     DisturbanceSpec,
+    GainTable,
     Horizon,
-    InjectionSpec,
     RationalGain,
     SystemModel,
     ZeroNoise,
     differentiator_error_model,
-    eval_differentiator_injection,
-    eval_reference_controller,
     open_loop_chain,
     rational_diff_error,
     rational_loop,
@@ -27,13 +25,26 @@ from tvglab.core import (
 )
 
 
+def _feedback(model, t, x):
+    """Controller output v(t, x) of a noise-free control loop."""
+    return model.gain_output(t, np.asarray(x, dtype=float), np.zeros(model.n))
+
+
+def _injection(model, t, y):
+    """Injection channels phi(t, y) of a noise-free, undisturbed error model:
+    with x = (y, 0, ..., 0) the derivative is exactly the injection vector."""
+    x = np.zeros(model.n)
+    x[0] = y
+    return model.rhs(t, x, 0.0)
+
+
 def test_rational_gain_evaluates_term_sum():
     g = RationalGain(terms=((-6.0, 2), (-4.0, 1)))
     # -6/u^2 - 4/u at u = 0.5
     assert g.value_at(0.5) == pytest.approx(-32.0, rel=1e-15)
-    assert g.magnitude_at(0.5) == pytest.approx(32.0, rel=1e-15)
-    assert g.max_pole_order == 2
-    assert not g.is_zero
+    # the box supremum of a loop whose one nonzero channel is g is |g|
+    loop = rational_loop((g.terms, ()))
+    assert gain_bound_at(loop, 0.5, 1.0) == pytest.approx(32.0, rel=1e-15)
 
 
 def test_rational_gain_rejects_bad_terms():
@@ -45,21 +56,31 @@ def test_rational_gain_rejects_bad_terms():
 
 def test_reference_controller_known_values():
     # v(t, x) = -6/(1-t)^2 x1 - 4/(1-t) x2
-    assert eval_reference_controller(0.0, (1.0, 0.0)) == pytest.approx(-6.0)
-    assert eval_reference_controller(0.0, (0.0, 1.0)) == pytest.approx(-4.0)
-    assert eval_reference_controller(0.5, (1.0, 1.0)) == pytest.approx(-24.0 - 8.0)
-    spec = ControllerSpec.reference()
-    assert spec.kind == "reference"
-    assert spec.n == 2
-    assert spec.evaluate(0.9, (2.0, -1.0)) == pytest.approx(-6.0 / 0.01 * 2.0 + 4.0 / 0.1)
+    model = reference_loop()
+    assert _feedback(model, 0.0, (1.0, 0.0)) == pytest.approx(-6.0)
+    assert _feedback(model, 0.0, (0.0, 1.0)) == pytest.approx(-4.0)
+    assert _feedback(model, 0.5, (1.0, 1.0)) == pytest.approx(-24.0 - 8.0)
+    assert model.gains.kind == "reference"
+    assert model.n == 2
+    assert _feedback(model, 0.9, (2.0, -1.0)) == pytest.approx(-6.0 / 0.01 * 2.0 + 4.0 / 0.1)
 
 
 def test_controller_rejects_times_past_deadline():
-    spec = ControllerSpec.reference()
+    model = reference_loop()
     with pytest.raises(ValueError):
-        spec.evaluate(1.0, (1.0, 0.0))
+        _feedback(model, 1.0, (1.0, 0.0))
     with pytest.raises(ValueError):
-        spec.evaluate(1.5, (1.0, 0.0))
+        _feedback(model, 1.5, (1.0, 0.0))
+    with pytest.raises(ValueError):
+        model.rhs(1.0, np.array([1.0, 0.0]), np.zeros(2))
+
+
+def test_injection_rejects_times_past_deadline():
+    model = differentiator_error_model(T=2.0)
+    with pytest.raises(ValueError):
+        _injection(model, 2.0, 1.0)
+    with pytest.raises(ValueError):
+        model.gain_output(2.5, np.array([1.0, 0.0]), 0.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -70,18 +91,18 @@ def test_controller_rejects_times_past_deadline():
     x2=st.floats(min_value=-10.0, max_value=10.0),
 )
 def test_reference_controller_is_linear_in_state(t, a, x1, x2):
-    v1 = eval_reference_controller(t, (x1, x2))
-    v2 = eval_reference_controller(t, (a * x1, a * x2))
+    model = reference_loop()
+    v1 = _feedback(model, t, (x1, x2))
+    v2 = _feedback(model, t, (a * x1, a * x2))
     assert v2 == pytest.approx(a * v1, rel=1e-12, abs=1e-9)
 
 
 def test_injection_known_values():
     # phi1 = -(l1 + 6/u) y, phi2 = -(l2 + 3 l1/u + 6/u^2) y at u = 0.5
-    vals = eval_differentiator_injection(0.5, 1.0)
+    vals = _injection(differentiator_error_model(), 0.5, 1.0)
     assert vals[0] == pytest.approx(-13.0)
     assert vals[1] == pytest.approx(-31.0)
-    spec = InjectionSpec.prescribed_time_diff(ell1=2.0, ell2=3.0, T=2.0)
-    out = spec.values(1.0, -2.0)
+    out = _injection(differentiator_error_model(ell1=2.0, ell2=3.0, T=2.0), 1.0, -2.0)
     assert out[0] == pytest.approx(2.0 * (2.0 + 6.0))
     assert out[1] == pytest.approx(2.0 * (3.0 + 6.0 + 6.0))
 
@@ -92,8 +113,9 @@ def test_injection_known_values():
     y=st.floats(min_value=-10.0, max_value=10.0),
 )
 def test_injection_scales_linearly_in_measurement(t, y):
-    base = eval_differentiator_injection(t, 1.0)
-    scaled = eval_differentiator_injection(t, y)
+    model = differentiator_error_model()
+    base = _injection(model, t, 1.0)
+    scaled = _injection(model, t, y)
     assert np.allclose(scaled, y * base, rtol=1e-12, atol=1e-9)
 
 
@@ -136,16 +158,17 @@ def test_disturbance_validation():
         DisturbanceSpec(kind="wobble")
 
 
-def test_control_loop_rhs_uses_measured_state():
+def test_model_rhs_uses_measured_state():
     model = reference_loop()
     x = np.array([1.0, 0.0])
     eta = np.array([0.5, 0.0])
     f = model.rhs(0.0, x, eta)
     assert f[0] == pytest.approx(x[1])
-    assert f[1] == pytest.approx(eval_reference_controller(0.0, x + eta))
+    # v(0, x + eta) = -6 * 1.5
+    assert f[1] == pytest.approx(-9.0)
 
 
-def test_control_loop_rhs_adds_disturbance_on_last_channel():
+def test_model_rhs_adds_disturbance_on_last_channel():
     d = DisturbanceSpec(kind="constant", bound=1.0, value=0.75)
     model = reference_loop(disturbance=d)
     f = model.rhs(0.0, np.array([1.0, 0.0]), np.zeros(2))
@@ -153,13 +176,13 @@ def test_control_loop_rhs_adds_disturbance_on_last_channel():
     assert f[0] == pytest.approx(0.0)
 
 
-def test_diff_error_rhs_injects_measured_first_component():
+def test_model_rhs_injects_measured_first_component():
     model = differentiator_error_model()
     x = np.array([2.0, 1.0])
     f = model.rhs(0.5, x, np.array([0.25]))
-    phi = eval_differentiator_injection(0.5, 2.25)
-    assert f[0] == pytest.approx(x[1] + phi[0])
-    assert f[1] == pytest.approx(phi[1])
+    # phi(0.5, y) = (-13 y, -31 y) at the measured y = 2 + 0.25
+    assert f[0] == pytest.approx(x[1] - 13.0 * 2.25)
+    assert f[1] == pytest.approx(-31.0 * 2.25)
 
 
 def test_open_loop_chain_is_a_pure_integrator():
@@ -184,15 +207,16 @@ def test_gain_output_diff_is_largest_injection_channel():
 
 def test_model_variant_validation():
     with pytest.raises(ValueError):
-        SystemModel(variant=CONTROL_LOOP, horizon=Horizon(T=1.0))
+        GainTable(kind="other", gains=GainTable.reference().gains)
     with pytest.raises(ValueError):
-        SystemModel(variant=DIFF_ERROR, horizon=Horizon(T=1.0))
+        GainTable.rational([((-6.0, 2),)])
     with pytest.raises(ValueError):
-        SystemModel(variant="other", horizon=Horizon(T=1.0),
-                    controller=ControllerSpec.reference())
+        SystemModel(variant="other", horizon=Horizon(T=1.0), gains=GainTable.reference())
     with pytest.raises(ValueError):
-        SystemModel(variant=CONTROL_LOOP, horizon=Horizon(T=2.0),
-                    controller=ControllerSpec.reference())
+        SystemModel(variant=DIFF_ERROR, horizon=Horizon(T=1.0), gains=GainTable.reference())
+    with pytest.raises(ValueError):
+        SystemModel(variant=CONTROL_LOOP, horizon=Horizon(T=1.0),
+                    gains=GainTable.prescribed_time_diff())
 
 
 def test_zero_noise_shapes():
@@ -206,8 +230,8 @@ def test_zero_noise_shapes():
 
 def test_rational_model_factories():
     loop = rational_loop((((-6.0, 2),), ((-4.0, 1),)), T=1.0)
-    assert loop.controller.evaluate(0.5, (1.0, 1.0)) == pytest.approx(-32.0)
+    assert _feedback(loop, 0.5, (1.0, 1.0)) == pytest.approx(-32.0)
     diff = rational_diff_error((((-6.0, 1),), ((-6.0, 2),)), T=1.0)
-    out = diff.injection.values(0.5, 1.0)
+    out = _injection(diff, 0.5, 1.0)
     assert out[0] == pytest.approx(-12.0)
     assert out[1] == pytest.approx(-24.0)
