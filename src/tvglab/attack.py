@@ -33,6 +33,7 @@ import numpy as np
 from .core import (
     CONTROL_LOOP,
     DIFF_ERROR,
+    NoiseBoundViolation,
     NoiseSource,
     RationalGain,
     SystemModel,
@@ -406,7 +407,7 @@ class ControllerTerminalNoise(NoiseSource):
         eta = self.plan.noise_at(t)
         nrm = float(np.linalg.norm(eta))
         if nrm > self.bound * (1.0 + 1e-12) + 1e-300:
-            raise AssertionError(
+            raise NoiseBoundViolation(
                 f"tracking noise exceeded its bound at t={t!r}: {nrm!r} > {self.bound!r}")
         return eta
 

@@ -25,6 +25,14 @@ class NumericalFailure(RuntimeError):
     """A right-hand-side evaluation produced a non-finite value."""
 
 
+class NoiseBoundViolation(NumericalFailure):
+    """A noise source returned a value above its declared bound.
+
+    Unlike a non-finite right-hand side, this is a broken contract, not a
+    step too large: the integrator never retries it with a smaller step.
+    """
+
+
 @dataclass(frozen=True)
 class Horizon:
     """Deadline instant T > 0 plus the closest approach allowed during integration.
@@ -242,12 +250,6 @@ class ZeroNoise(NoiseSource):
 _VARIANT_KINDS = {CONTROL_LOOP: (REFERENCE, RATIONAL_TVG), DIFF_ERROR: (PT_DIFF2, RATIONAL_TVG)}
 
 
-def _scalar(v) -> float:
-    """Plain float from a python number or a length-1 array."""
-    arr = np.asarray(v, dtype=float)
-    return float(arr.reshape(-1)[0]) if arr.ndim else float(arr)
-
-
 @dataclass(frozen=True)
 class SystemModel:
     """A simulated system: variant, horizon, and the gains driving the chain.
@@ -279,37 +281,33 @@ class SystemModel:
 
     def _outputs(self, t: float, x: np.ndarray, eta):
         """Gain outputs for the measured signal: the feedback v(t, x + eta)
-        of the control loop, or the injection vector phi(t, x_1 + eta_1) of
+        of the control loop, or the injection list phi(t, x_1 + eta_1) of
         the differentiator; rejects t >= T."""
         u = self.horizon.T - t
         if u <= 0.0:
             raise ValueError(f"gains evaluated at t={t!r} >= deadline T={self.horizon.T!r}")
         if self.variant == CONTROL_LOOP:
             acc = 0.0
-            for g, xi in zip(self.gains.gains, x + eta):
+            for g, xi in zip(self.gains.gains, (x + eta).tolist()):
                 acc += g.value_at(u) * xi
             return acc
-        y = float(x[0]) + _scalar(eta)
-        out = np.empty(self.n)
-        for i, g in enumerate(self.gains.gains):
-            out[i] = g.value_at(u) * y
-        return out
+        y = (x[0] + eta).item()  # eta is a scalar or a length-1 array
+        return [g.value_at(u) * y for g in self.gains.gains]
 
     def rhs(self, t: float, x: np.ndarray, eta) -> np.ndarray:
         """Chain derivative under the measured signal; d enters the last channel."""
         out = self._outputs(t, x, eta)
-        dx = np.empty_like(x)
+        tail = x.tolist()[1:]
         if self.variant == CONTROL_LOOP:
             if not math.isfinite(out):
                 raise NumericalFailure(f"controller output not finite at t={t!r}")
-            dx[:-1] = x[1:]
-            dx[-1] = out + self.disturbance(t)
-        else:
-            if not np.all(np.isfinite(out)):
-                raise NumericalFailure(f"injection output not finite at t={t!r}")
-            dx[:-1] = x[1:] + out[:-1]
-            dx[-1] = self.disturbance(t) + out[-1]
-        return dx
+            tail.append(out + self.disturbance(t))
+            return np.array(tail)
+        if not all(map(math.isfinite, out)):
+            raise NumericalFailure(f"injection output not finite at t={t!r}")
+        dx = [xi + phi for xi, phi in zip(tail, out)]
+        dx.append(self.disturbance(t) + out[-1])
+        return np.array(dx)
 
     def gain_output(self, t: float, x: np.ndarray, eta) -> float:
         """Scalar record of the algorithm output at (t, x): the controller

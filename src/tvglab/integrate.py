@@ -21,20 +21,22 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CONTROL_LOOP, NoiseSource, NumericalFailure, SystemModel
+from .core import CONTROL_LOOP, NoiseBoundViolation, NoiseSource, NumericalFailure, SystemModel
 
-# Dormand-Prince 5(4) tableau; the 7th stage is the FSAL derivative.
-_DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
-_DP_A = (
-    (0.2,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-)
-_DP_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
-_DP_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
-         -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+# Dormand-Prince 5(4) tableau; the 7th stage is the FSAL derivative.  Each
+# stage row is paired with its node c and covers k[:len(row)].
+_DP_STAGES = tuple((c, np.array(row)) for c, row in zip(
+    (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0),
+    (
+        (0.2,),
+        (3.0 / 40.0, 9.0 / 40.0),
+        (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+        (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+        (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+    )))
+_DP_B = np.array((35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0))
+_DP_E = np.array((71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
+                  -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0))
 
 REACHED_END = "reached_t_end"
 BLOW_UP = "blow_up"
@@ -78,7 +80,6 @@ class IntegrationOptions:
     min_step: Optional[float] = None
     rho_min: Optional[float] = None
     output_grid: Optional[OutputGrid] = None
-    check_noise_bound: bool = True
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
@@ -176,7 +177,9 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     announced discontinuities become exact step boundaries.  Returns a
     Trajectory whose termination reports normal completion, norm escape
     (blow_up), error-control failure (step_underflow), or a stop-condition
-    event located by step-local bisection.
+    event located by step-local bisection.  Every noise query, RK stages
+    included, is checked against the source's bound; a violation raises
+    NoiseBoundViolation.
     """
     opts = opts or IntegrationOptions()
     T = model.horizon.T
@@ -203,13 +206,18 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     bound_slack = noise.bound * (1.0 + 1e-9) + 1e-300
 
     def eta_at(t, state):
+        """The noise queried at (t, state), checked against its bound."""
         e = noise.value(t, state)
         if is_control:
-            return np.asarray(e, dtype=float)
-        return float(e)
-
-    def eta_norm(e):
-        return float(np.linalg.norm(e)) if is_control else abs(e)
+            e = np.asarray(e, dtype=float)
+            norm = math.sqrt(float(e @ e))
+        else:
+            e = float(e)
+            norm = abs(e)
+        if norm > bound_slack:
+            raise NoiseBoundViolation(
+                f"noise bound violated at t={t!r}: |eta|={norm!r} > {noise.bound!r}")
+        return e
 
     grid = None
     if opts.output_grid is not None:
@@ -225,9 +233,6 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     switch_times: list[float] = []
 
     def record_sample(t, state, e):
-        if opts.check_noise_bound and eta_norm(e) > bound_slack:
-            raise NumericalFailure(
-                f"noise bound violated at t={t!r}: |eta|={eta_norm(e)!r} > {noise.bound!r}")
         sample_ts.append(t)
         sample_xs.append(state.copy())
         sample_etas.append(np.array(e, dtype=float) if is_control else float(e))
@@ -254,7 +259,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         1e-3 * (t_end - t0), kappa * (T - t0))
     h_try = max(h_try, min_step)
     termination = None
-    n_stages = len(x)
+    n = len(x)
 
     while termination is None and t < t_end:
         t_disc = noise.next_discontinuity(t)
@@ -266,30 +271,27 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             h = barrier - t  # land exactly on the boundary
         at_barrier = (t + h) >= barrier
 
-        # one trial Dormand-Prince step
-        rejected = False
+        # one trial Dormand-Prince step; a non-finite stage makes err NaN or
+        # inf, so "not err <= 1.0" rejects it like a raised NumericalFailure
         try:
-            k = np.empty((7, n_stages))
+            k = np.empty((7, n))
             k[0] = f_start
-            for i, (c, arow) in enumerate(zip(_DP_C, _DP_A)):
+            for i, (c, arow) in enumerate(_DP_STAGES, start=1):
                 ts_i = t + c * h
-                xs_i = x + h * np.dot(arow, k[: len(arow)])
-                k[i + 1] = model.rhs(ts_i, xs_i, eta_at(ts_i, xs_i))
+                xs_i = x + h * np.dot(arow, k[:i])
+                k[i] = model.rhs(ts_i, xs_i, eta_at(ts_i, xs_i))
             x_new = x + h * np.dot(_DP_B, k[:6])
             t_new = barrier if at_barrier else t + h
             k[6] = model.rhs(t_new, x_new, eta_at(t_new, x_new))
-            if not np.all(np.isfinite(x_new)) or not np.all(np.isfinite(k)):
-                rejected = True
-                err = math.inf
-            else:
-                err_vec = h * np.dot(_DP_E, k)
-                scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
-                err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            q = h * np.dot(_DP_E, k) / (
+                opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new)))
+            err = math.sqrt(float((q * q).sum()) / n)
+        except NoiseBoundViolation:
+            raise
         except NumericalFailure:
-            rejected = True
             err = math.inf
 
-        if rejected or err > 1.0:
+        if not err <= 1.0:
             shrink = 0.5 if not math.isfinite(err) else max(0.2, 0.9 * err ** -0.2)
             h_try = h * shrink
             if h_try < min_step:
@@ -350,7 +352,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         eta_right = eta_at(t_new, x_new)
         record_sample(t_new, x_new, eta_right)
 
-        norm_new = float(np.linalg.norm(x_new))
+        norm_new = math.sqrt(float(x_new @ x_new))
         if norm_new >= opts.max_norm:
             channel = int(np.argmax(np.abs(x_new)))
             termination = Termination(

@@ -1,5 +1,6 @@
 """Constructive bounded-noise attacks: divergence ladders and terminal errors."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from tvglab.attack import (
     ControllerDivergenceNoise,
+    ControllerTerminalNoise,
     DifferentiatorDivergenceNoise,
     DifferentiatorTerminalNoise,
     controller_terminal_error_noise,
@@ -18,7 +20,8 @@ from tvglab.attack import (
     run_divergence_attack,
     terminal_plan_window,
 )
-from tvglab.core import differentiator_error_model, reference_loop
+from tvglab.core import NoiseBoundViolation, differentiator_error_model, reference_loop
+from tvglab.integrate import integrate
 
 
 def test_default_targets_double_from_unit_scale():
@@ -173,6 +176,15 @@ def test_cascade_plan_structure():
         eta = plan.noise_at(t)
         assert np.linalg.norm(eta) <= 0.1 + 1e-12
     assert noise.bound == 0.1
+
+
+def test_tracking_noise_over_its_bound_fails_the_run():
+    _, plan = controller_terminal_error_noise(reference_loop(), 0.1, 0.5)
+    # the same noise polynomials under a bound 1000 times smaller
+    noise = ControllerTerminalNoise(dataclasses.replace(plan, eta_bar=1e-4))
+    assert np.linalg.norm(plan.noise_at(plan.s)) > 1e-4
+    with pytest.raises(NoiseBoundViolation):
+        integrate(reference_loop(), noise, plan.initial_state(), plan.s, 1.0 - 1e-6)
 
 
 def test_controller_terminal_attack_prepared_state():

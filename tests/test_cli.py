@@ -1,5 +1,6 @@
 """Config parsing, CSV artifacts, exit codes, and run determinism."""
 
+import dataclasses
 import math
 import os
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvglab import cli
+from tvglab import attack, cli
 from tvglab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -197,6 +198,21 @@ def test_attack_subcommand_reports_computed_ramp(tmp_path, capsys):
     # scalar measurement noise: exactly one eta column
     assert parsed["header"] == ["t", "x1", "x2", "eta1", "gain_out"]
     assert float(np.max(np.abs(parsed["etas"]))) <= 0.1
+
+
+def test_tracking_noise_over_its_bound_exits_2(tmp_path, capsys, monkeypatch):
+    planned = attack.controller_terminal_error_noise
+
+    def overshooting(*args, **kwargs):
+        _, plan = planned(*args, **kwargs)
+        return attack.ControllerTerminalNoise(dataclasses.replace(plan, eta_bar=1e-4)), plan
+
+    monkeypatch.setattr(attack, "controller_terminal_error_noise", overshooting)
+    code = main(["attack", "--attack.kind", "controller-terminal",
+                 "--attack.eta_bar", "0.1", "--attack.epsilon", "0.5",
+                 "--output.dir", str(tmp_path)])
+    assert code == 2
+    assert "tracking noise exceeded its bound" in capsys.readouterr().err
 
 
 def test_attack_subcommand_needs_a_kind(tmp_path, capsys):

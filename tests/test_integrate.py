@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from tvglab.core import (
+    NoiseBoundViolation,
     NoiseSource,
     NumericalFailure,
+    SystemModel,
     differentiator_error_model,
     open_loop_chain,
     reference_loop,
@@ -154,6 +156,80 @@ def test_noise_bound_violation_is_reported():
     model = differentiator_error_model()
     with pytest.raises(NumericalFailure):
         integrate(model, _LyingNoise(), np.array([0.0, 0.0]), 0.0, 0.5)
+
+
+class _StageOnlyViolator(NoiseSource):
+    """Within its bound at committed steps, 500 times above it in between."""
+
+    def __init__(self):
+        self.bound = 1e-6
+        self.scalar = True
+        self.committed = 0.0
+
+    def value(self, t, x):
+        return self.bound if t == self.committed else 500.0 * self.bound
+
+    def observe(self, t, x):
+        self.committed = t
+        return False
+
+
+def test_noise_bound_is_checked_at_stage_queries():
+    # the recorded samples alone would all look compliant
+    with pytest.raises(NoiseBoundViolation):
+        integrate(differentiator_error_model(), _StageOnlyViolator(),
+                  np.array([1.0, 0.0]), 0.0, 0.5)
+
+
+class _CountingLoop(SystemModel):
+    """Reference loop that counts its right-hand-side evaluations."""
+
+    calls = 0
+
+    def rhs(self, t, x, eta):
+        object.__setattr__(self, "calls", self.calls + 1)
+        return super().rhs(t, x, eta)
+
+
+def test_reference_run_work_is_pinned():
+    ref = reference_loop()
+    model = _CountingLoop(ref.variant, ref.horizon, ref.gains)
+    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 1.0 - 1e-9)
+    steps = len(traj.knot_ts) - 1
+    assert traj.completed
+    assert steps == 493
+    assert model.calls == 2959 == 1 + 6 * steps  # FSAL, no rejected step
+
+
+class _NanStageLoop(SystemModel):
+    """Reference loop whose right-hand side returns NaN, without raising,
+    at the given stage of the given trial step (1 + 6 calls per step)."""
+
+    calls = 0
+    nan_call = 0
+
+    def rhs(self, t, x, eta):
+        object.__setattr__(self, "calls", self.calls + 1)
+        if self.calls == self.nan_call:
+            return np.full(self.n, math.nan)
+        return super().rhs(t, x, eta)
+
+
+@pytest.mark.parametrize("stage", range(1, 7))
+def test_non_finite_stage_is_rejected(stage):
+    ref = reference_loop()
+    clean = integrate(ref, None, np.array([1.0, 0.0]), 0.0, 0.5)
+    model = _NanStageLoop(ref.variant, ref.horizon, ref.gains)
+    object.__setattr__(model, "nan_call", 1 + 6 * 10 + stage)  # in the 11th trial step
+    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.5)
+    assert traj.completed
+    assert np.all(np.isfinite(traj.xs)) and np.all(np.isfinite(traj.knot_fs))
+    # the first ten steps match the clean run; the rejected trial is retried
+    # with half its step
+    assert np.array_equal(traj.knot_ts[:11], clean.knot_ts[:11])
+    h_trial = clean.knot_ts[11] - clean.knot_ts[10]
+    assert traj.knot_ts[11] - traj.knot_ts[10] == pytest.approx(0.5 * h_trial, rel=1e-9)
+    assert np.allclose(traj.xs[-1], reference_solution(0.0, (1.0, 0.0), 0.5), rtol=1e-9, atol=1e-12)
 
 
 def test_recorded_noise_is_not_aliased():
