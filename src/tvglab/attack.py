@@ -35,6 +35,7 @@ from .core import (
     DIFF_ERROR,
     NoiseBoundViolation,
     NoiseSource,
+    NumericalFailure,
     RationalGain,
     SystemModel,
 )
@@ -768,11 +769,16 @@ def run_controller_terminal_attack_with_prelude(model: SystemModel, eta_bar: flo
                     continue
                 noise = PreludeTerminalNoise(const_vec, s0, plan)
                 traj = integrate(model, noise, x0, 0.0, T - rho, opts)
+                if not traj.completed:
+                    end = traj.termination
+                    raise NumericalFailure(
+                        f"prelude replay ended in {end.kind} at t={end.t!r}, before "
+                        f"T - rho = {T - rho!r} (plan start {plan.s!r})")
                 mask = traj.ts >= plan.s
                 predicted = plan.state_at(traj.ts[mask])
                 tracking = float(np.max(np.abs(traj.xs[mask] - predicted)))
                 terminal = terminal_state(traj, rho)
-                verdict = bool(np.linalg.norm(terminal) >= epsilon) and traj.completed
+                verdict = bool(np.linalg.norm(terminal) >= epsilon)
                 return AttackOutcome(kind="controller-terminal-prelude", noise_bound=eta_bar,
                                      verdict=verdict, trajectory=traj, plan=plan,
                                      terminal=terminal, tracking_error=tracking,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -70,9 +70,13 @@ SCENARIOS = (("simulate", "verify-deadline", "gain-scan", "falsify-stability", "
              + tuple(f"workaround.{k}" for k in WORKAROUND_KINDS))
 
 
+_FLOAT_FORMAT = "%.16e"
+_CSV_BLOCK_ROWS = 512
+
+
 def fmt(v: float) -> str:
     """Fixed 17-significant-digit float text; float(fmt(v)) == v exactly."""
-    return f"{float(v):.16e}"
+    return _FLOAT_FORMAT % float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +474,17 @@ def write_trajectory_csv(path: str, traj: Trajectory, cfg: Optional[ExperimentCo
         lines.extend(config_echo_lines(cfg))
     lines.extend(extra_comments)
     lines.append(",".join(header))
-    for i in range(len(traj.ts)):
-        row = [fmt(traj.ts[i])]
-        row += [fmt(v) for v in traj.xs[i]]
-        row += [fmt(v) for v in traj.etas[i]]
-        row.append(fmt(traj.gains[i]))
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    data = np.column_stack((traj.ts, traj.xs, traj.etas, traj.gains))
+    row_fmt = ",".join([_FLOAT_FORMAT] * data.shape[1]) + "\n"
+    # formatted a block of rows at a time, so that the Python floats of the
+    # whole table never exist at once
+    blocks = ("".join([row_fmt % tuple(row) for row in data[i:i + _CSV_BLOCK_ROWS].tolist()])
+              for i in range(0, len(data), _CSV_BLOCK_ROWS))
+    _write_text(path, "\n".join(lines) + "\n", blocks)
 
 
 def parse_trajectory_csv(path: str) -> dict:
-    """Re-read a trajectory CSV; values reproduce the originals bit-exactly."""
+    """Re-read a trajectory CSV; np.loadtxt reproduces the values bit-exactly."""
     header = None
     rows = []
     comments = []
@@ -495,10 +499,10 @@ def parse_trajectory_csv(path: str) -> dict:
             if header is None:
                 header = line.split(",")
                 continue
-            rows.append([float(tok) for tok in line.split(",")])
+            rows.append(line)
     if header is None:
         raise ValueError(f"no header row in {path}")
-    data = np.array(rows, dtype=float)
+    data = np.loadtxt(rows, delimiter=",", ndmin=2)
     n = sum(1 for h in header if h.startswith("x"))
     eta_cols = sum(1 for h in header if h.startswith("eta"))
     return {"header": header, "comments": comments, "ts": data[:, 0],
@@ -506,10 +510,12 @@ def parse_trajectory_csv(path: str) -> dict:
             "gains": data[:, -1]}
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text: str, more: Iterable[str] = ()) -> None:
+    """Write text, then each piece of more as it is produced."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+        fh.writelines(more)
 
 
 def write_deadline_csv(path: str, report: DeadlineReport, cfg: Optional[ExperimentConfig],

@@ -315,7 +315,14 @@ class SystemModel:
         out = self._outputs(t, x, eta)
         if self.variant == CONTROL_LOOP:
             return out
-        return float(out[int(np.argmax(np.abs(out)))])
+        # as np.argmax of the magnitudes: ties keep the first channel and a
+        # NaN beats every number (no comparison replaces it), so the sample
+        # record rejects it
+        best = out[0]
+        for v in out[1:]:
+            if v != v or abs(v) > abs(best):
+                best = v
+        return float(best)
 
     def zero_noise(self) -> ZeroNoise:
         return ZeroNoise(self.n if self.variant == CONTROL_LOOP else None)

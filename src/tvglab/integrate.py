@@ -10,7 +10,9 @@ that the singular gains demand:
 
 State, noise-as-queried, and algorithm-output records are kept at every
 committed step (plus an optional requested output grid), and cubic Hermite
-interpolation over committed steps provides dense output in between.
+interpolation over committed steps provides dense output in between.  Grid
+samples come from that same cubic Hermite, the one Trajectory.state_at
+evaluates, once per committed step for all the grid points inside it.
 """
 
 from __future__ import annotations
@@ -113,7 +115,11 @@ class Trajectory:
     ts/xs/etas/gains hold the sample table (strictly increasing times):
     every committed step plus any requested grid points, with the noise as
     it was queried at each sample and the scalar algorithm output.
-    state_at interpolates between committed steps (cubic Hermite).
+    state_at interpolates between committed steps (cubic Hermite).  Grid
+    samples come from the same cubic Hermite, evaluated once per committed
+    step, so they equal state_at at their times; the exceptions are a step
+    that ends in a noise switch (its end knot keeps the right-limit
+    derivative) and the stop-event step (its knot ends it at the event).
     """
 
     ts: np.ndarray
@@ -247,10 +253,24 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     knot_xs.append(x.copy())
     knot_fs.append(np.asarray(f0, dtype=float))
 
-    grid_idx = 0
-    if grid is not None:
-        while grid_idx < len(grid) and grid[grid_idx] <= t0:
-            grid_idx += 1
+    grid_idx = 0 if grid is None else int(np.searchsorted(grid, t0, side="right"))
+
+    def record_grid(t, x, f, x_new, f_new, dt, t_stop):
+        """Record the grid points in (t, t_stop) on the step from (t, x, f) to
+        (t + dt, x_new, f_new): one cubic Hermite evaluation for all of them,
+        then each point's noise query and sample record in time order."""
+        nonlocal grid_idx
+        if grid is None or grid_idx == len(grid) or grid[grid_idx] >= t_stop:
+            return
+        hi = int(np.searchsorted(grid, t_stop))
+        lo = grid_idx
+        while lo < hi and grid[lo] <= t:  # the step's start is already recorded
+            lo += 1
+        grid_idx = hi
+        tqs = grid[lo:hi]
+        xqs = _hermite(x, f, x_new, f_new, dt, ((tqs - t) / dt)[:, None])
+        for tq, xq in zip(tqs.tolist(), xqs):
+            record_sample(tq, xq, eta_at(tq, xq))
 
     t = t0
     f_start = np.asarray(f0, dtype=float)
@@ -316,13 +336,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
                     lo = mid
             t_ev = hi
             x_ev = _hermite(x, f_start, x_new, f_new, dt, (t_ev - t) / dt)
-            if grid is not None:
-                while grid_idx < len(grid) and grid[grid_idx] < t_ev:
-                    tq = grid[grid_idx]
-                    if tq > t:
-                        xq = _hermite(x, f_start, x_new, f_new, dt, (tq - t) / dt)
-                        record_sample(tq, xq, eta_at(tq, xq))
-                    grid_idx += 1
+            record_grid(t, x, f_start, x_new, f_new, dt, t_ev)
             eta_ev = eta_at(t_ev, x_ev)
             knot_ts.append(t_ev)
             knot_xs.append(np.asarray(x_ev, dtype=float))
@@ -332,14 +346,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             t = t_ev
             break
 
-        if grid is not None:
-            while grid_idx < len(grid) and grid[grid_idx] < t_new:
-                tq = grid[grid_idx]
-                if tq > t:
-                    xq = _hermite(x, f_start, x_new, f_new, dt, (tq - t) / dt)
-                    record_sample(tq, xq, eta_at(tq, xq))
-                grid_idx += 1
-
+        record_grid(t, x, f_start, x_new, f_new, dt, t_new)
         knot_ts.append(t_new)
         knot_xs.append(x_new.copy())
         knot_fs.append(np.asarray(f_new, dtype=float))

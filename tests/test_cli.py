@@ -19,7 +19,7 @@ from tvglab.cli import (
     parse_trajectory_csv,
     write_trajectory_csv,
 )
-from tvglab.core import reference_loop
+from tvglab.core import differentiator_error_model, reference_loop
 from tvglab.integrate import IntegrationOptions, OutputGrid, integrate
 
 
@@ -130,6 +130,69 @@ def test_trajectory_csv_round_trip_is_bit_exact(tmp_path):
     assert "# note: round trip fixture" in parsed["comments"]
 
 
+_MODELS = {"control_loop": reference_loop, "diff_error": differentiator_error_model}
+
+
+def _table_trajectory(variant, values):
+    """A trajectory of the given variant whose sample table rows are filled,
+    row by row, from values (t, x1, x2, eta..., gain_out)."""
+    base = integrate(_MODELS[variant](), None, np.array([1.0, 0.0]), 0.0, 0.5)
+    cols = 4 + base.etas.shape[1]
+    data = np.asarray(values, dtype=float).reshape(-1, cols)
+    return dataclasses.replace(base, ts=data[:, 0], xs=data[:, 1:3], etas=data[:, 3:-1],
+                               gains=data[:, -1])
+
+
+def _body(path):
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
+    return lines[1:]
+
+
+def _assert_same_table(parsed, traj):
+    for key in ("ts", "xs", "etas", "gains"):
+        assert parsed[key].shape == getattr(traj, key).shape
+        assert parsed[key].tobytes() == getattr(traj, key).tobytes()
+
+
+@pytest.mark.parametrize("variant", ["control_loop", "diff_error"])
+def test_trajectory_csv_rows_are_fmt_text(tmp_path, variant):
+    edge = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e-300,
+            math.nextafter(1e-300, 0.0), -math.nextafter(1e-300, 1.0), 2.2250738585072014e-308,
+            -1.7976931348623157e308, 0.0, -5e-324]
+    cols = 6 if variant == "control_loop" else 5
+    # every value in every column, over more rows than one written block
+    traj = _table_trajectory(variant, [np.roll(edge, k)[:cols] for k in range(1100)])
+    path = str(tmp_path / "edge.csv")
+    write_trajectory_csv(path, traj)
+    rows = np.column_stack([traj.ts, traj.xs, traj.etas, traj.gains])
+    assert _body(path) == [",".join(fmt(v) for v in row) for row in rows]
+    _assert_same_table(parse_trajectory_csv(path), traj)
+
+
+@pytest.mark.parametrize("variant", ["control_loop", "diff_error"])
+def test_one_row_trajectory_csv_parses_to_a_table(tmp_path, variant):
+    cols = 6 if variant == "control_loop" else 5
+    traj = _table_trajectory(variant, [0.5 + k for k in range(cols)])
+    path = str(tmp_path / "one.csv")
+    write_trajectory_csv(path, traj)
+    parsed = parse_trajectory_csv(path)
+    assert parsed["xs"].shape == (1, 2)
+    assert parsed["etas"].shape == (1, cols - 4)
+    _assert_same_table(parsed, traj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1).filter(
+    lambda b: (b >> 52) & 0x7FF != 0x7FF), min_size=6, max_size=120))
+def test_trajectory_csv_round_trips_random_bit_patterns(tmp_path_factory, bits):
+    values = np.array(bits[:len(bits) // 6 * 6], dtype=np.uint64).view(np.float64)
+    traj = _table_trajectory("control_loop", values)
+    path = str(tmp_path_factory.getbasetemp() / "bits.csv")
+    write_trajectory_csv(path, traj)
+    _assert_same_table(parse_trajectory_csv(path), traj)
+
+
 def test_simulate_writes_artifacts_and_exits_zero(tmp_path):
     code = main(["simulate", "--sim.x0", "1,0", "--output.dir", str(tmp_path),
                  "--output.prefix", "run"])
@@ -213,6 +276,18 @@ def test_tracking_noise_over_its_bound_exits_2(tmp_path, capsys, monkeypatch):
                  "--output.dir", str(tmp_path)])
     assert code == 2
     assert "tracking noise exceeded its bound" in capsys.readouterr().err
+
+
+def test_prelude_replay_that_stops_early_names_its_termination(tmp_path, capsys):
+    # the replay ends in step_underflow just before the steering switch,
+    # before the plan start
+    code = main(["attack", "--attack.kind", "controller-terminal", "--attack.prelude", "true",
+                 "--attack.x0", "0.3,-0.2", "--attack.eta_bar", "0.01",
+                 "--attack.epsilon", "0.5", "--output.dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "step_underflow" in err
+    assert "zero-size" not in err
 
 
 def test_attack_subcommand_needs_a_kind(tmp_path, capsys):

@@ -14,6 +14,7 @@ from tvglab.core import (
     DisturbanceSpec,
     GainTable,
     Horizon,
+    NumericalFailure,
     RationalGain,
     SystemModel,
     ZeroNoise,
@@ -23,6 +24,7 @@ from tvglab.core import (
     rational_loop,
     reference_loop,
 )
+from tvglab.integrate import integrate
 
 
 def _feedback(model, t, x):
@@ -203,6 +205,61 @@ def test_gain_output_diff_is_largest_injection_channel():
     out = model.gain_output(0.5, np.array([1.0, 0.0]), np.array([0.0]))
     # |phi2| = 31 dominates |phi1| = 13; sign is kept
     assert out == pytest.approx(-31.0)
+
+
+# At u = T - t = 0.5 these channels overflow: 1e308 / u**2 is inf, and the
+# NaN channel adds the opposite inf to it.
+_NAN_CHANNEL = ((1e308, 2), (-1e308, 2))
+_MINUS_INF_CHANNEL = ((-1e308, 2),)
+
+
+def _gain_output(model):
+    """gain_output of an error model at t = 0.5, T = 1, with y = 1, so each
+    channel's output is its gain value."""
+    return model.gain_output(0.5, np.array([1.0] + [0.0] * (model.n - 1)), 0.0)
+
+
+def _channels_output(channels):
+    return _gain_output(rational_diff_error(channels))
+
+
+class _ZeroRhsModel(SystemModel):
+    """Model whose right-hand side is zero, so only the sample record sees a
+    non-finite gain output."""
+
+    def rhs(self, t, x, eta):
+        return np.zeros(self.n)
+
+
+def test_gain_output_first_nan_beats_a_larger_finite_channel():
+    assert math.isnan(_channels_output([((5.0, 0),), _NAN_CHANNEL]))
+    assert math.isnan(_channels_output([_NAN_CHANNEL, ((5.0, 0),)]))
+    src = rational_diff_error([((5.0, 0),), _NAN_CHANNEL])
+    model = _ZeroRhsModel(src.variant, src.horizon, src.gains)
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        integrate(model, None, np.array([1.0, 0.0]), 0.5, 0.9)
+
+
+def test_gain_output_keeps_the_sign_of_inf():
+    assert _channels_output([((7.0, 0),), _MINUS_INF_CHANNEL]) == -math.inf
+    assert _channels_output([((-7.0, 0),), ((1e308, 2),)]) == math.inf
+
+
+def test_gain_output_tie_keeps_the_first_channel():
+    assert _channels_output([((-3.0, 0),), ((3.0, 0),)]) == -3.0
+    assert _channels_output([((3.0, 0),), ((-3.0, 0),)]) == 3.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([3.0, -3.0, 0.0, -0.0])),
+                min_size=2, max_size=6))
+def test_gain_output_matches_argmax_of_magnitudes(values):
+    model = rational_diff_error([((v, 0),) for v in values])
+    out = [g.value_at(0.5) for g in model.gains.gains]
+    expected = float(out[int(np.argmax(np.abs(out)))])
+    got = _gain_output(model)
+    assert (got, math.copysign(1.0, got)) == (expected, math.copysign(1.0, expected))
 
 
 def test_model_variant_validation():

@@ -137,6 +137,73 @@ def test_noise_barrier_is_hit_exactly():
     assert noise.observed[0] == 0.0
 
 
+@pytest.mark.parametrize("kind", ["uniform", "geometric"])
+@pytest.mark.parametrize("model", [reference_loop(), differentiator_error_model()],
+                         ids=["control_loop", "diff_error"])
+def test_grid_samples_are_the_dense_output(model, kind):
+    grid = OutputGrid(kind=kind, count=3000)
+    t_end = 1.0 - 1e-6
+    traj = integrate(model, None, np.array([1.0, -0.5]), 0.0, t_end,
+                     IntegrationOptions(output_grid=grid))
+    assert np.all(np.diff(traj.ts) > 0.0)
+    between = np.isin(traj.ts, traj.knot_ts, invert=True)
+    points = grid.points(0.0, t_end, 1.0)
+    expected = points[(points > 0.0) & (points < t_end)]
+    np.testing.assert_array_equal(traj.ts[between], np.setdiff1d(expected, traj.knot_ts))
+    assert np.count_nonzero(between) > 2500
+    # bit for bit: the same cubic Hermite as state_at, on the same knots
+    assert traj.xs[between].tobytes() == traj.state_at(traj.ts[between]).tobytes()
+
+
+class _SwitchingNoise(_BarrierNoise):
+    """Barrier noise that reports its switch when the barrier is committed."""
+
+    def observe(self, t, x):
+        return t == self.barrier
+
+
+def test_grid_point_on_a_knot_or_switch_is_recorded_once():
+    model = reference_loop()
+    opts = IntegrationOptions(initial_step=1e-3)
+    knots = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.9, opts).knot_ts
+    knot = float(knots[np.searchsorted(knots, 0.3)])
+    # linspace(0, 2k, 3) is exactly (0, k, 2k); the steps before k do not
+    # depend on t_end = 2k
+    grid = IntegrationOptions(initial_step=1e-3, output_grid=OutputGrid("uniform", 3))
+    assert grid.output_grid.points(0.0, 2.0 * knot, 1.0)[1] == knot
+    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 2.0 * knot, grid)
+    assert knot in traj.knot_ts
+    assert np.count_nonzero(traj.ts == knot) == 1
+    assert np.all(np.diff(traj.ts) > 0.0)
+
+    assert grid.output_grid.points(0.0, 0.75, 1.0)[1] == 0.375
+    noise = _SwitchingNoise(2, 0.375)
+    traj = integrate(model, noise, np.array([1.0, 0.0]), 0.0, 0.75, grid)
+    assert traj.switch_times == (0.375,)
+    assert np.count_nonzero(traj.ts == 0.375) == 1
+    assert np.all(np.diff(traj.ts) > 0.0)
+    # the one record at the switch holds the right-limit noise
+    assert np.all(traj.etas[traj.ts == 0.375] == -0.01)
+
+
+def test_grid_points_of_the_event_step_precede_the_event_sample():
+    model = reference_loop()
+    grid = OutputGrid(kind="uniform", count=20001)
+    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.99,
+                     IntegrationOptions(output_grid=grid),
+                     stop_condition=lambda t, x: x[0] <= 0.25)
+    assert traj.termination.kind == EVENT
+    t_ev = traj.termination.t
+    step_start = traj.knot_ts[-2]
+    assert traj.ts[-1] == t_ev and traj.knot_ts[-1] == t_ev
+    assert np.all(np.diff(traj.ts) > 0.0)
+    points = grid.points(0.0, 0.99, 1.0)
+    inside = points[(points > step_start) & (points < t_ev)]
+    assert inside.size >= 2
+    np.testing.assert_array_equal(traj.ts[-1 - inside.size:-1], inside)
+    assert traj.ts[-2 - inside.size] == step_start
+
+
 class _LyingNoise(NoiseSource):
     def __init__(self):
         self.bound = 1e-3
