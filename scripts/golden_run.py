@@ -1,0 +1,198 @@
+#!/usr/bin/env python3
+"""Golden run: every CLI scenario and demo of this checkout, hashed.
+
+    python3 scripts/golden_run.py OUT
+
+Runs selftest, the README examples, a set of further CLI scenarios (every
+subcommand, both variants, both grid kinds, zero and rational tables, other
+horizons, disturbances, every attack kind with and without the prelude, and
+runs that end in exit codes 1, 2 and 3) and the six demos, each as its own
+process with tvglab imported from the src/ directory next to this script.
+Each scenario gets a directory OUT/<name>/ holding the artifacts it wrote
+(under artifacts/), its stdout.txt, stderr.txt and exit.txt.  The checkout
+path is replaced by "<root>" in stdout and stderr, so two checkouts at
+different paths can be compared.  OUT/MANIFEST.sha256 lists the sha256 of
+every file under OUT, in `sha256sum` format and sorted by path.
+
+Two checkouts are byte-identical on these runs when their manifests are:
+
+    python3 A/scripts/golden_run.py /tmp/golden_a
+    python3 B/scripts/golden_run.py /tmp/golden_b
+    diff /tmp/golden_a/MANIFEST.sha256 /tmp/golden_b/MANIFEST.sha256
+
+The hashes hold for one machine and one numpy/BLAS build only: the
+stepper's stage sums go through the BLAS kernel chosen for the CPU, whose
+rounding differs between kernels.  Compare two checkouts on one machine;
+do not pin the hashes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+DEMOS = ROOT / "demos"
+TIMEOUT_S = 300
+
+RAMP_CONFIG = """\
+scenario = attack.diff-terminal
+attack.eta_bar = 0.1
+attack.epsilon = 1.0
+integration.rel_tol = 1e-9
+output.prefix = ramp_demo
+"""
+
+BAD_CONFIG = """\
+system.variant = control_loop
+system.rho_min = 1e-9
+system.T = -1
+deadline.rho = 1e-3
+deadline.tol = 0.1
+nonsense.key = 1
+"""
+
+# name -> tvglab arguments; "{cfg}" stands for the scenario's config file,
+# written from CONFIGS
+SCENARIOS: dict[str, list[str]] = {
+    # README examples
+    "readme_simulate": ["simulate", "--sim.x0", "1,0"],
+    "readme_verify_deadline": ["verify-deadline"],
+    "readme_diff_terminal": ["attack", "--attack.kind", "diff-terminal",
+                             "--attack.eta_bar", "0.1", "--attack.epsilon", "1.0"],
+    "readme_controller_divergence": ["attack", "--attack.kind", "controller-divergence",
+                                     "--attack.eta_bar", "0.01", "--system.rho_min", "1e-9"],
+    "readme_rational_simulate": ["simulate", "--system.controller", "rational_tvg",
+                                 "--system.gains", "-6,2; -4,1", "--sim.x0", "1,0"],
+    "readme_gain_scan": ["gain-scan", "--scan.rhos", "1e-1,1e-2,1e-3"],
+    "readme_falsify": ["falsify-stability", "--falsify.eps_prime", "2.5"],
+    "readme_deadzone": ["workaround", "--workaround.variant", "deadzone",
+                        "--system.rho_min", "1e-6"],
+    "readme_selftest": ["selftest"],
+    "readme_config_file": ["attack", "--config", "{cfg}"],
+    "readme_bad_config": ["verify-deadline", "--config", "{cfg}"],
+    # simulate: both variants, grid kinds and sizes, tables, horizons, disturbances
+    "sim_loop_uniform_8000": ["simulate", "--sim.x0", "1,-0.5", "--sim.grid", "uniform",
+                              "--sim.grid_count", "8000"],
+    "sim_loop_grid_2": ["simulate", "--sim.x0", "1,0", "--sim.grid_count", "2"],
+    "sim_loop_sub_span": ["simulate", "--sim.x0", "0.5,2", "--sim.s", "0.3",
+                          "--sim.t_end", "0.9", "--sim.grid", "uniform"],
+    "sim_loop_piecewise": ["simulate", "--sim.x0", "1,0", "--disturbance.kind", "piecewise",
+                           "--disturbance.bound", "0.5",
+                           "--disturbance.samples", "0.2,0.5; 0.6,-0.3; 0.95,0.1"],
+    "sim_loop_constant": ["simulate", "--sim.x0", "1,0", "--disturbance.kind", "constant",
+                          "--disturbance.bound", "0.2", "--disturbance.value", "-0.2"],
+    "sim_loop_zero_table": ["simulate", "--system.controller", "zero", "--sim.x0", "1,1"],
+    # nine channels: the stepper's error norm sums them pairwise, as numpy does
+    "sim_loop_rational_9": ["simulate", "--system.controller", "rational_tvg",
+                            "--system.gains", "; ".join(["-1,1"] * 9),
+                            "--sim.x0", "1,-1,1,-1,1,-1,1,-1,1", "--sim.grid", "uniform"],
+    "sim_loop_rational_3": ["simulate", "--system.controller", "rational_tvg",
+                            "--system.gains", "-60,3; -36,2; -9,1", "--sim.x0", "1,0,-1"],
+    "sim_loop_rational_T3": ["simulate", "--system.controller", "rational_tvg",
+                             "--system.gains", "-6,2; -4,1", "--system.T", "3",
+                             "--sim.x0", "1,0", "--sim.grid", "uniform", "--sim.grid_count", "3000"],
+    "sim_diff_geometric_8000": ["simulate", "--system.variant", "diff_error", "--sim.x0", "1,-0.5",
+                                "--sim.grid_count", "8000"],
+    "sim_diff_uniform_sinusoid": ["simulate", "--system.variant", "diff_error", "--sim.x0", "1,-0.5",
+                                  "--sim.grid", "uniform", "--sim.grid_count", "2000",
+                                  "--disturbance.kind", "sinusoid", "--disturbance.bound", "0.1",
+                                  "--disturbance.amplitude", "0.1", "--disturbance.frequency", "3"],
+    "sim_diff_zero_table": ["simulate", "--system.variant", "diff_error", "--system.injection", "zero",
+                            "--sim.x0", "1,-1"],
+    "sim_diff_T2": ["simulate", "--system.variant", "diff_error", "--system.T", "2",
+                    "--system.ell1", "2", "--system.ell2", "0.5", "--sim.x0", "-1,3"],
+    # verify-deadline, gain-scan, falsify-stability on other settings
+    "verify_diff": ["verify-deadline", "--system.variant", "diff_error"],
+    "verify_diff_T3": ["verify-deadline", "--system.variant", "diff_error", "--system.T", "3"],
+    "verify_open_loop": ["verify-deadline", "--system.controller", "zero"],
+    "gain_scan_diff": ["gain-scan", "--system.variant", "diff_error"],
+    "falsify_default": ["falsify-stability"],
+    # attacks
+    "attack_diff_divergence": ["attack", "--attack.kind", "diff-divergence",
+                               "--attack.eta_bar", "1e-3"],
+    "attack_controller_divergence_1e-3": ["attack", "--attack.kind", "controller-divergence",
+                                          "--attack.eta_bar", "1e-3", "--system.rho_min", "1e-9"],
+    "attack_controller_terminal": ["attack", "--attack.kind", "controller-terminal",
+                                   "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
+    "attack_controller_terminal_prelude": ["attack", "--attack.kind", "controller-terminal",
+                                           "--attack.prelude", "true", "--attack.x0", "1,0",
+                                           "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
+    "attack_prelude_step_underflow": ["attack", "--attack.kind", "controller-terminal",
+                                      "--attack.prelude", "true", "--attack.x0", "0.3,-0.2",
+                                      "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
+    "attack_diff_terminal_small": ["attack", "--attack.kind", "diff-terminal",
+                                   "--attack.eta_bar", "1e-3", "--attack.epsilon", "0.2"],
+    # workarounds
+    "workaround_stop_time": ["workaround", "--workaround.variant", "stop-time"],
+    "workaround_deadzone_noise": ["workaround", "--workaround.variant", "deadzone",
+                                  "--system.rho_min", "1e-6", "--workaround.noise_eta_bar", "1e-3"],
+}
+
+CONFIGS = {"readme_config_file": RAMP_CONFIG, "readme_bad_config": BAD_CONFIG}
+
+
+def _record(out: Path, proc: subprocess.CompletedProcess) -> None:
+    root = str(ROOT)
+    (out / "stdout.txt").write_text(proc.stdout.replace(root, "<root>"))
+    (out / "stderr.txt").write_text(proc.stderr.replace(root, "<root>"))
+    (out / "exit.txt").write_text(f"{proc.returncode}\n")
+
+
+def run_all(out_root: Path) -> list[tuple[str, int]]:
+    env = dict(os.environ)
+    env.pop("TVGLAB_OUTPUT_DIR", None)  # would redirect the artifacts
+    env["PYTHONPATH"] = str(SRC)
+    exits = []
+    for name, args in SCENARIOS.items():
+        out = out_root / name
+        (out / "artifacts").mkdir(parents=True)
+        if name in CONFIGS:
+            (out / "run.cfg").write_text(CONFIGS[name])
+        argv = [a.replace("{cfg}", "run.cfg") for a in args]
+        cmd = [sys.executable, "-m", "tvglab.cli", *argv, "--output.dir", "artifacts"]
+        proc = subprocess.run(cmd, cwd=out, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+        _record(out, proc)
+        exits.append((name, proc.returncode))
+    for demo in sorted(DEMOS.glob("*.py")):
+        out = out_root / f"demo_{demo.stem}"
+        out.mkdir(parents=True)
+        proc = subprocess.run([sys.executable, str(demo)], cwd=out, env=env,
+                              capture_output=True, text=True, timeout=TIMEOUT_S)
+        _record(out, proc)
+        exits.append((out.name, proc.returncode))
+    return exits
+
+
+def write_manifest(out_root: Path) -> Path:
+    lines = []
+    for path in sorted(p for p in out_root.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        lines.append(f"{digest}  {path.relative_to(out_root).as_posix()}\n")
+    manifest = out_root / "MANIFEST.sha256"
+    manifest.write_text("".join(lines))
+    return manifest
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 scripts/golden_run.py OUT", file=sys.stderr)
+        return 1
+    out_root = Path(argv[0]).resolve()
+    if out_root.exists() and any(out_root.iterdir()):
+        print(f"golden_run: {out_root} is not empty", file=sys.stderr)
+        return 1
+    out_root.mkdir(parents=True, exist_ok=True)
+    for name, code in run_all(out_root):
+        print(f"{code}  {name}")
+    print(f"manifest: {write_manifest(out_root)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -212,7 +212,10 @@ class NoiseSource:
     error model) and must satisfy the declared bound at every query.
     observe(t, x) is called once per committed integration step, in time
     order, and is the only place a source may change internal state; it
-    returns True when the source switched its law exactly at t.
+    returns True when the source switched its law exactly at t.  When it
+    returns False, value(t, x) must answer as it did before the call: the
+    integrator records a committed step with the noise it already queried
+    there for the step's last stage, and queries again only after a switch.
     next_discontinuity(t) announces the next known switching instant strictly
     after t (inf when none is scheduled) so the integrator can land on it.
     """
@@ -270,6 +273,11 @@ class SystemModel:
             raise ValueError(f"unknown system variant {self.variant!r}")
         if self.gains.kind not in kinds:
             raise ValueError(f"{self.gains.kind} gains cannot drive a {self.variant} model")
+        # constants of every right-hand-side evaluation, looked up once
+        object.__setattr__(self, "_T", self.horizon.T)
+        object.__setattr__(self, "_control", self.variant == CONTROL_LOOP)
+        object.__setattr__(self, "_channels", self.gains.gains)
+        object.__setattr__(self, "_zero_disturbance", self.disturbance.kind == "zero")
 
     @property
     def n(self) -> int:
@@ -283,37 +291,39 @@ class SystemModel:
         """Gain outputs for the measured signal: the feedback v(t, x + eta)
         of the control loop, or the injection list phi(t, x_1 + eta_1) of
         the differentiator; rejects t >= T."""
-        u = self.horizon.T - t
+        u = self._T - t
         if u <= 0.0:
-            raise ValueError(f"gains evaluated at t={t!r} >= deadline T={self.horizon.T!r}")
-        if self.variant == CONTROL_LOOP:
+            raise ValueError(f"gains evaluated at t={t!r} >= deadline T={self._T!r}")
+        if self._control:
             acc = 0.0
-            for g, xi in zip(self.gains.gains, (x + eta).tolist()):
+            for g, xi in zip(self._channels, (x + eta).tolist()):
                 acc += g.value_at(u) * xi
             return acc
         y = (x[0] + eta).item()  # eta is a scalar or a length-1 array
-        return [g.value_at(u) * y for g in self.gains.gains]
+        return [g.value_at(u) * y for g in self._channels]
 
     def rhs(self, t: float, x: np.ndarray, eta) -> np.ndarray:
         """Chain derivative under the measured signal; d enters the last channel."""
         out = self._outputs(t, x, eta)
+        # adding the zero disturbance still turns a -0.0 output into 0.0
+        d = 0.0 if self._zero_disturbance else self.disturbance(t)
         tail = x.tolist()[1:]
-        if self.variant == CONTROL_LOOP:
+        if self._control:
             if not math.isfinite(out):
                 raise NumericalFailure(f"controller output not finite at t={t!r}")
-            tail.append(out + self.disturbance(t))
+            tail.append(out + d)
             return np.array(tail)
         if not all(map(math.isfinite, out)):
             raise NumericalFailure(f"injection output not finite at t={t!r}")
         dx = [xi + phi for xi, phi in zip(tail, out)]
-        dx.append(self.disturbance(t) + out[-1])
+        dx.append(d + out[-1])
         return np.array(dx)
 
     def gain_output(self, t: float, x: np.ndarray, eta) -> float:
         """Scalar record of the algorithm output at (t, x): the controller
         value, or the largest-magnitude injection channel (signed)."""
         out = self._outputs(t, x, eta)
-        if self.variant == CONTROL_LOOP:
+        if self._control:
             return out
         # as np.argmax of the magnitudes: ties keep the first channel and a
         # NaN beats every number (no comparison replaces it), so the sample

@@ -141,7 +141,8 @@ class Trajectory:
     def state_at(self, t):
         """Dense-output state at time(s) t within [t0, t_last]."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < self.t0 - 1e-15) or np.any(t_arr > self.t_last + 1e-15):
+        slack = 1e-15 * self.T
+        if np.any(t_arr < self.t0 - slack) or np.any(t_arr > self.t_last + slack):
             raise ValueError("dense output requested outside the integrated span")
         idx = np.clip(np.searchsorted(self.knot_ts, t_arr, side="right") - 1, 0, len(self.knot_ts) - 2)
         tl = self.knot_ts[idx]
@@ -216,7 +217,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         e = noise.value(t, state)
         if is_control:
             e = np.asarray(e, dtype=float)
-            norm = math.sqrt(float(e @ e))
+            norm = math.hypot(*e.tolist())
         else:
             e = float(e)
             norm = abs(e)
@@ -239,19 +240,20 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     switch_times: list[float] = []
 
     def record_sample(t, state, e):
+        """Record a sample; state is a fresh array that nothing modifies later."""
         sample_ts.append(t)
-        sample_xs.append(state.copy())
-        sample_etas.append(np.array(e, dtype=float) if is_control else float(e))
+        sample_xs.append(state)
+        sample_etas.append(e.copy() if is_control else e)  # eta_at's array or float
         sample_gains.append(_plain_float(model.gain_output(t, state, e)))
 
     # initial commitment: let the source latch its first segment, then record
     noise.observe(t0, x)
     eta0 = eta_at(t0, x)
-    f0 = model.rhs(t0, x, eta0)
+    f0 = np.asarray(model.rhs(t0, x, eta0), dtype=float)
     record_sample(t0, x, eta0)
     knot_ts.append(t0)
-    knot_xs.append(x.copy())
-    knot_fs.append(np.asarray(f0, dtype=float))
+    knot_xs.append(x)
+    knot_fs.append(f0)
 
     grid_idx = 0 if grid is None else int(np.searchsorted(grid, t0, side="right"))
 
@@ -273,13 +275,19 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             record_sample(tq, xq, eta_at(tq, xq))
 
     t = t0
-    f_start = np.asarray(f0, dtype=float)
+    f_start = f0
     kappa = opts.max_step_fraction
+    abs_tol, rel_tol = opts.abs_tol, opts.rel_tol
     h_try = opts.initial_step if opts.initial_step is not None else min(
         1e-3 * (t_end - t0), kappa * (T - t0))
     h_try = max(h_try, min_step)
     termination = None
     n = len(x)
+    x_list = x.tolist()
+    # one stage matrix serves every trial step; stage i combines its rows k[:i]
+    k = np.empty((7, n))
+    stages = tuple((c, arow, k[:len(arow)]) for c, arow in _DP_STAGES)
+    k_b = k[:6]
 
     while termination is None and t < t_end:
         t_disc = noise.next_discontinuity(t)
@@ -291,21 +299,33 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             h = barrier - t  # land exactly on the boundary
         at_barrier = (t + h) >= barrier
 
-        # one trial Dormand-Prince step; a non-finite stage makes err NaN or
-        # inf, so "not err <= 1.0" rejects it like a raised NumericalFailure
+        # one trial Dormand-Prince step.  The stage sums stay numpy dot
+        # products, whose BLAS kernel sets their rounding (the method form
+        # skips np.dot's dispatch); every elementwise operation runs on Python
+        # floats, which round it as numpy does.  A non-finite stage makes err
+        # NaN or inf, so "not err <= 1.0" rejects it like a raised
+        # NumericalFailure.  max() drops a NaN that np.maximum would keep, but
+        # a NaN in x_new comes with a non-finite error term in its channel
         try:
-            k = np.empty((7, n))
             k[0] = f_start
-            for i, (c, arow) in enumerate(_DP_STAGES, start=1):
+            for i, (c, arow, k_head) in enumerate(stages, start=1):
                 ts_i = t + c * h
-                xs_i = x + h * np.dot(arow, k[:i])
+                xs_i = np.array([a + h * b for a, b in zip(x_list, arow.dot(k_head).tolist())])
                 k[i] = model.rhs(ts_i, xs_i, eta_at(ts_i, xs_i))
-            x_new = x + h * np.dot(_DP_B, k[:6])
+            new_list = [a + h * b for a, b in zip(x_list, _DP_B.dot(k_b).tolist())]
+            x_new = np.array(new_list)
             t_new = barrier if at_barrier else t + h
-            k[6] = model.rhs(t_new, x_new, eta_at(t_new, x_new))
-            q = h * np.dot(_DP_E, k) / (
-                opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new)))
-            err = math.sqrt(float((q * q).sum()) / n)
+            eta_new = eta_at(t_new, x_new)
+            k[6] = model.rhs(t_new, x_new, eta_new)
+            qs = [h * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
+                  for a, b, e in zip(x_list, new_list, _DP_E.dot(k).tolist())]
+            if n < 8:  # numpy's sum adds up to 7 terms in order, more pairwise
+                sq = 0.0
+                for qi in qs:
+                    sq += qi * qi
+            else:
+                sq = float(np.square(qs).sum())
+            err = math.sqrt(sq / n)
         except NoiseBoundViolation:
             raise
         except NumericalFailure:
@@ -318,15 +338,16 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
                 termination = Termination(kind=STEP_UNDERFLOW, t=t)
             continue
 
-        # committed: emit any grid samples interior to the step
-        f_new = k[6]
+        # committed: emit any grid samples interior to the step; the knot
+        # keeps a copy of the last stage, not the whole stage matrix
+        f_new = k[6].copy()
         dt = t_new - t
         stop_hit = stop_condition is not None and stop_condition(t_new, x_new)
         if stop_hit:
             # bisect to the earliest time the condition holds on this step
             lo, hi = t, t_new
             for _ in range(200):
-                if hi - lo <= 1e-12:
+                if hi - lo <= 1e-12 * T:
                     break
                 mid = 0.5 * (lo + hi)
                 xm = _hermite(x, f_start, x_new, f_new, dt, (mid - t) / dt)
@@ -348,16 +369,17 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
 
         record_grid(t, x, f_start, x_new, f_new, dt, t_new)
         knot_ts.append(t_new)
-        knot_xs.append(x_new.copy())
-        knot_fs.append(np.asarray(f_new, dtype=float))
+        knot_xs.append(x_new)
+        knot_fs.append(f_new)
 
-        switched = noise.observe(t_new, x_new)
-        if switched:
+        # without a switch the source still answers with the noise of the
+        # last stage (the NoiseSource contract), so that query is recorded
+        if noise.observe(t_new, x_new):
             switch_times.append(t_new)
-            f_new = model.rhs(t_new, x_new, eta_at(t_new, x_new))  # right-limit derivative
-            knot_fs[-1] = np.asarray(f_new, dtype=float)
-        eta_right = eta_at(t_new, x_new)
-        record_sample(t_new, x_new, eta_right)
+            eta_new = eta_at(t_new, x_new)
+            f_new = np.asarray(model.rhs(t_new, x_new, eta_new), dtype=float)  # right-limit derivative
+            knot_fs[-1] = f_new
+        record_sample(t_new, x_new, eta_new)
 
         norm_new = math.sqrt(float(x_new @ x_new))
         if norm_new >= opts.max_norm:
@@ -367,8 +389,8 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
                 blow_up=BlowUpEvent(t=t_new, norm=norm_new, channel=channel))
 
         t = t_new
-        x = x_new
-        f_start = np.asarray(f_new, dtype=float)
+        x, x_list = x_new, new_list
+        f_start = f_new
         grow = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.2))
         h_try = h * grow
 
@@ -400,7 +422,7 @@ def terminal_state(traj: Trajectory, rho: float) -> np.ndarray:
     if rho < traj.rho_min:
         raise ValueError(f"rho={rho!r} is below the integration floor rho_min={traj.rho_min!r}")
     t_query = traj.T - rho
-    if t_query > traj.t_last + 1e-15:
+    if t_query > traj.t_last + 1e-15 * traj.T:
         raise ValueError(
             f"trajectory ends at t={traj.t_last!r} ({traj.termination.kind}), "
             f"cannot evaluate at T - rho = {t_query!r}")

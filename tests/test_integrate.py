@@ -10,11 +10,16 @@ from tvglab.core import (
     NoiseSource,
     NumericalFailure,
     SystemModel,
+    ZeroNoise,
     differentiator_error_model,
     open_loop_chain,
+    rational_loop,
     reference_loop,
 )
 from tvglab.integrate import (
+    _DP_B,
+    _DP_E,
+    _DP_STAGES,
     BLOW_UP,
     EVENT,
     REACHED_END,
@@ -204,6 +209,75 @@ def test_grid_points_of_the_event_step_precede_the_event_sample():
     assert traj.ts[-2 - inside.size] == step_start
 
 
+class _LatchingNoise(_BarrierNoise):
+    """Barrier noise whose value changes only when observe reports the switch,
+    so a query before that call still answers with the old segment."""
+
+    def __init__(self, n, barrier):
+        super().__init__(n, barrier)
+        self.level = 0.01
+
+    def value(self, t, x):
+        return np.full(self.n, self.level)
+
+    def observe(self, t, x):
+        if t == self.barrier:
+            self.level = -0.01
+            return True
+        return False
+
+
+def test_switch_sample_records_the_post_switch_noise():
+    model = reference_loop()
+    noise = _LatchingNoise(2, 0.375)
+    traj = integrate(model, noise, np.array([1.0, 0.0]), 0.0, 0.75)
+    assert traj.switch_times == (0.375,)
+    at = traj.ts == 0.375
+    assert np.count_nonzero(at) == 1
+    assert np.all(traj.etas[at] == -0.01)
+    assert np.all(traj.etas[traj.ts < 0.375] == 0.01)
+    assert np.all(traj.etas[traj.ts > 0.375] == -0.01)
+    # the knot at the switch holds the right-limit derivative
+    knot = int(np.flatnonzero(traj.knot_ts == 0.375)[0])
+    x_sw = traj.knot_xs[knot]
+    np.testing.assert_array_equal(traj.knot_fs[knot], model.rhs(0.375, x_sw, np.full(2, -0.01)))
+    assert traj.gains[at][0] == model.gain_output(0.375, x_sw, np.full(2, -0.01))
+
+
+def _crossing_time(T: float) -> float:
+    """Time at which x1 of the reference gains on horizon T, started from
+    (1, 0) at t = 0, falls to 1/4: x1 = 3 s^2 - 2 s^3 with s = (T - t) / T."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if 3.0 * mid**2 - 2.0 * mid**3 > 0.25:
+            hi = mid
+        else:
+            lo = mid
+    return T * (1.0 - 0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("T", [1.0, 1e-6])
+def test_event_time_is_resolved_relative_to_the_horizon(T):
+    model = rational_loop([[(-6.0, 2)], [(-4.0, 1)]], T=T)
+    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.99 * T,
+                     stop_condition=lambda t, x: x[0] <= 0.25)
+    assert traj.termination.kind == EVENT
+    t_exact = _crossing_time(T)
+    assert abs(traj.t_last - t_exact) <= 1e-9 * t_exact
+
+
+def test_span_slack_scales_with_the_horizon():
+    T = 1e3
+    model = rational_loop([[(-6.0, 2)], [(-4.0, 1)]], T=T)
+    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, T * (1.0 - 1e-8))
+    # T - 1e-8 T lies one ulp (1.1e-13) past the end of the run
+    assert T - 1e-8 * T > traj.t_last
+    np.testing.assert_array_equal(terminal_state(traj, 1e-8 * T), traj.xs[-1])
+    with pytest.raises(ValueError):
+        traj.state_at(traj.t_last + 1e-9 * T)
+
+
 class _LyingNoise(NoiseSource):
     def __init__(self):
         self.bound = 1e-3
@@ -258,14 +332,83 @@ class _CountingLoop(SystemModel):
         return super().rhs(t, x, eta)
 
 
+class _CountingZeroNoise(ZeroNoise):
+    """Zero noise that counts its queries."""
+
+    calls = 0
+
+    def value(self, t, x):
+        self.calls += 1
+        return super().value(t, x)
+
+
 def test_reference_run_work_is_pinned():
     ref = reference_loop()
     model = _CountingLoop(ref.variant, ref.horizon, ref.gains)
-    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 1.0 - 1e-9)
+    noise = _CountingZeroNoise(model.n)
+    traj = integrate(model, noise, np.array([1.0, 0.0]), 0.0, 1.0 - 1e-9)
     steps = len(traj.knot_ts) - 1
     assert traj.completed
     assert steps == 493
     assert model.calls == 2959 == 1 + 6 * steps  # FSAL, no rejected step
+    # one query per right-hand side: a committed step records the noise its
+    # last stage queried
+    assert noise.calls == model.calls
+
+
+def _numpy_reference_knots(model, x0, t_end):
+    """Knot times, states and derivatives of a noise-free run from t = 0 with
+    the default options, by the stepper's arithmetic written as numpy array
+    operations: the reference for integrate's elementwise work on Python
+    floats."""
+    opts = IntegrationOptions()
+    T, n = model.T, model.n
+    eta = model.zero_noise().value(0.0, None)
+    t, x = 0.0, np.array(x0, dtype=float)
+    f = model.rhs(t, x, eta)
+    ts, xs, fs = [t], [x], [f]
+    h_try = max(min(1e-3 * t_end, opts.max_step_fraction * T), 1e-13 * T)
+    while t < t_end:
+        h_cap = opts.max_step_fraction * (T - t)
+        h = min(h_try, h_cap, t_end - t)
+        if t_end - t <= min(h_try, h_cap):
+            h = t_end - t
+        k = np.empty((7, n))
+        k[0] = f
+        for i, (c, arow) in enumerate(_DP_STAGES, start=1):
+            xs_i = x + h * np.dot(arow, k[:i])
+            k[i] = model.rhs(t + c * h, xs_i, eta)
+        x_new = x + h * np.dot(_DP_B, k[:6])
+        t_new = t_end if t + h >= t_end else t + h
+        k[6] = model.rhs(t_new, x_new, eta)
+        q = h * np.dot(_DP_E, k) / (
+            opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new)))
+        err = math.sqrt(float((q * q).sum()) / n)
+        if not err <= 1.0:
+            h_try = h * max(0.2, 0.9 * err ** -0.2)
+            continue
+        t, x, f = t_new, x_new, k[6].copy()
+        ts.append(t)
+        xs.append(x)
+        fs.append(f)
+        h_try = h * (10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.2)))
+    return np.array(ts), np.array(xs), np.array(fs)
+
+
+@pytest.mark.parametrize("model, x0", [
+    (reference_loop(), (1.0, 0.0)),
+    (differentiator_error_model(), (1.0, -0.5)),
+    (rational_loop([[(-60.0, 3)], [(-36.0, 2)], [(-9.0, 1)]]), (1.0, 0.5, -2.0)),
+    # from eight channels on, numpy sums the error terms pairwise, not in order
+    (rational_loop([[(-2.0, 1)]] * 8), tuple(np.linspace(-1.0, 2.0, 8))),
+], ids=["reference", "differentiator", "rational_3", "rational_8"])
+def test_stepper_matches_its_numpy_reference_bit_for_bit(model, x0):
+    t_end = 1.0 - 1e-9
+    traj = integrate(model, None, np.array(x0), 0.0, t_end)
+    ts, xs, fs = _numpy_reference_knots(model, x0, t_end)
+    assert traj.knot_ts.tobytes() == ts.tobytes()
+    assert traj.knot_xs.tobytes() == xs.tobytes()
+    assert traj.knot_fs.tobytes() == fs.tobytes()
 
 
 class _NanStageLoop(SystemModel):
