@@ -12,7 +12,9 @@ Each scenario gets a directory OUT/<name>/ holding the artifacts it wrote
 (under artifacts/), its stdout.txt, stderr.txt and exit.txt.  The checkout
 path is replaced by "<root>" in stdout and stderr, so two checkouts at
 different paths can be compared.  OUT/MANIFEST.sha256 lists the sha256 of
-every file under OUT, in `sha256sum` format and sorted by path.
+every file under OUT, in `sha256sum` format and sorted by path.  The script
+exits 1 when any run's exit code differs from EXPECTED_EXIT (0 for runs not
+listed there); exit codes, unlike hashes, are the same on every machine.
 
 Two checkouts are byte-identical on these runs when their manifests are:
 
@@ -131,6 +133,45 @@ SCENARIOS: dict[str, list[str]] = {
     "workaround_stop_time": ["workaround", "--workaround.variant", "stop-time"],
     "workaround_deadzone_noise": ["workaround", "--workaround.variant", "deadzone",
                                   "--system.rho_min", "1e-6", "--workaround.noise_eta_bar", "1e-3"],
+    # branches of the runners and artifact writers: failed cases, nan cells,
+    # empty ladders, notes, plots and every non-zero exit code
+    "verify_max_norm_2": ["verify-deadline", "--integration.max_norm", "2"],
+    "verify_no_shrink": ["verify-deadline", "--deadline.shrink_rhos", ""],
+    "gain_scan_zero_table": ["gain-scan", "--system.controller", "zero"],
+    "falsify_zero_table": ["falsify-stability", "--system.controller", "zero"],
+    "attack_diff_terminal_tight_tol": ["attack", "--attack.kind", "diff-terminal",
+                                       "--attack.eta_bar", "0.1", "--attack.epsilon", "1.0",
+                                       "--attack.tol", "1e-12"],
+    "attack_diff_divergence_1e-2": ["attack", "--attack.kind", "diff-divergence",
+                                    "--attack.eta_bar", "1e-2"],
+    "attack_controller_terminal_late_s": ["attack", "--attack.kind", "controller-terminal",
+                                          "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5",
+                                          "--attack.s", "0.99"],
+    "attack_prelude_without_x0": ["attack", "--attack.kind", "controller-terminal",
+                                  "--attack.prelude", "true",
+                                  "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
+    "sim_reference_T2": ["simulate", "--system.T", "2", "--sim.x0", "1,0"],
+    "sim_plot": ["simulate", "--sim.x0", "1,0", "--output.plot", "true"],
+    "workaround_stop_time_max_norm_50": ["workaround", "--workaround.variant", "stop-time",
+                                         "--integration.max_norm", "50"],
+    "workaround_deadzone_max_norm_50": ["workaround", "--workaround.variant", "deadzone",
+                                        "--system.rho_min", "1e-6", "--integration.max_norm", "50"],
+}
+
+# name -> exit code, for every scenario that does not exit 0 (1 config error,
+# 2 numerical failure, 3 a declared property failed)
+EXPECTED_EXIT: dict[str, int] = {
+    "readme_bad_config": 1,
+    "attack_prelude_without_x0": 1,
+    "sim_reference_T2": 1,
+    "attack_prelude_step_underflow": 2,
+    "attack_controller_terminal_late_s": 2,
+    "workaround_stop_time_max_norm_50": 2,
+    "workaround_deadzone_max_norm_50": 2,
+    "verify_open_loop": 3,
+    "verify_max_norm_2": 3,
+    "falsify_zero_table": 3,
+    "attack_diff_terminal_tight_tol": 3,
 }
 
 CONFIGS = {"readme_config_file": RAMP_CONFIG, "readme_bad_config": BAD_CONFIG}
@@ -188,9 +229,15 @@ def main(argv: list[str]) -> int:
         print(f"golden_run: {out_root} is not empty", file=sys.stderr)
         return 1
     out_root.mkdir(parents=True, exist_ok=True)
+    wrong = 0
     for name, code in run_all(out_root):
-        print(f"{code}  {name}")
+        expected = EXPECTED_EXIT.get(name, 0)
+        print(f"{code}  {name}" + ("" if code == expected else f"  (expected {expected})"))
+        wrong += code != expected
     print(f"manifest: {write_manifest(out_root)}")
+    if wrong:
+        print(f"golden_run: {wrong} exit code(s) differ from EXPECTED_EXIT", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -243,7 +243,7 @@ def falsify_uniform_stability(model: SystemModel, delta: float, epsilon: float,
         raise ValueError("stability falsification applies to the control loop")
     opts = opts or IntegrationOptions()
     T = model.horizon.T
-    rho_min = opts.rho_min if opts.rho_min is not None else model.horizon.rho_min
+    rho_min = model.horizon.rho_min
     eps_prime = 1.05 * max(epsilon, delta) if eps_prime is None else float(eps_prime)
     s = instability_witness_time(delta, epsilon, eps_prime, T=T)
     if not (0.0 <= s < T - rho_min):
@@ -344,7 +344,7 @@ def evaluate_stop_time(model: SystemModel, t_stop: float, initial_conditions: Se
     """
     opts = opts or IntegrationOptions()
     T = model.horizon.T
-    rho_min = opts.rho_min if opts.rho_min is not None else model.horizon.rho_min
+    rho_min = model.horizon.rho_min
     if not (0.0 < t_stop < T - rho_min):
         raise ValueError("t_stop must lie in (0, T - rho_min)")
     cases = []
@@ -387,7 +387,7 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
     if width <= 0.0:
         raise ValueError("width must be positive")
     T = model.horizon.T
-    rho_min = opts.rho_min if opts.rho_min is not None else model.horizon.rho_min
+    rho_min = model.horizon.rho_min
     t_end = T - rho_min
     off_model = replace(model, gains=GainTable.zero(model.n))
     cases = []

@@ -379,20 +379,17 @@ class CascadePlan:
         return self.state_at(self.s)
 
     def state_at(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        u = self.T - t_arr
-        cols = [p.value(u) for p in self.psi]
-        out = np.stack([np.broadcast_to(c, t_arr.shape) for c in cols], axis=-1) \
-            if t_arr.ndim else np.array([float(c) for c in cols])
-        return out
+        return self._columns(self.psi, t)
 
     def noise_at(self, t):
+        return self._columns(self.eta, t)
+
+    def _columns(self, polys: tuple[_PolyU, ...], t):
         t_arr = np.asarray(t, dtype=float)
         u = self.T - t_arr
-        cols = [p.value(u) for p in self.eta]
-        out = np.stack([np.broadcast_to(c, t_arr.shape) for c in cols], axis=-1) \
+        cols = [p.value(u) for p in polys]
+        return np.stack([np.broadcast_to(c, t_arr.shape) for c in cols], axis=-1) \
             if t_arr.ndim else np.array([float(c) for c in cols])
-        return out
 
 
 class ControllerTerminalNoise(NoiseSource):
@@ -662,8 +659,7 @@ def run_divergence_attack(model: SystemModel, eta_bar: float, thresholds=None,
     """
     opts = opts or IntegrationOptions()
     T = model.horizon.T
-    rho = opts.rho_min if opts.rho_min is not None else model.horizon.rho_min
-    t_end = T - rho if t_end is None else t_end
+    t_end = T - model.horizon.rho_min if t_end is None else t_end
     thresholds = default_ladder(eta_bar) if thresholds is None else tuple(thresholds)
     if model.variant == CONTROL_LOOP:
         noise = controller_divergence_noise(eta_bar, targets=targets, n=model.n,

@@ -182,8 +182,6 @@ KEY_SPECS: dict[str, KeySpec] = {
     "integration.abs_tol": KeySpec(float, 1e-12, _positive("integration.abs_tol")),
     "integration.max_norm": KeySpec(float, 1e9, _positive("integration.max_norm")),
     "integration.max_step_fraction": KeySpec(float, 0.1, _in_open_01("integration.max_step_fraction")),
-    "integration.rho_min": KeySpec(float, None, _positive("integration.rho_min"),
-                                   help="override the model floor for this run"),
 
     "sim.s": KeySpec(float, 0.0, _nonnegative("sim.s"), help="start time"),
     "sim.x0": KeySpec(_parse_floats, None, help="start state, e.g. '1,0'"),
@@ -365,11 +363,17 @@ def _cross_validate(cfg: ExperimentConfig, violations: list[str]) -> None:
         violations.append(f"scenario {scenario} requires attack.epsilon")
     if scenario == "attack.diff-terminal" and cfg.values.get("attack.x0") is None:
         cfg.values["attack.x0"] = (0.0,) * cfg.values["system.n"]
+    if scenario == "attack.controller-terminal" and cfg.values["attack.prelude"] \
+            and cfg.values.get("attack.x0") is None:
+        violations.append("attack.prelude requires attack.x0")
     if scenario == "simulate" and cfg.values.get("sim.x0") is None:
         violations.append("scenario simulate requires sim.x0")
     kind_key = "system.controller" if variant == CONTROL_LOOP else "system.injection"
     if cfg.values[kind_key] == "rational_tvg" and cfg.values.get("system.gains") is None:
         violations.append(f"{kind_key} = rational_tvg requires system.gains")
+    if cfg.values[kind_key] == "reference" and scenario != "selftest" \
+            and "system.T" in cfg.explicit and cfg.values["system.T"] != 1.0:
+        violations.append("system.T: the reference controller is defined for T = 1")
     if cfg.values.get("disturbance.kind") != "zero":
         bound = cfg.values["disturbance.bound"]
         if cfg.values["disturbance.kind"] == "constant" \
@@ -405,14 +409,11 @@ def build_disturbance(cfg: ExperimentConfig) -> DisturbanceSpec:
 
 
 def build_model(cfg: ExperimentConfig) -> SystemModel:
-    T = cfg.values["system.T"]
-    horizon = Horizon(T=T, rho_min=cfg.values["system.rho_min"] or 0.0)
+    horizon = Horizon(T=cfg.values["system.T"], rho_min=cfg.values["system.rho_min"] or 0.0)
     disturbance = build_disturbance(cfg)
     variant = cfg.values["system.variant"]
     kind = cfg.values["system.controller" if variant == CONTROL_LOOP else "system.injection"]
     if kind == "reference":
-        if T != 1.0 and "system.T" in cfg.explicit:
-            raise ConfigError(["system.T: the reference controller is defined for T = 1"])
         gains = GainTable.reference()
     elif kind == "pt_diff2":
         gains = GainTable.prescribed_time_diff(cfg.values["system.ell1"], cfg.values["system.ell2"])
@@ -428,7 +429,6 @@ def build_options(cfg: ExperimentConfig, grid: Optional[OutputGrid] = None) -> I
                               abs_tol=cfg.values["integration.abs_tol"],
                               max_norm=cfg.values["integration.max_norm"],
                               max_step_fraction=cfg.values["integration.max_step_fraction"],
-                              rho_min=cfg.values["integration.rho_min"],
                               output_grid=grid)
 
 
@@ -480,7 +480,7 @@ def write_trajectory_csv(path: str, traj: Trajectory, cfg: Optional[ExperimentCo
     # whole table never exist at once
     blocks = ("".join([row_fmt % tuple(row) for row in data[i:i + _CSV_BLOCK_ROWS].tolist()])
               for i in range(0, len(data), _CSV_BLOCK_ROWS))
-    _write_text(path, "\n".join(lines) + "\n", blocks)
+    _write_lines(path, lines, blocks)
 
 
 def parse_trajectory_csv(path: str) -> dict:
@@ -510,110 +510,90 @@ def parse_trajectory_csv(path: str) -> dict:
             "gains": data[:, -1]}
 
 
-def _write_text(path: str, text: str, more: Iterable[str] = ()) -> None:
-    """Write text, then each piece of more as it is produced."""
+def _write_lines(path: str, lines: Sequence[str], more: Iterable[str] = ()) -> None:
+    """Write the lines, each ended by a newline, then each piece of more as
+    it is produced."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write("\n".join(lines) + "\n")
         fh.writelines(more)
 
 
-def write_deadline_csv(path: str, report: DeadlineReport, cfg: Optional[ExperimentConfig],
-                       shrink: Sequence[tuple[str, tuple[tuple[float, float], ...]]] = ()) -> None:
-    lines = config_echo_lines(cfg) if cfg is not None else []
-    n = max((len(c.xi) for c in report.cases), default=2)
-    lines.append(f"# deadline: rho = {fmt(report.rho)}, tol = {fmt(report.tol)}")
-    for label, profile in shrink:
-        prof_txt = ", ".join(f"rho={fmt(r)} norm={fmt(v)}" for r, v in profile)
-        lines.append(f"# shrink {label}: {prof_txt}")
-    for i, c in enumerate(report.cases):
-        if c.failure:
-            lines.append(f"# case {i} failed: {c.failure}")
-    header = ["s"] + [f"xi{i + 1}" for i in range(n)] + ["terminal_norm", "bound", "passed"]
+def _fmt_or_nan(v: Optional[float]) -> str:
+    return "nan" if v is None else fmt(v)
+
+
+def _table(comments: Sequence[str], cases: Sequence, header: Sequence[str],
+           rows: Iterable[Sequence[str]]) -> list[str]:
+    """Comment lines, one '# case i failed' line per failed case, the header
+    row, then the rows, as CSV lines."""
+    lines = list(comments)
+    lines += [f"# case {i} failed: {c.failure}" for i, c in enumerate(cases) if c.failure]
     lines.append(",".join(header))
-    for c in report.cases:
-        row = [fmt(c.s)] + [fmt(v) for v in c.xi]
-        row.append(fmt(c.terminal_norm) if c.terminal_norm is not None else "nan")
-        row += [fmt(c.bound), "1" if c.passed else "0"]
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    lines += [",".join(row) for row in rows]
+    return lines
 
 
-def write_scan_csv(path: str, table: GainScanTable, cfg: Optional[ExperimentConfig]) -> None:
-    lines = config_echo_lines(cfg) if cfg is not None else []
-    lines.append(f"# scan: kind = {table.kind}, delta = {fmt(table.delta)}, "
-                 f"monotone = {'1' if table.monotone else '0'}")
+def deadline_table(report: DeadlineReport,
+                   shrink: Sequence[tuple[str, tuple[tuple[float, float], ...]]] = ()) -> list[str]:
+    n = max((len(c.xi) for c in report.cases), default=2)
+    comments = [f"# deadline: rho = {fmt(report.rho)}, tol = {fmt(report.tol)}"]
+    comments += [f"# shrink {label}: " + ", ".join(f"rho={fmt(r)} norm={fmt(v)}" for r, v in profile)
+                 for label, profile in shrink]
+    header = ["s"] + [f"xi{i + 1}" for i in range(n)] + ["terminal_norm", "bound", "passed"]
+    rows = ([fmt(c.s), *map(fmt, c.xi), _fmt_or_nan(c.terminal_norm), fmt(c.bound),
+             "1" if c.passed else "0"] for c in report.cases)
+    return _table(comments, report.cases, header, rows)
+
+
+def scan_table(table: GainScanTable) -> list[str]:
     width = max(len(r.arg_state) for r in table.rows)
+    comments = [f"# scan: kind = {table.kind}, delta = {fmt(table.delta)}, "
+                f"monotone = {'1' if table.monotone else '0'}"]
     header = ["rho", "supremum", "arg_time"] + [f"arg_x{i + 1}" for i in range(width)] \
         + ["arg_channel"]
-    lines.append(",".join(header))
-    for r in table.rows:
-        row = [fmt(r.rho), fmt(r.supremum), fmt(r.arg_time)]
-        row += [fmt(v) for v in r.arg_state]
-        row += ["nan"] * (width - len(r.arg_state))
-        row.append(str(-1 if r.arg_channel is None else r.arg_channel))
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = ([fmt(r.rho), fmt(r.supremum), fmt(r.arg_time), *map(fmt, r.arg_state),
+             *["nan"] * (width - len(r.arg_state)),
+             str(-1 if r.arg_channel is None else r.arg_channel)] for r in table.rows)
+    return _table(comments, (), header, rows)
 
 
-def write_workaround_csv(path: str, report: WorkaroundReport,
-                         cfg: Optional[ExperimentConfig]) -> None:
-    lines = config_echo_lines(cfg) if cfg is not None else []
-    lines.append(f"# workaround: variant = {report.variant}, parameter = {fmt(report.parameter)}, "
-                 f"noisy = {'1' if report.noisy else '0'}")
+def workaround_table(report: WorkaroundReport) -> list[str]:
+    n = max(len(c.xi) for c in report.cases)
+    comments = [f"# workaround: variant = {report.variant}, parameter = {fmt(report.parameter)}, "
+                f"noisy = {'1' if report.noisy else '0'}"]
+    if report.slope is not None:
+        comments.append(f"# fit: slope = {fmt(report.slope)}, intercept = {fmt(report.intercept)}, "
+                        f"r_squared = {fmt(report.r_squared)}")
+    if report.no_entry_flags:
+        flagged = ", ".join(str(i) for i in report.no_entry_flags)
+        comments.append(f"# no entry before T - rho_min for cases: {flagged}")
+    header = [f"xi{i + 1}" for i in range(n)]
     if report.variant == "stop_time":
-        if report.slope is not None:
-            lines.append(f"# fit: slope = {fmt(report.slope)}, intercept = {fmt(report.intercept)}, "
-                         f"r_squared = {fmt(report.r_squared)}")
-        n = max(len(c.xi) for c in report.cases)
-        for i, c in enumerate(report.cases):
-            if c.failure:
-                lines.append(f"# case {i} failed: {c.failure}")
-        header = [f"xi{i + 1}" for i in range(n)] \
-            + [f"residual_x{i + 1}" for i in range(n)] + ["residual_norm"]
-        lines.append(",".join(header))
-        for c in report.cases:
-            row = [fmt(v) for v in c.xi]
-            if c.residual_state is None:
-                row += ["nan"] * (n + 1)
-            else:
-                row += [fmt(v) for v in c.residual_state] + [fmt(c.residual_norm)]
-            lines.append(",".join(row))
+        header += [f"residual_x{i + 1}" for i in range(n)] + ["residual_norm"]
+        rows = ([*map(fmt, c.xi), *(["nan"] * (n + 1) if c.residual_state is None
+                                    else [*map(fmt, c.residual_state), fmt(c.residual_norm)])]
+                for c in report.cases)
     else:
-        if report.no_entry_flags:
-            flagged = ", ".join(str(i) for i in report.no_entry_flags)
-            lines.append(f"# no entry before T - rho_min for cases: {flagged}")
-        n = max(len(c.xi) for c in report.cases)
-        for i, c in enumerate(report.cases):
-            if c.failure:
-                lines.append(f"# case {i} failed: {c.failure}")
-        header = [f"xi{i + 1}" for i in range(n)] + ["entered", "entry_time", "gain_at_entry"] \
-            + [f"final_x{i + 1}" for i in range(n)]
-        lines.append(",".join(header))
-        for c in report.cases:
-            row = [fmt(v) for v in c.xi]
-            row.append("1" if c.entered else "0")
-            row.append(fmt(c.entry_time) if c.entry_time is not None else "nan")
-            row.append(fmt(c.gain_at_entry) if c.gain_at_entry is not None else "nan")
-            if c.final_state is None:
-                row += ["nan"] * n
-            else:
-                row += [fmt(v) for v in c.final_state]
-            lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+        header += ["entered", "entry_time", "gain_at_entry"] + [f"final_x{i + 1}" for i in range(n)]
+        rows = ([*map(fmt, c.xi), "1" if c.entered else "0", _fmt_or_nan(c.entry_time),
+                 _fmt_or_nan(c.gain_at_entry),
+                 *(["nan"] * n if c.final_state is None else map(fmt, c.final_state))]
+                for c in report.cases)
+    return _table(comments, report.cases, header, rows)
 
 
-def maybe_write_plot(path: str, traj: Trajectory, enabled: bool) -> Optional[str]:
+def maybe_write_plot(path: str, traj: Trajectory, enabled: bool) -> None:
     """Log-scale plot of the state norm against time, near the deadline."""
     if not enabled:
-        return None
+        return
     try:
         import matplotlib
         matplotlib.use("svg")
         import matplotlib.pyplot as plt
     except ImportError:
         print("plot requested but matplotlib is not installed; skipping", file=sys.stderr)
-        return None
+        return
     matplotlib.rcParams["svg.hashsalt"] = "tvglab"
     norms = np.linalg.norm(traj.xs, axis=1)
     fig, ax = plt.subplots(figsize=(7.0, 4.0))
@@ -624,53 +604,64 @@ def maybe_write_plot(path: str, traj: Trajectory, enabled: bool) -> Optional[str
     fig.tight_layout()
     fig.savefig(path, metadata={"Date": None})
     plt.close(fig)
-    return path
 
 
 # ---------------------------------------------------------------------------
 # scenario runners
 
 
+@dataclass(frozen=True)
+class ScenarioResult:
+    """What one scenario run produced, before run() names and writes it.
+
+    The CSV <prefix>_<stem>.csv holds the config echo, then either table (the
+    lines after the echo) or trajectory with its comment lines; the summary
+    goes to <prefix>_<stem>_summary.txt.  error, when set, is printed to
+    stderr after the artifacts are written.
+    """
+
+    stem: str
+    summary: Sequence[str]
+    exit_code: int
+    table: Sequence[str] = ()
+    trajectory: Optional[Trajectory] = None
+    comments: Sequence[str] = ()
+    error: str = ""
+
+
+def _file_name(cfg: ExperimentConfig, stem: str, ext: str = "csv") -> str:
+    return f"{cfg.values['output.prefix']}_{stem}.{ext}"
+
+
 def _out_path(cfg: ExperimentConfig, out_dir: str, stem: str, ext: str = "csv") -> str:
-    return os.path.join(out_dir, f"{cfg.values['output.prefix']}_{stem}.{ext}")
+    return os.path.join(out_dir, _file_name(cfg, stem, ext))
 
 
-def _summary(path: str, lines: Sequence[str]) -> None:
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
+def _run_simulate(cfg: ExperimentConfig) -> ScenarioResult:
     model = build_model(cfg)
     grid = OutputGrid(kind=cfg.values["sim.grid"], count=cfg.values["sim.grid_count"])
     opts = build_options(cfg, grid=grid)
-    T = model.horizon.T
-    rho_min = opts.rho_min if opts.rho_min is not None else model.horizon.rho_min
     t_end = cfg.values["sim.t_end"]
-    t_end = T - rho_min if t_end is None else t_end
+    t_end = model.horizon.T - model.horizon.rho_min if t_end is None else t_end
     x0 = np.asarray(cfg.values["sim.x0"], dtype=float)
     traj = integrate(model, None, x0, cfg.values["sim.s"], t_end, opts)
-    csv_path = _out_path(cfg, out_dir, "simulate")
-    write_trajectory_csv(csv_path, traj, cfg,
-                         [f"# termination: {traj.termination.kind} at t = {fmt(traj.termination.t)}"])
-    maybe_write_plot(_out_path(cfg, out_dir, "simulate", "svg"), traj, cfg.values["output.plot"])
     final = traj.xs[-1]
-    lines = [
+    summary = [
         "scenario: simulate",
         f"variant: {model.variant}",
         f"span: [{fmt(traj.t0)}, {fmt(traj.t_last)}]",
         f"termination: {traj.termination.kind}",
         f"final state: {', '.join(fmt(v) for v in final)}",
         f"final norm: {fmt(float(np.linalg.norm(final)))}",
-        f"artifact: {os.path.basename(csv_path)}",
+        f"artifact: {_file_name(cfg, 'simulate')}",
     ]
-    _summary(_out_path(cfg, out_dir, "simulate_summary", "txt"), lines)
-    if not traj.completed:
-        print(f"simulate: integration ended early: {traj.termination.kind}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    comments = [f"# termination: {traj.termination.kind} at t = {fmt(traj.termination.t)}"]
+    return ScenarioResult("simulate", summary, EXIT_OK if traj.completed else EXIT_NUMERICAL,
+                          trajectory=traj, comments=comments, error="" if traj.completed
+                          else f"simulate: integration ended early: {traj.termination.kind}")
 
 
-def _run_verify_deadline(cfg: ExperimentConfig, out_dir: str) -> int:
+def _run_verify_deadline(cfg: ExperimentConfig) -> ScenarioResult:
     model = build_model(cfg)
     opts = build_options(cfg)
     report = check_absolute_deadline(model, cfg.values["deadline.starts"],
@@ -683,34 +674,33 @@ def _run_verify_deadline(cfg: ExperimentConfig, out_dir: str) -> int:
         xi = cfg.values["deadline.ics"][0]
         prof = rho_shrink_profile(model, cfg.values["deadline.starts"][0], xi, rhos, opts=opts)
         shrink.append((",".join(fmt(v) for v in xi), prof))
-    csv_path = _out_path(cfg, out_dir, "deadline")
-    write_deadline_csv(csv_path, report, cfg, shrink)
-    lines = ["scenario: verify-deadline",
-             f"variant: {model.variant}",
-             f"cases: {len(report.cases)}",
-             f"passed: {report.passed}"]
+    summary = ["scenario: verify-deadline",
+               f"variant: {model.variant}",
+               f"cases: {len(report.cases)}",
+               f"passed: {report.passed}"]
     for c in report.cases:
         norm_txt = fmt(c.terminal_norm) if c.terminal_norm is not None else "failed"
-        lines.append(f"  s={fmt(c.s)} xi=({', '.join(fmt(v) for v in c.xi)}) "
-                     f"terminal={norm_txt} bound={fmt(c.bound)} "
-                     f"{'ok' if c.passed else 'FAIL'}")
-    _summary(_out_path(cfg, out_dir, "deadline_summary", "txt"), lines)
-    return EXIT_OK if report.passed else EXIT_PROPERTY
+        summary.append(f"  s={fmt(c.s)} xi=({', '.join(fmt(v) for v in c.xi)}) "
+                       f"terminal={norm_txt} bound={fmt(c.bound)} "
+                       f"{'ok' if c.passed else 'FAIL'}")
+    return ScenarioResult("deadline", summary, EXIT_OK if report.passed else EXIT_PROPERTY,
+                          table=deadline_table(report, shrink))
 
 
-def _run_attack(cfg: ExperimentConfig, out_dir: str) -> int:
+def _run_attack(cfg: ExperimentConfig) -> ScenarioResult:
     kind = cfg.scenario.split(".", 1)[1]
     model = build_model(cfg)
     opts = build_options(cfg)
     eta_bar = cfg.values["attack.eta_bar"]
-    stem = f"attack_{kind.replace('-', '_')}"
+    epsilon = cfg.values["attack.epsilon"]
+    head = f"# attack: kind = {kind}, eta_bar = {fmt(eta_bar)}"
     if kind in ("controller-divergence", "diff-divergence"):
         x0 = cfg.values["attack.x0"]
         outcome = run_divergence_attack(
             model, eta_bar, thresholds=cfg.values["attack.thresholds"],
             targets=cfg.values["attack.targets"], delta=cfg.values["attack.delta"],
             x0=None if x0 is None else np.asarray(x0, dtype=float), opts=opts)
-        comments = [f"# attack: kind = {kind}, eta_bar = {fmt(eta_bar)}"]
+        comments = [head]
         if outcome.schedule.delta is not None:
             comments.append(f"# schedule: delta = {fmt(outcome.schedule.delta)}")
         comments.append("# schedule: targets = "
@@ -721,99 +711,81 @@ def _run_attack(cfg: ExperimentConfig, out_dir: str) -> int:
             t_txt = fmt(t_c) if t_c is not None else "never"
             comments.append(f"# peak: threshold {fmt(thr)} first crossed at {t_txt}")
     elif kind == "controller-terminal":
-        epsilon = cfg.values["attack.epsilon"]
         if cfg.values["attack.prelude"]:
-            x0 = cfg.values["attack.x0"]
-            if x0 is None:
-                print("attack.prelude requires attack.x0", file=sys.stderr)
-                return EXIT_CONFIG
             outcome = run_controller_terminal_attack_with_prelude(
-                model, eta_bar, epsilon, np.asarray(x0, dtype=float),
+                model, eta_bar, epsilon, np.asarray(cfg.values["attack.x0"], dtype=float),
                 rho=cfg.values["attack.rho"], opts=opts)
         else:
             outcome = run_controller_terminal_attack(
                 model, eta_bar, epsilon, rho=cfg.values["attack.rho"],
                 psi_init=cfg.values["attack.psi_init"], s=cfg.values["attack.s"], opts=opts)
-        comments = [f"# attack: kind = {kind}, eta_bar = {fmt(eta_bar)}, "
-                    f"epsilon = {fmt(epsilon)}",
+        comments = [f"{head}, epsilon = {fmt(epsilon)}",
                     f"# plan: s = {fmt(outcome.plan.s)}",
                     f"# plan: tracking_error = {fmt(outcome.tracking_error)}"]
     else:
-        epsilon = cfg.values["attack.epsilon"]
         outcome = run_differentiator_terminal_attack(
             model, eta_bar, epsilon, np.asarray(cfg.values["attack.x0"], dtype=float),
             rho=cfg.values["attack.rho"], tol=cfg.values["attack.tol"], opts=opts)
-        comments = [f"# attack: kind = {kind}, eta_bar = {fmt(eta_bar)}, "
-                    f"epsilon = {fmt(epsilon)}",
-                    f"# ramp: s = {fmt(outcome.ramp.s)}"]
+        comments = [f"{head}, epsilon = {fmt(epsilon)}", f"# ramp: s = {fmt(outcome.ramp.s)}"]
     if outcome.notes:
         comments.append(f"# note: {outcome.notes}")
-    csv_path = _out_path(cfg, out_dir, stem)
-    write_trajectory_csv(csv_path, outcome.trajectory, cfg, comments)
-    maybe_write_plot(_out_path(cfg, out_dir, stem, "svg"), outcome.trajectory,
-                     cfg.values["output.plot"])
-    lines = [f"scenario: attack.{kind}",
-             f"noise bound: {fmt(outcome.noise_bound)}",
-             f"verdict: {'pass' if outcome.verdict else 'FAIL'}"]
+    summary = [f"scenario: attack.{kind}",
+               f"noise bound: {fmt(outcome.noise_bound)}",
+               f"verdict: {'pass' if outcome.verdict else 'FAIL'}"]
     if outcome.terminal is not None:
-        lines.append(f"terminal state: {', '.join(fmt(v) for v in outcome.terminal)}")
-        lines.append(f"terminal norm: {fmt(float(np.linalg.norm(outcome.terminal)))}")
+        summary.append(f"terminal state: {', '.join(fmt(v) for v in outcome.terminal)}")
+        summary.append(f"terminal norm: {fmt(float(np.linalg.norm(outcome.terminal)))}")
     if outcome.tracking_error is not None:
-        lines.append(f"tracking error: {fmt(outcome.tracking_error)}")
+        summary.append(f"tracking error: {fmt(outcome.tracking_error)}")
     if outcome.peaks is not None:
         for thr, t_c in outcome.peaks:
-            lines.append(f"threshold {fmt(thr)}: "
-                         + (f"crossed at {fmt(t_c)}" if t_c is not None else "never crossed"))
+            summary.append(f"threshold {fmt(thr)}: "
+                           + (f"crossed at {fmt(t_c)}" if t_c is not None else "never crossed"))
     if outcome.notes:
-        lines.append(f"notes: {outcome.notes}")
-    _summary(_out_path(cfg, out_dir, f"{stem}_summary", "txt"), lines)
-    return EXIT_OK if outcome.verdict else EXIT_PROPERTY
+        summary.append(f"notes: {outcome.notes}")
+    return ScenarioResult(f"attack_{kind.replace('-', '_')}", summary,
+                          EXIT_OK if outcome.verdict else EXIT_PROPERTY,
+                          trajectory=outcome.trajectory, comments=comments)
 
 
-def _run_gain_scan(cfg: ExperimentConfig, out_dir: str) -> int:
+def _run_gain_scan(cfg: ExperimentConfig) -> ScenarioResult:
     model = build_model(cfg)
     table = gain_supremum_scan(model, cfg.values["scan.delta"], cfg.values["scan.rhos"],
                                time_samples=cfg.values["scan.time_samples"])
-    csv_path = _out_path(cfg, out_dir, "gain_scan")
-    write_scan_csv(csv_path, table, cfg)
-    lines = ["scenario: gain-scan",
-             f"kind: {table.kind}",
-             f"delta: {fmt(table.delta)}",
-             f"monotone: {table.monotone}"]
+    summary = ["scenario: gain-scan",
+               f"kind: {table.kind}",
+               f"delta: {fmt(table.delta)}",
+               f"monotone: {table.monotone}"]
     for r in table.rows:
         ch = "" if r.arg_channel is None else f" channel {r.arg_channel + 1}"
-        lines.append(f"  rho={fmt(r.rho)} sup={fmt(r.supremum)}{ch} at t={fmt(r.arg_time)}")
-    _summary(_out_path(cfg, out_dir, "gain_scan_summary", "txt"), lines)
-    return EXIT_OK if table.monotone else EXIT_PROPERTY
+        summary.append(f"  rho={fmt(r.rho)} sup={fmt(r.supremum)}{ch} at t={fmt(r.arg_time)}")
+    return ScenarioResult("gain_scan", summary, EXIT_OK if table.monotone else EXIT_PROPERTY,
+                          table=scan_table(table))
 
 
-def _run_falsify(cfg: ExperimentConfig, out_dir: str) -> int:
+def _run_falsify(cfg: ExperimentConfig) -> ScenarioResult:
     model = build_model(cfg)
     opts = build_options(cfg)
     witness = falsify_uniform_stability(model, cfg.values["falsify.delta"],
                                         cfg.values["falsify.epsilon"],
                                         eps_prime=cfg.values["falsify.eps_prime"], opts=opts)
-    csv_path = _out_path(cfg, out_dir, "falsify")
     comments = [f"# witness: s = {fmt(witness.s)}, delta = {fmt(witness.delta)}, "
                 f"epsilon = {fmt(witness.epsilon)}, eps_prime = {fmt(witness.eps_prime)}"]
     if witness.crossing_time is not None:
         comments.append(f"# witness: first crossing at t = {fmt(witness.crossing_time)}")
     comments.append(f"# witness: attained norm {fmt(witness.attained_norm)} "
                     f"at t = {fmt(witness.attained_time)}")
-    write_trajectory_csv(csv_path, witness.trajectory, cfg, comments)
-    maybe_write_plot(_out_path(cfg, out_dir, "falsify", "svg"), witness.trajectory,
-                     cfg.values["output.plot"])
-    lines = ["scenario: falsify-stability",
-             f"start: x(s) = delta * e1 with s = {fmt(witness.s)}, delta = {fmt(witness.delta)}",
-             f"crossed epsilon = {fmt(witness.epsilon)}: {'yes' if witness.crossed else 'NO'}"]
+    summary = ["scenario: falsify-stability",
+               f"start: x(s) = delta * e1 with s = {fmt(witness.s)}, delta = {fmt(witness.delta)}",
+               f"crossed epsilon = {fmt(witness.epsilon)}: {'yes' if witness.crossed else 'NO'}"]
     if witness.crossing_time is not None:
-        lines.append(f"first crossing: t = {fmt(witness.crossing_time)}")
-    lines.append(f"attained norm: {fmt(witness.attained_norm)} at t = {fmt(witness.attained_time)}")
-    _summary(_out_path(cfg, out_dir, "falsify_summary", "txt"), lines)
-    return EXIT_OK if witness.crossed else EXIT_PROPERTY
+        summary.append(f"first crossing: t = {fmt(witness.crossing_time)}")
+    summary.append(f"attained norm: {fmt(witness.attained_norm)} at t = {fmt(witness.attained_time)}")
+    return ScenarioResult("falsify", summary, EXIT_OK if witness.crossed else EXIT_PROPERTY,
+                          trajectory=witness.trajectory, comments=comments)
 
 
-def _run_workaround(cfg: ExperimentConfig, out_dir: str) -> int:
+def _run_workaround(cfg: ExperimentConfig) -> ScenarioResult:
     kind = cfg.scenario.split(".", 1)[1]
     model = build_model(cfg)
     opts = build_options(cfg)
@@ -824,193 +796,179 @@ def _run_workaround(cfg: ExperimentConfig, out_dir: str) -> int:
     if kind == "stop-time":
         report = evaluate_stop_time(model, cfg.values["workaround.t_stop"],
                                     cfg.values["workaround.ics"], noise=noise, opts=opts)
-        stem = "workaround_stop_time"
     else:
         report = evaluate_deadzone(model, cfg.values["workaround.width"],
                                    cfg.values["workaround.ics"], noise=noise, opts=opts)
-        stem = "workaround_deadzone"
-    csv_path = _out_path(cfg, out_dir, stem)
-    write_workaround_csv(csv_path, report, cfg)
-    lines = [f"scenario: workaround.{kind}",
-             f"parameter: {fmt(report.parameter)}",
-             f"noisy: {report.noisy}"]
-    if report.variant == "stop_time":
-        for c in report.cases:
-            res = "failed" if c.residual_state is None \
-                else f"residual norm {fmt(c.residual_norm)}"
-            lines.append(f"  xi=({', '.join(fmt(v) for v in c.xi)}): {res}")
-        if report.slope is not None:
-            lines.append(f"fit: slope = {fmt(report.slope)}, intercept = {fmt(report.intercept)}, "
-                         f"R^2 = {fmt(report.r_squared)}")
-    else:
-        for c in report.cases:
-            if c.failure:
-                lines.append(f"  xi=({', '.join(fmt(v) for v in c.xi)}): failed ({c.failure})")
-            elif not c.entered:
-                lines.append(f"  xi=({', '.join(fmt(v) for v in c.xi)}): "
-                             "no entry before T - rho_min")
-            else:
-                lines.append(f"  xi=({', '.join(fmt(v) for v in c.xi)}): entry at "
-                             f"{fmt(c.entry_time)}, gain {fmt(c.gain_at_entry)}")
-        if report.no_entry_flags:
-            lines.append("flagged cases (no entry): "
-                         + ", ".join(str(i) for i in report.no_entry_flags))
-    _summary(_out_path(cfg, out_dir, f"{stem}_summary", "txt"), lines)
-    if any(c.failure for c in report.cases):
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    summary = [f"scenario: workaround.{kind}",
+               f"parameter: {fmt(report.parameter)}",
+               f"noisy: {report.noisy}"]
+    for c in report.cases:
+        if report.variant == "stop_time":
+            res = "failed" if c.residual_state is None else f"residual norm {fmt(c.residual_norm)}"
+        elif c.failure:
+            res = f"failed ({c.failure})"
+        elif not c.entered:
+            res = "no entry before T - rho_min"
+        else:
+            res = f"entry at {fmt(c.entry_time)}, gain {fmt(c.gain_at_entry)}"
+        summary.append(f"  xi=({', '.join(fmt(v) for v in c.xi)}): {res}")
+    if report.slope is not None:
+        summary.append(f"fit: slope = {fmt(report.slope)}, intercept = {fmt(report.intercept)}, "
+                       f"R^2 = {fmt(report.r_squared)}")
+    if report.no_entry_flags:
+        summary.append("flagged cases (no entry): "
+                       + ", ".join(str(i) for i in report.no_entry_flags))
+    failed = any(c.failure for c in report.cases)
+    return ScenarioResult(f"workaround_{kind.replace('-', '_')}", summary,
+                          EXIT_NUMERICAL if failed else EXIT_OK, table=workaround_table(report))
 
 
-def _run_selftest(cfg: ExperimentConfig, out_dir: str) -> int:
+def _selftest(cfg: ExperimentConfig, out_dir: str) -> int:
     """Deterministic battery touching every capability; artifacts are
-    byte-identical across runs with the same config and seed."""
+    byte-identical across runs with the same config and seed.  Unlike the
+    scenario runners' CSVs, its artifacts carry no config echo."""
     from .core import reference_loop, differentiator_error_model, open_loop_chain
-
-    checks: list[tuple[str, bool]] = []
-    lines = ["scenario: selftest"]
-
-    report = verify_solver_against_oracle(sample_count=8, tol=1e-6,
-                                          seed=cfg.values["seed"])
-    checks.append(("oracle equivalence (8 seeded cases, tol 1e-6)", report.passed))
-    oracle_lines = ["# oracle check", f"# max_rel_error = {fmt(report.max_rel_error)}",
-                    "s,xi1,xi2,max_rel_error"]
-    for case in report.cases:
-        oracle_lines.append(",".join([fmt(case.s), fmt(case.xi[0]), fmt(case.xi[1]),
-                                      fmt(case.max_rel_error)]))
-    _write_text(_out_path(cfg, out_dir, "selftest_oracle"), "\n".join(oracle_lines) + "\n")
 
     grid_s = (0.0, 0.3, 0.6)
     grid_xi = ((1.0, 0.0), (0.0, 1.0), (10.0, -10.0))
-    rep_c = check_absolute_deadline(reference_loop(), grid_s, grid_xi)
-    write_deadline_csv(_out_path(cfg, out_dir, "selftest_deadline_control"), rep_c, None)
-    checks.append(("absolute deadline, control loop", rep_c.passed))
-    rep_d = check_absolute_deadline(differentiator_error_model(), grid_s, grid_xi)
-    write_deadline_csv(_out_path(cfg, out_dir, "selftest_deadline_diff"), rep_d, None)
-    checks.append(("absolute deadline, differentiator error model", rep_d.passed))
-    rep_o = check_absolute_deadline(open_loop_chain(), (0.0,), ((0.0, 1.0),))
-    checks.append(("open-loop negative control fails the deadline check", not rep_o.passed))
+    rhos = (1e-1, 1e-2, 1e-3)
 
-    traj_paths = []
-    out_cd = run_divergence_attack(reference_loop(rho_min=1e-9), 1e-2)
-    p = _out_path(cfg, out_dir, "selftest_attack_controller_divergence")
-    write_trajectory_csv(p, out_cd.trajectory, None,
-                         [f"# schedule: switch {k} at t = {fmt(t)}"
-                          for k, t in enumerate(out_cd.schedule.times)])
-    traj_paths.append((p, 1e-2))
-    checks.append(("controller divergence ladder", out_cd.verdict))
+    def oracle_table(report) -> list[str]:
+        return _table(["# oracle check", f"# max_rel_error = {fmt(report.max_rel_error)}"], (),
+                      ["s", "xi1", "xi2", "max_rel_error"],
+                      ([fmt(c.s), fmt(c.xi[0]), fmt(c.xi[1]), fmt(c.max_rel_error)]
+                       for c in report.cases))
 
-    out_dd = run_divergence_attack(differentiator_error_model(rho_min=1e-9), 1e-2)
-    p = _out_path(cfg, out_dir, "selftest_attack_diff_divergence")
-    write_trajectory_csv(p, out_dd.trajectory, None)
-    traj_paths.append((p, 1e-2))
-    checks.append(("differentiator divergence ladder", out_dd.verdict))
+    def increasing(values) -> bool:
+        return all(b > a for a, b in zip(values, values[1:]))
 
-    out_ct = run_controller_terminal_attack(reference_loop(), 0.1, 0.5)
-    p = _out_path(cfg, out_dir, "selftest_attack_controller_terminal")
-    write_trajectory_csv(p, out_ct.trajectory, None,
-                         [f"# plan: s = {fmt(out_ct.plan.s)}"])
-    traj_paths.append((p, 0.1))
-    checks.append(("controller terminal-error tracking", out_ct.verdict
-                   and out_ct.tracking_error <= 1e-6))
+    # (check name, artifact stem or None, call, predicate on its result,
+    # artifact lines: the table, or the comment lines of the result's trajectory)
+    battery = [
+        ("oracle equivalence (8 seeded cases, tol 1e-6)", "selftest_oracle",
+         lambda: verify_solver_against_oracle(sample_count=8, tol=1e-6, seed=cfg.values["seed"]),
+         lambda r: r.passed, oracle_table),
+        ("absolute deadline, control loop", "selftest_deadline_control",
+         lambda: check_absolute_deadline(reference_loop(), grid_s, grid_xi),
+         lambda r: r.passed, deadline_table),
+        ("absolute deadline, differentiator error model", "selftest_deadline_diff",
+         lambda: check_absolute_deadline(differentiator_error_model(), grid_s, grid_xi),
+         lambda r: r.passed, deadline_table),
+        ("open-loop negative control fails the deadline check", None,
+         lambda: check_absolute_deadline(open_loop_chain(), (0.0,), ((0.0, 1.0),)),
+         lambda r: not r.passed, None),
+        ("controller divergence ladder", "selftest_attack_controller_divergence",
+         lambda: run_divergence_attack(reference_loop(rho_min=1e-9), 1e-2),
+         lambda r: r.verdict,
+         lambda r: [f"# schedule: switch {k} at t = {fmt(t)}"
+                    for k, t in enumerate(r.schedule.times)]),
+        ("differentiator divergence ladder", "selftest_attack_diff_divergence",
+         lambda: run_divergence_attack(differentiator_error_model(rho_min=1e-9), 1e-2),
+         lambda r: r.verdict, lambda r: []),
+        ("controller terminal-error tracking", "selftest_attack_controller_terminal",
+         lambda: run_controller_terminal_attack(reference_loop(), 0.1, 0.5),
+         lambda r: r.verdict and r.tracking_error <= 1e-6,
+         lambda r: [f"# plan: s = {fmt(r.plan.s)}"]),
+        ("differentiator terminal ramp", "selftest_attack_diff_terminal",
+         lambda: run_differentiator_terminal_attack(differentiator_error_model(), 0.1, 1.0,
+                                                    (0.0, 0.0)),
+         lambda r: r.verdict, lambda r: [f"# ramp: s = {fmt(r.ramp.s)}"]),
+        ("controller gain scan monotone", "selftest_gain_scan_control",
+         lambda: gain_supremum_scan(reference_loop(), 1.0, rhos),
+         lambda r: r.monotone, scan_table),
+        ("injection gain scan monotone", "selftest_gain_scan_diff",
+         lambda: gain_supremum_scan(differentiator_error_model(), 1.0, rhos),
+         lambda r: r.monotone, scan_table),
+        ("uniform-stability falsification", "selftest_falsify",
+         lambda: falsify_uniform_stability(reference_loop(), 1.0, 2.0, 2.5),
+         lambda r: r.crossed,
+         lambda r: [f"# witness: s = {fmt(r.s)}", f"# witness: attained = {fmt(r.attained_norm)}"]),
+        ("stop-time residual fit", "selftest_workaround_stop_time",
+         lambda: evaluate_stop_time(reference_loop(), 0.9,
+                                    ((1.0, 0.0), (2.0, 0.0), (5.0, 0.0), (10.0, 0.0))),
+         lambda r: r.r_squared is not None and r.r_squared >= 0.999, workaround_table),
+        ("deadzone noise-free entries ordered", "selftest_workaround_deadzone",
+         lambda: evaluate_deadzone(reference_loop(rho_min=1e-6), 1e-2,
+                                   ((1.0, 0.0), (10.0, 0.0), (100.0, 0.0))),
+         lambda r: (all(c.entered for c in r.cases)
+                    and increasing([c.entry_time for c in r.cases])
+                    and increasing([c.gain_at_entry for c in r.cases])),
+         workaround_table),
+        ("deadzone entry prevented by bounded noise", "selftest_workaround_deadzone_noisy",
+         lambda: evaluate_deadzone(reference_loop(rho_min=1e-6), 1e-2, ((10.0, 0.0),),
+                                   noise=lambda: controller_divergence_noise(1e-2)),
+         lambda r: r.no_entry_flags == (0,), workaround_table),
+    ]
 
-    out_dt = run_differentiator_terminal_attack(differentiator_error_model(), 0.1, 1.0,
-                                                (0.0, 0.0))
-    p = _out_path(cfg, out_dir, "selftest_attack_diff_terminal")
-    write_trajectory_csv(p, out_dt.trajectory, None,
-                         [f"# ramp: s = {fmt(out_dt.ramp.s)}"])
-    traj_paths.append((p, 0.1))
-    checks.append(("differentiator terminal ramp", out_dt.verdict))
-
-    tab_c = gain_supremum_scan(reference_loop(), 1.0, (1e-1, 1e-2, 1e-3))
-    write_scan_csv(_out_path(cfg, out_dir, "selftest_gain_scan_control"), tab_c, None)
-    checks.append(("controller gain scan monotone", tab_c.monotone))
-    tab_d = gain_supremum_scan(differentiator_error_model(), 1.0, (1e-1, 1e-2, 1e-3))
-    write_scan_csv(_out_path(cfg, out_dir, "selftest_gain_scan_diff"), tab_d, None)
-    checks.append(("injection gain scan monotone", tab_d.monotone))
-
-    wit = falsify_uniform_stability(reference_loop(), 1.0, 2.0, 2.5)
-    p = _out_path(cfg, out_dir, "selftest_falsify")
-    write_trajectory_csv(p, wit.trajectory, None,
-                         [f"# witness: s = {fmt(wit.s)}",
-                          f"# witness: attained = {fmt(wit.attained_norm)}"])
-    checks.append(("uniform-stability falsification", wit.crossed))
-
-    rep_st = evaluate_stop_time(reference_loop(), 0.9,
-                                ((1.0, 0.0), (2.0, 0.0), (5.0, 0.0), (10.0, 0.0)))
-    write_workaround_csv(_out_path(cfg, out_dir, "selftest_workaround_stop_time"), rep_st, None)
-    checks.append(("stop-time residual fit", rep_st.r_squared is not None
-                   and rep_st.r_squared >= 0.999))
-
-    rep_dz = evaluate_deadzone(reference_loop(rho_min=1e-6), 1e-2,
-                               ((1.0, 0.0), (10.0, 0.0), (100.0, 0.0)))
-    write_workaround_csv(_out_path(cfg, out_dir, "selftest_workaround_deadzone"), rep_dz, None)
-    entries = [c.entry_time for c in rep_dz.cases]
-    gains = [c.gain_at_entry for c in rep_dz.cases]
-    checks.append(("deadzone noise-free entries ordered",
-                   all(c.entered for c in rep_dz.cases)
-                   and all(b > a for a, b in zip(entries, entries[1:]))
-                   and all(b > a for a, b in zip(gains, gains[1:]))))
-
-    rep_dzn = evaluate_deadzone(reference_loop(rho_min=1e-6), 1e-2, ((10.0, 0.0),),
-                                noise=lambda: controller_divergence_noise(1e-2))
-    write_workaround_csv(_out_path(cfg, out_dir, "selftest_workaround_deadzone_noisy"),
-                         rep_dzn, None)
-    checks.append(("deadzone entry prevented by bounded noise", rep_dzn.no_entry_flags == (0,)))
+    checks: list[tuple[str, bool]] = []
+    noisy_csvs = []  # (path, noise bound) of the attack trajectories
+    for name, stem, call, predicate, artifact in battery:
+        result = call()
+        if stem is not None:
+            path = _out_path(cfg, out_dir, stem)
+            if hasattr(result, "trajectory"):
+                write_trajectory_csv(path, result.trajectory, None, artifact(result))
+                if hasattr(result, "noise_bound"):
+                    noisy_csvs.append((path, result.noise_bound))
+            else:
+                _write_lines(path, artifact(result))
+        checks.append((name, predicate(result)))
 
     round_trip_ok = True
     bound_ok = True
-    for path, bound in traj_paths:
+    for path, bound in noisy_csvs:
         parsed = parse_trajectory_csv(path)
-        norms = np.linalg.norm(parsed["etas"], axis=1)
-        if float(np.max(norms)) > bound * (1.0 + 1e-12):
+        if float(np.max(np.linalg.norm(parsed["etas"], axis=1))) > bound * (1.0 + 1e-12):
             bound_ok = False
+        table = np.column_stack((parsed["ts"], parsed["xs"], parsed["etas"], parsed["gains"]))
+        rebuilt = parsed["comments"] + [",".join(parsed["header"])] \
+            + [",".join(map(fmt, row)) for row in table.tolist()]
         with open(path, "r", encoding="utf-8") as fh:
-            original = fh.read()
-        rebuilt = []
-        for line in original.splitlines():
-            if line.startswith("#") or line[0].isalpha() or line.startswith("t,"):
-                rebuilt.append(line)
-                continue
-            rebuilt.append(",".join(fmt(float(tok)) for tok in line.split(",")))
-        if "\n".join(rebuilt) + "\n" != original:
-            round_trip_ok = False
+            if fh.read() != "\n".join(rebuilt) + "\n":
+                round_trip_ok = False
     checks.append(("trajectory CSVs round-trip bit-exactly", round_trip_ok))
     checks.append(("trajectory CSV noise columns respect bounds", bound_ok))
 
     all_ok = all(ok for _, ok in checks)
-    for name, ok in checks:
-        lines.append(f"{'PASS' if ok else 'FAIL'}: {name}")
+    lines = ["scenario: selftest"] + [f"{'PASS' if ok else 'FAIL'}: {name}" for name, ok in checks]
     lines.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
-    _summary(_out_path(cfg, out_dir, "selftest_summary", "txt"), lines)
+    _write_lines(_out_path(cfg, out_dir, "selftest_summary", "txt"), lines)
     return EXIT_OK if all_ok else EXIT_PROPERTY
 
 
-_RUNNERS = {
+# keyed by the scenario up to its first '.'
+_RUNNERS: dict[str, Callable[[ExperimentConfig], ScenarioResult]] = {
     "simulate": _run_simulate,
     "verify-deadline": _run_verify_deadline,
+    "attack": _run_attack,
     "gain-scan": _run_gain_scan,
     "falsify-stability": _run_falsify,
-    "selftest": _run_selftest,
+    "workaround": _run_workaround,
 }
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute the configured scenario; returns the process exit code."""
+    """Execute the configured scenario, write its artifacts and return the
+    process exit code."""
     out_dir = os.environ.get(OUTPUT_DIR_ENV) or cfg.values["output.dir"]
-    scenario = cfg.scenario
     try:
-        if scenario.startswith("attack."):
-            return _run_attack(cfg, out_dir)
-        if scenario.startswith("workaround."):
-            return _run_workaround(cfg, out_dir)
-        return _RUNNERS[scenario](cfg, out_dir)
-    except ConfigError as exc:
-        for v in exc.violations:
-            print(f"config error: {v}", file=sys.stderr)
-        return EXIT_CONFIG
+        if cfg.scenario == "selftest":
+            return _selftest(cfg, out_dir)
+        result = _RUNNERS[cfg.scenario.split(".", 1)[0]](cfg)
+        csv_path = _out_path(cfg, out_dir, result.stem)
+        if result.trajectory is None:
+            _write_lines(csv_path, config_echo_lines(cfg) + list(result.table))
+        else:
+            write_trajectory_csv(csv_path, result.trajectory, cfg, result.comments)
+            maybe_write_plot(_out_path(cfg, out_dir, result.stem, "svg"), result.trajectory,
+                             cfg.values["output.plot"])
+        _write_lines(_out_path(cfg, out_dir, f"{result.stem}_summary", "txt"), result.summary)
     except (NumericalFailure, ValueError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if result.error:
+        print(result.error, file=sys.stderr)
+    return result.exit_code
 
 
 def _split_flags(argv: Sequence[str]) -> tuple[Optional[str], list[tuple[str, str]], list[str]]:
@@ -1060,26 +1018,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(USAGE)
         return EXIT_OK
     subcommand = argv[0]
-    known = ("simulate", "verify-deadline", "attack", "gain-scan",
-             "falsify-stability", "workaround", "selftest")
-    if subcommand not in known:
+    if subcommand not in (*_RUNNERS, "selftest"):
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         print(USAGE, file=sys.stderr)
         return EXIT_CONFIG
     config_path, overrides, problems = _split_flags(argv[1:])
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return EXIT_CONFIG
-    text = ""
-    if config_path is not None:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"config error: cannot read {config_path!r}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
     try:
+        if problems:
+            raise ConfigError(problems)
+        text = ""
+        if config_path is not None:
+            try:
+                with open(config_path, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ConfigError([f"cannot read {config_path!r}: {exc}"]) from exc
         cfg = parse_config(text, subcommand=subcommand, overrides=overrides)
     except ConfigError as exc:
         for v in exc.violations:

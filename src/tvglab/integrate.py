@@ -70,8 +70,8 @@ class OutputGrid:
 class IntegrationOptions:
     """Tolerances and safety rails for one integration run.
 
-    rho_min overrides the model horizon's floor when set.  max_step_fraction
-    is the deadline clamp kappa: step <= kappa * (T - t).
+    max_step_fraction is the deadline clamp kappa: step <= kappa * (T - t).
+    The integration floor is the model horizon's rho_min.
     """
 
     rel_tol: float = 1e-9
@@ -79,8 +79,6 @@ class IntegrationOptions:
     max_norm: float = 1e9
     max_step_fraction: float = 0.1
     initial_step: Optional[float] = None
-    min_step: Optional[float] = None
-    rho_min: Optional[float] = None
     output_grid: Optional[OutputGrid] = None
 
     def __post_init__(self):
@@ -190,12 +188,10 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     """
     opts = opts or IntegrationOptions()
     T = model.horizon.T
-    rho_min = opts.rho_min if opts.rho_min is not None else model.horizon.rho_min
-    if not (0.0 < rho_min < T):
-        raise ValueError("rho_min must lie in (0, T)")
-    min_step = opts.min_step if opts.min_step is not None else 1e-13 * T
-    if not (0.0 < min_step <= rho_min):
-        raise ValueError("min_step must satisfy 0 < min_step <= rho_min")
+    rho_min = model.horizon.rho_min
+    min_step = 1e-13 * T
+    if not min_step <= rho_min:
+        raise ValueError(f"rho_min={rho_min!r} is below the minimum step 1e-13 * T")
     if not (0.0 <= t0 < t_end):
         raise ValueError(f"need 0 <= t0 < t_end, got t0={t0!r}, t_end={t_end!r}")
     if t_end > T - rho_min + 1e-18 * T:

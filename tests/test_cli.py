@@ -109,6 +109,45 @@ def test_parse_config_cross_field_requirements():
                      "system.controller = rational_tvg\n")
 
 
+_PRELUDE_WITHOUT_X0 = ["attack", "--attack.kind", "controller-terminal", "--attack.prelude", "true",
+                       "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"]
+_REFERENCE_AT_T2 = ["simulate", "--system.T", "2", "--sim.x0", "1,0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_PRELUDE_WITHOUT_X0, "attack.prelude requires attack.x0"),
+    (_REFERENCE_AT_T2, "system.T: the reference controller is defined for T = 1"),
+], ids=["prelude_without_x0", "reference_at_T2"])
+def test_model_config_errors_fail_at_parse_time(tmp_path, capsys, argv, message):
+    subcommand, *flags = argv
+    _, overrides, _ = cli._split_flags(flags)
+    with pytest.raises(ConfigError) as err:
+        parse_config("", subcommand=subcommand, overrides=overrides)
+    assert list(err.value.violations) == [message]
+    assert main(argv + ["--output.dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+def test_reference_horizon_check_leaves_selftest_and_other_tables_alone():
+    # selftest builds its own T = 1 models; the differentiator's table has no
+    # fixed horizon
+    parse_config("", subcommand="selftest", overrides=[("system.T", "2")])
+    parse_config("", subcommand="simulate",
+                 overrides=[("system.T", "2"), ("sim.x0", "1,0"), ("system.variant", "diff_error")])
+    parse_config("", subcommand="simulate",
+                 overrides=[("system.T", "1"), ("sim.x0", "1,0")])
+
+
+@pytest.mark.parametrize("flags, fragment", [
+    (["stray"], "config error: unexpected argument 'stray'"),
+    (["--sim.x0"], "config error: flag --sim.x0 needs a value"),
+])
+def test_flag_problems_are_config_errors(capsys, flags, fragment):
+    assert main(["simulate", *flags]) == 1
+    assert capsys.readouterr().err.startswith(fragment)
+
+
 def test_parse_config_choice_validation():
     with pytest.raises(ConfigError) as err:
         parse_config("scenario = verify-deadline\nsim.grid = cubic\n")

@@ -108,6 +108,9 @@ def test_rejects_span_past_the_floor():
         integrate(model, None, np.array([1.0, 0.0]), 0.0, 1.0 - 1e-9)
     with pytest.raises(ValueError):
         integrate(model, None, np.array([1.0, 0.0]), 0.5, 0.5)
+    # a floor below the minimum step 1e-13 * T could never be reached
+    with pytest.raises(ValueError, match="minimum step"):
+        integrate(reference_loop(rho_min=1e-14), None, np.array([1.0, 0.0]), 0.0, 0.5)
 
 
 class _BarrierNoise(NoiseSource):
