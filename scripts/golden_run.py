@@ -168,8 +168,9 @@ EXPECTED_EXIT: dict[str, int] = {
     "attack_controller_terminal_late_s": 2,
     "workaround_stop_time_max_norm_50": 2,
     "workaround_deadzone_max_norm_50": 2,
+    "verify_max_norm_2": 2,
     "verify_open_loop": 3,
-    "verify_max_norm_2": 3,
+    "gain_scan_zero_table": 3,
     "falsify_zero_table": 3,
     "attack_diff_terminal_tight_tol": 3,
 }

@@ -150,8 +150,9 @@ class GainScanTable:
 
     @property
     def monotone(self) -> bool:
+        """The suprema strictly grow as rho shrinks; a flat table is not."""
         sups = [r.supremum for r in self.rows]
-        return all(b >= a for a, b in zip(sups, sups[1:]))
+        return all(b > a for a, b in zip(sups, sups[1:]))
 
 
 def _canonical_corner(delta: float, signs: np.ndarray) -> tuple[float, ...]:

@@ -683,8 +683,9 @@ def _run_verify_deadline(cfg: ExperimentConfig) -> ScenarioResult:
         summary.append(f"  s={fmt(c.s)} xi=({', '.join(fmt(v) for v in c.xi)}) "
                        f"terminal={norm_txt} bound={fmt(c.bound)} "
                        f"{'ok' if c.passed else 'FAIL'}")
-    return ScenarioResult("deadline", summary, EXIT_OK if report.passed else EXIT_PROPERTY,
-                          table=deadline_table(report, shrink))
+    failed = any(c.failure for c in report.cases)
+    code = EXIT_NUMERICAL if failed else EXIT_OK if report.passed else EXIT_PROPERTY
+    return ScenarioResult("deadline", summary, code, table=deadline_table(report, shrink))
 
 
 def _run_attack(cfg: ExperimentConfig) -> ScenarioResult:

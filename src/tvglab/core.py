@@ -70,11 +70,21 @@ class RationalGain:
             if not math.isfinite(c):
                 raise ValueError(f"gain coefficient must be finite, got {c!r}")
 
-    def value_at(self, u: float) -> float:
-        """Evaluate the gain at distance u = T - t from the deadline (u > 0)."""
+    def value_at(self, u):
+        """Evaluate the gain at distance u = T - t from the deadline (u > 0).
+
+        A list of distances gives an array holding, bit for bit, the scalar
+        value at each one; the zero gain gives 0.0 for any u.
+        """
         acc = 0.0
-        for c, p in self.terms:
-            acc += c / u**p
+        try:
+            for c, p in self.terms:
+                acc += c / u**p
+        except TypeError:  # a list; the scalar calls pay for no type check
+            acc = np.zeros(len(u))  # 0.0 + -0.0 is 0.0, as in the scalar sum
+            for c, p in self.terms:
+                # Python's ** per element: numpy's power rounds differently
+                acc = acc + c / np.array([v**p for v in u])
         return acc
 
 
@@ -287,52 +297,65 @@ class SystemModel:
     def T(self) -> float:
         return self.horizon.T
 
-    def _outputs(self, t: float, x: np.ndarray, eta):
-        """Gain outputs for the measured signal: the feedback v(t, x + eta)
-        of the control loop, or the injection list phi(t, x_1 + eta_1) of
-        the differentiator; rejects t >= T."""
+    def rhs(self, t: float, x: np.ndarray, eta) -> np.ndarray:
+        """Chain derivative under the measured signal: the feedback
+        v(t, x + eta) of the control loop, or the injections
+        phi(t, x_1 + eta_1) of the differentiator; d enters the last channel.
+        Rejects t >= T."""
         u = self._T - t
         if u <= 0.0:
             raise ValueError(f"gains evaluated at t={t!r} >= deadline T={self._T!r}")
-        if self._control:
-            acc = 0.0
-            for g, xi in zip(self._channels, (x + eta).tolist()):
-                acc += g.value_at(u) * xi
-            return acc
-        y = (x[0] + eta).item()  # eta is a scalar or a length-1 array
-        return [g.value_at(u) * y for g in self._channels]
-
-    def rhs(self, t: float, x: np.ndarray, eta) -> np.ndarray:
-        """Chain derivative under the measured signal; d enters the last channel."""
-        out = self._outputs(t, x, eta)
         # adding the zero disturbance still turns a -0.0 output into 0.0
         d = 0.0 if self._zero_disturbance else self.disturbance(t)
         tail = x.tolist()[1:]
         if self._control:
+            out = 0.0
+            for g, xi in zip(self._channels, (x + eta).tolist()):
+                out += g.value_at(u) * xi
             if not math.isfinite(out):
                 raise NumericalFailure(f"controller output not finite at t={t!r}")
             tail.append(out + d)
             return np.array(tail)
+        y = (x[0] + eta).item()  # eta is a scalar or a length-1 array
+        out = [g.value_at(u) * y for g in self._channels]
         if not all(map(math.isfinite, out)):
             raise NumericalFailure(f"injection output not finite at t={t!r}")
         dx = [xi + phi for xi, phi in zip(tail, out)]
         dx.append(d + out[-1])
         return np.array(dx)
 
-    def gain_output(self, t: float, x: np.ndarray, eta) -> float:
+    def gain_output(self, t, x, eta):
         """Scalar record of the algorithm output at (t, x): the controller
-        value, or the largest-magnitude injection channel (signed)."""
-        out = self._outputs(t, x, eta)
-        if self._control:
-            return out
-        # as np.argmax of the magnitudes: ties keep the first channel and a
-        # NaN beats every number (no comparison replaces it), so the sample
-        # record rejects it
-        best = out[0]
-        for v in out[1:]:
-            if v != v or abs(v) > abs(best):
-                best = v
-        return float(best)
+        value, or the largest-magnitude injection channel (signed).
+
+        With a leading sample axis (t of shape (N,), x of shape (N, n), eta
+        of shape (N, n) or (N, 1)) it returns the N records as an array, each
+        bit for bit the scalar call's value; rejects any t >= T.
+        """
+        scalar = np.ndim(t) == 0
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        xs = np.asarray(x, dtype=float).reshape(len(ts), -1)
+        etas = np.asarray(eta, dtype=float).reshape(len(ts), -1)
+        u = self._T - ts
+        late = np.flatnonzero(u <= 0.0)
+        if late.size:
+            raise ValueError(f"gains evaluated at t={ts[late[0]].item()!r} >= deadline T={self._T!r}")
+        us = u.tolist()
+        # an overflow is a record value here, as in the scalar arithmetic;
+        # the caller decides what a non-finite record means
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._control:
+                measured = xs + etas
+                out = 0.0  # 0.0 + -0.0 is 0.0, as in rhs's sum
+                for i, g in enumerate(self._channels):
+                    out = out + g.value_at(us) * measured[:, i]
+            else:
+                y = xs[:, 0] + etas[:, 0]
+                phi = np.column_stack([g.value_at(us) * y for g in self._channels])
+                # ties keep the first channel and the first NaN wins, so the
+                # sample record rejects it
+                out = phi[np.arange(len(ts)), np.argmax(np.abs(phi), axis=1)]
+        return float(out[0]) if scalar else out
 
     def zero_noise(self) -> ZeroNoise:
         return ZeroNoise(self.n if self.variant == CONTROL_LOOP else None)

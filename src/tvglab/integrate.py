@@ -112,9 +112,11 @@ class Trajectory:
 
     ts/xs/etas/gains hold the sample table (strictly increasing times):
     every committed step plus any requested grid points, with the noise as
-    it was queried at each sample and the scalar algorithm output.
-    state_at interpolates between committed steps (cubic Hermite).  Grid
-    samples come from the same cubic Hermite, evaluated once per committed
+    it was queried at each sample and the scalar algorithm output.  The
+    gains column comes from one batched SystemModel.gain_output call over
+    the whole table after the last step; a non-finite entry raises
+    NumericalFailure then.  state_at interpolates between committed steps
+    (cubic Hermite).  Grid samples come from the same cubic Hermite, evaluated once per committed
     step, so they equal state_at at their times; the exceptions are a step
     that ends in a noise switch (its end knot keeps the right-limit
     derivative) and the stop-event step (its knot ends it at the event).
@@ -164,13 +166,6 @@ def _hermite(xl, fl, xr, fr, h, theta):
     t3 = t2 * theta
     return (xl * (2.0 * t3 - 3.0 * t2 + 1.0) + h * fl * (t3 - 2.0 * t2 + theta)
             + xr * (-2.0 * t3 + 3.0 * t2) + h * fr * (t3 - t2))
-
-
-def _plain_float(value) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise NumericalFailure("non-finite value in integration record")
-    return v
 
 
 def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t_end: float,
@@ -229,7 +224,6 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     sample_ts: list[float] = []
     sample_xs: list[np.ndarray] = []
     sample_etas: list = []
-    sample_gains: list[float] = []
     knot_ts: list[float] = []
     knot_xs: list[np.ndarray] = []
     knot_fs: list[np.ndarray] = []
@@ -240,7 +234,6 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         sample_ts.append(t)
         sample_xs.append(state)
         sample_etas.append(e.copy() if is_control else e)  # eta_at's array or float
-        sample_gains.append(_plain_float(model.gain_output(t, state, e)))
 
     # initial commitment: let the source latch its first segment, then record
     noise.observe(t0, x)
@@ -393,12 +386,16 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     if termination is None:
         termination = Termination(kind=REACHED_END, t=t)
 
+    ts_arr, xs_arr = np.array(sample_ts), np.array(sample_xs)
     etas_arr = np.array(sample_etas) if is_control else np.array(sample_etas, dtype=float).reshape(-1, 1)
+    gains = model.gain_output(ts_arr, xs_arr, etas_arr)
+    if not np.all(np.isfinite(gains)):
+        raise NumericalFailure("non-finite value in integration record")
     return Trajectory(
-        ts=np.array(sample_ts),
-        xs=np.array(sample_xs),
+        ts=ts_arr,
+        xs=xs_arr,
         etas=etas_arr,
-        gains=np.array(sample_gains),
+        gains=gains,
         knot_ts=np.array(knot_ts),
         knot_xs=np.array(knot_xs),
         knot_fs=np.array(knot_fs),

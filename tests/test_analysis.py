@@ -147,6 +147,12 @@ def test_gain_scan_injection_on_a_longer_horizon():
     assert last.arg_channel == 1
 
 
+def test_gain_scan_zero_table_is_not_monotone():
+    table = gain_supremum_scan(open_loop_chain(), 1.0, (1e-1, 1e-2, 1e-3))
+    assert [r.supremum for r in table.rows] == [0.0, 0.0, 0.0]
+    assert table.monotone is False
+
+
 def test_gain_scan_validates_ladder():
     with pytest.raises(ValueError):
         gain_supremum_scan(reference_loop(), 1.0, (1e-3, 1e-2))

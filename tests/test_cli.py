@@ -288,6 +288,20 @@ def test_exit_code_contract(tmp_path):
                  "--output.prefix", "esc"] + out) == 2
 
 
+def test_flat_gain_scan_exits_3(tmp_path):
+    assert main(["gain-scan", "--system.controller", "zero",
+                 "--output.dir", str(tmp_path)]) == 3
+    assert "monotone: False" in (tmp_path / "tvglab_gain_scan_summary.txt").read_text()
+
+
+def test_verify_deadline_case_that_fails_numerically_exits_2(tmp_path):
+    # a terminal norm above max_norm 2 stops the escaping case early
+    assert main(["verify-deadline", "--integration.max_norm", "2",
+                 "--output.dir", str(tmp_path)]) == 2
+    text = (tmp_path / "tvglab_deadline.csv").read_text()
+    assert "failed: integration stopped early: blow_up" in text
+
+
 def test_attack_subcommand_reports_computed_ramp(tmp_path, capsys):
     code = main(["attack", "--attack.kind", "diff-terminal",
                  "--attack.eta_bar", "0.1", "--attack.epsilon", "1.0",

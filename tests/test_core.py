@@ -49,6 +49,16 @@ def test_rational_gain_evaluates_term_sum():
     assert gain_bound_at(loop, 0.5, 1.0) == pytest.approx(32.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("p", range(6))
+def test_rational_gain_on_a_list_equals_the_scalar_values(p):
+    # numpy's power differs from Python's ** in the last bit on a share of
+    # these distances for p >= 2, so a vectorised power fails this test
+    u = np.exp(np.random.default_rng(p).uniform(math.log(1e-10), math.log(1e3), 20000))
+    g = RationalGain(((-1.7, p), (0.3, 0), (2.5, p)))
+    scalar = np.array([g.value_at(v) for v in u.tolist()])
+    assert g.value_at(u.tolist()).tobytes() == scalar.tobytes()
+
+
 def test_rational_gain_rejects_bad_terms():
     with pytest.raises(ValueError):
         RationalGain(terms=((1.0, -1),))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tvglab.attack import controller_divergence_noise, differentiator_divergence_noise
 from tvglab.core import (
     NoiseBoundViolation,
     NoiseSource,
@@ -477,12 +478,59 @@ def test_detect_peaks_reports_first_crossings():
     assert crossings[2][1] is None  # never reached
 
 
+def _gain_record_runs():
+    """(model, trajectory) pairs over both variants, both grid kinds, a
+    switching source on each variant and a stop-event run."""
+    loop, diff = reference_loop(), differentiator_error_model()
+    uniform = IntegrationOptions(output_grid=OutputGrid(kind="uniform", count=700))
+    geometric = IntegrationOptions(output_grid=OutputGrid(kind="geometric", count=700))
+    x0 = np.array([1.0, -0.5])
+    return [
+        (loop, integrate(loop, None, x0, 0.0, 1.0 - 1e-6, geometric)),
+        (loop, integrate(loop, controller_divergence_noise(0.01), x0, 0.0, 1.0 - 1e-6, uniform)),
+        (loop, integrate(loop, None, np.array([1.0, 0.0]), 0.0, 0.9, uniform,
+                         stop_condition=lambda t, x: x[0] <= 0.25)),
+        (diff, integrate(diff, None, x0, 0.0, 1.0 - 1e-6, uniform)),
+        (diff, integrate(diff, differentiator_divergence_noise(1e-3), x0, 0.0, 1.0 - 1e-6,
+                         geometric)),
+    ]
+
+
 def test_gain_record_matches_model_output():
-    model = reference_loop()
-    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.5)
-    k = len(traj.ts) // 2
-    expected = model.gain_output(traj.ts[k], traj.xs[k], traj.etas[k])
-    assert traj.gains[k] == pytest.approx(expected, rel=1e-12)
+    """The batched gains column equals the scalar gain_output, bit for bit,
+    at every sample."""
+    runs = _gain_record_runs()
+    assert runs[1][1].switch_times and runs[4][1].switch_times
+    assert runs[2][1].termination.kind == EVENT
+    for model, traj in runs:
+        expected = [model.gain_output(t, x, e) for t, x, e in zip(traj.ts, traj.xs, traj.etas)]
+        assert traj.gains.tobytes() == np.array(expected).tobytes()
+
+
+class _CountingModel(SystemModel):
+    """A system model that records every gain_output call."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "gain_calls", [])
+
+    def gain_output(self, t, x, eta):
+        self.gain_calls.append(np.shape(t))
+        return super().gain_output(t, x, eta)
+
+
+def test_one_gain_output_call_per_run():
+    src = reference_loop()
+    model = _CountingModel(src.variant, src.horizon, src.gains)
+    grid = IntegrationOptions(output_grid=OutputGrid(kind="geometric", count=300))
+    traj = integrate(model, controller_divergence_noise(0.01), np.array([1.0, 0.0]),
+                     0.0, 1.0 - 1e-6, grid)
+    assert model.gain_calls == [traj.ts.shape]
+    model.gain_calls.clear()
+    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.9,
+                     stop_condition=lambda t, x: x[0] <= 0.25)
+    assert traj.termination.kind == EVENT
+    assert model.gain_calls == [traj.ts.shape]
 
 
 def test_options_validation():
