@@ -156,6 +156,11 @@ SCENARIOS: dict[str, list[str]] = {
                                          "--integration.max_norm", "50"],
     "workaround_deadzone_max_norm_50": ["workaround", "--workaround.variant", "deadzone",
                                         "--system.rho_min", "1e-6", "--integration.max_norm", "50"],
+    # config errors caught at parse time
+    "verify_starts_out_of_range": ["verify-deadline", "--deadline.starts", "0.5,1.5"],
+    "verify_starts_empty": ["verify-deadline", "--deadline.starts", ""],
+    "workaround_ics_empty": ["workaround", "--workaround.variant", "stop-time",
+                             "--workaround.ics", ""],
 }
 
 # name -> exit code, for every scenario that does not exit 0 (1 config error,
@@ -164,6 +169,9 @@ EXPECTED_EXIT: dict[str, int] = {
     "readme_bad_config": 1,
     "attack_prelude_without_x0": 1,
     "sim_reference_T2": 1,
+    "verify_starts_out_of_range": 1,
+    "verify_starts_empty": 1,
+    "workaround_ics_empty": 1,
     "attack_prelude_step_underflow": 2,
     "attack_controller_terminal_late_s": 2,
     "workaround_stop_time_max_norm_50": 2,

@@ -10,21 +10,13 @@ error, scans the gain growth, falsifies uniform stability bounds, and
 evaluates the stop-early and deadzone mitigations.
 """
 
+# The names the demos, the benchmarks, the tests and the README use; the
+# rest of the API is imported from its module (tvglab.core, tvglab.attack, ...).
 from .core import (
-    CONTROL_LOOP,
-    DIFF_ERROR,
-    REFERENCE,
-    RATIONAL_TVG,
-    PT_DIFF2,
-    DisturbanceSpec,
     GainTable,
     Horizon,
-    NoiseBoundViolation,
-    NoiseSource,
-    NumericalFailure,
     RationalGain,
     SystemModel,
-    ZeroNoise,
     differentiator_error_model,
     open_loop_chain,
     rational_diff_error,
@@ -34,34 +26,19 @@ from .core import (
 from .integrate import (
     IntegrationOptions,
     OutputGrid,
-    Termination,
-    Trajectory,
-    detect_peaks,
     integrate,
     terminal_state,
 )
 from .oracle import (
-    SolverCheckCase,
-    SolverCheckReport,
     instability_witness_time,
     reference_solution,
     verify_solver_against_oracle,
 )
 from .attack import (
-    AttackOutcome,
-    CascadePlan,
-    ControllerDivergenceNoise,
-    ControllerTerminalNoise,
-    DifferentiatorDivergenceNoise,
     DifferentiatorTerminalNoise,
-    RampParameters,
-    SwitchingSchedule,
     controller_divergence_noise,
     controller_terminal_error_noise,
-    default_ladder,
     default_targets,
-    differentiator_divergence_noise,
-    differentiator_terminal_error_noise,
     run_controller_terminal_attack,
     run_controller_terminal_attack_with_prelude,
     run_differentiator_terminal_attack,
@@ -69,14 +46,6 @@ from .attack import (
     terminal_plan_window,
 )
 from .analysis import (
-    DeadlineCase,
-    DeadlineReport,
-    DeadzoneCase,
-    GainScanRow,
-    GainScanTable,
-    StabilityWitness,
-    StopTimeCase,
-    WorkaroundReport,
     check_absolute_deadline,
     evaluate_deadzone,
     evaluate_stop_time,
@@ -89,20 +58,10 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONTROL_LOOP",
-    "DIFF_ERROR",
-    "REFERENCE",
-    "RATIONAL_TVG",
-    "PT_DIFF2",
-    "DisturbanceSpec",
     "GainTable",
     "Horizon",
-    "NoiseBoundViolation",
-    "NoiseSource",
-    "NumericalFailure",
     "RationalGain",
     "SystemModel",
-    "ZeroNoise",
     "differentiator_error_model",
     "open_loop_chain",
     "rational_diff_error",
@@ -110,43 +69,20 @@ __all__ = [
     "reference_loop",
     "IntegrationOptions",
     "OutputGrid",
-    "Termination",
-    "Trajectory",
-    "detect_peaks",
     "integrate",
     "terminal_state",
-    "SolverCheckCase",
-    "SolverCheckReport",
     "instability_witness_time",
     "reference_solution",
     "verify_solver_against_oracle",
-    "AttackOutcome",
-    "CascadePlan",
-    "ControllerDivergenceNoise",
-    "ControllerTerminalNoise",
-    "DifferentiatorDivergenceNoise",
     "DifferentiatorTerminalNoise",
-    "RampParameters",
-    "SwitchingSchedule",
     "controller_divergence_noise",
     "controller_terminal_error_noise",
-    "default_ladder",
     "default_targets",
-    "differentiator_divergence_noise",
-    "differentiator_terminal_error_noise",
     "run_controller_terminal_attack",
     "run_controller_terminal_attack_with_prelude",
     "run_differentiator_terminal_attack",
     "run_divergence_attack",
     "terminal_plan_window",
-    "DeadlineCase",
-    "DeadlineReport",
-    "DeadzoneCase",
-    "GainScanRow",
-    "GainScanTable",
-    "StabilityWitness",
-    "StopTimeCase",
-    "WorkaroundReport",
     "check_absolute_deadline",
     "evaluate_deadzone",
     "evaluate_stop_time",

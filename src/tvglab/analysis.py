@@ -13,7 +13,7 @@ time, and freezing it once the state enters a small box.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,13 +33,18 @@ from .integrate import (
 )
 from .oracle import instability_witness_time
 
-NoiseArg = Union[NoiseSource, Callable[[], NoiseSource], None]
+NoiseFactory = Optional[Callable[[], NoiseSource]]
 
 
-def _fresh_noise(noise: NoiseArg) -> Optional[NoiseSource]:
-    if noise is None or isinstance(noise, NoiseSource):
-        return noise
-    return noise()
+def _noise_factory(model: SystemModel, noise: NoiseFactory) -> Callable[[], NoiseSource]:
+    """A source keeps switching state, so each case gets a fresh one from a
+    zero-argument factory; None stands for the model's zero noise."""
+    if noise is None:
+        return model.zero_noise
+    if not callable(noise):
+        raise TypeError("noise must be a zero-argument factory of noise sources, "
+                        f"not a {type(noise).__name__}")
+    return noise
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +339,18 @@ def _affine_fit(xs: Sequence[float], ys: Sequence[float]
 
 
 def evaluate_stop_time(model: SystemModel, t_stop: float, initial_conditions: Sequence,
-                       noise: NoiseArg = None,
+                       noise: NoiseFactory = None,
                        opts: Optional[IntegrationOptions] = None) -> WorkaroundReport:
     """Freeze the algorithm at t_stop and record the per-case residual state.
 
     The residual is x(t_stop); switching off there keeps every gain finite
     but leaves an error that scales linearly with the start state, which the
     affine fit quantifies (slope, intercept, R^2 over residual norm vs start
-    norm, computed when at least three cases succeed).
+    norm, computed when at least three cases succeed).  noise is a
+    zero-argument factory called once per case, or None.
     """
     opts = opts or IntegrationOptions()
+    fresh_noise = _noise_factory(model, noise)
     T = model.horizon.T
     rho_min = model.horizon.rho_min
     if not (0.0 < t_stop < T - rho_min):
@@ -352,7 +359,7 @@ def evaluate_stop_time(model: SystemModel, t_stop: float, initial_conditions: Se
     for xi in initial_conditions:
         xi_arr = np.asarray(xi, dtype=float)
         try:
-            traj = integrate(model, _fresh_noise(noise), xi_arr, 0.0, t_stop, opts)
+            traj = integrate(model, fresh_noise(), xi_arr, 0.0, t_stop, opts)
             if not traj.completed:
                 raise NumericalFailure(f"integration stopped early: {traj.termination.kind}")
             res = traj.xs[-1]
@@ -375,7 +382,7 @@ def evaluate_stop_time(model: SystemModel, t_stop: float, initial_conditions: Se
 
 
 def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequence,
-                      noise: NoiseArg = None,
+                      noise: NoiseFactory = None,
                       opts: Optional[IntegrationOptions] = None) -> WorkaroundReport:
     """Switch the algorithm off when ||x||inf first reaches width.
 
@@ -383,8 +390,10 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
     entry, and the open-loop final state at T - rho_min.  Cases that never
     enter the box before T - rho_min are flagged; bounded noise can cause
     exactly that.  Entry is measured on the true state with the max norm.
+    noise is a zero-argument factory called once per case, or None.
     """
     opts = opts or IntegrationOptions()
+    fresh_noise = _noise_factory(model, noise)
     if width <= 0.0:
         raise ValueError("width must be positive")
     T = model.horizon.T
@@ -395,14 +404,11 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
     flags = []
     for idx, xi in enumerate(initial_conditions):
         xi_arr = np.asarray(xi, dtype=float)
-        case_noise = _fresh_noise(noise)
+        case_noise = fresh_noise()
         try:
             if float(np.max(np.abs(xi_arr))) <= width:
                 entry_t, entry_x = 0.0, xi_arr
-                gain = abs(float(model.gain_output(
-                    0.0, xi_arr,
-                    case_noise.value(0.0, xi_arr) if case_noise is not None else
-                    model.zero_noise().value(0.0, xi_arr))))
+                gain = abs(float(model.gain_output(0.0, xi_arr, case_noise.value(0.0, xi_arr))))
             else:
                 probe = integrate(
                     model, case_noise, xi_arr, 0.0, t_end, opts,
@@ -419,9 +425,8 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
                     continue
                 entry_t = float(probe.termination.t)
                 entry_x = probe.xs[-1]
-                eta = case_noise.value(entry_t, entry_x) if case_noise is not None else \
-                    model.zero_noise().value(entry_t, entry_x)
-                gain = abs(float(model.gain_output(entry_t, entry_x, eta)))
+                gain = abs(float(model.gain_output(entry_t, entry_x,
+                                                   case_noise.value(entry_t, entry_x))))
             if entry_t < t_end:
                 tail = integrate(off_model, None, entry_x, entry_t, t_end, opts)
                 final = tail.xs[-1]

@@ -12,14 +12,15 @@ defeats a specific robustness property of a time-varying-gain loop:
 * differentiator_divergence_noise: continuous piecewise-linear noise whose
   ramp slopes steepen at each switch; the velocity-error channel tracks the
   negated slope, so its peaks grow without bound.
-* differentiator_terminal_error_noise: one bounded ramp that shifts the
-  velocity error by exactly epsilon, leaving x2(T) = -epsilon from every
-  initial condition.
+* DifferentiatorTerminalNoise: one bounded ramp that shifts the velocity
+  error by exactly epsilon, leaving x2(T) = -epsilon from every initial
+  condition.
 
 Switch placement for the divergence noises is simulation-in-the-loop: the
 sources watch committed integration steps and switch only once the current
 segment's guarantee has been observed and the next segment's start-time
-gate has passed.
+gate has passed.  The switch instants are those the integrator records in
+Trajectory.switch_times.
 """
 
 from __future__ import annotations
@@ -93,7 +94,22 @@ def _sign(v: float) -> float:
     return 1.0 if v >= 0.0 else -1.0
 
 
-class ControllerDivergenceNoise(NoiseSource):
+class _DivergenceNoise(NoiseSource):
+    """Bound, horizon and peak-target ladder of a divergence noise; the
+    index of the next target to arm starts at 0."""
+
+    def __init__(self, eta_bar: float, targets, T: float):
+        if eta_bar <= 0.0:
+            raise ValueError("eta_bar must be positive")
+        self.bound = self.eta_bar = float(eta_bar)
+        self.T = float(T)
+        self.targets = tuple(float(v) for v in targets)
+        if any(b <= a for a, b in zip(self.targets, self.targets[1:])) or not self.targets:
+            raise ValueError("targets must be a nonempty strictly increasing sequence")
+        self._next_idx = 0
+
+
+class ControllerDivergenceNoise(_DivergenceNoise):
     """Piecewise-constant noise delta * sigma_k * e1 with sign latched from x1.
 
     The loop's deadline property turns each held segment into a forced
@@ -108,31 +124,21 @@ class ControllerDivergenceNoise(NoiseSource):
 
     def __init__(self, eta_bar: float, targets, n: int = 2, delta: Optional[float] = None,
                  T: float = 1.0):
-        if eta_bar <= 0.0:
-            raise ValueError("eta_bar must be positive")
-        delta = 0.5 * eta_bar if delta is None else float(delta)
-        if not (0.0 < delta <= eta_bar):
+        super().__init__(eta_bar, targets, T)
+        delta = 0.5 * self.eta_bar if delta is None else float(delta)
+        if not (0.0 < delta <= self.eta_bar):
             raise ValueError("delta must lie in (0, eta_bar]")
-        self.bound = float(eta_bar)
-        self.eta_bar = float(eta_bar)
         self.delta = delta
-        self.T = float(T)
-        self.targets = tuple(float(v) for v in targets)
-        if any(b <= a for a, b in zip(self.targets, self.targets[1:])) or not self.targets:
-            raise ValueError("targets must be a nonempty strictly increasing sequence")
         # gate(eps): earliest admissible switch time for the segment forcing eps
         self._gates = tuple(
-            max(instability_witness_time(delta, eps + eta_bar, T=T), T - 1.0 / eps)
+            max(instability_witness_time(delta, eps + self.eta_bar, T=self.T), self.T - 1.0 / eps)
             for eps in self.targets
         )
-        self._n = int(n)
         self._sigma = 1.0
         self._latched0 = False
         self._seg_target: Optional[float] = None
         self._crossed = False
-        self._next_idx = 0
-        self._times: list[float] = []
-        self._vec = np.zeros(self._n)
+        self._vec = np.zeros(int(n))
         self._vec[0] = self.delta
 
     def value(self, t: float, x) -> np.ndarray:
@@ -156,19 +162,11 @@ class ControllerDivergenceNoise(NoiseSource):
                 self._seg_target = self.targets[self._next_idx]
                 self._crossed = False
                 self._next_idx += 1
-                self._times.append(float(t))
                 return True
         return False
 
-    @property
-    def switch_times(self) -> tuple[float, ...]:
-        return tuple(self._times)
 
-    def realized_schedule(self) -> SwitchingSchedule:
-        return SwitchingSchedule(targets=self.targets, delta=self.delta, times=tuple(self._times))
-
-
-class DifferentiatorDivergenceNoise(NoiseSource):
+class DifferentiatorDivergenceNoise(_DivergenceNoise):
     """Continuous piecewise-linear scalar noise with steepening ramp slopes.
 
     On segment k the noise runs linearly from its current value toward the
@@ -183,20 +181,11 @@ class DifferentiatorDivergenceNoise(NoiseSource):
     scalar = True
 
     def __init__(self, eta_bar: float, targets, T: float = 1.0, track_rel: float = 1e-3):
-        if eta_bar <= 0.0:
-            raise ValueError("eta_bar must be positive")
-        self.bound = float(eta_bar)
-        self.eta_bar = float(eta_bar)
-        self.T = float(T)
-        self.targets = tuple(float(v) for v in targets)
-        if any(b <= a for a, b in zip(self.targets, self.targets[1:])) or not self.targets:
-            raise ValueError("targets must be a nonempty strictly increasing sequence")
+        super().__init__(eta_bar, targets, T)
         self.track_rel = float(track_rel)
         self._t_k = 0.0
         self._eta_k = self.eta_bar  # required start value eta(0) = eta_bar
-        self._slope = -(self.eta_bar * _sign(self._eta_k) + self._eta_k) / (self.T - 0.0)
-        self._next_idx = 0
-        self._times: list[float] = []
+        self._slope = self._segment_slope(self._eta_k, 0.0)
         self._started = False
 
     def _segment_slope(self, value_now: float, t_now: float) -> float:
@@ -210,10 +199,6 @@ class DifferentiatorDivergenceNoise(NoiseSource):
         elif v < -self.eta_bar:
             v = -self.eta_bar
         return v
-
-    @property
-    def slope(self) -> float:
-        return self._slope
 
     def observe(self, t: float, x) -> bool:
         if not self._started:
@@ -233,31 +218,14 @@ class DifferentiatorDivergenceNoise(NoiseSource):
             self._t_k = float(t)
             self._slope = self._segment_slope(val, t)
             self._next_idx += 1
-            self._times.append(float(t))
             return True
         return False
 
-    @property
-    def switch_times(self) -> tuple[float, ...]:
-        return tuple(self._times)
-
-    def realized_schedule(self) -> SwitchingSchedule:
-        return SwitchingSchedule(targets=self.targets, delta=None, times=tuple(self._times))
-
-
-@dataclass(frozen=True)
-class RampParameters:
-    """Terminal-error ramp for the differentiator: constant -eta_bar until
-    s = T - 2*eta_bar/epsilon, then slope epsilon up to +eta_bar at T."""
-
-    eta_bar: float
-    epsilon: float
-    T: float
-    s: float
-
 
 class DifferentiatorTerminalNoise(NoiseSource):
-    """Scalar ramp noise that forces x2(T) = -epsilon from any start."""
+    """Scalar ramp noise that forces x2(T) = -epsilon from any start:
+    constant -eta_bar until s = T - 2*eta_bar/epsilon, then slope epsilon
+    up to +eta_bar at T."""
 
     scalar = True
 
@@ -283,15 +251,6 @@ class DifferentiatorTerminalNoise(NoiseSource):
     def next_discontinuity(self, t: float) -> float:
         return self.s if t < self.s else math.inf
 
-    def ramp(self) -> RampParameters:
-        return RampParameters(eta_bar=self.eta_bar, epsilon=self.epsilon, T=self.T, s=self.s)
-
-
-def differentiator_terminal_error_noise(eta_bar: float, epsilon: float, T: float = 1.0
-                                        ) -> DifferentiatorTerminalNoise:
-    """Bounded ramp noise pinning the terminal velocity error at -epsilon."""
-    return DifferentiatorTerminalNoise(eta_bar=eta_bar, epsilon=epsilon, T=T)
-
 
 def differentiator_divergence_noise(eta_bar: float, targets=None, T: float = 1.0,
                                     track_rel: float = 1e-3) -> DifferentiatorDivergenceNoise:
@@ -312,63 +271,49 @@ def controller_divergence_noise(eta_bar: float, targets=None, n: int = 2,
 # terminal-error tracking attack on the control loop
 
 
-class _PolyU:
-    """Polynomial in u = T - t with integer powers, kept as {power: coeff}."""
+# A polynomial in u = T - t is a tuple of float coefficients indexed by
+# power.  Values are summed term by term in increasing power (not by Horner's
+# rule, which rounds differently).
+Poly = tuple[float, ...]
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Optional[dict[int, float]] = None):
-        self.coeffs = {int(m): float(c) for m, c in (coeffs or {}).items() if c != 0.0}
+def _poly_value(p: Poly, u):
+    acc = 0.0
+    for m, c in enumerate(p):
+        acc = acc + c * u**m
+    return acc
 
-    def add_term(self, power: int, coeff: float) -> None:
-        self.coeffs[power] = self.coeffs.get(power, 0.0) + coeff
 
-    def value(self, u):
-        acc = 0.0 if np.isscalar(u) else np.zeros_like(np.asarray(u, dtype=float))
-        for m, c in sorted(self.coeffs.items()):
-            acc = acc + c * u**m
-        return acc
+def _poly_antiderivative(p: Poly) -> Poly:
+    """P with dP/dt = p along u = T - t, and P = 0 at u = 0."""
+    return (0.0,) + tuple(-c / (m + 1.0) for m, c in enumerate(p))
 
-    def magnitude_bound(self, w: float) -> float:
-        """sum |c| w^m; bounds |value(u)| on u in (0, w] when all powers >= 0."""
-        if any(m < 0 for m in self.coeffs):
-            raise ValueError("magnitude bound requires nonnegative powers")
-        return sum(abs(c) * w**m for m, c in sorted(self.coeffs.items()))
 
-    def antiderivative_in_t(self) -> "_PolyU":
-        """P with dP/dt = self along u = T - t (valid for powers >= 0)."""
-        out = _PolyU()
-        for m, c in self.coeffs.items():
-            if m < 0:
-                raise ValueError("cascade integration requires nonnegative powers")
-            out.add_term(m + 1, -c / (m + 1.0))
-        return out
-
-    def minus(self, other: "_PolyU") -> "_PolyU":
-        out = _PolyU(dict(self.coeffs))
-        for m, c in other.coeffs.items():
-            out.add_term(m, -c)
-        return out
+def _poly_minus(a: Poly, b: Poly) -> Poly:
+    k = max(len(a), len(b))
+    a, b = a + (0.0,) * (k - len(a)), b + (0.0,) * (k - len(b))
+    return tuple(x - y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
 class CascadePlan:
     """Planned cascade state the tracking noise forces the loop to follow.
 
-    psi holds one polynomial (in u = T - t) per state channel; the last one
-    starts at -2*epsilon at t = s and stays within [-3e, -e], so the loop
-    state, which equals the plan exactly, ends at distance >= epsilon from
-    zero.  eta holds the per-channel noise polynomials xi'(t) + q - psi(t).
+    psi holds one polynomial (a coefficient tuple in u = T - t, indexed by
+    power) per state channel; the last one starts at -2*epsilon at t = s
+    and stays within [-3e, -e], so the loop state, which equals the plan
+    exactly, ends at distance >= epsilon from zero.  eta holds the
+    per-channel noise polynomials xi'(t) + q - psi(t).
     """
 
     T: float
     s: float
     epsilon: float
     eta_bar: float
-    profile: tuple[_PolyU, ...]
-    psi: tuple[_PolyU, ...]
-    forcing: _PolyU
-    eta: tuple[_PolyU, ...]
+    profile: tuple[Poly, ...]
+    psi: tuple[Poly, ...]
+    forcing: Poly
+    eta: tuple[Poly, ...]
     psi_init: tuple[float, ...]
 
     @property
@@ -384,10 +329,10 @@ class CascadePlan:
     def noise_at(self, t):
         return self._columns(self.eta, t)
 
-    def _columns(self, polys: tuple[_PolyU, ...], t):
+    def _columns(self, polys: tuple[Poly, ...], t):
         t_arr = np.asarray(t, dtype=float)
         u = self.T - t_arr
-        cols = [p.value(u) for p in polys]
+        cols = [_poly_value(p, u) for p in polys]
         return np.stack([np.broadcast_to(c, t_arr.shape) for c in cols], axis=-1) \
             if t_arr.ndim else np.array([float(c) for c in cols])
 
@@ -444,32 +389,29 @@ def _solve_profile(gains: tuple[RationalGain, ...], epsilon: float) -> tuple[flo
 
 
 def _build_forcing(gains: tuple[RationalGain, ...], profile: tuple[float, ...],
-                   epsilon: float) -> _PolyU:
+                   epsilon: float) -> Poly:
     """Controller output along the planned cascade, as a polynomial in u.
 
     Raises when singular terms fail to cancel, since the construction only
     exists for controllers bounded along the profile.
     """
-    laurent = _PolyU()
+    laurent: dict[int, float] = {}  # power of u -> coefficient
     mags: dict[int, float] = {}
     for i, g in enumerate(gains[:-1]):
         ci = profile[i]
         for c, p in g.terms:
-            laurent.add_term(1 - p, c * ci)
+            laurent[1 - p] = laurent.get(1 - p, 0.0) + c * ci
             mags[1 - p] = mags.get(1 - p, 0.0) + abs(c * ci)
     for c, p in gains[-1].terms:
-        laurent.add_term(-p, c * (-2.0 * epsilon))
+        laurent[-p] = laurent.get(-p, 0.0) + c * (-2.0 * epsilon)
         mags[-p] = mags.get(-p, 0.0) + abs(c * 2.0 * epsilon)
-    out = _PolyU()
-    for m, c in laurent.coeffs.items():
-        if m < 0:
-            if abs(c) > 1e-9 * max(1.0, mags.get(m, 0.0)):
-                raise ValueError(
-                    "controller output is unbounded along the tracking profile "
-                    f"(uncancelled pole of order {-m})")
-            continue
-        out.add_term(m, c)
-    return out
+    for m, c in laurent.items():
+        if m < 0 and abs(c) > 1e-9 * max(1.0, mags[m]):
+            raise ValueError(
+                "controller output is unbounded along the tracking profile "
+                f"(uncancelled pole of order {-m})")
+    degree = max((m for m in laurent if m >= 0), default=-1)
+    return tuple(laurent.get(m, 0.0) for m in range(degree + 1))
 
 
 def terminal_plan_window(n: int, eta_bar: float, epsilon: float, T: float = 1.0
@@ -487,19 +429,17 @@ def terminal_plan_window(n: int, eta_bar: float, epsilon: float, T: float = 1.0
 
 
 def controller_terminal_error_noise(model: SystemModel, eta_bar: float, epsilon: float,
-                                    profile_coeffs=None, psi_init=None,
-                                    s: Optional[float] = None
+                                    psi_init=None, s: Optional[float] = None
                                     ) -> tuple[ControllerTerminalNoise, CascadePlan]:
     """Tracking noise and plan that park the loop's last state at -2*epsilon.
 
     The plan starts at s close enough to T that the planned state and the
     noise stay within their budgets: per-channel noise within
-    eta_bar / sqrt(n), hence ||eta|| <= eta_bar.  When profile_coeffs is
-    omitted the per-channel profile is solved so the controller stays
-    bounded along the plan (for the reference controller this gives
-    xi(t) = (4/3) * epsilon * (1 - t)).  psi_init sets the planned start
-    values of channels 1..n-1 (default zero, each bounded by
-    eta_bar / (4 sqrt(n))).
+    eta_bar / sqrt(n), hence ||eta|| <= eta_bar.  The per-channel profile
+    is solved so the controller stays bounded along the plan (for the
+    reference controller this gives xi(t) = (4/3) * epsilon * (1 - t)).
+    psi_init sets the planned start values of channels 1..n-1 (default
+    zero, each bounded by eta_bar / (4 sqrt(n))).
     """
     if model.variant != CONTROL_LOOP:
         raise ValueError("terminal tracking attack applies to the control loop")
@@ -508,11 +448,7 @@ def controller_terminal_error_noise(model: SystemModel, eta_bar: float, epsilon:
     n = model.n
     T = model.T
     eta_inf = eta_bar / math.sqrt(n)
-    if profile_coeffs is None:
-        profile_coeffs = _solve_profile(model.gains.gains, epsilon)
-    profile_coeffs = tuple(float(c) for c in profile_coeffs)
-    if len(profile_coeffs) != n - 1:
-        raise ValueError(f"profile needs {n - 1} coefficients, got {len(profile_coeffs)}")
+    slopes = _solve_profile(model.gains.gains, epsilon)
     if psi_init is None:
         psi_init = tuple(0.0 for _ in range(n - 1))
     psi_init = tuple(float(v) for v in psi_init)
@@ -522,49 +458,40 @@ def controller_terminal_error_noise(model: SystemModel, eta_bar: float, epsilon:
     if any(abs(v) > cap * (1.0 + 1e-12) for v in psi_init):
         raise ValueError(f"planned start values must satisfy |psi_i(s)| <= {cap!r}")
 
-    forcing = _build_forcing(model.gains.gains, profile_coeffs, epsilon)
+    forcing = _build_forcing(model.gains.gains, slopes, epsilon)
 
     def build(w: float) -> CascadePlan:
-        s_val = T - w
-        u_s = w
-        psi: list[Optional[_PolyU]] = [None] * n
-        # last channel: psi_n(s) = -2 eps, then integrate the forcing down
-        P = forcing.antiderivative_in_t()
-        poly_n = _PolyU(dict(P.coeffs))
-        poly_n.add_term(0, -2.0 * epsilon - P.value(u_s))
-        psi[n - 1] = poly_n
-        for i in range(n - 2, -1, -1):
-            P = psi[i + 1].antiderivative_in_t()
-            poly_i = _PolyU(dict(P.coeffs))
-            poly_i.add_term(0, psi_init[i] - P.value(u_s))
-            psi[i] = poly_i
-        profile_polys = tuple(_PolyU({1: c}) for c in profile_coeffs)
-        eta_polys = []
-        for i in range(n):
-            target = profile_polys[i] if i < n - 1 else _PolyU({0: -2.0 * epsilon})
-            eta_polys.append(target.minus(psi[i]))
-        return CascadePlan(T=T, s=s_val, epsilon=epsilon, eta_bar=eta_bar,
-                           profile=profile_polys, psi=tuple(psi), forcing=forcing,
-                           eta=tuple(eta_polys), psi_init=psi_init)
+        # from the last channel down: psi_i' = psi_{i+1} (psi_n' = forcing),
+        # started at psi_n(s) = -2 eps and psi_i(s) = psi_init[i]
+        psi: list[Poly] = []
+        rate = forcing
+        for start in (-2.0 * epsilon, *psi_init[::-1]):
+            P = _poly_antiderivative(rate)
+            rate = (start - _poly_value(P, w),) + P[1:]
+            psi.insert(0, rate)
+        profile = tuple((0.0, c) for c in slopes)
+        eta = tuple(_poly_minus(target, p) for target, p in zip((*profile, (-2.0 * epsilon,)), psi))
+        return CascadePlan(T=T, s=T - w, epsilon=epsilon, eta_bar=eta_bar, profile=profile,
+                           psi=tuple(psi), forcing=forcing, eta=eta, psi_init=psi_init)
+
+    def bound(p: Poly, w: float) -> float:
+        """sum |c| w^m, which bounds |p(u)| on u in (0, w]."""
+        return sum(abs(c) * w**m for m, c in enumerate(p))
 
     def feasible(plan: CascadePlan, w: float) -> bool:
         if w >= min(eta_inf / (12.0 * epsilon), 0.5):
             return False
-        if any(abs(c) * w > eta_inf / 2.0 for c in profile_coeffs):
+        if any(abs(c) * w > eta_inf / 2.0 for c in slopes):
             return False
-        if w * forcing.magnitude_bound(w) > min(2.0 * epsilon, eta_inf):
+        if w * bound(forcing, w) > min(2.0 * epsilon, eta_inf):
             return False
         # last channel must stay in [-3e, -e]; its deviation from -2e is the
         # negated last noise channel, so bound that polynomial directly
-        if plan.eta[n - 1].magnitude_bound(w) > epsilon:
+        if bound(plan.eta[n - 1], w) > epsilon:
             return False
-        for i in range(n - 1):
-            if plan.psi[i].magnitude_bound(w) > eta_inf / 2.0:
-                return False
-        for p in plan.eta:
-            if p.magnitude_bound(w) > eta_inf:
-                return False
-        return True
+        if any(bound(p, w) > eta_inf / 2.0 for p in plan.psi[:-1]):
+            return False
+        return not any(bound(p, w) > eta_inf for p in plan.eta)
 
     if s is not None:
         if not (0.0 <= s < T):
@@ -577,7 +504,7 @@ def controller_terminal_error_noise(model: SystemModel, eta_bar: float, epsilon:
         return ControllerTerminalNoise(plan), plan
 
     caps = [eta_inf / (12.0 * epsilon), 0.5]
-    caps += [eta_inf / (2.0 * abs(c)) for c in profile_coeffs if c != 0.0]
+    caps += [eta_inf / (2.0 * abs(c)) for c in slopes if c != 0.0]
     w = 0.9 * min(caps)
     for _ in range(200):
         plan = build(w)
@@ -618,10 +545,6 @@ class PreludeTerminalNoise(NoiseSource):
             return self.s
         return math.inf
 
-    @property
-    def switch_times(self) -> tuple[float, ...]:
-        return (self.s0, self.s)
-
 
 @dataclass(frozen=True)
 class AttackOutcome:
@@ -632,7 +555,7 @@ class AttackOutcome:
     verdict: bool
     trajectory: Trajectory
     schedule: Optional[SwitchingSchedule] = None
-    ramp: Optional[RampParameters] = None
+    ramp: Optional[DifferentiatorTerminalNoise] = None
     plan: Optional[CascadePlan] = None
     peaks: Optional[tuple[tuple[float, Optional[float]], ...]] = None
     terminal: Optional[np.ndarray] = None
@@ -664,10 +587,10 @@ def run_divergence_attack(model: SystemModel, eta_bar: float, thresholds=None,
     if model.variant == CONTROL_LOOP:
         noise = controller_divergence_noise(eta_bar, targets=targets, n=model.n,
                                             delta=delta, T=T)
-        kind = "controller-divergence"
+        kind, delta = "controller-divergence", noise.delta
     else:
         noise = differentiator_divergence_noise(eta_bar, targets=targets, T=T)
-        kind = "diff-divergence"
+        kind, delta = "diff-divergence", None
     x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
     traj = integrate(model, noise, x0, 0.0, t_end, opts)
     peaks = tuple(detect_peaks(traj, thresholds))
@@ -677,18 +600,18 @@ def run_divergence_attack(model: SystemModel, eta_bar: float, thresholds=None,
         notes = f"norm escape at t={traj.termination.t!r}"
         crossed = [(v, t) for v, t in peaks if t is not None]
         verdict = _ladder_verdict(crossed) and len(crossed) > 0
-    armed = len(noise.switch_times)
+    armed = len(traj.switch_times)
     if armed < len(noise.targets) and traj.termination.kind != BLOW_UP:
         notes = (notes + "; " if notes else "") + (
             f"partial schedule: {armed} of {len(noise.targets)} targets armed "
             "before the integration floor")
+    schedule = SwitchingSchedule(targets=noise.targets, delta=delta, times=traj.switch_times)
     return AttackOutcome(kind=kind, noise_bound=eta_bar, verdict=verdict, trajectory=traj,
-                         schedule=noise.realized_schedule(), peaks=peaks, notes=notes)
+                         schedule=schedule, peaks=peaks, notes=notes)
 
 
 def run_controller_terminal_attack(model: SystemModel, eta_bar: float, epsilon: float,
-                                   rho: float = 1e-6, profile_coeffs=None, psi_init=None,
-                                   s: Optional[float] = None,
+                                   rho: float = 1e-6, psi_init=None, s: Optional[float] = None,
                                    opts: Optional[IntegrationOptions] = None) -> AttackOutcome:
     """Prepared-state tracking attack: start on the plan and ride it to T.
 
@@ -696,9 +619,7 @@ def run_controller_terminal_attack(model: SystemModel, eta_bar: float, epsilon: 
     noise; reports the sup-norm tracking error and the terminal state at
     T - rho.  Verdict: terminal norm >= epsilon.
     """
-    noise, plan = controller_terminal_error_noise(model, eta_bar, epsilon,
-                                                  profile_coeffs=profile_coeffs,
-                                                  psi_init=psi_init, s=s)
+    noise, plan = controller_terminal_error_noise(model, eta_bar, epsilon, psi_init=psi_init, s=s)
     opts = opts or IntegrationOptions()
     T = model.horizon.T
     traj = integrate(model, noise, plan.initial_state(), plan.s, T - rho, opts)
@@ -801,10 +722,10 @@ def run_differentiator_terminal_attack(model: SystemModel, eta_bar: float, epsil
     """Ramp attack on the differentiator: verdict |x2(T - rho) + epsilon| <= tol*epsilon."""
     if model.variant != DIFF_ERROR:
         raise ValueError("ramp terminal attack applies to the differentiator error model")
-    noise = differentiator_terminal_error_noise(eta_bar, epsilon, T=model.horizon.T)
+    noise = DifferentiatorTerminalNoise(eta_bar, epsilon, T=model.horizon.T)
     opts = opts or IntegrationOptions()
     traj = integrate(model, noise, np.asarray(x0, dtype=float), 0.0, model.horizon.T - rho, opts)
     terminal = terminal_state(traj, rho)
     verdict = bool(abs(float(terminal[1]) + epsilon) <= tol * epsilon) and traj.completed
     return AttackOutcome(kind="diff-terminal", noise_bound=eta_bar, verdict=verdict,
-                         trajectory=traj, ramp=noise.ramp(), terminal=terminal)
+                         trajectory=traj, ramp=noise, terminal=terminal)

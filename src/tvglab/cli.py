@@ -368,6 +368,15 @@ def _cross_validate(cfg: ExperimentConfig, violations: list[str]) -> None:
         violations.append("attack.prelude requires attack.x0")
     if scenario == "simulate" and cfg.values.get("sim.x0") is None:
         violations.append("scenario simulate requires sim.x0")
+    if scenario == "verify-deadline":
+        T, rho = cfg.values["system.T"], cfg.values["deadline.rho"]
+        outside = [s for s in cfg.values["deadline.starts"] if not (0.0 <= s < T - rho)]
+        if outside:
+            violations.append(f"deadline.starts: {', '.join(repr(s) for s in outside)} outside "
+                              f"[0, system.T - deadline.rho) = [0, {T - rho!r})")
+    empty_keys = {"verify-deadline": ("deadline.starts", "deadline.ics"),
+                  "workaround": ("workaround.ics",)}.get(scenario.split(".", 1)[0], ())
+    violations.extend(f"{key} must not be empty" for key in empty_keys if not cfg.values[key])
     kind_key = "system.controller" if variant == CONTROL_LOOP else "system.injection"
     if cfg.values[kind_key] == "rational_tvg" and cfg.values.get("system.gains") is None:
         violations.append(f"{kind_key} = rational_tvg requires system.gains")

@@ -242,10 +242,6 @@ class NoiseSource:
     def next_discontinuity(self, t: float) -> float:
         return math.inf
 
-    @property
-    def switch_times(self) -> tuple[float, ...]:
-        return ()
-
 
 class ZeroNoise(NoiseSource):
     """Noise-free measurement channel; vector when n is given, else scalar."""

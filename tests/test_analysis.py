@@ -237,6 +237,20 @@ def test_deadzone_entry_prevented_by_small_noise():
     assert abs(case.final_state[1]) > 1.0
 
 
+def test_workarounds_take_a_noise_factory_not_an_instance():
+    # one stateful source shared by two identical cases would switch in the
+    # first and start the second already switched
+    noise = controller_divergence_noise(1e-2)
+    with pytest.raises(TypeError):
+        evaluate_deadzone(reference_loop(rho_min=1e-6), 1e-2, ((10.0, 0.0), (10.0, 0.0)),
+                          noise=noise)
+    with pytest.raises(TypeError):
+        evaluate_stop_time(reference_loop(), 0.9, ((1.0, 0.0),), noise=noise)
+    report = evaluate_deadzone(reference_loop(rho_min=1e-6), 1e-2, ((10.0, 0.0), (10.0, 0.0)),
+                               noise=lambda: controller_divergence_noise(1e-2))
+    assert report.cases[0] == report.cases[1]
+
+
 def test_deadzone_validates_width():
     with pytest.raises(ValueError):
         evaluate_deadzone(reference_loop(), 0.0, ((1.0, 0.0),))

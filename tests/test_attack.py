@@ -20,7 +20,12 @@ from tvglab.attack import (
     run_divergence_attack,
     terminal_plan_window,
 )
-from tvglab.core import NoiseBoundViolation, differentiator_error_model, reference_loop
+from tvglab.core import (
+    NoiseBoundViolation,
+    differentiator_error_model,
+    rational_loop,
+    reference_loop,
+)
 from tvglab.integrate import integrate
 
 
@@ -70,6 +75,7 @@ def test_controller_divergence_ladder_small_bound():
     assert times[0] == pytest.approx(0.9953707191605528, rel=1e-9)
     assert times[-1] == pytest.approx(0.9995623876773592, rel=1e-9)
     assert len(outcome.schedule.times) == 7
+    assert outcome.schedule.times == outcome.trajectory.switch_times
     assert outcome.trajectory.completed
 
 
@@ -91,6 +97,8 @@ def test_differentiator_divergence_ladder():
     assert all(t is not None and t < 1.0 - 1e-9 for t in times)
     assert times == sorted(times)
     assert times[0] == pytest.approx(0.9872415959214417, rel=1e-9)
+    assert outcome.schedule.delta is None
+    assert outcome.schedule.times == outcome.trajectory.switch_times
     outcome3 = run_divergence_attack(differentiator_error_model(rho_min=1e-9), 1e-3)
     assert outcome3.verdict
     assert all(t is not None for _, t in outcome3.peaks)
@@ -148,6 +156,7 @@ def test_differentiator_terminal_error_pins_x2(eta_bar, epsilon, s_expected):
         out = run_differentiator_terminal_attack(model, eta_bar, epsilon, np.array(ic))
         assert out.kind == "diff-terminal"
         assert out.ramp.s == pytest.approx(s_expected, abs=1e-14)
+        assert (out.ramp.eta_bar, out.ramp.epsilon, out.ramp.T) == (eta_bar, epsilon, 1.0)
         assert out.verdict
         assert abs(out.terminal[1] + epsilon) <= 1e-3 * epsilon
         assert float(np.max(np.abs(out.trajectory.etas))) <= eta_bar * (1 + 1e-12)
@@ -164,10 +173,12 @@ def test_terminal_plan_window_reference_point():
 
 def test_cascade_plan_structure():
     noise, plan = controller_terminal_error_noise(reference_loop(), 0.1, 0.5)
-    # last channel is parked at -2 epsilon; first follows a straight line in u
-    assert plan.psi[-1].coeffs == {0: -1.0}
-    assert plan.profile[0].coeffs[1] == pytest.approx(4.0 * 0.5 / 3.0)
-    assert plan.forcing.coeffs == {}
+    # polynomials in u = T - t are coefficient tuples indexed by power: the
+    # last channel is parked at -2 epsilon, the profile is a straight line in u
+    assert plan.psi[-1] == (-1.0,)
+    assert plan.profile[0][0] == 0.0
+    assert plan.profile[0][1] == pytest.approx(4.0 * 0.5 / 3.0)
+    assert plan.forcing == ()
     assert plan.psi_init == (0.0,)
     x_start = plan.initial_state()
     assert x_start[1] == pytest.approx(-1.0)
@@ -176,6 +187,24 @@ def test_cascade_plan_structure():
         eta = plan.noise_at(t)
         assert np.linalg.norm(eta) <= 0.1 + 1e-12
     assert noise.bound == 0.1
+
+
+@pytest.mark.parametrize("psi_init", [None, (0.003, -0.002)])
+def test_order_three_cascade_plan(psi_init):
+    model = rational_loop([[(-60.0, 3)], [(-36.0, 2)], [(-9.0, 1)]])
+    _, plan = controller_terminal_error_noise(model, 0.1, 0.5, psi_init=psi_init)
+    assert len(plan.psi[0]) == 3 and plan.psi[0][2] != 0.0  # psi_1 has degree 2
+    ts = np.linspace(plan.s, 1.0 - 1e-9, 200)
+    states = plan.state_at(ts)
+    for i in range(plan.n - 1):
+        # d/dt sum c_m u^m = -sum m c_m u^(m-1) along u = T - t
+        rate = tuple(-m * c for m, c in enumerate(plan.psi[i]))[1:]
+        u = 1.0 - ts
+        d_psi = sum(c * u**m for m, c in enumerate(rate))
+        assert d_psi == pytest.approx(states[:, i + 1], rel=1e-12, abs=1e-15)
+    assert plan.state_at(plan.s)[-1] == pytest.approx(-1.0, abs=1e-15)
+    assert plan.state_at(plan.s)[:-1] == pytest.approx(psi_init or (0.0, 0.0), abs=1e-15)
+    assert np.all(np.linalg.norm(plan.noise_at(ts), axis=1) <= 0.1)
 
 
 def test_tracking_noise_over_its_bound_fails_the_run():

@@ -117,7 +117,14 @@ _REFERENCE_AT_T2 = ["simulate", "--system.T", "2", "--sim.x0", "1,0"]
 @pytest.mark.parametrize("argv, message", [
     (_PRELUDE_WITHOUT_X0, "attack.prelude requires attack.x0"),
     (_REFERENCE_AT_T2, "system.T: the reference controller is defined for T = 1"),
-], ids=["prelude_without_x0", "reference_at_T2"])
+    (["verify-deadline", "--deadline.starts", "0.5,1.5,-0.1"],
+     "deadline.starts: 1.5, -0.1 outside [0, system.T - deadline.rho) = [0, 0.999)"),
+    (["verify-deadline", "--deadline.starts", ""], "deadline.starts must not be empty"),
+    (["verify-deadline", "--deadline.ics", ""], "deadline.ics must not be empty"),
+    (["workaround", "--workaround.variant", "deadzone", "--workaround.ics", ""],
+     "workaround.ics must not be empty"),
+], ids=["prelude_without_x0", "reference_at_T2", "deadline_starts_out_of_range",
+        "deadline_starts_empty", "deadline_ics_empty", "workaround_ics_empty"])
 def test_model_config_errors_fail_at_parse_time(tmp_path, capsys, argv, message):
     subcommand, *flags = argv
     _, overrides, _ = cli._split_flags(flags)
