@@ -161,6 +161,16 @@ SCENARIOS: dict[str, list[str]] = {
     "verify_starts_empty": ["verify-deadline", "--deadline.starts", ""],
     "workaround_ics_empty": ["workaround", "--workaround.variant", "stop-time",
                              "--workaround.ics", ""],
+    "sim_x0_wrong_length": ["simulate", "--sim.x0", "1,0,0"],
+    "verify_ics_wrong_length": ["verify-deadline", "--deadline.ics", "1,0,0"],
+    "workaround_ics_wrong_length": ["workaround", "--workaround.variant", "stop-time",
+                                    "--workaround.ics", "1,0,0"],
+    "attack_prelude_x0_wrong_length": ["attack", "--attack.kind", "controller-terminal",
+                                       "--attack.prelude", "true", "--attack.x0", "1,0,0",
+                                       "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
+    "attack_diff_terminal_x0_wrong_length": ["attack", "--attack.kind", "diff-terminal",
+                                             "--attack.x0", "1,0,0", "--attack.eta_bar", "0.1",
+                                             "--attack.epsilon", "1.0"],
 }
 
 # name -> exit code, for every scenario that does not exit 0 (1 config error,
@@ -172,6 +182,11 @@ EXPECTED_EXIT: dict[str, int] = {
     "verify_starts_out_of_range": 1,
     "verify_starts_empty": 1,
     "workaround_ics_empty": 1,
+    "sim_x0_wrong_length": 1,
+    "verify_ics_wrong_length": 1,
+    "workaround_ics_wrong_length": 1,
+    "attack_prelude_x0_wrong_length": 1,
+    "attack_diff_terminal_x0_wrong_length": 1,
     "attack_prelude_step_underflow": 2,
     "attack_controller_terminal_late_s": 2,
     "workaround_stop_time_max_norm_50": 2,

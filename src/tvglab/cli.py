@@ -361,8 +361,15 @@ def _cross_validate(cfg: ExperimentConfig, violations: list[str]) -> None:
     if scenario in ("attack.controller-terminal", "attack.diff-terminal") \
             and cfg.values.get("attack.epsilon") is None:
         violations.append(f"scenario {scenario} requires attack.epsilon")
-    if scenario == "attack.diff-terminal" and cfg.values.get("attack.x0") is None:
-        cfg.values["attack.x0"] = (0.0,) * cfg.values["system.n"]
+    kind_key = "system.controller" if variant == CONTROL_LOOP else "system.injection"
+    # channels of the model build_model makes (unknown without system.gains)
+    kind, gains = cfg.values[kind_key], cfg.values.get("system.gains")
+    if kind == "rational_tvg":
+        n = None if gains is None else len(gains)
+    else:
+        n = cfg.values["system.n"] if kind == "zero" else 2
+    if scenario == "attack.diff-terminal" and cfg.values.get("attack.x0") is None and n:
+        cfg.values["attack.x0"] = (0.0,) * n
     if scenario == "attack.controller-terminal" and cfg.values["attack.prelude"] \
             and cfg.values.get("attack.x0") is None:
         violations.append("attack.prelude requires attack.x0")
@@ -374,13 +381,21 @@ def _cross_validate(cfg: ExperimentConfig, violations: list[str]) -> None:
         if outside:
             violations.append(f"deadline.starts: {', '.join(repr(s) for s in outside)} outside "
                               f"[0, system.T - deadline.rho) = [0, {T - rho!r})")
+    base = scenario.split(".", 1)[0]
     empty_keys = {"verify-deadline": ("deadline.starts", "deadline.ics"),
-                  "workaround": ("workaround.ics",)}.get(scenario.split(".", 1)[0], ())
+                  "workaround": ("workaround.ics",)}.get(base, ())
     violations.extend(f"{key} must not be empty" for key in empty_keys if not cfg.values[key])
-    kind_key = "system.controller" if variant == CONTROL_LOOP else "system.injection"
-    if cfg.values[kind_key] == "rational_tvg" and cfg.values.get("system.gains") is None:
+    start_keys = {"simulate": "sim.x0", "verify-deadline": "deadline.ics",
+                  "workaround": "workaround.ics", "attack": "attack.x0"}
+    key = start_keys.get(base)
+    if n and key and cfg.values.get(key) is not None:
+        states = cfg.values[key] if key.endswith(".ics") else (cfg.values[key],)
+        wrong = [",".join(repr(v) for v in x) for x in states if len(x) != n]
+        if wrong:
+            violations.append(f"{key}: the model has {n} channels, got {'; '.join(wrong)}")
+    if kind == "rational_tvg" and gains is None:
         violations.append(f"{kind_key} = rational_tvg requires system.gains")
-    if cfg.values[kind_key] == "reference" and scenario != "selftest" \
+    if kind == "reference" and scenario != "selftest" \
             and "system.T" in cfg.explicit and cfg.values["system.T"] != 1.0:
         violations.append("system.T: the reference controller is defined for T = 1")
     if cfg.values.get("disturbance.kind") != "zero":

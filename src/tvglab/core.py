@@ -283,6 +283,7 @@ class SystemModel:
         object.__setattr__(self, "_T", self.horizon.T)
         object.__setattr__(self, "_control", self.variant == CONTROL_LOOP)
         object.__setattr__(self, "_channels", self.gains.gains)
+        object.__setattr__(self, "_terms", tuple(g.terms for g in self.gains.gains))
         object.__setattr__(self, "_zero_disturbance", self.disturbance.kind == "zero")
 
     @property
@@ -293,27 +294,47 @@ class SystemModel:
     def T(self) -> float:
         return self.horizon.T
 
-    def rhs(self, t: float, x: np.ndarray, eta) -> np.ndarray:
+    def rhs(self, t: float, x, eta) -> np.ndarray:
         """Chain derivative under the measured signal: the feedback
         v(t, x + eta) of the control loop, or the injections
         phi(t, x_1 + eta_1) of the differentiator; d enters the last channel.
-        Rejects t >= T."""
+
+        x is a list of floats or a 1-D array.  eta is the control loop's
+        noise vector (array or list) or a scalar that broadcasts, or the
+        differentiator's scalar (a float or a one-element array).  Returns
+        an array.  Rejects t >= T.
+        """
         u = self._T - t
         if u <= 0.0:
             raise ValueError(f"gains evaluated at t={t!r} >= deadline T={self._T!r}")
         # adding the zero disturbance still turns a -0.0 output into 0.0
         d = 0.0 if self._zero_disturbance else self.disturbance(t)
-        tail = x.tolist()[1:]
+        xs = x if type(x) is list else x.tolist()
+        tail = xs[1:]
+        # each gain g sums its terms as RationalGain.value_at does, in order
         if self._control:
+            if type(eta) is not list or len(eta) != len(xs):
+                eta = np.asarray(eta, dtype=float)
+                if eta.shape != (len(xs),):
+                    eta = np.broadcast_to(eta, (len(xs),))  # raises as x + eta would
+                eta = eta.tolist()
             out = 0.0
-            for g, xi in zip(self._channels, (x + eta).tolist()):
-                out += g.value_at(u) * xi
+            for terms, xi, ei in zip(self._terms, xs, eta):
+                g = 0.0
+                for c, p in terms:
+                    g += c / u**p
+                out += g * (xi + ei)
             if not math.isfinite(out):
                 raise NumericalFailure(f"controller output not finite at t={t!r}")
             tail.append(out + d)
             return np.array(tail)
-        y = (x[0] + eta).item()  # eta is a scalar or a length-1 array
-        out = [g.value_at(u) * y for g in self._channels]
+        y = xs[0] + (eta if type(eta) is float else np.asarray(eta, dtype=float).item())
+        out = []
+        for terms in self._terms:
+            g = 0.0
+            for c, p in terms:
+                g += c / u**p
+            out.append(g * y)
         if not all(map(math.isfinite, out)):
             raise NumericalFailure(f"injection output not finite at t={t!r}")
         dx = [xi + phi for xi, phi in zip(tail, out)]

@@ -204,11 +204,13 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     bound_slack = noise.bound * (1.0 + 1e-9) + 1e-300
 
     def eta_at(t, state):
-        """The noise queried at (t, state), checked against its bound."""
+        """The noise queried at (t, state), checked against its bound: a
+        fresh list of floats for the control loop, a float for the
+        differentiator.  Stages and sample records use it alike."""
         e = noise.value(t, state)
         if is_control:
-            e = np.asarray(e, dtype=float)
-            norm = math.hypot(*e.tolist())
+            e = np.asarray(e, dtype=float).tolist()
+            norm = math.hypot(*e)
         else:
             e = float(e)
             norm = abs(e)
@@ -230,10 +232,11 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     switch_times: list[float] = []
 
     def record_sample(t, state, e):
-        """Record a sample; state is a fresh array that nothing modifies later."""
+        """Record a sample; state is a fresh array and e a value from eta_at,
+        neither modified later."""
         sample_ts.append(t)
         sample_xs.append(state)
-        sample_etas.append(e.copy() if is_control else e)  # eta_at's array or float
+        sample_etas.append(e)
 
     # initial commitment: let the source latch its first segment, then record
     noise.observe(t0, x)
@@ -291,21 +294,23 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         # one trial Dormand-Prince step.  The stage sums stay numpy dot
         # products, whose BLAS kernel sets their rounding (the method form
         # skips np.dot's dispatch); every elementwise operation runs on Python
-        # floats, which round it as numpy does.  A non-finite stage makes err
-        # NaN or inf, so "not err <= 1.0" rejects it like a raised
-        # NumericalFailure.  max() drops a NaN that np.maximum would keep, but
-        # a NaN in x_new comes with a non-finite error term in its channel
+        # floats, which round it as numpy does.  Stage states stay lists of
+        # floats for model.rhs; only the noise source gets them as arrays, as
+        # its contract says.  A non-finite stage makes err NaN or inf, so
+        # "not err <= 1.0" rejects it like a raised NumericalFailure.  max()
+        # drops a NaN that np.maximum would keep, but a NaN in x_new comes
+        # with a non-finite error term in its channel
         try:
             k[0] = f_start
             for i, (c, arow, k_head) in enumerate(stages, start=1):
                 ts_i = t + c * h
-                xs_i = np.array([a + h * b for a, b in zip(x_list, arow.dot(k_head).tolist())])
-                k[i] = model.rhs(ts_i, xs_i, eta_at(ts_i, xs_i))
+                xl_i = [a + h * b for a, b in zip(x_list, arow.dot(k_head).tolist())]
+                k[i] = model.rhs(ts_i, xl_i, eta_at(ts_i, np.array(xl_i)))
             new_list = [a + h * b for a, b in zip(x_list, _DP_B.dot(k_b).tolist())]
             x_new = np.array(new_list)
             t_new = barrier if at_barrier else t + h
             eta_new = eta_at(t_new, x_new)
-            k[6] = model.rhs(t_new, x_new, eta_new)
+            k[6] = model.rhs(t_new, new_list, eta_new)
             qs = [h * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
                   for a, b, e in zip(x_list, new_list, _DP_E.dot(k).tolist())]
             if n < 8:  # numpy's sum adds up to 7 terms in order, more pairwise

@@ -123,8 +123,25 @@ _REFERENCE_AT_T2 = ["simulate", "--system.T", "2", "--sim.x0", "1,0"]
     (["verify-deadline", "--deadline.ics", ""], "deadline.ics must not be empty"),
     (["workaround", "--workaround.variant", "deadzone", "--workaround.ics", ""],
      "workaround.ics must not be empty"),
+    (["simulate", "--sim.x0", "1,0,0"], "sim.x0: the model has 2 channels, got 1.0,0.0,0.0"),
+    (["verify-deadline", "--deadline.ics", "1,0; 1,0,0; 2"],
+     "deadline.ics: the model has 2 channels, got 1.0,0.0,0.0; 2.0"),
+    (["workaround", "--workaround.variant", "stop-time", "--workaround.ics", "1,0,0"],
+     "workaround.ics: the model has 2 channels, got 1.0,0.0,0.0"),
+    (_PRELUDE_WITHOUT_X0 + ["--attack.x0", "1,0,0"],
+     "attack.x0: the model has 2 channels, got 1.0,0.0,0.0"),
+    (["attack", "--attack.kind", "diff-terminal", "--attack.eta_bar", "0.1",
+      "--attack.epsilon", "1", "--attack.x0", "1,0,0"],
+     "attack.x0: the model has 2 channels, got 1.0,0.0,0.0"),
+    (["simulate", "--system.controller", "zero", "--system.n", "3", "--sim.x0", "1,0"],
+     "sim.x0: the model has 3 channels, got 1.0,0.0"),
+    (["simulate", "--system.controller", "rational_tvg", "--system.gains", "-1,1; -1,1; -1,1",
+      "--sim.x0", "1,0"], "sim.x0: the model has 3 channels, got 1.0,0.0"),
 ], ids=["prelude_without_x0", "reference_at_T2", "deadline_starts_out_of_range",
-        "deadline_starts_empty", "deadline_ics_empty", "workaround_ics_empty"])
+        "deadline_starts_empty", "deadline_ics_empty", "workaround_ics_empty",
+        "sim_x0_length", "deadline_ics_length", "workaround_ics_length",
+        "prelude_x0_length", "diff_terminal_x0_length", "zero_table_x0_length",
+        "rational_table_x0_length"])
 def test_model_config_errors_fail_at_parse_time(tmp_path, capsys, argv, message):
     subcommand, *flags = argv
     _, overrides, _ = cli._split_flags(flags)
@@ -275,7 +292,8 @@ def test_gains_echo_parses_back_with_an_empty_channel():
     echo = [line for line in cli.config_echo_lines(cfg)
             if line.startswith("# config: system.gains = ")]
     assert len(echo) == 1
-    back = parse_config("scenario = simulate\nsim.x0 = 1,0,0\n" + echo[0][len("# config: "):])
+    back = parse_config("scenario = simulate\nsim.x0 = 1,0,0\nsystem.controller = rational_tvg\n"
+                        + echo[0][len("# config: "):])
     assert back.values["system.gains"] == tables
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvglab.analysis import gain_bound_at
@@ -197,6 +197,90 @@ def test_model_rhs_injects_measured_first_component():
     assert f[1] == pytest.approx(-31.0 * 2.25)
 
 
+def _array_rhs(model, t, x, eta):
+    """The right-hand side as written before it took lists, kept as the
+    reference: numpy adds the measured signal and RationalGain.value_at
+    evaluates each gain."""
+    u = model.T - t
+    d = model.disturbance(t)
+    tail = x.tolist()[1:]
+    if model.variant == CONTROL_LOOP:
+        out = 0.0
+        for g, xi in zip(model.gains.gains, (x + eta).tolist()):
+            out += g.value_at(u) * xi
+        tail.append(out + d)
+        return np.array(tail)
+    y = (x[0] + eta).item()
+    out = [g.value_at(u) * y for g in model.gains.gains]
+    dx = [xi + phi for xi, phi in zip(tail, out)]
+    dx.append(d + out[-1])
+    return np.array(dx)
+
+
+_signed_floats = st.one_of(st.sampled_from([0.0, -0.0]),
+                           st.floats(min_value=-1e3, max_value=1e3))
+_channel = st.lists(st.tuples(st.floats(min_value=-100.0, max_value=100.0),
+                              st.integers(min_value=0, max_value=5)), max_size=3)
+
+
+@st.composite
+def _rhs_cases(draw):
+    """(variant, tables, T, u = T - t, constant disturbance or None, x, noise)."""
+    variant = draw(st.sampled_from([CONTROL_LOOP, DIFF_ERROR]))
+    tables = draw(st.lists(_channel, min_size=2, max_size=4))
+    T = draw(st.sampled_from([1.0, 3.0]))
+    u = T * math.exp(draw(st.floats(min_value=math.log(1e-9), max_value=0.0)))
+    d = draw(st.one_of(st.none(), _signed_floats))
+    n = len(tables)
+    x = draw(st.lists(_signed_floats, min_size=n, max_size=n))
+    e = draw(st.lists(_signed_floats, min_size=n, max_size=n)
+             if variant == CONTROL_LOOP else _signed_floats)
+    return variant, tables, T, u, d, x, e
+
+
+# 0.1 + 0.2 + 0.3 rounds differently when summed from the other end, and at
+# this u numpy's u**3 differs from Python's in the last bit
+_ORDER = [((0.1, 0), (0.2, 0), (0.3, 0)), ()]
+_POWER = [((1.0, 3),), ((1.0, 0),)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rhs_cases())
+@example((CONTROL_LOOP, _ORDER, 1.0, 0.5, None, [1.0, 0.0], [0.0, 0.0]))
+@example((DIFF_ERROR, _ORDER, 1.0, 0.5, None, [1.0, 0.0], 0.0))
+@example((CONTROL_LOOP, _POWER, 1.0, 0.876515103851089, None, [1.0, 0.0], [0.0, 0.0]))
+@example((DIFF_ERROR, _POWER, 1.0, 0.876515103851089, None, [1.0, 0.0], 0.0))
+def test_rhs_on_lists_equals_rhs_on_arrays_and_the_array_formula(case):
+    """Bit for bit, for every x and eta form; a term sum in another order or
+    numpy's power in place of Python's ** fails this."""
+    variant, tables, T, u, d, x, e = case
+    make = rational_loop if variant == CONTROL_LOOP else rational_diff_error
+    dist = None if d is None else DisturbanceSpec(kind="constant", bound=abs(d), value=d)
+    model = make(tables, T=T, disturbance=dist)
+    t = T - u
+    if variant == CONTROL_LOOP:
+        etas = [np.array(e), list(e), e[0], np.float64(e[0]), np.array(e[0])]
+    else:
+        etas = [e, np.float64(e), np.array([e])]
+    for eta in etas:
+        expected = _array_rhs(model, t, np.array(x), eta).tobytes()
+        from_list = model.rhs(t, list(x), eta)
+        assert type(from_list) is np.ndarray
+        assert from_list.tobytes() == expected
+        assert model.rhs(t, np.array(x), eta).tobytes() == expected
+    for late in (T, T + 0.5):
+        with pytest.raises(ValueError):
+            model.rhs(late, list(x), etas[0])
+
+
+def test_rhs_keeps_a_negative_zero_output():
+    d = DisturbanceSpec(kind="constant", bound=0.0, value=-0.0)
+    model = rational_diff_error([((1.0, 1),), ((2.0, 0),)], disturbance=d)
+    for x in ([-0.0, -0.0], np.array([-0.0, -0.0])):
+        f = model.rhs(0.5, x, -0.0)
+        assert f.tolist() == [0.0, 0.0] and np.all(np.signbit(f))
+
+
 def test_open_loop_chain_is_a_pure_integrator():
     model = open_loop_chain()
     f = model.rhs(0.3, np.array([4.0, -2.0]), np.zeros(2))
@@ -221,6 +305,21 @@ def test_gain_output_diff_is_largest_injection_channel():
 # NaN channel adds the opposite inf to it.
 _NAN_CHANNEL = ((1e308, 2), (-1e308, 2))
 _MINUS_INF_CHANNEL = ((-1e308, 2),)
+
+
+def test_rhs_rejects_bad_inputs():
+    loop = rational_loop([_NAN_CHANNEL, ((1.0, 0),)])
+    diff = rational_diff_error([((1.0, 0),), _MINUS_INF_CHANNEL])
+    for x in ([1.0, 0.0], np.array([1.0, 0.0])):
+        with pytest.raises(NumericalFailure):
+            loop.rhs(0.5, x, [0.0, 0.0])
+        with pytest.raises(NumericalFailure):
+            diff.rhs(0.5, x, 0.0)
+        # a differentiator measures one channel; a loop eta must broadcast
+        with pytest.raises(ValueError):
+            differentiator_error_model().rhs(0.5, x, np.array([0.1, 0.2]))
+        with pytest.raises(ValueError):
+            reference_loop().rhs(0.5, x, [0.1, 0.2, 0.3])
 
 
 def _gain_output(model):

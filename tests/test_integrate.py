@@ -327,7 +327,7 @@ def test_noise_bound_is_checked_at_stage_queries():
 
 
 class _CountingLoop(SystemModel):
-    """Reference loop that counts its right-hand-side evaluations."""
+    """System model that counts its right-hand-side evaluations."""
 
     calls = 0
 
@@ -336,20 +336,23 @@ class _CountingLoop(SystemModel):
         return super().rhs(t, x, eta)
 
 
-class _CountingZeroNoise(ZeroNoise):
-    """Zero noise that counts its queries."""
+def _count_queries(noise):
+    """The noise source, counting its value queries in noise.calls."""
+    value = noise.value
+    noise.calls = 0
 
-    calls = 0
+    def counted(t, x):
+        noise.calls += 1
+        return value(t, x)
 
-    def value(self, t, x):
-        self.calls += 1
-        return super().value(t, x)
+    noise.value = counted
+    return noise
 
 
 def test_reference_run_work_is_pinned():
     ref = reference_loop()
     model = _CountingLoop(ref.variant, ref.horizon, ref.gains)
-    noise = _CountingZeroNoise(model.n)
+    noise = _count_queries(ZeroNoise(model.n))
     traj = integrate(model, noise, np.array([1.0, 0.0]), 0.0, 1.0 - 1e-9)
     steps = len(traj.knot_ts) - 1
     assert traj.completed
@@ -357,6 +360,22 @@ def test_reference_run_work_is_pinned():
     assert model.calls == 2959 == 1 + 6 * steps  # FSAL, no rejected step
     # one query per right-hand side: a committed step records the noise its
     # last stage queried
+    assert noise.calls == model.calls
+
+
+@pytest.mark.parametrize("make_model, make_noise, steps, calls, switches", [
+    (differentiator_error_model, ZeroNoise, 469, 2839, 0),
+    (reference_loop, lambda: controller_divergence_noise(1e-2), 782, 4808, 7),
+], ids=["differentiator", "controller_divergence"])
+def test_work_beyond_the_reference_run_is_pinned(make_model, make_noise, steps, calls, switches):
+    src = make_model()
+    model = _CountingLoop(src.variant, src.horizon, src.gains)
+    noise = _count_queries(make_noise())
+    traj = integrate(model, noise, np.array([1.0, -0.5]), 0.0, 1.0 - 1e-9)
+    assert traj.completed
+    assert len(traj.knot_ts) - 1 == steps and len(traj.switch_times) == switches
+    # 1 + 6 per trial step + 1 per switch: rejected trial steps make the rest
+    assert model.calls == calls > 1 + 6 * steps + switches
     assert noise.calls == model.calls
 
 
