@@ -14,7 +14,9 @@ path is replaced by "<root>" in stdout and stderr, so two checkouts at
 different paths can be compared.  OUT/MANIFEST.sha256 lists the sha256 of
 every file under OUT, in `sha256sum` format and sorted by path.  The script
 exits 1 when any run's exit code differs from EXPECTED_EXIT (0 for runs not
-listed there); exit codes, unlike hashes, are the same on every machine.
+listed there), or when a run expected to exit 1 (a config error) leaves any
+file under artifacts/; exit codes, unlike hashes, are the same on every
+machine.
 
 Two checkouts are byte-identical on these runs when their manifests are:
 
@@ -171,6 +173,31 @@ SCENARIOS: dict[str, list[str]] = {
     "attack_diff_terminal_x0_wrong_length": ["attack", "--attack.kind", "diff-terminal",
                                              "--attack.x0", "1,0,0", "--attack.eta_bar", "0.1",
                                              "--attack.epsilon", "1.0"],
+    "sim_n_mismatch": ["simulate", "--system.n", "3", "--sim.x0", "1,0"],
+    # config errors the model's constructors find at parse time
+    "sim_rho_min_past_T": ["simulate", "--sim.x0", "1,0", "--system.rho_min", "2"],
+    "sim_rational_negative_pole": ["simulate", "--system.controller", "rational_tvg",
+                                   "--system.gains", "-6,-2; -4,1", "--sim.x0", "1,0"],
+    "sim_rational_one_channel": ["simulate", "--system.controller", "rational_tvg",
+                                 "--system.gains", "-6,2", "--sim.x0", "1"],
+    "sim_piecewise_unsorted": ["simulate", "--sim.x0", "1,0", "--disturbance.kind", "piecewise",
+                               "--disturbance.bound", "0.5",
+                               "--disturbance.samples", "0.6,0.1; 0.2,0.1"],
+    # config errors the library finds when the scenario runs; nothing is written
+    "sim_rho_min_below_min_step": ["simulate", "--sim.x0", "1,0", "--system.rho_min", "1e-20"],
+    "sim_t_end_past_floor": ["simulate", "--sim.x0", "1,0", "--sim.t_end", "5"],
+    "gain_scan_rhos_increasing": ["gain-scan", "--scan.rhos", "0.1,0.2"],
+    "verify_shrink_rhos_increasing": ["verify-deadline", "--deadline.shrink_rhos", "1e-4,1e-3"],
+    "workaround_t_stop_past_T": ["workaround", "--workaround.variant", "stop-time",
+                                 "--workaround.t_stop", "2"],
+    "attack_controller_divergence_targets_decreasing": [
+        "attack", "--attack.kind", "controller-divergence", "--attack.eta_bar", "0.01",
+        "--attack.targets", "2,1"],
+    "attack_controller_terminal_psi_init_length": [
+        "attack", "--attack.kind", "controller-terminal", "--attack.eta_bar", "0.01",
+        "--attack.epsilon", "0.5", "--attack.psi_init", "0,0"],
+    "attack_diff_terminal_ramp_before_0": ["attack", "--attack.kind", "diff-terminal",
+                                           "--attack.eta_bar", "1", "--attack.epsilon", "0.1"],
 }
 
 # name -> exit code, for every scenario that does not exit 0 (1 config error,
@@ -187,8 +214,21 @@ EXPECTED_EXIT: dict[str, int] = {
     "workaround_ics_wrong_length": 1,
     "attack_prelude_x0_wrong_length": 1,
     "attack_diff_terminal_x0_wrong_length": 1,
+    "sim_n_mismatch": 1,
+    "sim_rho_min_past_T": 1,
+    "sim_rational_negative_pole": 1,
+    "sim_rational_one_channel": 1,
+    "sim_piecewise_unsorted": 1,
+    "sim_rho_min_below_min_step": 1,
+    "sim_t_end_past_floor": 1,
+    "gain_scan_rhos_increasing": 1,
+    "verify_shrink_rhos_increasing": 1,
+    "workaround_t_stop_past_T": 1,
+    "attack_controller_divergence_targets_decreasing": 1,
+    "attack_controller_terminal_psi_init_length": 1,
+    "attack_diff_terminal_ramp_before_0": 1,
+    "attack_controller_terminal_late_s": 1,
     "attack_prelude_step_underflow": 2,
-    "attack_controller_terminal_late_s": 2,
     "workaround_stop_time_max_norm_50": 2,
     "workaround_deadzone_max_norm_50": 2,
     "verify_max_norm_2": 2,
@@ -256,11 +296,15 @@ def main(argv: list[str]) -> int:
     wrong = 0
     for name, code in run_all(out_root):
         expected = EXPECTED_EXIT.get(name, 0)
-        print(f"{code}  {name}" + ("" if code == expected else f"  (expected {expected})"))
-        wrong += code != expected
+        note = "" if code == expected else f"  (expected {expected})"
+        if expected == 1 and any((out_root / name / "artifacts").iterdir()):
+            note += "  (a config error wrote artifacts)"
+        print(f"{code}  {name}{note}")
+        wrong += note != ""
     print(f"manifest: {write_manifest(out_root)}")
     if wrong:
-        print(f"golden_run: {wrong} exit code(s) differ from EXPECTED_EXIT", file=sys.stderr)
+        print(f"golden_run: {wrong} run(s) differ from EXPECTED_EXIT or wrote artifacts "
+              "on a config error", file=sys.stderr)
         return 1
     return 0
 

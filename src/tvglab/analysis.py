@@ -7,7 +7,9 @@ the time approaches T.  falsify_uniform_stability produces, for any pair
 (delta, epsilon), a noise-free trajectory that starts with norm delta and
 provably exceeds epsilon.  evaluate_stop_time and evaluate_deadzone measure
 the two standard mitigation strategies: freezing the algorithm at a fixed
-time, and freezing it once the state enters a small box.
+time, and freezing it once the state enters a small box.  The sweeps record
+a case whose run fails numerically (NumericalFailure) as a failed case;
+bad input raises ValueError.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .integrate import (
     EVENT,
     IntegrationOptions,
     Trajectory,
+    _require_complete,
     integrate,
     terminal_state,
 )
@@ -85,29 +88,24 @@ def check_absolute_deadline(model: SystemModel, start_times: Sequence[float],
     T = model.horizon.T
     if rho <= 0.0 or T - rho <= 0.0:
         raise ValueError("rho must lie in (0, T)")
+    outside = [s for s in start_times if not (0.0 <= s < T - rho)]
+    if outside:
+        raise ValueError(f"start times {outside!r} outside [0, T - rho) = [0, {T - rho!r})")
     cases = []
     for s in start_times:
         for xi in initial_conditions:
             xi_arr = np.asarray(xi, dtype=float)
             bound = tol * max(1.0, float(np.linalg.norm(xi_arr)))
-            if not (0.0 <= s < T - rho):
-                cases.append(DeadlineCase(s=float(s), xi=tuple(map(float, xi_arr)),
-                                          terminal_norm=None, bound=bound, passed=False,
-                                          failure=f"start time {s!r} outside [0, T - rho)"))
-                continue
+            nrm, failure = None, ""
             try:
                 traj = integrate(model, None, xi_arr, float(s), T - rho, opts)
-                if not traj.completed:
-                    raise NumericalFailure(
-                        f"integration stopped early: {traj.termination.kind}")
+                _require_complete(traj)
                 nrm = float(np.linalg.norm(terminal_state(traj, rho)))
-            except (NumericalFailure, ValueError) as exc:
-                cases.append(DeadlineCase(s=float(s), xi=tuple(map(float, xi_arr)),
-                                          terminal_norm=None, bound=bound, passed=False,
-                                          failure=str(exc)))
-                continue
+            except NumericalFailure as exc:
+                failure = str(exc)
             cases.append(DeadlineCase(s=float(s), xi=tuple(map(float, xi_arr)),
-                                      terminal_norm=nrm, bound=bound, passed=nrm <= bound))
+                                      terminal_norm=nrm, bound=bound,
+                                      passed=nrm is not None and nrm <= bound, failure=failure))
     return DeadlineReport(cases=tuple(cases), rho=rho, tol=tol)
 
 
@@ -126,8 +124,7 @@ def rho_shrink_profile(model: SystemModel, s: float, xi, rhos: Sequence[float],
     opts = opts or IntegrationOptions()
     T = model.horizon.T
     traj = integrate(model, None, np.asarray(xi, dtype=float), float(s), T - rhos[-1], opts)
-    if not traj.completed:
-        raise NumericalFailure(f"integration stopped early: {traj.termination.kind}")
+    _require_complete(traj)
     return tuple((r, float(np.linalg.norm(terminal_state(traj, r)))) for r in rhos)
 
 
@@ -360,10 +357,9 @@ def evaluate_stop_time(model: SystemModel, t_stop: float, initial_conditions: Se
         xi_arr = np.asarray(xi, dtype=float)
         try:
             traj = integrate(model, fresh_noise(), xi_arr, 0.0, t_stop, opts)
-            if not traj.completed:
-                raise NumericalFailure(f"integration stopped early: {traj.termination.kind}")
+            _require_complete(traj)
             res = traj.xs[-1]
-        except (NumericalFailure, ValueError) as exc:
+        except NumericalFailure as exc:
             cases.append(StopTimeCase(xi=tuple(map(float, xi_arr)), residual_state=None,
                                       residual_norm=None, failure=str(exc)))
             continue
@@ -414,9 +410,7 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
                     model, case_noise, xi_arr, 0.0, t_end, opts,
                     stop_condition=lambda t, x: float(np.max(np.abs(x))) <= width)
                 if probe.termination.kind != EVENT:
-                    if not probe.completed:
-                        raise NumericalFailure(
-                            f"integration stopped early: {probe.termination.kind}")
+                    _require_complete(probe)
                     flags.append(idx)
                     cases.append(DeadzoneCase(
                         xi=tuple(map(float, xi_arr)), entered=False, entry_time=None,
@@ -432,7 +426,7 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
                 final = tail.xs[-1]
             else:
                 final = entry_x
-        except (NumericalFailure, ValueError) as exc:
+        except NumericalFailure as exc:
             cases.append(DeadzoneCase(xi=tuple(map(float, xi_arr)), entered=False,
                                       entry_time=None, entry_state=None, gain_at_entry=None,
                                       final_state=None, failure=str(exc)))

@@ -45,6 +45,7 @@ from .integrate import (
     EVENT,
     IntegrationOptions,
     Trajectory,
+    _require_complete,
     detect_peaks,
     integrate,
     terminal_state,
@@ -120,8 +121,6 @@ class ControllerDivergenceNoise(_DivergenceNoise):
     keeps every guarantee intact.
     """
 
-    scalar = False
-
     def __init__(self, eta_bar: float, targets, n: int = 2, delta: Optional[float] = None,
                  T: float = 1.0):
         super().__init__(eta_bar, targets, T)
@@ -178,8 +177,6 @@ class DifferentiatorDivergenceNoise(_DivergenceNoise):
     slopes.  Switch instants land on committed integration steps.
     """
 
-    scalar = True
-
     def __init__(self, eta_bar: float, targets, T: float = 1.0, track_rel: float = 1e-3):
         super().__init__(eta_bar, targets, T)
         self.track_rel = float(track_rel)
@@ -226,8 +223,6 @@ class DifferentiatorTerminalNoise(NoiseSource):
     """Scalar ramp noise that forces x2(T) = -epsilon from any start:
     constant -eta_bar until s = T - 2*eta_bar/epsilon, then slope epsilon
     up to +eta_bar at T."""
-
-    scalar = True
 
     def __init__(self, eta_bar: float, epsilon: float, T: float = 1.0):
         if eta_bar <= 0.0 or epsilon <= 0.0:
@@ -339,8 +334,6 @@ class CascadePlan:
 
 class ControllerTerminalNoise(NoiseSource):
     """Smooth vector noise realizing a CascadePlan on [s, T)."""
-
-    scalar = False
 
     def __init__(self, plan: CascadePlan):
         self.plan = plan
@@ -520,8 +513,6 @@ class PreludeTerminalNoise(NoiseSource):
     [s0, s), then the tracking noise of a CascadePlan on [s, T).  Exactly
     two discontinuities."""
 
-    scalar = False
-
     def __init__(self, const_vec: np.ndarray, s0: float, plan: CascadePlan):
         self.plan = plan
         self.bound = plan.eta_bar
@@ -623,10 +614,11 @@ def run_controller_terminal_attack(model: SystemModel, eta_bar: float, epsilon: 
     opts = opts or IntegrationOptions()
     T = model.horizon.T
     traj = integrate(model, noise, plan.initial_state(), plan.s, T - rho, opts)
+    _require_complete(traj)
     predicted = plan.state_at(traj.ts)
     tracking = float(np.max(np.abs(traj.xs - predicted)))
     terminal = terminal_state(traj, rho)
-    verdict = bool(np.linalg.norm(terminal) >= epsilon) and traj.completed
+    verdict = bool(np.linalg.norm(terminal) >= epsilon)
     return AttackOutcome(kind="controller-terminal", noise_bound=eta_bar, verdict=verdict,
                          trajectory=traj, plan=plan, terminal=terminal,
                          tracking_error=tracking)
@@ -657,23 +649,25 @@ def run_controller_terminal_attack_with_prelude(model: SystemModel, eta_bar: flo
     const_vec[n - 2] = -eta_bar / 8.0
     # start window: wide enough for a swing past 2*epsilon, inside the budget
     w0 = 0.9 * min((3.0 / 32.0) * eta_bar / epsilon, eta_inf / (12.0 * epsilon), 0.25 * T)
+    swing_end = T - max(rho, 10.0 * opts.abs_tol)
     last_err = None
     for _ in range(12):
         s0 = T - w0
+        if last_err is not None and s0 >= swing_end:
+            break  # the search shrank the window past the end of the swing run
         phase_a = integrate(model, _ConstantVectorNoise(const_vec, eta_bar), x0, 0.0, s0, opts)
-        xa = phase_a.xs[-1]
-        hit = {"t": None, "x": None}
+        _require_complete(phase_a)
 
         def swing(t, x):
             return x[n - 1] <= -2.0 * epsilon
 
-        phase_b = integrate(model, None, xa, s0, T - max(rho, 10.0 * opts.abs_tol), opts,
+        phase_b = integrate(model, None, phase_a.xs[-1], s0, swing_end, opts,
                             stop_condition=swing)
         if phase_b.termination.kind == EVENT:
             s_ev = phase_b.termination.t
             x_ev = phase_b.xs[-1]
             cap = eta_inf / 4.0
-            window_ok = s_ev > max(T - eta_inf / (12.0 * epsilon), T - 0.5)
+            window_ok = s_ev > terminal_plan_window(n, eta_bar, epsilon, T)[0]
             heads_ok = all(abs(float(v)) <= cap for v in x_ev[: n - 1])
             if window_ok and heads_ok:
                 try:
@@ -702,11 +696,11 @@ def run_controller_terminal_attack_with_prelude(model: SystemModel, eta_bar: flo
                                      notes=f"steering switch at s0={s0!r}, plan start {plan.s!r}")
         last_err = f"no admissible swing found with window {w0!r}"
         w0 *= 0.5
-    raise ValueError(f"prelude search failed: {last_err}")
+    raise NumericalFailure(f"prelude search failed: {last_err}")
 
 
 class _ConstantVectorNoise(NoiseSource):
-    scalar = False
+    """The same noise vector at every query; bound is its declared bound."""
 
     def __init__(self, vec: np.ndarray, bound: float):
         self._vec = np.asarray(vec, dtype=float)
@@ -725,7 +719,8 @@ def run_differentiator_terminal_attack(model: SystemModel, eta_bar: float, epsil
     noise = DifferentiatorTerminalNoise(eta_bar, epsilon, T=model.horizon.T)
     opts = opts or IntegrationOptions()
     traj = integrate(model, noise, np.asarray(x0, dtype=float), 0.0, model.horizon.T - rho, opts)
+    _require_complete(traj)
     terminal = terminal_state(traj, rho)
-    verdict = bool(abs(float(terminal[1]) + epsilon) <= tol * epsilon) and traj.completed
+    verdict = bool(abs(float(terminal[1]) + epsilon) <= tol * epsilon)
     return AttackOutcome(kind="diff-terminal", noise_bound=eta_bar, verdict=verdict,
                          trajectory=traj, ramp=noise, terminal=terminal)

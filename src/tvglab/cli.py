@@ -8,7 +8,11 @@ artifacts plus a text summary into the output directory (``output.dir``,
 overridden by the TVGLAB_OUTPUT_DIR environment variable).
 
 Exit codes: 0 scenario ran and its declared properties held; 1 config error;
-2 numerical failure; 3 scenario ran but a declared property failed.
+2 numerical failure; 3 scenario ran but a declared property failed.  The
+exception type decides between 1 and 2: the library raises ValueError for
+bad input (exit 1) and NumericalFailure for a run that broke (exit 2).  A
+config is checked at parse time by building the model it describes; a
+config error, whether found then or while the scenario runs, writes no file.
 
 Trajectory CSV layout: header ``t,x1..xn,eta1..etan,gain_out`` (a single
 ``eta1`` column for scalar-noise systems), '#'-prefixed comment rows carrying
@@ -162,7 +166,7 @@ KEY_SPECS: dict[str, KeySpec] = {
                             help="rational_tvg tables, e.g. '-6,2; -4,1'"),
     "system.T": KeySpec(float, 1.0, _positive("system.T"), help="deadline instant"),
     "system.n": KeySpec(int, 2, lambda v: None if v >= 2 else "system.n must be >= 2",
-                        help="chain length for zero/rational tables"),
+                        help="chain length of the zero table; when set, others must match it"),
     "system.ell1": KeySpec(float, 1.0, _positive("system.ell1"), help="pt_diff2 linear gain 1"),
     "system.ell2": KeySpec(float, 1.0, _positive("system.ell2"), help="pt_diff2 linear gain 2"),
     "system.rho_min": KeySpec(float, None, _positive("system.rho_min"),
@@ -346,6 +350,9 @@ def _resolve_scenario(cfg: ExperimentConfig, subcommand: Optional[str],
 
 
 def _cross_validate(cfg: ExperimentConfig, violations: list[str]) -> None:
+    """Checks that name a config key first; once none fails, the model the
+    config describes is built, and whatever its constructors reject is a
+    violation too.  The channel count of the start states comes from it."""
     scenario = cfg.values.get("scenario")
     if scenario is None:
         return
@@ -361,15 +368,6 @@ def _cross_validate(cfg: ExperimentConfig, violations: list[str]) -> None:
     if scenario in ("attack.controller-terminal", "attack.diff-terminal") \
             and cfg.values.get("attack.epsilon") is None:
         violations.append(f"scenario {scenario} requires attack.epsilon")
-    kind_key = "system.controller" if variant == CONTROL_LOOP else "system.injection"
-    # channels of the model build_model makes (unknown without system.gains)
-    kind, gains = cfg.values[kind_key], cfg.values.get("system.gains")
-    if kind == "rational_tvg":
-        n = None if gains is None else len(gains)
-    else:
-        n = cfg.values["system.n"] if kind == "zero" else 2
-    if scenario == "attack.diff-terminal" and cfg.values.get("attack.x0") is None and n:
-        cfg.values["attack.x0"] = (0.0,) * n
     if scenario == "attack.controller-terminal" and cfg.values["attack.prelude"] \
             and cfg.values.get("attack.x0") is None:
         violations.append("attack.prelude requires attack.x0")
@@ -385,30 +383,35 @@ def _cross_validate(cfg: ExperimentConfig, violations: list[str]) -> None:
     empty_keys = {"verify-deadline": ("deadline.starts", "deadline.ics"),
                   "workaround": ("workaround.ics",)}.get(base, ())
     violations.extend(f"{key} must not be empty" for key in empty_keys if not cfg.values[key])
-    start_keys = {"simulate": "sim.x0", "verify-deadline": "deadline.ics",
-                  "workaround": "workaround.ics", "attack": "attack.x0"}
-    key = start_keys.get(base)
-    if n and key and cfg.values.get(key) is not None:
-        states = cfg.values[key] if key.endswith(".ics") else (cfg.values[key],)
-        wrong = [",".join(repr(v) for v in x) for x in states if len(x) != n]
-        if wrong:
-            violations.append(f"{key}: the model has {n} channels, got {'; '.join(wrong)}")
-    if kind == "rational_tvg" and gains is None:
+    kind_key = "system.controller" if variant == CONTROL_LOOP else "system.injection"
+    kind = cfg.values[kind_key]
+    if kind == "rational_tvg" and cfg.values.get("system.gains") is None:
         violations.append(f"{kind_key} = rational_tvg requires system.gains")
     if kind == "reference" and scenario != "selftest" \
             and "system.T" in cfg.explicit and cfg.values["system.T"] != 1.0:
         violations.append("system.T: the reference controller is defined for T = 1")
-    if cfg.values.get("disturbance.kind") != "zero":
-        bound = cfg.values["disturbance.bound"]
-        if cfg.values["disturbance.kind"] == "constant" \
-                and abs(cfg.values["disturbance.value"]) > bound:
-            violations.append("disturbance.value exceeds disturbance.bound")
-        if cfg.values["disturbance.kind"] == "sinusoid" \
-                and abs(cfg.values["disturbance.amplitude"]) > bound:
-            violations.append("disturbance.amplitude exceeds disturbance.bound")
-        if cfg.values["disturbance.kind"] == "piecewise" \
-                and cfg.values.get("disturbance.samples") is None:
-            violations.append("disturbance.kind = piecewise requires disturbance.samples")
+    if cfg.values["disturbance.kind"] == "piecewise" \
+            and cfg.values.get("disturbance.samples") is None:
+        violations.append("disturbance.kind = piecewise requires disturbance.samples")
+    if violations:
+        return
+    try:
+        n = build_model(cfg).n
+    except ValueError as exc:
+        violations.append(str(exc))
+        return
+    if "system.n" in cfg.explicit and cfg.values["system.n"] != n:
+        violations.append(f"system.n: the {kind} table has {n} channels, "
+                          f"got {cfg.values['system.n']}")
+    if scenario == "attack.diff-terminal" and cfg.values.get("attack.x0") is None:
+        cfg.values["attack.x0"] = (0.0,) * n
+    key = {"simulate": "sim.x0", "verify-deadline": "deadline.ics",
+           "workaround": "workaround.ics", "attack": "attack.x0"}.get(base)
+    if key and cfg.values.get(key) is not None:
+        states = cfg.values[key] if key.endswith(".ics") else (cfg.values[key],)
+        wrong = [",".join(repr(v) for v in x) for x in states if len(x) != n]
+        if wrong:
+            violations.append(f"{key}: the model has {n} channels, got {'; '.join(wrong)}")
 
 
 # ---------------------------------------------------------------------------
@@ -416,20 +419,11 @@ def _cross_validate(cfg: ExperimentConfig, violations: list[str]) -> None:
 
 
 def build_disturbance(cfg: ExperimentConfig) -> DisturbanceSpec:
-    kind = cfg.values["disturbance.kind"]
-    if kind == "zero":
-        return DisturbanceSpec()
-    bound = cfg.values["disturbance.bound"]
-    if kind == "constant":
-        return DisturbanceSpec(kind="constant", bound=bound,
-                               value=cfg.values["disturbance.value"])
-    if kind == "sinusoid":
-        return DisturbanceSpec(kind="sinusoid", bound=bound,
-                               amplitude=cfg.values["disturbance.amplitude"],
-                               frequency=cfg.values["disturbance.frequency"],
-                               phase=cfg.values["disturbance.phase"])
-    samples = tuple((float(t), float(v)) for t, v in cfg.values["disturbance.samples"])
-    return DisturbanceSpec(kind="piecewise", bound=bound, samples=samples)
+    v = cfg.values
+    return DisturbanceSpec(kind=v["disturbance.kind"], bound=v["disturbance.bound"],
+                           value=v["disturbance.value"], amplitude=v["disturbance.amplitude"],
+                           frequency=v["disturbance.frequency"], phase=v["disturbance.phase"],
+                           samples=v["disturbance.samples"] or ())
 
 
 def build_model(cfg: ExperimentConfig) -> SystemModel:
@@ -974,23 +968,28 @@ _RUNNERS: dict[str, Callable[[ExperimentConfig], ScenarioResult]] = {
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute the configured scenario, write its artifacts and return the
-    process exit code."""
+    process exit code.  A scenario runner returns before anything is
+    written, so a scenario that raises writes nothing (selftest writes as it
+    goes)."""
     out_dir = os.environ.get(OUTPUT_DIR_ENV) or cfg.values["output.dir"]
     try:
         if cfg.scenario == "selftest":
             return _selftest(cfg, out_dir)
         result = _RUNNERS[cfg.scenario.split(".", 1)[0]](cfg)
-        csv_path = _out_path(cfg, out_dir, result.stem)
-        if result.trajectory is None:
-            _write_lines(csv_path, config_echo_lines(cfg) + list(result.table))
-        else:
-            write_trajectory_csv(csv_path, result.trajectory, cfg, result.comments)
-            maybe_write_plot(_out_path(cfg, out_dir, result.stem, "svg"), result.trajectory,
-                             cfg.values["output.plot"])
-        _write_lines(_out_path(cfg, out_dir, f"{result.stem}_summary", "txt"), result.summary)
-    except (NumericalFailure, ValueError, FloatingPointError) as exc:
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (NumericalFailure, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    csv_path = _out_path(cfg, out_dir, result.stem)
+    if result.trajectory is None:
+        _write_lines(csv_path, config_echo_lines(cfg) + list(result.table))
+    else:
+        write_trajectory_csv(csv_path, result.trajectory, cfg, result.comments)
+        maybe_write_plot(_out_path(cfg, out_dir, result.stem, "svg"), result.trajectory,
+                         cfg.values["output.plot"])
+    _write_lines(_out_path(cfg, out_dir, f"{result.stem}_summary", "txt"), result.summary)
     if result.error:
         print(result.error, file=sys.stderr)
     return result.exit_code

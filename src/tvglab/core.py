@@ -231,7 +231,6 @@ class NoiseSource:
     """
 
     bound: float = 0.0
-    scalar: bool = False
 
     def value(self, t: float, x):
         raise NotImplementedError
@@ -248,7 +247,6 @@ class ZeroNoise(NoiseSource):
 
     def __init__(self, n: Optional[int] = None):
         self.bound = 0.0
-        self.scalar = n is None
         self._zero = 0.0 if n is None else np.zeros(n)
 
     def value(self, t: float, x):

@@ -135,7 +135,6 @@ class Trajectory:
     switch_times: tuple[float, ...]
     T: float
     rho_min: float
-    variant: str
     n: int
 
     def state_at(self, t):
@@ -410,9 +409,14 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         switch_times=tuple(switch_times),
         T=T,
         rho_min=rho_min,
-        variant=model.variant,
         n=model.n,
     )
+
+
+def _require_complete(traj: Trajectory) -> None:
+    """A run that ended before its requested end is a numerical outcome."""
+    if not traj.completed:
+        raise NumericalFailure(f"integration stopped early: {traj.termination.kind}")
 
 
 def terminal_state(traj: Trajectory, rho: float) -> np.ndarray:

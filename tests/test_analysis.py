@@ -254,3 +254,19 @@ def test_workarounds_take_a_noise_factory_not_an_instance():
 def test_deadzone_validates_width():
     with pytest.raises(ValueError):
         evaluate_deadzone(reference_loop(), 0.0, ((1.0, 0.0),))
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda xi: check_absolute_deadline(reference_loop(), (0.0,), (xi,)),
+    lambda xi: evaluate_stop_time(reference_loop(), 0.9, (xi,)),
+    lambda xi: evaluate_deadzone(reference_loop(rho_min=1e-6), 1e-2, (xi,)),
+], ids=["deadline", "stop_time", "deadzone"])
+def test_sweeps_raise_on_a_wrong_length_start(sweep):
+    # bad input raises; only a numerical failure becomes a failed case
+    with pytest.raises(ValueError, match="x0 must have shape"):
+        sweep((1.0, 0.0, 0.0))
+
+
+def test_deadline_check_rejects_a_start_outside_the_span():
+    with pytest.raises(ValueError, match="outside"):
+        check_absolute_deadline(reference_loop(), (0.0, 1.5), ((1.0, 0.0),))

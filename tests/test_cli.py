@@ -137,11 +137,16 @@ _REFERENCE_AT_T2 = ["simulate", "--system.T", "2", "--sim.x0", "1,0"]
      "sim.x0: the model has 3 channels, got 1.0,0.0"),
     (["simulate", "--system.controller", "rational_tvg", "--system.gains", "-1,1; -1,1; -1,1",
       "--sim.x0", "1,0"], "sim.x0: the model has 3 channels, got 1.0,0.0"),
+    (["simulate", "--system.n", "3", "--sim.x0", "1,0"],
+     "system.n: the reference table has 2 channels, got 3"),
+    (["simulate", "--system.controller", "rational_tvg", "--system.gains", "-1,1; -1,1",
+      "--system.n", "3", "--sim.x0", "1,0"],
+     "system.n: the rational_tvg table has 2 channels, got 3"),
 ], ids=["prelude_without_x0", "reference_at_T2", "deadline_starts_out_of_range",
         "deadline_starts_empty", "deadline_ics_empty", "workaround_ics_empty",
         "sim_x0_length", "deadline_ics_length", "workaround_ics_length",
         "prelude_x0_length", "diff_terminal_x0_length", "zero_table_x0_length",
-        "rational_table_x0_length"])
+        "rational_table_x0_length", "reference_table_n", "rational_table_n"])
 def test_model_config_errors_fail_at_parse_time(tmp_path, capsys, argv, message):
     subcommand, *flags = argv
     _, overrides, _ = cli._split_flags(flags)
@@ -151,6 +156,89 @@ def test_model_config_errors_fail_at_parse_time(tmp_path, capsys, argv, message)
     assert main(argv + ["--output.dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
     assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+_SIM = ["simulate", "--sim.x0", "1,0"]
+_PIECEWISE = ["--disturbance.kind", "piecewise", "--disturbance.bound", "0.5",
+              "--disturbance.samples"]
+_CONTROLLER_TERMINAL = ["attack", "--attack.kind", "controller-terminal",
+                        "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"]
+_DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01"]
+               for kind in ("controller-divergence", "diff-divergence")}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_SIM + ["--system.rho_min", "2"], "rho_min must lie in (0, T), got 2.0"),
+    (_SIM + ["--system.rho_min", "1e-20"], "rho_min=1e-20 is below the minimum step 1e-13 * T"),
+    (_SIM + ["--sim.t_end", "5"], "t_end=5.0 exceeds T - rho_min = 0.999999999"),
+    (_SIM + ["--sim.s", "0.99", "--sim.t_end", "0.5"],
+     "need 0 <= t0 < t_end, got t0=0.99, t_end=0.5"),
+    (_SIM + ["--system.controller", "rational_tvg", "--system.gains", "-6,-2; -4,1"],
+     "pole order must be a nonnegative integer, got -2"),
+    (_SIM + _PIECEWISE + ["0.6,0.1; 0.2,0.1"], "piecewise disturbance samples must be time sorted"),
+    (_SIM + _PIECEWISE + ["0.2,0.6"], "piecewise disturbance sample exceeds the declared bound"),
+    (["simulate", "--system.controller", "rational_tvg", "--system.gains", "-6,2", "--sim.x0", "1"],
+     "gain table needs at least two channels"),
+    (["gain-scan", "--scan.rhos", "0.1,0.2"], "rho_ladder must be strictly decreasing"),
+    (["gain-scan", "--scan.rhos", "2,0.1"], "rho values must lie in (0, T)"),
+    (["verify-deadline", "--deadline.shrink_rhos", "1e-4,1e-3"], "rhos must be strictly decreasing"),
+    (["workaround", "--workaround.variant", "stop-time", "--workaround.t_stop", "2"],
+     "t_stop must lie in (0, T - rho_min)"),
+    (_CONTROLLER_TERMINAL + ["--attack.s", "2"], "s must lie in [0, T)"),
+    (_CONTROLLER_TERMINAL + ["--attack.s", "0.99"],
+     "requested start s=0.99 violates the plan's noise or window budget; move s closer to T"),
+    (_DIVERGENCE["controller-divergence"] + ["--attack.targets", "2,1"],
+     "targets must be a nonempty strictly increasing sequence"),
+    (_DIVERGENCE["controller-divergence"] + ["--attack.thresholds", "2,1"],
+     "thresholds must be strictly increasing"),
+    (_DIVERGENCE["controller-divergence"] + ["--attack.delta", "0.5"],
+     "delta must lie in (0, eta_bar]"),
+    (_DIVERGENCE["diff-divergence"] + ["--attack.targets", "2,1"],
+     "targets must be a nonempty strictly increasing sequence"),
+    (_DIVERGENCE["diff-divergence"] + ["--attack.thresholds", "2,1"],
+     "thresholds must be strictly increasing"),
+    (["attack", "--attack.kind", "diff-terminal", "--attack.eta_bar", "1", "--attack.epsilon", "0.1"],
+     "ramp start T - 2*eta_bar/epsilon = -19.0 precedes 0; raise epsilon or lower eta_bar"),
+    (_CONTROLLER_TERMINAL + ["--attack.psi_init", "0,0"], "psi_init needs 1 values, got 2"),
+], ids=["rho_min_past_T", "rho_min_below_min_step", "t_end_past_floor", "t_end_before_s",
+        "negative_pole_order", "piecewise_unsorted", "piecewise_over_bound", "one_channel_table",
+        "scan_rhos_increasing", "scan_rhos_past_T", "shrink_rhos_increasing", "t_stop_past_T",
+        "plan_start_past_T", "plan_start_late", "controller_targets_decreasing",
+        "controller_thresholds_decreasing", "delta_above_eta_bar", "diff_targets_decreasing",
+        "diff_thresholds_decreasing", "ramp_start_before_0", "psi_init_length"])
+def test_library_value_error_is_a_config_error(tmp_path, capsys, argv, message):
+    # bad input the library rejects with ValueError, at parse time (while the
+    # model is built) or when the scenario runs, exits 1 and writes nothing
+    out = tmp_path / "out"
+    assert main(argv + ["--output.dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    _CONTROLLER_TERMINAL + ["--integration.max_norm", "0.5"],
+    ["attack", "--attack.kind", "diff-terminal", "--attack.eta_bar", "0.1", "--attack.epsilon", "1",
+     "--integration.max_norm", "0.05"],
+    # the steering phase escapes before its switch
+    _CONTROLLER_TERMINAL + ["--attack.prelude", "true", "--attack.x0", "1,0",
+                            "--integration.max_norm", "0.5"],
+], ids=["controller_terminal", "diff_terminal", "prelude_steering"])
+def test_terminal_attack_that_stops_early_is_a_numerical_failure(tmp_path, capsys, argv):
+    assert main(argv + ["--output.dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: integration stopped early: blow_up"]
+
+
+def test_prelude_search_that_finds_no_swing_is_a_numerical_failure(tmp_path, capsys):
+    # no admissible swing on this table: the search halves its window until
+    # the window no longer fits before T - rho, then gives up
+    argv = _CONTROLLER_TERMINAL + ["--attack.prelude", "true", "--attack.x0", "1,0",
+                                   "--system.controller", "rational_tvg",
+                                   "--system.gains", "-0.5,1; -1,1"]
+    assert main(argv + ["--output.dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical failure: prelude search failed: no admissible swing")
 
 
 def test_reference_horizon_check_leaves_selftest_and_other_tables_alone():

@@ -1,6 +1,6 @@
 """The golden-run script's scenarios are valid configs, exactly those it
-expects to exit 1 are config errors, and they cover the README examples (the
-scenarios themselves are not run here)."""
+expects to exit 1 are config errors that write nothing, and they cover the
+README examples (only the config errors are run here)."""
 
 import importlib.util
 import shlex
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tvglab.cli import ConfigError, _split_flags, parse_config
+from tvglab.cli import ConfigError, _split_flags, main, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("golden_run", ROOT / "scripts" / "golden_run.py")
@@ -28,15 +28,21 @@ def _without_output_dir(args):
 
 
 @pytest.mark.parametrize("name", sorted(golden_run.SCENARIOS))
-def test_scenario_parses(name):
+def test_scenario_parses(name, tmp_path):
+    # a config error, found at parse time or when the scenario runs, exits 1
+    # and writes nothing; every other scenario parses
     subcommand, *flags = golden_run.SCENARIOS[name]
     config_path, overrides, problems = _split_flags(flags)
     assert not problems
-    text = golden_run.CONFIGS[name] if config_path is not None else ""
     if golden_run.EXPECTED_EXIT.get(name) == 1:
-        with pytest.raises(ConfigError):
-            parse_config(text, subcommand=subcommand, overrides=overrides)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(golden_run.CONFIGS.get(name, ""))
+        out = tmp_path / "out"
+        argv = [a.replace("{cfg}", str(cfg)) for a in golden_run.SCENARIOS[name]]
+        assert main(argv + ["--output.dir", str(out)]) == 1
+        assert not out.exists() or not any(out.iterdir())
     else:
+        text = golden_run.CONFIGS[name] if config_path is not None else ""
         parse_config(text, subcommand=subcommand, overrides=overrides)
 
 
