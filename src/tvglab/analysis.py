@@ -109,6 +109,15 @@ def check_absolute_deadline(model: SystemModel, start_times: Sequence[float],
     return DeadlineReport(cases=tuple(cases), rho=rho, tol=tol)
 
 
+def _rho_ladder(rhos) -> list[float]:
+    """The rhos as floats; raises ValueError unless they are nonempty and
+    strictly decreasing."""
+    rhos = [float(r) for r in rhos]
+    if any(b >= a for a, b in zip(rhos, rhos[1:])) or not rhos:
+        raise ValueError("rhos must be strictly decreasing")
+    return rhos
+
+
 def rho_shrink_profile(model: SystemModel, s: float, xi, rhos: Sequence[float],
                        opts: Optional[IntegrationOptions] = None
                        ) -> tuple[tuple[float, float], ...]:
@@ -118,9 +127,7 @@ def rho_shrink_profile(model: SystemModel, s: float, xi, rhos: Sequence[float],
     shrink at least linearly in rho (one factor of T - t in every state
     component near the deadline).
     """
-    rhos = [float(r) for r in rhos]
-    if any(b >= a for a, b in zip(rhos, rhos[1:])) or not rhos:
-        raise ValueError("rhos must be strictly decreasing")
+    rhos = _rho_ladder(rhos)
     opts = opts or IntegrationOptions()
     T = model.horizon.T
     traj = integrate(model, None, np.asarray(xi, dtype=float), float(s), T - rhos[-1], opts)

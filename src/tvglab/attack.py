@@ -46,6 +46,7 @@ from .integrate import (
     IntegrationOptions,
     Trajectory,
     _require_complete,
+    _threshold_ladder,
     detect_peaks,
     integrate,
     terminal_state,
@@ -120,6 +121,8 @@ class ControllerDivergenceNoise(_DivergenceNoise):
     the next peak, and observing the realized crossing before switching
     keeps every guarantee intact.
     """
+
+    held = True
 
     def __init__(self, eta_bar: float, targets, n: int = 2, delta: Optional[float] = None,
                  T: float = 1.0):
@@ -316,7 +319,7 @@ class CascadePlan:
         return len(self.psi)
 
     def initial_state(self) -> np.ndarray:
-        return self.state_at(self.s)
+        return np.array(self.state_at(self.s))
 
     def state_at(self, t):
         return self._columns(self.psi, t)
@@ -325,11 +328,14 @@ class CascadePlan:
         return self._columns(self.eta, t)
 
     def _columns(self, polys: tuple[Poly, ...], t):
-        t_arr = np.asarray(t, dtype=float)
-        u = self.T - t_arr
-        cols = [_poly_value(p, u) for p in polys]
-        return np.stack([np.broadcast_to(c, t_arr.shape) for c in cols], axis=-1) \
-            if t_arr.ndim else np.array([float(c) for c in cols])
+        """One value per polynomial at time t: a list of floats for a float t
+        (the tracking noise's per-stage query), else an array with a trailing
+        channel axis."""
+        if isinstance(t, float):
+            u = self.T - float(t)
+            return [_poly_value(p, u) for p in polys]
+        u = self.T - np.asarray(t, dtype=float)
+        return np.stack([np.broadcast_to(_poly_value(p, u), u.shape) for p in polys], axis=-1)
 
 
 class ControllerTerminalNoise(NoiseSource):
@@ -339,9 +345,9 @@ class ControllerTerminalNoise(NoiseSource):
         self.plan = plan
         self.bound = plan.eta_bar
 
-    def value(self, t: float, x) -> np.ndarray:
+    def value(self, t: float, x) -> list[float]:
         eta = self.plan.noise_at(t)
-        nrm = float(np.linalg.norm(eta))
+        nrm = math.hypot(*eta)
         if nrm > self.bound * (1.0 + 1e-12) + 1e-300:
             raise NoiseBoundViolation(
                 f"tracking noise exceeded its bound at t={t!r}: {nrm!r} > {self.bound!r}")
@@ -575,6 +581,7 @@ def run_divergence_attack(model: SystemModel, eta_bar: float, thresholds=None,
     T = model.horizon.T
     t_end = T - model.horizon.rho_min if t_end is None else t_end
     thresholds = default_ladder(eta_bar) if thresholds is None else tuple(thresholds)
+    _threshold_ladder(thresholds)  # a bad ladder is rejected before the run
     if model.variant == CONTROL_LOOP:
         noise = controller_divergence_noise(eta_bar, targets=targets, n=model.n,
                                             delta=delta, T=T)
@@ -701,6 +708,8 @@ def run_controller_terminal_attack_with_prelude(model: SystemModel, eta_bar: flo
 
 class _ConstantVectorNoise(NoiseSource):
     """The same noise vector at every query; bound is its declared bound."""
+
+    held = True
 
     def __init__(self, vec: np.ndarray, bound: float):
         self._vec = np.asarray(vec, dtype=float)

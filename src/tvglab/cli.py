@@ -51,6 +51,7 @@ from .analysis import (
     DeadlineReport,
     GainScanTable,
     WorkaroundReport,
+    _rho_ladder,
     check_absolute_deadline,
     evaluate_deadzone,
     evaluate_stop_time,
@@ -682,12 +683,14 @@ def _run_simulate(cfg: ExperimentConfig) -> ScenarioResult:
 def _run_verify_deadline(cfg: ExperimentConfig) -> ScenarioResult:
     model = build_model(cfg)
     opts = build_options(cfg)
+    rhos = cfg.values["deadline.shrink_rhos"]
+    if rhos:
+        _rho_ladder(rhos)  # a bad ladder is rejected before the sweep
     report = check_absolute_deadline(model, cfg.values["deadline.starts"],
                                      cfg.values["deadline.ics"],
                                      rho=cfg.values["deadline.rho"],
                                      tol=cfg.values["deadline.tol"], opts=opts)
     shrink = []
-    rhos = cfg.values["deadline.shrink_rhos"]
     if rhos and report.passed:
         xi = cfg.values["deadline.ics"][0]
         prof = rho_shrink_profile(model, cfg.values["deadline.starts"][0], xi, rhos, opts=opts)

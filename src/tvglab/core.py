@@ -228,9 +228,18 @@ class NoiseSource:
     there for the step's last stage, and queries again only after a switch.
     next_discontinuity(t) announces the next known switching instant strictly
     after t (inf when none is scheduled) so the integrator can land on it.
+
+    held = True promises more: from the first observe() on, value(t, x)
+    returns the same value for every (t, x) until observe() returns True.
+    The integrator then queries and checks a held source once after the
+    first observe() and once after each switch, and reuses that value for
+    every stage and sample; a source that is not held is queried at every
+    stage.  A control-loop source may return an array or a list of floats;
+    a list is recorded as it is, so the source must not change it later.
     """
 
     bound: float = 0.0
+    held: bool = False
 
     def value(self, t: float, x):
         raise NotImplementedError
@@ -244,6 +253,8 @@ class NoiseSource:
 
 class ZeroNoise(NoiseSource):
     """Noise-free measurement channel; vector when n is given, else scalar."""
+
+    held = True
 
     def __init__(self, n: Optional[int] = None):
         self.bound = 0.0

@@ -176,8 +176,11 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     announced discontinuities become exact step boundaries.  Returns a
     Trajectory whose termination reports normal completion, norm escape
     (blow_up), error-control failure (step_underflow), or a stop-condition
-    event located by step-local bisection.  Every noise query, RK stages
-    included, is checked against the source's bound; a violation raises
+    event located by step-local bisection.  A held source (NoiseSource.held)
+    is queried once after the first observe and once after each switch, and
+    that value serves every stage and sample until the next switch; any
+    other source is queried at every RK stage and sample.  Each query is
+    checked against the source's bound; a violation raises
     NoiseBoundViolation.
     """
     opts = opts or IntegrationOptions()
@@ -200,6 +203,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         noise = model.zero_noise()
 
     is_control = model.variant == CONTROL_LOOP
+    held = noise.held
     bound_slack = noise.bound * (1.0 + 1e-9) + 1e-300
 
     def eta_at(t, state):
@@ -208,7 +212,8 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         differentiator.  Stages and sample records use it alike."""
         e = noise.value(t, state)
         if is_control:
-            e = np.asarray(e, dtype=float).tolist()
+            if type(e) is not list:
+                e = np.asarray(e, dtype=float).tolist()
             norm = math.hypot(*e)
         else:
             e = float(e)
@@ -239,7 +244,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
 
     # initial commitment: let the source latch its first segment, then record
     noise.observe(t0, x)
-    eta0 = eta_at(t0, x)
+    eta0 = eta_held = eta_at(t0, x)
     f0 = np.asarray(model.rhs(t0, x, eta0), dtype=float)
     record_sample(t0, x, eta0)
     knot_ts.append(t0)
@@ -263,7 +268,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         tqs = grid[lo:hi]
         xqs = _hermite(x, f, x_new, f_new, dt, ((tqs - t) / dt)[:, None])
         for tq, xq in zip(tqs.tolist(), xqs):
-            record_sample(tq, xq, eta_at(tq, xq))
+            record_sample(tq, xq, eta_held if held else eta_at(tq, xq))
 
     t = t0
     f_start = f0
@@ -294,21 +299,23 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         # products, whose BLAS kernel sets their rounding (the method form
         # skips np.dot's dispatch); every elementwise operation runs on Python
         # floats, which round it as numpy does.  Stage states stay lists of
-        # floats for model.rhs; only the noise source gets them as arrays, as
-        # its contract says.  A non-finite stage makes err NaN or inf, so
-        # "not err <= 1.0" rejects it like a raised NumericalFailure.  max()
-        # drops a NaN that np.maximum would keep, but a NaN in x_new comes
-        # with a non-finite error term in its channel
+        # floats for model.rhs; only a source that is not held is queried
+        # there, and gets them as arrays, as its contract says.  A non-finite
+        # stage makes err NaN or inf, so "not err <= 1.0" rejects it like a
+        # raised NumericalFailure.  max() drops a NaN that np.maximum would
+        # keep, but a NaN in x_new comes with a non-finite error term in its
+        # channel
         try:
             k[0] = f_start
             for i, (c, arow, k_head) in enumerate(stages, start=1):
                 ts_i = t + c * h
                 xl_i = [a + h * b for a, b in zip(x_list, arow.dot(k_head).tolist())]
-                k[i] = model.rhs(ts_i, xl_i, eta_at(ts_i, np.array(xl_i)))
+                k[i] = model.rhs(ts_i, xl_i,
+                                 eta_held if held else eta_at(ts_i, np.array(xl_i)))
             new_list = [a + h * b for a, b in zip(x_list, _DP_B.dot(k_b).tolist())]
             x_new = np.array(new_list)
             t_new = barrier if at_barrier else t + h
-            eta_new = eta_at(t_new, x_new)
+            eta_new = eta_held if held else eta_at(t_new, x_new)
             k[6] = model.rhs(t_new, new_list, eta_new)
             qs = [h * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
                   for a, b, e in zip(x_list, new_list, _DP_E.dot(k).tolist())]
@@ -351,7 +358,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             t_ev = hi
             x_ev = _hermite(x, f_start, x_new, f_new, dt, (t_ev - t) / dt)
             record_grid(t, x, f_start, x_new, f_new, dt, t_ev)
-            eta_ev = eta_at(t_ev, x_ev)
+            eta_ev = eta_held if held else eta_at(t_ev, x_ev)
             knot_ts.append(t_ev)
             knot_xs.append(np.asarray(x_ev, dtype=float))
             knot_fs.append(np.asarray(model.rhs(t_ev, x_ev, eta_ev), dtype=float))
@@ -369,7 +376,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         # last stage (the NoiseSource contract), so that query is recorded
         if noise.observe(t_new, x_new):
             switch_times.append(t_new)
-            eta_new = eta_at(t_new, x_new)
+            eta_new = eta_held = eta_at(t_new, x_new)
             f_new = np.asarray(model.rhs(t_new, x_new, eta_new), dtype=float)  # right-limit derivative
             knot_fs[-1] = f_new
         record_sample(t_new, x_new, eta_new)
@@ -433,6 +440,17 @@ def terminal_state(traj: Trajectory, rho: float) -> np.ndarray:
     return traj.state_at(t_query)
 
 
+def _threshold_ladder(thresholds) -> list[float]:
+    """The thresholds as floats; raises ValueError unless they are positive
+    and strictly increasing."""
+    thr = [float(v) for v in thresholds]
+    if any(b <= a for a, b in zip(thr, thr[1:])):
+        raise ValueError("thresholds must be strictly increasing")
+    if any(v <= 0.0 for v in thr):
+        raise ValueError("thresholds must be positive")
+    return thr
+
+
 def detect_peaks(traj: Trajectory, thresholds) -> list[tuple[float, Optional[float]]]:
     """First sample time at which ||x|| reaches each threshold.
 
@@ -440,11 +458,7 @@ def detect_peaks(traj: Trajectory, thresholds) -> list[tuple[float, Optional[flo
     to None.  Crossing times are scanned over the recorded samples, so they
     inherit the sample resolution.
     """
-    thr = [float(v) for v in thresholds]
-    if any(b <= a for a, b in zip(thr, thr[1:])):
-        raise ValueError("thresholds must be strictly increasing")
-    if any(v <= 0.0 for v in thr):
-        raise ValueError("thresholds must be positive")
+    thr = _threshold_ladder(thresholds)
     norms = np.linalg.norm(traj.xs, axis=1)
     out: list[tuple[float, Optional[float]]] = []
     for v in thr:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from tvglab import attack
 from tvglab.attack import (
     ControllerDivergenceNoise,
     ControllerTerminalNoise,
@@ -189,6 +190,19 @@ def test_cascade_plan_structure():
     assert noise.bound == 0.1
 
 
+@pytest.mark.parametrize("model", [reference_loop(),
+                                   rational_loop([[(-60.0, 3)], [(-36.0, 2)], [(-9.0, 1)]])],
+                         ids=["reference", "order_3"])
+def test_plan_at_a_float_time_is_the_zero_dim_value(model):
+    # a float time is evaluated on Python floats, a 0-d array through numpy
+    noise, plan = controller_terminal_error_noise(model, 0.1, 0.5)
+    for t in np.linspace(plan.s, 1.0 - 1e-9, 257).tolist():
+        eta = noise.value(t, None)
+        assert type(eta) is list and all(type(v) is float for v in eta)
+        assert np.array(eta).tobytes() == plan.noise_at(np.array(t)).tobytes()
+        assert np.array(plan.state_at(t)).tobytes() == plan.state_at(np.array(t)).tobytes()
+
+
 @pytest.mark.parametrize("psi_init", [None, (0.003, -0.002)])
 def test_order_three_cascade_plan(psi_init):
     model = rational_loop([[(-60.0, 3)], [(-36.0, 2)], [(-9.0, 1)]])
@@ -253,6 +267,17 @@ def test_attack_runners_reject_wrong_variant():
         run_differentiator_terminal_attack(reference_loop(), 0.1, 1.0, np.zeros(2))
     with pytest.raises(ValueError):
         run_controller_terminal_attack(differentiator_error_model(), 0.1, 0.5)
+
+
+def test_divergence_attack_checks_its_thresholds_before_the_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr(attack, "integrate", lambda *args, **kwargs: runs.append(args))
+    for model in (reference_loop(), differentiator_error_model()):
+        with pytest.raises(ValueError, match="thresholds must be strictly increasing"):
+            run_divergence_attack(model, 1e-2, thresholds=(2.0, 1.0))
+        with pytest.raises(ValueError, match="thresholds must be positive"):
+            run_divergence_attack(model, 1e-2, thresholds=(0.0, 1.0))
+    assert runs == []
 
 
 def test_divergence_attack_is_deterministic():

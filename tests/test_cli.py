@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvglab import attack, cli
+from tvglab import analysis, attack, cli
 from tvglab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -213,6 +213,25 @@ def test_library_value_error_is_a_config_error(tmp_path, capsys, argv, message):
     assert main(argv + ["--output.dir", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-deadline", "--deadline.shrink_rhos", "1e-4,1e-3"],
+    _DIVERGENCE["controller-divergence"] + ["--attack.thresholds", "2,1"],
+    _DIVERGENCE["diff-divergence"] + ["--attack.thresholds", "2,1"],
+], ids=["shrink_rhos_increasing", "controller_thresholds_decreasing",
+        "diff_thresholds_decreasing"])
+def test_bad_ladder_is_rejected_before_any_integration(tmp_path, monkeypatch, argv):
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(args)
+        return integrate(*args, **kwargs)
+
+    for module in (analysis, attack, cli):
+        monkeypatch.setattr(module, "integrate", recorded)
+    assert main(argv + ["--output.dir", str(tmp_path)]) == 1
+    assert runs == []
 
 
 @pytest.mark.parametrize("argv", [

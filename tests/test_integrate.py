@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from tvglab.attack import controller_divergence_noise, differentiator_divergence_noise
+from tvglab.attack import (
+    _ConstantVectorNoise,
+    controller_divergence_noise,
+    differentiator_divergence_noise,
+)
 from tvglab.core import (
     NoiseBoundViolation,
     NoiseSource,
@@ -337,15 +341,22 @@ class _CountingLoop(SystemModel):
 
 
 def _count_queries(noise):
-    """The noise source, counting its value queries in noise.calls."""
-    value = noise.value
+    """The noise source, counting in noise.calls the value queries made from
+    outside its own observe."""
+    value, observe = noise.value, noise.observe
     noise.calls = 0
 
     def counted(t, x):
         noise.calls += 1
         return value(t, x)
 
-    noise.value = counted
+    def observed(t, x):
+        calls = noise.calls
+        switched = observe(t, x)
+        noise.calls = calls
+        return switched
+
+    noise.value, noise.observe = counted, observed
     return noise
 
 
@@ -358,16 +369,18 @@ def test_reference_run_work_is_pinned():
     assert traj.completed
     assert steps == 493
     assert model.calls == 2959 == 1 + 6 * steps  # FSAL, no rejected step
-    # one query per right-hand side: a committed step records the noise its
-    # last stage queried
-    assert noise.calls == model.calls
+    # ZeroNoise is held: one query after the first observe serves the run
+    assert noise.calls == 1
 
 
-@pytest.mark.parametrize("make_model, make_noise, steps, calls, switches", [
-    (differentiator_error_model, ZeroNoise, 469, 2839, 0),
-    (reference_loop, lambda: controller_divergence_noise(1e-2), 782, 4808, 7),
-], ids=["differentiator", "controller_divergence"])
-def test_work_beyond_the_reference_run_is_pinned(make_model, make_noise, steps, calls, switches):
+@pytest.mark.parametrize("make_model, make_noise, steps, calls, switches, queries", [
+    (differentiator_error_model, ZeroNoise, 469, 2839, 0, 1),
+    (reference_loop, lambda: controller_divergence_noise(1e-2), 782, 4808, 7, 8),
+    (differentiator_error_model, lambda: differentiator_divergence_noise(1e-2),
+     849, 5489, 4, 5489),
+], ids=["differentiator", "controller_divergence", "diff_divergence"])
+def test_work_beyond_the_reference_run_is_pinned(make_model, make_noise, steps, calls, switches,
+                                                 queries):
     src = make_model()
     model = _CountingLoop(src.variant, src.horizon, src.gains)
     noise = _count_queries(make_noise())
@@ -376,7 +389,51 @@ def test_work_beyond_the_reference_run_is_pinned(make_model, make_noise, steps, 
     assert len(traj.knot_ts) - 1 == steps and len(traj.switch_times) == switches
     # 1 + 6 per trial step + 1 per switch: rejected trial steps make the rest
     assert model.calls == calls > 1 + 6 * steps + switches
-    assert noise.calls == model.calls
+    # a held source is queried after the first observe and after each
+    # switch; any other source once per right-hand side, since a committed
+    # step records the noise its last stage queried
+    assert noise.calls == queries == (1 + switches if noise.held else model.calls)
+
+
+_HELD_SOURCES = {
+    "zero_vector": (reference_loop, lambda: ZeroNoise(2)),
+    "zero_scalar": (differentiator_error_model, ZeroNoise),
+    "controller_divergence": (reference_loop, lambda: controller_divergence_noise(1e-2)),
+    "constant_vector": (reference_loop,
+                        lambda: _ConstantVectorNoise(np.array([0.0, -1e-3]), 1e-2)),
+}
+_RUN_KINDS = {
+    "plain": {},
+    "uniform_grid": {"opts": IntegrationOptions(output_grid=OutputGrid("uniform", 2001))},
+    # fires after five of the divergence noise's seven switches
+    "stop_condition": {"stop_condition": lambda t, x: t >= 0.9998 and abs(x[0]) <= 0.25},
+}
+
+
+@pytest.mark.parametrize("run", list(_RUN_KINDS))
+@pytest.mark.parametrize("source", list(_HELD_SOURCES))
+def test_held_source_gives_the_run_of_per_stage_queries(source, run):
+    make_model, make_noise = _HELD_SOURCES[source]
+    trajs = []
+    for held in (True, False):
+        noise = make_noise()
+        assert noise.held
+        noise.held = held  # False: the same source, queried at every stage and sample
+        trajs.append(integrate(make_model(), noise, np.array([1.0, -0.5]), 0.0, 1.0 - 1e-9,
+                               **_RUN_KINDS[run]))
+    a, b = trajs
+    assert (a.termination.kind == EVENT) == (run == "stop_condition")
+    for name in ("ts", "xs", "etas", "gains", "knot_ts", "knot_xs", "knot_fs"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert np.array(a.switch_times).tobytes() == np.array(b.switch_times).tobytes()
+    assert a.termination == b.termination
+
+
+def test_held_source_over_its_bound_fails_on_the_first_query():
+    noise = _count_queries(_ConstantVectorNoise(np.array([0.0, 2e-2]), 1e-2))
+    with pytest.raises(NoiseBoundViolation):
+        integrate(reference_loop(), noise, np.array([1.0, 0.0]), 0.0, 0.5)
+    assert noise.calls == 1
 
 
 def _numpy_reference_knots(model, x0, t_end):
