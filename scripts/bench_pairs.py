@@ -7,10 +7,10 @@
 Extracts the committed files of BASE_REF (`git archive`) into a temporary
 directory, then for pair i = 1..N runs
 
-    python3 benchmarks/run.py --workload W --seed K+i --seconds S --trace 0
+    python3 benchmarks/run.py --workload W --seed i --seconds S --trace 0
 
 in the base directory and in this checkout's working tree, base first on
-odd pairs and head first on even ones (K is --seed-offset, default 0).
+odd pairs and head first on even ones.
 It prints every run's end-to-end metrics and, per metric, each side's
 median, the base's interquartile range, the pairs the head wins (ties
 count for neither side) and the median change head / base - 1.  The
@@ -110,7 +110,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed-offset", type=int, default=0)
     parser.add_argument("--smoke", action="store_true", help="tiny pools, for a quick check")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -124,17 +123,16 @@ def main(argv=None) -> int:
               f"{args.pairs} pairs of {args.seconds:g} s runs{' (smoke)' if args.smoke else ''}")
         pairs = {w: [] for w in workloads}
         names = [name for name, _, _ in METRICS]
-        print("workload pair seed side " + " ".join(names))
+        print("workload pair side " + " ".join(names))
         for i in range(1, args.pairs + 1):
-            seed = args.seed_offset + i
             for w in workloads:
                 sides = [("base", base_dir), ("head", ROOT)]
                 if i % 2 == 0:
                     sides.reverse()
                 got = {}
                 for side, checkout in sides:
-                    got[side] = run_benchmark(checkout, w, seed, args.seconds, args.smoke)
-                    print(f"{w} {i} {seed} {side} "
+                    got[side] = run_benchmark(checkout, w, i, args.seconds, args.smoke)
+                    print(f"{w} {i} {side} "
                           + " ".join(f"{got[side][n]!r}" for n in names), flush=True)
                 pairs[w].append((got["base"], got["head"]))
         for w in workloads:
