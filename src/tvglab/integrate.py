@@ -8,11 +8,12 @@ that the singular gains demand:
 * noise and disturbance switching instants are hard step boundaries; the
   integrator lands on them exactly instead of stepping across.
 
-State, noise-as-queried, and algorithm-output records are kept at every
-committed step (plus an optional requested output grid), and cubic Hermite
-interpolation over committed steps provides dense output in between.  Grid
-samples come from that same cubic Hermite, the one Trajectory.state_at
-evaluates, once per committed step for all the grid points inside it.
+The loop keeps a knot record at every committed step: state, noise as
+queried, and the derivative's right and left limits at the knot.  Cubic
+Hermite interpolation over the knots gives dense output in between.  An
+optional output grid is filled in one batched pass after the last step:
+one Hermite evaluation over the knot record for all grid points, the same
+evaluator Trajectory.state_at calls, merged with the knot rows by index.
 """
 
 from __future__ import annotations
@@ -115,11 +116,15 @@ class Trajectory:
     it was queried at each sample and the scalar algorithm output.  The
     gains column comes from one batched SystemModel.gain_output call over
     the whole table after the last step; a non-finite entry raises
-    NumericalFailure then.  state_at interpolates between committed steps
-    (cubic Hermite).  Grid samples come from the same cubic Hermite, evaluated once per committed
-    step, so they equal state_at at their times; the exceptions are a step
-    that ends in a noise switch (its end knot keeps the right-limit
-    derivative) and the stop-event step (its knot ends it at the event).
+    NumericalFailure then.
+
+    The knot record holds each committed step's end: knot_fs is the
+    derivative's right limit there, knot_fl its left limit; they differ
+    only at a noise switch, where knot_fs uses the post-switch noise.
+    state_at interpolates each step by cubic Hermite from its opening knot's
+    state and right limit to its closing knot's state and left limit.  Grid
+    samples come from the same evaluator, so they equal state_at at their
+    times bit for bit; a stop event's step ends at the event knot.
     """
 
     ts: np.ndarray
@@ -129,6 +134,7 @@ class Trajectory:
     knot_ts: np.ndarray
     knot_xs: np.ndarray
     knot_fs: np.ndarray
+    knot_fl: np.ndarray
     t0: float
     t_last: float
     termination: Termination
@@ -144,11 +150,7 @@ class Trajectory:
         if np.any(t_arr < self.t0 - slack) or np.any(t_arr > self.t_last + slack):
             raise ValueError("dense output requested outside the integrated span")
         idx = np.clip(np.searchsorted(self.knot_ts, t_arr, side="right") - 1, 0, len(self.knot_ts) - 2)
-        tl = self.knot_ts[idx]
-        h = self.knot_ts[idx + 1] - tl
-        theta = np.clip((t_arr - tl) / h, 0.0, 1.0)[:, None]
-        out = _hermite(self.knot_xs[idx], self.knot_fs[idx], self.knot_xs[idx + 1],
-                       self.knot_fs[idx + 1], h[:, None], theta)
+        out = _dense_states(self.knot_ts, self.knot_xs, self.knot_fs, self.knot_fl, idx, t_arr)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
         return out
@@ -167,6 +169,16 @@ def _hermite(xl, fl, xr, fr, h, theta):
             + xr * (-2.0 * t3 + 3.0 * t2) + h * fr * (t3 - t2))
 
 
+def _dense_states(knot_ts, knot_xs, knot_fs, knot_fl, idx, t):
+    """Dense output at the times t, t[j] on the step that opens at knot
+    idx[j]: the cubic Hermite from that knot's state and right-limit
+    derivative to the next knot's state and left-limit derivative."""
+    tl = knot_ts[idx]
+    h = knot_ts[idx + 1] - tl
+    theta = np.clip((t - tl) / h, 0.0, 1.0)[:, None]
+    return _hermite(knot_xs[idx], knot_fs[idx], knot_xs[idx + 1], knot_fl[idx + 1], h[:, None], theta)
+
+
 def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t_end: float,
               opts: Optional[IntegrationOptions] = None,
               stop_condition: Optional[Callable[[float, np.ndarray], bool]] = None) -> Trajectory:
@@ -179,9 +191,11 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     event located by step-local bisection.  A held source (NoiseSource.held)
     is queried once after the first observe and once after each switch, and
     that value serves every stage and sample until the next switch; any
-    other source is queried at every RK stage and sample.  Each query is
-    checked against the source's bound; a violation raises
-    NoiseBoundViolation.
+    other source is queried at every RK stage and sample, a step's grid
+    points in time order before the observe at its end (on a stop-event
+    step, after the event's own query, since their states interpolate to
+    the event knot).  Each query is checked against the source's bound; a
+    violation raises NoiseBoundViolation.
     """
     opts = opts or IntegrationOptions()
     T = model.horizon.T
@@ -227,48 +241,47 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     if opts.output_grid is not None:
         grid = opts.output_grid.points(t0, t_end, T)
 
-    sample_ts: list[float] = []
-    sample_xs: list[np.ndarray] = []
-    sample_etas: list = []
+    # the knot record, one entry per committed step; etas are the noise
+    # recorded with each knot's sample
     knot_ts: list[float] = []
     knot_xs: list[np.ndarray] = []
     knot_fs: list[np.ndarray] = []
+    knot_etas: list = []
     switch_times: list[float] = []
+    switch_fls: list[np.ndarray] = []  # left-limit derivative at each switch knot
+    grid_etas: list = []  # queried at the grid points for a source that is not held
 
-    def record_sample(t, state, e):
-        """Record a sample; state is a fresh array and e a value from eta_at,
-        neither modified later."""
-        sample_ts.append(t)
-        sample_xs.append(state)
-        sample_etas.append(e)
+    def record_knot(t, state, f, e):
+        """Record a knot; state and f are fresh arrays and e a value from
+        eta_at, none modified later."""
+        knot_ts.append(t)
+        knot_xs.append(state)
+        knot_fs.append(f)
+        knot_etas.append(e)
 
     # initial commitment: let the source latch its first segment, then record
     noise.observe(t0, x)
     eta0 = eta_held = eta_at(t0, x)
     f0 = np.asarray(model.rhs(t0, x, eta0), dtype=float)
-    record_sample(t0, x, eta0)
-    knot_ts.append(t0)
-    knot_xs.append(x)
-    knot_fs.append(f0)
+    record_knot(t0, x, f0, eta0)
 
+    query_grid = grid is not None and not held
     grid_idx = 0 if grid is None else int(np.searchsorted(grid, t0, side="right"))
 
-    def record_grid(t, x, f, x_new, f_new, dt, t_stop):
-        """Record the grid points in (t, t_stop) on the step from (t, x, f) to
-        (t + dt, x_new, f_new): one cubic Hermite evaluation for all of them,
-        then each point's noise query and sample record in time order."""
+    def grid_queries(t, x, f, x_new, f_new, dt, t_stop):
+        """Query the noise at the grid points in (t, t_stop), in time order, at
+        their states on the step from (t, x, f) to (t + dt, x_new, f_new)."""
         nonlocal grid_idx
-        if grid is None or grid_idx == len(grid) or grid[grid_idx] >= t_stop:
+        if grid_idx == len(grid) or grid[grid_idx] >= t_stop:
             return
         hi = int(np.searchsorted(grid, t_stop))
         lo = grid_idx
-        while lo < hi and grid[lo] <= t:  # the step's start is already recorded
+        while lo < hi and grid[lo] <= t:  # the step's start is a knot
             lo += 1
         grid_idx = hi
         tqs = grid[lo:hi]
         xqs = _hermite(x, f, x_new, f_new, dt, ((tqs - t) / dt)[:, None])
-        for tq, xq in zip(tqs.tolist(), xqs):
-            record_sample(tq, xq, eta_held if held else eta_at(tq, xq))
+        grid_etas.extend(eta_at(tq, xq) for tq, xq in zip(tqs.tolist(), xqs))
 
     t = t0
     f_start = f0
@@ -338,8 +351,8 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
                 termination = Termination(kind=STEP_UNDERFLOW, t=t)
             continue
 
-        # committed: emit any grid samples interior to the step; the knot
-        # keeps a copy of the last stage, not the whole stage matrix
+        # committed: the knot keeps a copy of the last stage, not the whole
+        # stage matrix
         f_new = k[6].copy()
         dt = t_new - t
         stop_hit = stop_condition is not None and stop_condition(t_new, x_new)
@@ -357,29 +370,26 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
                     lo = mid
             t_ev = hi
             x_ev = _hermite(x, f_start, x_new, f_new, dt, (t_ev - t) / dt)
-            record_grid(t, x, f_start, x_new, f_new, dt, t_ev)
             eta_ev = eta_held if held else eta_at(t_ev, x_ev)
-            knot_ts.append(t_ev)
-            knot_xs.append(np.asarray(x_ev, dtype=float))
-            knot_fs.append(np.asarray(model.rhs(t_ev, x_ev, eta_ev), dtype=float))
-            record_sample(t_ev, np.asarray(x_ev, dtype=float), eta_ev)
+            f_ev = np.asarray(model.rhs(t_ev, x_ev, eta_ev), dtype=float)
+            if query_grid:
+                grid_queries(t, x, f_start, x_ev, f_ev, t_ev - t, t_ev)
+            record_knot(t_ev, x_ev, f_ev, eta_ev)
             termination = Termination(kind=EVENT, t=t_ev)
             t = t_ev
             break
 
-        record_grid(t, x, f_start, x_new, f_new, dt, t_new)
-        knot_ts.append(t_new)
-        knot_xs.append(x_new)
-        knot_fs.append(f_new)
+        if query_grid:
+            grid_queries(t, x, f_start, x_new, f_new, dt, t_new)
 
         # without a switch the source still answers with the noise of the
         # last stage (the NoiseSource contract), so that query is recorded
         if noise.observe(t_new, x_new):
             switch_times.append(t_new)
+            switch_fls.append(f_new)
             eta_new = eta_held = eta_at(t_new, x_new)
             f_new = np.asarray(model.rhs(t_new, x_new, eta_new), dtype=float)  # right-limit derivative
-            knot_fs[-1] = f_new
-        record_sample(t_new, x_new, eta_new)
+        record_knot(t_new, x_new, f_new, eta_new)
 
         norm_new = math.sqrt(float(x_new @ x_new))
         if norm_new >= opts.max_norm:
@@ -397,8 +407,24 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     if termination is None:
         termination = Termination(kind=REACHED_END, t=t)
 
-    ts_arr, xs_arr = np.array(sample_ts), np.array(sample_xs)
-    etas_arr = np.array(sample_etas) if is_control else np.array(sample_etas, dtype=float).reshape(-1, 1)
+    # the sample table: the knot rows, and the grid points strictly inside
+    # steps merged in after the knot that opens their step.  A held source's
+    # value at a grid point is the one recorded at that knot
+    kts, kxs, kfs = np.array(knot_ts), np.array(knot_xs), np.array(knot_fs)
+    kfl = kfs.copy()
+    if switch_times:
+        kfl[np.searchsorted(kts, switch_times)] = switch_fls
+    m = model.n if is_control else 1
+    ketas = np.array(knot_etas, dtype=float).reshape(len(knot_etas), m)
+    gts = np.empty(0) if grid is None else grid[(grid > t0) & (grid < t)]
+    opening = np.searchsorted(kts, gts, side="right") - 1
+    inside = kts[opening] != gts
+    gts, opening = gts[inside], opening[inside]
+    getas = ketas[opening] if held else np.array(grid_etas, dtype=float).reshape(len(gts), m)
+    at = opening + 1
+    ts_arr = np.insert(kts, at, gts)
+    xs_arr = np.insert(kxs, at, _dense_states(kts, kxs, kfs, kfl, opening, gts), axis=0)
+    etas_arr = np.insert(ketas, at, getas, axis=0)
     gains = model.gain_output(ts_arr, xs_arr, etas_arr)
     if not np.all(np.isfinite(gains)):
         raise NumericalFailure("non-finite value in integration record")
@@ -407,9 +433,10 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         xs=xs_arr,
         etas=etas_arr,
         gains=gains,
-        knot_ts=np.array(knot_ts),
-        knot_xs=np.array(knot_xs),
-        knot_fs=np.array(knot_fs),
+        knot_ts=kts,
+        knot_xs=kxs,
+        knot_fs=kfs,
+        knot_fl=kfl,
         t0=t0,
         t_last=t,
         termination=termination,

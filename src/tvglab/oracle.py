@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import reference_loop
-from .integrate import IntegrationOptions, OutputGrid, integrate
+from .integrate import IntegrationOptions, integrate
 
 
 def reference_solution(s: float, xi, t):
@@ -94,16 +94,15 @@ def verify_solver_against_oracle(sample_count: int = 20, tol: float = 1e-6, seed
     """Integrate the reference loop from random (s, xi) and compare to the oracle.
 
     Start times are drawn from [0, 0.9] and initial states from the ball
-    ||xi|| <= 10.  Each run is compared on a uniform grid over
-    [s, 1 - 1e-4]; the per-case error is the sup-norm deviation divided by
-    the sup-norm magnitude of the closed-form trajectory.  Only this
-    sampling consumes the seed.
+    ||xi|| <= 10.  Each run's dense output is compared at grid_count
+    uniform points over [s, 1 - 1e-4]; the per-case error is the sup-norm
+    deviation divided by the sup-norm magnitude of the closed-form
+    trajectory.  Only this sampling consumes the seed.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
     rng = np.random.default_rng(seed)
     model = reference_loop()
-    opts = opts or IntegrationOptions(output_grid=OutputGrid("uniform", grid_count))
     t_end = 1.0 - 1e-4
     cases = []
     worst = 0.0

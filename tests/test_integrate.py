@@ -217,6 +217,79 @@ def test_grid_points_of_the_event_step_precede_the_event_sample():
     assert traj.ts[-2 - inside.size] == step_start
 
 
+
+class _LoggingNoise(_BarrierNoise):
+    """Barrier noise, not held, that logs every value and observe call."""
+
+    def __init__(self, n, barrier):
+        super().__init__(n, barrier)
+        self.log = []
+
+    def value(self, t, x):
+        self.log.append(("value", t))
+        return super().value(t, x)
+
+    def observe(self, t, x):
+        self.log.append(("observe", t))
+        return super().observe(t, x)
+
+
+_GRID_RUNS = {
+    "switching_held": (reference_loop, lambda: controller_divergence_noise(1e-2),
+                       OutputGrid("geometric", 3000), 1.0 - 1e-9, None),
+    "not_held": (differentiator_error_model, lambda: differentiator_divergence_noise(1e-2),
+                 OutputGrid("geometric", 3000), 1.0 - 1e-9, None),
+    "stop_event_held": (reference_loop, lambda: None, OutputGrid("uniform", 20001), 0.99,
+                        lambda t, x: x[0] <= 0.25),
+    "stop_event_not_held": (reference_loop, lambda: _BarrierNoise(2, 0.37),
+                            OutputGrid("uniform", 20001), 0.99, lambda t, x: x[0] <= 0.25),
+}
+
+
+@pytest.mark.parametrize("run", list(_GRID_RUNS))
+def test_grid_samples_equal_state_at_in_every_run_kind(run):
+    make_model, make_noise, grid, t_end, stop = _GRID_RUNS[run]
+    noise = make_noise()
+    traj = integrate(make_model(), noise, np.array([1.0, -0.5]), 0.0, t_end,
+                     IntegrationOptions(output_grid=grid), stop_condition=stop)
+    assert (traj.termination.kind == EVENT) == (stop is not None)
+    between = np.isin(traj.ts, traj.knot_ts, invert=True)
+    # grid points fall on the steps that matter here: those ending at a
+    # switch, or the step ending at the event
+    ends = traj.switch_times if stop is None else (traj.t_last,)
+    assert ends
+    closing = np.searchsorted(traj.knot_ts, traj.ts[between])
+    assert set(traj.knot_ts[closing]) >= set(ends)
+    assert traj.xs[between].tobytes() == traj.state_at(traj.ts[between]).tobytes()
+
+
+def test_held_grid_noise_is_the_value_of_its_segment():
+    traj = integrate(reference_loop(), controller_divergence_noise(1e-2), np.array([1.0, -0.5]),
+                     0.0, 1.0 - 1e-9,
+                     IntegrationOptions(output_grid=OutputGrid("geometric", 3000)))
+    between = np.isin(traj.ts, traj.knot_ts, invert=True)
+    edges = (traj.t0, *traj.switch_times, math.inf)
+    assert len(edges) == 9
+    for a, b in zip(edges, edges[1:]):
+        segment = (traj.ts >= a) & (traj.ts < b)
+        assert np.count_nonzero(segment & between) > 0
+        assert np.all(traj.etas[segment] == traj.etas[traj.ts == a])
+
+
+def test_grid_queries_precede_the_observe_that_closes_their_step():
+    noise = _LoggingNoise(2, 0.37)
+    traj = integrate(reference_loop(), noise, np.array([1.0, 0.0]), 0.0, 0.9,
+                     IntegrationOptions(output_grid=OutputGrid("uniform", 2001)))
+    grid_ts = traj.ts[np.isin(traj.ts, traj.knot_ts, invert=True)]
+    assert grid_ts.size > 1500
+    observed_at = {t: i for i, (call, t) in enumerate(noise.log) if call == "observe"}
+    assert list(observed_at) == traj.knot_ts.tolist()
+    for a, b in zip(traj.knot_ts, traj.knot_ts[1:]):
+        inside = grid_ts[(grid_ts > a) & (grid_ts < b)].tolist()
+        queried = [t for call, t in noise.log[observed_at[a]:observed_at[b]]
+                   if call == "value" and t in inside]
+        assert queried == inside
+
 class _LatchingNoise(_BarrierNoise):
     """Barrier noise whose value changes only when observe reports the switch,
     so a query before that call still answers with the old segment."""
@@ -251,6 +324,32 @@ def test_switch_sample_records_the_post_switch_noise():
     np.testing.assert_array_equal(traj.knot_fs[knot], model.rhs(0.375, x_sw, np.full(2, -0.01)))
     assert traj.gains[at][0] == model.gain_output(0.375, x_sw, np.full(2, -0.01))
 
+
+
+def test_left_limit_derivative_differs_only_at_a_switch_knot():
+    model = reference_loop()
+    traj = integrate(model, _LatchingNoise(2, 0.375), np.array([1.0, 0.0]), 0.0, 0.75)
+    knot = int(np.flatnonzero(traj.knot_ts == 0.375)[0])
+    x_sw = traj.knot_xs[knot]
+    np.testing.assert_array_equal(traj.knot_fl[knot], model.rhs(0.375, x_sw, np.full(2, 0.01)))
+    others = np.arange(len(traj.knot_ts)) != knot
+    assert traj.knot_fl[others].tobytes() == traj.knot_fs[others].tobytes()
+
+
+def test_dense_output_on_a_step_that_ends_at_a_switch():
+    # while the noise eta is held, y = x + eta follows the noise-free loop,
+    # so the closed form from the step's opening knot gives the state
+    traj = integrate(reference_loop(), controller_divergence_noise(0.01), np.array([0.005, -0.003]),
+                     0.0, 1.0 - 1e-9)
+    assert len(traj.switch_times) == 7
+    for t_sw in traj.switch_times:
+        k = int(np.flatnonzero(traj.knot_ts == t_sw)[0]) - 1
+        t_k = traj.knot_ts[k]
+        eta = traj.etas[traj.ts == t_k][0]
+        mid = 0.5 * (t_k + t_sw)
+        exact = reference_solution(t_k, traj.knot_xs[k] + eta, mid) - eta
+        err = float(np.max(np.abs(traj.state_at(mid) - exact))) / float(np.max(np.abs(exact)))
+        assert err <= 1e-6, (t_sw, err)
 
 def _crossing_time(T: float) -> float:
     """Time at which x1 of the reference gains on horizon T, started from
