@@ -12,8 +12,8 @@ directory, then for pair i = 1..N runs
 in the base directory and in this checkout's working tree, base first on
 odd pairs and head first on even ones.
 It prints every run's end-to-end metrics and, per metric, each side's
-median, the base's interquartile range, the pairs the head wins (ties
-count for neither side) and the median change head / base - 1.  The
+median and interquartile range, the pairs the head wins (ties count for
+neither side) and the median change head / base - 1.  The
 temporary directory is removed at the end.  `--workload all` runs the
 benchmark's workloads in turn within each pair.  Exits non-zero when a
 run fails or reports an incorrect result.
@@ -64,13 +64,14 @@ def wins(base_runs, head_runs, better: str) -> int:
 
 def summary_rows(pairs, metrics=METRICS):
     """One row per metric from pairs of (base, head) metric dicts:
-    (name, unit, base median, base IQR, head median, median change, wins, ties)."""
+    (name, unit, base median, base IQR, head median, head IQR, median change,
+    wins, ties)."""
     rows = []
     for name, unit, better in metrics:
         base = [b[name] for b, _ in pairs]
         head = [h[name] for _, h in pairs]
         ties = sum(b == h for b, h in zip(base, head))
-        rows.append((name, unit, median(base), iqr(base), median(head),
+        rows.append((name, unit, median(base), iqr(base), median(head), iqr(head),
                      change(median(base), median(head)), wins(base, head, better), ties))
     return rows
 
@@ -138,9 +139,9 @@ def main(argv=None) -> int:
         for w in workloads:
             print(f"\n{w}: medians over {len(pairs[w])} pairs")
             print(f"{'metric':12s} {'unit':5s} {'base':>12s} {'base IQR':>10s} {'head':>12s} "
-                  f"{'change':>9s} {'head wins':>10s} {'ties':>5s}")
-            for name, unit, b, spread, h, rel, won, ties in summary_rows(pairs[w]):
-                print(f"{name:12s} {unit:5s} {b:12.6g} {spread:10.3g} {h:12.6g} "
+                  f"{'head IQR':>10s} {'change':>9s} {'head wins':>10s} {'ties':>5s}")
+            for name, unit, b, b_iqr, h, h_iqr, rel, won, ties in summary_rows(pairs[w]):
+                print(f"{name:12s} {unit:5s} {b:12.6g} {b_iqr:10.3g} {h:12.6g} {h_iqr:10.3g} "
                       f"{rel:+9.2%} {won:>4d} of {len(pairs[w]):<3d} {ties:5d}")
     finally:
         shutil.rmtree(base_dir, ignore_errors=True)

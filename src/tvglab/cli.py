@@ -76,12 +76,139 @@ SCENARIOS = (("simulate", "verify-deadline", "gain-scan", "falsify-stability", "
 
 
 _FLOAT_FORMAT = "%.16e"
+# trajectory CSV rows go through _format_rows this many at a time, which
+# bounds the kernel's working set
 _CSV_BLOCK_ROWS = 512
 
 
 def fmt(v: float) -> str:
     """Fixed 17-significant-digit float text; float(fmt(v)) == v exactly."""
     return _FLOAT_FORMAT % float(v)
+
+
+# Tables of _format_rows.  _POW10[:, k - _K_MIN] holds, for 10**k, hi (the
+# nearest double), hi's 2**27 + 1 split hh + hl, lo = 10**k - hi rounded
+# (0 exactly when 10**k is a double, 0 <= k <= 22), and the margin a result
+# needs to count as proven (0 when exact), for k = 16 - E, |E| <= _E_MAX.
+# Built with int arithmetic, whose true division is correctly rounded.
+_SPLIT = 134217729.0  # 2**27 + 1
+_PROOF_MARGIN = 1e-6
+_E_MAX = 281
+_K_MIN = 16 - _E_MAX
+
+
+def _pow10_table() -> np.ndarray:
+    table = np.empty((5, 2 * _E_MAX + 1))
+    for j, k in enumerate(range(_K_MIN, 16 + _E_MAX + 1)):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi = num / den
+        p, q = hi.as_integer_ratio()
+        lo = (num * q - p * den) / (den * q)
+        c = _SPLIT * hi
+        hh = c - (c - hi)
+        table[:, j] = hi, hh, hi - hh, lo, 0.0 if lo == 0.0 else _PROOF_MARGIN
+    return table
+
+
+def _words(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), "<u4")
+
+
+_POW10 = _pow10_table()
+# 4-byte text words: sign (or NUL), NUL, leading digit, '.'; four digits;
+# 'e', exponent sign, hundreds digit (or NUL), tens digit; units digit, ',',
+# NUL, NUL.  The exponent words are indexed by E + _EXP_OFFSET.
+_LEAD_WORDS = _words("".join(f"{s}\0{d}." for d in range(10) for s in ("\0", "-")))
+_TWO_DIGITS = [f"{i:02d}" for i in range(100)]
+# joined a hundred words at a time, so that import never holds 10000 strings
+_DIGIT_WORDS = _words("".join(["".join([a + b for b in _TWO_DIGITS]) for a in _TWO_DIGITS]))
+_EXP_OFFSET = 300
+_EXP_WORDS, _UNIT_WORDS = _words("".join(
+    f"e{'-' if e < 0 else '+'}{abs(e) // 100 or chr(0)}{abs(e) % 100:02d},\0\0"
+    for e in range(-_EXP_OFFSET, _EXP_OFFSET + 1))).reshape(-1, 2).T.copy()
+
+
+def _scaled(a: np.ndarray, i: np.ndarray):
+    """a * 10**k as p + q for k = i + _K_MIN, each value's proof margin, and
+    p + q - 1e16 and p + q - 1e17.  p + e is Dekker's exact product of a and
+    hi; each operation is its own ufunc, so no fused multiply-add can change
+    its rounding."""
+    hi, hh, hl, lo, margin = _POW10.take(i, axis=1)
+    p = a * hi
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    e = al * hl - (((p - ah * hh) - al * hh) - ah * hl)
+    q = e + a * lo
+    return p, q, margin, (p - 1e16) + q, (p - 1e17) + q
+
+
+def _format_row(row: Sequence[float]) -> str:
+    """One CSV row, each value formatted by % as fmt does."""
+    return ",".join([_FLOAT_FORMAT] * len(row)) % tuple(row) + "\n"
+
+
+def _format_rows(block: np.ndarray) -> str:
+    """The text of _format_row for every row of a C-ordered 2-D float block,
+    from one vectorised pass.
+
+    Each value a = |v| is scaled to P = a * 10**(16 - E), E = floor(log10 a),
+    as p + q (_scaled), with E corrected by one where P falls outside
+    [1e16, 1e17).  p >= 2**53 is an even integer, so N = p + rint(q) is P
+    rounded half to even, and N's 17 digits with exponent E are the %.16e
+    text.  Where 10**(16 - E) is a double every step is exact.  Elsewhere q
+    is within 1e-14 of its true value, and a value counts as proven only
+    when q is _PROOF_MARGIN away from a rounding tie and P as far inside
+    [1e16, 1e17).  A row holding any value that is not proven, not finite,
+    subnormal or outside 1e-280 <= |v| < 1e281 is written by _format_row.
+    Each value fills seven text words whose NUL bytes are then removed.
+    """
+    rows, cols = block.shape
+    v = block.ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-280) & (a < 1e281)  # E and its correction stay within _E_MAX
+    a = np.where(fast, a, 1.0)
+    i = (16 - _K_MIN - np.floor(np.log10(a))).astype(np.intp)
+    p, q, margin, low, high = _scaled(a, i)
+    fix = (low < 0.0) | (high >= 0.0)
+    if fix.any():
+        i[fix] += np.where(low[fix] < 0.0, 1, -1)
+        p[fix], q[fix], margin[fix], low[fix], high[fix] = _scaled(a[fix], i[fix])
+    r = np.rint(q)
+    fast &= (low >= margin) & (high < -margin) & (np.abs(q - r) <= 0.5 - margin)
+    n = p.astype(np.int64) + r.astype(np.int64)
+    e = (16 - _K_MIN + _EXP_OFFSET) - i
+    top = n >= 10 ** 17
+    n[top] = 10 ** 16
+    e += top
+    zero = v == 0.0
+    n[zero] = 0
+    e[zero] = _EXP_OFFSET
+
+    out = np.empty((len(v), 7), "<u4")
+    lead = n // 10 ** 16
+    out[:, 0] = _LEAD_WORDS[2 * lead + np.signbit(v)]
+    n -= lead * 10 ** 16
+    upper = n // 10 ** 8
+    for col, half in ((1, upper), (3, n - upper * 10 ** 8)):
+        quad = half // 10 ** 4
+        out[:, col] = _DIGIT_WORDS[quad]
+        out[:, col + 1] = _DIGIT_WORDS[half - quad * 10 ** 4]
+    out[:, 5] = _EXP_WORDS[e]
+    out[:, 6] = _UNIT_WORDS[e]
+    text = out.view(np.uint8).reshape(rows, cols * 28)
+    text[:, -3] = ord("\n")
+    bad = ~(fast | zero)
+    if not bad.any():
+        return text.tobytes().translate(None, b"\0").decode("ascii")
+    pieces = []
+    start = 0
+    for row in np.flatnonzero(bad.reshape(rows, cols).any(axis=1)).tolist():
+        pieces += [text[start:row].tobytes().translate(None, b"\0").decode("ascii"),
+                   _format_row(block[row].tolist())]
+        start = row + 1
+    pieces.append(text[start:].tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +611,10 @@ def config_echo_lines(cfg: ExperimentConfig) -> list[str]:
 
 def write_trajectory_csv(path: str, traj: Trajectory, cfg: Optional[ExperimentConfig] = None,
                          extra_comments: Sequence[str] = ()) -> None:
+    """Write the config echo, extra_comments, the header and one row of
+    %.16e text (the text of fmt) per sample.  Rows come from the vectorised
+    _format_rows, _CSV_BLOCK_ROWS at a time; a row it cannot prove goes to
+    the scalar _format_row."""
     n = traj.n
     eta_cols = traj.etas.shape[1]
     header = ["t"] + [f"x{i + 1}" for i in range(n)] \
@@ -494,10 +625,7 @@ def write_trajectory_csv(path: str, traj: Trajectory, cfg: Optional[ExperimentCo
     lines.extend(extra_comments)
     lines.append(",".join(header))
     data = np.column_stack((traj.ts, traj.xs, traj.etas, traj.gains))
-    row_fmt = ",".join([_FLOAT_FORMAT] * data.shape[1]) + "\n"
-    # formatted a block of rows at a time, so that the Python floats of the
-    # whole table never exist at once
-    blocks = ("".join([row_fmt % tuple(row) for row in data[i:i + _CSV_BLOCK_ROWS].tolist()])
+    blocks = (_format_rows(data[i:i + _CSV_BLOCK_ROWS])
               for i in range(0, len(data), _CSV_BLOCK_ROWS))
     _write_lines(path, lines, blocks)
 

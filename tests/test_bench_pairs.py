@@ -51,10 +51,11 @@ def test_summary_rows_per_metric():
     p50, rate = bench_pairs.summary_rows(pairs, metrics)
     assert p50[:2] == ("op_ms_p50", "ms")
     assert p50[2] == 21.0 and p50[3] == 1.0 and p50[4] == 18.0
-    assert p50[5] == pytest.approx(18.0 / 21.0 - 1.0)
-    assert p50[6:] == (2, 0)
-    assert rate[2] == 49.0 and rate[4] == 50.0
-    assert rate[6:] == (1, 2)
+    assert p50[5] == pytest.approx(2.25)
+    assert p50[6] == pytest.approx(18.0 / 21.0 - 1.0)
+    assert p50[7:] == (2, 0)
+    assert rate[2] == 49.0 and rate[4] == 50.0 and rate[5] == pytest.approx(1.5)
+    assert rate[7:] == (1, 2)
 
 
 def test_pairs_must_be_positive():

@@ -363,6 +363,73 @@ def test_trajectory_csv_round_trips_random_bit_patterns(tmp_path_factory, bits):
     _assert_same_table(parse_trajectory_csv(path), traj)
 
 
+# any 64-bit pattern (NaN, infinities, subnormals), or a normal value of
+# either sign with 1e-280 < |v| < 1e281, which the row kernel formats itself
+_ANY_BITS = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.builds(lambda sign, mag: sign << 63 | mag, st.integers(0, 1),
+              st.integers(min_value=0x05D0000000000000, max_value=0x7A3FFFFFFFFFFFFF)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ANY_BITS, min_size=6, max_size=120))
+def test_trajectory_csv_rows_are_fmt_text_for_any_bit_pattern(tmp_path_factory, bits):
+    values = np.array(bits[:len(bits) // 6 * 6], dtype=np.uint64).view(np.float64)
+    traj = _table_trajectory("control_loop", values)
+    path = str(tmp_path_factory.getbasetemp() / "any_bits.csv")
+    write_trajectory_csv(path, traj)
+    assert _body(path) == [",".join(fmt(v) for v in row) for row in values.reshape(-1, 6)]
+
+
+def _count_fallback_rows(monkeypatch):
+    """Patch the scalar row formatter to record each row it is given."""
+    rows = []
+    fallback = cli._format_row
+    monkeypatch.setattr(cli, "_format_row", lambda row: rows.append(row) or fallback(row))
+    return rows
+
+
+def test_trajectory_csv_mixes_kernel_rows_and_fallback_rows(tmp_path, monkeypatch):
+    powers = [float(f"1e{k}") for k in range(-30, 31)]
+    kernel = [w for v in powers for w in (math.nextafter(v, 0.0), math.nextafter(v, math.inf))]
+    # 1e17 .. 1e22 are doubles, but 10**(16 - E) is not, so their exact
+    # scaled value 1e16 sits on the edge of the range no margin can prove
+    kernel += [v for v in powers if not 1e17 <= v <= 1e22]
+    # exact ties of the 17th digit, rounded half to even; 2**-25 is a tie
+    # where 10**(16 - E) is not a double, so the kernel cannot prove it
+    kernel += [2172391473906716.25, -1234567890123456.75, 1.0 + 2.0**-17, 0.0, -0.0,
+               1e-280, -math.nextafter(1e281, 0.0)]
+    fallback = [1e17, 1e20, -1e22, 2.0**-25, 5e-324, -2.225073858507201e-308,
+                2.2250738585072014e-308, math.nextafter(1e-280, 0.0), 1e281,
+                -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    rows = []
+    for r in range(1100):
+        row = [kernel[(6 * r + j) % len(kernel)] for j in range(6)]
+        if r % 5 == 0:
+            row[r % 6] = fallback[(r // 5) % len(fallback)]
+        rows.append(row)
+    traj = _table_trajectory("control_loop", rows)
+    path = str(tmp_path / "mixed.csv")
+    formatted = _count_fallback_rows(monkeypatch)
+    write_trajectory_csv(path, traj)
+    assert _body(path) == [",".join(fmt(v) for v in row) for row in rows]
+    assert len(formatted) == 220
+
+
+@pytest.mark.parametrize("argv", [
+    ["--sim.x0", "1,0", "--sim.grid_count", "2000"],
+    ["--system.controller", "zero", "--sim.x0", "1,0"],
+], ids=["reference_loop", "zero_table"])
+def test_real_trajectory_tables_need_no_fallback_row(tmp_path, monkeypatch, argv):
+    formatted = _count_fallback_rows(monkeypatch)
+    assert main(["simulate", *argv, "--output.dir", str(tmp_path), "--output.prefix", "run"]) == 0
+    parsed = parse_trajectory_csv(str(tmp_path / "run_simulate.csv"))
+    assert len(parsed["ts"]) > cli._CSV_BLOCK_ROWS
+    if "zero" in argv:
+        assert np.all(parsed["xs"][:, 0] == 1.0)
+    assert formatted == []
+
+
 def test_simulate_writes_artifacts_and_exits_zero(tmp_path):
     code = main(["simulate", "--sim.x0", "1,0", "--output.dir", str(tmp_path),
                  "--output.prefix", "run"])
