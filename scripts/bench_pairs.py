@@ -13,7 +13,9 @@ in the base directory and in this checkout's working tree, base first on
 odd pairs and head first on even ones.
 It prints every run's end-to-end metrics and, per metric, each side's
 median and interquartile range, the pairs the head wins (ties count for
-neither side) and the median change head / base - 1.  The
+neither side) and the median change head / base - 1.  A metric whose head
+median is worse than the base median by more than its `bound` in
+BENCHMARK.json (the benchmark's rejection rule) is marked BEYOND BOUND.  The
 temporary directory is removed at the end.  `--workload all` runs the
 benchmark's workloads in turn within each pair.  Exits non-zero when a
 run fails or reports an incorrect result.
@@ -35,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 METRICS = tuple((m["name"], m["unit"], m["better"]) for m in BENCHMARK["end_to_end"])
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 
 def median(values):
@@ -60,6 +63,13 @@ def wins(base_runs, head_runs, better: str) -> int:
     """Pairs in which the head is strictly better; ties count for neither."""
     sign = 1.0 if better == "higher" else -1.0
     return sum(sign * (h - b) > 0.0 for b, h in zip(base_runs, head_runs))
+
+
+def beyond_bound(rel: float, better: str, bound: float) -> bool:
+    """Whether a median change rel = head / base - 1 makes the head worse
+    than the base by more than bound, a fraction of the base."""
+    worse = rel if better == "lower" else -rel
+    return worse > bound
 
 
 def summary_rows(pairs, metrics=METRICS):
@@ -139,10 +149,15 @@ def main(argv=None) -> int:
         for w in workloads:
             print(f"\n{w}: medians over {len(pairs[w])} pairs")
             print(f"{'metric':12s} {'unit':5s} {'base':>12s} {'base IQR':>10s} {'head':>12s} "
-                  f"{'head IQR':>10s} {'change':>9s} {'head wins':>10s} {'ties':>5s}")
-            for name, unit, b, b_iqr, h, h_iqr, rel, won, ties in summary_rows(pairs[w]):
+                  f"{'head IQR':>10s} {'change':>9s} {'head wins':>10s} {'ties':>5s} "
+                  f"{'bound':>6s}")
+            for (name, unit, b, b_iqr, h, h_iqr, rel, won, ties), (_, _, better) in zip(
+                    summary_rows(pairs[w]), METRICS):
+                bound = BOUNDS[name]
+                mark = " BEYOND BOUND" if beyond_bound(rel, better, bound) else ""
                 print(f"{name:12s} {unit:5s} {b:12.6g} {b_iqr:10.3g} {h:12.6g} {h_iqr:10.3g} "
-                      f"{rel:+9.2%} {won:>4d} of {len(pairs[w]):<3d} {ties:5d}")
+                      f"{rel:+9.2%} {won:>4d} of {len(pairs[w]):<3d} {ties:5d} "
+                      f"{bound:6.0%}{mark}")
     finally:
         shutil.rmtree(base_dir, ignore_errors=True)
     return 0

@@ -14,6 +14,7 @@ bad input raises ValueError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -262,7 +263,7 @@ def falsify_uniform_stability(model: SystemModel, delta: float, epsilon: float,
     x0[0] = delta
 
     crossing = integrate(model, None, x0, s, T - rho_min, opts,
-                         stop_condition=lambda t, x: float(np.linalg.norm(x)) > epsilon)
+                         stop_condition=lambda t, x: math.sqrt(x.dot(x)) > epsilon)
     crossed = crossing.termination.kind == EVENT
     crossing_time = float(crossing.termination.t) if crossed else None
 
@@ -415,7 +416,7 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
             else:
                 probe = integrate(
                     model, case_noise, xi_arr, 0.0, t_end, opts,
-                    stop_condition=lambda t, x: float(np.max(np.abs(x))) <= width)
+                    stop_condition=lambda t, x: max(map(abs, x.tolist())) <= width)
                 if probe.termination.kind != EVENT:
                     _require_complete(probe)
                     flags.append(idx)

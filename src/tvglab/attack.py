@@ -154,7 +154,7 @@ class ControllerDivergenceNoise(_DivergenceNoise):
             self._latched0 = True
             return False
         if self._seg_target is not None and not self._crossed:
-            if float(np.linalg.norm(x)) >= self._seg_target:
+            if math.sqrt(x.dot(x)) >= self._seg_target:
                 self._crossed = True
         if self._next_idx < len(self.targets):
             ready = self._seg_target is None or self._crossed
@@ -643,6 +643,17 @@ def run_controller_terminal_attack_with_prelude(model: SystemModel, eta_bar: flo
     noise then takes over.  The search for the two switch instants runs the
     same integrator; it retries with a narrower window when the swing misses
     the budget checks.
+
+    The steering constants come from the reference loop (-6/(T-t)^2,
+    -4/(T-t)): phase one holds const_vec[n-2] = -eta_bar/8, and the first
+    window is at most 3/32 * eta_bar/epsilon.  Other tables may never swing
+    inside such a window.  Measured from x0 = (1, 0) (or (1, 0, 0)) at
+    eta_bar in {0.01, 0.1} and epsilon in {0.05, 0.5}: the reference table
+    passes all four pairs; the rational tables "-0.5,1; -1,1" and
+    "-60,3; -36,2; -9,1" fail all four (no admissible swing found);
+    "-2,2; -3,1" fails at eta_bar 0.01 (no swing at epsilon 0.05, the replay
+    ends in step_underflow at 0.5) and passes at 0.1.  A failure raises
+    NumericalFailure.
     """
     if model.variant != CONTROL_LOOP:
         raise ValueError("terminal tracking attack applies to the control loop")

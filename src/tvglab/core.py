@@ -219,7 +219,9 @@ class NoiseSource:
     A source is owned by one integration run at a time.  value(t, x) returns
     the additive measurement noise at time t given the current plant state
     (a length-n vector for the control loop, a scalar for the differentiator
-    error model) and must satisfy the declared bound at every query.
+    error model) and must satisfy the declared bound at every query.  x is a
+    list of n floats at a Runge-Kutta stage and a 1-D array at a committed
+    step, grid point or event; value() must not change it.
     observe(t, x) is called once per committed integration step, in time
     order, and is the only place a source may change internal state; it
     returns True when the source switched its law exactly at t.  When it
@@ -303,7 +305,7 @@ class SystemModel:
     def T(self) -> float:
         return self.horizon.T
 
-    def rhs(self, t: float, x, eta) -> np.ndarray:
+    def rhs(self, t: float, x, eta) -> list[float]:
         """Chain derivative under the measured signal: the feedback
         v(t, x + eta) of the control loop, or the injections
         phi(t, x_1 + eta_1) of the differentiator; d enters the last channel.
@@ -311,7 +313,8 @@ class SystemModel:
         x is a list of floats or a 1-D array.  eta is the control loop's
         noise vector (array or list) or a scalar that broadcasts, or the
         differentiator's scalar (a float or a one-element array).  Returns
-        an array.  Rejects t >= T.
+        a fresh list of n floats, which the integrator writes straight into
+        its stage matrix.  Rejects t >= T.
         """
         u = self._T - t
         if u <= 0.0:
@@ -336,7 +339,7 @@ class SystemModel:
             if not math.isfinite(out):
                 raise NumericalFailure(f"controller output not finite at t={t!r}")
             tail.append(out + d)
-            return np.array(tail)
+            return tail
         y = xs[0] + (eta if type(eta) is float else np.asarray(eta, dtype=float).item())
         out = []
         for terms in self._terms:
@@ -348,7 +351,7 @@ class SystemModel:
             raise NumericalFailure(f"injection output not finite at t={t!r}")
         dx = [xi + phi for xi, phi in zip(tail, out)]
         dx.append(d + out[-1])
-        return np.array(dx)
+        return dx
 
     def gain_output(self, t, x, eta):
         """Scalar record of the algorithm output at (t, x): the controller

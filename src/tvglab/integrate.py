@@ -44,7 +44,13 @@ _DP_E = np.array((71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
 REACHED_END = "reached_t_end"
 BLOW_UP = "blow_up"
 STEP_UNDERFLOW = "step_underflow"
+STEP_BUDGET = "step_budget"
 EVENT = "event"
+
+# trial steps, accepted or rejected, that one integrate call may take; a run
+# that needs more ends with a step_budget termination.  The largest call of
+# the golden run takes 1037.
+MAX_TRIAL_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -187,14 +193,15 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     The noise source sees every committed step through observe(t, x) and its
     announced discontinuities become exact step boundaries.  Returns a
     Trajectory whose termination reports normal completion, norm escape
-    (blow_up), error-control failure (step_underflow), or a stop-condition
-    event located by step-local bisection.  A held source (NoiseSource.held)
+    (blow_up), error-control failure (step_underflow), a run that used up
+    its MAX_TRIAL_STEPS trial steps (step_budget), or a stop-condition event
+    located by step-local bisection.  A held source (NoiseSource.held)
     is queried once after the first observe and once after each switch, and
     that value serves every stage and sample until the next switch; any
-    other source is queried at every RK stage and sample, a step's grid
-    points in time order before the observe at its end (on a stop-event
-    step, after the event's own query, since their states interpolate to
-    the event knot).  Each query is checked against the source's bound; a
+    other source is queried at every RK stage, with the stage state as a
+    list of floats, and at every sample, a step's grid points in time order
+    before the observe at its end (on a stop-event step, after the event's
+    own query, since their states interpolate to the event knot).  Each query is checked against the source's bound; a
     violation raises NoiseBoundViolation.
     """
     opts = opts or IntegrationOptions()
@@ -262,7 +269,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     # initial commitment: let the source latch its first segment, then record
     noise.observe(t0, x)
     eta0 = eta_held = eta_at(t0, x)
-    f0 = np.asarray(model.rhs(t0, x, eta0), dtype=float)
+    f0 = np.array(model.rhs(t0, x, eta0))
     record_knot(t0, x, f0, eta0)
 
     query_grid = grid is not None and not held
@@ -293,12 +300,18 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     termination = None
     n = len(x)
     x_list = x.tolist()
-    # one stage matrix serves every trial step; stage i combines its rows k[:i]
+    # one stage matrix serves every trial step; stage i combines its rows
+    # k[:i] and writes row k[i]
     k = np.empty((7, n))
-    stages = tuple((c, arow, k[:len(arow)]) for c, arow in _DP_STAGES)
-    k_b = k[:6]
+    stages = tuple((c, arow, k[:len(arow)], k[len(arow)]) for c, arow in _DP_STAGES)
+    k_first, k_b, k_last = k[0], k[:6], k[6]
+    trials = 0
 
     while termination is None and t < t_end:
+        if trials == MAX_TRIAL_STEPS:
+            termination = Termination(kind=STEP_BUDGET, t=t)
+            break
+        trials += 1
         t_disc = noise.next_discontinuity(t)
         d_disc = model.disturbance.next_discontinuity(t)
         barrier = min(t_end, t_disc, d_disc)
@@ -312,24 +325,22 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         # products, whose BLAS kernel sets their rounding (the method form
         # skips np.dot's dispatch); every elementwise operation runs on Python
         # floats, which round it as numpy does.  Stage states stay lists of
-        # floats for model.rhs; only a source that is not held is queried
-        # there, and gets them as arrays, as its contract says.  A non-finite
-        # stage makes err NaN or inf, so "not err <= 1.0" rejects it like a
-        # raised NumericalFailure.  max() drops a NaN that np.maximum would
-        # keep, but a NaN in x_new comes with a non-finite error term in its
-        # channel
+        # floats: model.rhs takes one and returns a list, written straight
+        # into its preallocated stage row, and a source that is not held is
+        # queried with it.  A non-finite stage makes err NaN or inf, so
+        # "not err <= 1.0" rejects it like a raised NumericalFailure.  max()
+        # drops a NaN that np.maximum would keep, but a NaN in x_new comes
+        # with a non-finite error term in its channel
         try:
-            k[0] = f_start
-            for i, (c, arow, k_head) in enumerate(stages, start=1):
+            k_first[...] = f_start
+            for c, arow, k_head, k_row in stages:
                 ts_i = t + c * h
                 xl_i = [a + h * b for a, b in zip(x_list, arow.dot(k_head).tolist())]
-                k[i] = model.rhs(ts_i, xl_i,
-                                 eta_held if held else eta_at(ts_i, np.array(xl_i)))
+                k_row[...] = model.rhs(ts_i, xl_i, eta_held if held else eta_at(ts_i, xl_i))
             new_list = [a + h * b for a, b in zip(x_list, _DP_B.dot(k_b).tolist())]
-            x_new = np.array(new_list)
             t_new = barrier if at_barrier else t + h
-            eta_new = eta_held if held else eta_at(t_new, x_new)
-            k[6] = model.rhs(t_new, new_list, eta_new)
+            eta_new = eta_held if held else eta_at(t_new, new_list)
+            k_last[...] = model.rhs(t_new, new_list, eta_new)
             qs = [h * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
                   for a, b, e in zip(x_list, new_list, _DP_E.dot(k).tolist())]
             if n < 8:  # numpy's sum adds up to 7 terms in order, more pairwise
@@ -353,7 +364,8 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
 
         # committed: the knot keeps a copy of the last stage, not the whole
         # stage matrix
-        f_new = k[6].copy()
+        x_new = np.array(new_list)
+        f_new = k_last.copy()
         dt = t_new - t
         stop_hit = stop_condition is not None and stop_condition(t_new, x_new)
         if stop_hit:
@@ -371,7 +383,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             t_ev = hi
             x_ev = _hermite(x, f_start, x_new, f_new, dt, (t_ev - t) / dt)
             eta_ev = eta_held if held else eta_at(t_ev, x_ev)
-            f_ev = np.asarray(model.rhs(t_ev, x_ev, eta_ev), dtype=float)
+            f_ev = np.array(model.rhs(t_ev, x_ev, eta_ev))
             if query_grid:
                 grid_queries(t, x, f_start, x_ev, f_ev, t_ev - t, t_ev)
             record_knot(t_ev, x_ev, f_ev, eta_ev)
@@ -388,10 +400,10 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             switch_times.append(t_new)
             switch_fls.append(f_new)
             eta_new = eta_held = eta_at(t_new, x_new)
-            f_new = np.asarray(model.rhs(t_new, x_new, eta_new), dtype=float)  # right-limit derivative
+            f_new = np.array(model.rhs(t_new, x_new, eta_new))  # right-limit derivative
         record_knot(t_new, x_new, f_new, eta_new)
 
-        norm_new = math.sqrt(float(x_new @ x_new))
+        norm_new = math.sqrt(x_new.dot(x_new))
         if norm_new >= opts.max_norm:
             channel = int(np.argmax(np.abs(x_new)))
             termination = Termination(

@@ -58,6 +58,24 @@ def test_summary_rows_per_metric():
     assert rate[7:] == (1, 2)
 
 
+def test_bounds_are_the_declared_bounds():
+    declared = {m["name"]: m["bound"] for m in bench_pairs.BENCHMARK["end_to_end"]}
+    assert bench_pairs.BOUNDS == declared
+    assert set(declared) == {name for name, _, _ in bench_pairs.METRICS}
+
+
+def test_beyond_bound_is_a_worse_median_change_larger_than_the_bound():
+    # a lower-is-better metric is worse when it rises, higher-is-better when it falls
+    assert bench_pairs.beyond_bound(0.26, "lower", 0.25)
+    assert not bench_pairs.beyond_bound(0.25, "lower", 0.25)
+    assert not bench_pairs.beyond_bound(-0.9, "lower", 0.25)
+    assert bench_pairs.beyond_bound(-0.11, "higher", 0.1)
+    assert not bench_pairs.beyond_bound(-0.1, "higher", 0.1)
+    assert not bench_pairs.beyond_bound(0.9, "higher", 0.1)
+    assert bench_pairs.beyond_bound(bench_pairs.change(0.0, 1.0), "lower", 0.25)
+    assert not bench_pairs.beyond_bound(bench_pairs.change(0.0, 0.0), "lower", 0.25)
+
+
 def test_pairs_must_be_positive():
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(["HEAD", "--workload", "attack_suite", "--pairs", "0"])

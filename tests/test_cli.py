@@ -1,6 +1,7 @@
 """Config parsing, CSV artifacts, exit codes, and run determinism."""
 
 import dataclasses
+import importlib
 import math
 import os
 
@@ -485,6 +486,17 @@ def test_exit_code_contract(tmp_path):
     # 2: numerical failure (escape below the blow-up guard)
     assert main(["simulate", "--sim.x0", "1,0", "--integration.max_norm", "0.5",
                  "--output.prefix", "esc"] + out) == 2
+
+
+def test_simulate_that_uses_up_its_step_budget_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("tvglab.integrate"), "MAX_TRIAL_STEPS", 200)
+    argv = ["simulate", "--system.variant", "diff_error", "--system.injection", "rational_tvg",
+            "--system.gains", "-6,2; -4,1", "--sim.x0", "1,0", "--output.dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "simulate: integration ended early: step_budget"]
+    summary = (tmp_path / "tvglab_simulate_summary.txt").read_text().splitlines()
+    assert "termination: step_budget" in summary
 
 
 def test_flat_gain_scan_exits_3(tmp_path):

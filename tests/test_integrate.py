@@ -1,13 +1,20 @@
 """Adaptive stepper: accuracy, noise handling, events, termination."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvglab.attack import (
+    DifferentiatorDivergenceNoise,
+    DifferentiatorTerminalNoise,
     _ConstantVectorNoise,
     controller_divergence_noise,
+    controller_terminal_error_noise,
+    default_targets,
     differentiator_divergence_noise,
 )
 from tvglab.core import (
@@ -18,6 +25,7 @@ from tvglab.core import (
     ZeroNoise,
     differentiator_error_model,
     open_loop_chain,
+    rational_diff_error,
     rational_loop,
     reference_loop,
 )
@@ -28,14 +36,20 @@ from tvglab.integrate import (
     BLOW_UP,
     EVENT,
     REACHED_END,
+    STEP_BUDGET,
     STEP_UNDERFLOW,
     IntegrationOptions,
     OutputGrid,
+    _require_complete,
     detect_peaks,
     integrate,
     terminal_state,
 )
 from tvglab.oracle import reference_solution
+
+# the module itself: the package exports its integrate function under the
+# same name
+integrate_module = importlib.import_module("tvglab.integrate")
 
 
 def test_closed_loop_matches_closed_form():
@@ -477,13 +491,21 @@ def test_reference_run_work_is_pinned():
     (reference_loop, lambda: controller_divergence_noise(1e-2), 782, 4808, 7, 8),
     (differentiator_error_model, lambda: differentiator_divergence_noise(1e-2),
      849, 5489, 4, 5489),
-], ids=["differentiator", "controller_divergence", "diff_divergence"])
+    # runs from the plan's start state at the plan's start time
+    (reference_loop, lambda: controller_terminal_error_noise(reference_loop(), 1e-2, 0.5)[0],
+     134, 817, 0, 817),
+    (differentiator_error_model, lambda: DifferentiatorTerminalNoise(0.1, 1.0),
+     402, 2431, 0, 2431),
+], ids=["differentiator", "controller_divergence", "diff_divergence", "controller_terminal",
+        "diff_terminal"])
 def test_work_beyond_the_reference_run_is_pinned(make_model, make_noise, steps, calls, switches,
                                                  queries):
     src = make_model()
     model = _CountingLoop(src.variant, src.horizon, src.gains)
     noise = _count_queries(make_noise())
-    traj = integrate(model, noise, np.array([1.0, -0.5]), 0.0, 1.0 - 1e-9)
+    plan = getattr(noise, "plan", None)
+    t0, x0 = (0.0, np.array([1.0, -0.5])) if plan is None else (plan.s, plan.initial_state())
+    traj = integrate(model, noise, x0, t0, 1.0 - 1e-9)
     assert traj.completed
     assert len(traj.knot_ts) - 1 == steps and len(traj.switch_times) == switches
     # 1 + 6 per trial step + 1 per switch: rejected trial steps make the rest
@@ -492,6 +514,61 @@ def test_work_beyond_the_reference_run_is_pinned(make_model, make_noise, steps, 
     # switch; any other source once per right-hand side, since a committed
     # step records the noise its last stage queried
     assert noise.calls == queries == (1 + switches if noise.held else model.calls)
+
+
+def test_a_run_that_uses_up_its_step_budget_ends_with_step_budget(monkeypatch):
+    # this stiff table needs over 100k trial steps to reach the floor
+    monkeypatch.setattr(integrate_module, "MAX_TRIAL_STEPS", 200)
+    src = rational_diff_error([[(-6.0, 2)], [(-4.0, 1)]])
+    model = _CountingLoop(src.variant, src.horizon, src.gains)
+    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 1.0 - 1e-9)
+    assert traj.termination.kind == STEP_BUDGET
+    assert traj.termination.t == traj.t_last < 0.9
+    # the budget counts trial steps: 198 accepted and 2 rejected
+    assert len(traj.knot_ts) - 1 == 198 and model.calls == 1 + 6 * 200
+    with pytest.raises(NumericalFailure, match="integration stopped early: step_budget"):
+        _require_complete(traj)
+
+
+def test_stage_queries_get_the_stage_state_as_a_list_of_floats():
+    """A source that is not held is queried with an array only after the
+    first observe and after each switch; every stage query gets a list."""
+    src = differentiator_error_model()
+    model = _CountingLoop(src.variant, src.horizon, src.gains)
+    noise = differentiator_divergence_noise(1e-2)
+    assert not noise.held
+    value, observe = noise.value, noise.observe
+    queries = []
+
+    def logged(t, x):
+        queries.append((t, type(x), all(type(v) is float for v in x)))
+        return value(t, x)
+
+    def observed(t, x):
+        own = len(queries)
+        switched = observe(t, x)
+        del queries[own:]  # the source's own value calls inside observe
+        return switched
+
+    noise.value, noise.observe = logged, observed
+    traj = integrate(model, noise, np.array([1.0, -0.5]), 0.0, 1.0 - 1e-9)
+    assert len(traj.switch_times) == 4 and len(queries) == model.calls
+    assert [t for t, kind, _ in queries if kind is not list] == [0.0, *traj.switch_times]
+    assert {kind for _, kind, _ in queries} == {list, np.ndarray}
+    assert all(floats for _, kind, floats in queries if kind is list)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=3))
+def test_float_reductions_equal_the_numpy_norms(values):
+    """The per-step reductions on a state, bit for bit: the 2-norm of the
+    blow-up check, the divergence noise and the falsify stop condition, and
+    the max norm of the deadzone stop condition."""
+    x = np.array(values)
+    with np.errstate(over="ignore"):  # large entries overflow the square sum to inf
+        assert np.float64(math.sqrt(x.dot(x))).tobytes() == np.linalg.norm(x).tobytes()
+        assert x.dot(x).tobytes() == (x @ x).tobytes()
+    assert np.float64(max(map(abs, x.tolist()))).tobytes() == np.max(np.abs(x)).tobytes()
 
 
 _HELD_SOURCES = {
