@@ -201,8 +201,9 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     other source is queried at every RK stage, with the stage state as a
     list of floats, and at every sample, a step's grid points in time order
     before the observe at its end (on a stop-event step, after the event's
-    own query, since their states interpolate to the event knot).  Each query is checked against the source's bound; a
-    violation raises NoiseBoundViolation.
+    own query, since their states interpolate to the event knot).  Each
+    query is checked against the source's bound; a violation raises
+    NoiseBoundViolation.
     """
     opts = opts or IntegrationOptions()
     T = model.horizon.T

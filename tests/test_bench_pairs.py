@@ -15,8 +15,10 @@ _SPEC.loader.exec_module(bench_pairs)
 
 def test_metrics_are_the_declared_end_to_end_metrics():
     names = [name for name, _, _ in bench_pairs.METRICS]
-    assert names == [m["name"] for m in bench_pairs.BENCHMARK["end_to_end"]]
+    declared = bench_pairs.BENCHMARK["end_to_end"]
+    assert names == [m["name"] for m in declared]
     assert {better for _, _, better in bench_pairs.METRICS} <= {"lower", "higher"}
+    assert bench_pairs.BOUNDS == {m["name"]: m["bound"] for m in declared}
 
 
 def test_median_and_interquartile_range():
@@ -56,12 +58,6 @@ def test_summary_rows_per_metric():
     assert p50[7:] == (2, 0)
     assert rate[2] == 49.0 and rate[4] == 50.0 and rate[5] == pytest.approx(1.5)
     assert rate[7:] == (1, 2)
-
-
-def test_bounds_are_the_declared_bounds():
-    declared = {m["name"]: m["bound"] for m in bench_pairs.BENCHMARK["end_to_end"]}
-    assert bench_pairs.BOUNDS == declared
-    assert set(declared) == {name for name, _, _ in bench_pairs.METRICS}
 
 
 def test_beyond_bound_is_a_worse_median_change_larger_than_the_bound():
