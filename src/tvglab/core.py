@@ -11,6 +11,7 @@ whose right-hand side the integrator and the analysis routines share.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -266,6 +267,60 @@ class ZeroNoise(NoiseSource):
         return self._zero
 
 
+@functools.lru_cache(maxsize=128)
+def _rhs_factory(variant: str, orders: tuple[tuple[int, ...], ...], zero_disturbance: bool):
+    """Compile SystemModel.rhs for one table shape: the variant, each
+    channel's pole orders and whether the disturbance is zero.
+
+    Returns make(T, disturbance, *coefficients), which binds one model's
+    constants by name and returns its right-hand side.  The generated
+    source holds only indices and pole orders, so models of one shape share
+    the compiled code.  Each gain sums its terms c / u**p from 0.0 in table
+    order, as RationalGain.value_at does, with Python's ** on the integer
+    order (numpy's power rounds differently); each distinct power is
+    computed once per call.
+    """
+    n = len(orders)
+    names = [[f"c{i}_{j}" for j in range(len(ps))] for i, ps in enumerate(orders)]
+    gains = ["(0.0" + "".join(f" + {c} / u{p}" for c, p in zip(cs, ps)) + ")"
+             for cs, ps in zip(names, orders)]
+    src = [f"def make(T, disturbance, {', '.join(c for cs in names for c in cs)}):",
+           "    def rhs(t, x, eta):",
+           "        u = T - t",
+           "        if u <= 0.0:",
+           '            raise ValueError(f"gains evaluated at t={t!r} >= deadline T={T!r}")',
+           # adding the zero disturbance still turns a -0.0 output into 0.0
+           f"        d = {'0.0' if zero_disturbance else 'disturbance(t)'}",
+           "        try:",
+           "            " + "".join(f"x{i}, " for i in range(n)) + "= x if type(x) is list else x.tolist()",
+           "        except ValueError:",
+           f'            raise ValueError(f"x has {{len(x)}} components; the model has {n} channels") from None']
+    powers = [f"        u{p} = u**{p}" for p in sorted({p for ps in orders for p in ps})]
+    if variant == CONTROL_LOOP:
+        src += [f"        if type(eta) is not list or len(eta) != {n}:",
+                "            eta = np.asarray(eta, dtype=float)",
+                f"            if eta.shape != ({n},):",
+                f"                eta = np.broadcast_to(eta, ({n},))  # raises as x + eta would",
+                "            eta = eta.tolist()",
+                "        " + "".join(f"e{i}, " for i in range(n)) + "= eta",
+                *powers,
+                "        out = 0.0" + "".join(f" + {g} * (x{i} + e{i})" for i, g in enumerate(gains)),
+                "        if not isfinite(out):",
+                '            raise NumericalFailure(f"controller output not finite at t={t!r}")',
+                "        return [" + "".join(f"x{i}, " for i in range(1, n)) + "out + d]"]
+    else:
+        src += ["        y = x0 + (eta if type(eta) is float else np.asarray(eta, dtype=float).item())",
+                *powers,
+                *(f"        p{i} = {g} * y" for i, g in enumerate(gains)),
+                "        if not (" + " and ".join(f"isfinite(p{i})" for i in range(n)) + "):",
+                '            raise NumericalFailure(f"injection output not finite at t={t!r}")',
+                "        return [" + "".join(f"x{i + 1} + p{i}, " for i in range(n - 1)) + f"d + p{n - 1}]"]
+    src.append("    return rhs")
+    scope = {"np": np, "isfinite": math.isfinite, "NumericalFailure": NumericalFailure}
+    exec(compile("\n".join(src), f"<rhs {variant} {orders}>", "exec"), scope)
+    return scope["make"]
+
+
 # gain table kinds each variant accepts
 _VARIANT_KINDS = {CONTROL_LOOP: (REFERENCE, RATIONAL_TVG), DIFF_ERROR: (PT_DIFF2, RATIONAL_TVG)}
 
@@ -290,12 +345,15 @@ class SystemModel:
             raise ValueError(f"unknown system variant {self.variant!r}")
         if self.gains.kind not in kinds:
             raise ValueError(f"{self.gains.kind} gains cannot drive a {self.variant} model")
-        # constants of every right-hand-side evaluation, looked up once
+        # constants of every gain evaluation, looked up once
         object.__setattr__(self, "_T", self.horizon.T)
         object.__setattr__(self, "_control", self.variant == CONTROL_LOOP)
         object.__setattr__(self, "_channels", self.gains.gains)
-        object.__setattr__(self, "_terms", tuple(g.terms for g in self.gains.gains))
-        object.__setattr__(self, "_zero_disturbance", self.disturbance.kind == "zero")
+        terms = [g.terms for g in self.gains.gains]
+        make = _rhs_factory(self.variant, tuple(tuple(int(p) for _, p in ts) for ts in terms),
+                            self.disturbance.kind == "zero")
+        object.__setattr__(self, "_rhs", make(self._T, self.disturbance,
+                                              *(c for ts in terms for c, _ in ts)))
 
     @property
     def n(self) -> int:
@@ -310,48 +368,19 @@ class SystemModel:
         v(t, x + eta) of the control loop, or the injections
         phi(t, x_1 + eta_1) of the differentiator; d enters the last channel.
 
-        x is a list of floats or a 1-D array.  eta is the control loop's
-        noise vector (array or list) or a scalar that broadcasts, or the
-        differentiator's scalar (a float or a one-element array).  Returns
-        a fresh list of n floats, which the integrator writes straight into
-        its stage matrix.  Rejects t >= T.
+        x is a list of n floats or a 1-D array of length n.  eta is the
+        control loop's noise vector (array or list) or a scalar that
+        broadcasts, or the differentiator's scalar (a float or a
+        one-element array).  Returns a fresh list of n floats, which the
+        integrator writes straight into its stage matrix.  Rejects t >= T
+        and an x of the wrong length.
+
+        The body is straight-line code generated once per table shape (see
+        _rhs_factory): it does the float operations of a loop over the
+        table's channels and terms, in the same order, so every result is
+        bit for bit that loop's.
         """
-        u = self._T - t
-        if u <= 0.0:
-            raise ValueError(f"gains evaluated at t={t!r} >= deadline T={self._T!r}")
-        # adding the zero disturbance still turns a -0.0 output into 0.0
-        d = 0.0 if self._zero_disturbance else self.disturbance(t)
-        xs = x if type(x) is list else x.tolist()
-        tail = xs[1:]
-        # each gain g sums its terms as RationalGain.value_at does, in order
-        if self._control:
-            if type(eta) is not list or len(eta) != len(xs):
-                eta = np.asarray(eta, dtype=float)
-                if eta.shape != (len(xs),):
-                    eta = np.broadcast_to(eta, (len(xs),))  # raises as x + eta would
-                eta = eta.tolist()
-            out = 0.0
-            for terms, xi, ei in zip(self._terms, xs, eta):
-                g = 0.0
-                for c, p in terms:
-                    g += c / u**p
-                out += g * (xi + ei)
-            if not math.isfinite(out):
-                raise NumericalFailure(f"controller output not finite at t={t!r}")
-            tail.append(out + d)
-            return tail
-        y = xs[0] + (eta if type(eta) is float else np.asarray(eta, dtype=float).item())
-        out = []
-        for terms in self._terms:
-            g = 0.0
-            for c, p in terms:
-                g += c / u**p
-            out.append(g * y)
-        if not all(map(math.isfinite, out)):
-            raise NumericalFailure(f"injection output not finite at t={t!r}")
-        dx = [xi + phi for xi, phi in zip(tail, out)]
-        dx.append(d + out[-1])
-        return dx
+        return self._rhs(t, x, eta)
 
     def gain_output(self, t, x, eta):
         """Scalar record of the algorithm output at (t, x): the controller

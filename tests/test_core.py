@@ -18,6 +18,7 @@ from tvglab.core import (
     RationalGain,
     SystemModel,
     ZeroNoise,
+    _rhs_factory,
     differentiator_error_model,
     open_loop_chain,
     rational_diff_error,
@@ -224,14 +225,32 @@ _channel = st.lists(st.tuples(st.floats(min_value=-100.0, max_value=100.0),
                               st.integers(min_value=0, max_value=5)), max_size=3)
 
 
+def _piecewise(samples):
+    samples = tuple(sorted(samples))
+    return DisturbanceSpec(kind="piecewise", bound=max([abs(v) for _, v in samples], default=0.0),
+                           samples=samples)
+
+
+_disturbances = st.one_of(
+    st.none(),
+    _signed_floats.map(lambda v: DisturbanceSpec(kind="constant", bound=abs(v), value=v)),
+    st.builds(lambda a, f, ph: DisturbanceSpec(kind="sinusoid", bound=abs(a), amplitude=a,
+                                               frequency=f, phase=ph),
+              _signed_floats, st.floats(min_value=0.0, max_value=10.0),
+              st.floats(min_value=-4.0, max_value=4.0)),
+    st.lists(st.tuples(st.floats(min_value=0.0, max_value=3.0), _signed_floats),
+             max_size=4).map(_piecewise),
+)
+
+
 @st.composite
 def _rhs_cases(draw):
-    """(variant, tables, T, u = T - t, constant disturbance or None, x, noise)."""
+    """(variant, tables, T, u = T - t, disturbance or None, x, noise)."""
     variant = draw(st.sampled_from([CONTROL_LOOP, DIFF_ERROR]))
-    tables = draw(st.lists(_channel, min_size=2, max_size=4))
+    tables = draw(st.lists(_channel, min_size=2, max_size=5))
     T = draw(st.sampled_from([1.0, 3.0]))
     u = T * math.exp(draw(st.floats(min_value=math.log(1e-9), max_value=0.0)))
-    d = draw(st.one_of(st.none(), _signed_floats))
+    d = draw(_disturbances)
     n = len(tables)
     x = draw(st.lists(_signed_floats, min_size=n, max_size=n))
     e = draw(st.lists(_signed_floats, min_size=n, max_size=n)
@@ -256,8 +275,7 @@ def test_rhs_on_lists_equals_rhs_on_arrays_and_the_array_formula(case):
     numpy's power in place of Python's ** fails this."""
     variant, tables, T, u, d, x, e = case
     make = rational_loop if variant == CONTROL_LOOP else rational_diff_error
-    dist = None if d is None else DisturbanceSpec(kind="constant", bound=abs(d), value=d)
-    model = make(tables, T=T, disturbance=dist)
+    model = make(tables, T=T, disturbance=d)
     t = T - u
     if variant == CONTROL_LOOP:
         etas = [np.array(e), list(e), e[0], np.float64(e[0]), np.array(e[0])]
@@ -272,6 +290,30 @@ def test_rhs_on_lists_equals_rhs_on_arrays_and_the_array_formula(case):
     for late in (T, T + 0.5):
         with pytest.raises(ValueError):
             model.rhs(late, list(x), etas[0])
+
+
+@pytest.mark.parametrize("make", [rational_loop, rational_diff_error])
+def test_models_of_one_table_shape_share_code_but_not_constants(make):
+    """Models whose tables have the same pole orders run one compiled
+    right-hand side, each with its own T, coefficients and disturbance."""
+    orders = [(2, 0), (), (1,)]
+    first = make([[(-6.0, p) for p in ps] for ps in orders], T=1.0,
+                 disturbance=DisturbanceSpec(kind="constant", bound=0.25, value=0.25))
+    built = _rhs_factory.cache_info()
+    others = [make([[(-6.0, p) for p in ps] for ps in orders], T=3.0,
+                   disturbance=DisturbanceSpec(kind="sinusoid", bound=0.5, amplitude=0.5,
+                                               frequency=2.0)),
+              make([[(1.5, p) for p in ps] for ps in orders], T=2.0,
+                   disturbance=_piecewise([(0.1, -0.75), (0.6, 0.75)]))]
+    after = _rhs_factory.cache_info()
+    assert (after.hits, after.misses) == (built.hits + 2, built.misses)
+    x = np.array([0.5, -1.25, 2.0])
+    eta = np.array([0.01, -0.02, 0.03]) if make is rational_loop else 0.01
+    for model in (first, *others):
+        for t in (0.0, 0.3, 0.7, 0.999):
+            expected = _array_rhs(model, t, x, eta)
+            assert np.array(model.rhs(t, x, eta)).tobytes() == expected.tobytes()
+    assert len({tuple(model.rhs(0.7, x, eta)) for model in (first, *others)}) == 3
 
 
 def test_rhs_keeps_a_negative_zero_output():
@@ -322,6 +364,11 @@ def test_rhs_rejects_bad_inputs():
             differentiator_error_model().rhs(0.5, x, np.array([0.1, 0.2]))
         with pytest.raises(ValueError):
             reference_loop().rhs(0.5, x, [0.1, 0.2, 0.3])
+    # an x of another length than the model's is rejected, not integrated
+    for model in (reference_loop(), differentiator_error_model()):
+        for x in ([1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0]), [1.0], np.array([1.0])):
+            with pytest.raises(ValueError, match="the model has 2 channels"):
+                model.rhs(0.5, x, 0.0)
 
 
 def _gain_output(model):

@@ -486,6 +486,21 @@ def test_reference_run_work_is_pinned():
     assert noise.calls == 1
 
 
+def test_integrate_evaluates_every_stage_through_the_rhs_method(monkeypatch):
+    # a wrapper on the class, as the benchmark tracer installs, must see
+    # every evaluation _CountingLoop sees in the reference run
+    rhs, calls = SystemModel.rhs, []
+
+    def counted(self, t, x, eta):
+        calls.append(t)
+        return rhs(self, t, x, eta)
+
+    monkeypatch.setattr(SystemModel, "rhs", counted)
+    traj = integrate(reference_loop(), None, np.array([1.0, 0.0]), 0.0, 1.0 - 1e-9)
+    assert traj.completed and len(traj.knot_ts) - 1 == 493
+    assert len(calls) == 2959
+
+
 @pytest.mark.parametrize("make_model, make_noise, steps, calls, switches, queries", [
     (differentiator_error_model, ZeroNoise, 469, 2839, 0, 1),
     (reference_loop, lambda: controller_divergence_noise(1e-2), 782, 4808, 7, 8),
