@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -181,9 +182,10 @@ class DisturbanceSpec:
             raise ValueError("constant disturbance exceeds its declared bound")
         if self.kind == "sinusoid" and abs(self.amplitude) > self.bound:
             raise ValueError("sinusoid amplitude exceeds the declared bound")
+        # the sample times, searched by bisection
+        object.__setattr__(self, "_times", tuple(t for t, _ in self.samples))
         if self.kind == "piecewise":
-            times = [t for t, _ in self.samples]
-            if times != sorted(times):
+            if list(self._times) != sorted(self._times):
                 raise ValueError("piecewise disturbance samples must be time sorted")
             if any(abs(v) > self.bound for _, v in self.samples):
                 raise ValueError("piecewise disturbance sample exceeds the declared bound")
@@ -195,23 +197,16 @@ class DisturbanceSpec:
             return self.value
         if self.kind == "sinusoid":
             return self.amplitude * math.sin(2.0 * math.pi * self.frequency * t + self.phase)
-        # piecewise: hold the latest sample value
-        held = 0.0
-        for ts, vs in self.samples:
-            if t >= ts:
-                held = vs
-            else:
-                break
-        return held
+        # piecewise: hold the value of the last sample at or before t
+        i = bisect_right(self._times, t)
+        return self.samples[i - 1][1] if i else 0.0
 
     def next_discontinuity(self, t: float) -> float:
         """Next jump instant strictly after t (inf when none)."""
         if self.kind != "piecewise":
             return math.inf
-        for ts, _ in self.samples:
-            if ts > t:
-                return ts
-        return math.inf
+        i = bisect_right(self._times, t)
+        return self._times[i] if i < len(self._times) else math.inf
 
 
 class NoiseSource:

@@ -8,6 +8,12 @@ that the singular gains demand:
 * noise and disturbance switching instants are hard step boundaries; the
   integrator lands on them exactly instead of stepping across.
 
+Each trial step runs one straight-line function generated per channel count
+and noise kind (see _step_factory).  Its elementwise work runs on Python
+floats; its stage sums stay BLAS dot products on one preallocated stage
+matrix, whose fused multiply-adds no Python float expression reproduces, so
+the step rounds as the stepper always has.
+
 The loop keeps a knot record at every committed step: state, noise as
 queried, and the derivative's right and left limits at the knot.  Cubic
 Hermite interpolation over the knots gives dense output in between.  An
@@ -18,6 +24,7 @@ evaluator Trajectory.state_at calls, merged with the knot rows by index.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -40,6 +47,63 @@ _DP_STAGES = tuple((c, np.array(row)) for c, row in zip(
 _DP_B = np.array((35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0))
 _DP_E = np.array((71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
                   -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0))
+
+
+@functools.lru_cache(maxsize=None)
+def _step_factory(n: int, held: bool):
+    """Compile one trial Dormand-Prince step for n channels.
+
+    Returns make(rhs, eta_at, k, abs_tol, rel_tol), which binds one run's
+    right-hand side, checked noise query, 7 x n stage matrix and tolerances,
+    and returns step(t, h, t_new, x, f, eta) -> (err, new, eta_new).  From
+    the state x (a list of floats) and opening derivative f (an array),
+    stage i's state is x plus h times its tableau row dotted with k[:i], and
+    rhs there fills row k[i]; new is the 5th-order state at t_new, row k[6]
+    its derivative (FSAL) and err the RMS of the scaled error estimate.  A
+    held run passes eta to every stage; otherwise eta_at is queried at each
+    stage state, a fresh list.  The source holds names and indices only.
+    """
+    def names(prefix):
+        return ", ".join(f"{prefix}{j}" for j in range(n))
+
+    query = "eta" if held else "eta_at(ts, xs)"
+
+    def stage(i, term):
+        # stage i: its state from each channel's term of the stage sum
+        return [f"        ts = t + C{i} * h",
+                "        xs = [" + ", ".join(f"x{j} + h * " + term.format(j=j) for j in range(n)) + "]",
+                f"        k{i}[...] = rhs(ts, xs, {query})"]
+
+    src = ["def make(rhs, eta_at, k, abs_tol, rel_tol):",
+           "    k0, k1, k2, k3, k4, k5, k6 = k",
+           "    head2, head3, head4, head5, head6 = k[:2], k[:3], k[:4], k[:5], k[:6]",
+           "    def step(t, h, t_new, x, f, eta):",
+           f"        {names('x')} = x",
+           "        k0[...] = f",
+           f"        {names('s')} = f.tolist()",
+           # a one-term stage sum is one product, rounded as its dot product
+           *stage(1, "(A1 * s{j})")]
+    for i in range(2, 6):
+        src += [f"        {names('s')} = A{i}.dot(head{i}).tolist()", *stage(i, "s{j}")]
+    src += [f"        {names('s')} = B.dot(head6).tolist()",
+            *(f"        n{j} = x{j} + h * s{j}" for j in range(n)),
+            f"        new = [{names('n')}]",
+            f"        eta_new = {'eta' if held else 'eta_at(t_new, new)'}",
+            "        k6[...] = rhs(t_new, new, eta_new)",
+            f"        {names('s')} = E.dot(k).tolist()",
+            *(f"        q{j} = h * s{j} / (abs_tol + rel_tol * max(abs(x{j}), abs(n{j})))"
+              for j in range(n))]
+    squares = [f"q{j} * q{j}" for j in range(n)]
+    # numpy's sum adds up to 7 terms in order, more pairwise
+    src += ["        sq = " + (" + ".join(squares) if n < 8 else f"float(np.sum([{', '.join(squares)}]))"),
+            f"        return sqrt(sq / {n}), new, eta_new",
+            "    return step"]
+    scope = {f"C{i}": float(c) for i, (c, _) in enumerate(_DP_STAGES, start=1)}
+    scope.update({f"A{i}": row for i, (_, row) in enumerate(_DP_STAGES, start=1)},
+                 A1=float(_DP_STAGES[0][1][0]), B=_DP_B, E=_DP_E, np=np, sqrt=math.sqrt)
+    exec(compile("\n".join(src), f"<step {n} {'held' if held else 'queried'}>", "exec"), scope)
+    return scope["make"]
+
 
 REACHED_END = "reached_t_end"
 BLOW_UP = "blow_up"
@@ -225,6 +289,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         noise = model.zero_noise()
 
     is_control = model.variant == CONTROL_LOOP
+    rhs = model.rhs  # bound per run: the benchmark tracer patches the method on the class
     held = noise.held
     bound_slack = noise.bound * (1.0 + 1e-9) + 1e-300
 
@@ -270,7 +335,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     # initial commitment: let the source latch its first segment, then record
     noise.observe(t0, x)
     eta0 = eta_held = eta_at(t0, x)
-    f0 = np.array(model.rhs(t0, x, eta0))
+    f0 = np.array(rhs(t0, x, eta0))
     record_knot(t0, x, f0, eta0)
 
     query_grid = grid is not None and not held
@@ -294,18 +359,15 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     t = t0
     f_start = f0
     kappa = opts.max_step_fraction
-    abs_tol, rel_tol = opts.abs_tol, opts.rel_tol
     h_try = opts.initial_step if opts.initial_step is not None else min(
         1e-3 * (t_end - t0), kappa * (T - t0))
     h_try = max(h_try, min_step)
     termination = None
-    n = len(x)
     x_list = x.tolist()
-    # one stage matrix serves every trial step; stage i combines its rows
-    # k[:i] and writes row k[i]
-    k = np.empty((7, n))
-    stages = tuple((c, arow, k[:len(arow)], k[len(arow)]) for c, arow in _DP_STAGES)
-    k_first, k_b, k_last = k[0], k[:6], k[6]
+    # one stage matrix serves every trial step of the compiled kernel
+    k = np.empty((7, model.n))
+    step = _step_factory(model.n, held)(rhs, eta_at, k, opts.abs_tol, opts.rel_tol)
+    k_last = k[6]
     trials = 0
 
     while termination is None and t < t_end:
@@ -322,35 +384,16 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             h = barrier - t  # land exactly on the boundary
         at_barrier = (t + h) >= barrier
 
-        # one trial Dormand-Prince step.  The stage sums stay numpy dot
-        # products, whose BLAS kernel sets their rounding (the method form
-        # skips np.dot's dispatch); every elementwise operation runs on Python
-        # floats, which round it as numpy does.  Stage states stay lists of
-        # floats: model.rhs takes one and returns a list, written straight
-        # into its preallocated stage row, and a source that is not held is
-        # queried with it.  A non-finite stage makes err NaN or inf, so
-        # "not err <= 1.0" rejects it like a raised NumericalFailure.  max()
-        # drops a NaN that np.maximum would keep, but a NaN in x_new comes
-        # with a non-finite error term in its channel
+        # one trial Dormand-Prince step, one call of the compiled kernel: its
+        # elementwise work on Python floats rounds as numpy's would, and its
+        # stage sums stay the BLAS dot products that set the stepper's
+        # rounding.  A non-finite stage makes err NaN or inf, so "not err <=
+        # 1.0" rejects it like a raised NumericalFailure.  max() drops a NaN
+        # that np.maximum would keep, but a NaN in the new state comes with a
+        # non-finite error term in its channel
+        t_new = barrier if at_barrier else t + h
         try:
-            k_first[...] = f_start
-            for c, arow, k_head, k_row in stages:
-                ts_i = t + c * h
-                xl_i = [a + h * b for a, b in zip(x_list, arow.dot(k_head).tolist())]
-                k_row[...] = model.rhs(ts_i, xl_i, eta_held if held else eta_at(ts_i, xl_i))
-            new_list = [a + h * b for a, b in zip(x_list, _DP_B.dot(k_b).tolist())]
-            t_new = barrier if at_barrier else t + h
-            eta_new = eta_held if held else eta_at(t_new, new_list)
-            k_last[...] = model.rhs(t_new, new_list, eta_new)
-            qs = [h * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
-                  for a, b, e in zip(x_list, new_list, _DP_E.dot(k).tolist())]
-            if n < 8:  # numpy's sum adds up to 7 terms in order, more pairwise
-                sq = 0.0
-                for qi in qs:
-                    sq += qi * qi
-            else:
-                sq = float(np.square(qs).sum())
-            err = math.sqrt(sq / n)
+            err, new_list, eta_new = step(t, h, t_new, x_list, f_start, eta_held)
         except NoiseBoundViolation:
             raise
         except NumericalFailure:
@@ -384,7 +427,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             t_ev = hi
             x_ev = _hermite(x, f_start, x_new, f_new, dt, (t_ev - t) / dt)
             eta_ev = eta_held if held else eta_at(t_ev, x_ev)
-            f_ev = np.array(model.rhs(t_ev, x_ev, eta_ev))
+            f_ev = np.array(rhs(t_ev, x_ev, eta_ev))
             if query_grid:
                 grid_queries(t, x, f_start, x_ev, f_ev, t_ev - t, t_ev)
             record_knot(t_ev, x_ev, f_ev, eta_ev)
@@ -401,7 +444,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             switch_times.append(t_new)
             switch_fls.append(f_new)
             eta_new = eta_held = eta_at(t_new, x_new)
-            f_new = np.array(model.rhs(t_new, x_new, eta_new))  # right-limit derivative
+            f_new = np.array(rhs(t_new, x_new, eta_new))  # right-limit derivative
         record_knot(t_new, x_new, f_new, eta_new)
 
         norm_new = math.sqrt(x_new.dot(x_new))

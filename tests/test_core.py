@@ -161,6 +161,29 @@ def test_disturbance_kinds():
     assert steps.next_discontinuity(0.6) == math.inf
 
 
+def _linear_scan(samples, t):
+    """The held value at t and the next jump after t, by a linear scan over
+    a piecewise disturbance's samples."""
+    held = 0.0
+    for ts, vs in samples:
+        if t < ts:
+            return held, ts
+        held = vs
+    return held, math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=6).map(lambda i: 0.125 * i), max_size=10),
+       st.lists(st.floats(min_value=-1.0, max_value=2.0), max_size=4))
+def test_piecewise_lookup_equals_the_linear_scan(times, extra):
+    # a distinct value per sample tells duplicate times apart
+    samples = tuple((ts, float(i)) for i, ts in enumerate(sorted(times)))
+    d = DisturbanceSpec(kind="piecewise", bound=float(len(samples)), samples=samples)
+    near = [math.nextafter(ts, side) for ts in times for side in (-math.inf, math.inf)]
+    for t in (-1.0, 2.0, *times, *near, *extra):
+        assert (d(t), d.next_discontinuity(t)) == _linear_scan(samples, t)
+
+
 def test_disturbance_validation():
     with pytest.raises(ValueError):
         DisturbanceSpec(kind="constant", bound=0.1, value=0.2)

@@ -499,6 +499,13 @@ def test_integrate_evaluates_every_stage_through_the_rhs_method(monkeypatch):
     traj = integrate(reference_loop(), None, np.array([1.0, 0.0]), 0.0, 1.0 - 1e-9)
     assert traj.completed and len(traj.knot_ts) - 1 == 493
     assert len(calls) == 2959
+    # and with a source queried at every stage: the pinned controller_terminal run
+    calls.clear()
+    noise, plan = controller_terminal_error_noise(reference_loop(), 1e-2, 0.5)
+    assert not noise.held
+    traj = integrate(reference_loop(), noise, plan.initial_state(), plan.s, 1.0 - 1e-9)
+    assert traj.completed and len(traj.knot_ts) - 1 == 134
+    assert len(calls) == 817
 
 
 @pytest.mark.parametrize("make_model, make_noise, steps, calls, switches, queries", [
@@ -680,6 +687,56 @@ def test_stepper_matches_its_numpy_reference_bit_for_bit(model, x0):
     assert traj.knot_ts.tobytes() == ts.tobytes()
     assert traj.knot_xs.tobytes() == xs.tobytes()
     assert traj.knot_fs.tobytes() == fs.tobytes()
+
+
+# a control loop with n = 2..9 channels, each of up to two terms c / (T - t)**p
+# with p <= 1 (pole order 2 soon blows up or stiffens here), and its start
+_random_tables = st.integers(min_value=2, max_value=9).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.tuples(st.floats(min_value=-2.0, max_value=0.5),
+                                st.integers(min_value=0, max_value=1)), max_size=2),
+             min_size=n, max_size=n),
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_tables)
+def test_stepper_matches_its_numpy_reference_on_random_tables(case):
+    """Both sides of the n = 8 error-sum boundary the compiled step picks."""
+    tables, x0 = case
+    model, t_end = rational_loop(tables), 1.0 - 1e-3
+    traj = integrate(model, None, np.array(x0), 0.0, t_end)
+    assert traj.completed
+    ts, xs, fs = _numpy_reference_knots(model, x0, t_end)
+    assert traj.knot_ts.tobytes() == ts.tobytes()
+    assert traj.knot_xs.tobytes() == xs.tobytes()
+    assert traj.knot_fs.tobytes() == fs.tobytes()
+
+
+def test_runs_with_one_channel_count_share_one_compiled_step():
+    step_factory = integrate_module._step_factory
+    step_factory.cache_clear()
+    x0 = np.array([1.0, -0.5])
+    for model in (reference_loop(), rational_loop([[(-3.0, 1)], [(-2.0, 0)]]),
+                  differentiator_error_model()):
+        integrate(model, None, x0, 0.0, 0.5)
+    assert step_factory.cache_info()[:2] == (2, 1)  # hits, misses
+    integrate(differentiator_error_model(), differentiator_divergence_noise(1e-2), x0, 0.0, 0.5)
+    assert step_factory.cache_info()[:2] == (2, 2)  # not held: a step of its own
+
+
+def _constants(code):
+    """Every constant of a code object and of the code objects nested in it."""
+    for c in code.co_consts:
+        yield from _constants(c) if hasattr(c, "co_consts") else (c,)
+
+
+@pytest.mark.parametrize("held", [True, False])
+@pytest.mark.parametrize("n", [2, 7, 8, 9])
+def test_compiled_step_holds_no_float_literal(n, held):
+    # the tableau and tolerances are bound by name, never formatted in
+    make = integrate_module._step_factory(n, held)
+    constants = list(_constants(make.__code__))
+    assert constants and not any(isinstance(c, float) for c in constants)
 
 
 class _NanStageLoop(SystemModel):
