@@ -73,8 +73,7 @@ SCENARIOS: dict[str, list[str]] = {
                              "--attack.eta_bar", "0.1", "--attack.epsilon", "1.0"],
     "readme_controller_divergence": ["attack", "--attack.kind", "controller-divergence",
                                      "--attack.eta_bar", "0.01", "--system.rho_min", "1e-9"],
-    "readme_rational_simulate": ["simulate", "--system.controller", "rational_tvg",
-                                 "--system.gains", "-6,2; -4,1", "--sim.x0", "1,0"],
+    "readme_rational_simulate": ["simulate", "--system.gains", "-6,2; -4,1", "--sim.x0", "1,0"],
     "readme_gain_scan": ["gain-scan", "--scan.rhos", "1e-1,1e-2,1e-3"],
     "readme_falsify": ["falsify-stability", "--falsify.eps_prime", "2.5"],
     "readme_deadzone": ["workaround", "--workaround.variant", "deadzone",
@@ -88,35 +87,32 @@ SCENARIOS: dict[str, list[str]] = {
     "sim_loop_grid_2": ["simulate", "--sim.x0", "1,0", "--sim.grid_count", "2"],
     "sim_loop_sub_span": ["simulate", "--sim.x0", "0.5,2", "--sim.s", "0.3",
                           "--sim.t_end", "0.9", "--sim.grid", "uniform"],
-    "sim_loop_piecewise": ["simulate", "--sim.x0", "1,0", "--disturbance.kind", "piecewise",
-                           "--disturbance.bound", "0.5",
-                           "--disturbance.samples", "0.2,0.5; 0.6,-0.3; 0.95,0.1"],
-    "sim_loop_constant": ["simulate", "--sim.x0", "1,0", "--disturbance.kind", "constant",
-                          "--disturbance.bound", "0.2", "--disturbance.value", "-0.2"],
-    "sim_loop_zero_table": ["simulate", "--system.controller", "zero", "--sim.x0", "1,1"],
+    "sim_loop_piecewise": ["simulate", "--sim.x0", "1,0", "--disturbance.bound", "0.5",
+                           "--disturbance.signal", "piecewise:0.2,0.5; 0.6,-0.3; 0.95,0.1"],
+    "sim_loop_constant": ["simulate", "--sim.x0", "1,0", "--disturbance.bound", "0.2",
+                          "--disturbance.signal", "constant:-0.2"],
+    "sim_loop_zero_table": ["simulate", "--system.gains", "zero:2", "--sim.x0", "1,1"],
     # nine channels: the stepper's error norm sums them pairwise, as numpy does
-    "sim_loop_rational_9": ["simulate", "--system.controller", "rational_tvg",
-                            "--system.gains", "; ".join(["-1,1"] * 9),
+    "sim_loop_rational_9": ["simulate", "--system.gains", "; ".join(["-1,1"] * 9),
                             "--sim.x0", "1,-1,1,-1,1,-1,1,-1,1", "--sim.grid", "uniform"],
-    "sim_loop_rational_3": ["simulate", "--system.controller", "rational_tvg",
-                            "--system.gains", "-60,3; -36,2; -9,1", "--sim.x0", "1,0,-1"],
-    "sim_loop_rational_T3": ["simulate", "--system.controller", "rational_tvg",
-                             "--system.gains", "-6,2; -4,1", "--system.T", "3",
+    "sim_loop_rational_3": ["simulate", "--system.gains", "-60,3; -36,2; -9,1",
+                            "--sim.x0", "1,0,-1"],
+    "sim_loop_rational_T3": ["simulate", "--system.gains", "-6,2; -4,1", "--system.T", "3",
                              "--sim.x0", "1,0", "--sim.grid", "uniform", "--sim.grid_count", "3000"],
     "sim_diff_geometric_8000": ["simulate", "--system.variant", "diff_error", "--sim.x0", "1,-0.5",
                                 "--sim.grid_count", "8000"],
     "sim_diff_uniform_sinusoid": ["simulate", "--system.variant", "diff_error", "--sim.x0", "1,-0.5",
                                   "--sim.grid", "uniform", "--sim.grid_count", "2000",
-                                  "--disturbance.kind", "sinusoid", "--disturbance.bound", "0.1",
-                                  "--disturbance.amplitude", "0.1", "--disturbance.frequency", "3"],
-    "sim_diff_zero_table": ["simulate", "--system.variant", "diff_error", "--system.injection", "zero",
+                                  "--disturbance.bound", "0.1",
+                                  "--disturbance.signal", "sinusoid:0.1,3,0"],
+    "sim_diff_zero_table": ["simulate", "--system.variant", "diff_error", "--system.gains", "zero:2",
                             "--sim.x0", "1,-1"],
     "sim_diff_T2": ["simulate", "--system.variant", "diff_error", "--system.T", "2",
-                    "--system.ell1", "2", "--system.ell2", "0.5", "--sim.x0", "-1,3"],
+                    "--system.gains", "pt_diff2:2,0.5", "--sim.x0", "-1,3"],
     # verify-deadline, gain-scan, falsify-stability on other settings
     "verify_diff": ["verify-deadline", "--system.variant", "diff_error"],
     "verify_diff_T3": ["verify-deadline", "--system.variant", "diff_error", "--system.T", "3"],
-    "verify_open_loop": ["verify-deadline", "--system.controller", "zero"],
+    "verify_open_loop": ["verify-deadline", "--system.gains", "zero:2"],
     "gain_scan_diff": ["gain-scan", "--system.variant", "diff_error"],
     "falsify_default": ["falsify-stability"],
     # attacks
@@ -142,8 +138,8 @@ SCENARIOS: dict[str, list[str]] = {
     # empty ladders, notes, plots and every non-zero exit code
     "verify_max_norm_2": ["verify-deadline", "--integration.max_norm", "2"],
     "verify_no_shrink": ["verify-deadline", "--deadline.shrink_rhos", ""],
-    "gain_scan_zero_table": ["gain-scan", "--system.controller", "zero"],
-    "falsify_zero_table": ["falsify-stability", "--system.controller", "zero"],
+    "gain_scan_zero_table": ["gain-scan", "--system.gains", "zero:2"],
+    "falsify_zero_table": ["falsify-stability", "--system.gains", "zero:2"],
     "attack_diff_terminal_tight_tol": ["attack", "--attack.kind", "diff-terminal",
                                        "--attack.eta_bar", "0.1", "--attack.epsilon", "1.0",
                                        "--attack.tol", "1e-12"],
@@ -176,16 +172,19 @@ SCENARIOS: dict[str, list[str]] = {
     "attack_diff_terminal_x0_wrong_length": ["attack", "--attack.kind", "diff-terminal",
                                              "--attack.x0", "1,0,0", "--attack.eta_bar", "0.1",
                                              "--attack.epsilon", "1.0"],
-    "sim_n_mismatch": ["simulate", "--system.n", "3", "--sim.x0", "1,0"],
+    "sim_n_mismatch": ["simulate", "--system.gains", "zero:3", "--sim.x0", "1,0"],
+    # keys and parameters that no longer exist: each model part is one key
+    "sim_ell1_removed_key": ["simulate", "--system.ell1", "5", "--sim.x0", "1,0"],
+    "sim_disturbance_value_removed_key": ["simulate", "--disturbance.value", "0.7",
+                                          "--sim.x0", "1,0"],
+    "sim_pt_diff2_one_parameter": ["simulate", "--system.variant", "diff_error",
+                                   "--system.gains", "pt_diff2:1", "--sim.x0", "1,0"],
     # config errors the model's constructors find at parse time
     "sim_rho_min_past_T": ["simulate", "--sim.x0", "1,0", "--system.rho_min", "2"],
-    "sim_rational_negative_pole": ["simulate", "--system.controller", "rational_tvg",
-                                   "--system.gains", "-6,-2; -4,1", "--sim.x0", "1,0"],
-    "sim_rational_one_channel": ["simulate", "--system.controller", "rational_tvg",
-                                 "--system.gains", "-6,2", "--sim.x0", "1"],
-    "sim_piecewise_unsorted": ["simulate", "--sim.x0", "1,0", "--disturbance.kind", "piecewise",
-                               "--disturbance.bound", "0.5",
-                               "--disturbance.samples", "0.6,0.1; 0.2,0.1"],
+    "sim_rational_negative_pole": ["simulate", "--system.gains", "-6,-2; -4,1", "--sim.x0", "1,0"],
+    "sim_rational_one_channel": ["simulate", "--system.gains", "-6,2", "--sim.x0", "1"],
+    "sim_piecewise_unsorted": ["simulate", "--sim.x0", "1,0", "--disturbance.bound", "0.5",
+                               "--disturbance.signal", "piecewise:0.6,0.1; 0.2,0.1"],
     # config errors the library finds when the scenario runs; nothing is written
     "sim_rho_min_below_min_step": ["simulate", "--sim.x0", "1,0", "--system.rho_min", "1e-20"],
     "sim_t_end_past_floor": ["simulate", "--sim.x0", "1,0", "--sim.t_end", "5"],
@@ -218,6 +217,9 @@ EXPECTED_EXIT: dict[str, int] = {
     "attack_prelude_x0_wrong_length": 1,
     "attack_diff_terminal_x0_wrong_length": 1,
     "sim_n_mismatch": 1,
+    "sim_ell1_removed_key": 1,
+    "sim_disturbance_value_removed_key": 1,
+    "sim_pt_diff2_one_parameter": 1,
     "sim_rho_min_past_T": 1,
     "sim_rational_negative_pole": 1,
     "sim_rational_one_channel": 1,

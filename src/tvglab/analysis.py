@@ -185,9 +185,7 @@ def gain_supremum_scan(model: SystemModel, delta: float,
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    rhos = [float(r) for r in rho_ladder]
-    if any(b >= a for a, b in zip(rhos, rhos[1:])) or not rhos:
-        raise ValueError("rho_ladder must be strictly decreasing")
+    rhos = _rho_ladder(rho_ladder)
     T = model.T
     if rhos[0] >= T or rhos[-1] <= 0.0:
         raise ValueError("rho values must lie in (0, T)")

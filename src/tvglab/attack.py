@@ -85,12 +85,6 @@ class SwitchingSchedule:
     delta: Optional[float] = None
     times: tuple[float, ...] = ()
 
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.targets, self.targets[1:])):
-            raise ValueError("targets must be strictly increasing")
-        if any(v <= 0.0 for v in self.targets):
-            raise ValueError("targets must be positive")
-
 
 def _sign(v: float) -> float:
     return 1.0 if v >= 0.0 else -1.0
@@ -108,6 +102,8 @@ class _DivergenceNoise(NoiseSource):
         self.targets = tuple(float(v) for v in targets)
         if any(b <= a for a, b in zip(self.targets, self.targets[1:])) or not self.targets:
             raise ValueError("targets must be a nonempty strictly increasing sequence")
+        if self.targets[0] <= 0.0:
+            raise ValueError("targets must be positive")
         self._next_idx = 0
 
 

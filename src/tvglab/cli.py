@@ -5,7 +5,9 @@ workaround, selftest.  Configuration is line-based ``key = value`` text with
 dotted section prefixes (``system.T = 1.0``); command-line flags mirror the
 config keys (``--system.T 1.0``) and override the file.  Every run writes CSV
 artifacts plus a text summary into the output directory (``output.dir``,
-overridden by the TVGLAB_OUTPUT_DIR environment variable).
+overridden by the TVGLAB_OUTPUT_DIR environment variable).  ``system.gains``
+and ``disturbance.signal`` name a form and carry only its parameters
+(``pt_diff2:1,1``, ``constant:0.2``); USAGE lists the forms.
 
 Exit codes: 0 scenario ran and its declared properties held; 1 config error;
 2 numerical failure; 3 scenario ran but a declared property failed.  The
@@ -215,9 +217,9 @@ def _format_rows(block: np.ndarray) -> str:
 # config schema
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_floats(text: str, number: type = float) -> tuple:
     parts = [p for p in text.replace(" ", "").split(",") if p != ""]
-    return tuple(float(p) for p in parts)
+    return tuple(number(p) for p in parts)
 
 
 def _parse_vectors(text: str) -> tuple[tuple[float, ...], ...]:
@@ -241,9 +243,68 @@ def _parse_gains(text: str) -> tuple[tuple[tuple[float, int], ...], ...]:
     return tuple(out)
 
 
-def _format_gains(tables) -> str:
-    """Gain tables in _parse_gains syntax, so the echo parses back exactly."""
-    return "; ".join(" ".join(f"{fmt(c)},{p}" for c, p in ch) for ch in tables)
+def _format_value(val) -> str:
+    """A parsed config value in the syntax it is parsed from, floats as fmt text."""
+    if isinstance(val, bool):
+        return "true" if val else "false"
+    if isinstance(val, float):
+        return fmt(val)
+    if isinstance(val, tuple):
+        sep = "; " if val and isinstance(val[0], tuple) else ","
+        return sep.join(_format_value(v) for v in val)
+    return str(val)
+
+
+@dataclass(frozen=True)
+class Form:
+    """A system.gains or disturbance.signal value: the name of its form and
+    that form's parameters, or name None and the channels of a gain table.
+    str() writes it in the syntax it is parsed from, so it parses back equal."""
+
+    name: Optional[str]
+    params: tuple = ()
+
+    def __str__(self) -> str:
+        if self.name is None:
+            return "; ".join(" ".join(f"{fmt(c)},{p}" for c, p in ch) for ch in self.params)
+        return f"{self.name}:{_format_value(self.params)}" if self.params else self.name
+
+
+# form name -> (parser of the text after ':', parameter count or None for any,
+# constructor of the parameters, a disturbance's bound first); None: a table
+_GAIN_FORMS = {
+    "reference": (_parse_floats, 0, GainTable.reference),
+    "pt_diff2": (_parse_floats, 2, GainTable.prescribed_time_diff),
+    "zero": (lambda text: _parse_floats(text, int), 1, GainTable.zero),
+    None: (_parse_gains, None, lambda *channels: GainTable.rational(channels)),
+}
+_SIGNAL_FORMS = {
+    "zero": (_parse_floats, 0, lambda bound: DisturbanceSpec("zero", bound)),
+    "constant": (_parse_floats, 1, lambda bound, v: DisturbanceSpec("constant", bound, value=v)),
+    "sinusoid": (_parse_floats, 3, lambda bound, a, f, phase: DisturbanceSpec(
+        "sinusoid", bound, amplitude=a, frequency=f, phase=phase)),
+    "piecewise": (_parse_vectors, None,
+                  lambda bound, *samples: DisturbanceSpec("piecewise", bound, samples=samples)),
+}
+_DEFAULT_GAINS = {CONTROL_LOOP: Form("reference"), DIFF_ERROR: Form("pt_diff2", (1.0, 1.0))}
+
+
+def _parse_form(text: str, forms: dict) -> Form:
+    """'name' or 'name:parameters' for a name in forms, with exactly that
+    form's parameter count, or the whole text as the form None if forms has
+    one and the text has no ':'."""
+    name, colon, rest = text.partition(":")
+    name = name.strip()
+    if name not in forms:
+        if colon or None not in forms:
+            raise ValueError(f"unknown form {name!r}; the forms are "
+                             + ", ".join(f or "a gain table" for f in forms))
+        name, rest = None, text
+    parse, count, _ = forms[name]
+    params = parse(rest)
+    if count is not None and len(params) != count:
+        raise ValueError(f"{name} takes {count} parameter(s), got {len(params)}")
+    return Form(name, params)
 
 
 def _parse_bool(text: str) -> bool:
@@ -286,29 +347,17 @@ KEY_SPECS: dict[str, KeySpec] = {
 
     "system.variant": KeySpec(str, None, choices=(CONTROL_LOOP, DIFF_ERROR),
                               help="plant family; default inferred from scenario"),
-    "system.controller": KeySpec(str, "reference", choices=("reference", "rational_tvg", "zero"),
-                                 help="controller gain table for control_loop"),
-    "system.injection": KeySpec(str, "pt_diff2", choices=("pt_diff2", "rational_tvg", "zero"),
-                                help="injection gain table for diff_error"),
-    "system.gains": KeySpec(_parse_gains, None,
-                            help="rational_tvg tables, e.g. '-6,2; -4,1'"),
+    "system.gains": KeySpec(lambda text: _parse_form(text, _GAIN_FORMS), None,
+                            help="reference, pt_diff2:l1,l2, zero:n or a table 'c,p c,p; c,p' "
+                                 "of terms c/(T-t)**p; default by system.variant"),
     "system.T": KeySpec(float, 1.0, _positive("system.T"), help="deadline instant"),
-    "system.n": KeySpec(int, 2, lambda v: None if v >= 2 else "system.n must be >= 2",
-                        help="chain length of the zero table; when set, others must match it"),
-    "system.ell1": KeySpec(float, 1.0, _positive("system.ell1"), help="pt_diff2 linear gain 1"),
-    "system.ell2": KeySpec(float, 1.0, _positive("system.ell2"), help="pt_diff2 linear gain 2"),
     "system.rho_min": KeySpec(float, None, _positive("system.rho_min"),
                               help="hard floor on T - t during integration"),
 
-    "disturbance.kind": KeySpec(str, "zero", choices=("zero", "constant", "sinusoid", "piecewise"),
-                                help="bounded disturbance d(t) on the last channel"),
+    "disturbance.signal": KeySpec(lambda text: _parse_form(text, _SIGNAL_FORMS), Form("zero"),
+                                  help="d(t) on the last channel: zero, constant:v, "
+                                       "sinusoid:a,f,phase or piecewise:t,v; t,v; ..."),
     "disturbance.bound": KeySpec(float, 0.0, _nonnegative("disturbance.bound")),
-    "disturbance.value": KeySpec(float, 0.0),
-    "disturbance.amplitude": KeySpec(float, 0.0),
-    "disturbance.frequency": KeySpec(float, 1.0),
-    "disturbance.phase": KeySpec(float, 0.0),
-    "disturbance.samples": KeySpec(_parse_vectors, None,
-                                   help="piecewise hold samples 't,v; t,v; ...'"),
 
     "integration.rel_tol": KeySpec(float, 1e-9, _positive("integration.rel_tol")),
     "integration.abs_tol": KeySpec(float, 1e-12, _positive("integration.abs_tol")),
@@ -471,10 +520,11 @@ def _resolve_scenario(cfg: ExperimentConfig, subcommand: Optional[str],
         if base != subcommand:
             violations.append(
                 f"scenario: config says {scenario!r} but the subcommand is {subcommand!r}")
-            return
     if cfg.values.get("system.variant") is None:
         diff = cfg.values["scenario"] in ("attack.diff-divergence", "attack.diff-terminal")
         cfg.values["system.variant"] = DIFF_ERROR if diff else CONTROL_LOOP
+    if cfg.values.get("system.gains") is None:
+        cfg.values["system.gains"] = _DEFAULT_GAINS[cfg.values["system.variant"]]
 
 
 def _cross_validate(cfg: ExperimentConfig, violations: list[str]) -> None:
@@ -484,13 +534,10 @@ def _cross_validate(cfg: ExperimentConfig, violations: list[str]) -> None:
     scenario = cfg.values.get("scenario")
     if scenario is None:
         return
-    variant = cfg.values["system.variant"]
-    if scenario.startswith("attack.controller") or scenario == "falsify-stability":
-        if variant != CONTROL_LOOP:
-            violations.append(f"scenario {scenario} requires system.variant = {CONTROL_LOOP}")
-    if scenario.startswith("attack.diff"):
-        if variant != DIFF_ERROR:
-            violations.append(f"scenario {scenario} requires system.variant = {DIFF_ERROR}")
+    required = DIFF_ERROR if scenario.startswith("attack.diff") else CONTROL_LOOP
+    if (scenario.startswith("attack.") or scenario == "falsify-stability") \
+            and cfg.values["system.variant"] != required:
+        violations.append(f"scenario {scenario} requires system.variant = {required}")
     if scenario.startswith("attack.") and cfg.values.get("attack.eta_bar") is None:
         violations.append(f"scenario {scenario} requires attack.eta_bar")
     if scenario in ("attack.controller-terminal", "attack.diff-terminal") \
@@ -511,16 +558,9 @@ def _cross_validate(cfg: ExperimentConfig, violations: list[str]) -> None:
     empty_keys = {"verify-deadline": ("deadline.starts", "deadline.ics"),
                   "workaround": ("workaround.ics",)}.get(base, ())
     violations.extend(f"{key} must not be empty" for key in empty_keys if not cfg.values[key])
-    kind_key = "system.controller" if variant == CONTROL_LOOP else "system.injection"
-    kind = cfg.values[kind_key]
-    if kind == "rational_tvg" and cfg.values.get("system.gains") is None:
-        violations.append(f"{kind_key} = rational_tvg requires system.gains")
-    if kind == "reference" and scenario != "selftest" \
+    if cfg.values["system.gains"].name == "reference" and scenario != "selftest" \
             and "system.T" in cfg.explicit and cfg.values["system.T"] != 1.0:
         violations.append("system.T: the reference controller is defined for T = 1")
-    if cfg.values["disturbance.kind"] == "piecewise" \
-            and cfg.values.get("disturbance.samples") is None:
-        violations.append("disturbance.kind = piecewise requires disturbance.samples")
     if violations:
         return
     try:
@@ -528,9 +568,6 @@ def _cross_validate(cfg: ExperimentConfig, violations: list[str]) -> None:
     except ValueError as exc:
         violations.append(str(exc))
         return
-    if "system.n" in cfg.explicit and cfg.values["system.n"] != n:
-        violations.append(f"system.n: the {kind} table has {n} channels, "
-                          f"got {cfg.values['system.n']}")
     if scenario == "attack.diff-terminal" and cfg.values.get("attack.x0") is None:
         cfg.values["attack.x0"] = (0.0,) * n
     key = {"simulate": "sim.x0", "verify-deadline": "deadline.ics",
@@ -546,28 +583,13 @@ def _cross_validate(cfg: ExperimentConfig, violations: list[str]) -> None:
 # model assembly
 
 
-def build_disturbance(cfg: ExperimentConfig) -> DisturbanceSpec:
-    v = cfg.values
-    return DisturbanceSpec(kind=v["disturbance.kind"], bound=v["disturbance.bound"],
-                           value=v["disturbance.value"], amplitude=v["disturbance.amplitude"],
-                           frequency=v["disturbance.frequency"], phase=v["disturbance.phase"],
-                           samples=v["disturbance.samples"] or ())
-
-
 def build_model(cfg: ExperimentConfig) -> SystemModel:
     horizon = Horizon(T=cfg.values["system.T"], rho_min=cfg.values["system.rho_min"] or 0.0)
-    disturbance = build_disturbance(cfg)
-    variant = cfg.values["system.variant"]
-    kind = cfg.values["system.controller" if variant == CONTROL_LOOP else "system.injection"]
-    if kind == "reference":
-        gains = GainTable.reference()
-    elif kind == "pt_diff2":
-        gains = GainTable.prescribed_time_diff(cfg.values["system.ell1"], cfg.values["system.ell2"])
-    elif kind == "zero":
-        gains = GainTable.zero(cfg.values["system.n"])
-    else:
-        gains = GainTable.rational(cfg.values["system.gains"])
-    return SystemModel(variant=variant, horizon=horizon, gains=gains, disturbance=disturbance)
+    gains, signal = cfg.values["system.gains"], cfg.values["disturbance.signal"]
+    return SystemModel(variant=cfg.values["system.variant"], horizon=horizon,
+                       gains=_GAIN_FORMS[gains.name][2](*gains.params),
+                       disturbance=_SIGNAL_FORMS[signal.name][2](cfg.values["disturbance.bound"],
+                                                                 *signal.params))
 
 
 def build_options(cfg: ExperimentConfig, grid: Optional[OutputGrid] = None) -> IntegrationOptions:
@@ -585,28 +607,8 @@ def build_options(cfg: ExperimentConfig, grid: Optional[OutputGrid] = None) -> I
 def config_echo_lines(cfg: ExperimentConfig) -> list[str]:
     """Effective configuration as comment lines; output paths are excluded so
     artifacts stay byte-identical across output locations."""
-    lines = []
-    for key in sorted(KEY_SPECS):
-        if key.startswith("output."):
-            continue
-        val = cfg.values[key]
-        if val is None:
-            continue
-        if isinstance(val, bool):
-            txt = "true" if val else "false"
-        elif isinstance(val, float):
-            txt = fmt(val)
-        elif key == "system.gains":
-            txt = _format_gains(val)
-        elif isinstance(val, tuple):
-            if val and isinstance(val[0], tuple):
-                txt = "; ".join(",".join(fmt(x) for x in grp) for grp in val)
-            else:
-                txt = ",".join(fmt(x) for x in val)
-        else:
-            txt = str(val)
-        lines.append(f"# config: {key} = {txt}")
-    return lines
+    return [f"# config: {key} = {_format_value(cfg.values[key])}" for key in sorted(KEY_SPECS)
+            if not key.startswith("output.") and cfg.values[key] is not None]
 
 
 def write_trajectory_csv(path: str, traj: Trajectory, cfg: Optional[ExperimentConfig] = None,
@@ -1161,6 +1163,9 @@ subcommands: simulate | verify-deadline | attack | gain-scan |
              falsify-stability | workaround | selftest
 
 Flags mirror config keys (e.g. --system.T 1.0 --attack.eta_bar 0.01).
+--system.gains is reference, pt_diff2:l1,l2, zero:n or a table
+"c,p c,p; c,p" of terms c/(T-t)**p; --disturbance.signal is zero,
+constant:v, sinusoid:a,f,phase or "piecewise:t,v; t,v; ...".
 attack needs --attack.kind {controller-divergence, controller-terminal,
 diff-divergence, diff-terminal}; workaround needs --workaround.variant
 {stop-time, deadzone}.  The TVGLAB_OUTPUT_DIR environment variable

@@ -46,6 +46,10 @@ def test_controller_divergence_noise_validation():
         ControllerDivergenceNoise(eta_bar=0.01, targets=(1.0,), delta=0.02)
     with pytest.raises(ValueError):
         ControllerDivergenceNoise(eta_bar=0.01, targets=(2.0, 1.0))
+    # a zero target has no gate time T - 1/eps
+    for noise in (ControllerDivergenceNoise, DifferentiatorDivergenceNoise):
+        with pytest.raises(ValueError, match="targets must be positive"):
+            noise(eta_bar=0.01, targets=(0.0, 1.0))
 
 
 def test_controller_divergence_noise_holds_and_latches():

@@ -14,13 +14,14 @@ from tvglab import analysis, attack, cli
 from tvglab.cli import (
     ConfigError,
     ExperimentConfig,
+    Form,
     fmt,
     main,
     parse_config,
     parse_trajectory_csv,
     write_trajectory_csv,
 )
-from tvglab.core import differentiator_error_model, reference_loop
+from tvglab.core import DisturbanceSpec, GainTable, differentiator_error_model, reference_loop
 from tvglab.integrate import IntegrationOptions, OutputGrid, integrate
 
 
@@ -106,10 +107,23 @@ def test_parse_config_cross_field_requirements():
                      "system.variant = control_loop\n"
                      "attack.eta_bar = 0.01\n")
     with pytest.raises(ConfigError):
-        parse_config("scenario = simulate\nsim.x0 = 1,0\n"
-                     "system.controller = rational_tvg\n")
+        parse_config("scenario = simulate\nsim.x0 = 1,0\nsystem.gains = zero\n")
 
 
+_REMOVED_KEYS = [("system.controller", "zero"), ("system.injection", "zero"), ("system.n", "3"),
+                 ("system.ell1", "5"), ("system.ell2", "5"), ("disturbance.kind", "constant"),
+                 ("disturbance.value", "0.7"), ("disturbance.amplitude", "5"),
+                 ("disturbance.frequency", "3"), ("disturbance.phase", "1"),
+                 ("disturbance.samples", "0.2,0.1")]
+_BAD_FORMS = [("system.gains", "pt_diff2:1", "pt_diff2 takes 2 parameter(s), got 1"),
+              ("system.gains", "zero:x", "invalid literal for int() with base 10: 'x'"),
+              ("system.gains", "reference:1", "reference takes 0 parameter(s), got 1"),
+              ("system.gains", "ref:1", "unknown form 'ref'; the forms are reference, "
+                                        "pt_diff2, zero, a gain table"),
+              ("disturbance.signal", "sinusoid:1,2", "sinusoid takes 3 parameter(s), got 2"),
+              ("disturbance.signal", "constant:", "constant takes 1 parameter(s), got 0"),
+              ("disturbance.signal", "step", "unknown form 'step'; the forms are zero, "
+                                             "constant, sinusoid, piecewise")]
 _PRELUDE_WITHOUT_X0 = ["attack", "--attack.kind", "controller-terminal", "--attack.prelude", "true",
                        "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"]
 _REFERENCE_AT_T2 = ["simulate", "--system.T", "2", "--sim.x0", "1,0"]
@@ -134,20 +148,22 @@ _REFERENCE_AT_T2 = ["simulate", "--system.T", "2", "--sim.x0", "1,0"]
     (["attack", "--attack.kind", "diff-terminal", "--attack.eta_bar", "0.1",
       "--attack.epsilon", "1", "--attack.x0", "1,0,0"],
      "attack.x0: the model has 2 channels, got 1.0,0.0,0.0"),
-    (["simulate", "--system.controller", "zero", "--system.n", "3", "--sim.x0", "1,0"],
+    (["simulate", "--system.gains", "zero:3", "--sim.x0", "1,0"],
      "sim.x0: the model has 3 channels, got 1.0,0.0"),
-    (["simulate", "--system.controller", "rational_tvg", "--system.gains", "-1,1; -1,1; -1,1",
-      "--sim.x0", "1,0"], "sim.x0: the model has 3 channels, got 1.0,0.0"),
-    (["simulate", "--system.n", "3", "--sim.x0", "1,0"],
-     "system.n: the reference table has 2 channels, got 3"),
-    (["simulate", "--system.controller", "rational_tvg", "--system.gains", "-1,1; -1,1",
-      "--system.n", "3", "--sim.x0", "1,0"],
-     "system.n: the rational_tvg table has 2 channels, got 3"),
+    (["simulate", "--system.gains", "-60,3; -36,2; -9,1", "--sim.x0", "1,0"],
+     "sim.x0: the model has 3 channels, got 1.0,0.0"),
+    # each model part is one key: the parameter keys of one form are gone
+    *[(["simulate", f"--{key}", value, "--sim.x0", "1,0"],
+       f"flag --{key}: unknown key {key!r}") for key, value in _REMOVED_KEYS],
+    # a form takes exactly its own parameters
+    *[(["simulate", f"--{key}", value, "--sim.x0", "1,0"],
+       f"flag --{key}: bad value for {key}: {message}") for key, value, message in _BAD_FORMS],
 ], ids=["prelude_without_x0", "reference_at_T2", "deadline_starts_out_of_range",
         "deadline_starts_empty", "deadline_ics_empty", "workaround_ics_empty",
         "sim_x0_length", "deadline_ics_length", "workaround_ics_length",
         "prelude_x0_length", "diff_terminal_x0_length", "zero_table_x0_length",
-        "rational_table_x0_length", "reference_table_n", "rational_table_n"])
+        "rational_table_x0_length", *[f"removed_{key}" for key, _ in _REMOVED_KEYS],
+        *[f"bad_form_{value}" for _, value, _ in _BAD_FORMS]])
 def test_model_config_errors_fail_at_parse_time(tmp_path, capsys, argv, message):
     subcommand, *flags = argv
     _, overrides, _ = cli._split_flags(flags)
@@ -160,8 +176,7 @@ def test_model_config_errors_fail_at_parse_time(tmp_path, capsys, argv, message)
 
 
 _SIM = ["simulate", "--sim.x0", "1,0"]
-_PIECEWISE = ["--disturbance.kind", "piecewise", "--disturbance.bound", "0.5",
-              "--disturbance.samples"]
+_PIECEWISE = ["--disturbance.bound", "0.5", "--disturbance.signal"]
 _CONTROLLER_TERMINAL = ["attack", "--attack.kind", "controller-terminal",
                         "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"]
 _DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01"]
@@ -174,13 +189,15 @@ _DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01
     (_SIM + ["--sim.t_end", "5"], "t_end=5.0 exceeds T - rho_min = 0.999999999"),
     (_SIM + ["--sim.s", "0.99", "--sim.t_end", "0.5"],
      "need 0 <= t0 < t_end, got t0=0.99, t_end=0.5"),
-    (_SIM + ["--system.controller", "rational_tvg", "--system.gains", "-6,-2; -4,1"],
+    (_SIM + ["--system.gains", "-6,-2; -4,1"],
      "pole order must be a nonnegative integer, got -2"),
-    (_SIM + _PIECEWISE + ["0.6,0.1; 0.2,0.1"], "piecewise disturbance samples must be time sorted"),
-    (_SIM + _PIECEWISE + ["0.2,0.6"], "piecewise disturbance sample exceeds the declared bound"),
-    (["simulate", "--system.controller", "rational_tvg", "--system.gains", "-6,2", "--sim.x0", "1"],
+    (_SIM + _PIECEWISE + ["piecewise:0.6,0.1; 0.2,0.1"],
+     "piecewise disturbance samples must be time sorted"),
+    (_SIM + _PIECEWISE + ["piecewise:0.2,0.6"],
+     "piecewise disturbance sample exceeds the declared bound"),
+    (["simulate", "--system.gains", "-6,2", "--sim.x0", "1"],
      "gain table needs at least two channels"),
-    (["gain-scan", "--scan.rhos", "0.1,0.2"], "rho_ladder must be strictly decreasing"),
+    (["gain-scan", "--scan.rhos", "0.1,0.2"], "rhos must be strictly decreasing"),
     (["gain-scan", "--scan.rhos", "2,0.1"], "rho values must lie in (0, T)"),
     (["verify-deadline", "--deadline.shrink_rhos", "1e-4,1e-3"], "rhos must be strictly decreasing"),
     (["workaround", "--workaround.variant", "stop-time", "--workaround.t_stop", "2"],
@@ -194,8 +211,10 @@ _DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01
      "thresholds must be strictly increasing"),
     (_DIVERGENCE["controller-divergence"] + ["--attack.delta", "0.5"],
      "delta must lie in (0, eta_bar]"),
+    (_DIVERGENCE["controller-divergence"] + ["--attack.targets=0,2"], "targets must be positive"),
     (_DIVERGENCE["diff-divergence"] + ["--attack.targets", "2,1"],
      "targets must be a nonempty strictly increasing sequence"),
+    (_DIVERGENCE["diff-divergence"] + ["--attack.targets=0,2"], "targets must be positive"),
     (_DIVERGENCE["diff-divergence"] + ["--attack.thresholds", "2,1"],
      "thresholds must be strictly increasing"),
     (["attack", "--attack.kind", "diff-terminal", "--attack.eta_bar", "1", "--attack.epsilon", "0.1"],
@@ -205,8 +224,9 @@ _DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01
         "negative_pole_order", "piecewise_unsorted", "piecewise_over_bound", "one_channel_table",
         "scan_rhos_increasing", "scan_rhos_past_T", "shrink_rhos_increasing", "t_stop_past_T",
         "plan_start_past_T", "plan_start_late", "controller_targets_decreasing",
-        "controller_thresholds_decreasing", "delta_above_eta_bar", "diff_targets_decreasing",
-        "diff_thresholds_decreasing", "ramp_start_before_0", "psi_init_length"])
+        "controller_thresholds_decreasing", "delta_above_eta_bar", "controller_target_zero",
+        "diff_targets_decreasing", "diff_target_zero", "diff_thresholds_decreasing",
+        "ramp_start_before_0", "psi_init_length"])
 def test_library_value_error_is_a_config_error(tmp_path, capsys, argv, message):
     # bad input the library rejects with ValueError, at parse time (while the
     # model is built) or when the scenario runs, exits 1 and writes nothing
@@ -253,7 +273,6 @@ def test_prelude_search_that_finds_no_swing_is_a_numerical_failure(tmp_path, cap
     # no admissible swing on this table: the search halves its window until
     # the window no longer fits before T - rho, then gives up
     argv = _CONTROLLER_TERMINAL + ["--attack.prelude", "true", "--attack.x0", "1,0",
-                                   "--system.controller", "rational_tvg",
                                    "--system.gains", "-0.5,1; -1,1"]
     assert main(argv + ["--output.dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -419,14 +438,14 @@ def test_trajectory_csv_mixes_kernel_rows_and_fallback_rows(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("argv", [
     ["--sim.x0", "1,0", "--sim.grid_count", "2000"],
-    ["--system.controller", "zero", "--sim.x0", "1,0"],
+    ["--system.gains", "zero:2", "--sim.x0", "1,0"],
 ], ids=["reference_loop", "zero_table"])
 def test_real_trajectory_tables_need_no_fallback_row(tmp_path, monkeypatch, argv):
     formatted = _count_fallback_rows(monkeypatch)
     assert main(["simulate", *argv, "--output.dir", str(tmp_path), "--output.prefix", "run"]) == 0
     parsed = parse_trajectory_csv(str(tmp_path / "run_simulate.csv"))
     assert len(parsed["ts"]) > cli._CSV_BLOCK_ROWS
-    if "zero" in argv:
+    if "zero:2" in argv:
         assert np.all(parsed["xs"][:, 0] == 1.0)
     assert formatted == []
 
@@ -443,33 +462,56 @@ def test_simulate_writes_artifacts_and_exits_zero(tmp_path):
     assert parsed["ts"][0] == 0.0
 
 
-@pytest.mark.parametrize("variant, kind_key, gains, table", [
-    ("control_loop", "system.controller", "-6,2; -4,1", (((-6.0, 2),), ((-4.0, 1),))),
-    ("diff_error", "system.injection", "-6,1; -6,2", (((-6.0, 1),), ((-6.0, 2),))),
-], ids=["control_loop", "diff_error"])
-def test_rational_gains_run_and_echo_back(tmp_path, variant, kind_key, gains, table):
-    code = main(["simulate", "--system.variant", variant, f"--{kind_key}", "rational_tvg",
-                 "--system.gains", gains, "--sim.x0", "1,0",
-                 "--output.dir", str(tmp_path), "--output.prefix", "rat"])
-    assert code == 0
+@pytest.mark.parametrize("variant, gains, form", [
+    ("control_loop", "-6,2; -4,1", Form(None, (((-6.0, 2),), ((-4.0, 1),)))),
+    ("diff_error", "-6,1; -6,2", Form(None, (((-6.0, 1),), ((-6.0, 2),)))),
+    ("control_loop", None, Form("reference")),
+    ("diff_error", None, Form("pt_diff2", (1.0, 1.0))),
+    ("diff_error", "pt_diff2:2,0.5", Form("pt_diff2", (2.0, 0.5))),
+    ("control_loop", "zero:2", Form("zero", (2,))),
+], ids=["control_loop", "diff_error", "reference_default", "pt_diff2_default", "pt_diff2",
+        "zero_table"])
+def test_rational_gains_run_and_echo_back(tmp_path, variant, gains, form):
+    argv = ["simulate", "--system.variant", variant, "--sim.x0", "1,0",
+            "--output.dir", str(tmp_path), "--output.prefix", "rat"]
+    assert main(argv + ([] if gains is None else ["--system.gains", gains])) == 0
     parsed = parse_trajectory_csv(str(tmp_path / "rat_simulate.csv"))
     echo = [c for c in parsed["comments"] if c.startswith("# config: system.gains = ")]
-    assert len(echo) == 1
-    back = parse_config("scenario = simulate\nsim.x0 = 1,0\n" + echo[0][len("# config: "):])
-    assert back.values["system.gains"] == table
+    assert echo == [f"# config: system.gains = {form}"]
+    back = parse_config(f"scenario = simulate\nsim.x0 = 1,0\nsystem.variant = {variant}\n"
+                        + echo[0][len("# config: "):])
+    assert back.values["system.gains"] == form
 
 
 def test_gains_echo_parses_back_with_an_empty_channel():
-    tables = (((-60.0, 3), (0.1, 0)), (), ((-9.0, 1),))
-    cfg = parse_config("scenario = simulate\nsim.x0 = 1,0,0\nsystem.controller = rational_tvg\n"
-                       "system.gains = -60,3 0.1,0; ; -9,1\n")
-    assert cfg.values["system.gains"] == tables
-    echo = [line for line in cli.config_echo_lines(cfg)
-            if line.startswith("# config: system.gains = ")]
-    assert len(echo) == 1
-    back = parse_config("scenario = simulate\nsim.x0 = 1,0,0\nsystem.controller = rational_tvg\n"
-                        + echo[0][len("# config: "):])
-    assert back.values["system.gains"] == tables
+    # every form of system.gains and disturbance.signal (the gain table with an
+    # empty channel) builds what its library constructor builds, and the config
+    # echo parses back to the same values
+    table = (((-60.0, 3), (0.1, 0)), (), ((-9.0, 1),))
+    cases = [
+        ("system.gains = -60,3 0.1,0; ; -9,1", Form(None, table), GainTable.rational(table)),
+        ("system.gains = reference", Form("reference"), GainTable.reference()),
+        ("system.variant = diff_error\nsystem.gains = pt_diff2:2,0.5", Form("pt_diff2", (2.0, 0.5)),
+         GainTable.prescribed_time_diff(2, 0.5)),
+        ("system.gains = zero:3", Form("zero", (3,)), GainTable.zero(3)),
+        ("disturbance.signal = zero", Form("zero"), DisturbanceSpec("zero", 1.0)),
+        ("disturbance.signal = constant:-0.2", Form("constant", (-0.2,)),
+         DisturbanceSpec("constant", 1.0, value=-0.2)),
+        ("disturbance.signal = sinusoid:0.1,3,0.5", Form("sinusoid", (0.1, 3.0, 0.5)),
+         DisturbanceSpec("sinusoid", 1.0, amplitude=0.1, frequency=3.0, phase=0.5)),
+        ("disturbance.signal = piecewise:0.2,0.5; 0.6,-0.3",
+         Form("piecewise", ((0.2, 0.5), (0.6, -0.3))),
+         DisturbanceSpec("piecewise", 1.0, samples=((0.2, 0.5), (0.6, -0.3)))),
+    ]
+    for text, form, built in cases:
+        key = text.rpartition("\n")[2].partition(" = ")[0]
+        cfg = parse_config(f"scenario = gain-scan\ndisturbance.bound = 1\n{text}\n")
+        assert cfg.values[key] == form
+        model = cli.build_model(cfg)
+        assert (model.gains if key == "system.gains" else model.disturbance) == built
+        echo = [line[len("# config: "):] for line in cli.config_echo_lines(cfg)]
+        assert f"{key} = {form}" in echo
+        assert parse_config("\n".join(echo)).values == cfg.values
 
 
 def test_exit_code_contract(tmp_path):
@@ -477,7 +519,7 @@ def test_exit_code_contract(tmp_path):
     # 0: property held
     assert main(["verify-deadline"] + out) == 0
     # 3: scenario ran, declared property failed (no feedback, deadline missed)
-    assert main(["verify-deadline", "--system.controller", "zero",
+    assert main(["verify-deadline", "--system.gains", "zero:2",
                  "--output.prefix", "open"] + out) == 3
     # 1: config violation
     assert main(["verify-deadline", "--system.T", "-1"] + out) == 1
@@ -490,8 +532,7 @@ def test_exit_code_contract(tmp_path):
 
 def test_simulate_that_uses_up_its_step_budget_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(importlib.import_module("tvglab.integrate"), "MAX_TRIAL_STEPS", 200)
-    argv = ["simulate", "--system.variant", "diff_error", "--system.injection", "rational_tvg",
-            "--system.gains", "-6,2; -4,1", "--sim.x0", "1,0", "--output.dir", str(tmp_path)]
+    argv = ["simulate", "--system.variant", "diff_error", "--system.gains", "-6,2; -4,1", "--sim.x0", "1,0", "--output.dir", str(tmp_path)]
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == [
         "simulate: integration ended early: step_budget"]
@@ -500,7 +541,7 @@ def test_simulate_that_uses_up_its_step_budget_exits_2(tmp_path, capsys, monkeyp
 
 
 def test_flat_gain_scan_exits_3(tmp_path):
-    assert main(["gain-scan", "--system.controller", "zero",
+    assert main(["gain-scan", "--system.gains", "zero:2",
                  "--output.dir", str(tmp_path)]) == 3
     assert "monotone: False" in (tmp_path / "tvglab_gain_scan_summary.txt").read_text()
 
