@@ -28,9 +28,11 @@ The hashes hold for one machine and one numpy/BLAS build only: the
 stepper's stage sums go through the BLAS kernel chosen for the CPU, whose
 rounding differs between kernels.  They are the only BLAS operations in a
 step, and every recorded state inherits their rounding; the rest of a step
-runs on Python floats.  (Norms and the cascade plan's least-squares fit
-also call BLAS or LAPACK, outside the step.)  Compare two checkouts on one
-machine; do not pin the hashes.
+runs on Python floats.  (The blow-up check's norm at a committed step is a
+BLAS dot product only when the state comes within 2% of max_norm; other
+norms and the cascade plan's least-squares fit also call BLAS or LAPACK,
+outside the step.)  Compare two checkouts on one machine; do not pin the
+hashes.
 """
 
 from __future__ import annotations

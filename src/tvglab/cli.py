@@ -227,6 +227,14 @@ def _parse_vectors(text: str) -> tuple[tuple[float, ...], ...]:
     return tuple(_parse_floats(g) for g in groups)
 
 
+def _parse_samples(text: str) -> tuple[tuple[float, ...], ...]:
+    """A piecewise disturbance's samples 't,v; t,v; ...', each one pair."""
+    for group in text.split(";"):
+        if group.strip() != "" and len(_parse_floats(group)) != 2:
+            raise ValueError(f"piecewise sample {group.strip()!r} must look like t,v")
+    return _parse_vectors(text)
+
+
 def _parse_gains(text: str) -> tuple[tuple[tuple[float, int], ...], ...]:
     """Per-channel gain tables: channels split by ';', terms by whitespace,
     each term 'c,p' meaning c / (T-t)**p.  An empty channel is a zero gain."""
@@ -283,7 +291,7 @@ _SIGNAL_FORMS = {
     "constant": (_parse_floats, 1, lambda bound, v: DisturbanceSpec("constant", bound, value=v)),
     "sinusoid": (_parse_floats, 3, lambda bound, a, f, phase: DisturbanceSpec(
         "sinusoid", bound, amplitude=a, frequency=f, phase=phase)),
-    "piecewise": (_parse_vectors, None,
+    "piecewise": (_parse_samples, None,
                   lambda bound, *samples: DisturbanceSpec("piecewise", bound, samples=samples)),
 }
 _DEFAULT_GAINS = {CONTROL_LOOP: Form("reference"), DIFF_ERROR: Form("pt_diff2", (1.0, 1.0))}
@@ -980,6 +988,11 @@ def _selftest(cfg: ExperimentConfig, out_dir: str) -> int:
     byte-identical across runs with the same config and seed.  Unlike the
     scenario runners' CSVs, its artifacts carry no config echo."""
     from .core import reference_loop, differentiator_error_model, open_loop_chain
+
+    unread = sorted(key for key in cfg.explicit
+                    if key not in ("scenario", "seed") and not key.startswith("output."))
+    if unread:
+        raise ValueError(f"selftest reads no key but seed and output.*; got {', '.join(unread)}")
 
     grid_s = (0.0, 0.3, 0.6)
     grid_xi = ((1.0, 0.0), (0.0, 1.0), (10.0, -10.0))

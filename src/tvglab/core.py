@@ -225,7 +225,8 @@ class NoiseSource:
     integrator records a committed step with the noise it already queried
     there for the step's last stage, and queries again only after a switch.
     next_discontinuity(t) announces the next known switching instant strictly
-    after t (inf when none is scheduled) so the integrator can land on it.
+    after t (inf when none is scheduled) so the integrator can land on it;
+    it is asked once per committed step, at the step's start.
 
     held = True promises more: from the first observe() on, value(t, x)
     returns the same value for every (t, x) until observe() returns True.

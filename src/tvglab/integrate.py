@@ -12,7 +12,11 @@ Each trial step runs one straight-line function generated per channel count
 and noise kind (see _step_factory).  Its elementwise work runs on Python
 floats; its stage sums stay BLAS dot products on one preallocated stage
 matrix, whose fused multiply-adds no Python float expression reproduces, so
-the step rounds as the stepper always has.
+the step rounds as the stepper always has.  It calls the model's compiled
+right-hand side directly unless the model's class overrides or wraps
+SystemModel.rhs.  Around it, barriers are queried once per committed step,
+derivatives stay lists of floats, and the blow-up check takes the BLAS norm
+only when a float sum of squares comes within 2% of max_norm.
 
 The loop keeps a knot record at every committed step: state, noise as
 queried, and the derivative's right and left limits at the knot.  Cubic
@@ -32,6 +36,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import CONTROL_LOOP, NoiseBoundViolation, NoiseSource, NumericalFailure, SystemModel
+
+_MODEL_RHS = SystemModel.rhs  # as SystemModel defines it
 
 # Dormand-Prince 5(4) tableau; the 7th stage is the FSAL derivative.  Each
 # stage row is paired with its node c and covers k[:len(row)].
@@ -55,13 +61,14 @@ def _step_factory(n: int, held: bool):
 
     Returns make(rhs, eta_at, k, abs_tol, rel_tol), which binds one run's
     right-hand side, checked noise query, 7 x n stage matrix and tolerances,
-    and returns step(t, h, t_new, x, f, eta) -> (err, new, eta_new).  From
-    the state x (a list of floats) and opening derivative f (an array),
-    stage i's state is x plus h times its tableau row dotted with k[:i], and
-    rhs there fills row k[i]; new is the 5th-order state at t_new, row k[6]
-    its derivative (FSAL) and err the RMS of the scaled error estimate.  A
-    held run passes eta to every stage; otherwise eta_at is queried at each
-    stage state, a fresh list.  The source holds names and indices only.
+    and returns step(t, h, t_new, x, f, eta) -> (err, new, eta_new, sq).
+    From the state x and opening derivative f (lists of floats), stage i's
+    state is x plus h times its tableau row dotted with k[:i], and rhs there
+    fills row k[i]; new is the 5th-order state at t_new, row k[6] its
+    derivative (FSAL), err the RMS of the scaled error estimate and sq the
+    float sum of new's squares.  A held run passes eta to every stage;
+    otherwise eta_at is queried at each stage state, a fresh list.  The
+    source holds names and indices only.
     """
     def names(prefix):
         return ", ".join(f"{prefix}{j}" for j in range(n))
@@ -80,7 +87,7 @@ def _step_factory(n: int, held: bool):
            "    def step(t, h, t_new, x, f, eta):",
            f"        {names('x')} = x",
            "        k0[...] = f",
-           f"        {names('s')} = f.tolist()",
+           f"        {names('s')} = f",
            # a one-term stage sum is one product, rounded as its dot product
            *stage(1, "(A1 * s{j})")]
     for i in range(2, 6):
@@ -96,7 +103,7 @@ def _step_factory(n: int, held: bool):
     squares = [f"q{j} * q{j}" for j in range(n)]
     # numpy's sum adds up to 7 terms in order, more pairwise
     src += ["        sq = " + (" + ".join(squares) if n < 8 else f"float(np.sum([{', '.join(squares)}]))"),
-            f"        return sqrt(sq / {n}), new, eta_new",
+            f"        return sqrt(sq / {n}), new, eta_new, " + " + ".join(f"n{j} * n{j}" for j in range(n)),
             "    return step"]
     scope = {f"C{i}": float(c) for i, (c, _) in enumerate(_DP_STAGES, start=1)}
     scope.update({f"A{i}": row for i, (_, row) in enumerate(_DP_STAGES, start=1)},
@@ -289,7 +296,10 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         noise = model.zero_noise()
 
     is_control = model.variant == CONTROL_LOOP
-    rhs = model.rhs  # bound per run: the benchmark tracer patches the method on the class
+    # the compiled kernel itself, unless a subclass or a wrapper on the class
+    # (the benchmark tracer's, a test's) overrides the method, which then
+    # sees every evaluation
+    rhs = model._rhs if type(model).rhs is _MODEL_RHS else model.rhs
     held = noise.held
     bound_slack = noise.bound * (1.0 + 1e-9) + 1e-300
 
@@ -310,33 +320,32 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
                 f"noise bound violated at t={t!r}: |eta|={norm!r} > {noise.bound!r}")
         return e
 
+    # one stage matrix serves every trial step of the compiled kernel
+    k = np.empty((7, model.n))
+    k_last = k[6]
+
+    def deriv(t, state, e):
+        """rhs at (t, state, e) as a fresh list, stored as the kernel's stages are."""
+        k_last[...] = rhs(t, state, e)
+        return k_last.tolist()
+
     grid = None
     if opts.output_grid is not None:
         grid = opts.output_grid.points(t0, t_end, T)
 
-    # the knot record, one entry per committed step; etas are the noise
-    # recorded with each knot's sample
-    knot_ts: list[float] = []
-    knot_xs: list[np.ndarray] = []
-    knot_fs: list[np.ndarray] = []
-    knot_etas: list = []
+    # the knot record, one (t, state, derivative, noise) entry per committed
+    # step: the derivative a list of floats, the noise the one recorded with
+    # the knot's sample
+    knots: list[tuple] = []
     switch_times: list[float] = []
-    switch_fls: list[np.ndarray] = []  # left-limit derivative at each switch knot
+    switch_fls: list[list[float]] = []  # left-limit derivative at each switch knot
     grid_etas: list = []  # queried at the grid points for a source that is not held
-
-    def record_knot(t, state, f, e):
-        """Record a knot; state and f are fresh arrays and e a value from
-        eta_at, none modified later."""
-        knot_ts.append(t)
-        knot_xs.append(state)
-        knot_fs.append(f)
-        knot_etas.append(e)
 
     # initial commitment: let the source latch its first segment, then record
     noise.observe(t0, x)
     eta0 = eta_held = eta_at(t0, x)
-    f0 = np.array(rhs(t0, x, eta0))
-    record_knot(t0, x, f0, eta0)
+    f = deriv(t0, x, eta0)
+    knots.append((t0, x, f, eta0))
 
     query_grid = grid is not None and not held
     grid_idx = 0 if grid is None else int(np.searchsorted(grid, t0, side="right"))
@@ -353,36 +362,42 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             lo += 1
         grid_idx = hi
         tqs = grid[lo:hi]
-        xqs = _hermite(x, f, x_new, f_new, dt, ((tqs - t) / dt)[:, None])
+        xqs = _hermite(x, np.array(f), x_new, np.array(f_new), dt, ((tqs - t) / dt)[:, None])
         grid_etas.extend(eta_at(tq, xq) for tq, xq in zip(tqs.tolist(), xqs))
 
     t = t0
-    f_start = f0
     kappa = opts.max_step_fraction
     h_try = opts.initial_step if opts.initial_step is not None else min(
         1e-3 * (t_end - t0), kappa * (T - t0))
     h_try = max(h_try, min_step)
     termination = None
     x_list = x.tolist()
-    # one stage matrix serves every trial step of the compiled kernel
-    k = np.empty((7, model.n))
     step = _step_factory(model.n, held)(rhs, eta_at, k, opts.abs_tol, opts.rel_tol)
-    k_last = k[6]
+    # a float sum of squares below this gate is below max_norm**2 in any
+    # rounding; at or above it, or NaN, the BLAS norm decides and is recorded
+    g = 0.98 * opts.max_norm
+    norm_gate = g * g if 1e-100 < g < 1e100 else 0.0
     trials = 0
+    barrier = None
 
     while termination is None and t < t_end:
         if trials == MAX_TRIAL_STEPS:
             termination = Termination(kind=STEP_BUDGET, t=t)
             break
         trials += 1
-        t_disc = noise.next_discontinuity(t)
-        d_disc = model.disturbance.next_discontinuity(t)
-        barrier = min(t_end, t_disc, d_disc)
-        h_cap = kappa * (T - t)
-        h = min(h_try, h_cap, barrier - t)
-        if barrier - t <= min(h_try, h_cap):
-            h = barrier - t  # land exactly on the boundary
-        at_barrier = (t + h) >= barrier
+        if barrier is None:
+            # t and the sources' state change only at a commit
+            barrier = min(t_end, noise.next_discontinuity(t), model.disturbance.next_discontinuity(t))
+            h_cap = kappa * (T - t)
+            gap = barrier - t
+        # h = min(h_try, h_cap, gap), NaN handling included, landing exactly
+        # on the boundary when it is within reach
+        h = h_cap if h_cap < h_try else h_try
+        if gap <= h:
+            h = gap
+        t_new = t + h
+        if t_new >= barrier:
+            t_new = barrier
 
         # one trial Dormand-Prince step, one call of the compiled kernel: its
         # elementwise work on Python floats rounds as numpy's would, and its
@@ -391,9 +406,8 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         # 1.0" rejects it like a raised NumericalFailure.  max() drops a NaN
         # that np.maximum would keep, but a NaN in the new state comes with a
         # non-finite error term in its channel
-        t_new = barrier if at_barrier else t + h
         try:
-            err, new_list, eta_new = step(t, h, t_new, x_list, f_start, eta_held)
+            err, new_list, eta_new, sq = step(t, h, t_new, x_list, f, eta_held)
         except NoiseBoundViolation:
             raise
         except NumericalFailure:
@@ -406,37 +420,37 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
                 termination = Termination(kind=STEP_UNDERFLOW, t=t)
             continue
 
-        # committed: the knot keeps a copy of the last stage, not the whole
-        # stage matrix
+        # committed: the knot keeps the last stage as a list, not the stage
+        # matrix
         x_new = np.array(new_list)
-        f_new = k_last.copy()
-        dt = t_new - t
-        stop_hit = stop_condition is not None and stop_condition(t_new, x_new)
-        if stop_hit:
+        f_new = k_last.tolist()
+        if stop_condition is not None and stop_condition(t_new, x_new):
             # bisect to the earliest time the condition holds on this step
+            dt = t_new - t
+            fa, fb = np.array(f), np.array(f_new)
             lo, hi = t, t_new
             for _ in range(200):
                 if hi - lo <= 1e-12 * T:
                     break
                 mid = 0.5 * (lo + hi)
-                xm = _hermite(x, f_start, x_new, f_new, dt, (mid - t) / dt)
+                xm = _hermite(x, fa, x_new, fb, dt, (mid - t) / dt)
                 if stop_condition(mid, xm):
                     hi = mid
                 else:
                     lo = mid
             t_ev = hi
-            x_ev = _hermite(x, f_start, x_new, f_new, dt, (t_ev - t) / dt)
+            x_ev = _hermite(x, fa, x_new, fb, dt, (t_ev - t) / dt)
             eta_ev = eta_held if held else eta_at(t_ev, x_ev)
-            f_ev = np.array(rhs(t_ev, x_ev, eta_ev))
+            f_ev = deriv(t_ev, x_ev, eta_ev)
             if query_grid:
-                grid_queries(t, x, f_start, x_ev, f_ev, t_ev - t, t_ev)
-            record_knot(t_ev, x_ev, f_ev, eta_ev)
+                grid_queries(t, x, f, x_ev, f_ev, t_ev - t, t_ev)
+            knots.append((t_ev, x_ev, f_ev, eta_ev))
             termination = Termination(kind=EVENT, t=t_ev)
             t = t_ev
             break
 
         if query_grid:
-            grid_queries(t, x, f_start, x_new, f_new, dt, t_new)
+            grid_queries(t, x, f, x_new, f_new, t_new - t, t_new)
 
         # without a switch the source still answers with the noise of the
         # last stage (the NoiseSource contract), so that query is recorded
@@ -444,21 +458,23 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             switch_times.append(t_new)
             switch_fls.append(f_new)
             eta_new = eta_held = eta_at(t_new, x_new)
-            f_new = np.array(rhs(t_new, x_new, eta_new))  # right-limit derivative
-        record_knot(t_new, x_new, f_new, eta_new)
+            f_new = deriv(t_new, x_new, eta_new)  # right-limit derivative
+        knots.append((t_new, x_new, f_new, eta_new))
 
-        norm_new = math.sqrt(x_new.dot(x_new))
-        if norm_new >= opts.max_norm:
-            channel = int(np.argmax(np.abs(x_new)))
-            termination = Termination(
-                kind=BLOW_UP, t=t_new,
-                blow_up=BlowUpEvent(t=t_new, norm=norm_new, channel=channel))
+        if not sq < norm_gate:
+            norm_new = math.sqrt(x_new.dot(x_new))
+            if norm_new >= opts.max_norm:
+                channel = int(np.argmax(np.abs(x_new)))
+                termination = Termination(
+                    kind=BLOW_UP, t=t_new,
+                    blow_up=BlowUpEvent(t=t_new, norm=norm_new, channel=channel))
 
         t = t_new
-        x, x_list = x_new, new_list
-        f_start = f_new
-        grow = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.2))
-        h_try = h * grow
+        x, x_list, f = x_new, new_list, f_new
+        barrier = None
+        # err <= 1 here, so the growth factor is at least 0.9
+        grow = 10.0 if err == 0.0 else 0.9 * err ** -0.2
+        h_try = h * (grow if grow < 10.0 else 10.0)
 
     if termination is None:
         termination = Termination(kind=REACHED_END, t=t)
@@ -466,6 +482,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     # the sample table: the knot rows, and the grid points strictly inside
     # steps merged in after the knot that opens their step.  A held source's
     # value at a grid point is the one recorded at that knot
+    knot_ts, knot_xs, knot_fs, knot_etas = zip(*knots)
     kts, kxs, kfs = np.array(knot_ts), np.array(knot_xs), np.array(knot_fs)
     kfl = kfs.copy()
     if switch_times:

@@ -123,7 +123,10 @@ _BAD_FORMS = [("system.gains", "pt_diff2:1", "pt_diff2 takes 2 parameter(s), got
               ("disturbance.signal", "sinusoid:1,2", "sinusoid takes 3 parameter(s), got 2"),
               ("disturbance.signal", "constant:", "constant takes 1 parameter(s), got 0"),
               ("disturbance.signal", "step", "unknown form 'step'; the forms are zero, "
-                                             "constant, sinusoid, piecewise")]
+                                             "constant, sinusoid, piecewise"),
+              ("disturbance.signal", "piecewise:0.5", "piecewise sample '0.5' must look like t,v"),
+              ("disturbance.signal", "piecewise:0.5,1,2; 0.7,0",
+               "piecewise sample '0.5,1,2' must look like t,v")]
 _PRELUDE_WITHOUT_X0 = ["attack", "--attack.kind", "controller-terminal", "--attack.prelude", "true",
                        "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"]
 _REFERENCE_AT_T2 = ["simulate", "--system.T", "2", "--sim.x0", "1,0"]
@@ -288,6 +291,17 @@ def test_reference_horizon_check_leaves_selftest_and_other_tables_alone():
                  overrides=[("system.T", "2"), ("sim.x0", "1,0"), ("system.variant", "diff_error")])
     parse_config("", subcommand="simulate",
                  overrides=[("system.T", "1"), ("sim.x0", "1,0")])
+
+
+def test_selftest_rejects_every_key_it_does_not_read(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["selftest", "--integration.rel_tol", "5e-10", "--attack.eta_bar", "0.5",
+            "--system.T", "3", "--seed", "0", "--output.prefix", "st", "--output.dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: selftest reads no key but seed and output.*; "
+        "got attack.eta_bar, integration.rel_tol, system.T"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, fragment", [

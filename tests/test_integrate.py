@@ -119,6 +119,10 @@ def test_blow_up_termination():
     assert traj.termination.kind == BLOW_UP
     assert traj.termination.blow_up is not None
     assert traj.termination.blow_up.norm >= 1.2
+    # the BLAS norm of the last recorded state, bit for bit
+    event, x = traj.termination.blow_up, traj.knot_xs[-1]
+    assert event.t == traj.knot_ts[-1]
+    assert np.float64(event.norm).tobytes() == np.float64(math.sqrt(x.dot(x))).tobytes()
 
 
 def test_rejects_span_past_the_floor():
@@ -536,6 +540,70 @@ def test_work_beyond_the_reference_run_is_pinned(make_model, make_noise, steps, 
     # switch; any other source once per right-hand side, since a committed
     # step records the noise its last stage queried
     assert noise.calls == queries == (1 + switches if noise.held else model.calls)
+
+
+_PATH_RUNS = {
+    "reference": (reference_loop, lambda: None, (1.0, 0.0)),
+    "differentiator": (differentiator_error_model, lambda: None, (1.0, -0.5)),
+    "controller_divergence": (reference_loop, lambda: controller_divergence_noise(1e-2),
+                              (1.0, -0.5)),
+}
+
+
+@pytest.mark.parametrize("run", list(_PATH_RUNS))
+def test_method_path_and_direct_kernel_give_the_same_run(run):
+    # the plain model's compiled kernel is called directly; _CountingLoop's
+    # pass-through override is called as a method
+    make_model, make_noise, x0 = _PATH_RUNS[run]
+    src = make_model()
+    counted = _CountingLoop(src.variant, src.horizon, src.gains)
+    a, b = (integrate(model, make_noise(), np.array(x0), 0.0, 1.0 - 1e-9)
+            for model in (src, counted))
+    assert counted.calls >= 1 + 6 * (len(b.knot_ts) - 1)
+    for name in ("ts", "xs", "etas", "gains", "knot_ts", "knot_xs", "knot_fs", "knot_fl"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.switch_times == b.switch_times and a.termination == b.termination
+
+
+def test_a_peak_just_below_max_norm_completes():
+    model, x0 = rational_loop([[(-60.0, 3)], [(-36.0, 2)], [(-9.0, 1)]]), np.array([1.0, 0.5, -2.0])
+    free = integrate(model, None, x0, 0.0, 1.0 - 1e-9)
+    norms = [math.sqrt(x.dot(x)) for x in free.knot_xs[1:]]  # the start is not checked
+    peak = max(norms)
+    # within 2% of max_norm the BLAS norm decides, to the last bit.  At this
+    # peak a float sum of squares gives a norm one ulp above the BLAS norm
+    # (OpenBLAS on x86-64), so the one-ulp margin fails if the float sum decides
+    for max_norm in (peak / 0.99, math.nextafter(peak, math.inf)):
+        traj = integrate(model, None, x0, 0.0, 1.0 - 1e-9, IntegrationOptions(max_norm=max_norm))
+        assert traj.completed
+        assert traj.knot_xs.tobytes() == free.knot_xs.tobytes()
+    traj = integrate(model, None, x0, 0.0, 1.0 - 1e-9, IntegrationOptions(max_norm=peak))
+    assert traj.termination.kind == BLOW_UP
+    assert traj.termination.blow_up.norm == peak
+    assert traj.termination.t == free.knot_ts[1 + norms.index(peak)]
+
+
+def test_barriers_are_queried_once_per_committed_step():
+    # the pinned diff-divergence run, which rejects trial steps
+    src = differentiator_error_model()
+    model = _CountingLoop(src.variant, src.horizon, src.gains)
+    noise = differentiator_divergence_noise(1e-2)
+    queried = {"noise": [], "disturbance": []}
+
+    def counting(source, name):
+        method = source.next_discontinuity
+        # an instance attribute shadows the method, also on a frozen dataclass
+        object.__setattr__(source, "next_discontinuity",
+                           lambda t: queried[name].append(t) or method(t))
+
+    counting(noise, "noise")
+    counting(model.disturbance, "disturbance")
+    traj = integrate(model, noise, np.array([1.0, -0.5]), 0.0, 1.0 - 1e-9)
+    steps = len(traj.knot_ts) - 1
+    assert traj.completed and steps == 849
+    assert model.calls > 1 + 6 * steps + len(traj.switch_times)
+    # at the start and after every commit but the last
+    assert queried["noise"] == queried["disturbance"] == traj.knot_ts[:-1].tolist()
 
 
 def test_a_run_that_uses_up_its_step_budget_ends_with_step_budget(monkeypatch):
