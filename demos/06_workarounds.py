@@ -8,8 +8,9 @@ ratio determined by t_stop.
 Deadzone: switch the loop off once the state enters a small box.  Noise-free
 trajectories enter the box and stay near it, but they enter later and later
 (and at higher and higher gain) for larger starts.  Worse, the divergence
-noise from demo 03 keeps the state out of the box entirely, so the deadzone
-never disarms the growing gain.
+noise from demo 03 (bound 0.01) keeps the state out of a box of half-width
+0.0001 entirely, so the deadzone never disarms the growing gain.  (A box as
+wide as the noise bound is no defence: the state passes through it.)
 """
 
 from tvglab import (
@@ -46,8 +47,8 @@ def main():
     print("  larger starts enter later and pay more gain first")
     print()
 
-    print("== same deadzone under the divergence noise (bound 0.01) ==")
-    noisy = evaluate_deadzone(model, 1e-2, ((10.0, 0.0),),
+    print("== deadzone of half-width 0.0001 under the divergence noise (bound 0.01) ==")
+    noisy = evaluate_deadzone(model, 1e-4, ((10.0, 0.0),),
                               noise=lambda: controller_divergence_noise(1e-2))
     case = noisy.cases[0]
     print(f"  entered the box: {case.entered}")

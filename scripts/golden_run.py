@@ -24,15 +24,13 @@ Two checkouts are byte-identical on these runs when their manifests are:
     python3 B/scripts/golden_run.py /tmp/golden_b
     diff /tmp/golden_a/MANIFEST.sha256 /tmp/golden_b/MANIFEST.sha256
 
-The hashes hold for one machine and one numpy/BLAS build only: the
-stepper's stage sums go through the BLAS kernel chosen for the CPU, whose
-rounding differs between kernels.  They are the only BLAS operations in a
-step, and every recorded state inherits their rounding; the rest of a step
-runs on Python floats.  (The blow-up check's norm at a committed step is a
-BLAS dot product only when the state comes within 2% of max_norm; other
-norms and the cascade plan's least-squares fit also call BLAS or LAPACK,
-outside the step.)  Compare two checkouts on one machine; do not pin the
-hashes.
+The hashes hold for one machine and one numpy/BLAS build only.  The
+stepper makes no BLAS call, so recorded states do not depend on the BLAS
+kernel chosen for the CPU, but some derived values do: 1-D norms
+(np.linalg.norm, as in the deadline checks and the oracle errors), the
+stop-time fit and the cascade plan's least-squares fit call BLAS or LAPACK,
+whose rounding differs between kernels.  Compare two checkouts on one
+machine; do not pin the hashes.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from .integrate import (
     EVENT,
     IntegrationOptions,
     Trajectory,
+    _hermite,
     _require_complete,
     integrate,
     terminal_state,
@@ -383,6 +384,60 @@ def evaluate_stop_time(model: SystemModel, t_stop: float, initial_conditions: Se
                             slope=slope, intercept=intercept, r_squared=r2)
 
 
+def _box_entry(traj: Trajectory, width: float) -> Optional[tuple[float, int]]:
+    """Earliest time at which the dense output has ||x||inf <= width, with
+    the index of the knot that opens its step; None when it never has.
+
+    On a step, each channel's Hermite cubic in theta ranges over its values
+    at theta = 0, 1 and its critical points in between, so a step can hold
+    an entry only when every channel's range meets [-width, width].  Only
+    those steps are searched, in time order: between consecutive roots of
+    the cubics minus +-width the box holds everywhere or nowhere, so the
+    first interval whose midpoint is inside brackets the entry, which is
+    bisected to 1e-12 * T on the dense output itself.
+    """
+    kts, xl, xr = traj.knot_ts, traj.knot_xs[:-1], traj.knot_xs[1:]
+    hs = np.diff(kts)
+    fl, fr = hs[:, None] * traj.knot_fs[:-1], hs[:, None] * traj.knot_fl[1:]
+    # channel cubics xl + a1 theta + a2 theta^2 + a3 theta^3 and the roots of
+    # their derivatives, NaN or inf when absent, by the stable quadratic formula
+    a1, a2, a3 = fl, 3.0 * (xr - xl) - 2.0 * fl - fr, 2.0 * (xl - xr) + fl + fr
+    with np.errstate(all="ignore"):
+        q = -(a2 + np.copysign(np.sqrt(a2 * a2 - 3.0 * a1 * a3), a2))
+        vals = [xl, xr] + [xl + th * (a1 + th * (a2 + th * a3))
+                           for th in (np.where((c > 0.0) & (c < 1.0), c, 0.0)
+                                      for c in (q / (3.0 * a3), a1 / q))]
+    slack = width + 1e-9 * (np.abs(xl) + np.abs(xr) + np.abs(fl) + np.abs(fr))
+    meets = (np.minimum.reduce(vals) <= slack) & (np.maximum.reduce(vals) >= -slack)
+
+    def inside(i, t):
+        dt = hs[i]
+        x = _hermite(xl[i], traj.knot_fs[i], xr[i], traj.knot_fl[i + 1], dt,
+                     min(max((t - kts[i]) / dt, 0.0), 1.0))
+        return max(map(abs, x.tolist())) <= width
+
+    for i in np.flatnonzero(meets.all(axis=1)).tolist():
+        roots = [0.0, 1.0]
+        for j in range(traj.n):
+            for w in (width, -width):
+                roots += [r for r in np.roots([a3[i, j], a2[i, j], a1[i, j], xl[i, j] - w]).real
+                          if 0.0 < r < 1.0]
+        roots.sort()
+        lo = t = float(kts[i])
+        if inside(i, t):
+            return t, i
+        for a, b in zip(roots, roots[1:]):
+            t = float(kts[i] + 0.5 * (a + b) * hs[i])
+            if inside(i, t):
+                hi = t
+                while hi - lo > 1e-12 * traj.T:
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (lo, mid) if inside(i, mid) else (mid, hi)
+                return hi, i
+            lo = t
+    return None
+
+
 def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequence,
                       noise: NoiseFactory = None,
                       opts: Optional[IntegrationOptions] = None) -> WorkaroundReport:
@@ -391,8 +446,12 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
     Reports the entry time, the feedback magnitude the loop was applying at
     entry, and the open-loop final state at T - rho_min.  Cases that never
     enter the box before T - rho_min are flagged; bounded noise can cause
-    exactly that.  Entry is measured on the true state with the max norm.
-    noise is a zero-argument factory called once per case, or None.
+    exactly that.  Entry is the earliest time the dense output between
+    knots has max norm <= width, so a visit inside one step counts; the run
+    stops at the first knot inside the box.  The gain at entry uses the
+    noise of the entry step (a held source's recorded value), and the entry
+    state is the dense output there.  noise is a zero-argument factory
+    called once per case, or None.
     """
     opts = opts or IntegrationOptions()
     fresh_noise = _noise_factory(model, noise)
@@ -415,7 +474,8 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
                 probe = integrate(
                     model, case_noise, xi_arr, 0.0, t_end, opts,
                     stop_condition=lambda t, x: max(map(abs, x.tolist())) <= width)
-                if probe.termination.kind != EVENT:
+                entry = _box_entry(probe, width)
+                if entry is None:
                     _require_complete(probe)
                     flags.append(idx)
                     cases.append(DeadzoneCase(
@@ -423,10 +483,11 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
                         entry_state=None, gain_at_entry=None,
                         final_state=tuple(map(float, probe.xs[-1]))))
                     continue
-                entry_t = float(probe.termination.t)
-                entry_x = probe.xs[-1]
-                gain = abs(float(model.gain_output(entry_t, entry_x,
-                                                   case_noise.value(entry_t, entry_x))))
+                entry_t, k = entry
+                entry_x = probe.state_at(entry_t)
+                eta = (probe.etas[np.searchsorted(probe.ts, probe.knot_ts[k])] if case_noise.held
+                       else case_noise.value(entry_t, entry_x))
+                gain = abs(float(model.gain_output(entry_t, entry_x, eta)))
             if entry_t < t_end:
                 tail = integrate(off_model, None, entry_x, entry_t, t_end, opts)
                 final = tail.xs[-1]

@@ -368,7 +368,7 @@ class SystemModel:
         control loop's noise vector (array or list) or a scalar that
         broadcasts, or the differentiator's scalar (a float or a
         one-element array).  Returns a fresh list of n floats, which the
-        integrator writes straight into its stage matrix.  Rejects t >= T
+        integrator keeps as a stage derivative.  Rejects t >= T
         and an x of the wrong length.
 
         The body is straight-line code generated once per table shape (see

@@ -9,14 +9,13 @@ that the singular gains demand:
   integrator lands on them exactly instead of stepping across.
 
 Each trial step runs one straight-line function generated per channel count
-and noise kind (see _step_factory).  Its elementwise work runs on Python
-floats; its stage sums stay BLAS dot products on one preallocated stage
-matrix, whose fused multiply-adds no Python float expression reproduces, so
-the step rounds as the stepper always has.  It calls the model's compiled
-right-hand side directly unless the model's class overrides or wraps
-SystemModel.rhs.  Around it, barriers are queried once per committed step,
-derivatives stay lists of floats, and the blow-up check takes the BLAS norm
-only when a float sum of squares comes within 2% of max_norm.
+and noise kind (see _step_factory).  Its stage sums, 5th-order sum and error
+sum are unrolled Python float expressions in forward order; the step makes
+no BLAS call, so a run rounds alike whatever BLAS kernel the CPU selects.
+It calls the model's compiled right-hand side directly unless the model's
+class overrides or wraps SystemModel.rhs.  Around it, barriers are queried
+once per committed step, derivatives stay lists of floats, and the blow-up
+check is the square root of the kernel's float sum of squares.
 
 The loop keeps a knot record at every committed step: state, noise as
 queried, and the derivative's right and left limits at the knot.  Cubic
@@ -40,8 +39,8 @@ from .core import CONTROL_LOOP, NoiseBoundViolation, NoiseSource, NumericalFailu
 _MODEL_RHS = SystemModel.rhs  # as SystemModel defines it
 
 # Dormand-Prince 5(4) tableau; the 7th stage is the FSAL derivative.  Each
-# stage row is paired with its node c and covers k[:len(row)].
-_DP_STAGES = tuple((c, np.array(row)) for c, row in zip(
+# stage row is paired with its node c and weighs k[:len(row)].
+_DP_STAGES = tuple(zip(
     (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0),
     (
         (0.2,),
@@ -50,64 +49,67 @@ _DP_STAGES = tuple((c, np.array(row)) for c, row in zip(
         (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
         (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
     )))
-_DP_B = np.array((35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0))
-_DP_E = np.array((71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
-                  -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0))
+_DP_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
+_DP_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
+         -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 
 @functools.lru_cache(maxsize=None)
 def _step_factory(n: int, held: bool):
     """Compile one trial Dormand-Prince step for n channels.
 
-    Returns make(rhs, eta_at, k, abs_tol, rel_tol), which binds one run's
-    right-hand side, checked noise query, 7 x n stage matrix and tolerances,
-    and returns step(t, h, t_new, x, f, eta) -> (err, new, eta_new, sq).
-    From the state x and opening derivative f (lists of floats), stage i's
-    state is x plus h times its tableau row dotted with k[:i], and rhs there
-    fills row k[i]; new is the 5th-order state at t_new, row k[6] its
-    derivative (FSAL), err the RMS of the scaled error estimate and sq the
-    float sum of new's squares.  A held run passes eta to every stage;
-    otherwise eta_at is queried at each stage state, a fresh list.  The
-    source holds names and indices only.
+    Returns make(rhs, eta_at, abs_tol, rel_tol), which binds one run's
+    right-hand side, checked noise query and tolerances, and returns
+    step(t, h, t_new, x, f, eta) -> (err, new, eta_new, f_new, sq).  From the
+    state x and opening derivative f (lists of floats), stage i's state is x
+    plus h times the sum of its tableau row times the stage derivatives, and
+    rhs there gives stage i's derivative; new is the 5th-order state at
+    t_new, f_new its derivative (FSAL, as rhs returned it), err the RMS of
+    the scaled error estimate and sq the float sum of new's squares.  Every
+    sum runs over the nonzero coefficients in forward order, unrolled over
+    Python floats: the step makes no BLAS call, so it rounds alike on every
+    CPU.  A held run passes eta to every stage; otherwise eta_at is queried
+    at each stage state, a fresh list.  The source holds names and indices
+    only; the tableau is bound by name.
     """
     def names(prefix):
         return ", ".join(f"{prefix}{j}" for j in range(n))
 
+    def nonzero(name, coefs):
+        # (stage, bound name) of each nonzero coefficient, in tableau order
+        return [(i, f"{name}{i}") for i, c in enumerate(coefs) if c != 0.0]
+
+    def weighted(coefs, j):
+        # channel j's forward sum of one tableau row over the stage derivatives
+        return " + ".join(f"{c} * k{i}_{j}" for i, c in coefs)
+
     query = "eta" if held else "eta_at(ts, xs)"
-
-    def stage(i, term):
-        # stage i: its state from each channel's term of the stage sum
-        return [f"        ts = t + C{i} * h",
-                "        xs = [" + ", ".join(f"x{j} + h * " + term.format(j=j) for j in range(n)) + "]",
-                f"        k{i}[...] = rhs(ts, xs, {query})"]
-
-    src = ["def make(rhs, eta_at, k, abs_tol, rel_tol):",
-           "    k0, k1, k2, k3, k4, k5, k6 = k",
-           "    head2, head3, head4, head5, head6 = k[:2], k[:3], k[:4], k[:5], k[:6]",
+    src = ["def make(rhs, eta_at, abs_tol, rel_tol):",
            "    def step(t, h, t_new, x, f, eta):",
            f"        {names('x')} = x",
-           "        k0[...] = f",
-           f"        {names('s')} = f",
-           # a one-term stage sum is one product, rounded as its dot product
-           *stage(1, "(A1 * s{j})")]
-    for i in range(2, 6):
-        src += [f"        {names('s')} = A{i}.dot(head{i}).tolist()", *stage(i, "s{j}")]
-    src += [f"        {names('s')} = B.dot(head6).tolist()",
-            *(f"        n{j} = x{j} + h * s{j}" for j in range(n)),
+           f"        {names('k0_')} = f"]
+    for i, (_, row) in enumerate(_DP_STAGES, start=1):
+        coefs = nonzero(f"A{i}_", row)
+        src += [f"        ts = t + C{i} * h",
+                "        xs = [" + ", ".join(f"x{j} + h * ({weighted(coefs, j)})" for j in range(n)) + "]",
+                f"        {names(f'k{i}_')} = rhs(ts, xs, {query})"]
+    b, e = nonzero("B", _DP_B), nonzero("E", _DP_E)
+    src += [*(f"        n{j} = x{j} + h * ({weighted(b, j)})" for j in range(n)),
             f"        new = [{names('n')}]",
             f"        eta_new = {'eta' if held else 'eta_at(t_new, new)'}",
-            "        k6[...] = rhs(t_new, new, eta_new)",
-            f"        {names('s')} = E.dot(k).tolist()",
-            *(f"        q{j} = h * s{j} / (abs_tol + rel_tol * max(abs(x{j}), abs(n{j})))"
-              for j in range(n))]
-    squares = [f"q{j} * q{j}" for j in range(n)]
-    # numpy's sum adds up to 7 terms in order, more pairwise
-    src += ["        sq = " + (" + ".join(squares) if n < 8 else f"float(np.sum([{', '.join(squares)}]))"),
-            f"        return sqrt(sq / {n}), new, eta_new, " + " + ".join(f"n{j} * n{j}" for j in range(n)),
+            "        f_new = rhs(t_new, new, eta_new)",
+            f"        {names('k6_')} = f_new",
+            *(f"        q{j} = h * ({weighted(e, j)}) / (abs_tol + rel_tol * max(abs(x{j}), abs(n{j})))"
+              for j in range(n)),
+            "        sq = " + " + ".join(f"q{j} * q{j}" for j in range(n)),
+            f"        return sqrt(sq / {n}), new, eta_new, f_new, "
+            + " + ".join(f"n{j} * n{j}" for j in range(n)),
             "    return step"]
-    scope = {f"C{i}": float(c) for i, (c, _) in enumerate(_DP_STAGES, start=1)}
-    scope.update({f"A{i}": row for i, (_, row) in enumerate(_DP_STAGES, start=1)},
-                 A1=float(_DP_STAGES[0][1][0]), B=_DP_B, E=_DP_E, np=np, sqrt=math.sqrt)
+    scope = {f"C{i}": c for i, (c, _) in enumerate(_DP_STAGES, start=1)}
+    scope.update({f"A{i}_{r}": a for i, (_, row) in enumerate(_DP_STAGES, start=1)
+                  for r, a in enumerate(row)},
+                 **{f"B{i}": c for i, c in enumerate(_DP_B)},
+                 **{f"E{i}": c for i, c in enumerate(_DP_E)}, sqrt=math.sqrt)
     exec(compile("\n".join(src), f"<step {n} {'held' if held else 'queried'}>", "exec"), scope)
     return scope["make"]
 
@@ -120,7 +122,7 @@ EVENT = "event"
 
 # trial steps, accepted or rejected, that one integrate call may take; a run
 # that needs more ends with a step_budget termination.  The largest call of
-# the golden run takes 1037.
+# the golden run takes 1145.
 MAX_TRIAL_STEPS = 100_000
 
 
@@ -152,7 +154,7 @@ class IntegrationOptions:
     The integration floor is the model horizon's rho_min.
     """
 
-    rel_tol: float = 1e-9
+    rel_tol: float = 5e-10
     abs_tol: float = 1e-12
     max_norm: float = 1e9
     max_step_fraction: float = 0.1
@@ -320,15 +322,6 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
                 f"noise bound violated at t={t!r}: |eta|={norm!r} > {noise.bound!r}")
         return e
 
-    # one stage matrix serves every trial step of the compiled kernel
-    k = np.empty((7, model.n))
-    k_last = k[6]
-
-    def deriv(t, state, e):
-        """rhs at (t, state, e) as a fresh list, stored as the kernel's stages are."""
-        k_last[...] = rhs(t, state, e)
-        return k_last.tolist()
-
     grid = None
     if opts.output_grid is not None:
         grid = opts.output_grid.points(t0, t_end, T)
@@ -344,7 +337,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     # initial commitment: let the source latch its first segment, then record
     noise.observe(t0, x)
     eta0 = eta_held = eta_at(t0, x)
-    f = deriv(t0, x, eta0)
+    f = rhs(t0, x, eta0)
     knots.append((t0, x, f, eta0))
 
     query_grid = grid is not None and not held
@@ -372,11 +365,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     h_try = max(h_try, min_step)
     termination = None
     x_list = x.tolist()
-    step = _step_factory(model.n, held)(rhs, eta_at, k, opts.abs_tol, opts.rel_tol)
-    # a float sum of squares below this gate is below max_norm**2 in any
-    # rounding; at or above it, or NaN, the BLAS norm decides and is recorded
-    g = 0.98 * opts.max_norm
-    norm_gate = g * g if 1e-100 < g < 1e100 else 0.0
+    step = _step_factory(model.n, held)(rhs, eta_at, opts.abs_tol, opts.rel_tol)
     trials = 0
     barrier = None
 
@@ -399,15 +388,13 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         if t_new >= barrier:
             t_new = barrier
 
-        # one trial Dormand-Prince step, one call of the compiled kernel: its
-        # elementwise work on Python floats rounds as numpy's would, and its
-        # stage sums stay the BLAS dot products that set the stepper's
-        # rounding.  A non-finite stage makes err NaN or inf, so "not err <=
-        # 1.0" rejects it like a raised NumericalFailure.  max() drops a NaN
-        # that np.maximum would keep, but a NaN in the new state comes with a
-        # non-finite error term in its channel
+        # one trial Dormand-Prince step, one call of the compiled kernel, all
+        # on Python floats.  A non-finite stage makes err NaN or inf, so "not
+        # err <= 1.0" rejects it like a raised NumericalFailure.  max() drops
+        # a NaN that np.maximum would keep, but a NaN in the new state comes
+        # with a non-finite error term in its channel
         try:
-            err, new_list, eta_new, sq = step(t, h, t_new, x_list, f, eta_held)
+            err, new_list, eta_new, f_new, sq = step(t, h, t_new, x_list, f, eta_held)
         except NoiseBoundViolation:
             raise
         except NumericalFailure:
@@ -420,10 +407,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
                 termination = Termination(kind=STEP_UNDERFLOW, t=t)
             continue
 
-        # committed: the knot keeps the last stage as a list, not the stage
-        # matrix
         x_new = np.array(new_list)
-        f_new = k_last.tolist()
         if stop_condition is not None and stop_condition(t_new, x_new):
             # bisect to the earliest time the condition holds on this step
             dt = t_new - t
@@ -441,7 +425,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             t_ev = hi
             x_ev = _hermite(x, fa, x_new, fb, dt, (t_ev - t) / dt)
             eta_ev = eta_held if held else eta_at(t_ev, x_ev)
-            f_ev = deriv(t_ev, x_ev, eta_ev)
+            f_ev = rhs(t_ev, x_ev, eta_ev)
             if query_grid:
                 grid_queries(t, x, f, x_ev, f_ev, t_ev - t, t_ev)
             knots.append((t_ev, x_ev, f_ev, eta_ev))
@@ -458,16 +442,15 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             switch_times.append(t_new)
             switch_fls.append(f_new)
             eta_new = eta_held = eta_at(t_new, x_new)
-            f_new = deriv(t_new, x_new, eta_new)  # right-limit derivative
+            f_new = rhs(t_new, x_new, eta_new)  # right-limit derivative
         knots.append((t_new, x_new, f_new, eta_new))
 
-        if not sq < norm_gate:
-            norm_new = math.sqrt(x_new.dot(x_new))
-            if norm_new >= opts.max_norm:
-                channel = int(np.argmax(np.abs(x_new)))
-                termination = Termination(
-                    kind=BLOW_UP, t=t_new,
-                    blow_up=BlowUpEvent(t=t_new, norm=norm_new, channel=channel))
+        norm_new = math.sqrt(sq)
+        if norm_new >= opts.max_norm:
+            channel = int(np.argmax(np.abs(x_new)))
+            termination = Termination(
+                kind=BLOW_UP, t=t_new,
+                blow_up=BlowUpEvent(t=t_new, norm=norm_new, channel=channel))
 
         t = t_new
         x, x_list, f = x_new, new_list, f_new

@@ -28,6 +28,7 @@ from tvglab.core import (
     reference_loop,
 )
 from tvglab.integrate import integrate
+from tvglab.oracle import reference_solution
 
 
 def test_default_targets_double_from_unit_scale():
@@ -66,6 +67,29 @@ def test_controller_divergence_noise_holds_and_latches():
     assert noise.value(0.1, np.array([-3.0, 0.0]))[0] == pytest.approx(0.005)
 
 
+def _closed_form_crossing(traj, level):
+    """First time ||x|| reaches level in the closed form of a reference-loop
+    run's held segments (y = x + eta follows the noise-free loop), each
+    restarted from the recorded switch state; located on a fine grid, then
+    bisected."""
+    edges = (traj.t0, *traj.switch_times, traj.t_last)
+    for a, b in zip(edges, edges[1:]):
+        eta = traj.etas[np.flatnonzero(traj.ts == a)[0]]
+        y_a = traj.knot_xs[np.flatnonzero(traj.knot_ts == a)[0]] + eta
+
+        def norm(ts):
+            return np.linalg.norm(reference_solution(a, y_a, ts) - eta, axis=-1)
+
+        ts = np.linspace(a, b, 100_001)
+        hits = np.flatnonzero(norm(ts) >= level)
+        if hits.size:
+            lo, hi = ts[max(hits[0] - 1, 0)], ts[hits[0]]
+            while lo < hi and (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                lo, hi = (lo, mid) if norm(mid) >= level else (mid, hi)
+            return hi
+    return None
+
+
 def test_controller_divergence_ladder_small_bound():
     outcome = run_divergence_attack(reference_loop(rho_min=1e-9), 1e-2)
     assert outcome.kind == "controller-divergence"
@@ -77,8 +101,13 @@ def test_controller_divergence_ladder_small_bound():
     assert times == sorted(times)
     assert all(t < 1.0 - 1e-9 for t in times)
     # crossings concentrate near the deadline
-    assert times[0] == pytest.approx(0.9953707191605528, rel=1e-9)
-    assert times[-1] == pytest.approx(0.9995623876773592, rel=1e-9)
+    assert times[0] == pytest.approx(0.9954918800308653, rel=1e-9)
+    assert times[-1] == pytest.approx(0.9992637211319257, rel=1e-9)
+    # each is the first sample at or after the closed form's crossing
+    ts = outcome.trajectory.ts
+    for level, t in outcome.peaks:
+        exact = _closed_form_crossing(outcome.trajectory, level)
+        assert ts[np.flatnonzero(ts == t)[0] - 1] < exact <= t
     assert len(outcome.schedule.times) == 7
     assert outcome.schedule.times == outcome.trajectory.switch_times
     assert outcome.trajectory.completed
@@ -101,7 +130,7 @@ def test_differentiator_divergence_ladder():
     times = [t for _, t in outcome.peaks]
     assert all(t is not None and t < 1.0 - 1e-9 for t in times)
     assert times == sorted(times)
-    assert times[0] == pytest.approx(0.9872415959214417, rel=1e-9)
+    assert times[0] == pytest.approx(0.9872434967298087, rel=1e-9)
     assert outcome.schedule.delta is None
     assert outcome.schedule.times == outcome.trajectory.switch_times
     outcome3 = run_divergence_attack(differentiator_error_model(rho_min=1e-9), 1e-3)

@@ -239,6 +239,45 @@ def test_library_value_error_is_a_config_error(tmp_path, capsys, argv, message):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (_DIVERGENCE["diff-divergence"] + ["--attack.psi_init", "5", "--attack.tol", "7"],
+     "attack kind diff-divergence does not read attack.psi_init, attack.tol"),
+    # the differentiator's ramps have no held amplitude
+    (_DIVERGENCE["diff-divergence"] + ["--attack.delta", "0.005"],
+     "attack kind diff-divergence does not read attack.delta"),
+    (_DIVERGENCE["controller-divergence"] + ["--attack.epsilon", "0.5", "--attack.prelude", "false"],
+     "attack kind controller-divergence does not read attack.epsilon, attack.prelude"),
+    (_CONTROLLER_TERMINAL + ["--attack.x0", "1,0"],
+     "attack kind controller-terminal does not read attack.x0"),
+    (_CONTROLLER_TERMINAL + ["--attack.prelude", "true", "--attack.x0", "1,0", "--attack.s", "0.9",
+                             "--attack.psi_init", "0"],
+     "attack kind controller-terminal with attack.prelude does not read attack.psi_init, "
+     "attack.s"),
+    (["attack", "--attack.kind", "diff-terminal", "--attack.eta_bar", "0.1", "--attack.epsilon", "1",
+      "--attack.thresholds", "1,2"],
+     "attack kind diff-terminal does not read attack.thresholds"),
+], ids=["diff_divergence_psi_init_tol", "diff_divergence_delta", "controller_divergence_epsilon",
+        "controller_terminal_x0", "prelude_s_psi_init", "diff_terminal_thresholds"])
+def test_attack_key_the_kind_does_not_read_is_a_config_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--output.dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_every_attack_key_a_kind_reads_is_accepted():
+    values = {"eta_bar": "0.01", "epsilon": "0.5", "delta": "0.005", "targets": "1,2",
+              "thresholds": "0.1,1", "x0": "1,0", "rho": "1e-6", "tol": "1e-3", "s": "0.99",
+              "psi_init": "0", "prelude": "false"}
+    runs = [(kind, keys, "false") for kind, keys in cli._ATTACK_KEYS.items()]
+    runs.append(("controller-terminal", cli._PRELUDE_KEYS, "true"))
+    for kind, keys, prelude in runs:
+        overrides = [("attack.kind", kind)] + [
+            (f"attack.{key}", prelude if key == "prelude" else values[key]) for key in keys]
+        cfg = parse_config("", subcommand="attack", overrides=overrides)
+        assert cfg.explicit == {key for key, _ in overrides}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-deadline", "--deadline.shrink_rhos", "1e-4,1e-3"],
     _DIVERGENCE["controller-divergence"] + ["--attack.thresholds", "2,1"],
