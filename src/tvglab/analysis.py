@@ -393,8 +393,9 @@ def _box_entry(traj: Trajectory, width: float) -> Optional[tuple[float, int]]:
     an entry only when every channel's range meets [-width, width].  Only
     those steps are searched, in time order: between consecutive roots of
     the cubics minus +-width the box holds everywhere or nowhere, so the
-    first interval whose midpoint is inside brackets the entry, which is
-    bisected to 1e-12 * T on the dense output itself.
+    first interval whose midpoint (or, last, the step's end) is inside
+    brackets the entry, which is bisected to 1e-12 * T on the dense output
+    itself.
     """
     kts, xl, xr = traj.knot_ts, traj.knot_xs[:-1], traj.knot_xs[1:]
     hs = np.diff(kts)
@@ -423,18 +424,20 @@ def _box_entry(traj: Trajectory, width: float) -> Optional[tuple[float, int]]:
                 roots += [r for r in np.roots([a3[i, j], a2[i, j], a1[i, j], xl[i, j] - w]).real
                           if 0.0 < r < 1.0]
         roots.sort()
-        lo = t = float(kts[i])
-        if inside(i, t):
-            return t, i
-        for a, b in zip(roots, roots[1:]):
-            t = float(kts[i] + 0.5 * (a + b) * hs[i])
-            if inside(i, t):
-                hi = t
+        lo = float(kts[i])
+        if inside(i, lo):
+            return lo, i
+        # each interval's midpoint, then the step's end: a stop event's knot
+        # lies within 1e-12 * T of the box's boundary, so the root there may
+        # round to theta = 1 or past it
+        mids = [float(kts[i] + 0.5 * (a + b) * hs[i]) for a, b in zip(roots, roots[1:])]
+        for hi in mids + [float(kts[i + 1])]:
+            if inside(i, hi):
                 while hi - lo > 1e-12 * traj.T:
                     mid = 0.5 * (lo + hi)
                     lo, hi = (lo, mid) if inside(i, mid) else (mid, hi)
                 return hi, i
-            lo = t
+            lo = hi
     return None
 
 

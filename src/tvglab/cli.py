@@ -71,16 +71,19 @@ EXIT_PROPERTY = 3
 
 ATTACK_KINDS = ("controller-divergence", "controller-terminal",
                 "diff-divergence", "diff-terminal")
-# the attack.* keys besides attack.kind that each kind's runner reads
-_ATTACK_KEYS = {
-    "controller-divergence": ("eta_bar", "delta", "targets", "thresholds", "x0"),
-    "diff-divergence": ("eta_bar", "targets", "thresholds", "x0"),
-    "controller-terminal": ("eta_bar", "epsilon", "rho", "s", "psi_init", "prelude"),
-    "diff-terminal": ("eta_bar", "epsilon", "rho", "tol", "x0"),
+# each kind's runner and the attack.* keys passed to it by name: with
+# attack.kind, and attack.prelude for controller-terminal, the only attack.*
+# keys the kind reads.  controller-terminal with attack.prelude = true runs
+# _PRELUDE_RUN, which steers from attack.x0 and finds its own plan start
+_ATTACK_RUNS = {
+    "controller-divergence": (run_divergence_attack,
+                              ("eta_bar", "delta", "targets", "thresholds", "x0")),
+    "diff-divergence": (run_divergence_attack, ("eta_bar", "targets", "thresholds", "x0")),
+    "controller-terminal": (run_controller_terminal_attack,
+                            ("eta_bar", "epsilon", "rho", "s", "psi_init")),
+    "diff-terminal": (run_differentiator_terminal_attack, ("eta_bar", "epsilon", "rho", "tol", "x0")),
 }
-# controller-terminal with attack.prelude = true steers from attack.x0 and
-# finds its own plan start
-_PRELUDE_KEYS = ("eta_bar", "epsilon", "rho", "prelude", "x0")
+_PRELUDE_RUN = (run_controller_terminal_attack_with_prelude, ("eta_bar", "epsilon", "rho", "x0"))
 WORKAROUND_KINDS = ("stop-time", "deadzone")
 SCENARIOS = (("simulate", "verify-deadline", "gain-scan", "falsify-stability", "selftest")
              + tuple(f"attack.{k}" for k in ATTACK_KINDS)
@@ -355,6 +358,7 @@ def _in_open_01(name: str):
     return lambda v: None if 0.0 < v < 1.0 else f"{name} must lie in (0, 1)"
 
 
+_OPTS = IntegrationOptions()
 KEY_SPECS: dict[str, KeySpec] = {
     "scenario": KeySpec(str, None, choices=SCENARIOS, help="what to run"),
     "attack.kind": KeySpec(str, None, choices=ATTACK_KINDS,
@@ -377,10 +381,11 @@ KEY_SPECS: dict[str, KeySpec] = {
                                        "sinusoid:a,f,phase or piecewise:t,v; t,v; ..."),
     "disturbance.bound": KeySpec(float, 0.0, _nonnegative("disturbance.bound")),
 
-    "integration.rel_tol": KeySpec(float, 5e-10, _positive("integration.rel_tol")),
-    "integration.abs_tol": KeySpec(float, 1e-12, _positive("integration.abs_tol")),
-    "integration.max_norm": KeySpec(float, 1e9, _positive("integration.max_norm")),
-    "integration.max_step_fraction": KeySpec(float, 0.1, _in_open_01("integration.max_step_fraction")),
+    "integration.rel_tol": KeySpec(float, _OPTS.rel_tol, _positive("integration.rel_tol")),
+    "integration.abs_tol": KeySpec(float, _OPTS.abs_tol, _positive("integration.abs_tol")),
+    "integration.max_norm": KeySpec(float, _OPTS.max_norm, _positive("integration.max_norm")),
+    "integration.max_step_fraction": KeySpec(float, _OPTS.max_step_fraction,
+                                             _in_open_01("integration.max_step_fraction")),
 
     "sim.s": KeySpec(float, 0.0, _nonnegative("sim.s"), help="start time"),
     "sim.x0": KeySpec(_parse_floats, None, help="start state, e.g. '1,0'"),
@@ -567,7 +572,8 @@ def _cross_validate(cfg: ExperimentConfig, violations: list[str]) -> None:
     if scenario.startswith("attack."):
         kind = scenario.split(".", 1)[1]
         prelude = kind == "controller-terminal" and cfg.values["attack.prelude"]
-        reads = ("kind", *(_PRELUDE_KEYS if prelude else _ATTACK_KEYS[kind]))
+        _, keys = _PRELUDE_RUN if prelude else _ATTACK_RUNS[kind]
+        reads = ("kind", *keys, *(("prelude",) if kind == "controller-terminal" else ()))
         unread = sorted(key for key in cfg.explicit
                         if key.startswith("attack.") and key[len("attack."):] not in reads)
         if unread:
@@ -872,13 +878,11 @@ def _run_attack(cfg: ExperimentConfig) -> ScenarioResult:
     opts = build_options(cfg)
     eta_bar = cfg.values["attack.eta_bar"]
     epsilon = cfg.values["attack.epsilon"]
+    prelude = kind == "controller-terminal" and cfg.values["attack.prelude"]
+    runner, keys = _PRELUDE_RUN if prelude else _ATTACK_RUNS[kind]
+    outcome = runner(model, opts=opts, **{key: cfg.values[f"attack.{key}"] for key in keys})
     head = f"# attack: kind = {kind}, eta_bar = {fmt(eta_bar)}"
     if kind in ("controller-divergence", "diff-divergence"):
-        x0 = cfg.values["attack.x0"]
-        outcome = run_divergence_attack(
-            model, eta_bar, thresholds=cfg.values["attack.thresholds"],
-            targets=cfg.values["attack.targets"], delta=cfg.values["attack.delta"],
-            x0=None if x0 is None else np.asarray(x0, dtype=float), opts=opts)
         comments = [head]
         if outcome.schedule.delta is not None:
             comments.append(f"# schedule: delta = {fmt(outcome.schedule.delta)}")
@@ -890,21 +894,10 @@ def _run_attack(cfg: ExperimentConfig) -> ScenarioResult:
             t_txt = fmt(t_c) if t_c is not None else "never"
             comments.append(f"# peak: threshold {fmt(thr)} first crossed at {t_txt}")
     elif kind == "controller-terminal":
-        if cfg.values["attack.prelude"]:
-            outcome = run_controller_terminal_attack_with_prelude(
-                model, eta_bar, epsilon, np.asarray(cfg.values["attack.x0"], dtype=float),
-                rho=cfg.values["attack.rho"], opts=opts)
-        else:
-            outcome = run_controller_terminal_attack(
-                model, eta_bar, epsilon, rho=cfg.values["attack.rho"],
-                psi_init=cfg.values["attack.psi_init"], s=cfg.values["attack.s"], opts=opts)
         comments = [f"{head}, epsilon = {fmt(epsilon)}",
                     f"# plan: s = {fmt(outcome.plan.s)}",
                     f"# plan: tracking_error = {fmt(outcome.tracking_error)}"]
     else:
-        outcome = run_differentiator_terminal_attack(
-            model, eta_bar, epsilon, np.asarray(cfg.values["attack.x0"], dtype=float),
-            rho=cfg.values["attack.rho"], tol=cfg.values["attack.tol"], opts=opts)
         comments = [f"{head}, epsilon = {fmt(epsilon)}", f"# ramp: s = {fmt(outcome.ramp.s)}"]
     if outcome.notes:
         comments.append(f"# note: {outcome.notes}")

@@ -122,7 +122,7 @@ EVENT = "event"
 
 # trial steps, accepted or rejected, that one integrate call may take; a run
 # that needs more ends with a step_budget termination.  The largest call of
-# the golden run takes 1145.
+# the golden run takes 1216.
 MAX_TRIAL_STEPS = 100_000
 
 
@@ -266,17 +266,18 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     The noise source sees every committed step through observe(t, x) and its
     announced discontinuities become exact step boundaries.  Returns a
     Trajectory whose termination reports normal completion, norm escape
-    (blow_up), error-control failure (step_underflow), a run that used up
-    its MAX_TRIAL_STEPS trial steps (step_budget), or a stop-condition event
-    located by step-local bisection.  A held source (NoiseSource.held)
-    is queried once after the first observe and once after each switch, and
-    that value serves every stage and sample until the next switch; any
-    other source is queried at every RK stage, with the stage state as a
-    list of floats, and at every sample, a step's grid points in time order
-    before the observe at its end (on a stop-event step, after the event's
-    own query, since their states interpolate to the event knot).  Each
-    query is checked against the source's bound; a violation raises
-    NoiseBoundViolation.
+    (blow_up), error-control failure (step_underflow: a rejected step would
+    shrink below 1e-10 (T - t) or 16 ulps of t, whichever is larger), a run
+    that used up its MAX_TRIAL_STEPS trial steps (step_budget), or a
+    stop-condition event located by step-local bisection.  A held source
+    (NoiseSource.held) is queried once after the first observe and once
+    after each switch, and that value serves every stage and sample until
+    the next switch; any other source is queried at every RK stage, with
+    the stage state as a list of floats, and at every sample, a step's grid
+    points in time order before the observe at its end (on a stop-event
+    step, after the event's own query, since their states interpolate to
+    the event knot).  Each query is checked against the source's bound; a
+    violation raises NoiseBoundViolation.
     """
     opts = opts or IntegrationOptions()
     T = model.horizon.T
@@ -403,7 +404,9 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         if not err <= 1.0:
             shrink = 0.5 if not math.isfinite(err) else max(0.2, 0.9 * err ** -0.2)
             h_try = h * shrink
-            if h_try < min_step:
+            # the floor scales with the distance to the deadline, as the
+            # clamp does, down to 16 ulps of the clock t
+            if h_try < max(1e-10 * (T - t), 16.0 * math.ulp(t)):
                 termination = Termination(kind=STEP_UNDERFLOW, t=t)
             continue
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tvglab.analysis import (
+    _box_entry,
     check_absolute_deadline,
     evaluate_deadzone,
     evaluate_stop_time,
@@ -22,7 +23,7 @@ from tvglab.core import (
     rational_loop,
     reference_loop,
 )
-from tvglab.integrate import IntegrationOptions, integrate
+from tvglab.integrate import EVENT, IntegrationOptions, Termination, Trajectory, integrate
 from tvglab.oracle import reference_solution
 
 GRID_S = (0.0, 0.3, 0.6)
@@ -64,6 +65,7 @@ def test_deadline_matches_closed_form_norms():
 def test_shrink_profile_control_is_at_least_linear():
     profile = rho_shrink_profile(reference_loop(), 0.0, (1.0, 0.0), (1e-2, 1e-3, 1e-4))
     norms = [v for _, v in profile]
+    assert norms[0] == pytest.approx(0.0594007474214089, rel=1e-9)
     for rho, v in profile:
         # within ten times rel_tol of the closed form
         exact = float(np.linalg.norm(reference_solution(0.0, (1.0, 0.0), 1.0 - rho)))
@@ -339,6 +341,21 @@ def test_workarounds_take_a_noise_factory_not_an_instance():
     report = evaluate_deadzone(reference_loop(rho_min=1e-6), 1e-2, ((10.0, 0.0), (10.0, 0.0)),
                                noise=lambda: controller_divergence_noise(1e-2))
     assert report.cases[0] == report.cases[1]
+
+
+def test_deadzone_entry_at_the_event_knot_that_ends_the_run():
+    # the probe stops at the first knot inside the box, within 1e-12 * T of
+    # its boundary, so the root of the last step's cubic can round to
+    # theta = 1.  Here that step is the line from x1 = 2e-2 to the event knot
+    # x1 = 1e-2, and its root is 1.0 exactly: the entry is the event knot
+    ts, xs = np.array([0.0, 0.5]), np.array([[2e-2, 0.0], [1e-2, 0.0]])
+    fs = np.array([[-2e-2, 0.0], [-2e-2, 0.0]])
+    probe = Trajectory(ts=ts, xs=xs, etas=np.zeros((2, 2)), gains=np.zeros(2), knot_ts=ts,
+                       knot_xs=xs, knot_fs=fs, knot_fl=fs, t0=0.0, t_last=0.5,
+                       termination=Termination(kind=EVENT, t=0.5), switch_times=(), T=1.0,
+                       rho_min=0.0, n=2)
+    assert _box_entry(probe, 1e-2) == (0.5, 0)
+    assert _box_entry(probe, 0.99e-2) is None
 
 
 def test_deadzone_validates_width():

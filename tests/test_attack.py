@@ -134,7 +134,7 @@ def test_differentiator_divergence_ladder():
     assert outcome.schedule.delta is None
     assert outcome.schedule.times == outcome.trajectory.switch_times
     outcome3 = run_divergence_attack(differentiator_error_model(rho_min=1e-9), 1e-3)
-    assert outcome3.verdict
+    assert outcome3.verdict and outcome3.trajectory.completed
     assert all(t is not None for _, t in outcome3.peaks)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 import math
 import os
 
@@ -268,12 +269,15 @@ def test_attack_key_the_kind_does_not_read_is_a_config_error(tmp_path, capsys, a
 def test_every_attack_key_a_kind_reads_is_accepted():
     values = {"eta_bar": "0.01", "epsilon": "0.5", "delta": "0.005", "targets": "1,2",
               "thresholds": "0.1,1", "x0": "1,0", "rho": "1e-6", "tol": "1e-3", "s": "0.99",
-              "psi_init": "0", "prelude": "false"}
-    runs = [(kind, keys, "false") for kind, keys in cli._ATTACK_KEYS.items()]
-    runs.append(("controller-terminal", cli._PRELUDE_KEYS, "true"))
-    for kind, keys, prelude in runs:
-        overrides = [("attack.kind", kind)] + [
-            (f"attack.{key}", prelude if key == "prelude" else values[key]) for key in keys]
+              "psi_init": "0"}
+    runs = [(kind, run, "false") for kind, run in cli._ATTACK_RUNS.items()]
+    runs.append(("controller-terminal", cli._PRELUDE_RUN, "true"))
+    for kind, (runner, keys), prelude in runs:
+        # every key names a parameter of the runner, which gets it by name
+        inspect.signature(runner).bind(None, opts=None, **dict.fromkeys(keys))
+        overrides = [("attack.kind", kind)] + [(f"attack.{key}", values[key]) for key in keys]
+        if kind == "controller-terminal":
+            overrides.append(("attack.prelude", prelude))
         cfg = parse_config("", subcommand="attack", overrides=overrides)
         assert cfg.explicit == {key for key, _ in overrides}
 
