@@ -2,6 +2,7 @@
 """Golden run: every CLI scenario and demo of this checkout, hashed.
 
     python3 scripts/golden_run.py OUT
+    python3 scripts/golden_run.py --against REF OUT
 
 Runs selftest, the README examples, a set of further CLI scenarios (every
 subcommand, both variants, both grid kinds, zero and rational tables, other
@@ -18,11 +19,13 @@ listed there), or when a run expected to exit 1 (a config error) leaves any
 file under artifacts/; exit codes, unlike hashes, are the same on every
 machine.
 
-Two checkouts are byte-identical on these runs when their manifests are:
-
-    python3 A/scripts/golden_run.py /tmp/golden_a
-    python3 B/scripts/golden_run.py /tmp/golden_b
-    diff /tmp/golden_a/MANIFEST.sha256 /tmp/golden_b/MANIFEST.sha256
+Two checkouts are byte-identical on these runs when their manifests are.
+--against REF extracts the committed files of REF (`git archive`, as
+scripts/bench_pairs.py does) into a temporary directory, runs REF's own
+golden run into OUT/base and this checkout's into OUT/head, prints the
+unified diff of the two manifests ("identical" when there is none) and
+exits 1 when they differ.  Each side's exit-code check is printed but does
+not decide the exit status.
 
 The hashes hold for one machine and one numpy/BLAS build only.  The
 stepper makes no BLAS call, so recorded states do not depend on the BLAS
@@ -35,10 +38,14 @@ machine; do not pin the hashes.
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -289,14 +296,39 @@ def write_manifest(out_root: Path) -> Path:
     return manifest
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python3 scripts/golden_run.py OUT", file=sys.stderr)
-        return 1
-    out_root = Path(argv[0]).resolve()
-    if out_root.exists() and any(out_root.iterdir()):
-        print(f"golden_run: {out_root} is not empty", file=sys.stderr)
-        return 1
+def compare_manifests(base: Path, head: Path) -> int:
+    """Print the unified diff of two manifests, or "identical"; 1 when they
+    differ, else 0."""
+    diff = list(difflib.unified_diff(base.read_text().splitlines(keepends=True),
+                                     head.read_text().splitlines(keepends=True),
+                                     fromfile=str(base), tofile=str(head)))
+    print("".join(diff) if diff else "identical", end="" if diff else "\n")
+    return 1 if diff else 0
+
+
+def against(ref: str, out_root: Path) -> int:
+    """Golden runs of ref and of this checkout, each by its own script, into
+    out_root/base and out_root/head; the exit status of compare_manifests."""
+    from bench_pairs import extract  # this script's directory leads sys.path
+
+    base_dir = Path(tempfile.mkdtemp(prefix="golden-base-"))
+    try:
+        commit = extract(ref, base_dir)
+        for side, checkout, name in (("base", base_dir, commit), ("head", ROOT, ROOT.name)):
+            proc = subprocess.run([sys.executable, str(checkout / "scripts" / "golden_run.py"),
+                                   str(out_root / side)], capture_output=True, text=True)
+            print(f"{side} {name}: golden run exited {proc.returncode}")
+            sys.stderr.write(proc.stderr)
+    finally:
+        shutil.rmtree(base_dir, ignore_errors=True)
+    return compare_manifests(out_root / "base" / "MANIFEST.sha256",
+                             out_root / "head" / "MANIFEST.sha256")
+
+
+def golden(out_root: Path) -> int:
+    """Run every scenario and demo into out_root and write its manifest;
+    1 when a run's exit code differs from EXPECTED_EXIT or a config error
+    wrote artifacts."""
     out_root.mkdir(parents=True, exist_ok=True)
     wrong = 0
     for name, code in run_all(out_root):
@@ -312,6 +344,19 @@ def main(argv: list[str]) -> int:
               "on a config error", file=sys.stderr)
         return 1
     return 0
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--against", metavar="REF",
+                        help="also run REF's golden run and compare the manifests")
+    args = parser.parse_args(argv)
+    out_root = args.out.resolve()
+    if out_root.exists() and any(out_root.iterdir()):
+        print(f"golden_run: {out_root} is not empty", file=sys.stderr)
+        return 1
+    return golden(out_root) if args.against is None else against(args.against, out_root)
 
 
 if __name__ == "__main__":

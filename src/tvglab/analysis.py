@@ -262,7 +262,7 @@ def falsify_uniform_stability(model: SystemModel, delta: float, epsilon: float,
     x0[0] = delta
 
     crossing = integrate(model, None, x0, s, T - rho_min, opts,
-                         stop_condition=lambda t, x: math.sqrt(x.dot(x)) > epsilon)
+                         stop_condition=lambda t, x: math.hypot(*x) > epsilon)
     crossed = crossing.termination.kind == EVENT
     crossing_time = float(crossing.termination.t) if crossed else None
 
@@ -476,7 +476,7 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
             else:
                 probe = integrate(
                     model, case_noise, xi_arr, 0.0, t_end, opts,
-                    stop_condition=lambda t, x: max(map(abs, x.tolist())) <= width)
+                    stop_condition=lambda t, x: max(map(abs, x)) <= width)
                 entry = _box_entry(probe, width)
                 if entry is None:
                     _require_complete(probe)

@@ -150,7 +150,7 @@ class ControllerDivergenceNoise(_DivergenceNoise):
             self._latched0 = True
             return False
         if self._seg_target is not None and not self._crossed:
-            if math.sqrt(x.dot(x)) >= self._seg_target:
+            if math.hypot(*x) >= self._seg_target:
                 self._crossed = True
         if self._next_idx < len(self.targets):
             ready = self._seg_target is None or self._crossed

@@ -216,8 +216,8 @@ class NoiseSource:
     the additive measurement noise at time t given the current plant state
     (a length-n vector for the control loop, a scalar for the differentiator
     error model) and must satisfy the declared bound at every query.  x is a
-    list of n floats at a Runge-Kutta stage and a 1-D array at a committed
-    step, grid point or event; value() must not change it.
+    list of n floats at a Runge-Kutta stage and at a committed step, and a
+    1-D array at a grid point or stop event; value() must not change it.
     observe(t, x) is called once per committed integration step, in time
     order, and is the only place a source may change internal state; it
     returns True when the source switched its law exactly at t.  When it
@@ -233,8 +233,9 @@ class NoiseSource:
     The integrator then queries and checks a held source once after the
     first observe() and once after each switch, and reuses that value for
     every stage and sample; a source that is not held is queried at every
-    stage.  A control-loop source may return an array or a list of floats;
-    a list is recorded as it is, so the source must not change it later.
+    stage.  A control-loop source may return an array or a list of exactly
+    n floats (anything else raises ValueError at the query); a list is
+    recorded as it is, so the source must not change it later.
     """
 
     bound: float = 0.0
@@ -263,6 +264,36 @@ class ZeroNoise(NoiseSource):
         return self._zero
 
 
+def _rhs_lines(variant: str, orders: tuple[tuple[int, ...], ...], zero_disturbance: bool):
+    """(params, noise, lines, derivative): one rhs evaluation as source lines
+    on the time ts, state s<i> and noise e<i> (control loop) or e, raising as
+    SystemModel.rhs does; the constants they read (T, disturbance, channel
+    i's coefficients c<i>_<j>), the noise's unpacking target and the n
+    derivative expressions.  Each gain sums c / u**p from 0.0 in table order
+    with Python's ** (numpy's power rounds otherwise), as value_at does."""
+    n = len(orders)
+    coefs = [[f"c{i}_{j}" for j in range(len(ps))] for i, ps in enumerate(orders)]
+    gains = ["(0.0" + "".join(f" + {c} / u{p}" for c, p in zip(cs, ps)) + ")"
+             for cs, ps in zip(coefs, orders)]
+    lines = ["u = T - ts",
+             "if u <= 0.0:",
+             '    raise ValueError(f"gains evaluated at t={ts!r} >= deadline T={T!r}")',
+             # adding the zero disturbance still turns a -0.0 output into 0.0
+             f"d = {'0.0' if zero_disturbance else 'disturbance(ts)'}",
+             *(f"u{p} = u**{p}" for p in sorted({p for ps in orders for p in ps}))]
+    params = "T, disturbance, " + "".join(f"{c}, " for cs in coefs for c in cs)
+    if variant == CONTROL_LOOP:
+        lines += ["out = 0.0" + "".join(f" + {g} * (s{i} + e{i})" for i, g in enumerate(gains)),
+                  "if not isfinite(out):",
+                  '    raise NumericalFailure(f"controller output not finite at t={ts!r}")']
+        return params, "".join(f"e{i}, " for i in range(n)), lines, [*(f"s{i}" for i in range(1, n)), "out + d"]
+    lines += ["y = s0 + e",
+              *(f"p{i} = {g} * y" for i, g in enumerate(gains)),
+              "if not (" + " and ".join(f"isfinite(p{i})" for i in range(n)) + "):",
+              '    raise NumericalFailure(f"injection output not finite at t={ts!r}")']
+    return params, "e", lines, [*(f"s{i + 1} + p{i}" for i in range(n - 1)), f"d + p{n - 1}"]
+
+
 @functools.lru_cache(maxsize=128)
 def _rhs_factory(variant: str, orders: tuple[tuple[int, ...], ...], zero_disturbance: bool):
     """Compile SystemModel.rhs for one table shape: the variant, each
@@ -271,47 +302,28 @@ def _rhs_factory(variant: str, orders: tuple[tuple[int, ...], ...], zero_disturb
     Returns make(T, disturbance, *coefficients), which binds one model's
     constants by name and returns its right-hand side.  The generated
     source holds only indices and pole orders, so models of one shape share
-    the compiled code.  Each gain sums its terms c / u**p from 0.0 in table
-    order, as RationalGain.value_at does, with Python's ** on the integer
-    order (numpy's power rounds differently); each distinct power is
-    computed once per call.
+    the compiled code.  Its arithmetic is _rhs_lines', which integrate's
+    fused step runs too.
     """
     n = len(orders)
-    names = [[f"c{i}_{j}" for j in range(len(ps))] for i, ps in enumerate(orders)]
-    gains = ["(0.0" + "".join(f" + {c} / u{p}" for c, p in zip(cs, ps)) + ")"
-             for cs, ps in zip(names, orders)]
-    src = [f"def make(T, disturbance, {', '.join(c for cs in names for c in cs)}):",
-           "    def rhs(t, x, eta):",
-           "        u = T - t",
-           "        if u <= 0.0:",
-           '            raise ValueError(f"gains evaluated at t={t!r} >= deadline T={T!r}")',
-           # adding the zero disturbance still turns a -0.0 output into 0.0
-           f"        d = {'0.0' if zero_disturbance else 'disturbance(t)'}",
+    params, noise, lines, derivative = _rhs_lines(variant, orders, zero_disturbance)
+    src = [f"def make({params}):",
+           "    def rhs(ts, x, eta):",
            "        try:",
-           "            " + "".join(f"x{i}, " for i in range(n)) + "= x if type(x) is list else x.tolist()",
+           "            " + "".join(f"s{i}, " for i in range(n)) + "= x if type(x) is list else x.tolist()",
            "        except ValueError:",
            f'            raise ValueError(f"x has {{len(x)}} components; the model has {n} channels") from None']
-    powers = [f"        u{p} = u**{p}" for p in sorted({p for ps in orders for p in ps})]
     if variant == CONTROL_LOOP:
         src += [f"        if type(eta) is not list or len(eta) != {n}:",
                 "            eta = np.asarray(eta, dtype=float)",
                 f"            if eta.shape != ({n},):",
                 f"                eta = np.broadcast_to(eta, ({n},))  # raises as x + eta would",
                 "            eta = eta.tolist()",
-                "        " + "".join(f"e{i}, " for i in range(n)) + "= eta",
-                *powers,
-                "        out = 0.0" + "".join(f" + {g} * (x{i} + e{i})" for i, g in enumerate(gains)),
-                "        if not isfinite(out):",
-                '            raise NumericalFailure(f"controller output not finite at t={t!r}")',
-                "        return [" + "".join(f"x{i}, " for i in range(1, n)) + "out + d]"]
+                f"        {noise} = eta"]
     else:
-        src += ["        y = x0 + (eta if type(eta) is float else np.asarray(eta, dtype=float).item())",
-                *powers,
-                *(f"        p{i} = {g} * y" for i, g in enumerate(gains)),
-                "        if not (" + " and ".join(f"isfinite(p{i})" for i in range(n)) + "):",
-                '            raise NumericalFailure(f"injection output not finite at t={t!r}")',
-                "        return [" + "".join(f"x{i + 1} + p{i}, " for i in range(n - 1)) + f"d + p{n - 1}]"]
-    src.append("    return rhs")
+        src.append(f"        {noise} = eta if type(eta) is float else np.asarray(eta, dtype=float).item()")
+    src += [*(f"        {line}" for line in lines), f"        return [{', '.join(derivative)}]",
+            "    return rhs"]
     scope = {"np": np, "isfinite": math.isfinite, "NumericalFailure": NumericalFailure}
     exec(compile("\n".join(src), f"<rhs {variant} {orders}>", "exec"), scope)
     return scope["make"]
@@ -345,11 +357,13 @@ class SystemModel:
         object.__setattr__(self, "_T", self.horizon.T)
         object.__setattr__(self, "_control", self.variant == CONTROL_LOOP)
         object.__setattr__(self, "_channels", self.gains.gains)
+        # the table shape, which picks the compiled code, and the constants
+        # it binds; integrate's fused step takes the same pair
         terms = [g.terms for g in self.gains.gains]
-        make = _rhs_factory(self.variant, tuple(tuple(int(p) for _, p in ts) for ts in terms),
-                            self.disturbance.kind == "zero")
-        object.__setattr__(self, "_rhs", make(self._T, self.disturbance,
-                                              *(c for ts in terms for c, _ in ts)))
+        orders = tuple(tuple(int(p) for _, p in ts) for ts in terms)
+        object.__setattr__(self, "_shape", (self.variant, orders, self.disturbance.kind == "zero"))
+        object.__setattr__(self, "_consts", (self._T, self.disturbance, *(c for ts in terms for c, _ in ts)))
+        object.__setattr__(self, "_rhs", _rhs_factory(*self._shape)(*self._consts))
 
     @property
     def n(self) -> int:
@@ -374,7 +388,9 @@ class SystemModel:
         The body is straight-line code generated once per table shape (see
         _rhs_factory): it does the float operations of a loop over the
         table's channels and terms, in the same order, so every result is
-        bit for bit that loop's.
+        bit for bit that loop's.  integrate fuses the same code into its
+        step, so it calls this method only where a subclass or a wrapper on
+        the class overrides it.
         """
         return self._rhs(t, x, eta)
 

@@ -8,14 +8,15 @@ that the singular gains demand:
 * noise and disturbance switching instants are hard step boundaries; the
   integrator lands on them exactly instead of stepping across.
 
-Each trial step runs one straight-line function generated per channel count
-and noise kind (see _step_factory).  Its stage sums, 5th-order sum and error
-sum are unrolled Python float expressions in forward order; the step makes
-no BLAS call, so a run rounds alike whatever BLAS kernel the CPU selects.
-It calls the model's compiled right-hand side directly unless the model's
-class overrides or wraps SystemModel.rhs.  Around it, barriers are queried
-once per committed step, derivatives stay lists of floats, and the blow-up
-check is the square root of the kernel's float sum of squares.
+Each trial step runs one straight-line function generated per model shape
+and noise kind, with the model's right-hand side fused into every stage
+(see _step_factory); a class that overrides or wraps SystemModel.rhs gets
+one that calls it.  Its sums are unrolled float expressions in forward
+order, with no BLAS call, so a run rounds alike under every BLAS kernel.
+The loop commits on the step's lists of floats, which observe and
+stop_condition receive too; barriers are queried once per committed step,
+the blow-up check is the root of the kernel's float sum of squares, and the
+knot table becomes one array at the end.
 
 The loop keeps a knot record at every committed step: state, noise as
 queried, and the derivative's right and left limits at the knot.  Cubic
@@ -30,11 +31,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import CONTROL_LOOP, NoiseBoundViolation, NoiseSource, NumericalFailure, SystemModel
+from .core import (CONTROL_LOOP, NoiseBoundViolation, NoiseSource, NumericalFailure, SystemModel,
+                   _rhs_lines)
 
 _MODEL_RHS = SystemModel.rhs  # as SystemModel defines it
 
@@ -54,23 +56,27 @@ _DP_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
          -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 
-@functools.lru_cache(maxsize=None)
-def _step_factory(n: int, held: bool):
-    """Compile one trial Dormand-Prince step for n channels.
+@functools.lru_cache(maxsize=128)
+def _step_factory(n: int, held: bool, shape=None):
+    """Compile one trial Dormand-Prince step for n channels and a noise kind.
 
-    Returns make(rhs, eta_at, abs_tol, rel_tol), which binds one run's
-    right-hand side, checked noise query and tolerances, and returns
-    step(t, h, t_new, x, f, eta) -> (err, new, eta_new, f_new, sq).  From the
+    With a SystemModel's shape (variant, pole orders, zero disturbance),
+    make(eta_at, abs_tol, rel_tol, *model._consts) binds a run's checked
+    noise query, tolerances and the model's constants by name, and every
+    stage runs core._rhs_lines, the model's compiled rhs, on float locals:
+    bit for bit the step that calls rhs.  With shape None, make(eta_at,
+    abs_tol, rel_tol, rhs) returns that step, for a class that overrides or
+    wraps SystemModel.rhs: each stage calls rhs(ts, xs, eta).
+
+    step(t, h, t_new, x, f, eta) -> (err, new, eta_new, f_new, sq): from the
     state x and opening derivative f (lists of floats), stage i's state is x
-    plus h times the sum of its tableau row times the stage derivatives, and
-    rhs there gives stage i's derivative; new is the 5th-order state at
-    t_new, f_new its derivative (FSAL, as rhs returned it), err the RMS of
-    the scaled error estimate and sq the float sum of new's squares.  Every
-    sum runs over the nonzero coefficients in forward order, unrolled over
-    Python floats: the step makes no BLAS call, so it rounds alike on every
-    CPU.  A held run passes eta to every stage; otherwise eta_at is queried
-    at each stage state, a fresh list.  The source holds names and indices
-    only; the tableau is bound by name.
+    plus h times its tableau row times the stage derivatives; new is the
+    5th-order state at t_new, f_new its derivative (FSAL), err the RMS of the
+    scaled error estimate and sq the float sum of new's squares.  Every sum
+    runs over the nonzero coefficients in forward order on Python floats, so
+    no BLAS kernel changes a bit.  A held eta is unpacked once per step;
+    otherwise eta_at is queried at each stage state, a fresh list.  The
+    source holds names and indices only; the tableau is bound by name.
     """
     def names(prefix):
         return ", ".join(f"{prefix}{j}" for j in range(n))
@@ -83,34 +89,42 @@ def _step_factory(n: int, held: bool):
         # channel j's forward sum of one tableau row over the stage derivatives
         return " + ".join(f"{c} * k{i}_{j}" for i, c in coefs)
 
-    query = "eta" if held else "eta_at(ts, xs)"
-    src = ["def make(rhs, eta_at, abs_tol, rel_tol):",
-           "    def step(t, h, t_new, x, f, eta):",
-           f"        {names('x')} = x",
-           f"        {names('k0_')} = f"]
+    params, noise, lines, out = _rhs_lines(*shape) if shape else ("rhs", None, None, None)
+
+    def derivative(i, state, query):
+        # k<i>_0, ... at time ts on the stage channels s<j>, packed as state
+        if shape is None:
+            return [f"{names(f'k{i}_')}, = rhs(ts, {state}, {query})"]
+        return [*([] if held else [f"{noise} = {query}"]), *lines,
+                *(f"k{i}_{j} = {v}" for j, v in enumerate(out))]
+
+    body = [f"{names('x')}, = x", f"{names('k0_')}, = f", *([f"{noise} = eta"] if shape and held else [])]
     for i, (_, row) in enumerate(_DP_STAGES, start=1):
         coefs = nonzero(f"A{i}_", row)
-        src += [f"        ts = t + C{i} * h",
-                "        xs = [" + ", ".join(f"x{j} + h * ({weighted(coefs, j)})" for j in range(n)) + "]",
-                f"        {names(f'k{i}_')} = rhs(ts, xs, {query})"]
+        body += [f"ts = t + C{i} * h",
+                 *(f"s{j} = x{j} + h * ({weighted(coefs, j)})" for j in range(n)),
+                 *([] if shape and held else [f"xs = [{names('s')}]"]),
+                 *derivative(i, "xs", "eta" if held else "eta_at(ts, xs)")]
     b, e = nonzero("B", _DP_B), nonzero("E", _DP_E)
-    src += [*(f"        n{j} = x{j} + h * ({weighted(b, j)})" for j in range(n)),
-            f"        new = [{names('n')}]",
-            f"        eta_new = {'eta' if held else 'eta_at(t_new, new)'}",
-            "        f_new = rhs(t_new, new, eta_new)",
-            f"        {names('k6_')} = f_new",
-            *(f"        q{j} = h * ({weighted(e, j)}) / (abs_tol + rel_tol * max(abs(x{j}), abs(n{j})))"
-              for j in range(n)),
-            "        sq = " + " + ".join(f"q{j} * q{j}" for j in range(n)),
-            f"        return sqrt(sq / {n}), new, eta_new, f_new, "
-            + " + ".join(f"n{j} * n{j}" for j in range(n)),
-            "    return step"]
+    body += ["ts = t_new",
+             *(f"s{j} = x{j} + h * ({weighted(b, j)})" for j in range(n)),
+             f"new = [{names('s')}]",
+             f"eta_new = {'eta' if held else 'eta_at(t_new, new)'}",
+             *derivative(6, "new", "eta_new"),
+             f"f_new = [{names('k6_')}]",
+             *(f"q{j} = h * ({weighted(e, j)}) / (abs_tol + rel_tol * max(abs(x{j}), abs(s{j})))"
+               for j in range(n)),
+             "sq = " + " + ".join(f"q{j} * q{j}" for j in range(n)),
+             f"return sqrt(sq / {n}), new, eta_new, f_new, " + " + ".join(f"s{j} * s{j}" for j in range(n))]
+    src = [f"def make(eta_at, abs_tol, rel_tol, {params}):", "    def step(t, h, t_new, x, f, eta):",
+           *(f"        {line}" for line in body), "    return step"]
     scope = {f"C{i}": c for i, (c, _) in enumerate(_DP_STAGES, start=1)}
     scope.update({f"A{i}_{r}": a for i, (_, row) in enumerate(_DP_STAGES, start=1)
                   for r, a in enumerate(row)},
                  **{f"B{i}": c for i, c in enumerate(_DP_B)},
-                 **{f"E{i}": c for i, c in enumerate(_DP_E)}, sqrt=math.sqrt)
-    exec(compile("\n".join(src), f"<step {n} {'held' if held else 'queried'}>", "exec"), scope)
+                 **{f"E{i}": c for i, c in enumerate(_DP_E)}, sqrt=math.sqrt,
+                 isfinite=math.isfinite, NumericalFailure=NumericalFailure)
+    exec(compile("\n".join(src), f"<step {n} {'held' if held else 'queried'} {shape}>", "exec"), scope)
     return scope["make"]
 
 
@@ -260,7 +274,7 @@ def _dense_states(knot_ts, knot_xs, knot_fs, knot_fl, idx, t):
 
 def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t_end: float,
               opts: Optional[IntegrationOptions] = None,
-              stop_condition: Optional[Callable[[float, np.ndarray], bool]] = None) -> Trajectory:
+              stop_condition: Optional[Callable[[float, Sequence[float]], bool]] = None) -> Trajectory:
     """Integrate the model from (t0, x0) to t_end < T under the given noise.
 
     The noise source sees every committed step through observe(t, x) and its
@@ -269,7 +283,9 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     (blow_up), error-control failure (step_underflow: a rejected step would
     shrink below 1e-10 (T - t) or 16 ulps of t, whichever is larger), a run
     that used up its MAX_TRIAL_STEPS trial steps (step_budget), or a
-    stop-condition event located by step-local bisection.  A held source
+    stop-condition event located by step-local bisection (stop_condition(t, x)
+    gets a committed state as a list of floats, a bisection point's as an
+    array).  A held source
     (NoiseSource.held) is queried once after the first observe and once
     after each switch, and that value serves every stage and sample until
     the next switch; any other source is queried at every RK stage, with
@@ -277,7 +293,8 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     points in time order before the observe at its end (on a stop-event
     step, after the event's own query, since their states interpolate to
     the event knot).  Each query is checked against the source's bound; a
-    violation raises NoiseBoundViolation.
+    violation raises NoiseBoundViolation; a control-loop noise that is not n
+    floats raises ValueError.
     """
     opts = opts or IntegrationOptions()
     T = model.horizon.T
@@ -290,7 +307,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     if t_end > T - rho_min + 1e-18 * T:
         raise ValueError(f"t_end={t_end!r} exceeds T - rho_min = {T - rho_min!r}")
 
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     if x.shape != (model.n,):
         raise ValueError(f"x0 must have shape ({model.n},), got {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -299,21 +316,20 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         noise = model.zero_noise()
 
     is_control = model.variant == CONTROL_LOOP
-    # the compiled kernel itself, unless a subclass or a wrapper on the class
-    # (the benchmark tracer's, a test's) overrides the method, which then
-    # sees every evaluation
-    rhs = model._rhs if type(model).rhs is _MODEL_RHS else model.rhs
+    n = model.n
     held = noise.held
     bound_slack = noise.bound * (1.0 + 1e-9) + 1e-300
 
     def eta_at(t, state):
         """The noise queried at (t, state), checked against its bound: a
-        fresh list of floats for the control loop, a float for the
+        list of n floats for the control loop, a float for the
         differentiator.  Stages and sample records use it alike."""
         e = noise.value(t, state)
         if is_control:
             if type(e) is not list:
                 e = np.asarray(e, dtype=float).tolist()
+            if type(e) is not list or len(e) != n:
+                raise ValueError(f"control-loop noise at t={t!r} has shape {np.shape(e)}, not ({n},)")
             norm = math.hypot(*e)
         else:
             e = float(e)
@@ -335,7 +351,16 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     switch_fls: list[list[float]] = []  # left-limit derivative at each switch knot
     grid_etas: list = []  # queried at the grid points for a source that is not held
 
+    # the step with the model's compiled right-hand side fused in, unless a
+    # subclass or a wrapper on the class (the benchmark tracer's, a test's)
+    # overrides the method: then every evaluation calls it
+    fused = type(model).rhs is _MODEL_RHS
+    rhs = model._rhs if fused else model.rhs
+    step = _step_factory(n, held, model._shape if fused else None)(
+        eta_at, opts.abs_tol, opts.rel_tol, *(model._consts if fused else (rhs,)))
+
     # initial commitment: let the source latch its first segment, then record
+    x = x.tolist()
     noise.observe(t0, x)
     eta0 = eta_held = eta_at(t0, x)
     f = rhs(t0, x, eta0)
@@ -356,7 +381,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             lo += 1
         grid_idx = hi
         tqs = grid[lo:hi]
-        xqs = _hermite(x, np.array(f), x_new, np.array(f_new), dt, ((tqs - t) / dt)[:, None])
+        xqs = _hermite(*map(np.array, (x, f, x_new, f_new)), dt, ((tqs - t) / dt)[:, None])
         grid_etas.extend(eta_at(tq, xq) for tq, xq in zip(tqs.tolist(), xqs))
 
     t = t0
@@ -365,8 +390,6 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         1e-3 * (t_end - t0), kappa * (T - t0))
     h_try = max(h_try, min_step)
     termination = None
-    x_list = x.tolist()
-    step = _step_factory(model.n, held)(rhs, eta_at, opts.abs_tol, opts.rel_tol)
     trials = 0
     barrier = None
 
@@ -395,7 +418,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         # a NaN that np.maximum would keep, but a NaN in the new state comes
         # with a non-finite error term in its channel
         try:
-            err, new_list, eta_new, f_new, sq = step(t, h, t_new, x_list, f, eta_held)
+            err, x_new, eta_new, f_new, sq = step(t, h, t_new, x, f, eta_held)
         except NoiseBoundViolation:
             raise
         except NumericalFailure:
@@ -410,23 +433,22 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
                 termination = Termination(kind=STEP_UNDERFLOW, t=t)
             continue
 
-        x_new = np.array(new_list)
         if stop_condition is not None and stop_condition(t_new, x_new):
             # bisect to the earliest time the condition holds on this step
             dt = t_new - t
-            fa, fb = np.array(f), np.array(f_new)
+            ends = tuple(map(np.array, (x, f, x_new, f_new)))
             lo, hi = t, t_new
             for _ in range(200):
                 if hi - lo <= 1e-12 * T:
                     break
                 mid = 0.5 * (lo + hi)
-                xm = _hermite(x, fa, x_new, fb, dt, (mid - t) / dt)
+                xm = _hermite(*ends, dt, (mid - t) / dt)
                 if stop_condition(mid, xm):
                     hi = mid
                 else:
                     lo = mid
             t_ev = hi
-            x_ev = _hermite(x, fa, x_new, fb, dt, (t_ev - t) / dt)
+            x_ev = _hermite(*ends, dt, (t_ev - t) / dt)
             eta_ev = eta_held if held else eta_at(t_ev, x_ev)
             f_ev = rhs(t_ev, x_ev, eta_ev)
             if query_grid:
@@ -450,13 +472,13 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
 
         norm_new = math.sqrt(sq)
         if norm_new >= opts.max_norm:
-            channel = int(np.argmax(np.abs(x_new)))
+            channel = max(range(n), key=lambda j: abs(x_new[j]))
             termination = Termination(
                 kind=BLOW_UP, t=t_new,
                 blow_up=BlowUpEvent(t=t_new, norm=norm_new, channel=channel))
 
         t = t_new
-        x, x_list, f = x_new, new_list, f_new
+        x, f = x_new, f_new
         barrier = None
         # err <= 1 here, so the growth factor is at least 0.9
         grow = 10.0 if err == 0.0 else 0.9 * err ** -0.2

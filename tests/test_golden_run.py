@@ -4,6 +4,7 @@ README examples (only the config errors are run here)."""
 
 import importlib.util
 import shlex
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,55 @@ def test_readme_config_examples_are_scenarios():
     with pytest.raises(ConfigError) as exc:
         parse_config(golden_run.CONFIGS["readme_bad_config"], subcommand="verify-deadline")
     assert list(exc.value.violations) == shown
+
+
+def test_compare_manifests_prints_the_diff_and_exits_1_when_they_differ(tmp_path, capsys):
+    base, head = tmp_path / "base.sha256", tmp_path / "head.sha256"
+    base.write_text("aa  run/exit.txt\nbb  run/stdout.txt\n")
+    head.write_text("aa  run/exit.txt\nbb  run/stdout.txt\n")
+    assert golden_run.compare_manifests(base, head) == 0
+    assert capsys.readouterr().out == "identical\n"
+    head.write_text("aa  run/exit.txt\ncc  run/stdout.txt\n")
+    assert golden_run.compare_manifests(base, head) == 1
+    out = capsys.readouterr().out
+    assert "\n-bb  run/stdout.txt\n+cc  run/stdout.txt\n" in out
+    assert "identical" not in out
+
+
+def test_against_runs_each_side_by_its_own_script(tmp_path, monkeypatch, capsys):
+    """--against extracts REF, runs REF's golden run and this checkout's into
+    OUT/base and OUT/head, and exits with the manifest comparison."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import bench_pairs
+
+    extracted = []
+    monkeypatch.setattr(bench_pairs, "extract",
+                        lambda ref, dest: extracted.append((ref, dest)) or "c0ffee")
+    manifests, scripts = {"base": "aa  run/exit.txt\n"}, {}
+
+    def fake_run(cmd, **kwargs):
+        out = Path(cmd[-1])
+        scripts[out.name] = Path(cmd[1])
+        out.mkdir(parents=True)
+        (out / "MANIFEST.sha256").write_text(manifests[out.name])
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(golden_run.subprocess, "run", fake_run)
+    for head, code in (("aa  run/exit.txt\n", 0), ("ab  run/exit.txt\n", 1)):
+        manifests["head"] = head
+        out = tmp_path / str(code)
+        assert golden_run.main(["--against", "REF", str(out)]) == code
+        (ref, base_dir), = extracted
+        extracted.clear()
+        assert ref == "REF" and not base_dir.exists()  # removed after the runs
+        assert scripts == {"base": base_dir / "scripts" / "golden_run.py",
+                           "head": ROOT / "scripts" / "golden_run.py"}
+        printed = capsys.readouterr().out
+        assert "base c0ffee: golden run exited 0" in printed
+        assert ("identical" in printed) == (code == 0)
+
+
+def test_golden_run_needs_an_empty_output_directory(tmp_path):
+    (tmp_path / "left_over").write_text("")
+    assert golden_run.main([str(tmp_path)]) == 1
+    assert golden_run.main(["--against", "REF", str(tmp_path)]) == 1

@@ -3,6 +3,7 @@
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,9 @@ from tvglab.attack import (
     differentiator_divergence_noise,
 )
 from tvglab.core import (
+    CONTROL_LOOP,
+    DIFF_ERROR,
+    DisturbanceSpec,
     NoiseBoundViolation,
     NoiseSource,
     NumericalFailure,
@@ -451,6 +455,49 @@ def test_noise_bound_is_checked_at_stage_queries():
                   np.array([1.0, 0.0]), 0.0, 0.5)
 
 
+class _StageOnlyVectorViolator(_StageOnlyViolator):
+    """The violator's value in the first channel of a control-loop noise."""
+
+    def value(self, t, x):
+        return [super().value(t, x), 0.0]
+
+
+@pytest.mark.parametrize("make_noise", [_StageOnlyViolator, _StageOnlyVectorViolator])
+def test_noise_bound_violation_at_a_fused_stage_query_propagates(make_noise):
+    # the plain models run the fused step, which must not take the violation
+    # for a non-finite stage and retry it with a smaller step
+    noise = make_noise()
+    model = (differentiator_error_model if make_noise is _StageOnlyViolator else reference_loop)()
+    assert type(model).rhs is SystemModel.rhs
+    with pytest.raises(NoiseBoundViolation, match="noise bound violated at t="):
+        integrate(model, noise, np.array([1.0, 0.0]), 0.0, 0.5)
+    assert noise.committed == 0.0  # raised in the first trial step
+
+
+class _FixedNoise(NoiseSource):
+    """The same value at every query, held or queried at every stage."""
+
+    def __init__(self, value, held=True, bound=0.1):
+        self._value, self.held, self.bound = value, held, bound
+
+    def value(self, t, x):
+        return self._value
+
+
+@pytest.mark.parametrize("held", [True, False])
+@pytest.mark.parametrize("value, shape", [
+    ([0.01], "(1,)"), (np.full(3, 0.01), "(3,)"), (0.01, "()"), (np.float64(0.01), "()"),
+    (np.full((1, 2), 0.01), "(1, 2)"),
+], ids=["list_1", "array_3", "float", "float64", "array_1x2"])
+def test_control_noise_of_the_wrong_length_is_rejected_at_the_first_query(value, shape, held):
+    # a one-element noise once passed the bound check as a 1-vector and was
+    # broadcast to every channel by rhs; the run then failed at its end
+    noise = _count_queries(_FixedNoise(value, held))
+    with pytest.raises(ValueError, match=re.escape(f"noise at t=0.0 has shape {shape}, not (2,)")):
+        integrate(reference_loop(), noise, np.array([1.0, 0.0]), 0.0, 0.5)
+    assert noise.calls == 1
+
+
 class _CountingLoop(SystemModel):
     """System model that counts its right-hand-side evaluations."""
 
@@ -624,44 +671,54 @@ def test_a_run_that_uses_up_its_step_budget_ends_with_step_budget(monkeypatch):
 
 
 def test_stage_queries_get_the_stage_state_as_a_list_of_floats():
-    """A source that is not held is queried with an array only after the
-    first observe and after each switch; every stage query gets a list."""
+    """Without a grid or a stop event, a source that is not held gets a list
+    of floats at every query: at each stage and at the committed steps, the
+    start and the switches among them, and so does observe; the fused and
+    the call-through step query alike."""
     src = differentiator_error_model()
-    model = _CountingLoop(src.variant, src.horizon, src.gains)
-    noise = differentiator_divergence_noise(1e-2)
-    assert not noise.held
-    value, observe = noise.value, noise.observe
-    queries = []
+    counted, logs = _CountingLoop(src.variant, src.horizon, src.gains), []
+    for model in (src, counted):
+        noise = differentiator_divergence_noise(1e-2)
+        assert not noise.held
+        value, observe = noise.value, noise.observe
+        queries, observed_states = [], []
 
-    def logged(t, x):
-        queries.append((t, type(x), all(type(v) is float for v in x)))
-        return value(t, x)
+        def logged(t, x):
+            queries.append((t, type(x) is list and all(type(v) is float for v in x)))
+            return value(t, x)
 
-    def observed(t, x):
-        own = len(queries)
-        switched = observe(t, x)
-        del queries[own:]  # the source's own value calls inside observe
-        return switched
+        def observed(t, x):
+            own = len(queries)
+            observed_states.append(type(x) is list and all(type(v) is float for v in x))
+            switched = observe(t, x)
+            del queries[own:]  # the source's own value calls inside observe
+            return switched
 
-    noise.value, noise.observe = logged, observed
-    traj = integrate(model, noise, np.array([1.0, -0.5]), 0.0, 1.0 - 1e-9)
-    assert len(traj.switch_times) == 4 and len(queries) == model.calls
-    assert [t for t, kind, _ in queries if kind is not list] == [0.0, *traj.switch_times]
-    assert {kind for _, kind, _ in queries} == {list, np.ndarray}
-    assert all(floats for _, kind, floats in queries if kind is list)
+        noise.value, noise.observe = logged, observed
+        traj = integrate(model, noise, np.array([1.0, -0.5]), 0.0, 1.0 - 1e-9)
+        assert len(traj.switch_times) == 4
+        assert all(floats for _, floats in queries) and all(observed_states)
+        logs.append(queries)
+    assert logs[0] == logs[1] and len(logs[1]) == counted.calls
 
 
 @settings(max_examples=1000, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=3))
 def test_float_reductions_equal_the_numpy_norms(values):
-    """The per-step reductions on a state, bit for bit: the 2-norm of the
-    blow-up check, the divergence noise and the falsify stop condition, and
-    the max norm of the deadzone stop condition."""
+    """Reductions on a state, which a committed step passes as a list: the
+    max norm of the deadzone stop condition is numpy's bit for bit, and
+    math.hypot, the 2-norm of the divergence noise's observe and the falsify
+    stop condition, lies within an ulp of numpy's wherever numpy's squares
+    neither overflow nor underflow (numpy's dot rounds per BLAS kernel)."""
     x = np.array(values)
     with np.errstate(over="ignore"):  # large entries overflow the square sum to inf
         assert np.float64(math.sqrt(x.dot(x))).tobytes() == np.linalg.norm(x).tobytes()
         assert x.dot(x).tobytes() == (x @ x).tobytes()
+        norm = float(np.linalg.norm(x))
     assert np.float64(max(map(abs, x.tolist()))).tobytes() == np.max(np.abs(x)).tobytes()
+    assert np.float64(max(map(abs, values))).tobytes() == np.max(np.abs(x)).tobytes()
+    if 1e-150 < norm < math.inf:
+        assert abs(math.hypot(*values) - norm) <= math.ulp(norm)
 
 
 _HELD_SOURCES = {
@@ -823,15 +880,28 @@ def test_runs_are_bit_identical_under_every_openblas_kernel():
 
 
 def test_runs_with_one_channel_count_share_one_compiled_step():
+    """A fused step is compiled once per model shape (variant, pole orders,
+    zero disturbance or not) and noise kind; the call-through step once per
+    channel count and noise kind."""
     step_factory = integrate_module._step_factory
     step_factory.cache_clear()
     x0 = np.array([1.0, -0.5])
-    for model in (reference_loop(), rational_loop([[(-3.0, 1)], [(-2.0, 0)]]),
-                  differentiator_error_model()):
+    # one shape with other coefficients and another T
+    for model in (reference_loop(), rational_loop([[(-3.0, 2)], [(-2.0, 1)]], T=2.0)):
         integrate(model, None, x0, 0.0, 0.5)
-    assert step_factory.cache_info()[:2] == (2, 1)  # hits, misses
+    assert step_factory.cache_info()[:2] == (1, 1)  # hits, misses
+    # other pole orders, the other variant, a nonzero disturbance: a step each
+    for model in (rational_loop([[(-3.0, 1)], [(-2.0, 0)]]), differentiator_error_model(),
+                  reference_loop(DisturbanceSpec(kind="constant", bound=0.1, value=0.1))):
+        integrate(model, None, x0, 0.0, 0.5)
+    assert step_factory.cache_info()[:2] == (1, 4)
     integrate(differentiator_error_model(), differentiator_divergence_noise(1e-2), x0, 0.0, 0.5)
-    assert step_factory.cache_info()[:2] == (2, 2)  # not held: a step of its own
+    assert step_factory.cache_info()[:2] == (1, 5)  # not held: a step of its own
+    # a class that overrides rhs: every two-channel shape shares one step
+    for src in (reference_loop(), differentiator_error_model(),
+                rational_loop([[(-3.0, 1)], [(-2.0, 0)]])):
+        integrate(_CountingLoop(src.variant, src.horizon, src.gains), None, x0, 0.0, 0.5)
+    assert step_factory.cache_info()[:2] == (3, 6)
 
 
 def _constants(code):
@@ -843,10 +913,16 @@ def _constants(code):
 @pytest.mark.parametrize("held", [True, False])
 @pytest.mark.parametrize("n", [2, 7, 8, 9])
 def test_compiled_step_holds_no_float_literal(n, held):
-    # the tableau and tolerances are bound by name, never formatted in
-    make = integrate_module._step_factory(n, held)
-    constants = list(_constants(make.__code__))
-    assert constants and not any(isinstance(c, float) for c in constants)
+    """The tableau, tolerances, T and the model's coefficients are bound by
+    name, never formatted in; a fused step's only float literal is the 0.0
+    of its right-hand side (each gain's sum starts there, u is checked
+    against it, a zero disturbance is it)."""
+    shapes = [None, (CONTROL_LOOP, ((2, 0),) * n, True), (DIFF_ERROR, ((0, 1, 2),) * n, False)]
+    for shape in shapes:
+        make = integrate_module._step_factory(n, held, shape)
+        constants = list(_constants(make.__code__))
+        floats = {c for c in constants if isinstance(c, float)}
+        assert constants and floats == (set() if shape is None else {0.0})
 
 
 class _NanStageLoop(SystemModel):
@@ -878,6 +954,77 @@ def test_non_finite_stage_is_rejected(stage):
     h_trial = clean.knot_ts[11] - clean.knot_ts[10]
     assert traj.knot_ts[11] - traj.knot_ts[10] == pytest.approx(0.5 * h_trial, rel=1e-9)
     assert np.allclose(traj.xs[-1], reference_solution(0.0, (1.0, 0.0), 0.5), rtol=1e-9, atol=1e-12)
+
+
+class _FailureCountingLoop(SystemModel):
+    """System model that counts the NumericalFailures its rhs raises."""
+
+    failures = 0
+
+    def rhs(self, t, x, eta):
+        try:
+            return super().rhs(t, x, eta)
+        except NumericalFailure:
+            object.__setattr__(self, "failures", self.failures + 1)
+            raise
+
+
+def test_overflowing_gain_is_rejected_on_the_fused_path_as_through_rhs():
+    # -1e300 / u**20 overflows to -inf once u < 0.387; on the zero state the
+    # controller output is then NaN, and every trial step that reaches it is
+    # rejected and retried with half its step until the step floor
+    src = rational_loop([[(-1e300, 20)], [(-4.0, 1)]])
+    counted = _FailureCountingLoop(src.variant, src.horizon, src.gains)
+    a, b = (integrate(model, None, np.array([0.0, 0.0]), 0.0, 0.9) for model in (src, counted))
+    assert counted.failures > 10
+    assert a.termination.kind == STEP_UNDERFLOW and a.termination == b.termination
+    assert math.isfinite(1e300 / (1.0 - a.t_last) ** 20)
+    assert not math.isfinite(1e300 / (1.0 - a.t_last - 1e-9) ** 20)
+    for name in ("knot_ts", "knot_xs", "knot_fs", "etas"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+class _WaveNoise(NoiseSource):
+    """Noise queried at every stage that depends on time and state: a list
+    of n floats, or a float when n is None."""
+
+    def __init__(self, n, bound=1e-2):
+        self.n, self.bound = n, bound
+
+    def value(self, t, x):
+        if self.n is None:
+            return 0.5 * self.bound * math.sin(40.0 * t + x[0])
+        return [0.5 * self.bound / self.n * math.sin(40.0 * t + j + x[j]) for j in range(self.n)]
+
+
+_DISTURBANCES = [None, DisturbanceSpec(kind="constant", bound=0.1, value=-0.1),
+                 DisturbanceSpec(kind="sinusoid", bound=0.1, amplitude=0.1, frequency=3.0),
+                 DisturbanceSpec(kind="piecewise", bound=0.2, samples=((0.2, 0.2), (0.55, -0.1)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_tables, st.sampled_from([CONTROL_LOOP, DIFF_ERROR]), st.booleans(),
+       st.sampled_from(_DISTURBANCES))
+def test_fused_step_equals_the_call_through_step(case, variant, held, disturbance):
+    """A plain model runs the step with its right-hand side fused in; the
+    same model through a class whose rhs calls the base method runs the step
+    that calls rhs at every stage.  Both give the same run, bit for bit."""
+    tables, x0 = case
+    n = len(tables)
+    make = rational_loop if variant == CONTROL_LOOP else rational_diff_error
+    src = make(tables, disturbance=disturbance)
+    through = _CountingLoop(src.variant, src.horizon, src.gains, src.disturbance)
+    runs = []
+    for model in (src, through):
+        vector = variant == CONTROL_LOOP
+        noise = (_FixedNoise([1e-3 * (j + 1) for j in range(n)] if vector else -2e-3) if held
+                 else _WaveNoise(n if vector else None))
+        runs.append(integrate(model, noise, np.array(x0), 0.0, 1.0 - 1e-3))
+    a, b = runs
+    assert through.calls >= 1 + 6 * (len(b.knot_ts) - 1)
+    for name in ("knot_ts", "knot_xs", "knot_fs", "knot_fl", "etas"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.termination == b.termination
 
 
 def test_recorded_noise_is_not_aliased():
