@@ -361,6 +361,12 @@ class SystemModel:
         # it binds; integrate's fused step takes the same pair
         terms = [g.terms for g in self.gains.gains]
         orders = tuple(tuple(int(p) for _, p in ts) for ts in terms)
+        p = max((p for ps in orders for p in ps), default=0)
+        try:  # (T - t)**p, a Python float power, is largest at t = 0
+            self._T ** p
+        except OverflowError:
+            raise ValueError(f"gain pole order {p} overflows at T={self._T!r}: "
+                             f"(T - t)**{p} is beyond the float range") from None
         object.__setattr__(self, "_shape", (self.variant, orders, self.disturbance.kind == "zero"))
         object.__setattr__(self, "_consts", (self._T, self.disturbance, *(c for ts in terms for c, _ in ts)))
         object.__setattr__(self, "_rhs", _rhs_factory(*self._shape)(*self._consts))

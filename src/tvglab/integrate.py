@@ -16,7 +16,8 @@ order, with no BLAS call, so a run rounds alike under every BLAS kernel.
 The loop commits on the step's lists of floats, which observe and
 stop_condition receive too; barriers are queried once per committed step,
 the blow-up check is the root of the kernel's float sum of squares, and the
-knot table becomes one array at the end.
+knot record is kept in flat float columns that become arrays once, at the
+end.
 
 The loop keeps a knot record at every committed step: state, noise as
 queried, and the derivative's right and left limits at the knot.  Cubic
@@ -24,6 +25,8 @@ Hermite interpolation over the knots gives dense output in between.  An
 optional output grid is filled in one batched pass after the last step:
 one Hermite evaluation over the knot record for all grid points, the same
 evaluator Trajectory.state_at calls, merged with the knot rows by index.
+Without grid points strictly inside steps there is nothing to merge, and
+the sample table is a copy of the knot table.
 """
 
 from __future__ import annotations
@@ -112,8 +115,10 @@ def _step_factory(n: int, held: bool, shape=None):
              f"eta_new = {'eta' if held else 'eta_at(t_new, new)'}",
              *derivative(6, "new", "eta_new"),
              f"f_new = [{names('k6_')}]",
-             *(f"q{j} = h * ({weighted(e, j)}) / (abs_tol + rel_tol * max(abs(x{j}), abs(s{j})))"
-               for j in range(n)),
+             # b if b > a else a is max(a, b), NaN and signed zeros alike
+             *(line for j in range(n) for line in (
+                 f"a = abs(x{j})", f"b = abs(s{j})",
+                 f"q{j} = h * ({weighted(e, j)}) / (abs_tol + rel_tol * (b if b > a else a))")),
              "sq = " + " + ".join(f"q{j} * q{j}" for j in range(n)),
              f"return sqrt(sq / {n}), new, eta_new, f_new, " + " + ".join(f"s{j} * s{j}" for j in range(n))]
     src = [f"def make(eta_at, abs_tol, rel_tol, {params}):", "    def step(t, h, t_new, x, f, eta):",
@@ -206,10 +211,12 @@ class Trajectory:
 
     ts/xs/etas/gains hold the sample table (strictly increasing times):
     every committed step plus any requested grid points, with the noise as
-    it was queried at each sample and the scalar algorithm output.  The
-    gains column comes from one batched SystemModel.gain_output call over
-    the whole table after the last step; a non-finite entry raises
-    NumericalFailure then.
+    it was queried at each sample and the scalar algorithm output.  Unless
+    grid points fall strictly inside steps, the sample table is the knot
+    table: ts and xs equal knot_ts and knot_xs bit for bit, in arrays of
+    their own.  The gains column comes from one batched
+    SystemModel.gain_output call over the whole table after the last step;
+    a non-finite entry raises NumericalFailure then.
 
     The knot record holds each committed step's end: knot_fs is the
     derivative's right limit there, knot_fl its left limit; they differ
@@ -294,7 +301,8 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     step, after the event's own query, since their states interpolate to
     the event knot).  Each query is checked against the source's bound; a
     violation raises NoiseBoundViolation; a control-loop noise that is not n
-    floats raises ValueError.
+    floats, or a differentiator noise that is not a scalar, raises
+    ValueError.
     """
     opts = opts or IntegrationOptions()
     T = model.horizon.T
@@ -332,7 +340,11 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
                 raise ValueError(f"control-loop noise at t={t!r} has shape {np.shape(e)}, not ({n},)")
             norm = math.hypot(*e)
         else:
-            e = float(e)
+            if type(e) is not float:
+                a = np.asarray(e, dtype=float)
+                if a.shape != ():
+                    raise ValueError(f"differentiator noise at t={t!r} has shape {a.shape}, not ()")
+                e = float(a)
             norm = abs(e)
         if norm > bound_slack:
             raise NoiseBoundViolation(
@@ -343,10 +355,18 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     if opts.output_grid is not None:
         grid = opts.output_grid.points(t0, t_end, T)
 
-    # the knot record, one (t, state, derivative, noise) entry per committed
-    # step: the derivative a list of floats, the noise the one recorded with
-    # the knot's sample
-    knots: list[tuple] = []
+    # the knot record as flat float columns, one entry per committed step:
+    # its time, state and derivative, and the noise recorded with the knot's
+    # sample (n floats for the control loop, one for the differentiator)
+    knot_ts, knot_xs, knot_fs, knot_etas = [], [], [], []
+    record_eta = knot_etas.extend if is_control else knot_etas.append
+
+    def record(t, x, f, eta):
+        knot_ts.append(t)
+        knot_xs.extend(x)
+        knot_fs.extend(f)
+        record_eta(eta)
+
     switch_times: list[float] = []
     switch_fls: list[list[float]] = []  # left-limit derivative at each switch knot
     grid_etas: list = []  # queried at the grid points for a source that is not held
@@ -364,7 +384,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     noise.observe(t0, x)
     eta0 = eta_held = eta_at(t0, x)
     f = rhs(t0, x, eta0)
-    knots.append((t0, x, f, eta0))
+    record(t0, x, f, eta0)
 
     query_grid = grid is not None and not held
     grid_idx = 0 if grid is None else int(np.searchsorted(grid, t0, side="right"))
@@ -453,7 +473,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             f_ev = rhs(t_ev, x_ev, eta_ev)
             if query_grid:
                 grid_queries(t, x, f, x_ev, f_ev, t_ev - t, t_ev)
-            knots.append((t_ev, x_ev, f_ev, eta_ev))
+            record(t_ev, x_ev.tolist(), f_ev, eta_ev)
             termination = Termination(kind=EVENT, t=t_ev)
             t = t_ev
             break
@@ -468,7 +488,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             switch_fls.append(f_new)
             eta_new = eta_held = eta_at(t_new, x_new)
             f_new = rhs(t_new, x_new, eta_new)  # right-limit derivative
-        knots.append((t_new, x_new, f_new, eta_new))
+        record(t_new, x_new, f_new, eta_new)
 
         norm_new = math.sqrt(sq)
         if norm_new >= opts.max_norm:
@@ -487,25 +507,28 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     if termination is None:
         termination = Termination(kind=REACHED_END, t=t)
 
-    # the sample table: the knot rows, and the grid points strictly inside
-    # steps merged in after the knot that opens their step.  A held source's
-    # value at a grid point is the one recorded at that knot
-    knot_ts, knot_xs, knot_fs, knot_etas = zip(*knots)
-    kts, kxs, kfs = np.array(knot_ts), np.array(knot_xs), np.array(knot_fs)
+    kts = np.array(knot_ts, dtype=float)
+    kxs, kfs, ketas = (np.array(col, dtype=float).reshape(len(kts), -1)
+                       for col in (knot_xs, knot_fs, knot_etas))
     kfl = kfs.copy()
     if switch_times:
         kfl[np.searchsorted(kts, switch_times)] = switch_fls
-    m = model.n if is_control else 1
-    ketas = np.array(knot_etas, dtype=float).reshape(len(knot_etas), m)
-    gts = np.empty(0) if grid is None else grid[(grid > t0) & (grid < t)]
-    opening = np.searchsorted(kts, gts, side="right") - 1
-    inside = kts[opening] != gts
-    gts, opening = gts[inside], opening[inside]
-    getas = ketas[opening] if held else np.array(grid_etas, dtype=float).reshape(len(gts), m)
-    at = opening + 1
-    ts_arr = np.insert(kts, at, gts)
-    xs_arr = np.insert(kxs, at, _dense_states(kts, kxs, kfs, kfl, opening, gts), axis=0)
-    etas_arr = np.insert(ketas, at, getas, axis=0)
+    # the sample table: the knot rows, and the grid points strictly inside
+    # steps merged in after the knot that opens their step.  A held source's
+    # value at a grid point is the one recorded at that knot
+    if grid is not None:
+        gts = grid[(grid > t0) & (grid < t)]
+        opening = np.searchsorted(kts, gts, side="right") - 1
+        inside = kts[opening] != gts
+        gts, opening = gts[inside], opening[inside]
+    if grid is None or not len(gts):  # the knot table, in arrays of its own
+        ts_arr, xs_arr, etas_arr = kts.copy(), kxs.copy(), ketas
+    else:
+        getas = ketas[opening] if held else np.array(grid_etas, dtype=float).reshape(len(gts), -1)
+        at = opening + 1
+        ts_arr = np.insert(kts, at, gts)
+        xs_arr = np.insert(kxs, at, _dense_states(kts, kxs, kfs, kfl, opening, gts), axis=0)
+        etas_arr = np.insert(ketas, at, getas, axis=0)
     gains = model.gain_output(ts_arr, xs_arr, etas_arr)
     if not np.all(np.isfinite(gains)):
         raise NumericalFailure("non-finite value in integration record")

@@ -156,6 +156,9 @@ _REFERENCE_AT_T2 = ["simulate", "--system.T", "2", "--sim.x0", "1,0"]
      "sim.x0: the model has 3 channels, got 1.0,0.0"),
     (["simulate", "--system.gains", "-60,3; -36,2; -9,1", "--sim.x0", "1,0"],
      "sim.x0: the model has 3 channels, got 1.0,0.0"),
+    # Python's float power raised OverflowError at the first rhs, a traceback
+    (["simulate", "--system.T", "1e10", "--system.gains", "-1,40; -1,1", "--sim.x0", "1,0"],
+     "gain pole order 40 overflows at T=10000000000.0: (T - t)**40 is beyond the float range"),
     # each model part is one key: the parameter keys of one form are gone
     *[(["simulate", f"--{key}", value, "--sim.x0", "1,0"],
        f"flag --{key}: unknown key {key!r}") for key, value in _REMOVED_KEYS],
@@ -166,7 +169,8 @@ _REFERENCE_AT_T2 = ["simulate", "--system.T", "2", "--sim.x0", "1,0"]
         "deadline_starts_empty", "deadline_ics_empty", "workaround_ics_empty",
         "sim_x0_length", "deadline_ics_length", "workaround_ics_length",
         "prelude_x0_length", "diff_terminal_x0_length", "zero_table_x0_length",
-        "rational_table_x0_length", *[f"removed_{key}" for key, _ in _REMOVED_KEYS],
+        "rational_table_x0_length", "gain_power_overflow",
+        *[f"removed_{key}" for key, _ in _REMOVED_KEYS],
         *[f"bad_form_{value}" for _, value, _ in _BAD_FORMS]])
 def test_model_config_errors_fail_at_parse_time(tmp_path, capsys, argv, message):
     subcommand, *flags = argv

@@ -1,6 +1,7 @@
 """System definitions: gain tables, disturbances, models, right-hand sides."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,17 @@ def test_controller_rejects_times_past_deadline():
         _feedback(model, 1.5, (1.0, 0.0))
     with pytest.raises(ValueError):
         model.rhs(1.0, np.array([1.0, 0.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("make, eta", [(rational_loop, [0.0, 0.0]), (rational_diff_error, 0.0)])
+def test_gain_powers_beyond_the_float_range_are_rejected(make, eta):
+    """(T - t)**p with Python's float power raised OverflowError at the first
+    rhs; a table whose T**p overflows is rejected when the model is built."""
+    table = [[(-1.0, 40)], [(-1.0, 1)]]
+    with pytest.raises(ValueError, match=re.escape("gain pole order 40 overflows at T=10000000000.0")):
+        make(table, T=1e10)
+    model = make(table, T=1e7)  # 1e280 is a float
+    assert all(map(math.isfinite, model.rhs(0.0, [1.0, 0.0], eta)))
 
 
 def test_injection_rejects_times_past_deadline():

@@ -498,6 +498,29 @@ def test_control_noise_of_the_wrong_length_is_rejected_at_the_first_query(value,
     assert noise.calls == 1
 
 
+@pytest.mark.parametrize("held", [True, False])
+@pytest.mark.parametrize("value, shape", [
+    ([0.01], "(1,)"), (np.full(1, 0.01), "(1,)"), (np.full(2, 0.01), "(2,)"),
+], ids=["list_1", "array_1", "array_2"])
+def test_differentiator_noise_of_the_wrong_shape_is_rejected_at_the_first_query(value, shape, held):
+    # float() once turned these into a TypeError from numpy or Python
+    noise = _count_queries(_FixedNoise(value, held))
+    with pytest.raises(ValueError, match=re.escape(
+            f"differentiator noise at t=0.0 has shape {shape}, not ()")):
+        integrate(differentiator_error_model(), noise, np.array([1.0, 0.0]), 0.0, 0.5)
+    assert noise.calls == 1
+
+
+@pytest.mark.parametrize("held", [True, False])
+@pytest.mark.parametrize("value", [0.01, np.float64(0.01), np.array(0.01)],
+                         ids=["float", "float64", "array_0d"])
+def test_differentiator_noise_scalars_are_recorded_as_floats(value, held):
+    traj = integrate(differentiator_error_model(), _FixedNoise(value, held),
+                     np.array([1.0, 0.0]), 0.0, 0.5)
+    assert traj.etas.dtype == np.float64 and traj.etas.shape == (len(traj.ts), 1)
+    assert np.all(traj.etas == float(value))
+
+
 class _CountingLoop(SystemModel):
     """System model that counts its right-hand-side evaluations."""
 
@@ -719,6 +742,23 @@ def test_float_reductions_equal_the_numpy_norms(values):
     assert np.float64(max(map(abs, values))).tobytes() == np.max(np.abs(x)).tobytes()
     if 1e-150 < norm < math.inf:
         assert abs(math.hypot(*values) - norm) <= math.ulp(norm)
+
+
+_EDGE_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_EDGE_FLOATS, _EDGE_FLOATS, st.floats(min_value=1e-300, max_value=1.0),
+       st.floats(min_value=1e-300, max_value=1.0))
+def test_inline_max_of_the_error_norm_is_pythons_max(x, s, abs_tol, rel_tol):
+    """The compiled step's error scale takes b if b > a else a on a = |x|,
+    b = |s|: the same float object as max(a, b), NaN and signed zeros
+    included, so the denominator abs_tol + rel_tol * m is bit for bit."""
+    a, b = abs(x), abs(s)
+    m = b if b > a else a
+    assert m is max(a, b)
+    assert (np.float64(abs_tol + rel_tol * m).tobytes()
+            == np.float64(abs_tol + rel_tol * max(abs(x), abs(s))).tobytes())
 
 
 _HELD_SOURCES = {
@@ -1035,6 +1075,36 @@ def test_recorded_noise_is_not_aliased():
     after = traj.ts > 0.37
     assert np.all(traj.etas[before] == 0.01)
     assert np.all(traj.etas[after] == -0.01)
+
+
+_ENDS_ONLY = IntegrationOptions(output_grid=OutputGrid(kind="uniform", count=2))
+_INTERIOR = IntegrationOptions(output_grid=OutputGrid(kind="uniform", count=700))
+
+
+@pytest.mark.parametrize("model, noise, opts, stop", [
+    (reference_loop(), lambda: _BarrierNoise(2, 0.37), None, None),
+    (differentiator_error_model(), lambda: _WaveNoise(None), None, None),
+    # a uniform grid of two points: t0 and t_end, both knots
+    (reference_loop(), lambda: _WaveNoise(2), _ENDS_ONLY, None),
+    # t_end lies past the event, outside the span
+    (reference_loop(), lambda: _BarrierNoise(2, 0.37), _ENDS_ONLY, lambda t, x: x[0] <= 0.25),
+    (differentiator_error_model(), lambda: _WaveNoise(None), None, lambda t, x: x[0] <= 0.5),
+], ids=["held_switch", "queried_scalar", "grid_on_knots", "grid_outside_event_span", "event"])
+def test_sample_table_without_grid_samples_is_the_knot_table(model, noise, opts, stop):
+    x0 = np.array([1.0, 0.0])
+    traj = integrate(model, noise(), x0, 0.0, 0.9, opts, stop_condition=stop)
+    assert (traj.termination.kind == EVENT) == (stop is not None)
+    assert traj.ts.tobytes() == traj.knot_ts.tobytes()
+    assert traj.xs.tobytes() == traj.knot_xs.tobytes()
+    # the knot noise, as the rows of a run with grid samples inside steps record it
+    dense = integrate(model, noise(), x0, 0.0, 0.9, _INTERIOR, stop_condition=stop)
+    assert dense.knot_ts.tobytes() == traj.knot_ts.tobytes() and len(dense.ts) > len(traj.ts)
+    assert traj.etas.tobytes() == dense.etas[np.isin(dense.ts, dense.knot_ts)].tobytes()
+    assert traj.etas.shape == (len(traj.ts), 2 if model.variant == CONTROL_LOOP else 1)
+    knots = [a.copy() for a in (traj.knot_ts, traj.knot_xs)]
+    traj.ts[:] = -1.0
+    traj.xs[:] = -1.0
+    assert [a.tobytes() for a in (traj.knot_ts, traj.knot_xs)] == [a.tobytes() for a in knots]
 
 
 def test_terminal_state_reads_the_requested_distance():
