@@ -85,8 +85,9 @@ class RationalGain:
         except TypeError:  # a list; the scalar calls pay for no type check
             acc = np.zeros(len(u))  # 0.0 + -0.0 is 0.0, as in the scalar sum
             for c, p in self.terms:
-                # Python's ** per element: numpy's power rounds differently
-                acc = acc + c / np.array([v**p for v in u])
+                # c / 1.0 is c and v**1 is v; Python's ** per element beyond,
+                # as the compiled rhs does (numpy's power rounds differently)
+                acc = acc + (c if p == 0 else c / np.array(u if p == 1 else [v**p for v in u]))
         return acc
 
 
@@ -270,26 +271,30 @@ def _rhs_lines(variant: str, orders: tuple[tuple[int, ...], ...], zero_disturban
     SystemModel.rhs does; the constants they read (T, disturbance, channel
     i's coefficients c<i>_<j>), the noise's unpacking target and the n
     derivative expressions.  Each gain sums c / u**p from 0.0 in table order
-    with Python's ** (numpy's power rounds otherwise), as value_at does."""
+    with Python's ** (numpy's power rounds otherwise), as value_at does; c
+    stands for c / u**0 and c / u for c / u**1, the same bits.  A finiteness
+    check on v reads v - v == 0.0, False exactly for +-inf and NaN.  A power
+    that underflows to 0.0 raises ZeroDivisionError."""
     n = len(orders)
     coefs = [[f"c{i}_{j}" for j in range(len(ps))] for i, ps in enumerate(orders)]
-    gains = ["(0.0" + "".join(f" + {c} / u{p}" for c, p in zip(cs, ps)) + ")"
+    gains = ["(0.0" + "".join(f" + {c}" + ("" if p == 0 else " / u" if p == 1 else f" / u{p}")
+                              for c, p in zip(cs, ps)) + ")"
              for cs, ps in zip(coefs, orders)]
     lines = ["u = T - ts",
              "if u <= 0.0:",
              '    raise ValueError(f"gains evaluated at t={ts!r} >= deadline T={T!r}")',
              # adding the zero disturbance still turns a -0.0 output into 0.0
              f"d = {'0.0' if zero_disturbance else 'disturbance(ts)'}",
-             *(f"u{p} = u**{p}" for p in sorted({p for ps in orders for p in ps}))]
+             *(f"u{p} = u**{p}" for p in sorted({p for ps in orders for p in ps if p > 1}))]
     params = "T, disturbance, " + "".join(f"{c}, " for cs in coefs for c in cs)
     if variant == CONTROL_LOOP:
         lines += ["out = 0.0" + "".join(f" + {g} * (s{i} + e{i})" for i, g in enumerate(gains)),
-                  "if not isfinite(out):",
+                  "if not out - out == 0.0:",
                   '    raise NumericalFailure(f"controller output not finite at t={ts!r}")']
         return params, "".join(f"e{i}, " for i in range(n)), lines, [*(f"s{i}" for i in range(1, n)), "out + d"]
     lines += ["y = s0 + e",
               *(f"p{i} = {g} * y" for i, g in enumerate(gains)),
-              "if not (" + " and ".join(f"isfinite(p{i})" for i in range(n)) + "):",
+              "if not (" + " and ".join(f"p{i} - p{i} == 0.0" for i in range(n)) + "):",
               '    raise NumericalFailure(f"injection output not finite at t={ts!r}")']
     return params, "e", lines, [*(f"s{i + 1} + p{i}" for i in range(n - 1)), f"d + p{n - 1}"]
 
@@ -303,7 +308,8 @@ def _rhs_factory(variant: str, orders: tuple[tuple[int, ...], ...], zero_disturb
     constants by name and returns its right-hand side.  The generated
     source holds only indices and pole orders, so models of one shape share
     the compiled code.  Its arithmetic is _rhs_lines', which integrate's
-    fused step runs too.
+    fused loop runs too; a gain power that underflows to 0.0 raises
+    NumericalFailure here.
     """
     n = len(orders)
     params, noise, lines, derivative = _rhs_lines(variant, orders, zero_disturbance)
@@ -322,9 +328,12 @@ def _rhs_factory(variant: str, orders: tuple[tuple[int, ...], ...], zero_disturb
                 f"        {noise} = eta"]
     else:
         src.append(f"        {noise} = eta if type(eta) is float else np.asarray(eta, dtype=float).item()")
-    src += [*(f"        {line}" for line in lines), f"        return [{', '.join(derivative)}]",
+    src += ["        try:", *(f"            {line}" for line in lines),
+            "        except ZeroDivisionError:",
+            '            raise NumericalFailure(f"gain power underflows to 0.0 at t={ts!r}") from None',
+            f"        return [{', '.join(derivative)}]",
             "    return rhs"]
-    scope = {"np": np, "isfinite": math.isfinite, "NumericalFailure": NumericalFailure}
+    scope = {"np": np, "NumericalFailure": NumericalFailure}
     exec(compile("\n".join(src), f"<rhs {variant} {orders}>", "exec"), scope)
     return scope["make"]
 
@@ -358,7 +367,7 @@ class SystemModel:
         object.__setattr__(self, "_control", self.variant == CONTROL_LOOP)
         object.__setattr__(self, "_channels", self.gains.gains)
         # the table shape, which picks the compiled code, and the constants
-        # it binds; integrate's fused step takes the same pair
+        # it binds; integrate's fused loop takes the same pair
         terms = [g.terms for g in self.gains.gains]
         orders = tuple(tuple(int(p) for _, p in ts) for ts in terms)
         p = max((p for ps in orders for p in ps), default=0)
@@ -389,13 +398,14 @@ class SystemModel:
         broadcasts, or the differentiator's scalar (a float or a
         one-element array).  Returns a fresh list of n floats, which the
         integrator keeps as a stage derivative.  Rejects t >= T
-        and an x of the wrong length.
+        and an x of the wrong length; raises NumericalFailure where the
+        output is not finite or a gain power underflows to 0.0.
 
         The body is straight-line code generated once per table shape (see
         _rhs_factory): it does the float operations of a loop over the
         table's channels and terms, in the same order, so every result is
         bit for bit that loop's.  integrate fuses the same code into its
-        step, so it calls this method only where a subclass or a wrapper on
+        loop, so it calls this method only where a subclass or a wrapper on
         the class overrides it.
         """
         return self._rhs(t, x, eta)

@@ -8,16 +8,17 @@ that the singular gains demand:
 * noise and disturbance switching instants are hard step boundaries; the
   integrator lands on them exactly instead of stepping across.
 
-Each trial step runs one straight-line function generated per model shape
-and noise kind, with the model's right-hand side fused into every stage
-(see _step_factory); a class that overrides or wraps SystemModel.rhs gets
-one that calls it.  Its sums are unrolled float expressions in forward
-order, with no BLAS call, so a run rounds alike under every BLAS kernel.
-The loop commits on the step's lists of floats, which observe and
-stop_condition receive too; barriers are queried once per committed step,
-the blow-up check is the root of the kernel's float sum of squares, and the
-knot record is kept in flat float columns that become arrays once, at the
-end.
+The adaptive loop, trial steps and commits alike, is one function generated
+per model shape and noise kind, with the model's right-hand side fused into
+every stage (see _loop_factory); a class that overrides or wraps
+SystemModel.rhs gets one that calls it.  State and FSAL derivative stay
+float locals from step to step, and its sums are unrolled float expressions
+in forward order, with no BLAS call, so a run rounds alike under every BLAS
+kernel.  It commits on lists of floats, which observe and stop_condition
+receive too; barriers are queried once per committed step, the blow-up
+check is the root of the float sum of squares, and the knot record is kept
+in flat float columns that become arrays once, at the end.  integrate itself
+re-enters the loop after each noise switch and locates stop events.
 
 The loop keeps a knot record at every committed step: state, noise as
 queried, and the derivative's right and left limits at the knot.  Cubic
@@ -59,27 +60,46 @@ _DP_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
          -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 
+# step-size control, bound into the compiled loop by name: a rejected step
+# shrinks by SAFETY * err**ORDER, at least MIN_SHRINK (FAIL_SHRINK when err
+# is not finite), and ends the run below max(FLOOR * (T - t), FLOOR_ULPS
+# ulps of t); an accepted one grows by the same factor, up to MAX_GROW
+_STEP_CONTROL = dict(SAFETY=0.9, ORDER=-0.2, MIN_SHRINK=0.2, FAIL_SHRINK=0.5, MAX_GROW=10.0,
+                     FLOOR=1e-10, FLOOR_ULPS=16.0, ONE=1.0, ZERO=0.0)
+
+# what a run binds into its loop, in make's order
+_RUN = ("eta_at, abs_tol, rel_tol, kappa, max_norm, max_trials, t_end, observe, next_noise, "
+        "next_dist, stop_condition, grid_queries, append_t, extend_x, extend_f, record_eta")
+
+
 @functools.lru_cache(maxsize=128)
-def _step_factory(n: int, held: bool, shape=None):
-    """Compile one trial Dormand-Prince step for n channels and a noise kind.
+def _loop_factory(n: int, held: bool, shape=None):
+    """Compile integrate's adaptive Dormand-Prince loop for n channels and a
+    noise kind.
 
     With a SystemModel's shape (variant, pole orders, zero disturbance),
-    make(eta_at, abs_tol, rel_tol, *model._consts) binds a run's checked
-    noise query, tolerances and the model's constants by name, and every
-    stage runs core._rhs_lines, the model's compiled rhs, on float locals:
-    bit for bit the step that calls rhs.  With shape None, make(eta_at,
-    abs_tol, rel_tol, rhs) returns that step, for a class that overrides or
-    wraps SystemModel.rhs: each stage calls rhs(ts, xs, eta).
+    make(*run, *model._consts) binds a run's settings (named in _RUN) and
+    the model's constants by name, and every stage runs core._rhs_lines,
+    the model's compiled rhs, on float locals: bit for bit the loop that
+    calls rhs.  With shape None, make(*run, T, rhs) returns that loop, for a
+    class that overrides or wraps SystemModel.rhs: each stage calls
+    rhs(ts, xs, eta).
 
-    step(t, h, t_new, x, f, eta) -> (err, new, eta_new, f_new, sq): from the
-    state x and opening derivative f (lists of floats), stage i's state is x
-    plus h times its tableau row times the stage derivatives; new is the
-    5th-order state at t_new, f_new its derivative (FSAL), err the RMS of the
-    scaled error estimate and sq the float sum of new's squares.  Every sum
-    runs over the nonzero coefficients in forward order on Python floats, so
-    no BLAS kernel changes a bit.  A held eta is unpacked once per step;
-    otherwise eta_at is queried at each stage state, a fresh list.  The
-    source holds names and indices only; the tableau is bound by name.
+    loop(t, x, f, eta, h_try, trials) steps from the knot (t, x, f), x and f
+    lists of floats, and commits each accepted step: observe, the knot
+    record through the bound append/extend methods, the blow-up check on
+    the root of the float sum of squares.  It returns (kind, t, x, f, h_try,
+    trials, last) at the first of: t reaches t_end (REACHED_END), the trial
+    budget or the step floor runs out (STEP_BUDGET, STEP_UNDERFLOW), the
+    stop condition holds at a step's end (EVENT: (t, x, f) opens that
+    uncommitted step and last is its (t_new, x_new, f_new)), observe
+    reports a switch (_SWITCH, unrecorded) or the norm reaches max_norm
+    (BLOW_UP); after those two, (t, x, f) is the step's end, f its left
+    limit, and last the norm.  State and FSAL derivative stay float locals
+    between steps; a held eta is unpacked once per call, otherwise eta_at is
+    queried at each stage state, a fresh list.  Every sum runs over the
+    nonzero tableau coefficients in forward order on Python floats, so no
+    BLAS kernel changes a bit.  The source holds names and indices only.
     """
     def names(prefix):
         return ", ".join(f"{prefix}{j}" for j in range(n))
@@ -92,7 +112,7 @@ def _step_factory(n: int, held: bool, shape=None):
         # channel j's forward sum of one tableau row over the stage derivatives
         return " + ".join(f"{c} * k{i}_{j}" for i, c in coefs)
 
-    params, noise, lines, out = _rhs_lines(*shape) if shape else ("rhs", None, None, None)
+    params, noise, lines, out = _rhs_lines(*shape) if shape else ("T, rhs", None, None, None)
 
     def derivative(i, state, query):
         # k<i>_0, ... at time ts on the stage channels s<j>, packed as state
@@ -101,7 +121,7 @@ def _step_factory(n: int, held: bool, shape=None):
         return [*([] if held else [f"{noise} = {query}"]), *lines,
                 *(f"k{i}_{j} = {v}" for j, v in enumerate(out))]
 
-    body = [f"{names('x')}, = x", f"{names('k0_')}, = f", *([f"{noise} = eta"] if shape and held else [])]
+    body = []
     for i, (_, row) in enumerate(_DP_STAGES, start=1):
         coefs = nonzero(f"A{i}_", row)
         body += [f"ts = t + C{i} * h",
@@ -114,22 +134,81 @@ def _step_factory(n: int, held: bool, shape=None):
              f"new = [{names('s')}]",
              f"eta_new = {'eta' if held else 'eta_at(t_new, new)'}",
              *derivative(6, "new", "eta_new"),
-             f"f_new = [{names('k6_')}]",
              # b if b > a else a is max(a, b), NaN and signed zeros alike
              *(line for j in range(n) for line in (
                  f"a = abs(x{j})", f"b = abs(s{j})",
                  f"q{j} = h * ({weighted(e, j)}) / (abs_tol + rel_tol * (b if b > a else a))")),
-             "sq = " + " + ".join(f"q{j} * q{j}" for j in range(n)),
-             f"return sqrt(sq / {n}), new, eta_new, f_new, " + " + ".join(f"s{j} * s{j}" for j in range(n))]
-    src = [f"def make(eta_at, abs_tol, rel_tol, {params}):", "    def step(t, h, t_new, x, f, eta):",
-           *(f"        {line}" for line in body), "    return step"]
+             "err = sqrt((" + " + ".join(f"q{j} * q{j}" for j in range(n)) + f") / {n})"]
+    step = [
+        "if trials == max_trials:",
+        "    return STEP_BUDGET, t, x, f, h_try, trials, None",
+        "trials += 1",
+        "if barrier is None:  # t and the sources' state change only at a commit",
+        "    barrier = min(t_end, next_noise(t), next_dist(t))",
+        "    h_cap = kappa * (T - t)",
+        "    gap = barrier - t",
+        # h = min(h_try, h_cap, gap), NaN handling included, landing exactly
+        # on the boundary when it is within reach
+        "h = h_cap if h_cap < h_try else h_try",
+        "if gap <= h:",
+        "    h = gap",
+        "t_new = t + h",
+        "if t_new >= barrier:",
+        "    t_new = barrier",
+        # a non-finite stage makes err NaN or inf, so "not err <= ONE"
+        # rejects it like a raised NumericalFailure or an underflowed power
+        "try:", *(f"    {line}" for line in body),
+        "except NoiseBoundViolation:",
+        "    raise",
+        "except (NumericalFailure, ZeroDivisionError):",
+        "    err = inf",
+        "if not err <= ONE:",
+        "    h_try = h * (FAIL_SHRINK if not isfinite(err) else max(MIN_SHRINK, SAFETY * err ** ORDER))",
+        "    if h_try < max(FLOOR * (T - t), FLOOR_ULPS * ulp(t)):",
+        "        return STEP_UNDERFLOW, t, x, f, h_try, trials, None",
+        "    continue",
+        f"f_new = [{names('k6_')}]",
+        "if stop_condition is not None and stop_condition(t_new, new):",
+        "    return EVENT, t, x, f, h_try, trials, (t_new, new, f_new)",
+        *([] if held else ["if grid_queries is not None:",
+                           "    grid_queries(t, x, f, new, f_new, t_new - t, t_new)"]),
+        # err <= 1 here, so the growth factor is at least 0.9
+        "grow = MAX_GROW if err == ZERO else SAFETY * err ** ORDER",
+        "h_try = h * (grow if grow < MAX_GROW else MAX_GROW)",
+        "norm = sqrt(" + " + ".join(f"s{j} * s{j}" for j in range(n)) + ")",
+        "if observe(t_new, new):",
+        "    return _SWITCH, t_new, new, f_new, h_try, trials, norm",
+        # without a switch the source still answers with the noise of the
+        # last stage (the NoiseSource contract), so that query is recorded
+        "append_t(t_new)",
+        "extend_x(new)",
+        "extend_f(f_new)",
+        "record_eta(eta_new)",
+        "if norm >= max_norm:",
+        "    return BLOW_UP, t_new, new, f_new, h_try, trials, norm",
+        "t, x, f, barrier = t_new, new, f_new, None",
+        f"{names('x')}, = new",
+        f"{names('k0_')}, = f_new"]
+    src = [f"def make({_RUN}, {params}):",
+           "    def loop(t, x, f, eta, h_try, trials):",
+           f"        {names('x')}, = x",
+           f"        {names('k0_')}, = f",
+           *([f"        {noise} = eta"] if shape and held else []),
+           "        barrier = None",
+           "        while t < t_end:",
+           *(f"            {line}" for line in step),
+           "        return REACHED_END, t, x, f, h_try, trials, None",
+           "    return loop"]
     scope = {f"C{i}": c for i, (c, _) in enumerate(_DP_STAGES, start=1)}
     scope.update({f"A{i}_{r}": a for i, (_, row) in enumerate(_DP_STAGES, start=1)
                   for r, a in enumerate(row)},
                  **{f"B{i}": c for i, c in enumerate(_DP_B)},
-                 **{f"E{i}": c for i, c in enumerate(_DP_E)}, sqrt=math.sqrt,
-                 isfinite=math.isfinite, NumericalFailure=NumericalFailure)
-    exec(compile("\n".join(src), f"<step {n} {'held' if held else 'queried'} {shape}>", "exec"), scope)
+                 **{f"E{i}": c for i, c in enumerate(_DP_E)}, **_STEP_CONTROL,
+                 sqrt=math.sqrt, isfinite=math.isfinite, ulp=math.ulp, inf=math.inf,
+                 NumericalFailure=NumericalFailure, NoiseBoundViolation=NoiseBoundViolation,
+                 REACHED_END=REACHED_END, STEP_BUDGET=STEP_BUDGET, STEP_UNDERFLOW=STEP_UNDERFLOW,
+                 EVENT=EVENT, BLOW_UP=BLOW_UP, _SWITCH=_SWITCH)
+    exec(compile("\n".join(src), f"<loop {n} {'held' if held else 'queried'} {shape}>", "exec"), scope)
     return scope["make"]
 
 
@@ -138,6 +217,7 @@ BLOW_UP = "blow_up"
 STEP_UNDERFLOW = "step_underflow"
 STEP_BUDGET = "step_budget"
 EVENT = "event"
+_SWITCH = "switch"  # the compiled loop's return at a noise switch
 
 # trial steps, accepted or rejected, that one integrate call may take; a run
 # that needs more ends with a step_budget termination.  The largest call of
@@ -370,22 +450,6 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     switch_times: list[float] = []
     switch_fls: list[list[float]] = []  # left-limit derivative at each switch knot
     grid_etas: list = []  # queried at the grid points for a source that is not held
-
-    # the step with the model's compiled right-hand side fused in, unless a
-    # subclass or a wrapper on the class (the benchmark tracer's, a test's)
-    # overrides the method: then every evaluation calls it
-    fused = type(model).rhs is _MODEL_RHS
-    rhs = model._rhs if fused else model.rhs
-    step = _step_factory(n, held, model._shape if fused else None)(
-        eta_at, opts.abs_tol, opts.rel_tol, *(model._consts if fused else (rhs,)))
-
-    # initial commitment: let the source latch its first segment, then record
-    x = x.tolist()
-    noise.observe(t0, x)
-    eta0 = eta_held = eta_at(t0, x)
-    f = rhs(t0, x, eta0)
-    record(t0, x, f, eta0)
-
     query_grid = grid is not None and not held
     grid_idx = 0 if grid is None else int(np.searchsorted(grid, t0, side="right"))
 
@@ -404,108 +468,70 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         xqs = _hermite(*map(np.array, (x, f, x_new, f_new)), dt, ((tqs - t) / dt)[:, None])
         grid_etas.extend(eta_at(tq, xq) for tq, xq in zip(tqs.tolist(), xqs))
 
-    t = t0
-    kappa = opts.max_step_fraction
+    # the loop with the model's compiled right-hand side fused in, unless a
+    # subclass or a wrapper on the class (the benchmark tracer's, a test's)
+    # overrides the method: then every evaluation calls it
+    fused = type(model).rhs is _MODEL_RHS
+    rhs = model._rhs if fused else model.rhs
+    loop = _loop_factory(n, held, model._shape if fused else None)(
+        eta_at, opts.abs_tol, opts.rel_tol, opts.max_step_fraction, opts.max_norm, MAX_TRIAL_STEPS,
+        t_end, noise.observe, noise.next_discontinuity, model.disturbance.next_discontinuity,
+        stop_condition, grid_queries if query_grid else None, knot_ts.append, knot_xs.extend,
+        knot_fs.extend, record_eta, *(model._consts if fused else (T, rhs)))
+
+    # initial commitment: let the source latch its first segment, then record
+    x = x.tolist()
+    noise.observe(t0, x)
+    eta = eta_at(t0, x)
+    f = rhs(t0, x, eta)
+    record(t0, x, f, eta)
+
     h_try = opts.initial_step if opts.initial_step is not None else min(
-        1e-3 * (t_end - t0), kappa * (T - t0))
-    h_try = max(h_try, min_step)
-    termination = None
-    trials = 0
-    barrier = None
-
-    while termination is None and t < t_end:
-        if trials == MAX_TRIAL_STEPS:
-            termination = Termination(kind=STEP_BUDGET, t=t)
+        1e-3 * (t_end - t0), opts.max_step_fraction * (T - t0))
+    t, h_try, trials = t0, max(h_try, min_step), 0
+    while True:
+        kind, t, x, f, h_try, trials, last = loop(t, x, f, eta, h_try, trials)
+        if kind != _SWITCH:
             break
-        trials += 1
-        if barrier is None:
-            # t and the sources' state change only at a commit
-            barrier = min(t_end, noise.next_discontinuity(t), model.disturbance.next_discontinuity(t))
-            h_cap = kappa * (T - t)
-            gap = barrier - t
-        # h = min(h_try, h_cap, gap), NaN handling included, landing exactly
-        # on the boundary when it is within reach
-        h = h_cap if h_cap < h_try else h_try
-        if gap <= h:
-            h = gap
-        t_new = t + h
-        if t_new >= barrier:
-            t_new = barrier
-
-        # one trial Dormand-Prince step, one call of the compiled kernel, all
-        # on Python floats.  A non-finite stage makes err NaN or inf, so "not
-        # err <= 1.0" rejects it like a raised NumericalFailure.  max() drops
-        # a NaN that np.maximum would keep, but a NaN in the new state comes
-        # with a non-finite error term in its channel
-        try:
-            err, x_new, eta_new, f_new, sq = step(t, h, t_new, x, f, eta_held)
-        except NoiseBoundViolation:
-            raise
-        except NumericalFailure:
-            err = math.inf
-
-        if not err <= 1.0:
-            shrink = 0.5 if not math.isfinite(err) else max(0.2, 0.9 * err ** -0.2)
-            h_try = h * shrink
-            # the floor scales with the distance to the deadline, as the
-            # clamp does, down to 16 ulps of the clock t
-            if h_try < max(1e-10 * (T - t), 16.0 * math.ulp(t)):
-                termination = Termination(kind=STEP_UNDERFLOW, t=t)
-            continue
-
-        if stop_condition is not None and stop_condition(t_new, x_new):
-            # bisect to the earliest time the condition holds on this step
-            dt = t_new - t
-            ends = tuple(map(np.array, (x, f, x_new, f_new)))
-            lo, hi = t, t_new
-            for _ in range(200):
-                if hi - lo <= 1e-12 * T:
-                    break
-                mid = 0.5 * (lo + hi)
-                xm = _hermite(*ends, dt, (mid - t) / dt)
-                if stop_condition(mid, xm):
-                    hi = mid
-                else:
-                    lo = mid
-            t_ev = hi
-            x_ev = _hermite(*ends, dt, (t_ev - t) / dt)
-            eta_ev = eta_held if held else eta_at(t_ev, x_ev)
-            f_ev = rhs(t_ev, x_ev, eta_ev)
-            if query_grid:
-                grid_queries(t, x, f, x_ev, f_ev, t_ev - t, t_ev)
-            record(t_ev, x_ev.tolist(), f_ev, eta_ev)
-            termination = Termination(kind=EVENT, t=t_ev)
-            t = t_ev
+        # re-enter at the switch knot with the source's new noise and the
+        # derivative's right limit there
+        switch_times.append(t)
+        switch_fls.append(f)
+        eta = eta_at(t, x)
+        f = rhs(t, x, eta)
+        record(t, x, f, eta)
+        if last >= opts.max_norm:
+            kind = BLOW_UP
             break
 
+    blow_up = None
+    if kind == BLOW_UP:
+        blow_up = BlowUpEvent(t=t, norm=last, channel=max(range(n), key=lambda j: abs(x[j])))
+    elif kind == EVENT:
+        # bisect to the earliest time the condition holds on the step that
+        # opens at (t, x, f)
+        t_new, x_new, f_new = last
+        dt = t_new - t
+        ends = tuple(map(np.array, (x, f, x_new, f_new)))
+        lo, hi = t, t_new
+        for _ in range(200):
+            if hi - lo <= 1e-12 * T:
+                break
+            mid = 0.5 * (lo + hi)
+            xm = _hermite(*ends, dt, (mid - t) / dt)
+            if stop_condition(mid, xm):
+                hi = mid
+            else:
+                lo = mid
+        t_ev = hi
+        x_ev = _hermite(*ends, dt, (t_ev - t) / dt)
+        eta_ev = eta if held else eta_at(t_ev, x_ev)
+        f_ev = rhs(t_ev, x_ev, eta_ev)
         if query_grid:
-            grid_queries(t, x, f, x_new, f_new, t_new - t, t_new)
-
-        # without a switch the source still answers with the noise of the
-        # last stage (the NoiseSource contract), so that query is recorded
-        if noise.observe(t_new, x_new):
-            switch_times.append(t_new)
-            switch_fls.append(f_new)
-            eta_new = eta_held = eta_at(t_new, x_new)
-            f_new = rhs(t_new, x_new, eta_new)  # right-limit derivative
-        record(t_new, x_new, f_new, eta_new)
-
-        norm_new = math.sqrt(sq)
-        if norm_new >= opts.max_norm:
-            channel = max(range(n), key=lambda j: abs(x_new[j]))
-            termination = Termination(
-                kind=BLOW_UP, t=t_new,
-                blow_up=BlowUpEvent(t=t_new, norm=norm_new, channel=channel))
-
-        t = t_new
-        x, f = x_new, f_new
-        barrier = None
-        # err <= 1 here, so the growth factor is at least 0.9
-        grow = 10.0 if err == 0.0 else 0.9 * err ** -0.2
-        h_try = h * (grow if grow < 10.0 else 10.0)
-
-    if termination is None:
-        termination = Termination(kind=REACHED_END, t=t)
+            grid_queries(t, x, f, x_ev, f_ev, t_ev - t, t_ev)
+        record(t_ev, x_ev.tolist(), f_ev, eta_ev)
+        t = t_ev
+    termination = Termination(kind=kind, t=t, blow_up=blow_up)
 
     kts = np.array(knot_ts, dtype=float)
     kxs, kfs, ketas = (np.array(col, dtype=float).reshape(len(kts), -1)

@@ -601,6 +601,19 @@ def test_simulate_that_uses_up_its_step_budget_exits_2(tmp_path, capsys, monkeyp
     assert "termination: step_budget" in summary
 
 
+@pytest.mark.parametrize("variant", ["control_loop", "diff_error"])
+def test_simulate_whose_gain_power_underflows_exits_2(tmp_path, capsys, variant):
+    # 0 / (T - t)**40 divides by zero where the power underflows to 0.0 near
+    # the deadline: the step is rejected there, not a traceback
+    argv = _SIM + ["--system.variant", variant, "--system.gains", "0,40; -1,1",
+                   "--output.dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "simulate: integration ended early: step_underflow"]
+    summary = (tmp_path / "tvglab_simulate_summary.txt").read_text().splitlines()
+    assert "termination: step_underflow" in summary
+
+
 def test_flat_gain_scan_exits_3(tmp_path):
     assert main(["gain-scan", "--system.gains", "zero:2",
                  "--output.dir", str(tmp_path)]) == 3

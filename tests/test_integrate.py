@@ -761,6 +761,17 @@ def test_inline_max_of_the_error_norm_is_pythons_max(x, s, abs_tol, rel_tol):
             == np.float64(abs_tol + rel_tol * max(abs(x), abs(s))).tobytes())
 
 
+@settings(max_examples=1000, deadline=None)
+@given(_EDGE_FLOATS | st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308,
+                                       2.225073858507201e-308, sys.float_info.max,
+                                       -sys.float_info.max]))
+def test_inline_finiteness_check_is_isfinite(v):
+    """The compiled right-hand side checks each output v with v - v == 0.0:
+    True on every finite double, signed zeros, subnormals and the largest
+    double included, and False on +-inf and NaN, as math.isfinite."""
+    assert (v - v == 0.0) is math.isfinite(v)
+
+
 _HELD_SOURCES = {
     "zero_vector": (reference_loop, lambda: ZeroNoise(2)),
     "zero_scalar": (differentiator_error_model, ZeroNoise),
@@ -920,28 +931,28 @@ def test_runs_are_bit_identical_under_every_openblas_kernel():
 
 
 def test_runs_with_one_channel_count_share_one_compiled_step():
-    """A fused step is compiled once per model shape (variant, pole orders,
-    zero disturbance or not) and noise kind; the call-through step once per
+    """A fused loop is compiled once per model shape (variant, pole orders,
+    zero disturbance or not) and noise kind; the call-through loop once per
     channel count and noise kind."""
-    step_factory = integrate_module._step_factory
-    step_factory.cache_clear()
+    loop_factory = integrate_module._loop_factory
+    loop_factory.cache_clear()
     x0 = np.array([1.0, -0.5])
     # one shape with other coefficients and another T
     for model in (reference_loop(), rational_loop([[(-3.0, 2)], [(-2.0, 1)]], T=2.0)):
         integrate(model, None, x0, 0.0, 0.5)
-    assert step_factory.cache_info()[:2] == (1, 1)  # hits, misses
-    # other pole orders, the other variant, a nonzero disturbance: a step each
+    assert loop_factory.cache_info()[:2] == (1, 1)  # hits, misses
+    # other pole orders, the other variant, a nonzero disturbance: a loop each
     for model in (rational_loop([[(-3.0, 1)], [(-2.0, 0)]]), differentiator_error_model(),
                   reference_loop(DisturbanceSpec(kind="constant", bound=0.1, value=0.1))):
         integrate(model, None, x0, 0.0, 0.5)
-    assert step_factory.cache_info()[:2] == (1, 4)
+    assert loop_factory.cache_info()[:2] == (1, 4)
     integrate(differentiator_error_model(), differentiator_divergence_noise(1e-2), x0, 0.0, 0.5)
-    assert step_factory.cache_info()[:2] == (1, 5)  # not held: a step of its own
-    # a class that overrides rhs: every two-channel shape shares one step
+    assert loop_factory.cache_info()[:2] == (1, 5)  # not held: a loop of its own
+    # a class that overrides rhs: every two-channel shape shares one loop
     for src in (reference_loop(), differentiator_error_model(),
                 rational_loop([[(-3.0, 1)], [(-2.0, 0)]])):
         integrate(_CountingLoop(src.variant, src.horizon, src.gains), None, x0, 0.0, 0.5)
-    assert step_factory.cache_info()[:2] == (3, 6)
+    assert loop_factory.cache_info()[:2] == (3, 6)
 
 
 def _constants(code):
@@ -953,13 +964,14 @@ def _constants(code):
 @pytest.mark.parametrize("held", [True, False])
 @pytest.mark.parametrize("n", [2, 7, 8, 9])
 def test_compiled_step_holds_no_float_literal(n, held):
-    """The tableau, tolerances, T and the model's coefficients are bound by
-    name, never formatted in; a fused step's only float literal is the 0.0
-    of its right-hand side (each gain's sum starts there, u is checked
-    against it, a zero disturbance is it)."""
+    """The tableau, step-control constants, tolerances, T and the model's
+    coefficients are bound by name, never formatted in; a fused loop's only
+    float literal is the 0.0 of its right-hand side (each gain's sum starts
+    there, u and the finiteness checks compare with it, a zero disturbance
+    is it)."""
     shapes = [None, (CONTROL_LOOP, ((2, 0),) * n, True), (DIFF_ERROR, ((0, 1, 2),) * n, False)]
     for shape in shapes:
-        make = integrate_module._step_factory(n, held, shape)
+        make = integrate_module._loop_factory(n, held, shape)
         constants = list(_constants(make.__code__))
         floats = {c for c in constants if isinstance(c, float)}
         assert constants and floats == (set() if shape is None else {0.0})
@@ -1024,6 +1036,25 @@ def test_overflowing_gain_is_rejected_on_the_fused_path_as_through_rhs():
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
+@pytest.mark.parametrize("variant", [CONTROL_LOOP, DIFF_ERROR])
+def test_underflowing_gain_power_is_rejected_on_the_fused_path_as_through_rhs(variant):
+    # u**40 underflows to 0.0 once u < 8.1e-9, and 0.0 / u**40 divides by
+    # zero: every trial step that reaches it is rejected like a non-finite
+    # stage, and halved until the step floor ends the run
+    make = rational_loop if variant == CONTROL_LOOP else rational_diff_error
+    src = make([[(0.0, 40)], [(-1.0, 1)]])
+    eta = [0.0, 0.0] if variant == CONTROL_LOOP else 0.0
+    with pytest.raises(NumericalFailure, match="gain power underflows to 0.0 at t="):
+        src.rhs(1.0 - 1e-9, [1.0, 0.0], eta)
+    counted = _FailureCountingLoop(src.variant, src.horizon, src.gains)
+    a, b = (integrate(model, None, np.array([1.0, 0.0]), 0.0, 1.0 - 1e-9) for model in (src, counted))
+    assert counted.failures > 10
+    assert a.termination.kind == STEP_UNDERFLOW and a.termination == b.termination
+    assert 0.0 < (1.0 - a.t_last) ** 40 and 1.0 - a.t_last < 1e-8
+    for name in ("knot_ts", "knot_xs", "knot_fs", "etas"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
 class _WaveNoise(NoiseSource):
     """Noise queried at every stage that depends on time and state: a list
     of n floats, or a float when n is None."""
@@ -1044,27 +1075,35 @@ _DISTURBANCES = [None, DisturbanceSpec(kind="constant", bound=0.1, value=-0.1),
 
 @settings(max_examples=60, deadline=None)
 @given(_random_tables, st.sampled_from([CONTROL_LOOP, DIFF_ERROR]), st.booleans(),
-       st.sampled_from(_DISTURBANCES))
-def test_fused_step_equals_the_call_through_step(case, variant, held, disturbance):
-    """A plain model runs the step with its right-hand side fused in; the
-    same model through a class whose rhs calls the base method runs the step
-    that calls rhs at every stage.  Both give the same run, bit for bit."""
+       st.sampled_from(_DISTURBANCES), st.sampled_from([None, 0.3, 0.9]))
+def test_fused_step_equals_the_call_through_step(case, variant, held, disturbance, t_stop):
+    """A plain model runs the loop with its right-hand side fused in; the
+    same model through a class whose rhs calls the base method runs the loop
+    that calls rhs at every stage.  Both give the same run, bit for bit,
+    with a 64-point output grid (queried at its points by a source that is
+    not held) and, unless t_stop is None, a stop condition that ends the run
+    at t_stop from inside the loop."""
     tables, x0 = case
     n = len(tables)
     make = rational_loop if variant == CONTROL_LOOP else rational_diff_error
     src = make(tables, disturbance=disturbance)
     through = _CountingLoop(src.variant, src.horizon, src.gains, src.disturbance)
+    opts = IntegrationOptions(output_grid=OutputGrid("uniform", 64))
+    stop = None if t_stop is None else (lambda t, x: t >= t_stop)
     runs = []
     for model in (src, through):
         vector = variant == CONTROL_LOOP
         noise = (_FixedNoise([1e-3 * (j + 1) for j in range(n)] if vector else -2e-3) if held
                  else _WaveNoise(n if vector else None))
-        runs.append(integrate(model, noise, np.array(x0), 0.0, 1.0 - 1e-3))
+        runs.append(integrate(model, noise, np.array(x0), 0.0, 1.0 - 1e-3, opts, stop))
     a, b = runs
     assert through.calls >= 1 + 6 * (len(b.knot_ts) - 1)
-    for name in ("knot_ts", "knot_xs", "knot_fs", "knot_fl", "etas"):
+    for name in ("ts", "xs", "etas", "gains", "knot_ts", "knot_xs", "knot_fs", "knot_fl"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert a.termination == b.termination
+    if t_stop is not None:
+        assert a.termination.kind == EVENT and a.termination.t == pytest.approx(t_stop, abs=1e-11)
+    assert len(a.ts) > len(a.knot_ts)  # grid points fall inside steps
 
 
 def test_recorded_noise_is_not_aliased():
