@@ -101,20 +101,21 @@ def fmt(v: float) -> str:
     return _FLOAT_FORMAT % float(v)
 
 
-# Tables of _format_rows.  _POW10[:, k - _K_MIN] holds, for 10**k, hi (the
-# nearest double), hi's 2**27 + 1 split hh + hl, lo = 10**k - hi rounded
-# (0 exactly when 10**k is a double, 0 <= k <= 22), and the margin a result
-# needs to count as proven (0 when exact), for k = 16 - E, |E| <= _E_MAX.
+# Tables of _format_rows and _parse_rows.  _POW10[:, k - _K_MIN] holds, for
+# 10**k, hi (the nearest double), hi's 2**27 + 1 split hh + hl, lo = 10**k - hi
+# rounded (0 exactly when 10**k is a double, 0 <= k <= 22), and the margin a
+# written value needs to count as proven (0 when exact), for |k| <= 16 + _E_MAX:
+# the writer's 10**(16 - E) and the reader's 10**(E - 16), |E| <= _E_MAX.
 # Built with int arithmetic, whose true division is correctly rounded.
 _SPLIT = 134217729.0  # 2**27 + 1
 _PROOF_MARGIN = 1e-6
 _E_MAX = 281
-_K_MIN = 16 - _E_MAX
+_K_MIN = -16 - _E_MAX
 
 
 def _pow10_table() -> np.ndarray:
-    table = np.empty((5, 2 * _E_MAX + 1))
-    for j, k in enumerate(range(_K_MIN, 16 + _E_MAX + 1)):
+    table = np.empty((5, 1 - 2 * _K_MIN))
+    for j, k in enumerate(range(_K_MIN, 1 - _K_MIN)):
         num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
         hi = num / den
         p, q = hi.as_integer_ratio()
@@ -143,19 +144,19 @@ _EXP_WORDS, _UNIT_WORDS = _words("".join(
     for e in range(-_EXP_OFFSET, _EXP_OFFSET + 1))).reshape(-1, 2).T.copy()
 
 
-def _scaled(a: np.ndarray, i: np.ndarray):
-    """a * 10**k as p + q for k = i + _K_MIN, each value's proof margin, and
-    p + q - 1e16 and p + q - 1e17.  p + e is Dekker's exact product of a and
-    hi; each operation is its own ufunc, so no fused multiply-add can change
-    its rounding."""
+def _scaled(a: np.ndarray, i: np.ndarray, b: Optional[np.ndarray] = None):
+    """(a + b) * 10**k as p + q for k = i + _K_MIN (b = 0 when not given), and
+    each value's proof margin.  p + e is Dekker's exact product of a and hi;
+    each operation is its own ufunc, so no fused multiply-add can change its
+    rounding."""
     hi, hh, hl, lo, margin = _POW10.take(i, axis=1)
     p = a * hi
     c = _SPLIT * a
     ah = c - (c - a)
     al = a - ah
     e = al * hl - (((p - ah * hh) - al * hh) - ah * hl)
-    q = e + a * lo
-    return p, q, margin, (p - 1e16) + q, (p - 1e17) + q
+    q = e + a * lo if b is None else e + (a * lo + b * hi)
+    return p, q, margin
 
 
 def _format_row(row: Sequence[float]) -> str:
@@ -184,11 +185,13 @@ def _format_rows(block: np.ndarray) -> str:
     fast = (a >= 1e-280) & (a < 1e281)  # E and its correction stay within _E_MAX
     a = np.where(fast, a, 1.0)
     i = (16 - _K_MIN - np.floor(np.log10(a))).astype(np.intp)
-    p, q, margin, low, high = _scaled(a, i)
+    p, q, margin = _scaled(a, i)
+    low, high = (p - 1e16) + q, (p - 1e17) + q
     fix = (low < 0.0) | (high >= 0.0)
     if fix.any():
         i[fix] += np.where(low[fix] < 0.0, 1, -1)
-        p[fix], q[fix], margin[fix], low[fix], high[fix] = _scaled(a[fix], i[fix])
+        p[fix], q[fix], margin[fix] = _scaled(a[fix], i[fix])
+        low, high = (p - 1e16) + q, (p - 1e17) + q
     r = np.rint(q)
     fast &= (low >= margin) & (high < -margin) & (np.abs(q - r) <= 0.5 - margin)
     n = p.astype(np.int64) + r.astype(np.int64)
@@ -224,6 +227,136 @@ def _format_rows(block: np.ndarray) -> str:
         start = row + 1
     pieces.append(text[start:].tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(pieces)
+
+
+# The reader takes trajectory CSV rows this many bytes at a time, whole lines,
+# which bounds its working set.  _PAD follows each block, so that every
+# token's three 8-byte windows lie inside the buffer.
+_CSV_BLOCK_BYTES = 1 << 16
+_PAD = bytes(24)
+# a read value counts as proven when its double-double, moved this much of
+# itself either way, still rounds to the same double; the double-double's
+# error is below 2**-86 of it
+_READ_MARGIN = 2.0 ** -70
+
+
+def _word(text: bytes) -> np.uint64:
+    return np.uint64(int.from_bytes(text, "little"))
+
+
+def _layout(pattern: str) -> tuple[np.uint64, np.uint64, np.uint64]:
+    """The words with which _misfits checks an 8-byte window against pattern:
+    'd' a digit, '?' any byte, any other character itself."""
+    return (_word(bytes(ord("0") if c in "d?" else ord(c) for c in pattern)),
+            _word(bytes(0x76 if c in "d?" else 0x7F for c in pattern)),
+            _word(bytes(0 if c == "?" else 0x80 for c in pattern)))
+
+
+# a %.16e token after its '-': lead digit, '.', 16 digits, 'e', exponent sign
+# and 2 or 3 exponent digits, 22 or 23 bytes read as three 8-byte windows at
+# offsets 0, 8 and 16; the 'e' and the sign are compared whole
+_HEAD, _MID, _TAIL = _layout("d.dddddd"), _layout("dddddddd"), _layout("dd??dd??")
+_TAIL3_HIGH = _layout("dd??ddd?")[2]  # the tail of a 3-digit exponent
+_E_PLUS, _E_MINUS = _word(b"e+"), _word(b"e-")
+_NIBBLES = _word(b"\x0f" * 8)
+
+
+def _misfits(w: np.ndarray, xor, add, high) -> np.ndarray:
+    """Nonzero where a window of w does not fit its _layout words.  w ^ xor
+    turns a fitting digit into 0..9 and a fitting character into 0, and
+    adding 0x76 or 0x7F sets a byte's high bit just where it is larger.  A
+    carry leaves only a byte whose own high bit is set, and can only add a
+    misfit to the next byte, never hide one; a misfit sends the token to
+    _parse_field."""
+    x = w ^ xor
+    return ((x + add) | x) & high
+
+
+def _eight_digits(w: np.ndarray) -> np.ndarray:
+    """The value of each word's eight ASCII digits (NUL counts as 0), its
+    first byte the most significant, by uint64 wraparound arithmetic."""
+    w = ((w & _NIBBLES) * 2561) >> 8
+    w = ((w & 0x00FF00FF00FF00FF) * 6553601) >> 16
+    return ((w & 0x0000FFFF0000FFFF) * 42949672960001) >> 32
+
+
+def _parse_field(token: bytes) -> float:
+    """One CSV field that _parse_rows cannot prove, read by float()."""
+    return float(token)
+
+
+def _parse_rows(buf: bytes, cols: int, where: Callable[[int], str]) -> np.ndarray:
+    """The (rows, cols) values of the CSV rows in buf: whole lines, each ended
+    by a newline, then _PAD.  A row whose field count is not cols raises a
+    ValueError that where(row) names.
+
+    Each token's place comes from the separators; a token in fmt's %.16e
+    layout (_misfits finds the others) is N = 17 digits with exponent E.  For
+    |E| <= _E_MAX its value N * 10**(E - 16) is formed as p + q (_scaled, N =
+    nh + nl with nh a double and nl an integer, |nl| < 16) and rounded to r
+    = p + q.  r is the value only when p + q +- _READ_MARGIN * p round to r
+    as well.  Every other token goes to _parse_field.
+    """
+    b = np.frombuffer(buf, np.uint8)
+    sep = np.flatnonzero((b == 44) | (b == 10))
+    newline = b[sep] == 10
+    rows = int(np.count_nonzero(newline))
+    if len(sep) != rows * cols or not newline[cols - 1::cols].all():
+        fields = np.diff(np.flatnonzero(newline), prepend=-1)
+        row = int(np.flatnonzero(fields != cols)[0])
+        raise ValueError(f"{where(row)}: {fields[row]} fields, the header has {cols}")
+    starts = np.empty_like(sep)
+    starts[0] = 0
+    starts[1:] = sep[:-1] + 1
+    neg = b[starts] == 45
+    s = starts + neg
+    size = sep - s
+    three = size == 23  # a 3-digit exponent
+    windows = np.ndarray((len(b) - 7,), "<u8", buf, 0, (1,))  # 8 bytes at every offset
+    head, mid, tail = windows[s], windows[s + 8], windows[s + 16]
+    sign = (tail >> 16) & 0xFFFF
+    minus = sign == _E_MINUS
+    misfits = _misfits(head, *_HEAD) | _misfits(mid, *_MID) \
+        | _misfits(tail, *_TAIL[:2], np.where(three, _TAIL3_HIGH, _TAIL[2]))
+    ok = ((size == 22) | three) & (minus | (sign == _E_PLUS)) & (misfits == 0)
+    # the lead digit moved next to the first six decimals: NUL, lead, d1..d6
+    top = _eight_digits((head & 0xFFFFFFFFFFFF0000) | ((head & 0xFF) << 8))
+    # byte 0: the last two decimals, byte 4: the first two exponent digits
+    pairs = ((tail & _NIBBLES) * 2561) >> 8
+    n = top * 10 ** 10 + _eight_digits(mid) * 100 + (pairs & 0xFF)
+    tens = (pairs >> 32) & 0xFF
+    exp = np.where(three, tens * 10 + ((tail >> 48) & 0xF), tens).astype(np.intp)
+    ok &= exp <= _E_MAX
+    exp = np.minimum(exp, _E_MAX)
+    nh = n.astype(np.float64)
+    nl = (n - nh.astype(np.uint64)).view(np.int64).astype(np.float64)
+    p, q, _ = _scaled(nh, np.where(minus, -16 - _K_MIN - exp, exp - 16 - _K_MIN), nl)
+    r = p + q
+    m = p * _READ_MARGIN
+    ok &= (p + (q + m) == r) & (p + (q - m) == r)
+    out = np.where(neg, -r, r)
+    for j in np.flatnonzero(~ok).tolist():
+        try:
+            out[j] = _parse_field(buf[starts[j]:sep[j]])
+        except ValueError as exc:
+            raise ValueError(f"{where(j // cols)}: {exc}") from None
+    return out.reshape(rows, cols)
+
+
+def _read_rows(data: bytes, pos: int, cols: int, where: Callable[[int], str]) -> np.ndarray:
+    """The (rows, cols) table of the CSV lines in data[pos:], each ended by a
+    newline, read by _parse_rows _CSV_BLOCK_BYTES at a time; where(row)
+    names the line of a row."""
+    view = memoryview(data)
+    blocks = [np.empty((0, cols))]
+    row = 0
+    while pos < len(data):
+        end = data.rfind(b"\n", pos, pos + _CSV_BLOCK_BYTES) + 1 or data.find(b"\n", pos) + 1
+        blocks.append(_parse_rows(b"".join((view[pos:end], _PAD)), cols,
+                                  lambda r: where(row + r)))
+        row += len(blocks[-1])
+        pos = end
+    return np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -666,30 +799,70 @@ def write_trajectory_csv(path: str, traj: Trajectory, cfg: Optional[ExperimentCo
 
 
 def parse_trajectory_csv(path: str) -> dict:
-    """Re-read a trajectory CSV; np.loadtxt reproduces the values bit-exactly."""
-    header = None
-    rows = []
+    """Re-read a trajectory CSV, every value bit-exactly.
+
+    Lines end in LF, CRLF or CR.  Blank lines are skipped, '#' lines are
+    comments wherever they stand, and the first other line is the header;
+    in a row, text from a '#' on is dropped.  Every row must have as many
+    fields as the header, or a ValueError names its line.
+
+    Rows are read _CSV_BLOCK_BYTES at a time by _parse_rows, the inverse of
+    _format_rows.  A token in fmt's layout is read with integer arithmetic
+    and its value formed as a double-double whose error is below 2**-86 of
+    it.  Proof rule: the double r nearest that double-double is the value
+    only when the double-double moved by _READ_MARGIN (2**-70) of itself
+    either way still rounds to r.  fmt's 17 digits lie within about 5e-17
+    of the value they write, and a double's rounding interval reaches at
+    least 5.55e-17 of it on either side, so every zero and every token fmt
+    writes with an exponent in -281..281 (about 1e-281 <= |v| < 1e282) is
+    proven.
+    Fallback: every other token (nan, inf, subnormals, other exponents,
+    decimal ties such as 1.0000000000000001e+16, any other text) goes to
+    float().
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     comments = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                comments.append(line)
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append(line)
+    header = None
+    pos = line_no = 0
+    while header is None and pos < len(data):
+        end = data.find(b"\n", pos)
+        end = len(data) if end < 0 else end
+        line = data[pos:end]
+        pos, line_no = end + 1, line_no + 1
+        if line.startswith(b"#"):
+            comments.append(line.decode("utf-8"))
+        elif line:
+            header = line.decode("utf-8").split(",")
     if header is None:
         raise ValueError(f"no header row in {path}")
-    data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    cols = len(header)
+    table = None
+    # rows on consecutive lines, as the writer leaves them: one pass over the
+    # bytes; a blank line makes it fail
+    if data.find(b"#", pos) < 0:
+        if not data.endswith(b"\n") and pos < len(data):
+            data += b"\n"
+        try:
+            table = _read_rows(data, pos, cols, lambda row: f"{path}, line {line_no + 1 + row}")
+        except ValueError:
+            pass  # a blank line, or a fault that the pass below names
+    if table is None:
+        kept, line_nos = [], []
+        for k, line in enumerate(data[pos:].split(b"\n"), start=line_no + 1):
+            if line.startswith(b"#"):
+                comments.append(line.decode("utf-8"))
+            elif line:
+                kept.append(line.split(b"#", 1)[0] + b"\n")
+                line_nos.append(k)
+        table = _read_rows(b"".join(kept), 0, cols, lambda row: f"{path}, line {line_nos[row]}")
     n = sum(1 for h in header if h.startswith("x"))
     eta_cols = sum(1 for h in header if h.startswith("eta"))
-    return {"header": header, "comments": comments, "ts": data[:, 0],
-            "xs": data[:, 1:1 + n], "etas": data[:, 1 + n:1 + n + eta_cols],
-            "gains": data[:, -1]}
+    return {"header": header, "comments": comments, "ts": table[:, 0],
+            "xs": table[:, 1:1 + n], "etas": table[:, 1 + n:1 + n + eta_cols],
+            "gains": table[:, -1]}
 
 
 def _write_lines(path: str, lines: Sequence[str], more: Iterable[str] = ()) -> None:

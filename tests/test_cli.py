@@ -5,10 +5,12 @@ import importlib
 import inspect
 import math
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvglab import analysis, attack, cli
@@ -497,18 +499,168 @@ def test_trajectory_csv_mixes_kernel_rows_and_fallback_rows(tmp_path, monkeypatc
     assert len(formatted) == 220
 
 
+def _tokens(path):
+    return [tok for row in _body(path) for tok in row.split(",")]
+
+
+def _table(parsed):
+    return np.column_stack([parsed["ts"], parsed["xs"], parsed["etas"], parsed["gains"]])
+
+
+def _bits(*values):
+    return np.array(values).view(np.uint64).tolist()
+
+
+# NaN, +-inf, +-0, the smallest and largest subnormals and normals, and
+# values with 3-digit exponents
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ANY_BITS, min_size=6, max_size=120))
+@example(bits=_bits(math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324))
+@example(bits=_bits(2.225073858507201e-308, -2.2250738585072014e-308, 1.7976931348623157e308,
+                    1e-100, -3.5e123, 1e-281))
+def test_trajectory_csv_reads_any_bit_pattern_as_float_does(tmp_path_factory, bits):
+    values = np.array(bits[:len(bits) // 6 * 6], dtype=np.uint64).view(np.float64)
+    traj = _table_trajectory("control_loop", values)
+    path = str(tmp_path_factory.getbasetemp() / "read_bits.csv")
+    write_trajectory_csv(path, traj)
+    table = _table(parse_trajectory_csv(path))
+    expected = np.array([float(tok) for tok in _tokens(path)]).reshape(table.shape)
+    assert table.tobytes() == expected.tobytes()
+
+
+def _count_fallback_fields(monkeypatch):
+    """Patch the reader's scalar fallback to record each token it is given."""
+    tokens = []
+    fallback = cli._parse_field
+    monkeypatch.setattr(cli, "_parse_field", lambda tok: tokens.append(tok) or fallback(tok))
+    return tokens
+
+
+def test_trajectory_csv_reader_mixes_kernel_tokens_and_fallback_tokens(tmp_path, monkeypatch):
+    powers = [float(f"1e{k}") for k in range(-30, 31)]
+    # 1e17 .. 1e22, which the writer leaves to its fallback, are proven here:
+    # 10**(E - 16) is a double
+    kernel = [fmt(w) for v in powers for w in (v, math.nextafter(v, 0.0), math.nextafter(v, 9e99))]
+    # the ends of the table's range, zeros, an even 17-digit integer, which
+    # is a double, and texts fmt never writes that are no ties
+    kernel += ["1.0000000000000000e-281", "-9.9999999999999999e+281", "0.0000000000000000e+00",
+               "-0.0000000000000000e+00", "1.0000000000000002e+16", "0.0000000000000005e+00",
+               "3.3333333333333333e+200"]
+    # ties of the 17th digit between two doubles (2**53 + 1, 2**52 + 1/2 and
+    # 2**52 + 3/2, where 10**(E - 16) is not a double), exponents past the
+    # table, subnormals, the smallest normal, non-finite values and texts
+    # outside fmt's layout; the last six are as long as fmt's text, each
+    # with one byte out of place
+    fallback = ["1.0000000000000001e+16", "9.0071992547409930e+15", "4.5035996273704965e+15",
+                "-4.5035996273704975e+15", "1.0000000000000000e-282", "1.0000000000000000e+282",
+                fmt(5e-324), fmt(-2.225073858507201e-308), fmt(2.2250738585072014e-308),
+                fmt(1.7976931348623157e308), "nan", "inf", "-inf", "+1.0000000000000000e+00",
+                "1.5", " 2.0000000000000000e+00", "1.000000000000000e+000",
+                "1.0000000000000000E+00", "1.000_000000000000e+00", "1_0000000000000000e+00",
+                "\t.5000000000000000e+00", "1.0000000000000000e+10 "]
+    rows = []
+    for r in range(1100):
+        row = [kernel[(6 * r + j) % len(kernel)] for j in range(6)]
+        if r % 5 == 0:
+            row[r % 6] = fallback[(r // 5) % len(fallback)]
+        rows.append(row)
+    path = tmp_path / "mixed.csv"
+    path.write_text("t,x1,x2,eta1,eta2,gain_out\n" + "".join(",".join(r) + "\n" for r in rows))
+    assert path.stat().st_size > 2 * cli._CSV_BLOCK_BYTES
+    read = _count_fallback_fields(monkeypatch)
+    table = _table(parse_trajectory_csv(str(path)))
+    expected = np.array([[float(tok) for tok in row] for row in rows])
+    assert table.tobytes() == expected.tobytes()
+    assert len(read) == 220
+    assert {tok.decode() for tok in read} == set(fallback)
+
+
+def _real_table_lines(tmp_path, rows=3000):
+    """The lines of a written trajectory CSV of rows rows, several blocks long."""
+    traj = integrate(reference_loop(), None, np.array([1.0, 0.0]), 0.0, 0.97,
+                     IntegrationOptions(output_grid=OutputGrid(kind="uniform", count=rows)))
+    path = str(tmp_path / "real.csv")
+    write_trajectory_csv(path, traj, None, ["# note: before the header"])
+    with open(path, encoding="utf-8") as fh:
+        return traj, fh.read().split("\n")
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["1,2,3,4,5"], "5 fields, the header has 6"),
+    (["1,2,3,4,5,6,7"], "7 fields, the header has 6"),
+    (["1,2,3,4,5", "1,2,3,4,5,6,7"], "5 fields, the header has 6"),
+    (["   "], "1 fields, the header has 6"),
+    (["1,2,x,4,5,6"], "could not convert string to float: b'x'"),
+], ids=["short", "long", "short_then_long", "whitespace", "bad_field"])
+@pytest.mark.parametrize("row", [0, 2500])
+@pytest.mark.parametrize("comment", [False, True], ids=["rows_only", "comment_before"])
+def test_trajectory_csv_row_that_does_not_fit_names_its_line(tmp_path, bad, message, row, comment):
+    _, lines = _real_table_lines(tmp_path)
+    lines[2 + row:2 + row + len(bad)] = bad  # after the note and the header
+    if comment:
+        lines.insert(2, "# note: between the header and the rows")
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines))
+    line = 3 + row + comment
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: {message}") + "$"):
+        parse_trajectory_csv(str(path))
+
+
+def test_trajectory_csv_rows_narrower_than_the_header_are_rejected(tmp_path):
+    path = tmp_path / "narrow.csv"
+    path.write_text("t,x1,x2,eta1,eta2,gain_out\n1,2,3,4,5\n")
+    with pytest.raises(ValueError, match="line 2: 5 fields, the header has 6$"):
+        parse_trajectory_csv(str(path))
+
+
+@pytest.mark.parametrize("variant", ["control_loop", "diff_error"])
+def test_header_only_trajectory_csv_gives_empty_columns(tmp_path, variant):
+    traj = _table_trajectory(variant, [])
+    path = str(tmp_path / "empty.csv")
+    write_trajectory_csv(path, traj, None, ["# note: no samples"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parsed = parse_trajectory_csv(path)
+    assert parsed["comments"] == ["# note: no samples"]
+    assert parsed["ts"].shape == parsed["gains"].shape == (0,)
+    assert parsed["xs"].shape == (0, 2)
+    assert parsed["etas"].shape == (0, traj.etas.shape[1])
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_trajectory_csv_reader_skips_blank_lines_and_collects_comments(tmp_path, newline):
+    # '#' lines are comments wherever they stand, blank lines are skipped, a
+    # row drops its text from '#' on, and a missing last newline is no fault
+    traj, lines = _real_table_lines(tmp_path)
+    lines[2 + 900] += "  # inline"
+    lines[2 + 700:2 + 700] = ["", "# note: between rows", ""]
+    lines[2:2] = ["", "# note: after the header"]
+    lines[1:1] = [""]
+    path = tmp_path / "spaced.csv"
+    path.write_bytes(newline.join(lines + [""]).encode().rstrip(newline.encode()))
+    parsed = parse_trajectory_csv(str(path))
+    assert parsed["header"] == ["t", "x1", "x2", "eta1", "eta2", "gain_out"]
+    assert parsed["comments"] == ["# note: before the header", "# note: after the header",
+                                  "# note: between rows"]
+    _assert_same_table(parsed, traj)
+
+
 @pytest.mark.parametrize("argv", [
     ["--sim.x0", "1,0", "--sim.grid_count", "2000"],
     ["--system.gains", "zero:2", "--sim.x0", "1,0"],
 ], ids=["reference_loop", "zero_table"])
 def test_real_trajectory_tables_need_no_fallback_row(tmp_path, monkeypatch, argv):
     formatted = _count_fallback_rows(monkeypatch)
+    read = _count_fallback_fields(monkeypatch)
     assert main(["simulate", *argv, "--output.dir", str(tmp_path), "--output.prefix", "run"]) == 0
-    parsed = parse_trajectory_csv(str(tmp_path / "run_simulate.csv"))
+    path = tmp_path / "run_simulate.csv"
+    parsed = parse_trajectory_csv(str(path))
     assert len(parsed["ts"]) > cli._CSV_BLOCK_ROWS
+    assert path.stat().st_size > cli._CSV_BLOCK_BYTES
     if "zero:2" in argv:
         assert np.all(parsed["xs"][:, 0] == 1.0)
     assert formatted == []
+    assert read == []
 
 
 def test_simulate_writes_artifacts_and_exits_zero(tmp_path):
