@@ -6,7 +6,8 @@
 
 Runs selftest, the README examples, a set of further CLI scenarios (every
 subcommand, both variants, both grid kinds, zero and rational tables, other
-horizons, disturbances, every attack kind with and without the prelude, and
+horizons, disturbances, every attack kind, controller-terminal from a
+prepared plan start and as the ramp attack from attack.x0, and
 runs that end in exit codes 1, 2 and 3) and the six demos, each as its own
 process with tvglab imported from the src/ directory next to this script.
 Each scenario gets a directory OUT/<name>/ holding the artifacts it wrote
@@ -129,12 +130,12 @@ SCENARIOS: dict[str, list[str]] = {
                                           "--attack.eta_bar", "1e-3", "--system.rho_min", "1e-9"],
     "attack_controller_terminal": ["attack", "--attack.kind", "controller-terminal",
                                    "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
-    "attack_controller_terminal_prelude": ["attack", "--attack.kind", "controller-terminal",
-                                           "--attack.prelude", "true", "--attack.x0", "1,0",
-                                           "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
-    "attack_prelude_step_underflow": ["attack", "--attack.kind", "controller-terminal",
-                                      "--attack.prelude", "true", "--attack.x0", "0.3,-0.2",
-                                      "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
+    "attack_controller_ramp": ["attack", "--attack.kind", "controller-terminal",
+                               "--attack.x0", "1,0", "--attack.eta_bar", "0.01",
+                               "--attack.epsilon", "0.5"],
+    "attack_controller_ramp_from_0.3_-0.2": [
+        "attack", "--attack.kind", "controller-terminal", "--attack.x0", "0.3,-0.2",
+        "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
     "attack_diff_terminal_small": ["attack", "--attack.kind", "diff-terminal",
                                    "--attack.eta_bar", "1e-3", "--attack.epsilon", "0.2"],
     # workarounds
@@ -155,9 +156,6 @@ SCENARIOS: dict[str, list[str]] = {
     "attack_controller_terminal_late_s": ["attack", "--attack.kind", "controller-terminal",
                                           "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5",
                                           "--attack.s", "0.99"],
-    "attack_prelude_without_x0": ["attack", "--attack.kind", "controller-terminal",
-                                  "--attack.prelude", "true",
-                                  "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
     "sim_reference_T2": ["simulate", "--system.T", "2", "--sim.x0", "1,0"],
     "sim_plot": ["simulate", "--sim.x0", "1,0", "--output.plot", "true"],
     "workaround_stop_time_max_norm_50": ["workaround", "--workaround.variant", "stop-time",
@@ -173,9 +171,9 @@ SCENARIOS: dict[str, list[str]] = {
     "verify_ics_wrong_length": ["verify-deadline", "--deadline.ics", "1,0,0"],
     "workaround_ics_wrong_length": ["workaround", "--workaround.variant", "stop-time",
                                     "--workaround.ics", "1,0,0"],
-    "attack_prelude_x0_wrong_length": ["attack", "--attack.kind", "controller-terminal",
-                                       "--attack.prelude", "true", "--attack.x0", "1,0,0",
-                                       "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
+    "attack_controller_ramp_x0_wrong_length": ["attack", "--attack.kind", "controller-terminal",
+                                               "--attack.x0", "1,0,0", "--attack.eta_bar", "0.01",
+                                               "--attack.epsilon", "0.5"],
     "attack_diff_terminal_x0_wrong_length": ["attack", "--attack.kind", "diff-terminal",
                                              "--attack.x0", "1,0,0", "--attack.eta_bar", "0.1",
                                              "--attack.epsilon", "1.0"],
@@ -205,6 +203,10 @@ SCENARIOS: dict[str, list[str]] = {
     "attack_controller_terminal_psi_init_length": [
         "attack", "--attack.kind", "controller-terminal", "--attack.eta_bar", "0.01",
         "--attack.epsilon", "0.5", "--attack.psi_init", "0,0"],
+    "attack_controller_ramp_unsupported_table": [
+        "attack", "--attack.kind", "controller-terminal", "--attack.x0", "1,0",
+        "--system.gains", "-0.5,1; -1,1", "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
+    # the ramp is already under way at t = 0
     "attack_diff_terminal_ramp_before_0": ["attack", "--attack.kind", "diff-terminal",
                                            "--attack.eta_bar", "1", "--attack.epsilon", "0.1"],
 }
@@ -213,7 +215,6 @@ SCENARIOS: dict[str, list[str]] = {
 # 2 numerical failure, 3 a declared property failed)
 EXPECTED_EXIT: dict[str, int] = {
     "readme_bad_config": 1,
-    "attack_prelude_without_x0": 1,
     "sim_reference_T2": 1,
     "verify_starts_out_of_range": 1,
     "verify_starts_empty": 1,
@@ -221,7 +222,7 @@ EXPECTED_EXIT: dict[str, int] = {
     "sim_x0_wrong_length": 1,
     "verify_ics_wrong_length": 1,
     "workaround_ics_wrong_length": 1,
-    "attack_prelude_x0_wrong_length": 1,
+    "attack_controller_ramp_x0_wrong_length": 1,
     "attack_diff_terminal_x0_wrong_length": 1,
     "sim_n_mismatch": 1,
     "sim_ell1_removed_key": 1,
@@ -238,9 +239,8 @@ EXPECTED_EXIT: dict[str, int] = {
     "workaround_t_stop_past_T": 1,
     "attack_controller_divergence_targets_decreasing": 1,
     "attack_controller_terminal_psi_init_length": 1,
-    "attack_diff_terminal_ramp_before_0": 1,
+    "attack_controller_ramp_unsupported_table": 1,
     "attack_controller_terminal_late_s": 1,
-    "attack_prelude_step_underflow": 2,
     "workaround_stop_time_max_norm_50": 2,
     "workaround_deadzone_max_norm_50": 2,
     "verify_max_norm_2": 2,

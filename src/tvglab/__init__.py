@@ -35,12 +35,12 @@ from .oracle import (
     verify_solver_against_oracle,
 )
 from .attack import (
-    DifferentiatorTerminalNoise,
+    TerminalRampNoise,
     controller_divergence_noise,
     controller_terminal_error_noise,
     default_targets,
+    run_controller_ramp_attack,
     run_controller_terminal_attack,
-    run_controller_terminal_attack_with_prelude,
     run_differentiator_terminal_attack,
     run_divergence_attack,
     terminal_plan_window,
@@ -74,12 +74,12 @@ __all__ = [
     "instability_witness_time",
     "reference_solution",
     "verify_solver_against_oracle",
-    "DifferentiatorTerminalNoise",
+    "TerminalRampNoise",
     "controller_divergence_noise",
     "controller_terminal_error_noise",
     "default_targets",
+    "run_controller_ramp_attack",
     "run_controller_terminal_attack",
-    "run_controller_terminal_attack_with_prelude",
     "run_differentiator_terminal_attack",
     "run_divergence_attack",
     "terminal_plan_window",

@@ -12,9 +12,9 @@ defeats a specific robustness property of a time-varying-gain loop:
 * differentiator_divergence_noise: continuous piecewise-linear noise whose
   ramp slopes steepen at each switch; the velocity-error channel tracks the
   negated slope, so its peaks grow without bound.
-* DifferentiatorTerminalNoise: one bounded ramp that shifts the velocity
-  error by exactly epsilon, leaving x2(T) = -epsilon from every initial
-  condition.
+* TerminalRampNoise: one bounded continuous ramp that pins x2(T) at
+  -epsilon (the differentiator) or -2*epsilon (a control loop with gains
+  c1/(T-t)^2, c2/(T-t)) from every initial condition.
 
 Switch placement for the divergence noises is simulation-in-the-loop: the
 sources watch committed integration steps and switch only once the current
@@ -36,13 +36,11 @@ from .core import (
     DIFF_ERROR,
     NoiseBoundViolation,
     NoiseSource,
-    NumericalFailure,
     RationalGain,
     SystemModel,
 )
 from .integrate import (
     BLOW_UP,
-    EVENT,
     IntegrationOptions,
     Trajectory,
     _require_complete,
@@ -218,29 +216,29 @@ class DifferentiatorDivergenceNoise(_DivergenceNoise):
         return False
 
 
-class DifferentiatorTerminalNoise(NoiseSource):
-    """Scalar ramp noise that forces x2(T) = -epsilon from any start:
-    constant -eta_bar until s = T - 2*eta_bar/epsilon, then slope epsilon
-    up to +eta_bar at T."""
+class TerminalRampNoise(NoiseSource):
+    """-eta_bar until s = T - 2*eta_bar/slope, then -eta_bar + (t - s)*slope
+    up to +eta_bar at T; for s < 0 the ramp is under way at t = 0.  With
+    n=None a scalar (the differentiator's), else channel 1 of an n-list
+    whose other channels are 0 (the control loop's)."""
 
-    def __init__(self, eta_bar: float, epsilon: float, T: float = 1.0):
-        if eta_bar <= 0.0 or epsilon <= 0.0:
-            raise ValueError("eta_bar and epsilon must be positive")
-        s = T - 2.0 * eta_bar / epsilon
-        if s < 0.0:
-            raise ValueError(
-                f"ramp start T - 2*eta_bar/epsilon = {s!r} precedes 0; "
-                "raise epsilon or lower eta_bar")
-        self.bound = float(eta_bar)
-        self.eta_bar = float(eta_bar)
-        self.epsilon = float(epsilon)
+    def __init__(self, eta_bar: float, slope: float, T: float = 1.0, n: Optional[int] = None):
+        if eta_bar <= 0.0 or slope <= 0.0:
+            raise ValueError("eta_bar and slope must be positive")
+        self.bound = self.eta_bar = float(eta_bar)
+        self.slope = float(slope)
         self.T = float(T)
-        self.s = float(s)
+        self.s = float(T - 2.0 * eta_bar / slope)
+        if n is not None:
+            # the loop's list, from the scalar value, which keeps the
+            # differentiator's per-stage query free of the branch
+            rest, scalar = [0.0] * (n - 1), self.value
+            self.value = lambda t, x: [scalar(t, x), *rest]
 
-    def value(self, t: float, x) -> float:
+    def value(self, t: float, x):
         if t < self.s:
             return -self.eta_bar
-        return -self.eta_bar + (t - self.s) * self.epsilon
+        return -self.eta_bar + (t - self.s) * self.slope
 
     def next_discontinuity(self, t: float) -> float:
         return self.s if t < self.s else math.inf
@@ -510,35 +508,6 @@ def controller_terminal_error_noise(model: SystemModel, eta_bar: float, epsilon:
                      "fast along every admissible profile")
 
 
-class PreludeTerminalNoise(NoiseSource):
-    """Full-signal variant: constant steering noise on [0, s0), zero on
-    [s0, s), then the tracking noise of a CascadePlan on [s, T).  Exactly
-    two discontinuities."""
-
-    def __init__(self, const_vec: np.ndarray, s0: float, plan: CascadePlan):
-        self.plan = plan
-        self.bound = plan.eta_bar
-        self.s0 = float(s0)
-        self.s = float(plan.s)
-        self._const = np.asarray(const_vec, dtype=float)
-        self._zero = np.zeros_like(self._const)
-        self._tracker = ControllerTerminalNoise(plan)
-
-    def value(self, t: float, x) -> np.ndarray:
-        if t < self.s0:
-            return self._const
-        if t < self.s:
-            return self._zero
-        return self._tracker.value(t, x)
-
-    def next_discontinuity(self, t: float) -> float:
-        if t < self.s0:
-            return self.s0
-        if t < self.s:
-            return self.s
-        return math.inf
-
-
 @dataclass(frozen=True)
 class AttackOutcome:
     """Result of one synthesized-noise run against a declared target."""
@@ -548,7 +517,7 @@ class AttackOutcome:
     verdict: bool
     trajectory: Trajectory
     schedule: Optional[SwitchingSchedule] = None
-    ramp: Optional[DifferentiatorTerminalNoise] = None
+    ramp: Optional[TerminalRampNoise] = None
     plan: Optional[CascadePlan] = None
     peaks: Optional[tuple[tuple[float, Optional[float]], ...]] = None
     terminal: Optional[np.ndarray] = None
@@ -627,103 +596,52 @@ def run_controller_terminal_attack(model: SystemModel, eta_bar: float, epsilon: 
                          tracking_error=tracking)
 
 
-def run_controller_terminal_attack_with_prelude(model: SystemModel, eta_bar: float,
-                                                epsilon: float, x0, rho: float = 1e-6,
-                                                opts: Optional[IntegrationOptions] = None
-                                                ) -> AttackOutcome:
-    """Full-signal tracking attack from an arbitrary start state (best effort).
-
-    Phase one holds a small constant noise so the deadline property parks
-    the state near a known point; phase two removes the noise and waits for
-    the transient to swing the last channel through -2*epsilon; the tracking
-    noise then takes over.  The search for the two switch instants runs the
-    same integrator; it retries with a narrower window when the swing misses
-    the budget checks.
-
-    The steering constants come from the reference loop (-6/(T-t)^2,
-    -4/(T-t)): phase one holds const_vec[n-2] = -eta_bar/8, and the first
-    window is at most 3/32 * eta_bar/epsilon.  Other tables may never swing
-    inside such a window.  Measured from x0 = (1, 0) (or (1, 0, 0)) at
-    eta_bar in {0.01, 0.1} and epsilon in {0.05, 0.5}: the reference table
-    passes all four pairs; the rational tables "-0.5,1; -1,1" and
-    "-60,3; -36,2; -9,1" fail all four (no admissible swing found);
-    "-2,2; -3,1" fails at eta_bar 0.01 (no swing at epsilon 0.05, the replay
-    ends in step_underflow at 0.5) and passes at 0.1.  A failure raises
-    NumericalFailure.
-    """
+def terminal_ramp_gain(model: SystemModel) -> float:
+    """b = c1/(c2 - c1) for a control loop with gains c1/(T-t)^2, c2/(T-t):
+    a ramp of slope k on channel 1 leaves x2(T) = b*k from every start (the
+    particular solution y1 = x1 + eta1 = a*(T-t), x2 = b*k).  The Euler
+    exponents m, roots of m^2 + (c2 - 1)*m - c1, bring x2 to 0 at T without
+    noise exactly when both exceed 1 in real part: c1 < c2 < -1, so b < 0.
+    Other tables raise ValueError."""
     if model.variant != CONTROL_LOOP:
-        raise ValueError("terminal tracking attack applies to the control loop")
-    n = model.n
-    T = model.horizon.T
-    eta_inf = eta_bar / math.sqrt(n)
-    opts = opts or IntegrationOptions()
-    x0 = np.asarray(x0, dtype=float)
-
-    const_vec = np.zeros(n)
-    const_vec[n - 2] = -eta_bar / 8.0
-    # start window: wide enough for a swing past 2*epsilon, inside the budget
-    w0 = 0.9 * min((3.0 / 32.0) * eta_bar / epsilon, eta_inf / (12.0 * epsilon), 0.25 * T)
-    swing_end = T - max(rho, 10.0 * opts.abs_tol)
-    last_err = None
-    for _ in range(12):
-        s0 = T - w0
-        if last_err is not None and s0 >= swing_end:
-            break  # the search shrank the window past the end of the swing run
-        phase_a = integrate(model, _ConstantVectorNoise(const_vec, eta_bar), x0, 0.0, s0, opts)
-        _require_complete(phase_a)
-
-        def swing(t, x):
-            return x[n - 1] <= -2.0 * epsilon
-
-        phase_b = integrate(model, None, phase_a.xs[-1], s0, swing_end, opts,
-                            stop_condition=swing)
-        if phase_b.termination.kind == EVENT:
-            s_ev = phase_b.termination.t
-            x_ev = phase_b.xs[-1]
-            cap = eta_inf / 4.0
-            window_ok = s_ev > terminal_plan_window(n, eta_bar, epsilon, T)[0]
-            heads_ok = all(abs(float(v)) <= cap for v in x_ev[: n - 1])
-            if window_ok and heads_ok:
-                try:
-                    _, plan = controller_terminal_error_noise(
-                        model, eta_bar, epsilon,
-                        psi_init=tuple(float(v) for v in x_ev[: n - 1]), s=s_ev)
-                except ValueError as exc:
-                    last_err = str(exc)
-                    w0 *= 0.5
-                    continue
-                noise = PreludeTerminalNoise(const_vec, s0, plan)
-                traj = integrate(model, noise, x0, 0.0, T - rho, opts)
-                if not traj.completed:
-                    end = traj.termination
-                    raise NumericalFailure(
-                        f"prelude replay ended in {end.kind} at t={end.t!r}, before "
-                        f"T - rho = {T - rho!r} (plan start {plan.s!r})")
-                mask = traj.ts >= plan.s
-                predicted = plan.state_at(traj.ts[mask])
-                tracking = float(np.max(np.abs(traj.xs[mask] - predicted)))
-                terminal = terminal_state(traj, rho)
-                verdict = bool(np.linalg.norm(terminal) >= epsilon)
-                return AttackOutcome(kind="controller-terminal-prelude", noise_bound=eta_bar,
-                                     verdict=verdict, trajectory=traj, plan=plan,
-                                     terminal=terminal, tracking_error=tracking,
-                                     notes=f"steering switch at s0={s0!r}, plan start {plan.s!r}")
-        last_err = f"no admissible swing found with window {w0!r}"
-        w0 *= 0.5
-    raise NumericalFailure(f"prelude search failed: {last_err}")
+        raise ValueError("controller ramp attack applies to the control loop")
+    terms = [g.terms for g in model.gains.gains]
+    orders = [[p for _, p in ts] for ts in terms]
+    if orders != [[2], [1]]:
+        raise ValueError("controller ramp attack needs the gains c1/(T-t)^2, c2/(T-t), "
+                         f"one term each; got pole orders {orders}")
+    (c1, _), (c2, _) = terms[0][0], terms[1][0]
+    if not c1 < c2 < -1.0:
+        raise ValueError(
+            f"gains {c1!r}/(T-t)^2, {c2!r}/(T-t) do not bring the noise-free loop to 0 at T "
+            "(that needs c1 < c2 < -1), so a terminal error there shows nothing")
+    return c1 / (c2 - c1)
 
 
-class _ConstantVectorNoise(NoiseSource):
-    """The same noise vector at every query; bound is its declared bound."""
+def _ramp_run(model: SystemModel, noise: TerminalRampNoise, x0, rho: float,
+              opts: Optional[IntegrationOptions]) -> tuple[Trajectory, np.ndarray]:
+    """Run a ramp attack from x0 at t = 0 to T - rho: its trajectory and terminal state."""
+    traj = integrate(model, noise, np.asarray(x0, dtype=float), 0.0, model.horizon.T - rho,
+                     opts or IntegrationOptions())
+    _require_complete(traj)
+    return traj, terminal_state(traj, rho)
 
-    held = True
 
-    def __init__(self, vec: np.ndarray, bound: float):
-        self._vec = np.asarray(vec, dtype=float)
-        self.bound = float(bound)
+def run_controller_ramp_attack(model: SystemModel, eta_bar: float, epsilon: float, x0,
+                               rho: float = 1e-6,
+                               opts: Optional[IntegrationOptions] = None) -> AttackOutcome:
+    """Ramp attack on the control loop from any start x0 at t = 0.
 
-    def value(self, t: float, x) -> np.ndarray:
-        return self._vec
+    The ramp on channel 1 has slope 2*epsilon/|b| (b from
+    terminal_ramp_gain), so x2(T) = -2*epsilon, as on the cascade plan.
+    Verdict: ||x(T - rho)|| >= epsilon.
+    """
+    slope = 2.0 * epsilon / -terminal_ramp_gain(model)
+    noise = TerminalRampNoise(eta_bar, slope, T=model.horizon.T, n=model.n)
+    traj, terminal = _ramp_run(model, noise, x0, rho, opts)
+    verdict = bool(np.linalg.norm(terminal) >= epsilon)
+    return AttackOutcome(kind="controller-ramp", noise_bound=eta_bar, verdict=verdict,
+                         trajectory=traj, ramp=noise, terminal=terminal)
 
 
 def run_differentiator_terminal_attack(model: SystemModel, eta_bar: float, epsilon: float,
@@ -732,11 +650,8 @@ def run_differentiator_terminal_attack(model: SystemModel, eta_bar: float, epsil
     """Ramp attack on the differentiator: verdict |x2(T - rho) + epsilon| <= tol*epsilon."""
     if model.variant != DIFF_ERROR:
         raise ValueError("ramp terminal attack applies to the differentiator error model")
-    noise = DifferentiatorTerminalNoise(eta_bar, epsilon, T=model.horizon.T)
-    opts = opts or IntegrationOptions()
-    traj = integrate(model, noise, np.asarray(x0, dtype=float), 0.0, model.horizon.T - rho, opts)
-    _require_complete(traj)
-    terminal = terminal_state(traj, rho)
+    noise = TerminalRampNoise(eta_bar, epsilon, T=model.horizon.T)
+    traj, terminal = _ramp_run(model, noise, x0, rho, opts)
     verdict = bool(abs(float(terminal[1]) + epsilon) <= tol * epsilon)
     return AttackOutcome(kind="diff-terminal", noise_bound=eta_bar, verdict=verdict,
                          trajectory=traj, ramp=noise, terminal=terminal)

@@ -44,8 +44,8 @@ from .integrate import IntegrationOptions, OutputGrid, Trajectory, integrate
 from .oracle import verify_solver_against_oracle
 from .attack import (
     controller_divergence_noise,
+    run_controller_ramp_attack,
     run_controller_terminal_attack,
-    run_controller_terminal_attack_with_prelude,
     run_differentiator_terminal_attack,
     run_divergence_attack,
 )
@@ -72,9 +72,9 @@ EXIT_PROPERTY = 3
 ATTACK_KINDS = ("controller-divergence", "controller-terminal",
                 "diff-divergence", "diff-terminal")
 # each kind's runner and the attack.* keys passed to it by name: with
-# attack.kind, and attack.prelude for controller-terminal, the only attack.*
-# keys the kind reads.  controller-terminal with attack.prelude = true runs
-# _PRELUDE_RUN, which steers from attack.x0 and finds its own plan start
+# attack.kind, the only attack.* keys the kind reads.  controller-terminal
+# with attack.x0 set runs _RAMP_RUN, the ramp attack from that start, in
+# place of the cascade plan's prepared start
 _ATTACK_RUNS = {
     "controller-divergence": (run_divergence_attack,
                               ("eta_bar", "delta", "targets", "thresholds", "x0")),
@@ -83,7 +83,7 @@ _ATTACK_RUNS = {
                             ("eta_bar", "epsilon", "rho", "s", "psi_init")),
     "diff-terminal": (run_differentiator_terminal_attack, ("eta_bar", "epsilon", "rho", "tol", "x0")),
 }
-_PRELUDE_RUN = (run_controller_terminal_attack_with_prelude, ("eta_bar", "epsilon", "rho", "x0"))
+_RAMP_RUN = (run_controller_ramp_attack, ("eta_bar", "epsilon", "rho", "x0"))
 WORKAROUND_KINDS = ("stop-time", "deadzone")
 SCENARIOS = (("simulate", "verify-deadline", "gain-scan", "falsify-stability", "selftest")
              + tuple(f"attack.{k}" for k in ATTACK_KINDS)
@@ -548,9 +548,8 @@ KEY_SPECS: dict[str, KeySpec] = {
                         help="plan start for controller-terminal"),
     "attack.psi_init": KeySpec(_parse_floats, None,
                                help="planned start values, channels 1..n-1"),
-    "attack.prelude": KeySpec(_parse_bool, False,
-                              help="controller-terminal: steer from attack.x0 first"),
-    "attack.x0": KeySpec(_parse_floats, None, help="start state for divergence/prelude runs"),
+    "attack.x0": KeySpec(_parse_floats, None,
+                         help="start state; controller-terminal then runs the ramp attack"),
 
     "scan.delta": KeySpec(float, 1.0, _positive("scan.delta")),
     "scan.rhos": KeySpec(_parse_floats, (1e-1, 1e-2, 1e-3)),
@@ -699,19 +698,14 @@ def _cross_validate(cfg: ExperimentConfig, violations: list[str]) -> None:
     if scenario in ("attack.controller-terminal", "attack.diff-terminal") \
             and cfg.values.get("attack.epsilon") is None:
         violations.append(f"scenario {scenario} requires attack.epsilon")
-    if scenario == "attack.controller-terminal" and cfg.values["attack.prelude"] \
-            and cfg.values.get("attack.x0") is None:
-        violations.append("attack.prelude requires attack.x0")
     if scenario.startswith("attack."):
         kind = scenario.split(".", 1)[1]
-        prelude = kind == "controller-terminal" and cfg.values["attack.prelude"]
-        _, keys = _PRELUDE_RUN if prelude else _ATTACK_RUNS[kind]
-        reads = ("kind", *keys, *(("prelude",) if kind == "controller-terminal" else ()))
+        runner, keys = _attack_run(kind, cfg)
         unread = sorted(key for key in cfg.explicit
-                        if key.startswith("attack.") and key[len("attack."):] not in reads)
+                        if key.startswith("attack.") and key[len("attack."):] not in ("kind", *keys))
         if unread:
-            violations.append(f"attack kind {kind}{' with attack.prelude' if prelude else ''} "
-                              f"does not read {', '.join(unread)}")
+            ramp = " with attack.x0" if runner is run_controller_ramp_attack else ""
+            violations.append(f"attack kind {kind}{ramp} does not read {', '.join(unread)}")
     if scenario == "simulate" and cfg.values.get("sim.x0") is None:
         violations.append("scenario simulate requires sim.x0")
     if scenario == "verify-deadline":
@@ -802,9 +796,11 @@ def parse_trajectory_csv(path: str) -> dict:
     """Re-read a trajectory CSV, every value bit-exactly.
 
     Lines end in LF, CRLF or CR.  Blank lines are skipped, '#' lines are
-    comments wherever they stand, and the first other line is the header;
-    in a row, text from a '#' on is dropped.  Every row must have as many
-    fields as the header, or a ValueError names its line.
+    comments wherever they stand, and the first other line is the header,
+    which must be the writer's t,x1..xn,eta1..etam,gain_out (n, m >= 1) or
+    a ValueError names the file and the header; in a row, text from a '#'
+    on is dropped.  Every row must have as many fields as the header, or a
+    ValueError names its line.
 
     Rows are read _CSV_BLOCK_BYTES at a time by _parse_rows, the inverse of
     _format_rows.  A token in fmt's layout is read with integer arithmetic
@@ -838,6 +834,13 @@ def parse_trajectory_csv(path: str) -> dict:
             header = line.decode("utf-8").split(",")
     if header is None:
         raise ValueError(f"no header row in {path}")
+    n = sum(1 for h in header if h.startswith("x"))
+    eta_cols = sum(1 for h in header if h.startswith("eta"))
+    layout = ["t", *(f"x{i + 1}" for i in range(n)), *(f"eta{i + 1}" for i in range(eta_cols)),
+              "gain_out"]
+    if header != layout or not n or not eta_cols:
+        raise ValueError(f"{path}: header {','.join(header)!r} is not the layout "
+                         "t,x1..xn,eta1..etam,gain_out")
     cols = len(header)
     table = None
     # rows on consecutive lines, as the writer leaves them: one pass over the
@@ -858,8 +861,6 @@ def parse_trajectory_csv(path: str) -> dict:
                 kept.append(line.split(b"#", 1)[0] + b"\n")
                 line_nos.append(k)
         table = _read_rows(b"".join(kept), 0, cols, lambda row: f"{path}, line {line_nos[row]}")
-    n = sum(1 for h in header if h.startswith("x"))
-    eta_cols = sum(1 for h in header if h.startswith("eta"))
     return {"header": header, "comments": comments, "ts": table[:, 0],
             "xs": table[:, 1:1 + n], "etas": table[:, 1 + n:1 + n + eta_cols],
             "gains": table[:, -1]}
@@ -1045,14 +1046,20 @@ def _run_verify_deadline(cfg: ExperimentConfig) -> ScenarioResult:
     return ScenarioResult("deadline", summary, code, table=deadline_table(report, shrink))
 
 
+def _attack_run(kind: str, cfg: ExperimentConfig):
+    """The runner of an attack kind and the attack.* keys it reads."""
+    if kind == "controller-terminal" and cfg.values["attack.x0"] is not None:
+        return _RAMP_RUN
+    return _ATTACK_RUNS[kind]
+
+
 def _run_attack(cfg: ExperimentConfig) -> ScenarioResult:
     kind = cfg.scenario.split(".", 1)[1]
     model = build_model(cfg)
     opts = build_options(cfg)
     eta_bar = cfg.values["attack.eta_bar"]
     epsilon = cfg.values["attack.epsilon"]
-    prelude = kind == "controller-terminal" and cfg.values["attack.prelude"]
-    runner, keys = _PRELUDE_RUN if prelude else _ATTACK_RUNS[kind]
+    runner, keys = _attack_run(kind, cfg)
     outcome = runner(model, opts=opts, **{key: cfg.values[f"attack.{key}"] for key in keys})
     head = f"# attack: kind = {kind}, eta_bar = {fmt(eta_bar)}"
     if kind in ("controller-divergence", "diff-divergence"):
@@ -1066,7 +1073,7 @@ def _run_attack(cfg: ExperimentConfig) -> ScenarioResult:
         for thr, t_c in outcome.peaks:
             t_txt = fmt(t_c) if t_c is not None else "never"
             comments.append(f"# peak: threshold {fmt(thr)} first crossed at {t_txt}")
-    elif kind == "controller-terminal":
+    elif outcome.plan is not None:
         comments = [f"{head}, epsilon = {fmt(epsilon)}",
                     f"# plan: s = {fmt(outcome.plan.s)}",
                     f"# plan: tracking_error = {fmt(outcome.tracking_error)}"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,15 +12,16 @@ from tvglab.attack import (
     ControllerDivergenceNoise,
     ControllerTerminalNoise,
     DifferentiatorDivergenceNoise,
-    DifferentiatorTerminalNoise,
+    TerminalRampNoise,
     controller_terminal_error_noise,
     default_ladder,
     default_targets,
+    run_controller_ramp_attack,
     run_controller_terminal_attack,
-    run_controller_terminal_attack_with_prelude,
     run_differentiator_terminal_attack,
     run_divergence_attack,
     terminal_plan_window,
+    terminal_ramp_gain,
 )
 from tvglab.core import (
     NoiseBoundViolation,
@@ -168,15 +170,25 @@ def test_divergence_attack_custom_ladder_and_blowup():
 
 
 def test_ramp_noise_shape():
-    noise = DifferentiatorTerminalNoise(eta_bar=0.1, epsilon=1.0)
+    noise = TerminalRampNoise(eta_bar=0.1, slope=1.0)
     assert noise.s == pytest.approx(0.8, abs=1e-15)
     assert noise.value(0.0, None) == -0.1
     assert noise.value(0.8, None) == pytest.approx(-0.1)
     assert noise.value(0.9, None) == pytest.approx(0.0, abs=1e-15)
     assert noise.next_discontinuity(0.0) == pytest.approx(0.8)
     assert noise.next_discontinuity(0.85) == math.inf
-    with pytest.raises(ValueError):
-        DifferentiatorTerminalNoise(eta_bar=0.6, epsilon=1.0)  # ramp start before 0
+    # the same ramp on channel 1 of the loop's list
+    vector = TerminalRampNoise(eta_bar=0.1, slope=1.0, n=3)
+    for t in (0.0, 0.8, 0.9, 0.99):
+        assert vector.value(t, None) == [noise.value(t, None), 0.0, 0.0]
+    # a ramp start before 0: under way at t = 0, within the bound up to T
+    early = TerminalRampNoise(eta_bar=0.6, slope=1.0)
+    assert early.s == pytest.approx(-0.2)
+    assert early.value(0.0, None) == pytest.approx(-0.4)
+    assert early.value(1.0, None) == pytest.approx(0.6)
+    assert early.next_discontinuity(0.0) == math.inf
+    with pytest.raises(ValueError, match="eta_bar and slope must be positive"):
+        TerminalRampNoise(eta_bar=0.1, slope=0.0)
 
 
 @pytest.mark.parametrize("eta_bar,epsilon,s_expected", [
@@ -190,7 +202,7 @@ def test_differentiator_terminal_error_pins_x2(eta_bar, epsilon, s_expected):
         out = run_differentiator_terminal_attack(model, eta_bar, epsilon, np.array(ic))
         assert out.kind == "diff-terminal"
         assert out.ramp.s == pytest.approx(s_expected, abs=1e-14)
-        assert (out.ramp.eta_bar, out.ramp.epsilon, out.ramp.T) == (eta_bar, epsilon, 1.0)
+        assert (out.ramp.eta_bar, out.ramp.slope, out.ramp.T) == (eta_bar, epsilon, 1.0)
         assert out.verdict
         assert abs(out.terminal[1] + epsilon) <= 1e-3 * epsilon
         assert float(np.max(np.abs(out.trajectory.etas))) <= eta_bar * (1 + 1e-12)
@@ -284,15 +296,65 @@ def test_controller_terminal_attack_explicit_start():
         run_controller_terminal_attack(reference_loop(), 0.1, 0.5, s=0.9)  # outside window
 
 
-def test_controller_terminal_attack_with_prelude():
-    outcome = run_controller_terminal_attack_with_prelude(
-        reference_loop(), 0.1, 0.5, np.array([1.0, 1.0]))
-    assert outcome.kind == "controller-terminal-prelude"
-    assert outcome.verdict
-    assert outcome.tracking_error <= 1e-6
-    assert float(np.linalg.norm(outcome.terminal)) >= 0.5
-    norms = np.linalg.norm(outcome.trajectory.etas, axis=1)
-    assert float(np.max(norms)) <= 0.1 * (1 + 1e-12)
+def test_differentiator_ramp_under_way_at_0_pins_x2():
+    # s = T - 2 eta_bar / epsilon = -19: the ramp starts mid-way at t = 0
+    for ic in ((0.0, 0.0), (5.0, -3.0)):
+        out = run_differentiator_terminal_attack(differentiator_error_model(), 1.0, 0.1,
+                                                 np.array(ic))
+        assert out.ramp.s == -19.0
+        assert out.verdict
+        assert abs(out.terminal[1] + 0.1) <= 1e-3 * 0.1
+        assert float(np.max(np.abs(out.trajectory.etas))) <= 1.0
+
+
+# the README's (eta_bar, epsilon) grid and the pairs and starts from which the
+# cascade plan's steering search once started its plan off the state
+_RAMP_STARTS = [(1.0, 0.0), (0.3, -0.2), (-5.0, 7.0), (0.95, 0.7), (0.6, -0.7), (0.5, 0.6)]
+_RAMP_BOUNDS = [(0.01, 0.05), (0.01, 0.5), (0.1, 0.05), (0.1, 0.5),
+                (2e-3, 1.3e-3), (4e-3, 4e-3), (1.6e-3, 2e-3)]
+
+
+def _check_controller_ramp(model, eta_bar, epsilon, x0):
+    out = run_controller_ramp_attack(model, eta_bar, epsilon, x0)
+    assert out.kind == "controller-ramp"
+    assert out.trajectory.completed
+    assert out.verdict and float(np.linalg.norm(out.terminal)) >= epsilon
+    # the ramp's slope 2 epsilon / |b| parks x2 at -2 epsilon, as the cascade plan does
+    assert abs(out.terminal[1] + 2.0 * epsilon) <= 1e-2 * 2.0 * epsilon
+    etas = out.trajectory.etas
+    assert float(np.max(np.abs(etas[:, 0]))) <= eta_bar and not np.any(etas[:, 1:])
+
+
+@pytest.mark.parametrize("eta_bar, epsilon", _RAMP_BOUNDS)
+@pytest.mark.parametrize("x0", _RAMP_STARTS, ids=lambda x0: f"x0={x0[0]},{x0[1]}")
+def test_controller_ramp_attack_from_any_start(x0, eta_bar, epsilon):
+    _check_controller_ramp(reference_loop(), eta_bar, epsilon, x0)
+
+
+def test_terminal_ramp_gain_is_exact_on_the_class():
+    assert terminal_ramp_gain(reference_loop()) == -3.0
+    # Euler exponents 2 and 6
+    model = rational_loop([[(-12.0, 2)], [(-7.0, 1)]])
+    assert terminal_ramp_gain(model) == -12.0 / 5.0
+    for x0 in _RAMP_STARTS[:3]:
+        for eta_bar, epsilon in _RAMP_BOUNDS:
+            _check_controller_ramp(model, eta_bar, epsilon, x0)
+
+
+@pytest.mark.parametrize("model, message", [
+    (rational_loop([[(-60.0, 3)], [(-36.0, 2)], [(-9.0, 1)]]),
+     "controller ramp attack needs the gains c1/(T-t)^2, c2/(T-t), one term each; "
+     "got pole orders [[3], [2], [1]]"),
+    (rational_loop([[(-0.5, 1)], [(-1.0, 1)]]), "got pole orders [[1], [1]]"),
+    (rational_loop([[(-6.0, 2), (1.0, 0)], [(-4.0, 1)]]), "got pole orders [[2, 0], [1]]"),
+    # Euler exponents 2 +- sqrt(2): x2 grows like (T - t)**-0.414 without noise
+    (rational_loop([[(-2.0, 2)], [(-3.0, 1)]]),
+     "gains -2.0/(T-t)^2, -3.0/(T-t) do not bring the noise-free loop to 0 at T"),
+    (differentiator_error_model(), "controller ramp attack applies to the control loop"),
+], ids=["order_3", "simple_poles", "two_terms", "outside_the_class", "differentiator"])
+def test_controller_ramp_attack_rejects_other_tables(model, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_controller_ramp_attack(model, 0.01, 0.5, np.zeros(model.n))
 
 
 def test_attack_runners_reject_wrong_variant():

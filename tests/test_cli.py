@@ -130,13 +130,10 @@ _BAD_FORMS = [("system.gains", "pt_diff2:1", "pt_diff2 takes 2 parameter(s), got
               ("disturbance.signal", "piecewise:0.5", "piecewise sample '0.5' must look like t,v"),
               ("disturbance.signal", "piecewise:0.5,1,2; 0.7,0",
                "piecewise sample '0.5,1,2' must look like t,v")]
-_PRELUDE_WITHOUT_X0 = ["attack", "--attack.kind", "controller-terminal", "--attack.prelude", "true",
-                       "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"]
 _REFERENCE_AT_T2 = ["simulate", "--system.T", "2", "--sim.x0", "1,0"]
 
 
 @pytest.mark.parametrize("argv, message", [
-    (_PRELUDE_WITHOUT_X0, "attack.prelude requires attack.x0"),
     (_REFERENCE_AT_T2, "system.T: the reference controller is defined for T = 1"),
     (["verify-deadline", "--deadline.starts", "0.5,1.5,-0.1"],
      "deadline.starts: 1.5, -0.1 outside [0, system.T - deadline.rho) = [0, 0.999)"),
@@ -149,7 +146,8 @@ _REFERENCE_AT_T2 = ["simulate", "--system.T", "2", "--sim.x0", "1,0"]
      "deadline.ics: the model has 2 channels, got 1.0,0.0,0.0; 2.0"),
     (["workaround", "--workaround.variant", "stop-time", "--workaround.ics", "1,0,0"],
      "workaround.ics: the model has 2 channels, got 1.0,0.0,0.0"),
-    (_PRELUDE_WITHOUT_X0 + ["--attack.x0", "1,0,0"],
+    (["attack", "--attack.kind", "controller-terminal", "--attack.eta_bar", "0.01",
+      "--attack.epsilon", "0.5", "--attack.x0", "1,0,0"],
      "attack.x0: the model has 2 channels, got 1.0,0.0,0.0"),
     (["attack", "--attack.kind", "diff-terminal", "--attack.eta_bar", "0.1",
       "--attack.epsilon", "1", "--attack.x0", "1,0,0"],
@@ -167,10 +165,10 @@ _REFERENCE_AT_T2 = ["simulate", "--system.T", "2", "--sim.x0", "1,0"]
     # a form takes exactly its own parameters
     *[(["simulate", f"--{key}", value, "--sim.x0", "1,0"],
        f"flag --{key}: bad value for {key}: {message}") for key, value, message in _BAD_FORMS],
-], ids=["prelude_without_x0", "reference_at_T2", "deadline_starts_out_of_range",
+], ids=["reference_at_T2", "deadline_starts_out_of_range",
         "deadline_starts_empty", "deadline_ics_empty", "workaround_ics_empty",
         "sim_x0_length", "deadline_ics_length", "workaround_ics_length",
-        "prelude_x0_length", "diff_terminal_x0_length", "zero_table_x0_length",
+        "controller_ramp_x0_length", "diff_terminal_x0_length", "zero_table_x0_length",
         "rational_table_x0_length", "gain_power_overflow",
         *[f"removed_{key}" for key, _ in _REMOVED_KEYS],
         *[f"bad_form_{value}" for _, value, _ in _BAD_FORMS]])
@@ -227,8 +225,12 @@ _DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01
     (_DIVERGENCE["diff-divergence"] + ["--attack.targets=0,2"], "targets must be positive"),
     (_DIVERGENCE["diff-divergence"] + ["--attack.thresholds", "2,1"],
      "thresholds must be strictly increasing"),
-    (["attack", "--attack.kind", "diff-terminal", "--attack.eta_bar", "1", "--attack.epsilon", "0.1"],
-     "ramp start T - 2*eta_bar/epsilon = -19.0 precedes 0; raise epsilon or lower eta_bar"),
+    (_CONTROLLER_TERMINAL + ["--system.gains", "-60,3; -36,2; -9,1", "--attack.x0", "1,0,0"],
+     "controller ramp attack needs the gains c1/(T-t)^2, c2/(T-t), one term each; "
+     "got pole orders [[3], [2], [1]]"),
+    (_CONTROLLER_TERMINAL + ["--system.gains", "-0.5,1; -1,1", "--attack.x0", "1,0"],
+     "controller ramp attack needs the gains c1/(T-t)^2, c2/(T-t), one term each; "
+     "got pole orders [[1], [1]]"),
     (_CONTROLLER_TERMINAL + ["--attack.psi_init", "0,0"], "psi_init needs 1 values, got 2"),
 ], ids=["rho_min_past_T", "rho_min_below_min_step", "t_end_past_floor", "t_end_before_s",
         "negative_pole_order", "piecewise_unsorted", "piecewise_over_bound", "one_channel_table",
@@ -236,7 +238,7 @@ _DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01
         "plan_start_past_T", "plan_start_late", "controller_targets_decreasing",
         "controller_thresholds_decreasing", "delta_above_eta_bar", "controller_target_zero",
         "diff_targets_decreasing", "diff_target_zero", "diff_thresholds_decreasing",
-        "ramp_start_before_0", "psi_init_length"])
+        "ramp_order_3", "ramp_simple_poles", "psi_init_length"])
 def test_library_value_error_is_a_config_error(tmp_path, capsys, argv, message):
     # bad input the library rejects with ValueError, at parse time (while the
     # model is built) or when the scenario runs, exits 1 and writes nothing
@@ -252,20 +254,24 @@ def test_library_value_error_is_a_config_error(tmp_path, capsys, argv, message):
     # the differentiator's ramps have no held amplitude
     (_DIVERGENCE["diff-divergence"] + ["--attack.delta", "0.005"],
      "attack kind diff-divergence does not read attack.delta"),
-    (_DIVERGENCE["controller-divergence"] + ["--attack.epsilon", "0.5", "--attack.prelude", "false"],
-     "attack kind controller-divergence does not read attack.epsilon, attack.prelude"),
-    (_CONTROLLER_TERMINAL + ["--attack.x0", "1,0"],
-     "attack kind controller-terminal does not read attack.x0"),
-    (_CONTROLLER_TERMINAL + ["--attack.prelude", "true", "--attack.x0", "1,0", "--attack.s", "0.9",
-                             "--attack.psi_init", "0"],
-     "attack kind controller-terminal with attack.prelude does not read attack.psi_init, "
-     "attack.s"),
+    (_DIVERGENCE["controller-divergence"] + ["--attack.epsilon", "0.5", "--attack.tol", "1e-3"],
+     "attack kind controller-divergence does not read attack.epsilon, attack.tol"),
+    # attack.x0 picks the ramp attack, which reads no tolerance
+    (_CONTROLLER_TERMINAL + ["--attack.x0", "1,0", "--attack.tol", "1e-3"],
+     "attack kind controller-terminal with attack.x0 does not read attack.tol"),
+    # nor a plan start, as the prelude run it replaced did not either
+    (_CONTROLLER_TERMINAL + ["--attack.x0", "1,0", "--attack.s", "0.9", "--attack.psi_init", "0"],
+     "attack kind controller-terminal with attack.x0 does not read attack.psi_init, attack.s"),
     (["attack", "--attack.kind", "diff-terminal", "--attack.eta_bar", "0.1", "--attack.epsilon", "1",
       "--attack.thresholds", "1,2"],
      "attack kind diff-terminal does not read attack.thresholds"),
 ], ids=["diff_divergence_psi_init_tol", "diff_divergence_delta", "controller_divergence_epsilon",
         "controller_terminal_x0", "prelude_s_psi_init", "diff_terminal_thresholds"])
 def test_attack_key_the_kind_does_not_read_is_a_config_error(tmp_path, capsys, argv, message):
+    _, overrides, _ = cli._split_flags(argv[1:])
+    with pytest.raises(ConfigError) as err:
+        parse_config("", subcommand="attack", overrides=overrides)
+    assert list(err.value.violations) == [message]
     out = tmp_path / "out"
     assert main(argv + ["--output.dir", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
@@ -276,16 +282,14 @@ def test_every_attack_key_a_kind_reads_is_accepted():
     values = {"eta_bar": "0.01", "epsilon": "0.5", "delta": "0.005", "targets": "1,2",
               "thresholds": "0.1,1", "x0": "1,0", "rho": "1e-6", "tol": "1e-3", "s": "0.99",
               "psi_init": "0"}
-    runs = [(kind, run, "false") for kind, run in cli._ATTACK_RUNS.items()]
-    runs.append(("controller-terminal", cli._PRELUDE_RUN, "true"))
-    for kind, (runner, keys), prelude in runs:
+    runs = [*cli._ATTACK_RUNS.items(), ("controller-terminal", cli._RAMP_RUN)]
+    for kind, (runner, keys) in runs:
         # every key names a parameter of the runner, which gets it by name
         inspect.signature(runner).bind(None, opts=None, **dict.fromkeys(keys))
         overrides = [("attack.kind", kind)] + [(f"attack.{key}", values[key]) for key in keys]
-        if kind == "controller-terminal":
-            overrides.append(("attack.prelude", prelude))
         cfg = parse_config("", subcommand="attack", overrides=overrides)
         assert cfg.explicit == {key for key, _ in overrides}
+        assert cli._attack_run(kind, cfg) == (runner, keys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -311,25 +315,28 @@ def test_bad_ladder_is_rejected_before_any_integration(tmp_path, monkeypatch, ar
     _CONTROLLER_TERMINAL + ["--integration.max_norm", "0.5"],
     ["attack", "--attack.kind", "diff-terminal", "--attack.eta_bar", "0.1", "--attack.epsilon", "1",
      "--integration.max_norm", "0.05"],
-    # the steering phase escapes before its switch
-    _CONTROLLER_TERMINAL + ["--attack.prelude", "true", "--attack.x0", "1,0",
-                            "--integration.max_norm", "0.5"],
-], ids=["controller_terminal", "diff_terminal", "prelude_steering"])
+    # the ramp attack from x0 = (1, 0) swings past the norm bound on its way to T
+    _CONTROLLER_TERMINAL + ["--attack.x0", "1,0", "--integration.max_norm", "0.5"],
+], ids=["controller_terminal", "diff_terminal", "controller_ramp"])
 def test_terminal_attack_that_stops_early_is_a_numerical_failure(tmp_path, capsys, argv):
     assert main(argv + ["--output.dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "numerical failure: integration stopped early: blow_up"]
 
 
-def test_prelude_search_that_finds_no_swing_is_a_numerical_failure(tmp_path, capsys):
-    # no admissible swing on this table: the search halves its window until
-    # the window no longer fits before T - rho, then gives up
-    argv = _CONTROLLER_TERMINAL + ["--attack.prelude", "true", "--attack.x0", "1,0",
-                                   "--system.gains", "-0.5,1; -1,1"]
-    assert main(argv + ["--output.dir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("numerical failure: prelude search failed: no admissible swing")
+def test_controller_ramp_attack_runs_from_any_start(tmp_path):
+    # a start the cascade plan's steering search once ended in step_underflow from
+    code = main(_CONTROLLER_TERMINAL + ["--attack.x0", "0.3,-0.2", "--output.dir", str(tmp_path)])
+    assert code == 0
+    parsed = parse_trajectory_csv(str(tmp_path / "tvglab_attack_controller_terminal.csv"))
+    # slope 2 epsilon / 3 on the reference loop: s = T - 3 eta_bar / epsilon
+    assert [c for c in parsed["comments"] if c.startswith("# ramp")] == [
+        f"# ramp: s = {fmt(1.0 - 2.0 * 0.01 / (2.0 * 0.5 / 3.0))}"]
+    assert parsed["etas"][0].tolist() == [-0.01, 0.0]
+    summary = (tmp_path / "tvglab_attack_controller_terminal_summary.txt").read_text().splitlines()
+    assert "verdict: pass" in summary
+    terminal = [float(v) for v in summary[3].removeprefix("terminal state: ").split(", ")]
+    assert abs(terminal[1] + 1.0) <= 1e-2
 
 
 def test_reference_horizon_check_leaves_selftest_and_other_tables_alone():
@@ -606,6 +613,19 @@ def test_trajectory_csv_row_that_does_not_fit_names_its_line(tmp_path, bad, mess
         parse_trajectory_csv(str(path))
 
 
+@pytest.mark.parametrize("header", [
+    "t,x1,eta1,x2,gain_out", "t, x1 ,eta1,gain_out", "t,x2,x1,eta1,gain_out", "t,x1,x2,gain_out",
+    "t,eta1,gain_out", "x1,t,eta1,gain_out", "t,x1,eta1,gain_out,x2", "t,x1,eta1"])
+def test_trajectory_csv_header_that_is_not_the_writer_layout_is_rejected(tmp_path, header):
+    # columns were once found by counting names that start with x and eta:
+    # t,x1,eta1,x2,gain_out over 1,2,3,4,5 read as xs [[2, 3]] and etas [[4]]
+    path = tmp_path / "header.csv"
+    path.write_text(f"{header}\n" + ",".join(str(k) for k in range(header.count(",") + 1)) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: header {header!r} is not the layout t,x1..xn,eta1..etam,gain_out") + "$"):
+        parse_trajectory_csv(str(path))
+
+
 def test_trajectory_csv_rows_narrower_than_the_header_are_rejected(tmp_path):
     path = tmp_path / "narrow.csv"
     path.write_text("t,x1,x2,eta1,eta2,gain_out\n1,2,3,4,5\n")
@@ -807,18 +827,6 @@ def test_tracking_noise_over_its_bound_exits_2(tmp_path, capsys, monkeypatch):
                  "--output.dir", str(tmp_path)])
     assert code == 2
     assert "tracking noise exceeded its bound" in capsys.readouterr().err
-
-
-def test_prelude_replay_that_stops_early_names_its_termination(tmp_path, capsys):
-    # the replay ends in step_underflow just before the steering switch,
-    # before the plan start
-    code = main(["attack", "--attack.kind", "controller-terminal", "--attack.prelude", "true",
-                 "--attack.x0", "0.3,-0.2", "--attack.eta_bar", "0.01",
-                 "--attack.epsilon", "0.5", "--output.dir", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "step_underflow" in err
-    assert "zero-size" not in err
 
 
 def test_attack_subcommand_needs_a_kind(tmp_path, capsys):

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from tvglab.attack import (
     DifferentiatorDivergenceNoise,
-    DifferentiatorTerminalNoise,
-    _ConstantVectorNoise,
+    TerminalRampNoise,
     controller_divergence_noise,
     controller_terminal_error_noise,
     default_targets,
@@ -594,7 +593,7 @@ def test_integrate_evaluates_every_stage_through_the_rhs_method(monkeypatch):
     # runs from the plan's start state at the plan's start time
     (reference_loop, lambda: controller_terminal_error_noise(reference_loop(), 1e-2, 0.5)[0],
      137, 871, 0, 871),
-    (differentiator_error_model, lambda: DifferentiatorTerminalNoise(0.1, 1.0),
+    (differentiator_error_model, lambda: TerminalRampNoise(0.1, 1.0),
      441, 2725, 0, 2725),
 ], ids=["differentiator", "controller_divergence", "diff_divergence", "controller_terminal",
         "diff_terminal"])
@@ -777,7 +776,7 @@ _HELD_SOURCES = {
     "zero_scalar": (differentiator_error_model, ZeroNoise),
     "controller_divergence": (reference_loop, lambda: controller_divergence_noise(1e-2)),
     "constant_vector": (reference_loop,
-                        lambda: _ConstantVectorNoise(np.array([0.0, -1e-3]), 1e-2)),
+                        lambda: _FixedNoise(np.array([0.0, -1e-3]), bound=1e-2)),
 }
 _RUN_KINDS = {
     "plain": {},
@@ -807,7 +806,7 @@ def test_held_source_gives_the_run_of_per_stage_queries(source, run):
 
 
 def test_held_source_over_its_bound_fails_on_the_first_query():
-    noise = _count_queries(_ConstantVectorNoise(np.array([0.0, 2e-2]), 1e-2))
+    noise = _count_queries(_FixedNoise(np.array([0.0, 2e-2]), bound=1e-2))
     with pytest.raises(NoiseBoundViolation):
         integrate(reference_loop(), noise, np.array([1.0, 0.0]), 0.0, 0.5)
     assert noise.calls == 1
