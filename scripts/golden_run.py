@@ -24,9 +24,11 @@ Two checkouts are byte-identical on these runs when their manifests are.
 --against REF extracts the committed files of REF (`git archive`, as
 scripts/bench_pairs.py does) into a temporary directory, runs REF's own
 golden run into OUT/base and this checkout's into OUT/head, prints the
-unified diff of the two manifests ("identical" when there is none) and
-exits 1 when they differ.  Each side's exit-code check is printed but does
-not decide the exit status.
+unified diff of the two manifests ("identical" when there is none), then
+labels each .csv present on both sides whose hash differs: "comments only"
+when its lines not starting with '#' are byte-identical, "data" otherwise.
+It exits 1 when the manifests differ.  Each side's exit-code check is
+printed but does not decide the exit status.
 
 The hashes hold for one machine and one numpy/BLAS build only.  The
 stepper makes no BLAS call, so recorded states do not depend on the BLAS
@@ -306,9 +308,28 @@ def compare_manifests(base: Path, head: Path) -> int:
     return 1 if diff else 0
 
 
+def _hashes(out_root: Path) -> dict[str, str]:
+    """Path -> sha256 of the manifest in out_root."""
+    lines = (out_root / "MANIFEST.sha256").read_text().splitlines()
+    return {path: digest for digest, path in (line.split("  ", 1) for line in lines)}
+
+
+def label_csv_diffs(base: Path, head: Path) -> None:
+    """Print "comments only" or "data" and the path of each .csv that both
+    golden runs wrote with different hashes: "comments only" when the lines
+    that do not start with '#' are byte-identical."""
+    old, new = _hashes(base), _hashes(head)
+    changed = [p for p in old.keys() & new.keys() if p.endswith(".csv") and old[p] != new[p]]
+    for path in sorted(changed):
+        data = [[line for line in (root / path).read_bytes().splitlines(keepends=True)
+                 if not line.startswith(b"#")] for root in (base, head)]
+        print(f"{'comments only' if data[0] == data[1] else 'data'}  {path}")
+
+
 def against(ref: str, out_root: Path) -> int:
     """Golden runs of ref and of this checkout, each by its own script, into
-    out_root/base and out_root/head; the exit status of compare_manifests."""
+    out_root/base and out_root/head, their manifest diff and the labels of
+    label_csv_diffs; the exit status of compare_manifests."""
     from bench_pairs import extract  # this script's directory leads sys.path
 
     base_dir = Path(tempfile.mkdtemp(prefix="golden-base-"))
@@ -321,8 +342,10 @@ def against(ref: str, out_root: Path) -> int:
             sys.stderr.write(proc.stderr)
     finally:
         shutil.rmtree(base_dir, ignore_errors=True)
-    return compare_manifests(out_root / "base" / "MANIFEST.sha256",
+    code = compare_manifests(out_root / "base" / "MANIFEST.sha256",
                              out_root / "head" / "MANIFEST.sha256")
+    label_csv_diffs(out_root / "base", out_root / "head")
+    return code
 
 
 def golden(out_root: Path) -> int:

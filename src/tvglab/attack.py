@@ -52,16 +52,19 @@ from .integrate import (
 from .oracle import instability_witness_time
 
 DEFAULT_LADDER = (0.1, 1.0, 10.0)
+# ratio of consecutive default peak targets
+TARGET_GROWTH = 2.0
+# relative tolerance within which the differentiator's velocity error counts
+# as tracking the ramp slope
+TRACK_REL = 1e-3
 
 
-def default_targets(eta_bar: float, count: int = 7, growth: float = 2.0) -> tuple[float, ...]:
-    """Geometric peak-target ladder max(1, eta_bar) * growth**k, k < count."""
+def default_targets(eta_bar: float, count: int = 7) -> tuple[float, ...]:
+    """Geometric peak-target ladder max(1, eta_bar) * TARGET_GROWTH**k, k < count."""
     if count < 1:
         raise ValueError("target count must be positive")
-    if growth <= 1.0:
-        raise ValueError("target growth must exceed 1")
     base = max(1.0, eta_bar)
-    return tuple(base * growth**k for k in range(count))
+    return tuple(base * TARGET_GROWTH**k for k in range(count))
 
 
 def default_ladder(eta_bar: float) -> tuple[float, ...]:
@@ -169,14 +172,13 @@ class DifferentiatorDivergenceNoise(_DivergenceNoise):
     opposite bound, reaching it exactly at T; the slope magnitude is
     (eta_bar + |eta(t_k)|) / (T - t_k).  The measured loop drives
     x2 + slope to zero, so once tracking is observed (relative tolerance
-    track_rel) and the prospective next slope clears the next target, the
+    TRACK_REL) and the prospective next slope clears the next target, the
     source switches and the velocity error is forced to chase ever larger
     slopes.  Switch instants land on committed integration steps.
     """
 
-    def __init__(self, eta_bar: float, targets, T: float = 1.0, track_rel: float = 1e-3):
+    def __init__(self, eta_bar: float, targets, T: float = 1.0):
         super().__init__(eta_bar, targets, T)
-        self.track_rel = float(track_rel)
         self._t_k = 0.0
         self._eta_k = self.eta_bar  # required start value eta(0) = eta_bar
         self._slope = self._segment_slope(self._eta_k, 0.0)
@@ -204,7 +206,7 @@ class DifferentiatorDivergenceNoise(_DivergenceNoise):
         if self._next_idx >= len(self.targets):
             return False
         eps_next = self.targets[self._next_idx]
-        tracked = abs(float(x[1]) + self._slope) <= max(self.track_rel * abs(self._slope), 1e-12)
+        tracked = abs(float(x[1]) + self._slope) <= max(TRACK_REL * abs(self._slope), 1e-12)
         val = self.value(t, x)
         prospective = (self.eta_bar + abs(val)) / (self.T - t)
         if tracked and prospective > eps_next and t > self.T - 1.0 / eps_next:
@@ -244,11 +246,11 @@ class TerminalRampNoise(NoiseSource):
         return self.s if t < self.s else math.inf
 
 
-def differentiator_divergence_noise(eta_bar: float, targets=None, T: float = 1.0,
-                                    track_rel: float = 1e-3) -> DifferentiatorDivergenceNoise:
+def differentiator_divergence_noise(eta_bar: float, targets=None, T: float = 1.0
+                                    ) -> DifferentiatorDivergenceNoise:
     """Continuous noise with steepening ramps forcing unbounded velocity peaks."""
     targets = default_targets(eta_bar) if targets is None else targets
-    return DifferentiatorDivergenceNoise(eta_bar=eta_bar, targets=targets, T=T, track_rel=track_rel)
+    return DifferentiatorDivergenceNoise(eta_bar=eta_bar, targets=targets, T=T)
 
 
 def controller_divergence_noise(eta_bar: float, targets=None, n: int = 2,

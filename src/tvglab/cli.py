@@ -9,6 +9,15 @@ overridden by the TVGLAB_OUTPUT_DIR environment variable).  ``system.gains``
 and ``disturbance.signal`` name a form and carry only its parameters
 (``pt_diff2:1,1``, ``constant:0.2``); USAGE lists the forms.
 
+Each scenario's runner returns a ScenarioResult: the library's record and
+the run's facts, an ordered list of (label, text) pairs.  One writer
+renders the facts twice: as '# label: text' lines after the config echo in
+<prefix>_<stem>.csv, and as 'label: text' lines after 'scenario: ...' in
+<prefix>_<stem>_summary.txt.  selftest runs the oracle check, then each of
+its checks as the scenario of that check's flags, through the same runners
+and writer under the stem selftest_<stem>, and lists PASS or FAIL per check
+in <prefix>_selftest_summary.txt.
+
 Exit codes: 0 scenario ran and its declared properties held; 1 config error;
 2 numerical failure; 3 scenario ran but a declared property failed.  The
 exception type decides between 1 and 2: the library raises ValueError for
@@ -18,13 +27,14 @@ config error, whether found then or while the scenario runs, writes no file.
 
 Trajectory CSV layout: header ``t,x1..xn,eta1..etan,gain_out`` (a single
 ``eta1`` column for scalar-noise systems), '#'-prefixed comment rows carrying
-the effective config and any switching schedule, and floats printed with 17
+the effective config and the scenario's facts, and floats printed with 17
 significant digits so a re-parse reproduces every value bit-exactly.
 """
 
 from __future__ import annotations
 
 import os
+import shlex
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -41,7 +51,7 @@ from .core import (
     SystemModel,
 )
 from .integrate import IntegrationOptions, OutputGrid, Trajectory, integrate
-from .oracle import verify_solver_against_oracle
+from .oracle import SolverCheckReport, verify_solver_against_oracle
 from .attack import (
     controller_divergence_noise,
     run_controller_ramp_attack,
@@ -491,6 +501,15 @@ def _in_open_01(name: str):
     return lambda v: None if 0.0 < v < 1.0 else f"{name} must lie in (0, 1)"
 
 
+# the largest output grid or scan sample count: each point takes a row of
+# floats that numpy allocates up front
+_MAX_COUNT = 10 ** 7
+
+
+def _count(name: str):
+    return lambda v: None if 2 <= v <= _MAX_COUNT else f"{name} must lie in [2, {_MAX_COUNT}]"
+
+
 _OPTS = IntegrationOptions()
 KEY_SPECS: dict[str, KeySpec] = {
     "scenario": KeySpec(str, None, choices=SCENARIOS, help="what to run"),
@@ -524,7 +543,7 @@ KEY_SPECS: dict[str, KeySpec] = {
     "sim.x0": KeySpec(_parse_floats, None, help="start state, e.g. '1,0'"),
     "sim.t_end": KeySpec(float, None, _positive("sim.t_end")),
     "sim.grid": KeySpec(str, "geometric", choices=("geometric", "uniform")),
-    "sim.grid_count": KeySpec(int, 512, lambda v: None if v >= 2 else "sim.grid_count must be >= 2"),
+    "sim.grid_count": KeySpec(int, 512, _count("sim.grid_count")),
 
     "deadline.rho": KeySpec(float, 1e-3, _positive("deadline.rho")),
     "deadline.tol": KeySpec(float, 0.1, _positive("deadline.tol")),
@@ -553,7 +572,7 @@ KEY_SPECS: dict[str, KeySpec] = {
 
     "scan.delta": KeySpec(float, 1.0, _positive("scan.delta")),
     "scan.rhos": KeySpec(_parse_floats, (1e-1, 1e-2, 1e-3)),
-    "scan.time_samples": KeySpec(int, 64, lambda v: None if v >= 2 else "scan.time_samples must be >= 2"),
+    "scan.time_samples": KeySpec(int, 64, _count("scan.time_samples")),
 
     "falsify.delta": KeySpec(float, 1.0, _positive("falsify.delta")),
     "falsify.epsilon": KeySpec(float, 2.0, _positive("falsify.epsilon")),
@@ -583,9 +602,6 @@ class ConfigError(Exception):
 class ExperimentConfig:
     values: dict = field(default_factory=dict)
     explicit: set = field(default_factory=set)
-
-    def get(self, key: str):
-        return self.values[key]
 
     @property
     def scenario(self) -> str:
@@ -634,7 +650,7 @@ def parse_config(text: str, subcommand: Optional[str] = None,
             continue
         assign(key.strip(), raw, f"line {line_no}")
 
-    for i, (key, raw) in enumerate(overrides or (), start=1):
+    for key, raw in overrides or ():
         assign(key, raw, f"flag --{key}")
 
     _resolve_scenario(cfg, subcommand, violations)
@@ -648,24 +664,16 @@ def _resolve_scenario(cfg: ExperimentConfig, subcommand: Optional[str],
                       violations: list[str]) -> None:
     scenario = cfg.values.get("scenario")
     if scenario is None and subcommand is not None:
-        if subcommand == "attack":
-            kind = cfg.values.get("attack.kind")
+        scenario = subcommand
+        key = {"attack": "attack.kind", "workaround": "workaround.variant"}.get(subcommand)
+        if key is not None:
+            kind = cfg.values.get(key)
             if kind is None:
                 violations.append(
-                    "scenario: the attack subcommand needs attack.kind or an explicit "
-                    f"scenario = attack.<kind> (kinds: {', '.join(ATTACK_KINDS)})")
+                    f"scenario: the {subcommand} subcommand needs {key} or an explicit "
+                    f"scenario = {subcommand}.<kind> (kinds: {', '.join(KEY_SPECS[key].choices)})")
                 return
-            scenario = f"attack.{kind}"
-        elif subcommand == "workaround":
-            kind = cfg.values.get("workaround.variant")
-            if kind is None:
-                violations.append(
-                    "scenario: the workaround subcommand needs workaround.variant or an "
-                    "explicit scenario = workaround.<kind>")
-                return
-            scenario = f"workaround.{kind}"
-        else:
-            scenario = subcommand
+            scenario = f"{subcommand}.{kind}"
         cfg.values["scenario"] = scenario
     elif scenario is None:
         violations.append("scenario: missing required key 'scenario'")
@@ -771,21 +779,22 @@ def config_echo_lines(cfg: ExperimentConfig) -> list[str]:
             if not key.startswith("output.") and cfg.values[key] is not None]
 
 
+def _trajectory_header(n: int, eta_cols: int) -> list[str]:
+    return ["t", *(f"x{i + 1}" for i in range(n)), *(f"eta{i + 1}" for i in range(eta_cols)),
+            "gain_out"]
+
+
 def write_trajectory_csv(path: str, traj: Trajectory, cfg: Optional[ExperimentConfig] = None,
                          extra_comments: Sequence[str] = ()) -> None:
     """Write the config echo, extra_comments, the header and one row of
     %.16e text (the text of fmt) per sample.  Rows come from the vectorised
     _format_rows, _CSV_BLOCK_ROWS at a time; a row it cannot prove goes to
     the scalar _format_row."""
-    n = traj.n
-    eta_cols = traj.etas.shape[1]
-    header = ["t"] + [f"x{i + 1}" for i in range(n)] \
-        + [f"eta{i + 1}" for i in range(eta_cols)] + ["gain_out"]
     lines = []
     if cfg is not None:
         lines.extend(config_echo_lines(cfg))
     lines.extend(extra_comments)
-    lines.append(",".join(header))
+    lines.append(",".join(_trajectory_header(traj.n, traj.etas.shape[1])))
     data = np.column_stack((traj.ts, traj.xs, traj.etas, traj.gains))
     blocks = (_format_rows(data[i:i + _CSV_BLOCK_ROWS])
               for i in range(0, len(data), _CSV_BLOCK_ROWS))
@@ -836,9 +845,7 @@ def parse_trajectory_csv(path: str) -> dict:
         raise ValueError(f"no header row in {path}")
     n = sum(1 for h in header if h.startswith("x"))
     eta_cols = sum(1 for h in header if h.startswith("eta"))
-    layout = ["t", *(f"x{i + 1}" for i in range(n)), *(f"eta{i + 1}" for i in range(eta_cols)),
-              "gain_out"]
-    if header != layout or not n or not eta_cols:
+    if header != _trajectory_header(n, eta_cols) or not n or not eta_cols:
         raise ValueError(f"{path}: header {','.join(header)!r} is not the layout "
                          "t,x1..xn,eta1..etam,gain_out")
     cols = len(header)
@@ -879,51 +886,31 @@ def _fmt_or_nan(v: Optional[float]) -> str:
     return "nan" if v is None else fmt(v)
 
 
-def _table(comments: Sequence[str], cases: Sequence, header: Sequence[str],
-           rows: Iterable[Sequence[str]]) -> list[str]:
-    """Comment lines, one '# case i failed' line per failed case, the header
-    row, then the rows, as CSV lines."""
-    lines = list(comments)
-    lines += [f"# case {i} failed: {c.failure}" for i, c in enumerate(cases) if c.failure]
-    lines.append(",".join(header))
-    lines += [",".join(row) for row in rows]
-    return lines
+def _table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> list[str]:
+    """The header row, then the rows, as CSV lines."""
+    return [",".join(header), *(",".join(row) for row in rows)]
 
 
-def deadline_table(report: DeadlineReport,
-                   shrink: Sequence[tuple[str, tuple[tuple[float, float], ...]]] = ()) -> list[str]:
+def deadline_table(report: DeadlineReport) -> list[str]:
     n = max((len(c.xi) for c in report.cases), default=2)
-    comments = [f"# deadline: rho = {fmt(report.rho)}, tol = {fmt(report.tol)}"]
-    comments += [f"# shrink {label}: " + ", ".join(f"rho={fmt(r)} norm={fmt(v)}" for r, v in profile)
-                 for label, profile in shrink]
     header = ["s"] + [f"xi{i + 1}" for i in range(n)] + ["terminal_norm", "bound", "passed"]
     rows = ([fmt(c.s), *map(fmt, c.xi), _fmt_or_nan(c.terminal_norm), fmt(c.bound),
              "1" if c.passed else "0"] for c in report.cases)
-    return _table(comments, report.cases, header, rows)
+    return _table(header, rows)
 
 
 def scan_table(table: GainScanTable) -> list[str]:
     width = max(len(r.arg_state) for r in table.rows)
-    comments = [f"# scan: kind = {table.kind}, delta = {fmt(table.delta)}, "
-                f"monotone = {'1' if table.monotone else '0'}"]
     header = ["rho", "supremum", "arg_time"] + [f"arg_x{i + 1}" for i in range(width)] \
         + ["arg_channel"]
     rows = ([fmt(r.rho), fmt(r.supremum), fmt(r.arg_time), *map(fmt, r.arg_state),
              *["nan"] * (width - len(r.arg_state)),
              str(-1 if r.arg_channel is None else r.arg_channel)] for r in table.rows)
-    return _table(comments, (), header, rows)
+    return _table(header, rows)
 
 
 def workaround_table(report: WorkaroundReport) -> list[str]:
     n = max(len(c.xi) for c in report.cases)
-    comments = [f"# workaround: variant = {report.variant}, parameter = {fmt(report.parameter)}, "
-                f"noisy = {'1' if report.noisy else '0'}"]
-    if report.slope is not None:
-        comments.append(f"# fit: slope = {fmt(report.slope)}, intercept = {fmt(report.intercept)}, "
-                        f"r_squared = {fmt(report.r_squared)}")
-    if report.no_entry_flags:
-        flagged = ", ".join(str(i) for i in report.no_entry_flags)
-        comments.append(f"# no entry before T - rho_min for cases: {flagged}")
     header = [f"xi{i + 1}" for i in range(n)]
     if report.variant == "stop_time":
         header += [f"residual_x{i + 1}" for i in range(n)] + ["residual_norm"]
@@ -936,7 +923,12 @@ def workaround_table(report: WorkaroundReport) -> list[str]:
                  _fmt_or_nan(c.gain_at_entry),
                  *(["nan"] * n if c.final_state is None else map(fmt, c.final_state))]
                 for c in report.cases)
-    return _table(comments, report.cases, header, rows)
+    return _table(header, rows)
+
+
+def oracle_table(report: SolverCheckReport) -> list[str]:
+    rows = ([fmt(c.s), fmt(c.xi[0]), fmt(c.xi[1]), fmt(c.max_rel_error)] for c in report.cases)
+    return _table(["s", "xi1", "xi2", "max_rel_error"], rows)
 
 
 def maybe_write_plot(path: str, traj: Trajectory, enabled: bool) -> None:
@@ -966,31 +958,62 @@ def maybe_write_plot(path: str, traj: Trajectory, enabled: bool) -> None:
 # scenario runners
 
 
+Fact = tuple[str, str]
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
-    """What one scenario run produced, before run() names and writes it.
+    """What one scenario run produced, before _write_result writes it.
 
-    The CSV <prefix>_<stem>.csv holds the config echo, then either table (the
-    lines after the echo) or trajectory with its comment lines; the summary
-    goes to <prefix>_<stem>_summary.txt.  error, when set, is printed to
-    stderr after the artifacts are written.
+    facts are the run's (label, text) lines in order; record is the
+    library's result (a report, an attack outcome or a trajectory).  The
+    CSV holds the record's trajectory, or else table (its header and rows).
+    error, when set, is printed to stderr after the artifacts are written.
     """
 
     stem: str
-    summary: Sequence[str]
+    facts: Sequence[Fact]
     exit_code: int
+    record: object
     table: Sequence[str] = ()
-    trajectory: Optional[Trajectory] = None
-    comments: Sequence[str] = ()
     error: str = ""
 
-
-def _file_name(cfg: ExperimentConfig, stem: str, ext: str = "csv") -> str:
-    return f"{cfg.values['output.prefix']}_{stem}.{ext}"
+    @property
+    def trajectory(self) -> Optional[Trajectory]:
+        if isinstance(self.record, Trajectory):
+            return self.record
+        return getattr(self.record, "trajectory", None)
 
 
 def _out_path(cfg: ExperimentConfig, out_dir: str, stem: str, ext: str = "csv") -> str:
-    return os.path.join(out_dir, _file_name(cfg, stem, ext))
+    return os.path.join(out_dir, f"{cfg.values['output.prefix']}_{stem}.{ext}")
+
+
+def _write_summary(cfg: ExperimentConfig, out_dir: str, stem: str, facts: Sequence[Fact]) -> None:
+    """<prefix>_<stem>_summary.txt: 'scenario: ...', then one 'label: text'
+    line per fact."""
+    _write_lines(_out_path(cfg, out_dir, f"{stem}_summary", "txt"),
+                 [f"scenario: {cfg.scenario}", *(f"{label}: {text}" for label, text in facts)])
+
+
+def _write_result(cfg: ExperimentConfig, out_dir: str, stem: str, result: ScenarioResult) -> None:
+    """Write a result as <prefix>_<stem>.csv and its summary.  The CSV holds
+    the config echo, one '# label: text' line per fact, then the trajectory
+    or the table; a trajectory gets the SVG plot too when output.plot is
+    set."""
+    path = _out_path(cfg, out_dir, stem)
+    comments = [f"# {label}: {text}" for label, text in result.facts]
+    traj = result.trajectory
+    if traj is None:
+        _write_lines(path, config_echo_lines(cfg) + comments + list(result.table))
+    else:
+        write_trajectory_csv(path, traj, cfg, comments)
+        maybe_write_plot(_out_path(cfg, out_dir, stem, "svg"), traj, cfg.values["output.plot"])
+    _write_summary(cfg, out_dir, stem, result.facts)
+
+
+def _case_failures(cases: Sequence) -> list[Fact]:
+    return [(f"case {i} failed", c.failure) for i, c in enumerate(cases) if c.failure]
 
 
 def _run_simulate(cfg: ExperimentConfig) -> ScenarioResult:
@@ -1002,18 +1025,13 @@ def _run_simulate(cfg: ExperimentConfig) -> ScenarioResult:
     x0 = np.asarray(cfg.values["sim.x0"], dtype=float)
     traj = integrate(model, None, x0, cfg.values["sim.s"], t_end, opts)
     final = traj.xs[-1]
-    summary = [
-        "scenario: simulate",
-        f"variant: {model.variant}",
-        f"span: [{fmt(traj.t0)}, {fmt(traj.t_last)}]",
-        f"termination: {traj.termination.kind}",
-        f"final state: {', '.join(fmt(v) for v in final)}",
-        f"final norm: {fmt(float(np.linalg.norm(final)))}",
-        f"artifact: {_file_name(cfg, 'simulate')}",
-    ]
-    comments = [f"# termination: {traj.termination.kind} at t = {fmt(traj.termination.t)}"]
-    return ScenarioResult("simulate", summary, EXIT_OK if traj.completed else EXIT_NUMERICAL,
-                          trajectory=traj, comments=comments, error="" if traj.completed
+    facts = [("variant", model.variant),
+             ("span", f"[{fmt(traj.t0)}, {fmt(traj.t_last)}]"),
+             ("termination", traj.termination.kind),
+             ("final state", ", ".join(map(fmt, final))),
+             ("final norm", fmt(float(np.linalg.norm(final))))]
+    return ScenarioResult("simulate", facts, EXIT_OK if traj.completed else EXIT_NUMERICAL, traj,
+                          error="" if traj.completed
                           else f"simulate: integration ended early: {traj.termination.kind}")
 
 
@@ -1027,23 +1045,19 @@ def _run_verify_deadline(cfg: ExperimentConfig) -> ScenarioResult:
                                      cfg.values["deadline.ics"],
                                      rho=cfg.values["deadline.rho"],
                                      tol=cfg.values["deadline.tol"], opts=opts)
-    shrink = []
+    facts = [("variant", model.variant),
+             ("deadline", f"rho = {fmt(report.rho)}, tol = {fmt(report.tol)}"),
+             ("cases", str(len(report.cases))),
+             ("passed", str(report.passed))]
     if rhos and report.passed:
         xi = cfg.values["deadline.ics"][0]
         prof = rho_shrink_profile(model, cfg.values["deadline.starts"][0], xi, rhos, opts=opts)
-        shrink.append((",".join(fmt(v) for v in xi), prof))
-    summary = ["scenario: verify-deadline",
-               f"variant: {model.variant}",
-               f"cases: {len(report.cases)}",
-               f"passed: {report.passed}"]
-    for c in report.cases:
-        norm_txt = fmt(c.terminal_norm) if c.terminal_norm is not None else "failed"
-        summary.append(f"  s={fmt(c.s)} xi=({', '.join(fmt(v) for v in c.xi)}) "
-                       f"terminal={norm_txt} bound={fmt(c.bound)} "
-                       f"{'ok' if c.passed else 'FAIL'}")
+        facts.append((f"shrink {','.join(map(fmt, xi))}",
+                      ", ".join(f"rho={fmt(r)} norm={fmt(v)}" for r, v in prof)))
     failed = any(c.failure for c in report.cases)
     code = EXIT_NUMERICAL if failed else EXIT_OK if report.passed else EXIT_PROPERTY
-    return ScenarioResult("deadline", summary, code, table=deadline_table(report, shrink))
+    return ScenarioResult("deadline", facts + _case_failures(report.cases), code, report,
+                          deadline_table(report))
 
 
 def _attack_run(kind: str, cfg: ExperimentConfig):
@@ -1057,62 +1071,43 @@ def _run_attack(cfg: ExperimentConfig) -> ScenarioResult:
     kind = cfg.scenario.split(".", 1)[1]
     model = build_model(cfg)
     opts = build_options(cfg)
-    eta_bar = cfg.values["attack.eta_bar"]
     epsilon = cfg.values["attack.epsilon"]
     runner, keys = _attack_run(kind, cfg)
     outcome = runner(model, opts=opts, **{key: cfg.values[f"attack.{key}"] for key in keys})
-    head = f"# attack: kind = {kind}, eta_bar = {fmt(eta_bar)}"
-    if kind in ("controller-divergence", "diff-divergence"):
-        comments = [head]
-        if outcome.schedule.delta is not None:
-            comments.append(f"# schedule: delta = {fmt(outcome.schedule.delta)}")
-        comments.append("# schedule: targets = "
-                        + ",".join(fmt(v) for v in outcome.schedule.targets))
-        for k_i, t_i in enumerate(outcome.schedule.times):
-            comments.append(f"# schedule: switch {k_i} at t = {fmt(t_i)}")
-        for thr, t_c in outcome.peaks:
-            t_txt = fmt(t_c) if t_c is not None else "never"
-            comments.append(f"# peak: threshold {fmt(thr)} first crossed at {t_txt}")
-    elif outcome.plan is not None:
-        comments = [f"{head}, epsilon = {fmt(epsilon)}",
-                    f"# plan: s = {fmt(outcome.plan.s)}",
-                    f"# plan: tracking_error = {fmt(outcome.tracking_error)}"]
-    else:
-        comments = [f"{head}, epsilon = {fmt(epsilon)}", f"# ramp: s = {fmt(outcome.ramp.s)}"]
-    if outcome.notes:
-        comments.append(f"# note: {outcome.notes}")
-    summary = [f"scenario: attack.{kind}",
-               f"noise bound: {fmt(outcome.noise_bound)}",
-               f"verdict: {'pass' if outcome.verdict else 'FAIL'}"]
+    facts = [("attack", f"kind = {kind}, eta_bar = {fmt(outcome.noise_bound)}"
+                        + ("" if epsilon is None else f", epsilon = {fmt(epsilon)}")),
+             ("verdict", "pass" if outcome.verdict else "FAIL")]
+    schedule = outcome.schedule
+    if schedule is not None:
+        if schedule.delta is not None:
+            facts.append(("schedule", f"delta = {fmt(schedule.delta)}"))
+        facts.append(("schedule", "targets = " + ",".join(map(fmt, schedule.targets))))
+        facts += [("schedule", f"switch {k} at t = {fmt(t)}") for k, t in enumerate(schedule.times)]
+    for thr, t_c in outcome.peaks or ():
+        facts.append(("peak", f"threshold {fmt(thr)} first crossed at "
+                              + ("never" if t_c is None else fmt(t_c))))
+    if outcome.plan is not None:
+        facts.append(("plan", f"s = {fmt(outcome.plan.s)}"))
+    if outcome.ramp is not None:
+        facts.append(("ramp", f"s = {fmt(outcome.ramp.s)}"))
     if outcome.terminal is not None:
-        summary.append(f"terminal state: {', '.join(fmt(v) for v in outcome.terminal)}")
-        summary.append(f"terminal norm: {fmt(float(np.linalg.norm(outcome.terminal)))}")
+        facts += [("terminal state", ", ".join(map(fmt, outcome.terminal))),
+                  ("terminal norm", fmt(float(np.linalg.norm(outcome.terminal))))]
     if outcome.tracking_error is not None:
-        summary.append(f"tracking error: {fmt(outcome.tracking_error)}")
-    if outcome.peaks is not None:
-        for thr, t_c in outcome.peaks:
-            summary.append(f"threshold {fmt(thr)}: "
-                           + (f"crossed at {fmt(t_c)}" if t_c is not None else "never crossed"))
+        facts.append(("tracking error", fmt(outcome.tracking_error)))
     if outcome.notes:
-        summary.append(f"notes: {outcome.notes}")
-    return ScenarioResult(f"attack_{kind.replace('-', '_')}", summary,
-                          EXIT_OK if outcome.verdict else EXIT_PROPERTY,
-                          trajectory=outcome.trajectory, comments=comments)
+        facts.append(("note", outcome.notes))
+    return ScenarioResult(f"attack_{kind.replace('-', '_')}", facts,
+                          EXIT_OK if outcome.verdict else EXIT_PROPERTY, outcome)
 
 
 def _run_gain_scan(cfg: ExperimentConfig) -> ScenarioResult:
     model = build_model(cfg)
     table = gain_supremum_scan(model, cfg.values["scan.delta"], cfg.values["scan.rhos"],
                                time_samples=cfg.values["scan.time_samples"])
-    summary = ["scenario: gain-scan",
-               f"kind: {table.kind}",
-               f"delta: {fmt(table.delta)}",
-               f"monotone: {table.monotone}"]
-    for r in table.rows:
-        ch = "" if r.arg_channel is None else f" channel {r.arg_channel + 1}"
-        summary.append(f"  rho={fmt(r.rho)} sup={fmt(r.supremum)}{ch} at t={fmt(r.arg_time)}")
-    return ScenarioResult("gain_scan", summary, EXIT_OK if table.monotone else EXIT_PROPERTY,
-                          table=scan_table(table))
+    facts = [("kind", table.kind), ("delta", fmt(table.delta)), ("monotone", str(table.monotone))]
+    return ScenarioResult("gain_scan", facts, EXIT_OK if table.monotone else EXIT_PROPERTY, table,
+                          scan_table(table))
 
 
 def _run_falsify(cfg: ExperimentConfig) -> ScenarioResult:
@@ -1121,20 +1116,15 @@ def _run_falsify(cfg: ExperimentConfig) -> ScenarioResult:
     witness = falsify_uniform_stability(model, cfg.values["falsify.delta"],
                                         cfg.values["falsify.epsilon"],
                                         eps_prime=cfg.values["falsify.eps_prime"], opts=opts)
-    comments = [f"# witness: s = {fmt(witness.s)}, delta = {fmt(witness.delta)}, "
-                f"epsilon = {fmt(witness.epsilon)}, eps_prime = {fmt(witness.eps_prime)}"]
+    facts = [("witness", f"x(s) = delta * e1 with s = {fmt(witness.s)}, "
+                         f"delta = {fmt(witness.delta)}, epsilon = {fmt(witness.epsilon)}, "
+                         f"eps_prime = {fmt(witness.eps_prime)}"),
+             ("crossed epsilon", "yes" if witness.crossed else "NO")]
     if witness.crossing_time is not None:
-        comments.append(f"# witness: first crossing at t = {fmt(witness.crossing_time)}")
-    comments.append(f"# witness: attained norm {fmt(witness.attained_norm)} "
-                    f"at t = {fmt(witness.attained_time)}")
-    summary = ["scenario: falsify-stability",
-               f"start: x(s) = delta * e1 with s = {fmt(witness.s)}, delta = {fmt(witness.delta)}",
-               f"crossed epsilon = {fmt(witness.epsilon)}: {'yes' if witness.crossed else 'NO'}"]
-    if witness.crossing_time is not None:
-        summary.append(f"first crossing: t = {fmt(witness.crossing_time)}")
-    summary.append(f"attained norm: {fmt(witness.attained_norm)} at t = {fmt(witness.attained_time)}")
-    return ScenarioResult("falsify", summary, EXIT_OK if witness.crossed else EXIT_PROPERTY,
-                          trajectory=witness.trajectory, comments=comments)
+        facts.append(("first crossing", f"t = {fmt(witness.crossing_time)}"))
+    facts.append(("attained norm",
+                  f"{fmt(witness.attained_norm)} at t = {fmt(witness.attained_time)}"))
+    return ScenarioResult("falsify", facts, EXIT_OK if witness.crossed else EXIT_PROPERTY, witness)
 
 
 def _run_workaround(cfg: ExperimentConfig) -> ScenarioResult:
@@ -1151,147 +1141,17 @@ def _run_workaround(cfg: ExperimentConfig) -> ScenarioResult:
     else:
         report = evaluate_deadzone(model, cfg.values["workaround.width"],
                                    cfg.values["workaround.ics"], noise=noise, opts=opts)
-    summary = [f"scenario: workaround.{kind}",
-               f"parameter: {fmt(report.parameter)}",
-               f"noisy: {report.noisy}"]
-    for c in report.cases:
-        if report.variant == "stop_time":
-            res = "failed" if c.residual_state is None else f"residual norm {fmt(c.residual_norm)}"
-        elif c.failure:
-            res = f"failed ({c.failure})"
-        elif not c.entered:
-            res = "no entry before T - rho_min"
-        else:
-            res = f"entry at {fmt(c.entry_time)}, gain {fmt(c.gain_at_entry)}"
-        summary.append(f"  xi=({', '.join(fmt(v) for v in c.xi)}): {res}")
+    facts = [("parameter", fmt(report.parameter)), ("noisy", str(report.noisy))]
     if report.slope is not None:
-        summary.append(f"fit: slope = {fmt(report.slope)}, intercept = {fmt(report.intercept)}, "
-                       f"R^2 = {fmt(report.r_squared)}")
+        facts.append(("fit", f"slope = {fmt(report.slope)}, intercept = {fmt(report.intercept)}, "
+                             f"r_squared = {fmt(report.r_squared)}"))
     if report.no_entry_flags:
-        summary.append("flagged cases (no entry): "
-                       + ", ".join(str(i) for i in report.no_entry_flags))
+        facts.append(("no entry before T - rho_min for cases",
+                      ", ".join(map(str, report.no_entry_flags))))
     failed = any(c.failure for c in report.cases)
-    return ScenarioResult(f"workaround_{kind.replace('-', '_')}", summary,
-                          EXIT_NUMERICAL if failed else EXIT_OK, table=workaround_table(report))
-
-
-def _selftest(cfg: ExperimentConfig, out_dir: str) -> int:
-    """Deterministic battery touching every capability; artifacts are
-    byte-identical across runs with the same config and seed.  Unlike the
-    scenario runners' CSVs, its artifacts carry no config echo."""
-    from .core import reference_loop, differentiator_error_model, open_loop_chain
-
-    unread = sorted(key for key in cfg.explicit
-                    if key not in ("scenario", "seed") and not key.startswith("output."))
-    if unread:
-        raise ValueError(f"selftest reads no key but seed and output.*; got {', '.join(unread)}")
-
-    grid_s = (0.0, 0.3, 0.6)
-    grid_xi = ((1.0, 0.0), (0.0, 1.0), (10.0, -10.0))
-    rhos = (1e-1, 1e-2, 1e-3)
-
-    def oracle_table(report) -> list[str]:
-        return _table(["# oracle check", f"# max_rel_error = {fmt(report.max_rel_error)}"], (),
-                      ["s", "xi1", "xi2", "max_rel_error"],
-                      ([fmt(c.s), fmt(c.xi[0]), fmt(c.xi[1]), fmt(c.max_rel_error)]
-                       for c in report.cases))
-
-    def increasing(values) -> bool:
-        return all(b > a for a, b in zip(values, values[1:]))
-
-    # (check name, artifact stem or None, call, predicate on its result,
-    # artifact lines: the table, or the comment lines of the result's trajectory)
-    battery = [
-        ("oracle equivalence (8 seeded cases, tol 1e-6)", "selftest_oracle",
-         lambda: verify_solver_against_oracle(sample_count=8, tol=1e-6, seed=cfg.values["seed"]),
-         lambda r: r.passed, oracle_table),
-        ("absolute deadline, control loop", "selftest_deadline_control",
-         lambda: check_absolute_deadline(reference_loop(), grid_s, grid_xi),
-         lambda r: r.passed, deadline_table),
-        ("absolute deadline, differentiator error model", "selftest_deadline_diff",
-         lambda: check_absolute_deadline(differentiator_error_model(), grid_s, grid_xi),
-         lambda r: r.passed, deadline_table),
-        ("open-loop negative control fails the deadline check", None,
-         lambda: check_absolute_deadline(open_loop_chain(), (0.0,), ((0.0, 1.0),)),
-         lambda r: not r.passed, None),
-        ("controller divergence ladder", "selftest_attack_controller_divergence",
-         lambda: run_divergence_attack(reference_loop(rho_min=1e-9), 1e-2),
-         lambda r: r.verdict,
-         lambda r: [f"# schedule: switch {k} at t = {fmt(t)}"
-                    for k, t in enumerate(r.schedule.times)]),
-        ("differentiator divergence ladder", "selftest_attack_diff_divergence",
-         lambda: run_divergence_attack(differentiator_error_model(rho_min=1e-9), 1e-2),
-         lambda r: r.verdict, lambda r: []),
-        ("controller terminal-error tracking", "selftest_attack_controller_terminal",
-         lambda: run_controller_terminal_attack(reference_loop(), 0.1, 0.5),
-         lambda r: r.verdict and r.tracking_error <= 1e-6,
-         lambda r: [f"# plan: s = {fmt(r.plan.s)}"]),
-        ("differentiator terminal ramp", "selftest_attack_diff_terminal",
-         lambda: run_differentiator_terminal_attack(differentiator_error_model(), 0.1, 1.0,
-                                                    (0.0, 0.0)),
-         lambda r: r.verdict, lambda r: [f"# ramp: s = {fmt(r.ramp.s)}"]),
-        ("controller gain scan monotone", "selftest_gain_scan_control",
-         lambda: gain_supremum_scan(reference_loop(), 1.0, rhos),
-         lambda r: r.monotone, scan_table),
-        ("injection gain scan monotone", "selftest_gain_scan_diff",
-         lambda: gain_supremum_scan(differentiator_error_model(), 1.0, rhos),
-         lambda r: r.monotone, scan_table),
-        ("uniform-stability falsification", "selftest_falsify",
-         lambda: falsify_uniform_stability(reference_loop(), 1.0, 2.0, 2.5),
-         lambda r: r.crossed,
-         lambda r: [f"# witness: s = {fmt(r.s)}", f"# witness: attained = {fmt(r.attained_norm)}"]),
-        ("stop-time residual fit", "selftest_workaround_stop_time",
-         lambda: evaluate_stop_time(reference_loop(), 0.9,
-                                    ((1.0, 0.0), (2.0, 0.0), (5.0, 0.0), (10.0, 0.0))),
-         lambda r: r.r_squared is not None and r.r_squared >= 0.999, workaround_table),
-        ("deadzone noise-free entries ordered", "selftest_workaround_deadzone",
-         lambda: evaluate_deadzone(reference_loop(rho_min=1e-6), 1e-2,
-                                   ((1.0, 0.0), (10.0, 0.0), (100.0, 0.0))),
-         lambda r: (all(c.entered for c in r.cases)
-                    and increasing([c.entry_time for c in r.cases])
-                    and increasing([c.gain_at_entry for c in r.cases])),
-         workaround_table),
-        # width eta_bar / 100: in the held segments' closed form |x|inf stays above 5e-4
-        ("deadzone entry prevented by bounded noise", "selftest_workaround_deadzone_noisy",
-         lambda: evaluate_deadzone(reference_loop(rho_min=1e-6), 1e-4, ((10.0, 0.0),),
-                                   noise=lambda: controller_divergence_noise(1e-2)),
-         lambda r: r.no_entry_flags == (0,), workaround_table),
-    ]
-
-    checks: list[tuple[str, bool]] = []
-    noisy_csvs = []  # (path, noise bound) of the attack trajectories
-    for name, stem, call, predicate, artifact in battery:
-        result = call()
-        if stem is not None:
-            path = _out_path(cfg, out_dir, stem)
-            if hasattr(result, "trajectory"):
-                write_trajectory_csv(path, result.trajectory, None, artifact(result))
-                if hasattr(result, "noise_bound"):
-                    noisy_csvs.append((path, result.noise_bound))
-            else:
-                _write_lines(path, artifact(result))
-        checks.append((name, predicate(result)))
-
-    round_trip_ok = True
-    bound_ok = True
-    for path, bound in noisy_csvs:
-        parsed = parse_trajectory_csv(path)
-        if float(np.max(np.linalg.norm(parsed["etas"], axis=1))) > bound * (1.0 + 1e-12):
-            bound_ok = False
-        table = np.column_stack((parsed["ts"], parsed["xs"], parsed["etas"], parsed["gains"]))
-        rebuilt = parsed["comments"] + [",".join(parsed["header"])] \
-            + [",".join(map(fmt, row)) for row in table.tolist()]
-        with open(path, "r", encoding="utf-8") as fh:
-            if fh.read() != "\n".join(rebuilt) + "\n":
-                round_trip_ok = False
-    checks.append(("trajectory CSVs round-trip bit-exactly", round_trip_ok))
-    checks.append(("trajectory CSV noise columns respect bounds", bound_ok))
-
-    all_ok = all(ok for _, ok in checks)
-    lines = ["scenario: selftest"] + [f"{'PASS' if ok else 'FAIL'}: {name}" for name, ok in checks]
-    lines.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
-    _write_lines(_out_path(cfg, out_dir, "selftest_summary", "txt"), lines)
-    return EXIT_OK if all_ok else EXIT_PROPERTY
+    return ScenarioResult(f"workaround_{kind.replace('-', '_')}",
+                          facts + _case_failures(report.cases),
+                          EXIT_NUMERICAL if failed else EXIT_OK, report, workaround_table(report))
 
 
 # keyed by the scenario up to its first '.'
@@ -1305,11 +1165,99 @@ _RUNNERS: dict[str, Callable[[ExperimentConfig], ScenarioResult]] = {
 }
 
 
+def _increasing(values: Sequence[float]) -> bool:
+    return all(b > a for a, b in zip(values, values[1:]))
+
+
+# selftest's checks after the oracle's: (name, artifact stem, the tvglab
+# arguments of the scenario it runs, predicate on that scenario's record)
+_SELFTEST_CHECKS = (
+    ("absolute deadline, control loop", "deadline_control",
+     'verify-deadline --deadline.shrink_rhos ""', lambda r: r.passed),
+    ("absolute deadline, differentiator error model", "deadline_diff",
+     'verify-deadline --system.variant diff_error --deadline.shrink_rhos ""', lambda r: r.passed),
+    ("open-loop negative control fails the deadline check", "deadline_open_loop",
+     "verify-deadline --system.gains zero:2 --deadline.starts 0 --deadline.ics 0,1",
+     lambda r: not r.passed),
+    ("controller divergence ladder", "attack_controller_divergence",
+     "attack --attack.kind controller-divergence --attack.eta_bar 0.01 --system.rho_min 1e-9",
+     lambda r: r.verdict),
+    ("differentiator divergence ladder", "attack_diff_divergence",
+     "attack --attack.kind diff-divergence --attack.eta_bar 0.01 --system.rho_min 1e-9",
+     lambda r: r.verdict),
+    ("controller terminal-error tracking", "attack_controller_terminal",
+     "attack --attack.kind controller-terminal --attack.eta_bar 0.1 --attack.epsilon 0.5",
+     lambda r: r.verdict and r.tracking_error <= 1e-6),
+    ("differentiator terminal ramp", "attack_diff_terminal",
+     "attack --attack.kind diff-terminal --attack.eta_bar 0.1 --attack.epsilon 1",
+     lambda r: r.verdict),
+    ("controller gain scan monotone", "gain_scan_control", "gain-scan", lambda r: r.monotone),
+    ("injection gain scan monotone", "gain_scan_diff", "gain-scan --system.variant diff_error",
+     lambda r: r.monotone),
+    ("uniform-stability falsification", "falsify", "falsify-stability --falsify.eps_prime 2.5",
+     lambda r: r.crossed),
+    ("stop-time residual fit", "workaround_stop_time",
+     'workaround --workaround.variant stop-time --workaround.ics "1,0; 2,0; 5,0; 10,0"',
+     lambda r: r.r_squared is not None and r.r_squared >= 0.999),
+    ("deadzone noise-free entries ordered", "workaround_deadzone",
+     "workaround --workaround.variant deadzone --system.rho_min 1e-6",
+     lambda r: (all(c.entered for c in r.cases) and _increasing([c.entry_time for c in r.cases])
+                and _increasing([c.gain_at_entry for c in r.cases]))),
+    # width eta_bar / 100: in the held segments' closed form |x|inf stays above 5e-4
+    ("deadzone entry prevented by bounded noise", "workaround_deadzone_noisy",
+     "workaround --workaround.variant deadzone --system.rho_min 1e-6 --workaround.width 1e-4 "
+     "--workaround.ics 10,0 --workaround.noise_eta_bar 1e-2",
+     lambda r: r.no_entry_flags == (0,)),
+)
+
+
+def _selftest(cfg: ExperimentConfig, out_dir: str) -> int:
+    """Deterministic battery touching every capability: the oracle check,
+    then each _SELFTEST_CHECKS scenario, run by its runner and written by
+    _write_result as selftest_<stem>, config echo included.  Artifacts are
+    byte-identical across runs with the same config and seed."""
+    unread = sorted(key for key in cfg.explicit
+                    if key not in ("scenario", "seed") and not key.startswith("output."))
+    if unread:
+        raise ValueError(f"selftest reads no key but seed and output.*; got {', '.join(unread)}")
+
+    report = verify_solver_against_oracle(sample_count=8, tol=1e-6, seed=cfg.values["seed"])
+    _write_result(cfg, out_dir, "selftest_oracle", ScenarioResult(
+        "oracle", [("max_rel_error", fmt(report.max_rel_error)), ("passed", str(report.passed))],
+        EXIT_OK if report.passed else EXIT_PROPERTY, report, oracle_table(report)))
+    checks = [("oracle equivalence (8 seeded cases, tol 1e-6)", report.passed)]
+    round_trips, bounds = [], []  # one entry per attack trajectory CSV
+    for name, stem, args, predicate in _SELFTEST_CHECKS:
+        subcommand, *flags = shlex.split(args)
+        check = parse_config("", subcommand, _split_flags(flags)[1])
+        check.values.update((k, v) for k, v in cfg.values.items() if k.startswith("output."))
+        result = _RUNNERS[subcommand](check)
+        _write_result(check, out_dir, f"selftest_{stem}", result)
+        checks.append((name, predicate(result.record)))
+        if hasattr(result.record, "noise_bound"):
+            path = _out_path(check, out_dir, f"selftest_{stem}")
+            parsed = parse_trajectory_csv(path)
+            bounds.append(float(np.max(np.linalg.norm(parsed["etas"], axis=1)))
+                          <= result.record.noise_bound * (1.0 + 1e-12))
+            table = np.column_stack((parsed["ts"], parsed["xs"], parsed["etas"], parsed["gains"]))
+            rebuilt = parsed["comments"] + [",".join(parsed["header"])] \
+                + [",".join(map(fmt, row)) for row in table.tolist()]
+            with open(path, "r", encoding="utf-8") as fh:
+                round_trips.append(fh.read() == "\n".join(rebuilt) + "\n")
+    checks += [("trajectory CSVs round-trip bit-exactly", all(round_trips)),
+               ("trajectory CSV noise columns respect bounds", all(bounds))]
+
+    all_ok = all(ok for _, ok in checks)
+    verdicts = [("PASS" if ok else "FAIL", name) for name, ok in checks]
+    _write_summary(cfg, out_dir, "selftest", verdicts + [("overall", "PASS" if all_ok else "FAIL")])
+    return EXIT_OK if all_ok else EXIT_PROPERTY
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute the configured scenario, write its artifacts and return the
     process exit code.  A scenario runner returns before anything is
-    written, so a scenario that raises writes nothing (selftest writes as it
-    goes)."""
+    written, so a scenario that raises writes nothing (selftest writes each
+    check as it goes)."""
     out_dir = os.environ.get(OUTPUT_DIR_ENV) or cfg.values["output.dir"]
     try:
         if cfg.scenario == "selftest":
@@ -1321,14 +1269,7 @@ def run(cfg: ExperimentConfig) -> int:
     except (NumericalFailure, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    csv_path = _out_path(cfg, out_dir, result.stem)
-    if result.trajectory is None:
-        _write_lines(csv_path, config_echo_lines(cfg) + list(result.table))
-    else:
-        write_trajectory_csv(csv_path, result.trajectory, cfg, result.comments)
-        maybe_write_plot(_out_path(cfg, out_dir, result.stem, "svg"), result.trajectory,
-                         cfg.values["output.plot"])
-    _write_lines(_out_path(cfg, out_dir, f"{result.stem}_summary", "txt"), result.summary)
+    _write_result(cfg, out_dir, result.stem, result)
     if result.error:
         print(result.error, file=sys.stderr)
     return result.exit_code
@@ -1339,27 +1280,21 @@ def _split_flags(argv: Sequence[str]) -> tuple[Optional[str], list[tuple[str, st
     config_path = None
     overrides: list[tuple[str, str]] = []
     problems: list[str] = []
-    i = 0
-    args = list(argv)
-    while i < len(args):
-        tok = args[i]
+    args = iter(argv)
+    for tok in args:
         if not tok.startswith("--"):
             problems.append(f"unexpected argument {tok!r} (flags look like --key value)")
-            i += 1
             continue
-        body = tok[2:]
-        key, eq, val = body.partition("=")
+        key, eq, val = tok[2:].partition("=")
         if not eq:
-            if i + 1 >= len(args):
+            val = next(args, None)
+            if val is None:
                 problems.append(f"flag --{key} needs a value")
                 break
-            val = args[i + 1]
-            i += 1
         if key == "config":
             config_path = val
         else:
             overrides.append((key, val))
-        i += 1
     return config_path, overrides, problems
 
 

@@ -6,6 +6,7 @@ import inspect
 import math
 import os
 import re
+import shlex
 import warnings
 
 import numpy as np
@@ -49,9 +50,9 @@ def test_parse_config_happy_path():
         deadline.ics = 1,0; 0,1
         """)
     assert cfg.scenario == "verify-deadline"
-    assert cfg.get("deadline.rho") == 1e-3
-    assert cfg.get("deadline.ics") == ((1.0, 0.0), (0.0, 1.0))
-    assert cfg.get("system.variant") == "control_loop"  # inferred default
+    assert cfg.values["deadline.rho"] == 1e-3
+    assert cfg.values["deadline.ics"] == ((1.0, 0.0), (0.0, 1.0))
+    assert cfg.values["system.variant"] == "control_loop"  # inferred default
 
 
 def test_parse_config_collects_every_violation_with_line_numbers():
@@ -82,7 +83,7 @@ def test_parse_config_subcommand_fills_scenario():
     cfg2 = parse_config("attack.kind = diff-terminal\nattack.eta_bar = 0.1\n"
                         "attack.epsilon = 1.0\n", subcommand="attack")
     assert cfg2.scenario == "attack.diff-terminal"
-    assert cfg2.get("system.variant") == "diff_error"
+    assert cfg2.values["system.variant"] == "diff_error"
 
 
 def test_parse_config_rejects_scenario_subcommand_mismatch():
@@ -93,7 +94,7 @@ def test_parse_config_rejects_scenario_subcommand_mismatch():
 def test_parse_config_flag_overrides_win():
     cfg = parse_config("scenario = simulate\nsim.x0 = 1,0\nsystem.T = 1.0\n",
                        overrides=[("sim.s", "0.25")])
-    assert cfg.get("sim.s") == 0.25
+    assert cfg.values["sim.s"] == 0.25
     with pytest.raises(ConfigError) as err:
         parse_config("scenario = simulate\nsim.x0 = 1,0\n",
                      overrides=[("sim.s", "oops")])
@@ -335,13 +336,14 @@ def test_controller_ramp_attack_runs_from_any_start(tmp_path):
     assert parsed["etas"][0].tolist() == [-0.01, 0.0]
     summary = (tmp_path / "tvglab_attack_controller_terminal_summary.txt").read_text().splitlines()
     assert "verdict: pass" in summary
-    terminal = [float(v) for v in summary[3].removeprefix("terminal state: ").split(", ")]
+    state, = [line for line in summary if line.startswith("terminal state: ")]
+    terminal = [float(v) for v in state.removeprefix("terminal state: ").split(", ")]
     assert abs(terminal[1] + 1.0) <= 1e-2
 
 
 def test_reference_horizon_check_leaves_selftest_and_other_tables_alone():
-    # selftest builds its own T = 1 models; the differentiator's table has no
-    # fixed horizon
+    # selftest rejects system.T when it runs, and its checks' flags leave
+    # system.T at 1; the differentiator's table has no fixed horizon
     parse_config("", subcommand="selftest", overrides=[("system.T", "2")])
     parse_config("", subcommand="simulate",
                  overrides=[("system.T", "2"), ("sim.x0", "1,0"), ("system.variant", "diff_error")])
@@ -836,6 +838,13 @@ def test_attack_subcommand_needs_a_kind(tmp_path, capsys):
     assert "attack.kind" in err
 
 
+def test_workaround_subcommand_needs_a_variant(tmp_path, capsys):
+    assert main(["workaround", "--output.dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: scenario: the workaround subcommand needs workaround.variant or an "
+        "explicit scenario = workaround.<kind> (kinds: stop-time, deadzone)"]
+
+
 def test_divergence_attack_schedule_is_echoed(tmp_path):
     code = main(["attack", "--attack.kind", "controller-divergence",
                  "--attack.eta_bar", "0.01", "--system.rho_min", "1e-9",
@@ -868,6 +877,71 @@ def test_gain_scan_and_falsify_subcommands(tmp_path):
                  "--output.dir", str(tmp_path)]) == 0
     summary = (tmp_path / "tvglab_falsify_summary.txt").read_text()
     assert "s = 5.9999999999999998e-01" in summary
+
+
+_EVERY_SCENARIO = {
+    "simulate": ["simulate", "--sim.x0", "1,0", "--sim.grid_count", "2"],
+    "verify_deadline": ["verify-deadline"],
+    "verify_deadline_failed_cases": ["verify-deadline", "--integration.max_norm", "2"],
+    "controller_divergence": _DIVERGENCE["controller-divergence"] + ["--system.rho_min", "1e-9"],
+    "diff_divergence": _DIVERGENCE["diff-divergence"],
+    "controller_terminal": _CONTROLLER_TERMINAL,
+    "controller_ramp": _CONTROLLER_TERMINAL + ["--attack.x0", "1,0"],
+    "diff_terminal": ["attack", "--attack.kind", "diff-terminal", "--attack.eta_bar", "0.1",
+                      "--attack.epsilon", "1.0"],
+    "gain_scan": ["gain-scan"],
+    "falsify": ["falsify-stability", "--falsify.eps_prime", "2.5"],
+    "stop_time": ["workaround", "--workaround.variant", "stop-time"],
+    "deadzone": ["workaround", "--workaround.variant", "deadzone", "--system.rho_min", "1e-6"],
+}
+
+
+@pytest.mark.parametrize("argv", _EVERY_SCENARIO.values(), ids=_EVERY_SCENARIO)
+def test_summary_repeats_the_csv_fact_lines(tmp_path, argv):
+    # the CSV's '#' lines after the config echo are the summary's lines after
+    # 'scenario: ...', each with '# ' in front
+    main(argv + ["--output.dir", str(tmp_path)])
+    summary_path, = tmp_path.glob("*_summary.txt")
+    scenario, *facts = summary_path.read_text().splitlines()
+    csv_lines = summary_path.with_name(summary_path.name.replace("_summary.txt", ".csv")) \
+        .read_text().splitlines()
+    header = next(i for i, line in enumerate(csv_lines) if not line.startswith("#"))
+    echo = [line for line in csv_lines if line.startswith("# config: ")]
+    assert csv_lines[:len(echo)] == echo
+    assert f"# config: scenario = {scenario.removeprefix('scenario: ')}" in echo
+    assert facts and csv_lines[len(echo):header] == [f"# {fact}" for fact in facts]
+
+
+@pytest.fixture(scope="module")
+def selftest_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("selftest")
+    assert main(["selftest", "--output.dir", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("stem", ["gain_scan_control", "attack_controller_divergence", "falsify"],
+                         ids=["table", "noisy_trajectory", "noise_free_trajectory"])
+def test_selftest_csv_is_the_cli_run_of_its_flags(tmp_path, selftest_dir, stem):
+    # selftest runs each check through the scenario runner of its flags and
+    # writes it with the same writer, config echo included
+    args, = [a for _, s, a, _ in cli._SELFTEST_CHECKS if s == stem]
+    assert main(shlex.split(args) + ["--output.dir", str(tmp_path)]) == 0
+    csv_path, = tmp_path.glob("*.csv")
+    assert csv_path.read_bytes() == (selftest_dir / f"tvglab_selftest_{stem}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--sim.x0", "1,0", "--sim.grid_count"], "sim.grid_count"),
+    (["gain-scan", "--scan.time_samples"], "scan.time_samples"),
+], ids=["grid_count", "time_samples"])
+def test_oversized_counts_are_rejected_at_parse_time(tmp_path, capsys, monkeypatch, argv, key):
+    # 10**11 samples would ask numpy for terabytes; the config is rejected
+    # before any scenario runs
+    monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("the scenario ran"))
+    assert main(argv + [str(10 ** 11), "--output.dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: flag --{key}: {key} must lie in [2, 10000000] (got '100000000000')"]
+    assert not any(tmp_path.iterdir())
 
 
 def test_config_file_and_env_output_dir(tmp_path, monkeypatch):

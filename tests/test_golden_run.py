@@ -119,3 +119,22 @@ def test_golden_run_needs_an_empty_output_directory(tmp_path):
     (tmp_path / "left_over").write_text("")
     assert golden_run.main([str(tmp_path)]) == 1
     assert golden_run.main(["--against", "REF", str(tmp_path)]) == 1
+
+
+def test_label_csv_diffs_tells_comment_changes_from_data_changes(tmp_path, capsys):
+    files = {  # path -> (base text, head text)
+        "run/artifacts/same.csv": ("# a\nt,x1\n1,2\n", "# a\nt,x1\n1,2\n"),
+        "run/artifacts/comments.csv": ("# a\nt,x1\n1,2\n", "# b\n# c\nt,x1\n1,2\n"),
+        "run/artifacts/data.csv": ("# a\nt,x1\n1,2\n", "# a\nt,x1\n1,3\n"),
+        "run/artifacts/summary.txt": ("a\n", "b\n"),
+    }
+    for side, k in (("base", 0), ("head", 1)):
+        for path, texts in files.items():
+            (tmp_path / side / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / path).write_text(texts[k])
+        (tmp_path / side / "run" / "artifacts" / f"only_{side}.csv").write_text(f"t,x1\n{k},0\n")
+        golden_run.write_manifest(tmp_path / side)
+    golden_run.label_csv_diffs(tmp_path / "base", tmp_path / "head")
+    assert capsys.readouterr().out.splitlines() == [
+        "comments only  run/artifacts/comments.csv",
+        "data  run/artifacts/data.csv"]
