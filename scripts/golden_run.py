@@ -30,13 +30,13 @@ when its lines not starting with '#' are byte-identical, "data" otherwise.
 It exits 1 when the manifests differ.  Each side's exit-code check is
 printed but does not decide the exit status.
 
-The hashes hold for one machine and one numpy/BLAS build only.  The
-stepper makes no BLAS call, so recorded states do not depend on the BLAS
-kernel chosen for the CPU, but some derived values do: 1-D norms
-(np.linalg.norm, as in the deadline checks and the oracle errors), the
-stop-time fit and the cascade plan's least-squares fit call BLAS or LAPACK,
-whose rounding differs between kernels.  Compare two checkouts on one
-machine; do not pin the hashes.
+The hashes hold for one machine and one numpy build only.  They do not
+depend on the OpenBLAS kernel chosen for the CPU: the stepper makes no
+BLAS call, 1-D norms are math.hypot and the stop-time fit is closed form.
+The cascade plan's np.linalg.lstsq is the one LAPACK call left; on these
+runs it gives the same bits under the default, Haswell and Sandybridge
+kernels, and CI compares a Sandybridge manifest with the default one.
+Compare two checkouts on one machine; do not pin the hashes.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from .integrate import (
     EVENT,
     IntegrationOptions,
     Trajectory,
-    _hermite,
+    _interpolant,
     _require_complete,
     integrate,
     terminal_state,
@@ -97,12 +97,12 @@ def check_absolute_deadline(model: SystemModel, start_times: Sequence[float],
     for s in start_times:
         for xi in initial_conditions:
             xi_arr = np.asarray(xi, dtype=float)
-            bound = tol * max(1.0, float(np.linalg.norm(xi_arr)))
+            bound = tol * max(1.0, math.hypot(*xi_arr))
             nrm, failure = None, ""
             try:
                 traj = integrate(model, None, xi_arr, float(s), T - rho, opts)
                 _require_complete(traj)
-                nrm = float(np.linalg.norm(terminal_state(traj, rho)))
+                nrm = math.hypot(*terminal_state(traj, rho))
             except NumericalFailure as exc:
                 failure = str(exc)
             cases.append(DeadlineCase(s=float(s), xi=tuple(map(float, xi_arr)),
@@ -134,7 +134,7 @@ def rho_shrink_profile(model: SystemModel, s: float, xi, rhos: Sequence[float],
     T = model.horizon.T
     traj = integrate(model, None, np.asarray(xi, dtype=float), float(s), T - rhos[-1], opts)
     _require_complete(traj)
-    return tuple((r, float(np.linalg.norm(terminal_state(traj, r)))) for r in rhos)
+    return tuple((r, math.hypot(*terminal_state(traj, r))) for r in rhos)
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +333,19 @@ class WorkaroundReport:
 
 def _affine_fit(xs: Sequence[float], ys: Sequence[float]
                 ) -> tuple[float, float, float]:
-    coeffs = np.polyfit(xs, ys, 1)
-    pred = np.polyval(coeffs, xs)
-    ys_arr = np.asarray(ys, dtype=float)
-    ss_res = float(np.sum((ys_arr - pred) ** 2))
-    ss_tot = float(np.sum((ys_arr - ys_arr.mean()) ** 2))
+    """Least-squares line y = slope * x + intercept and its coefficient of
+    determination, in closed form on floats with exactly rounded sums, so no
+    BLAS kernel changes a bit.  Points of one x fix no slope; the fit is
+    then the horizontal line through the mean."""
+    xs, ys = [float(v) for v in xs], [float(v) for v in ys]
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    sxx = math.fsum((x - mx) ** 2 for x in xs)
+    slope = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx if sxx > 0.0 else 0.0
+    intercept = my - slope * mx
+    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = math.fsum((y - my) ** 2 for y in ys)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(coeffs[0]), float(coeffs[1]), r2
+    return slope, intercept, r2
 
 
 def evaluate_stop_time(model: SystemModel, t_stop: float, initial_conditions: Sequence,
@@ -372,12 +378,12 @@ def evaluate_stop_time(model: SystemModel, t_stop: float, initial_conditions: Se
             continue
         cases.append(StopTimeCase(xi=tuple(map(float, xi_arr)),
                                   residual_state=tuple(map(float, res)),
-                                  residual_norm=float(np.linalg.norm(res))))
+                                  residual_norm=math.hypot(*res)))
     good = [c for c in cases if c.failure == ""]
     slope = intercept = r2 = None
     if len(good) >= 3:
         slope, intercept, r2 = _affine_fit(
-            [float(np.linalg.norm(np.asarray(c.xi))) for c in good],
+            [math.hypot(*c.xi) for c in good],
             [c.residual_norm for c in good])
     return WorkaroundReport(variant="stop_time", parameter=float(t_stop),
                             cases=tuple(cases), noisy=noise is not None,
@@ -388,16 +394,17 @@ def _box_entry(traj: Trajectory, width: float) -> Optional[tuple[float, int]]:
     """Earliest time at which the dense output has ||x||inf <= width, with
     the index of the knot that opens its step; None when it never has.
 
-    On a step, each channel's Hermite cubic in theta ranges over its values
-    at theta = 0, 1 and its critical points in between, so a step can hold
-    an entry only when every channel's range meets [-width, width].  Only
-    those steps are searched, in time order: between consecutive roots of
-    the cubics minus +-width the box holds everywhere or nowhere, so the
-    first interval whose midpoint (or, last, the step's end) is inside
-    brackets the entry, which is bisected to 1e-12 * T on the dense output
-    itself.
+    On a step, each channel's dense output is its Hermite cubic in theta
+    plus theta^2 (1 - theta)^2 D, at most |D|/16.  The cubic ranges over its
+    values at theta = 0, 1 and its critical points in between, so a step can
+    hold an entry only when every channel's range, widened by |D|/16, meets
+    [-width, width].  Only those steps are searched, in time order: between
+    consecutive roots of the quartics minus +-width the box holds everywhere
+    or nowhere, so the first interval whose midpoint (or, last, the step's
+    end) is inside brackets the entry, which is bisected to 1e-12 of the
+    distance to T (or to adjacent floats) on the dense output itself.
     """
-    kts, xl, xr = traj.knot_ts, traj.knot_xs[:-1], traj.knot_xs[1:]
+    kts, xl, xr, ds = traj.knot_ts, traj.knot_xs[:-1], traj.knot_xs[1:], traj.knot_ds[1:]
     hs = np.diff(kts)
     fl, fr = hs[:, None] * traj.knot_fs[:-1], hs[:, None] * traj.knot_fl[1:]
     # channel cubics xl + a1 theta + a2 theta^2 + a3 theta^3 and the roots of
@@ -408,34 +415,37 @@ def _box_entry(traj: Trajectory, width: float) -> Optional[tuple[float, int]]:
         vals = [xl, xr] + [xl + th * (a1 + th * (a2 + th * a3))
                            for th in (np.where((c > 0.0) & (c < 1.0), c, 0.0)
                                       for c in (q / (3.0 * a3), a1 / q))]
-    slack = width + 1e-9 * (np.abs(xl) + np.abs(xr) + np.abs(fl) + np.abs(fr))
+    slack = width + np.abs(ds) / 16.0 + 1e-9 * (np.abs(xl) + np.abs(xr) + np.abs(fl) + np.abs(fr))
     meets = (np.minimum.reduce(vals) <= slack) & (np.maximum.reduce(vals) >= -slack)
 
     def inside(i, t):
         dt = hs[i]
-        x = _hermite(xl[i], traj.knot_fs[i], xr[i], traj.knot_fl[i + 1], dt,
+        x = _interpolant(xl[i], traj.knot_fs[i], xr[i], traj.knot_fl[i + 1], ds[i], dt,
                      min(max((t - kts[i]) / dt, 0.0), 1.0))
         return max(map(abs, x.tolist())) <= width
 
     for i in np.flatnonzero(meets.all(axis=1)).tolist():
         roots = [0.0, 1.0]
         for j in range(traj.n):
+            d = ds[i, j]
             for w in (width, -width):
-                roots += [r for r in np.roots([a3[i, j], a2[i, j], a1[i, j], xl[i, j] - w]).real
+                roots += [r for r in np.roots([d, a3[i, j] - 2.0 * d, a2[i, j] + d, a1[i, j],
+                                               xl[i, j] - w]).real
                           if 0.0 < r < 1.0]
         roots.sort()
         lo = float(kts[i])
         if inside(i, lo):
             return lo, i
         # each interval's midpoint, then the step's end: a stop event's knot
-        # lies within 1e-12 * T of the box's boundary, so the root there may
-        # round to theta = 1 or past it
+        # lies within 1e-12 (T - t) of the box's boundary, so the root there
+        # may round to theta = 1 or past it
         mids = [float(kts[i] + 0.5 * (a + b) * hs[i]) for a, b in zip(roots, roots[1:])]
         for hi in mids + [float(kts[i + 1])]:
             if inside(i, hi):
-                while hi - lo > 1e-12 * traj.T:
-                    mid = 0.5 * (lo + hi)
+                mid = 0.5 * (lo + hi)
+                while hi - lo > 1e-12 * (traj.T - lo) and lo < mid < hi:
                     lo, hi = (lo, mid) if inside(i, mid) else (mid, hi)
+                    mid = 0.5 * (lo + hi)
                 return hi, i
             lo = hi
     return None

@@ -592,7 +592,7 @@ def run_controller_terminal_attack(model: SystemModel, eta_bar: float, epsilon: 
     predicted = plan.state_at(traj.ts)
     tracking = float(np.max(np.abs(traj.xs - predicted)))
     terminal = terminal_state(traj, rho)
-    verdict = bool(np.linalg.norm(terminal) >= epsilon)
+    verdict = math.hypot(*terminal) >= epsilon
     return AttackOutcome(kind="controller-terminal", noise_bound=eta_bar, verdict=verdict,
                          trajectory=traj, plan=plan, terminal=terminal,
                          tracking_error=tracking)
@@ -641,7 +641,7 @@ def run_controller_ramp_attack(model: SystemModel, eta_bar: float, epsilon: floa
     slope = 2.0 * epsilon / -terminal_ramp_gain(model)
     noise = TerminalRampNoise(eta_bar, slope, T=model.horizon.T, n=model.n)
     traj, terminal = _ramp_run(model, noise, x0, rho, opts)
-    verdict = bool(np.linalg.norm(terminal) >= epsilon)
+    verdict = math.hypot(*terminal) >= epsilon
     return AttackOutcome(kind="controller-ramp", noise_bound=eta_bar, verdict=verdict,
                          trajectory=traj, ramp=noise, terminal=terminal)
 

@@ -33,6 +33,7 @@ significant digits so a re-parse reproduces every value bit-exactly.
 
 from __future__ import annotations
 
+import math
 import os
 import shlex
 import sys
@@ -1029,7 +1030,7 @@ def _run_simulate(cfg: ExperimentConfig) -> ScenarioResult:
              ("span", f"[{fmt(traj.t0)}, {fmt(traj.t_last)}]"),
              ("termination", traj.termination.kind),
              ("final state", ", ".join(map(fmt, final))),
-             ("final norm", fmt(float(np.linalg.norm(final))))]
+             ("final norm", fmt(math.hypot(*final)))]
     return ScenarioResult("simulate", facts, EXIT_OK if traj.completed else EXIT_NUMERICAL, traj,
                           error="" if traj.completed
                           else f"simulate: integration ended early: {traj.termination.kind}")
@@ -1092,7 +1093,7 @@ def _run_attack(cfg: ExperimentConfig) -> ScenarioResult:
         facts.append(("ramp", f"s = {fmt(outcome.ramp.s)}"))
     if outcome.terminal is not None:
         facts += [("terminal state", ", ".join(map(fmt, outcome.terminal))),
-                  ("terminal norm", fmt(float(np.linalg.norm(outcome.terminal))))]
+                  ("terminal norm", fmt(math.hypot(*outcome.terminal)))]
     if outcome.tracking_error is not None:
         facts.append(("tracking error", fmt(outcome.tracking_error)))
     if outcome.notes:

@@ -1,12 +1,17 @@
 """Deadline-aware adaptive integration.
 
-The stepper is an embedded Dormand-Prince 5(4) pair with two extra rules
+The stepper is an embedded Dormand-Prince 5(4) pair with three extra rules
 that the singular gains demand:
 
 * the step is clamped to a fixed fraction of the remaining distance to the
-  deadline, so the right-hand side is never evaluated at or past T, and
+  deadline, so the right-hand side is never evaluated at or past T,
 * noise and disturbance switching instants are hard step boundaries; the
-  integrator lands on them exactly instead of stepping across.
+  integrator lands on them exactly instead of stepping across, and
+* channel i >= 3's term of the error norm is weighed by w^(i - 2), with
+  w = (T - t)/T at the step's start: the loop amplifies that channel's
+  rounding like (T - t)^-(i - 1), so a flat scale would hold it to an error
+  it cannot reach near T (order-3 runs stall in step_budget, or take twice
+  the steps).  Two-channel runs step as without it.
 
 The adaptive loop, trial steps and commits alike, is one function generated
 per model shape and noise kind, with the model's right-hand side fused into
@@ -21,11 +26,15 @@ in flat float columns that become arrays once, at the end.  integrate itself
 re-enters the loop after each noise switch and locates stop events.
 
 The loop keeps a knot record at every committed step: state, noise as
-queried, and the derivative's right and left limits at the knot.  Cubic
-Hermite interpolation over the knots gives dense output in between.  An
-optional output grid is filled in one batched pass after the last step:
-one Hermite evaluation over the knot record for all grid points, the same
-evaluator Trajectory.state_at calls, merged with the knot rows by index.
+queried, the derivative's right and left limits at the knot, and the D of
+the step the knot closes.  Dense output in between is DOPRI5's continuous
+extension (Hairer, Norsett & Wanner, section II.6): the cubic Hermite
+interpolant of the step's end states and derivatives plus
+theta^2 (1 - theta)^2 D, where D = h * sum(d_i k_i) over the step's stages
+is computed on floats when the step is accepted.  An optional output grid
+is filled in one batched pass after the last step: one evaluation over the
+knot record for all grid points, the same evaluator Trajectory.state_at
+calls, merged with the knot rows by index.
 Without grid points strictly inside steps there is nothing to merge, and
 the sample table is a copy of the knot table.
 """
@@ -58,6 +67,11 @@ _DP_STAGES = tuple(zip(
 _DP_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
 _DP_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
          -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+# the continuous extension's fifth coefficient D = h * sum(d_i k_i) (Hairer's
+# dopri5 contd5 coefficients d1, d3..d7, on the same stages as _DP_E)
+_DP_D = (-12715105075.0 / 11282082432.0, 0.0, 87487479700.0 / 32700410799.0,
+         -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
+         -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0)
 
 
 # step-size control, bound into the compiled loop by name: a rejected step
@@ -69,7 +83,7 @@ _STEP_CONTROL = dict(SAFETY=0.9, ORDER=-0.2, MIN_SHRINK=0.2, FAIL_SHRINK=0.5, MA
 
 # what a run binds into its loop, in make's order
 _RUN = ("eta_at, abs_tol, rel_tol, kappa, max_norm, max_trials, t_end, observe, next_noise, "
-        "next_dist, stop_condition, grid_queries, append_t, extend_x, extend_f, record_eta")
+        "next_dist, stop_condition, grid_queries, append_t, extend_x, extend_f, extend_d, record_eta")
 
 
 @functools.lru_cache(maxsize=128)
@@ -92,10 +106,13 @@ def _loop_factory(n: int, held: bool, shape=None):
     trials, last) at the first of: t reaches t_end (REACHED_END), the trial
     budget or the step floor runs out (STEP_BUDGET, STEP_UNDERFLOW), the
     stop condition holds at a step's end (EVENT: (t, x, f) opens that
-    uncommitted step and last is its (t_new, x_new, f_new)), observe
-    reports a switch (_SWITCH, unrecorded) or the norm reaches max_norm
-    (BLOW_UP); after those two, (t, x, f) is the step's end, f its left
-    limit, and last the norm.  State and FSAL derivative stay float locals
+    uncommitted step and last is its (t_new, x_new, f_new, d)), observe
+    reports a switch (_SWITCH, unrecorded; last is the norm and the step's
+    D column d) or the norm reaches max_norm (BLOW_UP; last is the norm);
+    after those two, (t, x, f) is the step's end and f its left limit.
+    Channel j >= 2 (0-based) of the error norm is weighed by w<j-1>, the
+    powers of w = (T - t)/T by repeated products, computed with the step
+    cap once per commit.  State and FSAL derivative stay float locals
     between steps; a held eta is unpacked once per call, otherwise eta_at is
     queried at each stage state, a fresh list.  Every sum runs over the
     nonzero tableau coefficients in forward order on Python floats, so no
@@ -128,7 +145,7 @@ def _loop_factory(n: int, held: bool, shape=None):
                  *(f"s{j} = x{j} + h * ({weighted(coefs, j)})" for j in range(n)),
                  *([] if shape and held else [f"xs = [{names('s')}]"]),
                  *derivative(i, "xs", "eta" if held else "eta_at(ts, xs)")]
-    b, e = nonzero("B", _DP_B), nonzero("E", _DP_E)
+    b, e, d = nonzero("B", _DP_B), nonzero("E", _DP_E), nonzero("D", _DP_D)
     body += ["ts = t_new",
              *(f"s{j} = x{j} + h * ({weighted(b, j)})" for j in range(n)),
              f"new = [{names('s')}]",
@@ -137,7 +154,8 @@ def _loop_factory(n: int, held: bool, shape=None):
              # b if b > a else a is max(a, b), NaN and signed zeros alike
              *(line for j in range(n) for line in (
                  f"a = abs(x{j})", f"b = abs(s{j})",
-                 f"q{j} = h * ({weighted(e, j)}) / (abs_tol + rel_tol * (b if b > a else a))")),
+                 f"q{j} = h * ({weighted(e, j)}) / (abs_tol + rel_tol * (b if b > a else a))"
+                 + (f" * w{j - 1}" if j >= 2 else ""))),
              "err = sqrt((" + " + ".join(f"q{j} * q{j}" for j in range(n)) + f") / {n})"]
     step = [
         "if trials == max_trials:",
@@ -146,6 +164,8 @@ def _loop_factory(n: int, held: bool, shape=None):
         "if barrier is None:  # t and the sources' state change only at a commit",
         "    barrier = min(t_end, next_noise(t), next_dist(t))",
         "    h_cap = kappa * (T - t)",
+        *(["    w1 = (T - t) / T"] if n >= 3 else []),
+        *(f"    w{p} = w{p - 1} * w1" for p in range(2, n - 1)),
         "    gap = barrier - t",
         # h = min(h_try, h_cap, gap), NaN handling included, landing exactly
         # on the boundary when it is within reach
@@ -168,21 +188,23 @@ def _loop_factory(n: int, held: bool, shape=None):
         "        return STEP_UNDERFLOW, t, x, f, h_try, trials, None",
         "    continue",
         f"f_new = [{names('k6_')}]",
+        "dense = [" + ", ".join(f"h * ({weighted(d, j)})" for j in range(n)) + "]",
         "if stop_condition is not None and stop_condition(t_new, new):",
-        "    return EVENT, t, x, f, h_try, trials, (t_new, new, f_new)",
+        "    return EVENT, t, x, f, h_try, trials, (t_new, new, f_new, dense)",
         *([] if held else ["if grid_queries is not None:",
-                           "    grid_queries(t, x, f, new, f_new, t_new - t, t_new)"]),
+                           "    grid_queries(t, x, f, new, f_new, dense, t_new - t, t_new)"]),
         # err <= 1 here, so the growth factor is at least 0.9
         "grow = MAX_GROW if err == ZERO else SAFETY * err ** ORDER",
         "h_try = h * (grow if grow < MAX_GROW else MAX_GROW)",
         "norm = sqrt(" + " + ".join(f"s{j} * s{j}" for j in range(n)) + ")",
         "if observe(t_new, new):",
-        "    return _SWITCH, t_new, new, f_new, h_try, trials, norm",
+        "    return _SWITCH, t_new, new, f_new, h_try, trials, (norm, dense)",
         # without a switch the source still answers with the noise of the
         # last stage (the NoiseSource contract), so that query is recorded
         "append_t(t_new)",
         "extend_x(new)",
         "extend_f(f_new)",
+        "extend_d(dense)",
         "record_eta(eta_new)",
         "if norm >= max_norm:",
         "    return BLOW_UP, t_new, new, f_new, h_try, trials, norm",
@@ -203,7 +225,8 @@ def _loop_factory(n: int, held: bool, shape=None):
     scope.update({f"A{i}_{r}": a for i, (_, row) in enumerate(_DP_STAGES, start=1)
                   for r, a in enumerate(row)},
                  **{f"B{i}": c for i, c in enumerate(_DP_B)},
-                 **{f"E{i}": c for i, c in enumerate(_DP_E)}, **_STEP_CONTROL,
+                 **{f"E{i}": c for i, c in enumerate(_DP_E)},
+                 **{f"D{i}": c for i, c in enumerate(_DP_D)}, **_STEP_CONTROL,
                  sqrt=math.sqrt, isfinite=math.isfinite, ulp=math.ulp, inf=math.inf,
                  NumericalFailure=NumericalFailure, NoiseBoundViolation=NoiseBoundViolation,
                  REACHED_END=REACHED_END, STEP_BUDGET=STEP_BUDGET, STEP_UNDERFLOW=STEP_UNDERFLOW,
@@ -221,7 +244,7 @@ _SWITCH = "switch"  # the compiled loop's return at a noise switch
 
 # trial steps, accepted or rejected, that one integrate call may take; a run
 # that needs more ends with a step_budget termination.  The largest call of
-# the golden run takes 1216.
+# the golden run takes 1216, a two-channel run that ends in step_underflow.
 MAX_TRIAL_STEPS = 100_000
 
 
@@ -301,10 +324,14 @@ class Trajectory:
     The knot record holds each committed step's end: knot_fs is the
     derivative's right limit there, knot_fl its left limit; they differ
     only at a noise switch, where knot_fs uses the post-switch noise.
-    state_at interpolates each step by cubic Hermite from its opening knot's
-    state and right limit to its closing knot's state and left limit.  Grid
-    samples come from the same evaluator, so they equal state_at at their
-    times bit for bit; a stop event's step ends at the event knot.
+    knot_ds is the D of DOPRI5's continuous extension for the step the knot
+    closes, 0 at the start knot and at a stop event's knot (the event step
+    is truncated, so it keeps the plain cubic).  state_at interpolates each
+    step by the cubic Hermite from its opening knot's state and right limit
+    to its closing knot's state and left limit, plus theta^2 (1 - theta)^2
+    times the closing knot's D.  Grid samples come from the same evaluator,
+    so they equal state_at at their times bit for bit; a stop event's step
+    ends at the event knot.
     """
 
     ts: np.ndarray
@@ -315,6 +342,7 @@ class Trajectory:
     knot_xs: np.ndarray
     knot_fs: np.ndarray
     knot_fl: np.ndarray
+    knot_ds: np.ndarray
     t0: float
     t_last: float
     termination: Termination
@@ -330,7 +358,8 @@ class Trajectory:
         if np.any(t_arr < self.t0 - slack) or np.any(t_arr > self.t_last + slack):
             raise ValueError("dense output requested outside the integrated span")
         idx = np.clip(np.searchsorted(self.knot_ts, t_arr, side="right") - 1, 0, len(self.knot_ts) - 2)
-        out = _dense_states(self.knot_ts, self.knot_xs, self.knot_fs, self.knot_fl, idx, t_arr)
+        out = _dense_states(self.knot_ts, self.knot_xs, self.knot_fs, self.knot_fl, self.knot_ds,
+                            idx, t_arr)
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]
         return out
@@ -340,23 +369,27 @@ class Trajectory:
         return self.termination.kind == REACHED_END
 
 
-def _hermite(xl, fl, xr, fr, h, theta):
-    """Cubic Hermite interpolant over one step of length h, at fraction theta
-    of the step, from the end states xl, xr and end derivatives fl, fr."""
+def _interpolant(xl, fl, xr, fr, d, h, theta):
+    """DOPRI5's continuous extension over one step of length h, at fraction
+    theta of the step: the cubic Hermite interpolant from the end states xl,
+    xr and end derivatives fl, fr, plus theta^2 (1 - theta)^2 d, with d the
+    step's D column (0 keeps the plain cubic)."""
     t2 = theta * theta
     t3 = t2 * theta
+    bump = theta * (1.0 - theta)
     return (xl * (2.0 * t3 - 3.0 * t2 + 1.0) + h * fl * (t3 - 2.0 * t2 + theta)
-            + xr * (-2.0 * t3 + 3.0 * t2) + h * fr * (t3 - t2))
+            + xr * (-2.0 * t3 + 3.0 * t2) + h * fr * (t3 - t2) + bump * bump * d)
 
 
-def _dense_states(knot_ts, knot_xs, knot_fs, knot_fl, idx, t):
+def _dense_states(knot_ts, knot_xs, knot_fs, knot_fl, knot_ds, idx, t):
     """Dense output at the times t, t[j] on the step that opens at knot
-    idx[j]: the cubic Hermite from that knot's state and right-limit
-    derivative to the next knot's state and left-limit derivative."""
+    idx[j]: the continuous extension from that knot's state and right-limit
+    derivative to the next knot's state, left-limit derivative and D."""
     tl = knot_ts[idx]
     h = knot_ts[idx + 1] - tl
     theta = np.clip((t - tl) / h, 0.0, 1.0)[:, None]
-    return _hermite(knot_xs[idx], knot_fs[idx], knot_xs[idx + 1], knot_fl[idx + 1], h[:, None], theta)
+    return _interpolant(knot_xs[idx], knot_fs[idx], knot_xs[idx + 1], knot_fl[idx + 1],
+                    knot_ds[idx + 1], h[:, None], theta)
 
 
 def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t_end: float,
@@ -370,9 +403,9 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     (blow_up), error-control failure (step_underflow: a rejected step would
     shrink below 1e-10 (T - t) or 16 ulps of t, whichever is larger), a run
     that used up its MAX_TRIAL_STEPS trial steps (step_budget), or a
-    stop-condition event located by step-local bisection (stop_condition(t, x)
-    gets a committed state as a list of floats, a bisection point's as an
-    array).  A held source
+    stop-condition event located by bisection on the step's dense output to
+    1e-12 of the distance to T (stop_condition(t, x) gets a committed state
+    as a list of floats, a bisection point's as an array).  A held source
     (NoiseSource.held) is queried once after the first observe and once
     after each switch, and that value serves every stage and sample until
     the next switch; any other source is queried at every RK stage, with
@@ -436,15 +469,18 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         grid = opts.output_grid.points(t0, t_end, T)
 
     # the knot record as flat float columns, one entry per committed step:
-    # its time, state and derivative, and the noise recorded with the knot's
-    # sample (n floats for the control loop, one for the differentiator)
-    knot_ts, knot_xs, knot_fs, knot_etas = [], [], [], []
+    # its time, state, derivative and the D of the step it closes, and the
+    # noise recorded with the knot's sample (n floats for the control loop,
+    # one for the differentiator)
+    knot_ts, knot_xs, knot_fs, knot_ds, knot_etas = [], [], [], [], []
     record_eta = knot_etas.extend if is_control else knot_etas.append
+    no_dense = [0.0] * n  # the start knot's and a stop event's D: the plain cubic
 
-    def record(t, x, f, eta):
+    def record(t, x, f, d, eta):
         knot_ts.append(t)
         knot_xs.extend(x)
         knot_fs.extend(f)
+        knot_ds.extend(d)
         record_eta(eta)
 
     switch_times: list[float] = []
@@ -453,9 +489,10 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     query_grid = grid is not None and not held
     grid_idx = 0 if grid is None else int(np.searchsorted(grid, t0, side="right"))
 
-    def grid_queries(t, x, f, x_new, f_new, dt, t_stop):
+    def grid_queries(t, x, f, x_new, f_new, d, dt, t_stop):
         """Query the noise at the grid points in (t, t_stop), in time order, at
-        their states on the step from (t, x, f) to (t + dt, x_new, f_new)."""
+        their states on the step from (t, x, f) to (t + dt, x_new, f_new) with
+        its D column d."""
         nonlocal grid_idx
         if grid_idx == len(grid) or grid[grid_idx] >= t_stop:
             return
@@ -465,7 +502,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             lo += 1
         grid_idx = hi
         tqs = grid[lo:hi]
-        xqs = _hermite(*map(np.array, (x, f, x_new, f_new)), dt, ((tqs - t) / dt)[:, None])
+        xqs = _interpolant(*map(np.array, (x, f, x_new, f_new, d)), dt, ((tqs - t) / dt)[:, None])
         grid_etas.extend(eta_at(tq, xq) for tq, xq in zip(tqs.tolist(), xqs))
 
     # the loop with the model's compiled right-hand side fused in, unless a
@@ -477,14 +514,14 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         eta_at, opts.abs_tol, opts.rel_tol, opts.max_step_fraction, opts.max_norm, MAX_TRIAL_STEPS,
         t_end, noise.observe, noise.next_discontinuity, model.disturbance.next_discontinuity,
         stop_condition, grid_queries if query_grid else None, knot_ts.append, knot_xs.extend,
-        knot_fs.extend, record_eta, *(model._consts if fused else (T, rhs)))
+        knot_fs.extend, knot_ds.extend, record_eta, *(model._consts if fused else (T, rhs)))
 
     # initial commitment: let the source latch its first segment, then record
     x = x.tolist()
     noise.observe(t0, x)
     eta = eta_at(t0, x)
     f = rhs(t0, x, eta)
-    record(t0, x, f, eta)
+    record(t0, x, f, no_dense, eta)
 
     h_try = opts.initial_step if opts.initial_step is not None else min(
         1e-3 * (t_end - t0), opts.max_step_fraction * (T - t0))
@@ -495,11 +532,12 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             break
         # re-enter at the switch knot with the source's new noise and the
         # derivative's right limit there
+        last, d = last  # the norm and the D of the step that ends at the switch
         switch_times.append(t)
         switch_fls.append(f)
         eta = eta_at(t, x)
         f = rhs(t, x, eta)
-        record(t, x, f, eta)
+        record(t, x, f, d, eta)
         if last >= opts.max_norm:
             kind = BLOW_UP
             break
@@ -509,33 +547,34 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         blow_up = BlowUpEvent(t=t, norm=last, channel=max(range(n), key=lambda j: abs(x[j])))
     elif kind == EVENT:
         # bisect to the earliest time the condition holds on the step that
-        # opens at (t, x, f)
-        t_new, x_new, f_new = last
+        # opens at (t, x, f), to 1e-12 of the distance to the deadline or to
+        # adjacent floats
+        t_new, x_new, f_new, d = last
         dt = t_new - t
-        ends = tuple(map(np.array, (x, f, x_new, f_new)))
+        ends = tuple(map(np.array, (x, f, x_new, f_new, d)))
         lo, hi = t, t_new
-        for _ in range(200):
-            if hi - lo <= 1e-12 * T:
-                break
-            mid = 0.5 * (lo + hi)
-            xm = _hermite(*ends, dt, (mid - t) / dt)
-            if stop_condition(mid, xm):
+        mid = 0.5 * (lo + hi)
+        while hi - lo > 1e-12 * (T - lo) and lo < mid < hi:
+            if stop_condition(mid, _interpolant(*ends, dt, (mid - t) / dt)):
                 hi = mid
             else:
                 lo = mid
+            mid = 0.5 * (lo + hi)
         t_ev = hi
-        x_ev = _hermite(*ends, dt, (t_ev - t) / dt)
+        x_ev = _interpolant(*ends, dt, (t_ev - t) / dt)
         eta_ev = eta if held else eta_at(t_ev, x_ev)
         f_ev = rhs(t_ev, x_ev, eta_ev)
+        # the event step is truncated, so the event knot closes it with the
+        # plain cubic
         if query_grid:
-            grid_queries(t, x, f, x_ev, f_ev, t_ev - t, t_ev)
-        record(t_ev, x_ev.tolist(), f_ev, eta_ev)
+            grid_queries(t, x, f, x_ev, f_ev, no_dense, t_ev - t, t_ev)
+        record(t_ev, x_ev.tolist(), f_ev, no_dense, eta_ev)
         t = t_ev
     termination = Termination(kind=kind, t=t, blow_up=blow_up)
 
     kts = np.array(knot_ts, dtype=float)
-    kxs, kfs, ketas = (np.array(col, dtype=float).reshape(len(kts), -1)
-                       for col in (knot_xs, knot_fs, knot_etas))
+    kxs, kfs, kds, ketas = (np.array(col, dtype=float).reshape(len(kts), -1)
+                            for col in (knot_xs, knot_fs, knot_ds, knot_etas))
     kfl = kfs.copy()
     if switch_times:
         kfl[np.searchsorted(kts, switch_times)] = switch_fls
@@ -553,7 +592,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         getas = ketas[opening] if held else np.array(grid_etas, dtype=float).reshape(len(gts), -1)
         at = opening + 1
         ts_arr = np.insert(kts, at, gts)
-        xs_arr = np.insert(kxs, at, _dense_states(kts, kxs, kfs, kfl, opening, gts), axis=0)
+        xs_arr = np.insert(kxs, at, _dense_states(kts, kxs, kfs, kfl, kds, opening, gts), axis=0)
         etas_arr = np.insert(ketas, at, getas, axis=0)
     gains = model.gain_output(ts_arr, xs_arr, etas_arr)
     if not np.all(np.isfinite(gains)):
@@ -567,6 +606,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         knot_xs=kxs,
         knot_fs=kfs,
         knot_fl=kfl,
+        knot_ds=kds,
         t0=t0,
         t_last=t,
         termination=termination,

@@ -109,7 +109,7 @@ def verify_solver_against_oracle(sample_count: int = 20, tol: float = 1e-6, seed
     for _ in range(sample_count):
         s = float(rng.uniform(0.0, 0.9))
         direction = rng.normal(size=2)
-        direction /= max(np.linalg.norm(direction), 1e-300)
+        direction /= max(math.hypot(*direction), 1e-300)
         radius = float(rng.uniform(0.0, 10.0))
         xi = radius * direction
         traj = integrate(model, None, xi, s, t_end, opts)

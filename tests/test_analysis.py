@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tvglab.analysis import (
+    _affine_fit,
     _box_entry,
     check_absolute_deadline,
     evaluate_deadzone,
@@ -23,7 +24,8 @@ from tvglab.core import (
     rational_loop,
     reference_loop,
 )
-from tvglab.integrate import EVENT, IntegrationOptions, Termination, Trajectory, integrate
+from tvglab.integrate import (EVENT, REACHED_END, IntegrationOptions, Termination, Trajectory,
+                              integrate)
 from tvglab.oracle import reference_solution
 
 GRID_S = (0.0, 0.3, 0.6)
@@ -344,18 +346,53 @@ def test_workarounds_take_a_noise_factory_not_an_instance():
 
 
 def test_deadzone_entry_at_the_event_knot_that_ends_the_run():
-    # the probe stops at the first knot inside the box, within 1e-12 * T of
-    # its boundary, so the root of the last step's cubic can round to
+    # the probe stops at the first knot inside the box, within 1e-12 (T - t)
+    # of its boundary, so the root of the last step's cubic can round to
     # theta = 1.  Here that step is the line from x1 = 2e-2 to the event knot
     # x1 = 1e-2, and its root is 1.0 exactly: the entry is the event knot
     ts, xs = np.array([0.0, 0.5]), np.array([[2e-2, 0.0], [1e-2, 0.0]])
     fs = np.array([[-2e-2, 0.0], [-2e-2, 0.0]])
     probe = Trajectory(ts=ts, xs=xs, etas=np.zeros((2, 2)), gains=np.zeros(2), knot_ts=ts,
-                       knot_xs=xs, knot_fs=fs, knot_fl=fs, t0=0.0, t_last=0.5,
+                       knot_xs=xs, knot_fs=fs, knot_fl=fs, knot_ds=np.zeros((2, 2)), t0=0.0,
+                       t_last=0.5,
                        termination=Termination(kind=EVENT, t=0.5), switch_times=(), T=1.0,
                        rho_min=0.0, n=2)
     assert _box_entry(probe, 1e-2) == (0.5, 0)
     assert _box_entry(probe, 0.99e-2) is None
+
+
+def test_deadzone_entry_inside_a_step_comes_from_the_d_term():
+    # both knots sit at x1 = 2e-2 with zero derivatives, so the cubic is
+    # flat and never enters the box; theta^2 (1 - theta)^2 D with D = -0.32
+    # dips to 0 at theta = 1/2 and meets x1 = 1e-2 where theta (1 - theta)
+    # = 32^(-1/2)
+    ts, xs = np.array([0.0, 0.5]), np.array([[2e-2, 0.0], [2e-2, 0.0]])
+    fs, ds = np.zeros((2, 2)), np.array([[0.0, 0.0], [-0.32, 0.0]])
+
+    def probe(ds):
+        return Trajectory(ts=ts, xs=xs, etas=np.zeros((2, 2)), gains=np.zeros(2), knot_ts=ts,
+                          knot_xs=xs, knot_fs=fs, knot_fl=fs, knot_ds=ds, t0=0.0, t_last=0.5,
+                          termination=Termination(kind=REACHED_END, t=0.5), switch_times=(),
+                          T=1.0, rho_min=0.0, n=2)
+
+    theta = 0.5 * (1.0 - math.sqrt(1.0 - 4.0 / math.sqrt(32.0)))
+    t_entry, k = _box_entry(probe(ds), 1e-2)
+    assert k == 0 and t_entry == pytest.approx(0.5 * theta, abs=1e-12)
+    assert _box_entry(probe(np.zeros((2, 2))), 1e-2) is None
+
+
+def test_affine_fit_is_the_least_squares_line():
+    xs, ys = [1.0, 2.0, 4.0, 8.0], [0.3, 0.5, 1.1, 1.9]
+    slope, intercept, r2 = _affine_fit(xs, ys)
+    fit = np.polyfit(xs, ys, 1)
+    assert slope == pytest.approx(fit[0], rel=1e-12)
+    assert intercept == pytest.approx(fit[1], rel=1e-12)
+    pred = np.polyval(fit, xs)
+    assert r2 == pytest.approx(1.0 - np.sum((ys - pred) ** 2) / np.sum((ys - np.mean(ys)) ** 2),
+                               rel=1e-12)
+    assert _affine_fit([0.5, 1.5, 2.5], [1.0, 3.0, 5.0]) == (2.0, 0.0, 1.0)
+    # starts of one norm fix no slope: the horizontal line through the mean
+    assert _affine_fit([1.0, 1.0, 1.0], [0.1, 0.2, 0.3]) == (0.0, pytest.approx(0.2), 0.0)
 
 
 def test_deadzone_validates_width():

@@ -38,6 +38,7 @@ from tvglab.core import (
 )
 from tvglab.integrate import (
     _DP_B,
+    _DP_D,
     _DP_E,
     _DP_STAGES,
     BLOW_UP,
@@ -59,16 +60,43 @@ from tvglab.oracle import reference_solution
 integrate_module = importlib.import_module("tvglab.integrate")
 
 
-def test_closed_loop_matches_closed_form():
-    model = reference_loop()
-    grid = OutputGrid(kind="uniform", count=101)
-    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.9,
+# Euler tables c_i / (T - t)^(n - i + 1) on T = 1 whose exponents are n ... 2n - 1:
+# every solution is x1 = sum_k a_k u^(m_k), u = T - t, and x_i its derivatives
+_EULER_TABLES = {
+    2: [[(-6.0, 2)], [(-4.0, 1)]],
+    3: [[(-60.0, 3)], [(-36.0, 2)], [(-9.0, 1)]],
+    4: [[(-840.0, 4)], [(-480.0, 3)], [(-120.0, 2)], [(-16.0, 1)]],
+}
+
+
+def _euler_states(n, x0, ts):
+    """Closed-form states at ts of the Euler table of n channels from x0 at
+    t = 0: x_i = sum_k a_k (-1)^(i-1) m_k (m_k - 1) ... (m_k - i + 2) u^(m_k - i + 1)."""
+    ms = np.arange(n, 2 * n, dtype=float)
+    coef = np.ones((n, n))  # coef[i, k]: channel i + 1's factor of a_k u^(m_k - i)
+    for i in range(1, n):
+        coef[i] = -coef[i - 1] * (ms - (i - 1))
+    a = np.linalg.solve(coef, np.asarray(x0, dtype=float))
+    u = 1.0 - np.asarray(ts, dtype=float)[:, None]
+    return np.stack([(coef[i] * a * u ** (ms - i)).sum(axis=1) for i in range(n)], axis=1)
+
+
+def _scaled_error(n, ts, xs, exact):
+    """Largest error in z_i = u^(i-1) x_i, the coordinates in which every
+    channel of these tables is of the same size, relative to max |z|."""
+    scale = (1.0 - ts)[:, None] ** np.arange(n)
+    return float(np.max(np.abs((xs - exact) * scale)) / np.max(np.abs(exact * scale)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closed_loop_matches_closed_form(n):
+    x0 = np.eye(n)[0]
+    grid = OutputGrid(kind="geometric", count=101)
+    traj = integrate(rational_loop(_EULER_TABLES[n]), None, x0, 0.0, 1.0 - 1e-9,
                      IntegrationOptions(output_grid=grid))
-    exact = reference_solution(0.0, (1.0, 0.0), traj.ts)
-    scale = np.max(np.abs(exact))
-    assert np.max(np.abs(traj.xs - exact)) <= 1e-9 * scale
     assert traj.completed
     assert traj.termination.kind == REACHED_END
+    assert _scaled_error(n, traj.ts, traj.xs, _euler_states(n, x0, traj.ts)) <= 1e-9
 
 
 def test_open_loop_solution_is_affine_in_time():
@@ -78,15 +106,18 @@ def test_open_loop_solution_is_affine_in_time():
     assert traj.xs[-1][1] == pytest.approx(-3.0, rel=1e-12)
 
 
-def test_dense_output_between_steps():
-    model = reference_loop()
-    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.9)
-    probes = np.linspace(0.05, 0.85, 40)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dense_output_between_steps(n):
+    # the midpoint of every step, where the interpolant is farthest from
+    # the knots; at n = 3 and 4 the plain Hermite cubic, without D, misses
+    # by 3.8e-9 and 4.6e-9 of max |z|
+    x0 = np.eye(n)[0]
+    traj = integrate(rational_loop(_EULER_TABLES[n]), None, x0, 0.0, 1.0 - 1e-9)
+    probes = 0.5 * (traj.knot_ts[1:] + traj.knot_ts[:-1])
     states = traj.state_at(probes)
-    exact = reference_solution(0.0, (1.0, 0.0), probes)
-    assert np.max(np.abs(states - exact)) <= 1e-7
+    assert _scaled_error(n, probes, states, _euler_states(n, x0, probes)) <= 1e-9
     with pytest.raises(ValueError):
-        traj.state_at(0.95)
+        traj.state_at(1.0 - 1e-10)
 
 
 def test_output_grid_kinds():
@@ -399,6 +430,18 @@ def test_event_time_is_resolved_relative_to_the_horizon(T):
     assert abs(traj.t_last - t_exact) <= 1e-9 * t_exact
 
 
+@pytest.mark.parametrize("u_event", [1e-6, 1e-7, 1e-8, 1e-9])
+def test_event_time_is_resolved_relative_to_the_deadline(u_event):
+    # x1 = 3 u^2 - 2 u^3 reaches the threshold at u = u_event; a bisection
+    # to 1e-12 * T missed T - t_event by 4.0e-5 and 3.1e-4 relative at
+    # u_event = 1e-8 and 1e-9
+    threshold = 3.0 * u_event**2 - 2.0 * u_event**3
+    traj = integrate(reference_loop(rho_min=1e-12), None, np.array([1.0, 0.0]), 0.0,
+                     1.0 - 1e-11, stop_condition=lambda t, x: x[0] <= threshold)
+    assert traj.termination.kind == EVENT
+    assert abs((1.0 - traj.t_last) - u_event) <= 1e-5 * u_event
+
+
 def test_span_slack_scales_with_the_horizon():
     T = 1e3
     model = rational_loop([[(-6.0, 2)], [(-4.0, 1)]], T=T)
@@ -559,8 +602,34 @@ def test_reference_run_work_is_pinned():
     assert traj.completed
     assert steps == 537
     assert model.calls == 3223 == 1 + 6 * steps  # FSAL, no rejected step
+    assert traj.xs[-1][0] == 2.9999903096873546e-18
     # ZeroNoise is held: one query after the first observe serves the run
     assert noise.calls == 1
+
+
+def test_order_3_run_work_is_pinned():
+    # channel 3's error is weighed by (T - t)/T, which halves the steps
+    # (1148 with a flat error scale)
+    traj = integrate(rational_loop(_EULER_TABLES[3]), None, np.array([1.0, 0.0, 0.0]), 0.0,
+                     1.0 - 1e-9)
+    assert traj.completed
+    assert len(traj.knot_ts) - 1 == 558
+
+
+@pytest.mark.parametrize("eta_bar, epsilon, knots", [
+    (1e-2, 0.1, 665), (1e-3, 0.1, 787), (3e-2, 1e-2, 824)])
+def test_order_3_ramp_reaches_the_deadline(eta_bar, epsilon, knots):
+    # the ramp holds the loop on the track y1 = -(b + 1) k u, x2 = b k with
+    # b = -5/2, where channel 3's rhs is two terms of size 7.2 k/u^2 that
+    # cancel; with a flat error scale their rounding stalls the run near
+    # T - 1e-5 in step_budget.  Near T, x2 is rounding amplified like 1/u
+    # (2.2e-6, 2.1e-5 and 5.5e-5 of 2 epsilon at T - 1e-11)
+    model = rational_loop(_EULER_TABLES[3], rho_min=1e-12)
+    noise = TerminalRampNoise(eta_bar, 2.0 * epsilon / 2.5, n=3)
+    traj = integrate(model, noise, np.array([1.0, 0.0, 0.0]), 0.0, 1.0 - 1e-11)
+    assert traj.completed
+    assert len(traj.knot_ts) == knots
+    assert abs(traj.xs[-1][1] + 2.0 * epsilon) <= 1e-4 * 2.0 * epsilon
 
 
 def test_integrate_evaluates_every_stage_through_the_rhs_method(monkeypatch):
@@ -822,20 +891,25 @@ def _forward_sum(coefs, terms):
 
 
 def _numpy_reference_knots(model, x0, t_end):
-    """Knot times, states and derivatives of a noise-free run from t = 0 with
-    the default options, by the stepper's arithmetic written as numpy array
-    operations, each sum added term by term in tableau order (numpy's dot
-    and sum would choose their own order): the reference for integrate's
-    unrolled float step."""
+    """Knot times, states, derivatives and D columns of a noise-free run from
+    t = 0 with the default options, by the stepper's arithmetic written as
+    numpy array operations, each sum added term by term in tableau order
+    (numpy's dot and sum would choose their own order): the reference for
+    integrate's unrolled float step.  Channel i >= 3's error term carries the
+    weight w^(i - 2), w = (T - t) / T, as powers by repeated products."""
     opts = IntegrationOptions()
     T, n = model.T, model.n
     eta = model.zero_noise().value(0.0, None)
     t, x = 0.0, np.array(x0, dtype=float)
     f = np.array(model.rhs(t, x, eta))
-    ts, xs, fs = [t], [x], [f]
+    ts, xs, fs, ds = [t], [x], [f], [np.zeros(n)]
     h_try = max(min(1e-3 * t_end, opts.max_step_fraction * T), 1e-13 * T)
     while t < t_end:
         h_cap = opts.max_step_fraction * (T - t)
+        w = (T - t) / T
+        weights = [1.0, 1.0, w]
+        while len(weights) < n:
+            weights.append(weights[-1] * w)
         h = min(h_try, h_cap, t_end - t)
         if t_end - t <= min(h_try, h_cap):
             h = t_end - t
@@ -846,7 +920,7 @@ def _numpy_reference_knots(model, x0, t_end):
         t_new = t_end if t + h >= t_end else t + h
         k.append(np.array(model.rhs(t_new, x_new, eta)))
         q = h * _forward_sum(_DP_E, k) / (
-            opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new)))
+            opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new))) * weights[:n]
         sq = 0.0
         for square in (q * q).tolist():
             sq += square
@@ -858,8 +932,9 @@ def _numpy_reference_knots(model, x0, t_end):
         ts.append(t)
         xs.append(x)
         fs.append(f)
+        ds.append(h * _forward_sum(_DP_D, k))
         h_try = h * (10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.2)))
-    return np.array(ts), np.array(xs), np.array(fs)
+    return np.array(ts), np.array(xs), np.array(fs), np.array(ds)
 
 
 @pytest.mark.parametrize("model, x0", [
@@ -872,10 +947,11 @@ def _numpy_reference_knots(model, x0, t_end):
 def test_stepper_matches_its_numpy_reference_bit_for_bit(model, x0):
     t_end = 1.0 - 1e-9
     traj = integrate(model, None, np.array(x0), 0.0, t_end)
-    ts, xs, fs = _numpy_reference_knots(model, x0, t_end)
+    ts, xs, fs, ds = _numpy_reference_knots(model, x0, t_end)
     assert traj.knot_ts.tobytes() == ts.tobytes()
     assert traj.knot_xs.tobytes() == xs.tobytes()
     assert traj.knot_fs.tobytes() == fs.tobytes()
+    assert traj.knot_ds.tobytes() == ds.tobytes()
 
 
 # a control loop with n = 2..9 channels, each of up to two terms c / (T - t)**p
@@ -895,27 +971,38 @@ def test_stepper_matches_its_numpy_reference_on_random_tables(case):
     model, t_end = rational_loop(tables), 1.0 - 1e-3
     traj = integrate(model, None, np.array(x0), 0.0, t_end)
     assert traj.completed
-    ts, xs, fs = _numpy_reference_knots(model, x0, t_end)
+    ts, xs, fs, ds = _numpy_reference_knots(model, x0, t_end)
     assert traj.knot_ts.tobytes() == ts.tobytes()
     assert traj.knot_xs.tobytes() == xs.tobytes()
     assert traj.knot_fs.tobytes() == fs.tobytes()
+    assert traj.knot_ds.tobytes() == ds.tobytes()
 
 
 # the reference run and selftest's controller divergence ladder, whose
-# recorded states are printed as the hex of their bytes
+# recorded states and D columns are printed as the hex of their bytes, and
+# the sha256 of every selftest artifact
 _KERNEL_PROBE = """
+import contextlib, hashlib, io, pathlib, tempfile
 import numpy as np
 from tvglab import integrate, reference_loop, run_divergence_attack
+from tvglab.cli import main
 ref = integrate(reference_loop(), None, np.array([1.0, 0.0]), 0.0, 1.0 - 1e-9)
 attack = run_divergence_attack(reference_loop(rho_min=1e-9), 1e-2)
-print(ref.xs.tobytes().hex(), attack.trajectory.xs.tobytes().hex())
+print(ref.xs.tobytes().hex(), ref.knot_ds.tobytes().hex(), attack.trajectory.xs.tobytes().hex(),
+      attack.trajectory.knot_ds.tobytes().hex())
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    code = main(["selftest", "--output.dir", out])
+    digests = [f"{p.relative_to(out)}:{hashlib.sha256(p.read_bytes()).hexdigest()}"
+               for p in sorted(pathlib.Path(out).rglob("*")) if p.is_file()]
+print("selftest exit", code, "artifacts", len(digests), *digests)
 """
 
 
 def test_runs_are_bit_identical_under_every_openblas_kernel():
     # OpenBLAS picks a kernel per CPU, and kernels round dot products
-    # differently; the step makes no BLAS call, so forcing another kernel
-    # changes no bit of a run
+    # differently; neither the step nor what selftest derives from its runs
+    # (norms, fits, oracle errors) makes a BLAS call, so forcing another
+    # kernel changes no bit of a run or of an artifact
     src = str(Path(integrate_module.__file__).resolve().parent.parent)
     outputs = []
     for core in (None, "Haswell", "Sandybridge"):
@@ -926,7 +1013,8 @@ def test_runs_are_bit_identical_under_every_openblas_kernel():
         proc = subprocess.run([sys.executable, "-c", _KERNEL_PROBE], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         outputs.append(proc.stdout)
-    assert outputs[0].strip() and outputs[0] == outputs[1] == outputs[2]
+    assert "selftest exit 0 artifacts 29 " in outputs[0]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_runs_with_one_channel_count_share_one_compiled_step():
