@@ -211,6 +211,18 @@ SCENARIOS: dict[str, list[str]] = {
     # the ramp is already under way at t = 0
     "attack_diff_terminal_ramp_before_0": ["attack", "--attack.kind", "diff-terminal",
                                            "--attack.eta_bar", "1", "--attack.epsilon", "0.1"],
+    # segment noises on other tables: the divergence ramps on a rational
+    # injection, the control loop's ramp with other constants
+    "attack_diff_divergence_rational": ["attack", "--attack.kind", "diff-divergence",
+                                        "--system.variant", "diff_error",
+                                        "--system.gains", "-3,1; -2,2", "--attack.eta_bar", "1e-2"],
+    "attack_controller_ramp_rational": ["attack", "--attack.kind", "controller-terminal",
+                                        "--attack.x0", "1,0", "--system.gains", "-12,2; -7,1",
+                                        "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
+    # the plan window at eta_bar 1e-6 lies inside attack.rho: a config error
+    "attack_controller_terminal_plan_past_rho": ["attack", "--attack.kind", "controller-terminal",
+                                                 "--attack.eta_bar", "1e-6",
+                                                 "--attack.epsilon", "0.5"],
 }
 
 # name -> exit code, for every scenario that does not exit 0 (1 config error,
@@ -243,6 +255,7 @@ EXPECTED_EXIT: dict[str, int] = {
     "attack_controller_terminal_psi_init_length": 1,
     "attack_controller_ramp_unsupported_table": 1,
     "attack_controller_terminal_late_s": 1,
+    "attack_controller_terminal_plan_past_rho": 1,
     "workaround_stop_time_max_norm_50": 2,
     "workaround_deadzone_max_norm_50": 2,
     "verify_max_norm_2": 2,

@@ -188,13 +188,12 @@ class DifferentiatorDivergenceNoise(_DivergenceNoise):
         return -(self.eta_bar * _sign(value_now) + value_now) / (self.T - t_now)
 
     def value(self, t: float, x) -> float:
-        v = self._eta_k + self._slope * (t - self._t_k)
-        # ramps aim exactly at the opposite bound at T; clip round-off spill
-        if v > self.eta_bar:
-            v = self.eta_bar
-        elif v < -self.eta_bar:
-            v = -self.eta_bar
-        return v
+        # ramps aim exactly at the opposite bound at T; the integrator's bound
+        # check admits their round-off spill
+        return self._eta_k + self._slope * (t - self._t_k)
+
+    def segment(self, t: float):
+        return self._eta_k, self._slope, self._t_k
 
     def observe(self, t: float, x) -> bool:
         if not self._started:
@@ -205,11 +204,12 @@ class DifferentiatorDivergenceNoise(_DivergenceNoise):
             return False
         if self._next_idx >= len(self.targets):
             return False
+        if not abs(float(x[1]) + self._slope) <= max(TRACK_REL * abs(self._slope), 1e-12):
+            return False  # not tracking the current slope yet
         eps_next = self.targets[self._next_idx]
-        tracked = abs(float(x[1]) + self._slope) <= max(TRACK_REL * abs(self._slope), 1e-12)
         val = self.value(t, x)
         prospective = (self.eta_bar + abs(val)) / (self.T - t)
-        if tracked and prospective > eps_next and t > self.T - 1.0 / eps_next:
+        if prospective > eps_next and t > self.T - 1.0 / eps_next:
             self._eta_k = val
             self._t_k = float(t)
             self._slope = self._segment_slope(val, t)
@@ -231,16 +231,25 @@ class TerminalRampNoise(NoiseSource):
         self.slope = float(slope)
         self.T = float(T)
         self.s = float(T - 2.0 * eta_bar / slope)
+        # the control loop's channels 2..n, which stay 0
+        self._rest = None if n is None else [0.0] * (n - 1)
         if n is not None:
             # the loop's list, from the scalar value, which keeps the
-            # differentiator's per-stage query free of the branch
-            rest, scalar = [0.0] * (n - 1), self.value
+            # differentiator's query free of the branch
+            rest, scalar = self._rest, self.value
             self.value = lambda t, x: [scalar(t, x), *rest]
 
     def value(self, t: float, x):
         if t < self.s:
             return -self.eta_bar
         return -self.eta_bar + (t - self.s) * self.slope
+
+    def segment(self, t: float):
+        # -eta_bar + 0.0 * (t - s) is -eta_bar before s
+        a, b = -self.eta_bar, 0.0 if t < self.s else self.slope
+        if self._rest is None:
+            return a, b, self.s
+        return [a, *self._rest], [b, *self._rest], self.s
 
     def next_discontinuity(self, t: float) -> float:
         return self.s if t < self.s else math.inf
@@ -582,11 +591,15 @@ def run_controller_terminal_attack(model: SystemModel, eta_bar: float, epsilon: 
 
     Integrates from x(s) equal to the planned state under the tracking
     noise; reports the sup-norm tracking error and the terminal state at
-    T - rho.  Verdict: terminal norm >= epsilon.
+    T - rho.  Verdict: terminal norm >= epsilon.  A plan that does not start
+    before T - rho (a small eta_bar gives a short window) raises ValueError.
     """
     noise, plan = controller_terminal_error_noise(model, eta_bar, epsilon, psi_init=psi_init, s=s)
     opts = opts or IntegrationOptions()
     T = model.horizon.T
+    if not plan.s < T - rho:
+        raise ValueError(f"the plan starts at s={plan.s!r}, not before T - rho = {T - rho!r} "
+                         f"(attack.rho = {rho!r})")
     traj = integrate(model, noise, plan.initial_state(), plan.s, T - rho, opts)
     _require_complete(traj)
     predicted = plan.state_at(traj.ts)

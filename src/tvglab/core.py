@@ -229,14 +229,28 @@ class NoiseSource:
     after t (inf when none is scheduled) so the integrator can land on it;
     it is asked once per committed step, at the step's start.
 
-    held = True promises more: from the first observe() on, value(t, x)
-    returns the same value for every (t, x) until observe() returns True.
-    The integrator then queries and checks a held source once after the
-    first observe() and once after each switch, and reuses that value for
-    every stage and sample; a source that is not held is queried at every
-    stage.  A control-loop source may return an array or a list of exactly
-    n floats (anything else raises ValueError at the query); a list is
-    recorded as it is, so the source must not change it later.
+    segment(t) may promise more: None (the default) promises nothing, and
+    the integrator queries value() at every Runge-Kutta stage.  (a, b, t0),
+    with a and b floats (differentiator) or lists of n floats (control
+    loop), promises that value(t', x) == a + b * (t' - t0), bit for bit and
+    for every x, at every t' from t until the source's next switch (observe
+    returns True) or its next announced discontinuity, where value() may
+    jump.  The integrator reads the segment after the first observe(),
+    after each switch and after each step that lands on an announced
+    discontinuity, and its compiled loop evaluates the law at every stage
+    without calling the source: the stages of a step that ends on the
+    discontinuity, its last one included, see the law before it.  A source
+    that gives a segment once must give one at every later read.  The loop
+    that calls an overridden SystemModel.rhs queries at every stage instead.
+
+    held = True is the constant case, b = 0 until the next switch, with a
+    loop of its own: from the first observe() on, value(t, x) returns the
+    same value for every (t, x) until observe() returns True.  The
+    integrator then queries and checks a held source once after the first
+    observe() and once after each switch, and reuses that value for every
+    stage and sample.  A control-loop source may return an array or a list
+    of exactly n floats (anything else raises ValueError at the query); a
+    list is recorded as it is, so the source must not change it later.
     """
 
     bound: float = 0.0
@@ -250,6 +264,9 @@ class NoiseSource:
 
     def next_discontinuity(self, t: float) -> float:
         return math.inf
+
+    def segment(self, t: float):
+        return None
 
 
 class ZeroNoise(NoiseSource):

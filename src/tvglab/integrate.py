@@ -16,20 +16,24 @@ that the singular gains demand:
 The adaptive loop, trial steps and commits alike, is one function generated
 per model shape and noise kind, with the model's right-hand side fused into
 every stage (see _loop_factory); a class that overrides or wraps
-SystemModel.rhs gets one that calls it.  State and FSAL derivative stay
-float locals from step to step, and its sums are unrolled float expressions
-in forward order, with no BLAS call, so a run rounds alike under every BLAS
-kernel.  It commits on lists of floats, which observe and stop_condition
-receive too; barriers are queried once per committed step, the blow-up
-check is the root of the float sum of squares, and the knot record is kept
-in flat float columns that become arrays once, at the end.  integrate itself
-re-enters the loop after each noise switch and locates stop events.
+SystemModel.rhs gets one that calls it.  The noise kinds are a held value,
+an affine segment a + b (t - t0) evaluated and bound-checked inline at each
+stage, and a source queried at each stage (see NoiseSource).  State and
+FSAL derivative stay float locals from step to step, and its sums are
+unrolled float expressions in forward order, with no BLAS call, so a run
+rounds alike under every BLAS kernel.  It commits on lists of floats, which
+observe and stop_condition receive too; barriers are queried once per
+committed step, the blow-up check is the root of the float sum of squares,
+and the knot record is kept in flat float columns that become arrays once,
+at the end.  integrate itself re-enters the loop after each noise switch
+and each landed segment discontinuity, and locates stop events.
 
 The loop keeps a knot record at every committed step: state, noise as
-queried, the derivative's right and left limits at the knot, and the D of
-the step the knot closes.  Dense output in between is DOPRI5's continuous
-extension (Hairer, Norsett & Wanner, section II.6): the cubic Hermite
-interpolant of the step's end states and derivatives plus
+queried (or as its segment gives it), the derivative's right and left
+limits at the knot, and the D of the step the knot closes.  Dense output in
+between is DOPRI5's continuous extension (Hairer, Norsett & Wanner, section
+II.6): the cubic Hermite interpolant of the step's end states and
+derivatives plus
 theta^2 (1 - theta)^2 D, where D = h * sum(d_i k_i) over the step's stages
 is computed on floats when the step is accepted.  An optional output grid
 is filled in one batched pass after the last step: one evaluation over the
@@ -82,14 +86,21 @@ _STEP_CONTROL = dict(SAFETY=0.9, ORDER=-0.2, MIN_SHRINK=0.2, FAIL_SHRINK=0.5, MA
                      FLOOR=1e-10, FLOOR_ULPS=16.0, ONE=1.0, ZERO=0.0)
 
 # what a run binds into its loop, in make's order
-_RUN = ("eta_at, abs_tol, rel_tol, kappa, max_norm, max_trials, t_end, observe, next_noise, "
-        "next_dist, stop_condition, grid_queries, append_t, extend_x, extend_f, extend_d, record_eta")
+_RUN = ("eta_at, bound, bound_slack, abs_tol, rel_tol, kappa, max_norm, max_trials, t_end, "
+        "observe, next_noise, next_dist, stop_condition, grid_queries, append_t, extend_x, "
+        "extend_f, extend_d, record_eta")
+
+
+# the noise kinds of a compiled loop: a held source's value, unpacked once
+# per loop call; an affine segment's law, evaluated inline at every stage; or
+# a query of the source at every stage
+_HELD, _SEGMENT, _QUERIED = "held", "segment", "queried"
 
 
 @functools.lru_cache(maxsize=128)
-def _loop_factory(n: int, held: bool, shape=None):
+def _loop_factory(n: int, noise_kind: str, shape=None):
     """Compile integrate's adaptive Dormand-Prince loop for n channels and a
-    noise kind.
+    noise kind (_HELD, _SEGMENT or _QUERIED).
 
     With a SystemModel's shape (variant, pole orders, zero disturbance),
     make(*run, *model._consts) binds a run's settings (named in _RUN) and
@@ -97,7 +108,7 @@ def _loop_factory(n: int, held: bool, shape=None):
     the model's compiled rhs, on float locals: bit for bit the loop that
     calls rhs.  With shape None, make(*run, T, rhs) returns that loop, for a
     class that overrides or wraps SystemModel.rhs: each stage calls
-    rhs(ts, xs, eta).
+    rhs(ts, xs, eta).  The segment kind needs the shape.
 
     loop(t, x, f, eta, h_try, trials) steps from the knot (t, x, f), x and f
     lists of floats, and commits each accepted step: observe, the knot
@@ -108,15 +119,22 @@ def _loop_factory(n: int, held: bool, shape=None):
     stop condition holds at a step's end (EVENT: (t, x, f) opens that
     uncommitted step and last is its (t_new, x_new, f_new, d)), observe
     reports a switch (_SWITCH, unrecorded; last is the norm and the step's
-    D column d) or the norm reaches max_norm (BLOW_UP; last is the norm);
-    after those two, (t, x, f) is the step's end and f its left limit.
+    D column d), a segment loop's step lands on the source's announced
+    discontinuity (_LANDED, as _SWITCH) or the norm reaches max_norm
+    (BLOW_UP; last is the norm); after those three, (t, x, f) is the step's
+    end and f its left limit.
     Channel j >= 2 (0-based) of the error norm is weighed by w<j-1>, the
     powers of w = (T - t)/T by repeated products, computed with the step
     cap once per commit.  State and FSAL derivative stay float locals
-    between steps; a held eta is unpacked once per call, otherwise eta_at is
-    queried at each stage state, a fresh list.  Every sum runs over the
-    nonzero tableau coefficients in forward order on Python floats, so no
-    BLAS kernel changes a bit.  The source holds names and indices only.
+    between steps.  A held eta is unpacked once per call; a segment eta,
+    (a, b, t0) with a and b floats (differentiator) or lists of n floats
+    (control loop), too, and each stage, FSAL included, computes the noise
+    a + b * (ts - t0) on floats and checks it against the bound as eta_at
+    does; otherwise eta_at is queried at each stage state, a fresh list.  A
+    zero-disturbance shape asks for no disturbance barrier.  Every sum runs
+    over the nonzero tableau coefficients in forward order on Python
+    floats, so no BLAS kernel changes a bit.  The source holds names and
+    indices only.
     """
     def names(prefix):
         return ", ".join(f"{prefix}{j}" for j in range(n))
@@ -130,12 +148,24 @@ def _loop_factory(n: int, held: bool, shape=None):
         return " + ".join(f"{c} * k{i}_{j}" for i, c in coefs)
 
     params, noise, lines, out = _rhs_lines(*shape) if shape else ("T, rhs", None, None, None)
+    held, segment = noise_kind == _HELD, noise_kind == _SEGMENT
+    control = shape is not None and shape[0] == CONTROL_LOOP
+    recorded = "eta_new"  # the noise a commit records: its last stage's
+    if segment:
+        # the noise channels e<j> (or e), each with its law na<j> + nb<j> * (ts - nt)
+        es = noise.replace(",", " ").split()
+        recorded = f"[{noise}]" if control else "e"
+        law = [f"{v} = na{v[1:]} + nb{v[1:]} * (ts - nt)" for v in es]
+        law += ["en = " + (f"hypot({', '.join(es)})" if control else "abs(e)"),
+                "if en > bound_slack:",
+                '    raise NoiseBoundViolation(f"noise bound violated at t={ts!r}: '
+                '|eta|={en!r} > {bound!r}")']
 
     def derivative(i, state, query):
         # k<i>_0, ... at time ts on the stage channels s<j>, packed as state
         if shape is None:
             return [f"{names(f'k{i}_')}, = rhs(ts, {state}, {query})"]
-        return [*([] if held else [f"{noise} = {query}"]), *lines,
+        return [*(law if segment else [] if held else [f"{noise} = {query}"]), *lines,
                 *(f"k{i}_{j} = {v}" for j, v in enumerate(out))]
 
     body = []
@@ -143,13 +173,13 @@ def _loop_factory(n: int, held: bool, shape=None):
         coefs = nonzero(f"A{i}_", row)
         body += [f"ts = t + C{i} * h",
                  *(f"s{j} = x{j} + h * ({weighted(coefs, j)})" for j in range(n)),
-                 *([] if shape and held else [f"xs = [{names('s')}]"]),
+                 *([] if shape and noise_kind != _QUERIED else [f"xs = [{names('s')}]"]),
                  *derivative(i, "xs", "eta" if held else "eta_at(ts, xs)")]
     b, e, d = nonzero("B", _DP_B), nonzero("E", _DP_E), nonzero("D", _DP_D)
     body += ["ts = t_new",
              *(f"s{j} = x{j} + h * ({weighted(b, j)})" for j in range(n)),
              f"new = [{names('s')}]",
-             f"eta_new = {'eta' if held else 'eta_at(t_new, new)'}",
+             *([] if segment else [f"eta_new = {'eta' if held else 'eta_at(t_new, new)'}"]),
              *derivative(6, "new", "eta_new"),
              # b if b > a else a is max(a, b), NaN and signed zeros alike
              *(line for j in range(n) for line in (
@@ -157,12 +187,17 @@ def _loop_factory(n: int, held: bool, shape=None):
                  f"q{j} = h * ({weighted(e, j)}) / (abs_tol + rel_tol * (b if b > a else a))"
                  + (f" * w{j - 1}" if j >= 2 else ""))),
              "err = sqrt((" + " + ".join(f"q{j} * q{j}" for j in range(n)) + f") / {n})"]
+    # the barrier: the run's end and the sources' announced discontinuities
+    barriers = "t_end, landing" if segment else "t_end, next_noise(t)"
+    if not (shape and shape[2]):
+        barriers += ", next_dist(t)"
     step = [
         "if trials == max_trials:",
         "    return STEP_BUDGET, t, x, f, h_try, trials, None",
         "trials += 1",
         "if barrier is None:  # t and the sources' state change only at a commit",
-        "    barrier = min(t_end, next_noise(t), next_dist(t))",
+        *(["    landing = next_noise(t)"] if segment else []),
+        f"    barrier = min({barriers})",
         "    h_cap = kappa * (T - t)",
         *(["    w1 = (T - t) / T"] if n >= 3 else []),
         *(f"    w{p} = w{p - 1} * w1" for p in range(2, n - 1)),
@@ -199,23 +234,31 @@ def _loop_factory(n: int, held: bool, shape=None):
         "norm = sqrt(" + " + ".join(f"s{j} * s{j}" for j in range(n)) + ")",
         "if observe(t_new, new):",
         "    return _SWITCH, t_new, new, f_new, h_try, trials, (norm, dense)",
+        # the segment holds up to its discontinuity, where integrate renews it
+        *(["if t_new == landing:",
+           "    return _LANDED, t_new, new, f_new, h_try, trials, (norm, dense)"] if segment else []),
         # without a switch the source still answers with the noise of the
-        # last stage (the NoiseSource contract), so that query is recorded
+        # last stage (the NoiseSource contract), so that value is recorded
         "append_t(t_new)",
         "extend_x(new)",
         "extend_f(f_new)",
         "extend_d(dense)",
-        "record_eta(eta_new)",
+        f"record_eta({recorded})",
         "if norm >= max_norm:",
         "    return BLOW_UP, t_new, new, f_new, h_try, trials, norm",
         "t, x, f, barrier = t_new, new, f_new, None",
         f"{names('x')}, = new",
         f"{names('k0_')}, = f_new"]
+    start = [f"{noise} = eta"] if shape and held else []
+    if segment:
+        start = ["na, nb, nt = eta"]
+        if control:
+            start += [f"{names('na')}, = na", f"{names('nb')}, = nb"]
     src = [f"def make({_RUN}, {params}):",
            "    def loop(t, x, f, eta, h_try, trials):",
            f"        {names('x')}, = x",
            f"        {names('k0_')}, = f",
-           *([f"        {noise} = eta"] if shape and held else []),
+           *(f"        {line}" for line in start),
            "        barrier = None",
            "        while t < t_end:",
            *(f"            {line}" for line in step),
@@ -227,11 +270,12 @@ def _loop_factory(n: int, held: bool, shape=None):
                  **{f"B{i}": c for i, c in enumerate(_DP_B)},
                  **{f"E{i}": c for i, c in enumerate(_DP_E)},
                  **{f"D{i}": c for i, c in enumerate(_DP_D)}, **_STEP_CONTROL,
-                 sqrt=math.sqrt, isfinite=math.isfinite, ulp=math.ulp, inf=math.inf,
-                 NumericalFailure=NumericalFailure, NoiseBoundViolation=NoiseBoundViolation,
-                 REACHED_END=REACHED_END, STEP_BUDGET=STEP_BUDGET, STEP_UNDERFLOW=STEP_UNDERFLOW,
-                 EVENT=EVENT, BLOW_UP=BLOW_UP, _SWITCH=_SWITCH)
-    exec(compile("\n".join(src), f"<loop {n} {'held' if held else 'queried'} {shape}>", "exec"), scope)
+                 sqrt=math.sqrt, hypot=math.hypot, isfinite=math.isfinite, ulp=math.ulp,
+                 inf=math.inf, NumericalFailure=NumericalFailure,
+                 NoiseBoundViolation=NoiseBoundViolation, REACHED_END=REACHED_END,
+                 STEP_BUDGET=STEP_BUDGET, STEP_UNDERFLOW=STEP_UNDERFLOW, EVENT=EVENT,
+                 BLOW_UP=BLOW_UP, _SWITCH=_SWITCH, _LANDED=_LANDED)
+    exec(compile("\n".join(src), f"<loop {n} {noise_kind} {shape}>", "exec"), scope)
     return scope["make"]
 
 
@@ -241,6 +285,7 @@ STEP_UNDERFLOW = "step_underflow"
 STEP_BUDGET = "step_budget"
 EVENT = "event"
 _SWITCH = "switch"  # the compiled loop's return at a noise switch
+_LANDED = "landed"  # a segment loop's return on its source's announced discontinuity
 
 # trial steps, accepted or rejected, that one integrate call may take; a run
 # that needs more ends with a step_budget termination.  The largest call of
@@ -323,7 +368,8 @@ class Trajectory:
 
     The knot record holds each committed step's end: knot_fs is the
     derivative's right limit there, knot_fl its left limit; they differ
-    only at a noise switch, where knot_fs uses the post-switch noise.
+    only at a noise switch, where knot_fs uses the post-switch noise, and
+    where a segment's law jumps at a landed discontinuity.
     knot_ds is the D of DOPRI5's continuous extension for the step the knot
     closes, 0 at the start knot and at a stop event's knot (the event step
     is truncated, so it keeps the plain cubic).  state_at interpolates each
@@ -408,13 +454,20 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     as a list of floats, a bisection point's as an array).  A held source
     (NoiseSource.held) is queried once after the first observe and once
     after each switch, and that value serves every stage and sample until
-    the next switch; any other source is queried at every RK stage, with
-    the stage state as a list of floats, and at every sample, a step's grid
-    points in time order before the observe at its end (on a stop-event
-    step, after the event's own query, since their states interpolate to
-    the event knot).  Each query is checked against the source's bound; a
-    violation raises NoiseBoundViolation; a control-loop noise that is not n
-    floats, or a differentiator noise that is not a scalar, raises
+    the next switch.  A source that gives a segment (NoiseSource.segment)
+    is queried and its segment read at the same knots and after each step
+    that lands on its next_discontinuity; the fused loop evaluates the
+    segment at every stage and commit, and a landed discontinuity adds no
+    switch time but keeps the derivative's left limit, under the law before
+    it, in knot_fl.  Any other source, and a segment source under a model
+    class that overrides rhs, is queried at every RK stage, with the stage
+    state as a list of floats.  Every source but a held one is queried at
+    every grid sample, a step's grid points in time order before the
+    observe at its end (on a stop-event step, after the event's own query,
+    since their states interpolate to the event knot), and at a stop event.
+    Each noise value is checked against the source's bound; a violation
+    raises NoiseBoundViolation; a control-loop noise or segment that is not
+    n floats, or a differentiator noise that is not a scalar, raises
     ValueError.
     """
     opts = opts or IntegrationOptions()
@@ -484,7 +537,10 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         record_eta(eta)
 
     switch_times: list[float] = []
-    switch_fls: list[list[float]] = []  # left-limit derivative at each switch knot
+    # knots where the loop returned to renew the noise (a switch, or a
+    # segment's landed discontinuity), with the derivative's left limit there
+    renewal_ts: list[float] = []
+    renewal_fls: list[list[float]] = []
     grid_etas: list = []  # queried at the grid points for a source that is not held
     query_grid = grid is not None and not held
     grid_idx = 0 if grid is None else int(np.searchsorted(grid, t0, side="right"))
@@ -505,16 +561,28 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         xqs = _interpolant(*map(np.array, (x, f, x_new, f_new, d)), dt, ((tqs - t) / dt)[:, None])
         grid_etas.extend(eta_at(tq, xq) for tq, xq in zip(tqs.tolist(), xqs))
 
+    def segment_at(t):
+        """The source's affine law from t on, as the segment loop takes it:
+        (a, b, t0) with a and b floats for the differentiator and lists of n
+        floats for the control loop, or None."""
+        seg = noise.segment(t)
+        if seg is None:
+            return None
+        a, b, t_seg = seg
+        if is_control:
+            a, b = [float(v) for v in a], [float(v) for v in b]
+            if len(a) != n or len(b) != n:
+                raise ValueError(f"control-loop noise segment at t={t!r} is not {n} channels")
+        else:
+            a, b = float(a), float(b)
+        return a, b, float(t_seg)
+
     # the loop with the model's compiled right-hand side fused in, unless a
     # subclass or a wrapper on the class (the benchmark tracer's, a test's)
-    # overrides the method: then every evaluation calls it
+    # overrides the method: then every evaluation calls it, and a segment
+    # source is queried at every stage
     fused = type(model).rhs is _MODEL_RHS
     rhs = model._rhs if fused else model.rhs
-    loop = _loop_factory(n, held, model._shape if fused else None)(
-        eta_at, opts.abs_tol, opts.rel_tol, opts.max_step_fraction, opts.max_norm, MAX_TRIAL_STEPS,
-        t_end, noise.observe, noise.next_discontinuity, model.disturbance.next_discontinuity,
-        stop_condition, grid_queries if query_grid else None, knot_ts.append, knot_xs.extend,
-        knot_fs.extend, knot_ds.extend, record_eta, *(model._consts if fused else (T, rhs)))
 
     # initial commitment: let the source latch its first segment, then record
     x = x.tolist()
@@ -522,20 +590,39 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     eta = eta_at(t0, x)
     f = rhs(t0, x, eta)
     record(t0, x, f, no_dense, eta)
+    # what the loop takes as its noise: the held value, the segment, or
+    # nothing (a queried source)
+    law = eta if held else segment_at(t0) if fused else None
+    noise_kind = _HELD if held else _QUERIED if law is None else _SEGMENT
+    loop = _loop_factory(n, noise_kind, model._shape if fused else None)(
+        eta_at, noise.bound, bound_slack, opts.abs_tol, opts.rel_tol, opts.max_step_fraction,
+        opts.max_norm, MAX_TRIAL_STEPS, t_end, noise.observe, noise.next_discontinuity,
+        model.disturbance.next_discontinuity, stop_condition,
+        grid_queries if query_grid else None, knot_ts.append, knot_xs.extend, knot_fs.extend,
+        knot_ds.extend, record_eta, *(model._consts if fused else (T, rhs)))
 
     h_try = opts.initial_step if opts.initial_step is not None else min(
         1e-3 * (t_end - t0), opts.max_step_fraction * (T - t0))
     t, h_try, trials = t0, max(h_try, min_step), 0
     while True:
-        kind, t, x, f, h_try, trials, last = loop(t, x, f, eta, h_try, trials)
-        if kind != _SWITCH:
+        kind, t, x, f, h_try, trials, last = loop(t, x, f, law, h_try, trials)
+        if kind != _SWITCH and kind != _LANDED:
             break
-        # re-enter at the switch knot with the source's new noise and the
-        # derivative's right limit there
-        last, d = last  # the norm and the D of the step that ends at the switch
-        switch_times.append(t)
-        switch_fls.append(f)
+        # re-enter at the knot with the source's new noise and the
+        # derivative's right limit there; a landed discontinuity is no switch
+        last, d = last  # the norm and the D of the step that ends at the knot
+        if kind == _SWITCH:
+            switch_times.append(t)
+        renewal_ts.append(t)
+        renewal_fls.append(f)
         eta = eta_at(t, x)
+        if noise_kind == _SEGMENT:
+            law = segment_at(t)
+            if law is None:
+                raise ValueError(f"noise source gave no segment at t={t!r}, though it gave "
+                                 "one at the run's start")
+        else:
+            law = eta
         f = rhs(t, x, eta)
         record(t, x, f, d, eta)
         if last >= opts.max_norm:
@@ -576,8 +663,8 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     kxs, kfs, kds, ketas = (np.array(col, dtype=float).reshape(len(kts), -1)
                             for col in (knot_xs, knot_fs, knot_ds, knot_etas))
     kfl = kfs.copy()
-    if switch_times:
-        kfl[np.searchsorted(kts, switch_times)] = switch_fls
+    if renewal_ts:
+        kfl[np.searchsorted(kts, renewal_ts)] = renewal_fls
     # the sample table: the knot rows, and the grid points strictly inside
     # steps merged in after the knot that opens their step.  A held source's
     # value at a grid point is the one recorded at that knot

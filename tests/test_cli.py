@@ -831,6 +831,16 @@ def test_tracking_noise_over_its_bound_exits_2(tmp_path, capsys, monkeypatch):
     assert "tracking noise exceeded its bound" in capsys.readouterr().err
 
 
+def test_controller_terminal_plan_that_starts_past_t_minus_rho_is_a_config_error(tmp_path, capsys):
+    # at eta_bar 1e-6 the plan window is about 1.1e-7 wide, inside rho = 1e-6
+    code = main(["attack", "--attack.kind", "controller-terminal", "--attack.eta_bar", "1e-6",
+                 "--attack.epsilon", "0.5", "--output.dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "the plan starts at s=0.99999989" in err and "(attack.rho = 1e-06)" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_attack_subcommand_needs_a_kind(tmp_path, capsys):
     assert main(["attack", "--attack.eta_bar", "0.1",
                  "--output.dir", str(tmp_path)]) == 1

@@ -206,6 +206,49 @@ def test_noise_barrier_is_hit_exactly():
     assert noise.observed[0] == 0.0
 
 
+class _SegmentBarrierNoise(_BarrierNoise):
+    """Barrier noise that declares its constant law as a segment."""
+
+    def segment(self, t):
+        level = 0.01 if t < self.barrier else -0.01
+        return [level] * self.n, [0.0] * self.n, t
+
+
+def test_segment_jump_at_a_barrier_is_landed_on_the_pre_barrier_law():
+    model, x0 = reference_loop(), np.array([1.0, 0.0])
+    landing = {}
+    for make in (_BarrierNoise, _SegmentBarrierNoise):
+        traj = integrate(model, make(2, 0.375), x0, 0.0, 0.75)
+        k = int(np.flatnonzero(traj.knot_ts == 0.375)[0])
+        landing[make] = traj.knot_ts[k] - traj.knot_ts[k - 1]
+    # a queried source answers the landing step's last stage with the
+    # post-barrier noise, so the error estimate sees the jump and the step
+    # shrinks; every stage of the segment loop's landing step, the last
+    # included, sees the law before the barrier
+    assert landing[_BarrierNoise] < 1e-6 and landing[_SegmentBarrierNoise] > 1e-3
+    # the landed knot keeps the left limit in knot_fl; it is not a switch
+    assert traj.completed and traj.switch_times == ()
+    x_b = traj.knot_xs[k]
+    assert traj.knot_fl[k].tolist() == model.rhs(0.375, x_b, [0.01, 0.01])
+    assert traj.knot_fs[k].tolist() == model.rhs(0.375, x_b, [-0.01, -0.01])
+    assert np.all(traj.etas[traj.ts == 0.375] == -0.01)
+    others = np.arange(len(traj.knot_ts)) != k
+    assert traj.knot_fl[others].tobytes() == traj.knot_fs[others].tobytes()
+    # the run split at the barrier into two integrate calls agrees with it
+    # (a tolerance at which the queried source ends in step_underflow short
+    # of the barrier)
+    tight = IntegrationOptions(rel_tol=1e-13, abs_tol=1e-15)
+    whole = integrate(model, _SegmentBarrierNoise(2, 0.375), x0, 0.0, 0.75, tight)
+    first = integrate(model, _SegmentBarrierNoise(2, 0.375), x0, 0.0, 0.375, tight)
+    second = integrate(model, _SegmentBarrierNoise(2, 0.375), first.xs[-1], 0.375, 0.75, tight)
+    assert whole.completed and first.completed and second.completed
+    at = whole.knot_xs[whole.knot_ts == 0.375][0]
+    np.testing.assert_allclose(first.xs[-1], at, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(second.xs[-1], whole.xs[-1], rtol=1e-12, atol=0.0)
+    queried = integrate(model, _BarrierNoise(2, 0.375), x0, 0.0, 0.75, tight)
+    assert queried.termination.kind == STEP_UNDERFLOW and queried.t_last < 0.375
+
+
 @pytest.mark.parametrize("kind", ["uniform", "geometric"])
 @pytest.mark.parametrize("model", [reference_loop(), differentiator_error_model()],
                          ids=["control_loop", "diff_error"])
@@ -516,6 +559,45 @@ def test_noise_bound_violation_at_a_fused_stage_query_propagates(make_noise):
     assert noise.committed == 0.0  # raised in the first trial step
 
 
+class _SteepSegment(NoiseSource):
+    """An affine law that leaves its bound 1e-2 at t = 0.15: a float, or the
+    first channel of an n-list."""
+
+    def __init__(self, n=None):
+        self.n, self.bound = n, 1e-2
+
+    def value(self, t, x):
+        v = 0.0 + 0.1 * (t - 0.05)
+        return v if self.n is None else [v, *[0.0] * (self.n - 1)]
+
+    def segment(self, t):
+        if self.n is None:
+            return 0.0, 0.1, 0.05
+        return [0.0, *[0.0] * (self.n - 1)], [0.1, *[0.0] * (self.n - 1)], 0.05
+
+
+@pytest.mark.parametrize("make_model, n", [(differentiator_error_model, None),
+                                           (reference_loop, 2)], ids=["scalar", "vector"])
+def test_segment_leaving_its_bound_mid_step_fails_at_that_stage(make_model, n):
+    # the same stage, and the same message, as a query there; the segment
+    # loop queries the source only at the start
+    messages = []
+    for segment in (True, False):
+        noise = _count_queries(_SteepSegment(n))
+        if not segment:
+            noise.segment = lambda t: None
+        observed = []
+        noise.observe = lambda t, x: observed.append(t) or False
+        with pytest.raises(NoiseBoundViolation, match="noise bound violated at t=") as info:
+            integrate(make_model(), noise, np.array([1.0, 0.0]), 0.0, 0.5)
+        messages.append(str(info.value))
+        t_fail = float(re.search(r"at t=(\S+):", messages[-1]).group(1))
+        assert 0.15 < t_fail < 0.16 and observed[-1] < t_fail
+        assert t_fail not in observed  # a stage inside a step, not a commit
+        assert (noise.calls == 1) == segment
+    assert messages[0] == messages[1]
+
+
 class _FixedNoise(NoiseSource):
     """The same value at every query, held or queried at every stage."""
 
@@ -684,6 +766,23 @@ def test_work_beyond_the_reference_run_is_pinned(make_model, make_noise, steps, 
     assert noise.calls == queries == (1 + switches if noise.held else model.calls)
 
 
+@pytest.mark.parametrize("make_noise, steps, switches, queries", [
+    (lambda: differentiator_divergence_noise(1e-2), 997, 4, 5),
+    # the segment is renewed where the ramp starts, s = 0.8
+    (lambda: TerminalRampNoise(0.1, 1.0), 441, 0, 2),
+], ids=["diff_divergence", "diff_terminal"])
+def test_fused_segment_runs_query_only_to_renew_the_segment(make_noise, steps, switches, queries):
+    # the runs of test_work_beyond_the_reference_run_is_pinned on the plain
+    # model, whose fused loop evaluates the segment at every stage: the
+    # source is queried at the start, after each switch and where a landed
+    # discontinuity renews the segment
+    noise = _count_queries(make_noise())
+    traj = integrate(differentiator_error_model(), noise, np.array([1.0, -0.5]), 0.0, 1.0 - 1e-9)
+    assert traj.completed
+    assert len(traj.knot_ts) - 1 == steps and len(traj.switch_times) == switches
+    assert noise.calls == queries
+
+
 _PATH_RUNS = {
     "reference": (reference_loop, lambda: None, (1.0, 0.0)),
     "differentiator": (differentiator_error_model, lambda: None, (1.0, -0.5)),
@@ -747,6 +846,22 @@ def test_barriers_are_queried_once_per_committed_step():
     assert queried["noise"] == queried["disturbance"] == traj.knot_ts[:-1].tolist()
 
 
+@pytest.mark.parametrize("disturbance", [DisturbanceSpec(),
+                                         DisturbanceSpec(kind="constant", bound=0.1, value=0.1)],
+                         ids=["zero", "constant"])
+def test_fused_loop_asks_a_zero_disturbance_for_no_barrier(disturbance):
+    # a zero disturbance has no discontinuity; the fused loop of its shape
+    # does not ask, any other asks once per committed step
+    model = differentiator_error_model(disturbance=disturbance)
+    queried = []
+    method = model.disturbance.next_discontinuity
+    object.__setattr__(model.disturbance, "next_discontinuity",
+                       lambda t: queried.append(t) or method(t))
+    traj = integrate(model, differentiator_divergence_noise(1e-2), np.array([1.0, -0.5]), 0.0,
+                     1.0 - 1e-9)
+    assert queried == ([] if disturbance.kind == "zero" else traj.knot_ts[:-1].tolist())
+
+
 def test_a_run_that_uses_up_its_step_budget_ends_with_step_budget(monkeypatch):
     # this stiff table needs over 100k trial steps to reach the floor
     monkeypatch.setattr(integrate_module, "MAX_TRIAL_STEPS", 200)
@@ -762,14 +877,15 @@ def test_a_run_that_uses_up_its_step_budget_ends_with_step_budget(monkeypatch):
 
 
 def test_stage_queries_get_the_stage_state_as_a_list_of_floats():
-    """Without a grid or a stop event, a source that is not held gets a list
-    of floats at every query: at each stage and at the committed steps, the
-    start and the switches among them, and so does observe; the fused and
-    the call-through step query alike."""
+    """Without a grid or a stop event, a source that is queried (neither
+    held nor a segment) gets a list of floats at every query: at each stage
+    and at the committed steps, the start and the switches among them, and
+    so does observe; the fused and the call-through step query alike."""
     src = differentiator_error_model()
     counted, logs = _CountingLoop(src.variant, src.horizon, src.gains), []
     for model in (src, counted):
         noise = differentiator_divergence_noise(1e-2)
+        noise.segment = lambda t: None  # the same source, queried at every stage
         assert not noise.held
         value, observe = noise.value, noise.observe
         queries, observed_states = [], []
@@ -872,6 +988,44 @@ def test_held_source_gives_the_run_of_per_stage_queries(source, run):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert np.array(a.switch_times).tobytes() == np.array(b.switch_times).tobytes()
     assert a.termination == b.termination
+
+
+_SEGMENT_SOURCES = {
+    "diff_divergence": (differentiator_error_model, lambda: differentiator_divergence_noise(1e-2)),
+    "scalar_ramp": (differentiator_error_model, lambda: TerminalRampNoise(0.1, 1.0)),
+    "vector_ramp": (reference_loop, lambda: TerminalRampNoise(0.01, 0.4, n=2)),
+    # s = 1 - 20: the ramp is under way at t = 0
+    "ramp_before_0": (differentiator_error_model, lambda: TerminalRampNoise(1.0, 0.1)),
+}
+_SEGMENT_RUN_KINDS = {
+    "plain": {},
+    "uniform_grid": {"opts": IntegrationOptions(output_grid=OutputGrid("uniform", 2001))},
+    "stop_condition": {"stop_condition": lambda t, x: t >= 0.9999},
+}
+
+
+@pytest.mark.parametrize("run", list(_SEGMENT_RUN_KINDS))
+@pytest.mark.parametrize("source", list(_SEGMENT_SOURCES))
+def test_segment_source_gives_the_run_of_per_stage_queries(source, run):
+    make_model, make_noise = _SEGMENT_SOURCES[source]
+    trajs, calls = [], []
+    for segment in (True, False):
+        noise = _count_queries(make_noise())
+        assert not noise.held and noise.segment(0.0) is not None
+        if not segment:
+            noise.segment = lambda t: None  # the same source, queried at every stage
+        trajs.append(integrate(make_model(), noise, np.array([1.0, -0.5]), 0.0, 1.0 - 1e-9,
+                               **_SEGMENT_RUN_KINDS[run]))
+        calls.append(noise.calls)
+    a, b = trajs
+    assert (a.termination.kind == EVENT) == (run == "stop_condition")
+    for name in ("ts", "xs", "etas", "gains", "knot_ts", "knot_xs", "knot_fs", "knot_fl",
+                 "knot_ds"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert np.array(a.switch_times).tobytes() == np.array(b.switch_times).tobytes()
+    assert a.termination == b.termination
+    # the segment run queries at renewals, grid points and the event only
+    assert calls[0] <= 3 + len(a.switch_times) + len(a.ts) - len(a.knot_ts) < calls[1]
 
 
 def test_held_source_over_its_bound_fails_on_the_first_query():
@@ -1034,12 +1188,22 @@ def test_runs_with_one_channel_count_share_one_compiled_step():
         integrate(model, None, x0, 0.0, 0.5)
     assert loop_factory.cache_info()[:2] == (1, 4)
     integrate(differentiator_error_model(), differentiator_divergence_noise(1e-2), x0, 0.0, 0.5)
-    assert loop_factory.cache_info()[:2] == (1, 5)  # not held: a loop of its own
-    # a class that overrides rhs: every two-channel shape shares one loop
+    assert loop_factory.cache_info()[:2] == (1, 5)  # a segment: a loop of its own
+    # another segment source on the same shape shares it; a queried one does not
+    integrate(differentiator_error_model(), TerminalRampNoise(0.1, 1.0), x0, 0.0, 0.5)
+    assert loop_factory.cache_info()[:2] == (2, 5)
+    integrate(differentiator_error_model(), _WaveNoise(None), x0, 0.0, 0.5)
+    assert loop_factory.cache_info()[:2] == (2, 6)
+    # a class that overrides rhs: every two-channel shape shares one loop,
+    # and queries a segment source at every stage
     for src in (reference_loop(), differentiator_error_model(),
                 rational_loop([[(-3.0, 1)], [(-2.0, 0)]])):
         integrate(_CountingLoop(src.variant, src.horizon, src.gains), None, x0, 0.0, 0.5)
-    assert loop_factory.cache_info()[:2] == (3, 6)
+    assert loop_factory.cache_info()[:2] == (4, 7)
+    src = differentiator_error_model()
+    integrate(_CountingLoop(src.variant, src.horizon, src.gains), TerminalRampNoise(0.1, 1.0),
+              x0, 0.0, 0.5)
+    assert loop_factory.cache_info()[:2] == (4, 8)
 
 
 def _constants(code):
@@ -1051,17 +1215,19 @@ def _constants(code):
 @pytest.mark.parametrize("held", [True, False])
 @pytest.mark.parametrize("n", [2, 7, 8, 9])
 def test_compiled_step_holds_no_float_literal(n, held):
-    """The tableau, step-control constants, tolerances, T and the model's
-    coefficients are bound by name, never formatted in; a fused loop's only
-    float literal is the 0.0 of its right-hand side (each gain's sum starts
-    there, u and the finiteness checks compare with it, a zero disturbance
-    is it)."""
+    """The tableau, step-control constants, tolerances, the noise bound, T
+    and the model's coefficients are bound by name, never formatted in; a
+    fused loop's only float literal is the 0.0 of its right-hand side (each
+    gain's sum starts there, u and the finiteness checks compare with it, a
+    zero disturbance is it).  Not held: the queried and the segment loop."""
     shapes = [None, (CONTROL_LOOP, ((2, 0),) * n, True), (DIFF_ERROR, ((0, 1, 2),) * n, False)]
-    for shape in shapes:
-        make = integrate_module._loop_factory(n, held, shape)
-        constants = list(_constants(make.__code__))
-        floats = {c for c in constants if isinstance(c, float)}
-        assert constants and floats == (set() if shape is None else {0.0})
+    kinds = ["held"] if held else ["queried", "segment"]
+    for kind in kinds:
+        for shape in shapes[kind == "segment":]:  # a segment loop needs the shape
+            make = integrate_module._loop_factory(n, kind, shape)
+            constants = list(_constants(make.__code__))
+            floats = {c for c in constants if isinstance(c, float)}
+            assert constants and floats == (set() if shape is None else {0.0})
 
 
 class _NanStageLoop(SystemModel):
