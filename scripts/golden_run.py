@@ -26,7 +26,9 @@ scripts/bench_pairs.py does) into a temporary directory, runs REF's own
 golden run into OUT/base and this checkout's into OUT/head, prints the
 unified diff of the two manifests ("identical" when there is none), then
 labels each .csv present on both sides whose hash differs: "comments only"
-when its lines not starting with '#' are byte-identical, "data" otherwise.
+when its lines not starting with '#' are byte-identical, "data" otherwise,
+followed by each changed column and its largest relative difference, or
+"data (layout changed)" when the header or the row count differs.
 It exits 1 when the manifests differ.  Each side's exit-code check is
 printed but does not decide the exit status.
 
@@ -44,12 +46,14 @@ from __future__ import annotations
 import argparse
 import difflib
 import hashlib
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -144,6 +148,10 @@ SCENARIOS: dict[str, list[str]] = {
     "workaround_stop_time": ["workaround", "--workaround.variant", "stop-time"],
     "workaround_deadzone_noise": ["workaround", "--workaround.variant", "deadzone",
                                   "--system.rho_min", "1e-6", "--workaround.noise_eta_bar", "1e-3"],
+    # starts inside the box read the noise latched from their own sign
+    "workaround_deadzone_inside_noise": ["workaround", "--workaround.variant", "deadzone",
+                                         "--workaround.ics", "0.004,0; -0.004,0",
+                                         "--workaround.noise_eta_bar", "0.01"],
     # branches of the runners and artifact writers: failed cases, nan cells,
     # empty ladders, notes, plots and every non-zero exit code
     "verify_max_norm_2": ["verify-deadline", "--integration.max_norm", "2"],
@@ -219,6 +227,10 @@ SCENARIOS: dict[str, list[str]] = {
     "attack_controller_ramp_rational": ["attack", "--attack.kind", "controller-terminal",
                                         "--attack.x0", "1,0", "--system.gains", "-12,2; -7,1",
                                         "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
+    # no linear tracking profile bounds this controller: no plan, a config error
+    "attack_controller_terminal_no_plan": ["attack", "--attack.kind", "controller-terminal",
+                                           "--system.gains", "-2,1; -3,1; -1,1",
+                                           "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
     # the plan window at eta_bar 1e-6 lies inside attack.rho: a config error
     "attack_controller_terminal_plan_past_rho": ["attack", "--attack.kind", "controller-terminal",
                                                  "--attack.eta_bar", "1e-6",
@@ -256,6 +268,7 @@ EXPECTED_EXIT: dict[str, int] = {
     "attack_controller_ramp_unsupported_table": 1,
     "attack_controller_terminal_late_s": 1,
     "attack_controller_terminal_plan_past_rho": 1,
+    "attack_controller_terminal_no_plan": 1,
     "workaround_stop_time_max_norm_50": 2,
     "workaround_deadzone_max_norm_50": 2,
     "verify_max_norm_2": 2,
@@ -327,16 +340,58 @@ def _hashes(out_root: Path) -> dict[str, str]:
     return {path: digest for digest, path in (line.split("  ", 1) for line in lines)}
 
 
+def _relative_difference(a: str, b: str) -> float:
+    """|x - y| / max(|x|, |y|) of two CSV cells read as floats x and y: 0
+    when they are equal as numbers or both NaN, inf when either is not a
+    number or the quotient is not finite."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return 0.0 if a == b else math.inf
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    diff = abs(x - y) / max(abs(x), abs(y))
+    return diff if math.isfinite(diff) else math.inf
+
+
+def column_changes(old: list[bytes], new: list[bytes]) -> Optional[dict[str, float]]:
+    """Each column whose cells differ between two CSV bodies (header line
+    first, no comments), in header order, with its largest relative
+    difference; None when the headers, the row counts or a row's field
+    count differ."""
+    (header, *old_rows), (new_header, *new_rows) = (
+        [line.decode().rstrip("\r\n").split(",") for line in body] or [[]] for body in (old, new))
+    if header != new_header or len(old_rows) != len(new_rows) or any(
+            len(row) != len(header) for row in old_rows + new_rows):
+        return None
+    changes = {}
+    for j, name in enumerate(header):
+        diffs = [_relative_difference(a[j], b[j]) for a, b in zip(old_rows, new_rows)
+                 if a[j] != b[j]]
+        if diffs:
+            changes[name] = max(diffs)
+    return changes
+
+
 def label_csv_diffs(base: Path, head: Path) -> None:
     """Print "comments only" or "data" and the path of each .csv that both
     golden runs wrote with different hashes: "comments only" when the lines
-    that do not start with '#' are byte-identical."""
+    that do not start with '#' are byte-identical.  Under a "data" label,
+    one indented line per changed column gives its largest relative
+    difference; "data (layout changed)" marks a file whose header or row
+    count changed."""
     old, new = _hashes(base), _hashes(head)
     changed = [p for p in old.keys() & new.keys() if p.endswith(".csv") and old[p] != new[p]]
     for path in sorted(changed):
         data = [[line for line in (root / path).read_bytes().splitlines(keepends=True)
                  if not line.startswith(b"#")] for root in (base, head)]
-        print(f"{'comments only' if data[0] == data[1] else 'data'}  {path}")
+        if data[0] == data[1]:
+            print(f"comments only  {path}")
+            continue
+        changes = column_changes(*data)
+        print(f"data{' (layout changed)' if changes is None else ''}  {path}")
+        for name, diff in (changes or {}).items():
+            print(f"    {name}  max relative difference {diff:.2g}")
 
 
 def against(ref: str, out_root: Path) -> int:

@@ -28,9 +28,9 @@ from .core import (
     SystemModel,
 )
 from .integrate import (
-    EVENT,
     IntegrationOptions,
     Trajectory,
+    _earliest,
     _interpolant,
     _require_complete,
     integrate,
@@ -248,7 +248,12 @@ def falsify_uniform_stability(model: SystemModel, delta: float, epsilon: float,
                               opts: Optional[IntegrationOptions] = None) -> StabilityWitness:
     """Launch the noise-free loop from delta * e1 at the witness start time
     and report the first time the norm exceeds epsilon plus the attained
-    maximum.  crossed=False marks a falsification failure."""
+    maximum.  crossed=False marks a falsification failure.
+
+    One run serves both: the crossing is located on the step that closes at
+    the first knot after the start whose norm exceeds epsilon, by bisection
+    on that step's dense output, so a crossing and recrossing between two
+    knots goes unseen."""
     if model.variant != CONTROL_LOOP:
         raise ValueError("stability falsification applies to the control loop")
     opts = opts or IntegrationOptions()
@@ -261,12 +266,17 @@ def falsify_uniform_stability(model: SystemModel, delta: float, epsilon: float,
     x0 = np.zeros(model.n)
     x0[0] = delta
 
-    crossing = integrate(model, None, x0, s, T - rho_min, opts,
-                         stop_condition=lambda t, x: math.hypot(*x) > epsilon)
-    crossed = crossing.termination.kind == EVENT
-    crossing_time = float(crossing.termination.t) if crossed else None
-
     full = integrate(model, None, x0, s, T - rho_min, opts)
+    kts, kxs = full.knot_ts, full.knot_xs
+    k = next((k for k, x in enumerate(kxs.tolist()) if k and math.hypot(*x) > epsilon), None)
+    crossed = k is not None
+    crossing_time = None
+    if crossed:
+        h = kts[k] - kts[k - 1]
+        ends = kxs[k - 1], full.knot_fs[k - 1], kxs[k], full.knot_fl[k], full.knot_ds[k]
+        crossing_time = _earliest(
+            lambda t: math.hypot(*_interpolant(*ends, h, (t - kts[k - 1]) / h)) > epsilon,
+            float(kts[k - 1]), float(kts[k]), T)
     norms = np.linalg.norm(full.xs, axis=1)
     j = int(np.argmax(norms))
     lo = full.ts[max(j - 1, 0)]
@@ -401,8 +411,8 @@ def _box_entry(traj: Trajectory, width: float) -> Optional[tuple[float, int]]:
     [-width, width].  Only those steps are searched, in time order: between
     consecutive roots of the quartics minus +-width the box holds everywhere
     or nowhere, so the first interval whose midpoint (or, last, the step's
-    end) is inside brackets the entry, which is bisected to 1e-12 of the
-    distance to T (or to adjacent floats) on the dense output itself.
+    end) is inside brackets the entry, which integrate._earliest bisects on
+    the dense output itself.
     """
     kts, xl, xr, ds = traj.knot_ts, traj.knot_xs[:-1], traj.knot_xs[1:], traj.knot_ds[1:]
     hs = np.diff(kts)
@@ -436,17 +446,13 @@ def _box_entry(traj: Trajectory, width: float) -> Optional[tuple[float, int]]:
         lo = float(kts[i])
         if inside(i, lo):
             return lo, i
-        # each interval's midpoint, then the step's end: a stop event's knot
-        # lies within 1e-12 (T - t) of the box's boundary, so the root there
-        # may round to theta = 1 or past it
+        # each interval's midpoint, then the step's end: a knot just inside
+        # the box (a stopped run ends at the first one) puts a root near
+        # theta = 1 that may round to 1 or past it, and no midpoint is inside
         mids = [float(kts[i] + 0.5 * (a + b) * hs[i]) for a, b in zip(roots, roots[1:])]
         for hi in mids + [float(kts[i + 1])]:
             if inside(i, hi):
-                mid = 0.5 * (lo + hi)
-                while hi - lo > 1e-12 * (traj.T - lo) and lo < mid < hi:
-                    lo, hi = (lo, mid) if inside(i, mid) else (mid, hi)
-                    mid = 0.5 * (lo + hi)
-                return hi, i
+                return _earliest(lambda t: inside(i, t), lo, hi, traj.T), i
             lo = hi
     return None
 
@@ -481,8 +487,10 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
         case_noise = fresh_noise()
         try:
             if float(np.max(np.abs(xi_arr))) <= width:
-                entry_t, entry_x = 0.0, xi_arr
-                gain = abs(float(model.gain_output(0.0, xi_arr, case_noise.value(0.0, xi_arr))))
+                # the source latches at its first observe, as in integrate
+                entry_t, entry_x, x = 0.0, xi_arr, xi_arr.tolist()
+                case_noise.observe(0.0, x)
+                gain = abs(float(model.gain_output(0.0, xi_arr, case_noise.value(0.0, x))))
             else:
                 probe = integrate(
                     model, case_noise, xi_arr, 0.0, t_end, opts,

@@ -218,13 +218,15 @@ class NoiseSource:
     (a length-n vector for the control loop, a scalar for the differentiator
     error model) and must satisfy the declared bound at every query.  x is a
     list of n floats at a Runge-Kutta stage and at a committed step, and a
-    1-D array at a grid point or stop event; value() must not change it.
-    observe(t, x) is called once per committed integration step, in time
-    order, and is the only place a source may change internal state; it
-    returns True when the source switched its law exactly at t.  When it
-    returns False, value(t, x) must answer as it did before the call: the
-    integrator records a committed step with the noise it already queried
-    there for the step's last stage, and queries again only after a switch.
+    1-D array at a grid point; value() must not change it.
+    observe(t, x) is called at the start state before any query, then once
+    per committed integration step but one that ends the run at a stop
+    event, in time order, and is the only place a source may change
+    internal state; it returns True when the source switched its law
+    exactly at t.  When it returns False, value(t, x) must answer as it
+    did before the call: the integrator records a committed step with the
+    noise it already queried there for the step's last stage, and queries
+    again only after a switch.
     next_discontinuity(t) announces the next known switching instant strictly
     after t (inf when none is scheduled) so the integrator can land on it;
     it is asked once per committed step, at the step's start.

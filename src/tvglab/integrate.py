@@ -26,7 +26,9 @@ observe and stop_condition receive too; barriers are queried once per
 committed step, the blow-up check is the root of the float sum of squares,
 and the knot record is kept in flat float columns that become arrays once,
 at the end.  integrate itself re-enters the loop after each noise switch
-and each landed segment discontinuity, and locates stop events.
+and each landed segment discontinuity.  A stop event ends the run at the
+knot of the first committed step whose end satisfies the condition; a
+caller that needs the crossing inside that step locates it with _earliest.
 
 The loop keeps a knot record at every committed step: state, noise as
 queried (or as its segment gives it), the derivative's right and left
@@ -116,13 +118,15 @@ def _loop_factory(n: int, noise_kind: str, shape=None):
     the root of the float sum of squares.  It returns (kind, t, x, f, h_try,
     trials, last) at the first of: t reaches t_end (REACHED_END), the trial
     budget or the step floor runs out (STEP_BUDGET, STEP_UNDERFLOW), the
-    stop condition holds at a step's end (EVENT: (t, x, f) opens that
-    uncommitted step and last is its (t_new, x_new, f_new, d)), observe
+    stop condition holds at a step's end (EVENT: the step is recorded but
+    neither observed nor checked for blow-up; last is None), observe
     reports a switch (_SWITCH, unrecorded; last is the norm and the step's
     D column d), a segment loop's step lands on the source's announced
     discontinuity (_LANDED, as _SWITCH) or the norm reaches max_norm
-    (BLOW_UP; last is the norm); after those three, (t, x, f) is the step's
-    end and f its left limit.
+    (BLOW_UP; last is the norm); after those four, (t, x, f) is the step's
+    end and f its left limit.  stop_condition(t_new, x_new) is asked at
+    every committed step, after its grid queries, with the state as a list
+    of floats.
     Channel j >= 2 (0-based) of the error norm is weighed by w<j-1>, the
     powers of w = (T - t)/T by repeated products, computed with the step
     cap once per commit.  State and FSAL derivative stay float locals
@@ -191,6 +195,9 @@ def _loop_factory(n: int, noise_kind: str, shape=None):
     barriers = "t_end, landing" if segment else "t_end, next_noise(t)"
     if not (shape and shape[2]):
         barriers += ", next_dist(t)"
+    # a committed step's knot record
+    commit = ["append_t(t_new)", "extend_x(new)", "extend_f(f_new)", "extend_d(dense)",
+              f"record_eta({recorded})"]
     step = [
         "if trials == max_trials:",
         "    return STEP_BUDGET, t, x, f, h_try, trials, None",
@@ -224,13 +231,16 @@ def _loop_factory(n: int, noise_kind: str, shape=None):
         "    continue",
         f"f_new = [{names('k6_')}]",
         "dense = [" + ", ".join(f"h * ({weighted(d, j)})" for j in range(n)) + "]",
-        "if stop_condition is not None and stop_condition(t_new, new):",
-        "    return EVENT, t, x, f, h_try, trials, (t_new, new, f_new, dense)",
         *([] if held else ["if grid_queries is not None:",
-                           "    grid_queries(t, x, f, new, f_new, dense, t_new - t, t_new)"]),
+                           "    grid_queries(t, x, f, new, f_new, dense, t_new)"]),
         # err <= 1 here, so the growth factor is at least 0.9
         "grow = MAX_GROW if err == ZERO else SAFETY * err ** ORDER",
         "h_try = h * (grow if grow < MAX_GROW else MAX_GROW)",
+        # a stop event's step is recorded, but neither observed nor checked
+        # for blow-up
+        "if stop_condition is not None and stop_condition(t_new, new):",
+        *(f"    {line}" for line in commit),
+        "    return EVENT, t_new, new, f_new, h_try, trials, None",
         "norm = sqrt(" + " + ".join(f"s{j} * s{j}" for j in range(n)) + ")",
         "if observe(t_new, new):",
         "    return _SWITCH, t_new, new, f_new, h_try, trials, (norm, dense)",
@@ -239,11 +249,7 @@ def _loop_factory(n: int, noise_kind: str, shape=None):
            "    return _LANDED, t_new, new, f_new, h_try, trials, (norm, dense)"] if segment else []),
         # without a switch the source still answers with the noise of the
         # last stage (the NoiseSource contract), so that value is recorded
-        "append_t(t_new)",
-        "extend_x(new)",
-        "extend_f(f_new)",
-        "extend_d(dense)",
-        f"record_eta({recorded})",
+        *commit,
         "if norm >= max_norm:",
         "    return BLOW_UP, t_new, new, f_new, h_try, trials, norm",
         "t, x, f, barrier = t_new, new, f_new, None",
@@ -325,7 +331,6 @@ class IntegrationOptions:
     abs_tol: float = 1e-12
     max_norm: float = 1e9
     max_step_fraction: float = 0.1
-    initial_step: Optional[float] = None
     output_grid: Optional[OutputGrid] = None
 
     def __post_init__(self):
@@ -371,13 +376,12 @@ class Trajectory:
     only at a noise switch, where knot_fs uses the post-switch noise, and
     where a segment's law jumps at a landed discontinuity.
     knot_ds is the D of DOPRI5's continuous extension for the step the knot
-    closes, 0 at the start knot and at a stop event's knot (the event step
-    is truncated, so it keeps the plain cubic).  state_at interpolates each
-    step by the cubic Hermite from its opening knot's state and right limit
-    to its closing knot's state and left limit, plus theta^2 (1 - theta)^2
-    times the closing knot's D.  Grid samples come from the same evaluator,
-    so they equal state_at at their times bit for bit; a stop event's step
-    ends at the event knot.
+    closes, 0 only at the start knot.  state_at interpolates each step by
+    the cubic Hermite from its opening knot's state and right limit to its
+    closing knot's state and left limit, plus theta^2 (1 - theta)^2 times
+    the closing knot's D.  Grid samples come from the same evaluator, so
+    they equal state_at at their times bit for bit.  A run stopped by its
+    stop condition ends at a full step, like any other.
     """
 
     ts: np.ndarray
@@ -427,6 +431,17 @@ def _interpolant(xl, fl, xr, fr, d, h, theta):
             + xr * (-2.0 * t3 + 3.0 * t2) + h * fr * (t3 - t2) + bump * bump * d)
 
 
+def _earliest(holds, lo: float, hi: float, T: float) -> float:
+    """The earliest time in (lo, hi] at which holds(t) is true, given that it
+    holds at hi and not at lo, by bisection to 1e-12 of the distance to the
+    deadline T or to adjacent floats."""
+    mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-12 * (T - lo) and lo < mid < hi:
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
 def _dense_states(knot_ts, knot_xs, knot_fs, knot_fl, knot_ds, idx, t):
     """Dense output at the times t, t[j] on the step that opens at knot
     idx[j]: the continuous extension from that knot's state and right-limit
@@ -448,10 +463,11 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     Trajectory whose termination reports normal completion, norm escape
     (blow_up), error-control failure (step_underflow: a rejected step would
     shrink below 1e-10 (T - t) or 16 ulps of t, whichever is larger), a run
-    that used up its MAX_TRIAL_STEPS trial steps (step_budget), or a
-    stop-condition event located by bisection on the step's dense output to
-    1e-12 of the distance to T (stop_condition(t, x) gets a committed state
-    as a list of floats, a bisection point's as an array).  A held source
+    that used up its MAX_TRIAL_STEPS trial steps (step_budget), or a stop
+    event (event): stop_condition(t, x) is asked at each committed step's
+    end, x a list of floats, and the run ends at the knot of the first step
+    where it holds.  The crossing inside that step is the caller's to
+    locate, e.g. by _earliest on the step's dense output.  A held source
     (NoiseSource.held) is queried once after the first observe and once
     after each switch, and that value serves every stage and sample until
     the next switch.  A source that gives a segment (NoiseSource.segment)
@@ -463,12 +479,10 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     class that overrides rhs, is queried at every RK stage, with the stage
     state as a list of floats.  Every source but a held one is queried at
     every grid sample, a step's grid points in time order before the
-    observe at its end (on a stop-event step, after the event's own query,
-    since their states interpolate to the event knot), and at a stop event.
-    Each noise value is checked against the source's bound; a violation
-    raises NoiseBoundViolation; a control-loop noise or segment that is not
-    n floats, or a differentiator noise that is not a scalar, raises
-    ValueError.
+    observe at its end.  Each noise value is checked against the source's
+    bound; a violation raises NoiseBoundViolation; a control-loop noise or
+    segment that is not n floats, or a differentiator noise that is not a
+    scalar, raises ValueError.
     """
     opts = opts or IntegrationOptions()
     T = model.horizon.T
@@ -527,7 +541,6 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     # one for the differentiator)
     knot_ts, knot_xs, knot_fs, knot_ds, knot_etas = [], [], [], [], []
     record_eta = knot_etas.extend if is_control else knot_etas.append
-    no_dense = [0.0] * n  # the start knot's and a stop event's D: the plain cubic
 
     def record(t, x, f, d, eta):
         knot_ts.append(t)
@@ -542,22 +555,22 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     renewal_ts: list[float] = []
     renewal_fls: list[list[float]] = []
     grid_etas: list = []  # queried at the grid points for a source that is not held
-    query_grid = grid is not None and not held
     grid_idx = 0 if grid is None else int(np.searchsorted(grid, t0, side="right"))
 
-    def grid_queries(t, x, f, x_new, f_new, d, dt, t_stop):
-        """Query the noise at the grid points in (t, t_stop), in time order, at
-        their states on the step from (t, x, f) to (t + dt, x_new, f_new) with
+    def grid_queries(t, x, f, x_new, f_new, d, t_new):
+        """Query the noise at the grid points in (t, t_new), in time order, at
+        their states on the step from (t, x, f) to (t_new, x_new, f_new) with
         its D column d."""
         nonlocal grid_idx
-        if grid_idx == len(grid) or grid[grid_idx] >= t_stop:
+        if grid_idx == len(grid) or grid[grid_idx] >= t_new:
             return
-        hi = int(np.searchsorted(grid, t_stop))
+        hi = int(np.searchsorted(grid, t_new))
         lo = grid_idx
         while lo < hi and grid[lo] <= t:  # the step's start is a knot
             lo += 1
         grid_idx = hi
         tqs = grid[lo:hi]
+        dt = t_new - t
         xqs = _interpolant(*map(np.array, (x, f, x_new, f_new, d)), dt, ((tqs - t) / dt)[:, None])
         grid_etas.extend(eta_at(tq, xq) for tq, xq in zip(tqs.tolist(), xqs))
 
@@ -589,7 +602,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     noise.observe(t0, x)
     eta = eta_at(t0, x)
     f = rhs(t0, x, eta)
-    record(t0, x, f, no_dense, eta)
+    record(t0, x, f, [0.0] * n, eta)  # the start knot closes no step: the plain cubic
     # what the loop takes as its noise: the held value, the segment, or
     # nothing (a queried source)
     law = eta if held else segment_at(t0) if fused else None
@@ -598,11 +611,10 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         eta_at, noise.bound, bound_slack, opts.abs_tol, opts.rel_tol, opts.max_step_fraction,
         opts.max_norm, MAX_TRIAL_STEPS, t_end, noise.observe, noise.next_discontinuity,
         model.disturbance.next_discontinuity, stop_condition,
-        grid_queries if query_grid else None, knot_ts.append, knot_xs.extend, knot_fs.extend,
-        knot_ds.extend, record_eta, *(model._consts if fused else (T, rhs)))
+        None if grid is None or held else grid_queries, knot_ts.append, knot_xs.extend,
+        knot_fs.extend, knot_ds.extend, record_eta, *(model._consts if fused else (T, rhs)))
 
-    h_try = opts.initial_step if opts.initial_step is not None else min(
-        1e-3 * (t_end - t0), opts.max_step_fraction * (T - t0))
+    h_try = min(1e-3 * (t_end - t0), opts.max_step_fraction * (T - t0))
     t, h_try, trials = t0, max(h_try, min_step), 0
     while True:
         kind, t, x, f, h_try, trials, last = loop(t, x, f, law, h_try, trials)
@@ -632,31 +644,6 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     blow_up = None
     if kind == BLOW_UP:
         blow_up = BlowUpEvent(t=t, norm=last, channel=max(range(n), key=lambda j: abs(x[j])))
-    elif kind == EVENT:
-        # bisect to the earliest time the condition holds on the step that
-        # opens at (t, x, f), to 1e-12 of the distance to the deadline or to
-        # adjacent floats
-        t_new, x_new, f_new, d = last
-        dt = t_new - t
-        ends = tuple(map(np.array, (x, f, x_new, f_new, d)))
-        lo, hi = t, t_new
-        mid = 0.5 * (lo + hi)
-        while hi - lo > 1e-12 * (T - lo) and lo < mid < hi:
-            if stop_condition(mid, _interpolant(*ends, dt, (mid - t) / dt)):
-                hi = mid
-            else:
-                lo = mid
-            mid = 0.5 * (lo + hi)
-        t_ev = hi
-        x_ev = _interpolant(*ends, dt, (t_ev - t) / dt)
-        eta_ev = eta if held else eta_at(t_ev, x_ev)
-        f_ev = rhs(t_ev, x_ev, eta_ev)
-        # the event step is truncated, so the event knot closes it with the
-        # plain cubic
-        if query_grid:
-            grid_queries(t, x, f, x_ev, f_ev, no_dense, t_ev - t, t_ev)
-        record(t_ev, x_ev.tolist(), f_ev, no_dense, eta_ev)
-        t = t_ev
     termination = Termination(kind=kind, t=t, blow_up=blow_up)
 
     kts = np.array(knot_ts, dtype=float)

@@ -1,5 +1,6 @@
 """Deadline verification, gain scans, stability falsification, workarounds."""
 
+import importlib
 import math
 
 import numpy as np
@@ -25,8 +26,10 @@ from tvglab.core import (
     reference_loop,
 )
 from tvglab.integrate import (EVENT, REACHED_END, IntegrationOptions, Termination, Trajectory,
-                              integrate)
+                              _earliest, integrate)
 from tvglab.oracle import reference_solution
+
+analysis = importlib.import_module("tvglab.analysis")
 
 GRID_S = (0.0, 0.3, 0.6)
 GRID_XI = ((1.0, 0.0), (0.0, 1.0), (10.0, -10.0))
@@ -186,6 +189,43 @@ def test_falsify_default_margin_small_delta():
     assert witness.s > 0.999
 
 
+def test_falsify_integrates_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "integrate", counted)
+    witness = falsify_uniform_stability(reference_loop(), 1.0, 2.0, 2.5)
+    assert witness.crossed and calls == [{}]
+
+
+@pytest.mark.parametrize("model", [reference_loop(),
+                                   rational_loop([[(-60.0, 3)], [(-36.0, 2)], [(-9.0, 1)]])],
+                         ids=["reference", "order_3"])
+def test_falsify_crossing_is_the_located_event_of_a_stopped_run(model):
+    """The crossing equals, bit for bit, the bisection on the last step of a
+    run that stops at the first knot whose norm exceeds epsilon."""
+    rng = np.random.default_rng(7)
+    crossed = 0
+    for delta, epsilon in 10.0 ** rng.uniform((-3.0, -1.0), (0.5, 1.0), size=(20, 2)):
+        witness = falsify_uniform_stability(model, delta, epsilon)
+        condition = lambda t, x: math.hypot(*x) > epsilon
+        x0 = np.zeros(model.n)
+        x0[0] = delta
+        stopped = integrate(model, None, x0, witness.s, model.T - model.horizon.rho_min,
+                            stop_condition=condition)
+        if stopped.termination.kind != EVENT:
+            assert witness.crossing_time is None
+            continue
+        crossed += 1
+        located = _earliest(lambda t: condition(t, stopped.state_at(t)),
+                            float(stopped.knot_ts[-2]), stopped.t_last, stopped.T)
+        assert witness.crossing_time.hex() == located.hex()
+    assert crossed >= 15
+
+
 def test_stop_time_residual_closed_form():
     report = evaluate_stop_time(reference_loop(), 0.9,
                                 ((1.0, 0.0), (2.0, 0.0), (5.0, 0.0), (10.0, 0.0)))
@@ -331,6 +371,18 @@ def test_noisy_deadzone_verdict_does_not_depend_on_rel_tol(rel_tol):
     assert _noisy_deadzone(rel_tol).no_entry_flags == _noisy_deadzone(1e-9).no_entry_flags
 
 
+def test_deadzone_start_inside_the_box_latches_its_noise_first():
+    # the divergence noise takes its sign from x1 at its first observe, so a
+    # start inside the box feels +-delta e1 with the sign of its own x1:
+    # |6 (x1 + eta1)| = 6 * 0.009 from either side.  Unlatched, the sign is
+    # + from both, and the second start would read 6 * 0.001
+    report = evaluate_deadzone(reference_loop(rho_min=1e-6), 1e-2, ((0.004, 0.0), (-0.004, 0.0)),
+                               noise=lambda: controller_divergence_noise(1e-2))
+    for case in report.cases:
+        assert case.entered and case.entry_time == 0.0
+        assert case.gain_at_entry == pytest.approx(0.054, rel=1e-12)
+
+
 def test_workarounds_take_a_noise_factory_not_an_instance():
     # one stateful source shared by two identical cases would switch in the
     # first and start the second already switched
@@ -346,8 +398,8 @@ def test_workarounds_take_a_noise_factory_not_an_instance():
 
 
 def test_deadzone_entry_at_the_event_knot_that_ends_the_run():
-    # the probe stops at the first knot inside the box, within 1e-12 (T - t)
-    # of its boundary, so the root of the last step's cubic can round to
+    # the probe stops at the first knot inside the box; on the box's boundary
+    # or just inside it, the root of the last step's cubic can round to
     # theta = 1.  Here that step is the line from x1 = 2e-2 to the event knot
     # x1 = 1e-2, and its root is 1.0 exactly: the entry is the event knot
     ts, xs = np.array([0.0, 0.5]), np.array([[2e-2, 0.0], [1e-2, 0.0]])

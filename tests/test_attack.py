@@ -235,6 +235,16 @@ def test_cascade_plan_structure():
     assert noise.bound == 0.1
 
 
+@pytest.mark.parametrize("tables", [[[(-0.5, 1)], [(-1.0, 1)]],
+                                    [[(-2.0, 1)], [(-3.0, 1)], [(-1.0, 1)]]],
+                         ids=["two_channels", "three_channels"])
+def test_no_cascade_plan_when_the_controller_is_unbounded_along_every_profile(tables):
+    # simple poles on every channel leave singular terms no linear profile cancels
+    with pytest.raises(ValueError, match="^controller is unbounded along every linear "
+                                         "tracking profile; no terminal-error plan exists"):
+        controller_terminal_error_noise(rational_loop(tables), 0.01, 0.5)
+
+
 @pytest.mark.parametrize("model", [reference_loop(),
                                    rational_loop([[(-60.0, 3)], [(-36.0, 2)], [(-9.0, 1)]])],
                          ids=["reference", "order_3"])

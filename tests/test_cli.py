@@ -188,6 +188,8 @@ _SIM = ["simulate", "--sim.x0", "1,0"]
 _PIECEWISE = ["--disturbance.bound", "0.5", "--disturbance.signal"]
 _CONTROLLER_TERMINAL = ["attack", "--attack.kind", "controller-terminal",
                         "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"]
+_NO_PLAN = ("controller is unbounded along every linear tracking profile; "
+            "no terminal-error plan exists for this gain table")
 _DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01"]
                for kind in ("controller-divergence", "diff-divergence")}
 
@@ -233,13 +235,16 @@ _DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01
      "controller ramp attack needs the gains c1/(T-t)^2, c2/(T-t), one term each; "
      "got pole orders [[1], [1]]"),
     (_CONTROLLER_TERMINAL + ["--attack.psi_init", "0,0"], "psi_init needs 1 values, got 2"),
+    (_CONTROLLER_TERMINAL + ["--system.gains", "-0.5,1; -1,1"], _NO_PLAN),
+    (_CONTROLLER_TERMINAL + ["--system.gains", "-2,1; -3,1; -1,1"], _NO_PLAN),
 ], ids=["rho_min_past_T", "rho_min_below_min_step", "t_end_past_floor", "t_end_before_s",
         "negative_pole_order", "piecewise_unsorted", "piecewise_over_bound", "one_channel_table",
         "scan_rhos_increasing", "scan_rhos_past_T", "shrink_rhos_increasing", "t_stop_past_T",
         "plan_start_past_T", "plan_start_late", "controller_targets_decreasing",
         "controller_thresholds_decreasing", "delta_above_eta_bar", "controller_target_zero",
         "diff_targets_decreasing", "diff_target_zero", "diff_thresholds_decreasing",
-        "ramp_order_3", "ramp_simple_poles", "psi_init_length"])
+        "ramp_order_3", "ramp_simple_poles", "psi_init_length", "no_plan_2",
+        "no_plan_3"])
 def test_library_value_error_is_a_config_error(tmp_path, capsys, argv, message):
     # bad input the library rejects with ValueError, at parse time (while the
     # model is built) or when the scenario runs, exits 1 and writes nothing

@@ -125,7 +125,10 @@ def test_label_csv_diffs_tells_comment_changes_from_data_changes(tmp_path, capsy
     files = {  # path -> (base text, head text)
         "run/artifacts/same.csv": ("# a\nt,x1\n1,2\n", "# a\nt,x1\n1,2\n"),
         "run/artifacts/comments.csv": ("# a\nt,x1\n1,2\n", "# b\n# c\nt,x1\n1,2\n"),
-        "run/artifacts/data.csv": ("# a\nt,x1\n1,2\n", "# a\nt,x1\n1,3\n"),
+        "run/artifacts/data.csv": ("# a\nt,x1,x2,note\n1,2,-4,a\n2,5,0,b\n3,nan,1,c\n",
+                                   "# a\nt,x1,x2,note\n1,3,-4.0,a\n2,4,0,d\n3,nan,1,c\n"),
+        "run/artifacts/rows.csv": ("t,x1\n1,2\n", "t,x1\n1,2\n2,3\n"),
+        "run/artifacts/header.csv": ("t,x1\n1,2\n", "t,x2\n1,2\n"),
         "run/artifacts/summary.txt": ("a\n", "b\n"),
     }
     for side, k in (("base", 0), ("head", 1)):
@@ -135,6 +138,13 @@ def test_label_csv_diffs_tells_comment_changes_from_data_changes(tmp_path, capsy
         (tmp_path / side / "run" / "artifacts" / f"only_{side}.csv").write_text(f"t,x1\n{k},0\n")
         golden_run.write_manifest(tmp_path / side)
     golden_run.label_csv_diffs(tmp_path / "base", tmp_path / "head")
+    # x1 moves by 1/3 and 1/5, x2 only in its spelling, note from b to d;
+    # another header or row count is a layout change
     assert capsys.readouterr().out.splitlines() == [
         "comments only  run/artifacts/comments.csv",
-        "data  run/artifacts/data.csv"]
+        "data  run/artifacts/data.csv",
+        "    x1  max relative difference 0.33",
+        "    x2  max relative difference 0",
+        "    note  max relative difference inf",
+        "data (layout changed)  run/artifacts/header.csv",
+        "data (layout changed)  run/artifacts/rows.csv"]

@@ -48,6 +48,7 @@ from tvglab.integrate import (
     STEP_UNDERFLOW,
     IntegrationOptions,
     OutputGrid,
+    _earliest,
     _require_complete,
     detect_peaks,
     integrate,
@@ -139,14 +140,24 @@ def test_steps_shrink_toward_deadline():
     assert np.all(hs <= 0.1 * gaps + 1e-15)
 
 
+def _event_time(traj, condition):
+    """The earliest time at which condition(t, x) holds on the dense output
+    of a stopped run's last step, located by the analyses' bisection."""
+    return _earliest(lambda t: condition(t, traj.state_at(t)), float(traj.knot_ts[-2]),
+                     traj.t_last, traj.T)
+
+
 def test_stop_condition_bisection():
     model = reference_loop()
-    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.99,
-                     stop_condition=lambda t, x: x[0] <= 0.25)
+    condition = lambda t, x: x[0] <= 0.25
+    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.99, stop_condition=condition)
     assert traj.termination.kind == EVENT
-    # event time matches the closed-form crossing of x1 = 0.25
-    assert traj.xs[-1][0] == pytest.approx(0.25, abs=1e-9)
-    exact = reference_solution(0.0, (1.0, 0.0), traj.t_last)
+    # the run ends at the first knot where the condition holds
+    assert traj.xs[-1][0] <= 0.25 < traj.xs[-2][0]
+    # the located event matches the closed-form crossing of x1 = 0.25
+    t_ev = _event_time(traj, condition)
+    assert traj.state_at(t_ev)[0] == pytest.approx(0.25, abs=1e-9)
+    exact = reference_solution(0.0, (1.0, 0.0), t_ev)
     assert exact[0] == pytest.approx(0.25, abs=1e-9)
 
 
@@ -275,20 +286,17 @@ class _SwitchingNoise(_BarrierNoise):
 
 
 def test_grid_point_on_a_knot_or_switch_is_recorded_once():
-    model = reference_loop()
-    opts = IntegrationOptions(initial_step=1e-3)
-    knots = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.9, opts).knot_ts
-    knot = float(knots[np.searchsorted(knots, 0.3)])
-    # linspace(0, 2k, 3) is exactly (0, k, 2k); the steps before k do not
-    # depend on t_end = 2k
-    grid = IntegrationOptions(initial_step=1e-3, output_grid=OutputGrid("uniform", 3))
-    assert grid.output_grid.points(0.0, 2.0 * knot, 1.0)[1] == knot
-    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 2.0 * knot, grid)
-    assert knot in traj.knot_ts
-    assert np.count_nonzero(traj.ts == knot) == 1
+    grid = IntegrationOptions(output_grid=OutputGrid("uniform", 3))
+    assert grid.output_grid.points(0.0, 0.75, 1.0)[1] == 0.375
+    # a disturbance whose only sample, of value 0, is at 0.375 puts a knot
+    # there and leaves the noise-free run held
+    landing = DisturbanceSpec(kind="piecewise", bound=0.0, samples=((0.375, 0.0),))
+    traj = integrate(reference_loop(landing), None, np.array([1.0, 0.0]), 0.0, 0.75, grid)
+    assert 0.375 in traj.knot_ts
+    assert np.count_nonzero(traj.ts == 0.375) == 1
     assert np.all(np.diff(traj.ts) > 0.0)
 
-    assert grid.output_grid.points(0.0, 0.75, 1.0)[1] == 0.375
+    model = reference_loop()
     noise = _SwitchingNoise(2, 0.375)
     traj = integrate(model, noise, np.array([1.0, 0.0]), 0.0, 0.75, grid)
     assert traj.switch_times == (0.375,)
@@ -466,11 +474,11 @@ def _crossing_time(T: float) -> float:
 @pytest.mark.parametrize("T", [1.0, 1e-6])
 def test_event_time_is_resolved_relative_to_the_horizon(T):
     model = rational_loop([[(-6.0, 2)], [(-4.0, 1)]], T=T)
-    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.99 * T,
-                     stop_condition=lambda t, x: x[0] <= 0.25)
+    condition = lambda t, x: x[0] <= 0.25
+    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.99 * T, stop_condition=condition)
     assert traj.termination.kind == EVENT
     t_exact = _crossing_time(T)
-    assert abs(traj.t_last - t_exact) <= 1e-9 * t_exact
+    assert abs(_event_time(traj, condition) - t_exact) <= 1e-9 * t_exact
 
 
 @pytest.mark.parametrize("u_event", [1e-6, 1e-7, 1e-8, 1e-9])
@@ -479,10 +487,11 @@ def test_event_time_is_resolved_relative_to_the_deadline(u_event):
     # to 1e-12 * T missed T - t_event by 4.0e-5 and 3.1e-4 relative at
     # u_event = 1e-8 and 1e-9
     threshold = 3.0 * u_event**2 - 2.0 * u_event**3
+    condition = lambda t, x: x[0] <= threshold
     traj = integrate(reference_loop(rho_min=1e-12), None, np.array([1.0, 0.0]), 0.0,
-                     1.0 - 1e-11, stop_condition=lambda t, x: x[0] <= threshold)
+                     1.0 - 1e-11, stop_condition=condition)
     assert traj.termination.kind == EVENT
-    assert abs((1.0 - traj.t_last) - u_event) <= 1e-5 * u_event
+    assert abs((1.0 - _event_time(traj, condition)) - u_event) <= 1e-5 * u_event
 
 
 def test_span_slack_scales_with_the_horizon():
@@ -1355,7 +1364,8 @@ def test_fused_step_equals_the_call_through_step(case, variant, held, disturbanc
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert a.termination == b.termination
     if t_stop is not None:
-        assert a.termination.kind == EVENT and a.termination.t == pytest.approx(t_stop, abs=1e-11)
+        assert a.termination.kind == EVENT
+        assert _event_time(a, stop) == pytest.approx(t_stop, abs=1e-11)
     assert len(a.ts) > len(a.knot_ts)  # grid points fall inside steps
 
 
@@ -1485,3 +1495,26 @@ def test_options_validation():
         OutputGrid(kind="log", count=10)
     with pytest.raises(ValueError):
         OutputGrid(kind="uniform", count=1)
+
+
+def test_stop_condition_gets_a_committed_state_as_a_list_of_floats():
+    """On every noise kind, with grid points queried inside steps, each call
+    of stop_condition receives a committed knot's state as a list of floats."""
+    runs = [(reference_loop(), lambda: None),
+            (reference_loop(), lambda: _BarrierNoise(2, 0.37)),
+            (differentiator_error_model(), lambda: differentiator_divergence_noise(1e-2)),
+            (differentiator_error_model(), lambda: _WaveNoise(None))]
+    grid = IntegrationOptions(output_grid=OutputGrid("uniform", 700))
+    for model, noise in runs:
+        calls = []
+
+        def stop(t, x):
+            calls.append((t, x, [type(v) for v in x]))
+            return t >= 0.9
+
+        traj = integrate(model, noise(), np.array([1.0, -0.5]), 0.0, 0.99, grid, stop)
+        assert traj.termination.kind == EVENT
+        assert len(calls) == len(traj.knot_ts) - 1
+        for (t, x, types), kt, kx in zip(calls, traj.knot_ts[1:], traj.knot_xs[1:]):
+            assert type(x) is list and types == [float] * model.n
+            assert t == kt and x == kx.tolist()
