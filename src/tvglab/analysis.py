@@ -272,11 +272,15 @@ def falsify_uniform_stability(model: SystemModel, delta: float, epsilon: float,
     crossed = k is not None
     crossing_time = None
     if crossed:
-        h = kts[k] - kts[k - 1]
-        ends = kxs[k - 1], full.knot_fs[k - 1], kxs[k], full.knot_fl[k], full.knot_ds[k]
+        # the step's dense output channel by channel on floats: the sums of
+        # the array evaluation, in the same order, without numpy per point
+        t_lo, t_hi = float(kts[k - 1]), float(kts[k])
+        h = t_hi - t_lo
+        ends = list(zip(*(a.tolist() for a in (kxs[k - 1], full.knot_fs[k - 1], kxs[k],
+                                               full.knot_fl[k], full.knot_ds[k]))))
         crossing_time = _earliest(
-            lambda t: math.hypot(*_interpolant(*ends, h, (t - kts[k - 1]) / h)) > epsilon,
-            float(kts[k - 1]), float(kts[k]), T)
+            lambda t: math.hypot(*(_interpolant(*e, h, (t - t_lo) / h) for e in ends)) > epsilon,
+            t_lo, t_hi, T)
     norms = np.linalg.norm(full.xs, axis=1)
     j = int(np.argmax(norms))
     lo = full.ts[max(j - 1, 0)]

@@ -576,9 +576,11 @@ def run_divergence_attack(model: SystemModel, eta_bar: float, thresholds=None,
         verdict = _ladder_verdict(crossed) and len(crossed) > 0
     armed = len(traj.switch_times)
     if armed < len(noise.targets) and traj.termination.kind != BLOW_UP:
+        # a run that stopped short of the floor says how and where
+        end = ("the integration floor" if traj.completed else
+               f"the run ended in {traj.termination.kind} at t={traj.termination.t!r}")
         notes = (notes + "; " if notes else "") + (
-            f"partial schedule: {armed} of {len(noise.targets)} targets armed "
-            "before the integration floor")
+            f"partial schedule: {armed} of {len(noise.targets)} targets armed before {end}")
     schedule = SwitchingSchedule(targets=noise.targets, delta=delta, times=traj.switch_times)
     return AttackOutcome(kind=kind, noise_bound=eta_bar, verdict=verdict, trajectory=traj,
                          schedule=schedule, peaks=peaks, notes=notes)

@@ -241,9 +241,13 @@ class NoiseSource:
     after each switch and after each step that lands on an announced
     discontinuity, and its compiled loop evaluates the law at every stage
     without calling the source: the stages of a step that ends on the
-    discontinuity, its last one included, see the law before it.  A source
-    that gives a segment once must give one at every later read.  The loop
-    that calls an overridden SystemModel.rhs queries at every stage instead.
+    discontinuity, its last one included, see the law before it.  It
+    evaluates the law at the stage's exact offset from the step's start,
+    a + b * ((t - t0) + c h), not at the rounded stage time t + c h, so a
+    segment run is not bit for bit the run of the same source queried at
+    every stage; it is the more accurate of the two.  A source that gives a
+    segment once must give one at every later read.  The loop that calls an
+    overridden SystemModel.rhs queries at every stage instead.
 
     held = True is the constant case, b = 0 until the next switch, with a
     loop of its own: from the first observe() on, value(t, x) returns the
@@ -284,22 +288,25 @@ class ZeroNoise(NoiseSource):
         return self._zero
 
 
-def _rhs_lines(variant: str, orders: tuple[tuple[int, ...], ...], zero_disturbance: bool):
+def _rhs_lines(variant: str, orders: tuple[tuple[int, ...], ...], zero_disturbance: bool,
+               u: str = "T - ts"):
     """(params, noise, lines, derivative): one rhs evaluation as source lines
     on the time ts, state s<i> and noise e<i> (control loop) or e, raising as
     SystemModel.rhs does; the constants they read (T, disturbance, channel
     i's coefficients c<i>_<j>), the noise's unpacking target and the n
-    derivative expressions.  Each gain sums c / u**p from 0.0 in table order
-    with Python's ** (numpy's power rounds otherwise), as value_at does; c
-    stands for c / u**0 and c / u for c / u**1, the same bits.  A finiteness
-    check on v reads v - v == 0.0, False exactly for +-inf and NaN.  A power
-    that underflows to 0.0 raises ZeroDivisionError."""
+    derivative expressions.  The gains are evaluated at the distance to the
+    deadline given by the expression u, T - ts unless a caller knows it more
+    exactly.  Each gain sums c / u**p from 0.0 in table order with Python's
+    ** (numpy's power rounds otherwise), as value_at does; c stands for
+    c / u**0 and c / u for c / u**1, the same bits.  A finiteness check on v
+    reads v - v == 0.0, False exactly for +-inf and NaN.  A power that
+    underflows to 0.0 raises ZeroDivisionError."""
     n = len(orders)
     coefs = [[f"c{i}_{j}" for j in range(len(ps))] for i, ps in enumerate(orders)]
     gains = ["(0.0" + "".join(f" + {c}" + ("" if p == 0 else " / u" if p == 1 else f" / u{p}")
                               for c, p in zip(cs, ps)) + ")"
              for cs, ps in zip(coefs, orders)]
-    lines = ["u = T - ts",
+    lines = [f"u = {u}",
              "if u <= 0.0:",
              '    raise ValueError(f"gains evaluated at t={ts!r} >= deadline T={T!r}")',
              # adding the zero disturbance still turns a -0.0 output into 0.0

@@ -18,10 +18,15 @@ per model shape and noise kind, with the model's right-hand side fused into
 every stage (see _loop_factory); a class that overrides or wraps
 SystemModel.rhs gets one that calls it.  The noise kinds are a held value,
 an affine segment a + b (t - t0) evaluated and bound-checked inline at each
-stage, and a source queried at each stage (see NoiseSource).  State and
-FSAL derivative stay float locals from step to step, and its sums are
-unrolled float expressions in forward order, with no BLAS call, so a run
-rounds alike under every BLAS kernel.  It commits on lists of floats, which
+stage, and a source queried at each stage (see NoiseSource).  The segment
+loop resolves time relative to the step: it takes the step as it lands,
+h = t_new - t, and evaluates stage i's law at (t - t0) + c_i h and its
+gains at (T - t) - c_i h, not at the rounded stage time t + c_i h, whose
+rounding a steep law (b up to 1e8 near T) turns into a noise error that
+the error estimate reads as truncation error.  State and FSAL derivative
+stay float locals from step to step, and its sums are unrolled float
+expressions in forward order, with no BLAS call, so a run rounds alike
+under every BLAS kernel.  It commits on lists of floats, which
 observe and stop_condition receive too; barriers are queried once per
 committed step, the blow-up check is the root of the float sum of squares,
 and the knot record is kept in flat float columns that become arrays once,
@@ -132,9 +137,15 @@ def _loop_factory(n: int, noise_kind: str, shape=None):
     cap once per commit.  State and FSAL derivative stay float locals
     between steps.  A held eta is unpacked once per call; a segment eta,
     (a, b, t0) with a and b floats (differentiator) or lists of n floats
-    (control loop), too, and each stage, FSAL included, computes the noise
-    a + b * (ts - t0) on floats and checks it against the bound as eta_at
-    does; otherwise eta_at is queried at each stage state, a fresh list.  A
+    (control loop), too.  The segment loop takes the step as it lands, h =
+    t_new - t after the barrier clamp, and computes T - t and t - t0 once
+    per commit; each stage, FSAL included, takes its offset o from the step's
+    start (C_i * h, h for the FSAL stage), computes the noise a + b * ((t -
+    t0) + o) on floats, checks it against the bound as eta_at does, and
+    evaluates the gains at u = (T - t) - o in place of T - ts.
+    The stage time ts then serves only the error messages (and a nonzero
+    disturbance).  Otherwise eta_at is queried at each stage state, a fresh
+    list.  A
     zero-disturbance shape asks for no disturbance barrier.  Every sum runs
     over the nonzero tableau coefficients in forward order on Python
     floats, so no BLAS kernel changes a bit.  The source holds names and
@@ -156,20 +167,26 @@ def _loop_factory(n: int, noise_kind: str, shape=None):
     control = shape is not None and shape[0] == CONTROL_LOOP
     recorded = "eta_new"  # the noise a commit records: its last stage's
     if segment:
-        # the noise channels e<j> (or e), each with its law na<j> + nb<j> * (ts - nt)
+        # the noise channels e<j> (or e), each with its law na<j> + nb<j> * (tn + offset)
         es = noise.replace(",", " ").split()
         recorded = f"[{noise}]" if control else "e"
-        law = [f"{v} = na{v[1:]} + nb{v[1:]} * (ts - nt)" for v in es]
-        law += ["en = " + (f"hypot({', '.join(es)})" if control else "abs(e)"),
-                "if en > bound_slack:",
-                '    raise NoiseBoundViolation(f"noise bound violated at t={ts!r}: '
-                '|eta|={en!r} > {bound!r}")']
+        check = ["en = " + (f"hypot({', '.join(es)})" if control else "abs(e)"),
+                 "if en > bound_slack:",
+                 '    raise NoiseBoundViolation(f"noise bound violated at t={ts!r}: '
+                 '|eta|={en!r} > {bound!r}")']
 
     def derivative(i, state, query):
         # k<i>_0, ... at time ts on the stage channels s<j>, packed as state
         if shape is None:
             return [f"{names(f'k{i}_')}, = rhs(ts, {state}, {query})"]
-        return [*(law if segment else [] if held else [f"{noise} = {query}"]), *lines,
+        if not segment:
+            return [*([] if held else [f"{noise} = {query}"]), *lines,
+                    *(f"k{i}_{j} = {v}" for j, v in enumerate(out))]
+        # the stage's exact offset from the step's start, not the rounded ts:
+        # the law at (t - nt) + offset, the gains at (T - t) - offset
+        offset = "h" if i == 6 else f"C{i} * h"
+        return [*(f"{v} = na{v[1:]} + nb{v[1:]} * (tn + {offset})" for v in es), *check,
+                *_rhs_lines(*shape, u=f"ut - {offset}")[2],
                 *(f"k{i}_{j} = {v}" for j, v in enumerate(out))]
 
     body = []
@@ -206,6 +223,7 @@ def _loop_factory(n: int, noise_kind: str, shape=None):
         *(["    landing = next_noise(t)"] if segment else []),
         f"    barrier = min({barriers})",
         "    h_cap = kappa * (T - t)",
+        *(["    ut = T - t", "    tn = t - nt"] if segment else []),
         *(["    w1 = (T - t) / T"] if n >= 3 else []),
         *(f"    w{p} = w{p - 1} * w1" for p in range(2, n - 1)),
         "    gap = barrier - t",
@@ -217,6 +235,8 @@ def _loop_factory(n: int, noise_kind: str, shape=None):
         "t_new = t + h",
         "if t_new >= barrier:",
         "    t_new = barrier",
+        # the step as it lands, exact near T, so that t + h == t_new
+        *(["h = t_new - t"] if segment else []),
         # a non-finite stage makes err NaN or inf, so "not err <= ONE"
         # rejects it like a raised NumericalFailure or an underflowed power
         "try:", *(f"    {line}" for line in body),
@@ -295,7 +315,7 @@ _LANDED = "landed"  # a segment loop's return on its source's announced disconti
 
 # trial steps, accepted or rejected, that one integrate call may take; a run
 # that needs more ends with a step_budget termination.  The largest call of
-# the golden run takes 1216, a two-channel run that ends in step_underflow.
+# the golden run takes 890, a differentiator divergence run that completes.
 MAX_TRIAL_STEPS = 100_000
 
 
@@ -382,6 +402,10 @@ class Trajectory:
     the closing knot's D.  Grid samples come from the same evaluator, so
     they equal state_at at their times bit for bit.  A run stopped by its
     stop condition ends at a full step, like any other.
+
+    trials counts the run's trial steps, accepted and rejected, as they
+    count against MAX_TRIAL_STEPS; a run without a rejected step has one
+    per knot after the first.
     """
 
     ts: np.ndarray
@@ -396,6 +420,7 @@ class Trajectory:
     t0: float
     t_last: float
     termination: Termination
+    trials: int
     switch_times: tuple[float, ...]
     T: float
     rho_min: float
@@ -473,16 +498,19 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     the next switch.  A source that gives a segment (NoiseSource.segment)
     is queried and its segment read at the same knots and after each step
     that lands on its next_discontinuity; the fused loop evaluates the
-    segment at every stage and commit, and a landed discontinuity adds no
-    switch time but keeps the derivative's left limit, under the law before
-    it, in knot_fl.  Any other source, and a segment source under a model
-    class that overrides rhs, is queried at every RK stage, with the stage
-    state as a list of floats.  Every source but a held one is queried at
-    every grid sample, a step's grid points in time order before the
-    observe at its end.  Each noise value is checked against the source's
-    bound; a violation raises NoiseBoundViolation; a control-loop noise or
-    segment that is not n floats, or a differentiator noise that is not a
-    scalar, raises ValueError.
+    segment at every stage and commit, at the stage's exact offset from the
+    step's start, with the gains at the same offset from T - t, and a landed
+    discontinuity adds no switch time but keeps the derivative's left
+    limit, under the law before it, in knot_fl.  So a segment run is not the
+    run of the same source queried at every stage bit for bit, but the more
+    accurate of the two near T.  Any other source, and a segment source
+    under a model class that overrides rhs, is queried at every RK stage,
+    with the stage state as a list of floats.  Every source but a held one
+    is queried at every grid sample, a step's grid points in time order
+    before the observe at its end.  Each noise value is checked against the
+    source's bound; a violation raises NoiseBoundViolation; a control-loop
+    noise or segment that is not n floats, or a differentiator noise that is
+    not a scalar, raises ValueError.
     """
     opts = opts or IntegrationOptions()
     T = model.horizon.T
@@ -684,6 +712,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         t0=t0,
         t_last=t,
         termination=termination,
+        trials=trials,
         switch_times=tuple(switch_times),
         T=T,
         rho_min=rho_min,

@@ -407,8 +407,8 @@ def test_deadzone_entry_at_the_event_knot_that_ends_the_run():
     probe = Trajectory(ts=ts, xs=xs, etas=np.zeros((2, 2)), gains=np.zeros(2), knot_ts=ts,
                        knot_xs=xs, knot_fs=fs, knot_fl=fs, knot_ds=np.zeros((2, 2)), t0=0.0,
                        t_last=0.5,
-                       termination=Termination(kind=EVENT, t=0.5), switch_times=(), T=1.0,
-                       rho_min=0.0, n=2)
+                       termination=Termination(kind=EVENT, t=0.5), trials=1, switch_times=(),
+                       T=1.0, rho_min=0.0, n=2)
     assert _box_entry(probe, 1e-2) == (0.5, 0)
     assert _box_entry(probe, 0.99e-2) is None
 
@@ -424,8 +424,8 @@ def test_deadzone_entry_inside_a_step_comes_from_the_d_term():
     def probe(ds):
         return Trajectory(ts=ts, xs=xs, etas=np.zeros((2, 2)), gains=np.zeros(2), knot_ts=ts,
                           knot_xs=xs, knot_fs=fs, knot_fl=fs, knot_ds=ds, t0=0.0, t_last=0.5,
-                          termination=Termination(kind=REACHED_END, t=0.5), switch_times=(),
-                          T=1.0, rho_min=0.0, n=2)
+                          termination=Termination(kind=REACHED_END, t=0.5), trials=1,
+                          switch_times=(), T=1.0, rho_min=0.0, n=2)
 
     theta = 0.5 * (1.0 - math.sqrt(1.0 - 4.0 / math.sqrt(32.0)))
     t_entry, k = _box_entry(probe(ds), 1e-2)

@@ -1,6 +1,7 @@
 """Constructive bounded-noise attacks: divergence ladders and terminal errors."""
 
 import dataclasses
+import importlib
 import math
 import re
 
@@ -138,6 +139,30 @@ def test_differentiator_divergence_ladder():
     outcome3 = run_divergence_attack(differentiator_error_model(rho_min=1e-9), 1e-3)
     assert outcome3.verdict and outcome3.trajectory.completed
     assert all(t is not None for _, t in outcome3.peaks)
+
+
+@pytest.mark.parametrize("eta_bar, knots, trials", [(1e-2, 864, 890), (3e-2, 878, 902)])
+def test_differentiator_divergence_from_zero_reaches_the_floor(eta_bar, knots, trials):
+    # the ramps steepen like eta_bar / (T - t); taken at the rounded stage
+    # time, their law and gains put an error of b ulp(t) into every stage,
+    # and these runs ended in step_underflow at T - 1.4e-9 after 1216 and
+    # 1209 trial steps
+    outcome = run_divergence_attack(differentiator_error_model(rho_min=1e-9), eta_bar)
+    traj = outcome.trajectory
+    assert traj.completed and outcome.verdict
+    assert len(traj.knot_ts) == knots and traj.trials == trials
+    assert outcome.notes == "partial schedule: 5 of 7 targets armed before the integration floor"
+
+
+def test_divergence_attack_says_when_its_run_ended_early(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("tvglab.integrate"), "MAX_TRIAL_STEPS", 300)
+    outcome = run_divergence_attack(differentiator_error_model(rho_min=1e-9), 1e-2)
+    end = outcome.trajectory.termination
+    assert end.kind == "step_budget" and outcome.trajectory.trials == 300
+    armed = len(outcome.schedule.times)
+    assert armed < 7 and outcome.notes == (
+        f"partial schedule: {armed} of 7 targets armed before the run ended in step_budget "
+        f"at t={end.t!r}")
 
 
 def test_differentiator_divergence_noise_is_continuous():
