@@ -134,6 +134,10 @@ SCENARIOS: dict[str, list[str]] = {
                                "--attack.eta_bar", "1e-3"],
     "attack_controller_divergence_1e-3": ["attack", "--attack.kind", "controller-divergence",
                                           "--attack.eta_bar", "1e-3", "--system.rho_min", "1e-9"],
+    # the order-3 loop passes the whole ladder {0.1, 1, 10} within one step
+    "attack_controller_divergence_order_3": ["attack", "--attack.kind", "controller-divergence",
+                                             "--system.gains", "-60,3; -36,2; -9,1",
+                                             "--attack.eta_bar", "1e-3"],
     "attack_controller_terminal": ["attack", "--attack.kind", "controller-terminal",
                                    "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
     "attack_controller_ramp": ["attack", "--attack.kind", "controller-terminal",

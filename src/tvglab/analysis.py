@@ -31,8 +31,9 @@ from .integrate import (
     IntegrationOptions,
     Trajectory,
     _earliest,
-    _interpolant,
     _require_complete,
+    _step_state,
+    detect_peaks,
     integrate,
     terminal_state,
 )
@@ -116,7 +117,7 @@ def _rho_ladder(rhos) -> list[float]:
     strictly decreasing."""
     rhos = [float(r) for r in rhos]
     if any(b >= a for a, b in zip(rhos, rhos[1:])) or not rhos:
-        raise ValueError("rhos must be strictly decreasing")
+        raise ValueError("rhos must be a nonempty strictly decreasing sequence")
     return rhos
 
 
@@ -250,10 +251,11 @@ def falsify_uniform_stability(model: SystemModel, delta: float, epsilon: float,
     and report the first time the norm exceeds epsilon plus the attained
     maximum.  crossed=False marks a falsification failure.
 
-    One run serves both: the crossing is located on the step that closes at
-    the first knot after the start whose norm exceeds epsilon, by bisection
-    on that step's dense output, so a crossing and recrossing between two
-    knots goes unseen."""
+    One run serves both: the crossing is detect_peaks' for the one-rung
+    ladder (epsilon,), bisected on the dense output of the step that closes
+    at the first knot whose norm exceeds epsilon, so a crossing and
+    recrossing between two knots goes unseen; a start that already exceeds
+    epsilon (delta > epsilon) crosses at s."""
     if model.variant != CONTROL_LOOP:
         raise ValueError("stability falsification applies to the control loop")
     opts = opts or IntegrationOptions()
@@ -267,20 +269,7 @@ def falsify_uniform_stability(model: SystemModel, delta: float, epsilon: float,
     x0[0] = delta
 
     full = integrate(model, None, x0, s, T - rho_min, opts)
-    kts, kxs = full.knot_ts, full.knot_xs
-    k = next((k for k, x in enumerate(kxs.tolist()) if k and math.hypot(*x) > epsilon), None)
-    crossed = k is not None
-    crossing_time = None
-    if crossed:
-        # the step's dense output channel by channel on floats: the sums of
-        # the array evaluation, in the same order, without numpy per point
-        t_lo, t_hi = float(kts[k - 1]), float(kts[k])
-        h = t_hi - t_lo
-        ends = list(zip(*(a.tolist() for a in (kxs[k - 1], full.knot_fs[k - 1], kxs[k],
-                                               full.knot_fl[k], full.knot_ds[k]))))
-        crossing_time = _earliest(
-            lambda t: math.hypot(*(_interpolant(*e, h, (t - t_lo) / h) for e in ends)) > epsilon,
-            t_lo, t_hi, T)
+    crossing_time = detect_peaks(full, (epsilon,))[0][1]
     norms = np.linalg.norm(full.xs, axis=1)
     j = int(np.argmax(norms))
     lo = full.ts[max(j - 1, 0)]
@@ -295,7 +284,7 @@ def falsify_uniform_stability(model: SystemModel, delta: float, epsilon: float,
         attained = float(norms[j])
         attained_time = float(full.ts[j])
     return StabilityWitness(delta=delta, epsilon=epsilon, eps_prime=eps_prime, s=s,
-                            crossed=crossed, crossing_time=crossing_time,
+                            crossed=crossing_time is not None, crossing_time=crossing_time,
                             attained_norm=attained, attained_time=attained_time,
                             trajectory=full)
 
@@ -416,7 +405,7 @@ def _box_entry(traj: Trajectory, width: float) -> Optional[tuple[float, int]]:
     consecutive roots of the quartics minus +-width the box holds everywhere
     or nowhere, so the first interval whose midpoint (or, last, the step's
     end) is inside brackets the entry, which integrate._earliest bisects on
-    the dense output itself.
+    the dense output itself, evaluated on floats by integrate._step_state.
     """
     kts, xl, xr, ds = traj.knot_ts, traj.knot_xs[:-1], traj.knot_xs[1:], traj.knot_ds[1:]
     hs = np.diff(kts)
@@ -432,13 +421,11 @@ def _box_entry(traj: Trajectory, width: float) -> Optional[tuple[float, int]]:
     slack = width + np.abs(ds) / 16.0 + 1e-9 * (np.abs(xl) + np.abs(xr) + np.abs(fl) + np.abs(fr))
     meets = (np.minimum.reduce(vals) <= slack) & (np.maximum.reduce(vals) >= -slack)
 
-    def inside(i, t):
-        dt = hs[i]
-        x = _interpolant(xl[i], traj.knot_fs[i], xr[i], traj.knot_fl[i + 1], ds[i], dt,
-                     min(max((t - kts[i]) / dt, 0.0), 1.0))
-        return max(map(abs, x.tolist())) <= width
-
     for i in np.flatnonzero(meets.all(axis=1)).tolist():
+        state = _step_state(traj, i + 1)
+
+        def inside(t):
+            return max(map(abs, state(t))) <= width
         roots = [0.0, 1.0]
         for j in range(traj.n):
             d = ds[i, j]
@@ -448,15 +435,13 @@ def _box_entry(traj: Trajectory, width: float) -> Optional[tuple[float, int]]:
                           if 0.0 < r < 1.0]
         roots.sort()
         lo = float(kts[i])
-        if inside(i, lo):
-            return lo, i
-        # each interval's midpoint, then the step's end: a knot just inside
-        # the box (a stopped run ends at the first one) puts a root near
+        # the step's start, each interval's midpoint, then its end: a knot just
+        # inside the box (a stopped run ends at the first one) puts a root near
         # theta = 1 that may round to 1 or past it, and no midpoint is inside
         mids = [float(kts[i] + 0.5 * (a + b) * hs[i]) for a, b in zip(roots, roots[1:])]
-        for hi in mids + [float(kts[i + 1])]:
-            if inside(i, hi):
-                return _earliest(lambda t: inside(i, t), lo, hi, traj.T), i
+        for hi in [lo, *mids, float(kts[i + 1])]:
+            if inside(hi):
+                return _earliest(inside, lo, hi, traj.T), i
             lo = hi
     return None
 

@@ -100,11 +100,7 @@ class _DivergenceNoise(NoiseSource):
             raise ValueError("eta_bar must be positive")
         self.bound = self.eta_bar = float(eta_bar)
         self.T = float(T)
-        self.targets = tuple(float(v) for v in targets)
-        if any(b <= a for a, b in zip(self.targets, self.targets[1:])) or not self.targets:
-            raise ValueError("targets must be a nonempty strictly increasing sequence")
-        if self.targets[0] <= 0.0:
-            raise ValueError("targets must be positive")
+        self.targets = tuple(_threshold_ladder(targets, "targets"))
         self._next_idx = 0
 
 
@@ -550,14 +546,15 @@ def run_divergence_attack(model: SystemModel, eta_bar: float, thresholds=None,
     """Drive the model with the matching divergence noise and check the ladder.
 
     The verdict passes when every threshold is crossed at strictly
-    increasing times.  A blow_up termination counts as success for any
-    thresholds not yet sampled past (the norm left the ladder's range).
+    increasing times, as detect_peaks locates them on the dense output.  A
+    blow_up termination counts as success for any thresholds not yet
+    crossed (the norm left the ladder's range).
     """
     opts = opts or IntegrationOptions()
     T = model.horizon.T
     t_end = T - model.horizon.rho_min if t_end is None else t_end
     thresholds = default_ladder(eta_bar) if thresholds is None else tuple(thresholds)
-    _threshold_ladder(thresholds)  # a bad ladder is rejected before the run
+    _threshold_ladder(thresholds, "thresholds")  # a bad ladder is rejected before the run
     if model.variant == CONTROL_LOOP:
         noise = controller_divergence_noise(eta_bar, targets=targets, n=model.n,
                                             delta=delta, T=T)

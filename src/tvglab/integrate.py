@@ -33,7 +33,7 @@ and the knot record is kept in flat float columns that become arrays once,
 at the end.  integrate itself re-enters the loop after each noise switch
 and each landed segment discontinuity.  A stop event ends the run at the
 knot of the first committed step whose end satisfies the condition; a
-caller that needs the crossing inside that step locates it with _earliest.
+caller locates the crossing inside that step with _earliest on _step_state.
 
 The loop keeps a knot record at every committed step: state, noise as
 queried (or as its segment gives it), the derivative's right and left
@@ -467,6 +467,17 @@ def _earliest(holds, lo: float, hi: float, T: float) -> float:
     return hi
 
 
+def _step_state(traj: Trajectory, k: int):
+    """The dense output of the step that closes at knot k as a function of t,
+    a list of floats: _interpolant channel by channel, theta clamped to [0, 1].
+    It sums as _dense_states does, in the same order, so it equals state_at."""
+    t_lo = float(traj.knot_ts[k - 1])
+    h = float(traj.knot_ts[k]) - t_lo
+    ends = list(zip(*(a.tolist() for a in (traj.knot_xs[k - 1], traj.knot_fs[k - 1],
+                                           traj.knot_xs[k], traj.knot_fl[k], traj.knot_ds[k]))))
+    return lambda t: [_interpolant(*e, h, min(max((t - t_lo) / h, 0.0), 1.0)) for e in ends]
+
+
 def _dense_states(knot_ts, knot_xs, knot_fs, knot_fl, knot_ds, idx, t):
     """Dense output at the times t, t[j] on the step that opens at knot
     idx[j]: the continuous extension from that knot's state and right-limit
@@ -740,28 +751,35 @@ def terminal_state(traj: Trajectory, rho: float) -> np.ndarray:
     return traj.state_at(t_query)
 
 
-def _threshold_ladder(thresholds) -> list[float]:
-    """The thresholds as floats; raises ValueError unless they are positive
-    and strictly increasing."""
-    thr = [float(v) for v in thresholds]
-    if any(b <= a for a, b in zip(thr, thr[1:])):
-        raise ValueError("thresholds must be strictly increasing")
-    if any(v <= 0.0 for v in thr):
-        raise ValueError("thresholds must be positive")
+def _threshold_ladder(values, name: str) -> list[float]:
+    """The ladder's values as floats; raises ValueError, naming the ladder,
+    unless they are nonempty, strictly increasing and positive."""
+    thr = [float(v) for v in values]
+    if not thr or not all(b > a for a, b in zip(thr, thr[1:])):
+        raise ValueError(f"{name} must be a nonempty strictly increasing sequence")
+    if not thr[0] > 0.0:
+        raise ValueError(f"{name} must be positive")
     return thr
 
 
 def detect_peaks(traj: Trajectory, thresholds) -> list[tuple[float, Optional[float]]]:
-    """First sample time at which ||x|| reaches each threshold.
+    """First time at which ||x|| exceeds each threshold of a nonempty,
+    positive, strictly increasing ladder; None for one never exceeded.
 
-    Thresholds must be strictly increasing; a threshold never reached maps
-    to None.  Crossing times are scanned over the recorded samples, so they
-    inherit the sample resolution.
-    """
-    thr = _threshold_ladder(thresholds)
-    norms = np.linalg.norm(traj.xs, axis=1)
+    The one locator of norm crossings: screened at the knots (the first knot
+    k with math.hypot > v; k = 0 gives t0), then bisected by _earliest on the
+    dense output of the step closing at k (_step_state), so thresholds passed
+    within one step get distinct times, but an excursion between knots hides."""
+    norms = np.linalg.norm(traj.knot_xs, axis=1)
     out: list[tuple[float, Optional[float]]] = []
-    for v in thr:
-        hits = np.nonzero(norms >= v)[0]
-        out.append((v, float(traj.ts[hits[0]]) if hits.size else None))
+    for v in _threshold_ladder(thresholds, "thresholds"):
+        # numpy's norm screens the knots to 1e-15; the predicate's hypot decides
+        near = np.flatnonzero(norms > v * (1.0 - 1e-15)).tolist()
+        k = next((k for k in near if math.hypot(*traj.knot_xs[k].tolist()) > v), None)
+        t = None if k is None else traj.t0
+        if k:
+            state = _step_state(traj, k)
+            t = _earliest(lambda tq: math.hypot(*state(tq)) > v, float(traj.knot_ts[k - 1]),
+                          float(traj.knot_ts[k]), traj.T)
+        out.append((v, t))
     return out

@@ -206,11 +206,16 @@ def test_falsify_integrates_once(monkeypatch):
                          ids=["reference", "order_3"])
 def test_falsify_crossing_is_the_located_event_of_a_stopped_run(model):
     """The crossing equals, bit for bit, the bisection on the last step of a
-    run that stops at the first knot whose norm exceeds epsilon."""
+    run that stops at the first knot whose norm exceeds epsilon; a start
+    that already exceeds epsilon crosses at the start itself."""
     rng = np.random.default_rng(7)
-    crossed = 0
+    crossed = above = 0
     for delta, epsilon in 10.0 ** rng.uniform((-3.0, -1.0), (0.5, 1.0), size=(20, 2)):
         witness = falsify_uniform_stability(model, delta, epsilon)
+        if delta > epsilon:
+            above += 1
+            assert witness.crossed and witness.crossing_time == witness.s
+            continue
         condition = lambda t, x: math.hypot(*x) > epsilon
         x0 = np.zeros(model.n)
         x0[0] = delta
@@ -223,7 +228,7 @@ def test_falsify_crossing_is_the_located_event_of_a_stopped_run(model):
         located = _earliest(lambda t: condition(t, stopped.state_at(t)),
                             float(stopped.knot_ts[-2]), stopped.t_last, stopped.T)
         assert witness.crossing_time.hex() == located.hex()
-    assert crossed >= 15
+    assert crossed >= 15 and above >= 1
 
 
 def test_stop_time_residual_closed_form():

@@ -54,6 +54,8 @@ def test_controller_divergence_noise_validation():
     for noise in (ControllerDivergenceNoise, DifferentiatorDivergenceNoise):
         with pytest.raises(ValueError, match="targets must be positive"):
             noise(eta_bar=0.01, targets=(0.0, 1.0))
+        with pytest.raises(ValueError, match="targets must be a nonempty strictly increasing"):
+            noise(eta_bar=0.01, targets=())
 
 
 def test_controller_divergence_noise_holds_and_latches():
@@ -104,13 +106,13 @@ def test_controller_divergence_ladder_small_bound():
     assert times == sorted(times)
     assert all(t < 1.0 - 1e-9 for t in times)
     # crossings concentrate near the deadline
-    assert times[0] == pytest.approx(0.9954918800308653, rel=1e-9)
-    assert times[-1] == pytest.approx(0.9992637211319257, rel=1e-9)
-    # each is the first sample at or after the closed form's crossing
-    ts = outcome.trajectory.ts
+    assert times[0] == pytest.approx(0.9954764663851576, rel=1e-9)
+    assert times[-1] == pytest.approx(0.9992503587426145, rel=1e-9)
+    # each is located on the dense output, within 1e-9 (T - t) of the closed
+    # form's crossing (1e-10 measured)
     for level, t in outcome.peaks:
         exact = _closed_form_crossing(outcome.trajectory, level)
-        assert ts[np.flatnonzero(ts == t)[0] - 1] < exact <= t
+        assert abs(t - exact) <= 1e-9 * (1.0 - exact)
     assert len(outcome.schedule.times) == 7
     assert outcome.schedule.times == outcome.trajectory.switch_times
     assert outcome.trajectory.completed
@@ -133,7 +135,7 @@ def test_differentiator_divergence_ladder():
     times = [t for _, t in outcome.peaks]
     assert all(t is not None and t < 1.0 - 1e-9 for t in times)
     assert times == sorted(times)
-    assert times[0] == pytest.approx(0.9872434967298087, rel=1e-9)
+    assert times[0] == pytest.approx(0.9872228059825678, rel=1e-9)
     assert outcome.schedule.delta is None
     assert outcome.schedule.times == outcome.trajectory.switch_times
     outcome3 = run_divergence_attack(differentiator_error_model(rho_min=1e-9), 1e-3)
@@ -403,11 +405,32 @@ def test_divergence_attack_checks_its_thresholds_before_the_run(monkeypatch):
     runs = []
     monkeypatch.setattr(attack, "integrate", lambda *args, **kwargs: runs.append(args))
     for model in (reference_loop(), differentiator_error_model()):
-        with pytest.raises(ValueError, match="thresholds must be strictly increasing"):
-            run_divergence_attack(model, 1e-2, thresholds=(2.0, 1.0))
+        for bad in ((2.0, 1.0), ()):
+            with pytest.raises(ValueError,
+                               match="thresholds must be a nonempty strictly increasing sequence"):
+                run_divergence_attack(model, 1e-2, thresholds=bad)
         with pytest.raises(ValueError, match="thresholds must be positive"):
             run_divergence_attack(model, 1e-2, thresholds=(0.0, 1.0))
     assert runs == []
+
+
+def test_controller_divergence_ladder_at_order_3():
+    """The order-3 loop passes the whole ladder within one committed step;
+    the crossings are located inside it, strictly increasing, and each
+    brackets its threshold on the dense output."""
+    outcome = run_divergence_attack(
+        rational_loop([[(-60.0, 3)], [(-36.0, 2)], [(-9.0, 1)]]), 1e-3)
+    traj = outcome.trajectory
+    assert outcome.verdict and traj.completed and len(traj.switch_times) == 7
+    times = [t for _, t in outcome.peaks]
+    assert all(b > a for a, b in zip(times, times[1:]))
+    assert times == pytest.approx(
+        [0.99956730425517371, 0.99956730547036488, 0.99956731762338646], rel=1e-9)
+    # all three inside one step
+    assert len(set(np.searchsorted(traj.knot_ts, times).tolist())) == 1
+    for level, t in outcome.peaks:
+        assert math.hypot(*traj.state_at(t)) > level
+        assert math.hypot(*traj.state_at(t - 2e-12 * (traj.T - t))) < level
 
 
 def test_divergence_attack_is_deterministic():

@@ -208,9 +208,12 @@ _DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01
      "piecewise disturbance sample exceeds the declared bound"),
     (["simulate", "--system.gains", "-6,2", "--sim.x0", "1"],
      "gain table needs at least two channels"),
-    (["gain-scan", "--scan.rhos", "0.1,0.2"], "rhos must be strictly decreasing"),
+    (["gain-scan", "--scan.rhos", "0.1,0.2"],
+     "rhos must be a nonempty strictly decreasing sequence"),
+    (["gain-scan", "--scan.rhos", ""], "rhos must be a nonempty strictly decreasing sequence"),
     (["gain-scan", "--scan.rhos", "2,0.1"], "rho values must lie in (0, T)"),
-    (["verify-deadline", "--deadline.shrink_rhos", "1e-4,1e-3"], "rhos must be strictly decreasing"),
+    (["verify-deadline", "--deadline.shrink_rhos", "1e-4,1e-3"],
+     "rhos must be a nonempty strictly decreasing sequence"),
     (["workaround", "--workaround.variant", "stop-time", "--workaround.t_stop", "2"],
      "t_stop must lie in (0, T - rho_min)"),
     (_CONTROLLER_TERMINAL + ["--attack.s", "2"], "s must lie in [0, T)"),
@@ -219,7 +222,12 @@ _DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01
     (_DIVERGENCE["controller-divergence"] + ["--attack.targets", "2,1"],
      "targets must be a nonempty strictly increasing sequence"),
     (_DIVERGENCE["controller-divergence"] + ["--attack.thresholds", "2,1"],
-     "thresholds must be strictly increasing"),
+     "thresholds must be a nonempty strictly increasing sequence"),
+    # an empty ladder proves nothing: all([]) held, and the verdict passed
+    (_DIVERGENCE["controller-divergence"] + ["--attack.thresholds", ""],
+     "thresholds must be a nonempty strictly increasing sequence"),
+    (_DIVERGENCE["controller-divergence"] + ["--attack.thresholds=0,2"],
+     "thresholds must be positive"),
     (_DIVERGENCE["controller-divergence"] + ["--attack.delta", "0.5"],
      "delta must lie in (0, eta_bar]"),
     (_DIVERGENCE["controller-divergence"] + ["--attack.targets=0,2"], "targets must be positive"),
@@ -227,7 +235,9 @@ _DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01
      "targets must be a nonempty strictly increasing sequence"),
     (_DIVERGENCE["diff-divergence"] + ["--attack.targets=0,2"], "targets must be positive"),
     (_DIVERGENCE["diff-divergence"] + ["--attack.thresholds", "2,1"],
-     "thresholds must be strictly increasing"),
+     "thresholds must be a nonempty strictly increasing sequence"),
+    (_DIVERGENCE["diff-divergence"] + ["--attack.thresholds", ""],
+     "thresholds must be a nonempty strictly increasing sequence"),
     (_CONTROLLER_TERMINAL + ["--system.gains", "-60,3; -36,2; -9,1", "--attack.x0", "1,0,0"],
      "controller ramp attack needs the gains c1/(T-t)^2, c2/(T-t), one term each; "
      "got pole orders [[3], [2], [1]]"),
@@ -239,10 +249,12 @@ _DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01
     (_CONTROLLER_TERMINAL + ["--system.gains", "-2,1; -3,1; -1,1"], _NO_PLAN),
 ], ids=["rho_min_past_T", "rho_min_below_min_step", "t_end_past_floor", "t_end_before_s",
         "negative_pole_order", "piecewise_unsorted", "piecewise_over_bound", "one_channel_table",
-        "scan_rhos_increasing", "scan_rhos_past_T", "shrink_rhos_increasing", "t_stop_past_T",
-        "plan_start_past_T", "plan_start_late", "controller_targets_decreasing",
-        "controller_thresholds_decreasing", "delta_above_eta_bar", "controller_target_zero",
+        "scan_rhos_increasing", "scan_rhos_empty", "scan_rhos_past_T", "shrink_rhos_increasing",
+        "t_stop_past_T", "plan_start_past_T", "plan_start_late", "controller_targets_decreasing",
+        "controller_thresholds_decreasing", "controller_thresholds_empty",
+        "controller_threshold_zero", "delta_above_eta_bar", "controller_target_zero",
         "diff_targets_decreasing", "diff_target_zero", "diff_thresholds_decreasing",
+        "diff_thresholds_empty",
         "ramp_order_3", "ramp_simple_poles", "psi_init_length", "no_plan_2",
         "no_plan_3"])
 def test_library_value_error_is_a_config_error(tmp_path, capsys, argv, message):

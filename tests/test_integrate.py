@@ -50,6 +50,7 @@ from tvglab.integrate import (
     OutputGrid,
     _earliest,
     _require_complete,
+    _step_state,
     detect_peaks,
     integrate,
     terminal_state,
@@ -1475,6 +1476,41 @@ def test_detect_peaks_reports_first_crossings():
     assert crossings[1][0] == 1.3 and crossings[1][1] is not None
     assert crossings[0][1] < crossings[1][1]
     assert crossings[2][1] is None  # never reached
+    # the norm is sqrt(1 + t^2): thresholds passed within one step get
+    # strictly increasing times inside it, each the closed form's and each
+    # bracketing its threshold on the dense output
+    lo, hi = traj.knot_ts[5:7]
+    levels = [math.hypot(1.0, lo + f * (hi - lo)) for f in (0.2, 0.5, 0.8)]
+    times = [t for _, t in detect_peaks(traj, levels)]
+    assert lo < times[0] < times[1] < times[2] <= hi
+    for level, t in zip(levels, times):
+        assert t == pytest.approx(math.sqrt(level * level - 1.0), abs=1e-12)
+        assert math.hypot(*traj.state_at(t)) > level
+        assert math.hypot(*traj.state_at(t - 2e-12 * (traj.T - t))) < level
+    # a start above the threshold crosses at t0; a threshold never exceeded
+    # is None, as is one the norm only reaches (the predicate is "exceeds")
+    late = integrate(model, None, np.array([0.0, 1.0]), 0.25, 0.9)
+    assert detect_peaks(late, (0.5, 0.9, 5.0)) == [(0.5, 0.25), (0.9, 0.25), (5.0, None)]
+    end = math.hypot(*late.knot_xs[-1])
+    assert detect_peaks(late, (end,)) == [(end, None)]
+
+
+def test_step_state_is_state_at_bit_for_bit():
+    rng = np.random.default_rng(3)
+    x0 = np.array([1.0, -0.5])
+    for model, noise in ((reference_loop(), controller_divergence_noise(0.01)),
+                         (differentiator_error_model(), differentiator_divergence_noise(1e-3)),
+                         (rational_loop(_EULER_TABLES[3]), None)):
+        traj = integrate(model, noise, x0 if model.n == 2 else np.array([1.0, 0.0, -1.0]),
+                         0.0, 1.0 - 1e-6)
+        checked = 0
+        for k, theta in zip(rng.integers(1, len(traj.knot_ts), 200), rng.uniform(size=200)):
+            lo, hi = traj.knot_ts[k - 1:k + 1].tolist()
+            t = lo + theta * (hi - lo)
+            if lo <= t < hi:  # state_at reads a knot's time on the step it opens
+                checked += 1
+                assert np.array(_step_state(traj, k)(t)).tobytes() == traj.state_at(t).tobytes()
+        assert checked >= 190
 
 
 def _gain_record_runs():
