@@ -35,9 +35,10 @@ printed but does not decide the exit status.
 The hashes hold for one machine and one numpy build only.  They do not
 depend on the OpenBLAS kernel chosen for the CPU: the stepper makes no
 BLAS call, 1-D norms are math.hypot and the stop-time fit is closed form.
-The cascade plan's np.linalg.lstsq is the one LAPACK call left; on these
-runs it gives the same bits under the default, Haswell and Sandybridge
-kernels, and CI compares a Sandybridge manifest with the default one.
+Two LAPACK calls are left: the cascade plan's np.linalg.lstsq and the
+np.roots of analysis._box_entry.  On these runs they give the same bits
+under the default, Haswell and Sandybridge kernels, and CI compares a
+Sandybridge manifest with the default one.
 Compare two checkouts on one machine; do not pin the hashes.
 """
 
@@ -214,6 +215,10 @@ SCENARIOS: dict[str, list[str]] = {
     "attack_controller_divergence_targets_decreasing": [
         "attack", "--attack.kind", "controller-divergence", "--attack.eta_bar", "0.01",
         "--attack.targets", "2,1"],
+    # a start above the verdict ladder would read every crossing at t = 0
+    "attack_divergence_start_above_ladder": [
+        "attack", "--attack.kind", "controller-divergence", "--attack.eta_bar", "0.01",
+        "--attack.x0", "20,0", "--system.rho_min", "1e-9"],
     "attack_controller_terminal_psi_init_length": [
         "attack", "--attack.kind", "controller-terminal", "--attack.eta_bar", "0.01",
         "--attack.epsilon", "0.5", "--attack.psi_init", "0,0"],
@@ -268,6 +273,7 @@ EXPECTED_EXIT: dict[str, int] = {
     "verify_shrink_rhos_increasing": 1,
     "workaround_t_stop_past_T": 1,
     "attack_controller_divergence_targets_decreasing": 1,
+    "attack_divergence_start_above_ladder": 1,
     "attack_controller_terminal_psi_init_length": 1,
     "attack_controller_ramp_unsupported_table": 1,
     "attack_controller_terminal_late_s": 1,

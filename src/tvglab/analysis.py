@@ -459,9 +459,9 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
     stops at the first knot inside the box.  The gain at entry uses the
     noise of the entry step (a held source's recorded value), and the entry
     state is the dense output there.  noise is a zero-argument factory
-    called once per case, or None.
+    called once per case, or None.  The runs take no output grid.
     """
-    opts = opts or IntegrationOptions()
+    opts = replace(opts or IntegrationOptions(), output_grid=None)
     fresh_noise = _noise_factory(model, noise)
     if width <= 0.0:
         raise ValueError("width must be positive")
@@ -495,8 +495,9 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
                     continue
                 entry_t, k = entry
                 entry_x = probe.state_at(entry_t)
-                eta = (probe.etas[np.searchsorted(probe.ts, probe.knot_ts[k])] if case_noise.held
-                       else case_noise.value(entry_t, entry_x))
+                # without a grid, the probe's sample table is its knot table
+                eta = (probe.etas[k] if case_noise.held
+                       else case_noise.value(entry_t, entry_x.tolist()))
                 gain = abs(float(model.gain_output(entry_t, entry_x, eta)))
             if entry_t < t_end:
                 tail = integrate(off_model, None, entry_x, entry_t, t_end, opts)

@@ -548,13 +548,15 @@ def run_divergence_attack(model: SystemModel, eta_bar: float, thresholds=None,
     The verdict passes when every threshold is crossed at strictly
     increasing times, as detect_peaks locates them on the dense output.  A
     blow_up termination counts as success for any thresholds not yet
-    crossed (the norm left the ladder's range).
+    crossed (the norm left the ladder's range).  A start norm at or above
+    the first threshold, which would read as a crossing at t0, raises.
     """
     opts = opts or IntegrationOptions()
     T = model.horizon.T
     t_end = T - model.horizon.rho_min if t_end is None else t_end
     thresholds = default_ladder(eta_bar) if thresholds is None else tuple(thresholds)
-    _threshold_ladder(thresholds, "thresholds")  # a bad ladder is rejected before the run
+    # a bad ladder, or one the start already climbs, is rejected before the run
+    first = _threshold_ladder(thresholds, "thresholds")[0]
     if model.variant == CONTROL_LOOP:
         noise = controller_divergence_noise(eta_bar, targets=targets, n=model.n,
                                             delta=delta, T=T)
@@ -563,6 +565,10 @@ def run_divergence_attack(model: SystemModel, eta_bar: float, thresholds=None,
         noise = differentiator_divergence_noise(eta_bar, targets=targets, T=T)
         kind, delta = "diff-divergence", None
     x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
+    start = math.hypot(*x0.tolist())
+    if start >= first:
+        raise ValueError(f"the start norm {start!r} is not below the first threshold {first!r} "
+                         "of attack.thresholds")
     traj = integrate(model, noise, x0, 0.0, t_end, opts)
     peaks = tuple(detect_peaks(traj, thresholds))
     verdict = _ladder_verdict(peaks)

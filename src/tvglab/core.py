@@ -217,8 +217,8 @@ class NoiseSource:
     the additive measurement noise at time t given the current plant state
     (a length-n vector for the control loop, a scalar for the differentiator
     error model) and must satisfy the declared bound at every query.  x is a
-    list of n floats at a Runge-Kutta stage and at a committed step, and a
-    1-D array at a grid point; value() must not change it.
+    list of n floats, at a Runge-Kutta stage and at a committed step; value()
+    must not change it.
     observe(t, x) is called at the start state before any query, then once
     per committed integration step but one that ends the run at a stop
     event, in time order, and is the only place a source may change
@@ -254,9 +254,11 @@ class NoiseSource:
     same value for every (t, x) until observe() returns True.  The
     integrator then queries and checks a held source once after the first
     observe() and once after each switch, and reuses that value for every
-    stage and sample.  A control-loop source may return an array or a list
-    of exactly n floats (anything else raises ValueError at the query); a
-    list is recorded as it is, so the source must not change it later.
+    stage and sample; only a held source can serve an output grid, whose
+    rows carry the noise recorded at the knot that opens their step.  A
+    control-loop source may return an array or a list of exactly n floats
+    (anything else raises ValueError at the query); a list is recorded as
+    it is, so the source must not change it later.
     """
 
     bound: float = 0.0

@@ -43,11 +43,10 @@ II.6): the cubic Hermite interpolant of the step's end states and
 derivatives plus
 theta^2 (1 - theta)^2 D, where D = h * sum(d_i k_i) over the step's stages
 is computed on floats when the step is accepted.  An optional output grid
-is filled in one batched pass after the last step: one evaluation over the
-knot record for all grid points, the same evaluator Trajectory.state_at
-calls, merged with the knot rows by index.
-Without grid points strictly inside steps there is nothing to merge, and
-the sample table is a copy of the knot table.
+(held noise only) is filled in one batched pass after the last step: the
+evaluator of Trajectory.state_at over the knot record, merged with the knot
+rows by index, each row with the noise of the knot that opens its step.
+Without grid points strictly inside steps the sample table is the knot table.
 """
 
 from __future__ import annotations
@@ -94,8 +93,8 @@ _STEP_CONTROL = dict(SAFETY=0.9, ORDER=-0.2, MIN_SHRINK=0.2, FAIL_SHRINK=0.5, MA
 
 # what a run binds into its loop, in make's order
 _RUN = ("eta_at, bound, bound_slack, abs_tol, rel_tol, kappa, max_norm, max_trials, t_end, "
-        "observe, next_noise, next_dist, stop_condition, grid_queries, append_t, extend_x, "
-        "extend_f, extend_d, record_eta")
+        "observe, next_noise, next_dist, stop_condition, append_t, extend_x, extend_f, extend_d, "
+        "record_eta")
 
 
 # the noise kinds of a compiled loop: a held source's value, unpacked once
@@ -124,14 +123,13 @@ def _loop_factory(n: int, noise_kind: str, shape=None):
     trials, last) at the first of: t reaches t_end (REACHED_END), the trial
     budget or the step floor runs out (STEP_BUDGET, STEP_UNDERFLOW), the
     stop condition holds at a step's end (EVENT: the step is recorded but
-    neither observed nor checked for blow-up; last is None), observe
-    reports a switch (_SWITCH, unrecorded; last is the norm and the step's
-    D column d), a segment loop's step lands on the source's announced
-    discontinuity (_LANDED, as _SWITCH) or the norm reaches max_norm
-    (BLOW_UP; last is the norm); after those four, (t, x, f) is the step's
-    end and f its left limit.  stop_condition(t_new, x_new) is asked at
-    every committed step, after its grid queries, with the state as a list
-    of floats.
+    neither observed nor checked for blow-up; last is None), observe reports
+    a switch or a segment loop's step lands on the source's announced
+    discontinuity (_RENEW, unrecorded; last is (norm, d, switched), d the
+    step's D column) or the norm reaches max_norm (BLOW_UP; last is the
+    norm); after those three, (t, x, f) is the step's end and f its left
+    limit.  stop_condition(t_new, x_new) is asked at every committed step,
+    with the state as a list of floats.
     Channel j >= 2 (0-based) of the error norm is weighed by w<j-1>, the
     powers of w = (T - t)/T by repeated products, computed with the step
     cap once per commit.  State and FSAL derivative stay float locals
@@ -251,8 +249,6 @@ def _loop_factory(n: int, noise_kind: str, shape=None):
         "    continue",
         f"f_new = [{names('k6_')}]",
         "dense = [" + ", ".join(f"h * ({weighted(d, j)})" for j in range(n)) + "]",
-        *([] if held else ["if grid_queries is not None:",
-                           "    grid_queries(t, x, f, new, f_new, dense, t_new)"]),
         # err <= 1 here, so the growth factor is at least 0.9
         "grow = MAX_GROW if err == ZERO else SAFETY * err ** ORDER",
         "h_try = h * (grow if grow < MAX_GROW else MAX_GROW)",
@@ -263,10 +259,10 @@ def _loop_factory(n: int, noise_kind: str, shape=None):
         "    return EVENT, t_new, new, f_new, h_try, trials, None",
         "norm = sqrt(" + " + ".join(f"s{j} * s{j}" for j in range(n)) + ")",
         "if observe(t_new, new):",
-        "    return _SWITCH, t_new, new, f_new, h_try, trials, (norm, dense)",
+        "    return _RENEW, t_new, new, f_new, h_try, trials, (norm, dense, True)",
         # the segment holds up to its discontinuity, where integrate renews it
         *(["if t_new == landing:",
-           "    return _LANDED, t_new, new, f_new, h_try, trials, (norm, dense)"] if segment else []),
+           "    return _RENEW, t_new, new, f_new, h_try, trials, (norm, dense, False)"] if segment else []),
         # without a switch the source still answers with the noise of the
         # last stage (the NoiseSource contract), so that value is recorded
         *commit,
@@ -300,7 +296,7 @@ def _loop_factory(n: int, noise_kind: str, shape=None):
                  inf=math.inf, NumericalFailure=NumericalFailure,
                  NoiseBoundViolation=NoiseBoundViolation, REACHED_END=REACHED_END,
                  STEP_BUDGET=STEP_BUDGET, STEP_UNDERFLOW=STEP_UNDERFLOW, EVENT=EVENT,
-                 BLOW_UP=BLOW_UP, _SWITCH=_SWITCH, _LANDED=_LANDED)
+                 BLOW_UP=BLOW_UP, _RENEW=_RENEW)
     exec(compile("\n".join(src), f"<loop {n} {noise_kind} {shape}>", "exec"), scope)
     return scope["make"]
 
@@ -310,8 +306,7 @@ BLOW_UP = "blow_up"
 STEP_UNDERFLOW = "step_underflow"
 STEP_BUDGET = "step_budget"
 EVENT = "event"
-_SWITCH = "switch"  # the compiled loop's return at a noise switch
-_LANDED = "landed"  # a segment loop's return on its source's announced discontinuity
+_RENEW = "renew"  # the compiled loop's return where integrate renews the noise
 
 # trial steps, accepted or rejected, that one integrate call may take; a run
 # that needs more ends with a step_budget termination.  The largest call of
@@ -383,8 +378,9 @@ class Trajectory:
     """Committed solution record of one integration run.
 
     ts/xs/etas/gains hold the sample table (strictly increasing times):
-    every committed step plus any requested grid points, with the noise as
-    it was queried at each sample and the scalar algorithm output.  Unless
+    every committed step plus any requested grid points (held noise only),
+    with the noise recorded at each knot, or at the knot that opens a grid
+    point's step, and the scalar algorithm output.  Unless
     grid points fall strictly inside steps, the sample table is the knot
     table: ts and xs equal knot_ts and knot_xs bit for bit, in arrays of
     their own.  The gains column comes from one batched
@@ -516,12 +512,13 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     run of the same source queried at every stage bit for bit, but the more
     accurate of the two near T.  Any other source, and a segment source
     under a model class that overrides rhs, is queried at every RK stage,
-    with the stage state as a list of floats.  Every source but a held one
-    is queried at every grid sample, a step's grid points in time order
-    before the observe at its end.  Each noise value is checked against the
-    source's bound; a violation raises NoiseBoundViolation; a control-loop
-    noise or segment that is not n floats, or a differentiator noise that is
-    not a scalar, raises ValueError.
+    with the stage state as a list of floats.  An output grid needs a held
+    source (ValueError before any query with another); a grid row carries
+    the noise recorded at the knot that opens its step.  Each noise value
+    is checked against the source's bound; a violation raises
+    NoiseBoundViolation; a control-loop noise or segment that is not n
+    floats, or a differentiator noise that is not a scalar, raises
+    ValueError.
     """
     opts = opts or IntegrationOptions()
     T = model.horizon.T
@@ -570,9 +567,8 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
                 f"noise bound violated at t={t!r}: |eta|={norm!r} > {noise.bound!r}")
         return e
 
-    grid = None
-    if opts.output_grid is not None:
-        grid = opts.output_grid.points(t0, t_end, T)
+    if opts.output_grid is not None and not held:
+        raise ValueError("an output grid needs a held noise source")
 
     # the knot record as flat float columns, one entry per committed step:
     # its time, state, derivative and the D of the step it closes, and the
@@ -593,25 +589,6 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     # segment's landed discontinuity), with the derivative's left limit there
     renewal_ts: list[float] = []
     renewal_fls: list[list[float]] = []
-    grid_etas: list = []  # queried at the grid points for a source that is not held
-    grid_idx = 0 if grid is None else int(np.searchsorted(grid, t0, side="right"))
-
-    def grid_queries(t, x, f, x_new, f_new, d, t_new):
-        """Query the noise at the grid points in (t, t_new), in time order, at
-        their states on the step from (t, x, f) to (t_new, x_new, f_new) with
-        its D column d."""
-        nonlocal grid_idx
-        if grid_idx == len(grid) or grid[grid_idx] >= t_new:
-            return
-        hi = int(np.searchsorted(grid, t_new))
-        lo = grid_idx
-        while lo < hi and grid[lo] <= t:  # the step's start is a knot
-            lo += 1
-        grid_idx = hi
-        tqs = grid[lo:hi]
-        dt = t_new - t
-        xqs = _interpolant(*map(np.array, (x, f, x_new, f_new, d)), dt, ((tqs - t) / dt)[:, None])
-        grid_etas.extend(eta_at(tq, xq) for tq, xq in zip(tqs.tolist(), xqs))
 
     def segment_at(t):
         """The source's affine law from t on, as the segment loop takes it:
@@ -649,20 +626,19 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     loop = _loop_factory(n, noise_kind, model._shape if fused else None)(
         eta_at, noise.bound, bound_slack, opts.abs_tol, opts.rel_tol, opts.max_step_fraction,
         opts.max_norm, MAX_TRIAL_STEPS, t_end, noise.observe, noise.next_discontinuity,
-        model.disturbance.next_discontinuity, stop_condition,
-        None if grid is None or held else grid_queries, knot_ts.append, knot_xs.extend,
+        model.disturbance.next_discontinuity, stop_condition, knot_ts.append, knot_xs.extend,
         knot_fs.extend, knot_ds.extend, record_eta, *(model._consts if fused else (T, rhs)))
 
     h_try = min(1e-3 * (t_end - t0), opts.max_step_fraction * (T - t0))
     t, h_try, trials = t0, max(h_try, min_step), 0
     while True:
         kind, t, x, f, h_try, trials, last = loop(t, x, f, law, h_try, trials)
-        if kind != _SWITCH and kind != _LANDED:
+        if kind != _RENEW:
             break
         # re-enter at the knot with the source's new noise and the
         # derivative's right limit there; a landed discontinuity is no switch
-        last, d = last  # the norm and the D of the step that ends at the knot
-        if kind == _SWITCH:
+        last, d, switched = last  # the norm and D of the step ending at the knot
+        if switched:
             switch_times.append(t)
         renewal_ts.append(t)
         renewal_fls.append(f)
@@ -692,21 +668,21 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     if renewal_ts:
         kfl[np.searchsorted(kts, renewal_ts)] = renewal_fls
     # the sample table: the knot rows, and the grid points strictly inside
-    # steps merged in after the knot that opens their step.  A held source's
-    # value at a grid point is the one recorded at that knot
-    if grid is not None:
-        gts = grid[(grid > t0) & (grid < t)]
+    # steps merged in after the knot that opens their step, with its noise
+    gts = ()
+    if opts.output_grid is not None:
+        gts = opts.output_grid.points(t0, t_end, T)
+        gts = gts[(gts > t0) & (gts < t)]
         opening = np.searchsorted(kts, gts, side="right") - 1
         inside = kts[opening] != gts
         gts, opening = gts[inside], opening[inside]
-    if grid is None or not len(gts):  # the knot table, in arrays of its own
+    if not len(gts):  # the knot table, in arrays of its own
         ts_arr, xs_arr, etas_arr = kts.copy(), kxs.copy(), ketas
     else:
-        getas = ketas[opening] if held else np.array(grid_etas, dtype=float).reshape(len(gts), -1)
         at = opening + 1
         ts_arr = np.insert(kts, at, gts)
         xs_arr = np.insert(kxs, at, _dense_states(kts, kxs, kfs, kfl, kds, opening, gts), axis=0)
-        etas_arr = np.insert(ketas, at, getas, axis=0)
+        etas_arr = np.insert(ketas, at, ketas[opening], axis=0)
     gains = model.gain_output(ts_arr, xs_arr, etas_arr)
     if not np.all(np.isfinite(gains)):
         raise NumericalFailure("non-finite value in integration record")

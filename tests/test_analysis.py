@@ -19,14 +19,15 @@ from tvglab.analysis import (
 )
 from tvglab.attack import controller_divergence_noise
 from tvglab.core import (
+    NoiseSource,
     differentiator_error_model,
     open_loop_chain,
     rational_diff_error,
     rational_loop,
     reference_loop,
 )
-from tvglab.integrate import (EVENT, REACHED_END, IntegrationOptions, Termination, Trajectory,
-                              _earliest, integrate)
+from tvglab.integrate import (EVENT, REACHED_END, IntegrationOptions, OutputGrid, Termination,
+                              Trajectory, _earliest, integrate)
 from tvglab.oracle import reference_solution
 
 analysis = importlib.import_module("tvglab.analysis")
@@ -386,6 +387,44 @@ def test_deadzone_start_inside_the_box_latches_its_noise_first():
     for case in report.cases:
         assert case.entered and case.entry_time == 0.0
         assert case.gain_at_entry == pytest.approx(0.054, rel=1e-12)
+
+
+class _QueriedNoise(NoiseSource):
+    """A small noise queried at every stage, depending on the state, that
+    logs for each value call whether it got the state as a list of floats."""
+
+    bound = 1e-3
+
+    def __init__(self):
+        self.lists = []
+
+    def value(self, t, x):
+        self.lists.append(type(x) is list and all(type(v) is float for v in x))
+        return [1e-4 * math.tanh(x[0]), 0.0]
+
+
+def test_deadzone_queries_a_source_that_is_not_held_with_a_list_at_entry():
+    # the entry's noise is the source's value at the entry state, which it
+    # gets as a list of floats like every query integrate makes; the probe
+    # takes no output grid, which a source that is not held could not serve
+    model = reference_loop(rho_min=1e-6)
+    grid = IntegrationOptions(output_grid=OutputGrid("uniform", 500))
+    sources, reports = [], []
+
+    def fresh():
+        sources.append(_QueriedNoise())
+        return sources[-1]
+
+    for opts in (None, grid):
+        reports.append(evaluate_deadzone(model, 1e-2, ((1.0, 0.0),), noise=fresh, opts=opts))
+    assert reports[0] == reports[1]
+    case = reports[0].cases[0]
+    assert case.entered
+    for noise in sources:
+        assert noise.lists and all(noise.lists)
+    eta = [1e-4 * math.tanh(case.entry_state[0]), 0.0]
+    assert case.gain_at_entry == abs(float(model.gain_output(case.entry_time,
+                                                             np.array(case.entry_state), eta)))
 
 
 def test_workarounds_take_a_noise_factory_not_an_instance():

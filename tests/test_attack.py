@@ -414,6 +414,22 @@ def test_divergence_attack_checks_its_thresholds_before_the_run(monkeypatch):
     assert runs == []
 
 
+def test_divergence_attack_rejects_a_start_at_or_above_its_first_threshold(monkeypatch):
+    # every threshold the start already exceeds would read a crossing at 0,
+    # and the ladder verdict would fail by construction
+    runs = []
+    monkeypatch.setattr(attack, "integrate", lambda *args, **kwargs: runs.append(args))
+    for model in (reference_loop(rho_min=1e-9), differentiator_error_model()):
+        for x0, thresholds, start, first in (((20.0, 0.0), None, 20.0, 0.1),
+                                             ((0.0, 0.1), None, 0.1, 0.1),
+                                             ((3.0, -4.0), (2.0, 20.0), 5.0, 2.0)):
+            message = (f"the start norm {start!r} is not below the first threshold {first!r} "
+                       "of attack.thresholds")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run_divergence_attack(model, 1e-2, thresholds=thresholds, x0=x0)
+    assert runs == []
+
+
 def test_controller_divergence_ladder_at_order_3():
     """The order-3 loop passes the whole ladder within one committed step;
     the crossings are located inside it, strictly increasing, and each

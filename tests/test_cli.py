@@ -238,6 +238,11 @@ _DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01
      "thresholds must be a nonempty strictly increasing sequence"),
     (_DIVERGENCE["diff-divergence"] + ["--attack.thresholds", ""],
      "thresholds must be a nonempty strictly increasing sequence"),
+    # a start on or above the ladder would read crossings at t = 0
+    (_DIVERGENCE["controller-divergence"] + ["--attack.x0", "20,0", "--system.rho_min", "1e-9"],
+     "the start norm 20.0 is not below the first threshold 0.1 of attack.thresholds"),
+    (_DIVERGENCE["diff-divergence"] + ["--attack.x0", "0,0.5", "--attack.thresholds", "0.5,5"],
+     "the start norm 0.5 is not below the first threshold 0.5 of attack.thresholds"),
     (_CONTROLLER_TERMINAL + ["--system.gains", "-60,3; -36,2; -9,1", "--attack.x0", "1,0,0"],
      "controller ramp attack needs the gains c1/(T-t)^2, c2/(T-t), one term each; "
      "got pole orders [[3], [2], [1]]"),
@@ -254,7 +259,7 @@ _DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01
         "controller_thresholds_decreasing", "controller_thresholds_empty",
         "controller_threshold_zero", "delta_above_eta_bar", "controller_target_zero",
         "diff_targets_decreasing", "diff_target_zero", "diff_thresholds_decreasing",
-        "diff_thresholds_empty",
+        "diff_thresholds_empty", "controller_start_above_ladder", "diff_start_on_ladder",
         "ramp_order_3", "ramp_simple_poles", "psi_init_length", "no_plan_2",
         "no_plan_3"])
 def test_library_value_error_is_a_config_error(tmp_path, capsys, argv, message):

@@ -279,13 +279,6 @@ def test_grid_samples_are_the_dense_output(model, kind):
     assert traj.xs[between].tobytes() == traj.state_at(traj.ts[between]).tobytes()
 
 
-class _SwitchingNoise(_BarrierNoise):
-    """Barrier noise that reports its switch when the barrier is committed."""
-
-    def observe(self, t, x):
-        return t == self.barrier
-
-
 def test_grid_point_on_a_knot_or_switch_is_recorded_once():
     grid = IntegrationOptions(output_grid=OutputGrid("uniform", 3))
     assert grid.output_grid.points(0.0, 0.75, 1.0)[1] == 0.375
@@ -298,7 +291,7 @@ def test_grid_point_on_a_knot_or_switch_is_recorded_once():
     assert np.all(np.diff(traj.ts) > 0.0)
 
     model = reference_loop()
-    noise = _SwitchingNoise(2, 0.375)
+    noise = _HeldLatchingNoise(2, 0.375)
     traj = integrate(model, noise, np.array([1.0, 0.0]), 0.0, 0.75, grid)
     assert traj.switch_times == (0.375,)
     assert np.count_nonzero(traj.ts == 0.375) == 1
@@ -325,32 +318,11 @@ def test_grid_points_of_the_event_step_precede_the_event_sample():
     assert traj.ts[-2 - inside.size] == step_start
 
 
-
-class _LoggingNoise(_BarrierNoise):
-    """Barrier noise, not held, that logs every value and observe call."""
-
-    def __init__(self, n, barrier):
-        super().__init__(n, barrier)
-        self.log = []
-
-    def value(self, t, x):
-        self.log.append(("value", t))
-        return super().value(t, x)
-
-    def observe(self, t, x):
-        self.log.append(("observe", t))
-        return super().observe(t, x)
-
-
 _GRID_RUNS = {
     "switching_held": (reference_loop, lambda: controller_divergence_noise(1e-2),
                        OutputGrid("geometric", 3000), 1.0 - 1e-9, None),
-    "not_held": (differentiator_error_model, lambda: differentiator_divergence_noise(1e-2),
-                 OutputGrid("geometric", 3000), 1.0 - 1e-9, None),
     "stop_event_held": (reference_loop, lambda: None, OutputGrid("uniform", 20001), 0.99,
                         lambda t, x: x[0] <= 0.25),
-    "stop_event_not_held": (reference_loop, lambda: _BarrierNoise(2, 0.37),
-                            OutputGrid("uniform", 20001), 0.99, lambda t, x: x[0] <= 0.25),
 }
 
 
@@ -384,20 +356,6 @@ def test_held_grid_noise_is_the_value_of_its_segment():
         assert np.all(traj.etas[segment] == traj.etas[traj.ts == a])
 
 
-def test_grid_queries_precede_the_observe_that_closes_their_step():
-    noise = _LoggingNoise(2, 0.37)
-    traj = integrate(reference_loop(), noise, np.array([1.0, 0.0]), 0.0, 0.9,
-                     IntegrationOptions(output_grid=OutputGrid("uniform", 2001)))
-    grid_ts = traj.ts[np.isin(traj.ts, traj.knot_ts, invert=True)]
-    assert grid_ts.size > 1500
-    observed_at = {t: i for i, (call, t) in enumerate(noise.log) if call == "observe"}
-    assert list(observed_at) == traj.knot_ts.tolist()
-    for a, b in zip(traj.knot_ts, traj.knot_ts[1:]):
-        inside = grid_ts[(grid_ts > a) & (grid_ts < b)].tolist()
-        queried = [t for call, t in noise.log[observed_at[a]:observed_at[b]]
-                   if call == "value" and t in inside]
-        assert queried == inside
-
 class _LatchingNoise(_BarrierNoise):
     """Barrier noise whose value changes only when observe reports the switch,
     so a query before that call still answers with the old segment."""
@@ -414,6 +372,12 @@ class _LatchingNoise(_BarrierNoise):
             self.level = -0.01
             return True
         return False
+
+
+class _HeldLatchingNoise(_LatchingNoise):
+    """Latching barrier noise declared held: one value from switch to switch."""
+
+    held = True
 
 
 def test_switch_sample_records_the_post_switch_noise():
@@ -890,37 +854,69 @@ def test_a_run_that_uses_up_its_step_budget_ends_with_step_budget(monkeypatch):
         _require_complete(traj)
 
 
+def _log_calls(noise):
+    """The noise source, logging in noise.log (call, t, floats) for every
+    value and observe call made from outside its own observe, with floats
+    True when the call got the state as a list of floats."""
+    value, observe = noise.value, noise.observe
+    noise.log = []
+
+    def floats(x):
+        return type(x) is list and all(type(v) is float for v in x)
+
+    def logged(t, x):
+        noise.log.append(("value", t, floats(x)))
+        return value(t, x)
+
+    def observed(t, x):
+        own = len(noise.log)
+        switched = observe(t, x)
+        del noise.log[own:]  # the source's own value calls inside observe
+        noise.log.append(("observe", t, floats(x)))
+        return switched
+
+    noise.value, noise.observe = logged, observed
+    return noise
+
+
 def test_stage_queries_get_the_stage_state_as_a_list_of_floats():
-    """Without a grid or a stop event, a source that is queried (neither
-    held nor a segment) gets a list of floats at every query: at each stage
-    and at the committed steps, the start and the switches among them, and
-    so does observe; the fused and the call-through step query alike."""
+    """Every value and observe call integrate makes gets the state as a list
+    of floats: a queried source (neither held nor a segment) at each stage
+    and at the committed steps, the start and the switches among them, with
+    the fused and the call-through step querying alike; a held source on an
+    output grid; and a segment or queried source in a run that a stop event
+    ends.  observe sees every knot but the event's."""
     src = differentiator_error_model()
+    x0 = np.array([1.0, -0.5])
     counted, logs = _CountingLoop(src.variant, src.horizon, src.gains), []
     for model in (src, counted):
         noise = differentiator_divergence_noise(1e-2)
         noise.segment = lambda t: None  # the same source, queried at every stage
         assert not noise.held
-        value, observe = noise.value, noise.observe
-        queries, observed_states = [], []
-
-        def logged(t, x):
-            queries.append((t, type(x) is list and all(type(v) is float for v in x)))
-            return value(t, x)
-
-        def observed(t, x):
-            own = len(queries)
-            observed_states.append(type(x) is list and all(type(v) is float for v in x))
-            switched = observe(t, x)
-            del queries[own:]  # the source's own value calls inside observe
-            return switched
-
-        noise.value, noise.observe = logged, observed
-        traj = integrate(model, noise, np.array([1.0, -0.5]), 0.0, 1.0 - 1e-9)
+        traj = integrate(model, _log_calls(noise), x0, 0.0, 1.0 - 1e-9)
         assert len(traj.switch_times) == 4
-        assert all(floats for _, floats in queries) and all(observed_states)
-        logs.append(queries)
+        assert all(floats for *_, floats in noise.log)
+        assert [t for call, t, _ in noise.log if call == "observe"] == traj.knot_ts.tolist()
+        logs.append([entry for entry in noise.log if entry[0] == "value"])
     assert logs[0] == logs[1] and len(logs[1]) == counted.calls
+    # a held source on a grid: queried after the first observe and each switch
+    noise = _log_calls(controller_divergence_noise(1e-2))
+    traj = integrate(reference_loop(), noise, x0, 0.0, 1.0 - 1e-9,
+                     IntegrationOptions(output_grid=OutputGrid("geometric", 3000)))
+    assert len(traj.ts) > len(traj.knot_ts) and len(traj.switch_times) == 7
+    assert all(floats for *_, floats in noise.log)
+    assert [t for call, t, _ in noise.log if call == "value"] == [0.0, *traj.switch_times]
+    assert [t for call, t, _ in noise.log if call == "observe"] == traj.knot_ts.tolist()
+    # stop events, on a segment source and on the same source queried
+    for segment in (True, False):
+        noise = differentiator_divergence_noise(1e-2)
+        if not segment:
+            noise.segment = lambda t: None
+        traj = integrate(src, _log_calls(noise), x0, 0.0, 1.0 - 1e-9,
+                         stop_condition=lambda t, x: t >= 0.9999)
+        assert traj.termination.kind == EVENT and traj.switch_times
+        assert all(floats for *_, floats in noise.log)
+        assert [t for call, t, _ in noise.log if call == "observe"] == traj.knot_ts[:-1].tolist()
 
 
 @settings(max_examples=1000, deadline=None)
@@ -993,12 +989,18 @@ def test_held_source_gives_the_run_of_per_stage_queries(source, run):
     for held in (True, False):
         noise = make_noise()
         assert noise.held
-        noise.held = held  # False: the same source, queried at every stage and sample
+        noise.held = held  # False: the same source, queried at every stage
+        # a grid needs a held source: the queried run records the knots only
+        kwargs = {k: v for k, v in _RUN_KINDS[run].items() if held or k != "opts"}
         trajs.append(integrate(make_model(), noise, np.array([1.0, -0.5]), 0.0, 1.0 - 1e-9,
-                               **_RUN_KINDS[run]))
+                               **kwargs))
     a, b = trajs
     assert (a.termination.kind == EVENT) == (run == "stop_condition")
-    for name in ("ts", "xs", "etas", "gains", "knot_ts", "knot_xs", "knot_fs"):
+    knots = np.isin(a.ts, a.knot_ts)
+    assert np.all(knots) == (run != "uniform_grid")
+    for name in ("ts", "xs", "etas", "gains"):
+        assert getattr(a, name)[knots].tobytes() == getattr(b, name).tobytes(), name
+    for name in ("knot_ts", "knot_xs", "knot_fs"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert np.array(a.switch_times).tobytes() == np.array(b.switch_times).tobytes()
     assert a.termination == b.termination
@@ -1013,7 +1015,6 @@ _SEGMENT_SOURCES = {
 }
 _SEGMENT_RUN_KINDS = {
     "plain": {},
-    "uniform_grid": {"opts": IntegrationOptions(output_grid=OutputGrid("uniform", 2001))},
     "stop_condition": {"stop_condition": lambda t, x: t >= 0.9999},
 }
 
@@ -1042,8 +1043,38 @@ def test_segment_source_gives_the_run_of_per_stage_queries(source, run):
     probe = np.linspace(0.0, span, 2001)
     xa, xb = a.state_at(probe), b.state_at(probe)
     assert np.max(np.abs(xa - xb)) <= 1e-12 * np.max(np.abs(xb))
-    # the segment run queries at renewals, grid points and the event only
-    assert calls[0] <= 3 + len(a.switch_times) + len(a.ts) - len(a.knot_ts) < calls[1]
+    # the segment run queries at renewals and the event only
+    assert calls[0] <= 3 + len(a.switch_times) < calls[1]
+
+
+# sources that are not held, each with a grid, an end and a stop condition
+_UNHELD_GRID_RUNS = {
+    "barrier": (reference_loop, lambda: _BarrierNoise(2, 0.37), OutputGrid("uniform", 2001),
+                0.9, None),
+    "not_held": (differentiator_error_model, lambda: differentiator_divergence_noise(1e-2),
+                 OutputGrid("geometric", 3000), 1.0 - 1e-9, None),
+    "stop_event_not_held": (reference_loop, lambda: _BarrierNoise(2, 0.37),
+                            OutputGrid("uniform", 20001), 0.99, lambda t, x: x[0] <= 0.25),
+    **{name: (make_model, make_noise, OutputGrid("uniform", 2001), 1.0 - 1e-9, None)
+       for name, (make_model, make_noise) in _SEGMENT_SOURCES.items()},
+}
+
+
+@pytest.mark.parametrize("run", list(_UNHELD_GRID_RUNS))
+def test_a_grid_with_a_source_that_is_not_held_raises_before_any_query(run):
+    """Grid rows carry the noise recorded at the knot that opens their step,
+    which only a held source answers for every point of the step: any other
+    source is refused before integrate calls observe or value."""
+    make_model, make_noise, grid, t_end, stop = _UNHELD_GRID_RUNS[run]
+    noise = make_noise()
+    assert not noise.held
+    log = []
+    noise.value = lambda t, x: log.append(("value", t))
+    noise.observe = lambda t, x: log.append(("observe", t))
+    with pytest.raises(ValueError, match="an output grid needs a held noise source"):
+        integrate(make_model(), noise, np.array([1.0, -0.5]), 0.0, t_end,
+                  IntegrationOptions(output_grid=grid), stop_condition=stop)
+    assert log == []
 
 
 def test_held_source_over_its_bound_fails_on_the_first_query():
@@ -1389,15 +1420,15 @@ def test_fused_step_equals_the_call_through_step(case, variant, held, disturbanc
     """A plain model runs the loop with its right-hand side fused in; the
     same model through a class whose rhs calls the base method runs the loop
     that calls rhs at every stage.  Both give the same run, bit for bit,
-    with a 64-point output grid (queried at its points by a source that is
-    not held) and, unless t_stop is None, a stop condition that ends the run
-    at t_stop from inside the loop."""
+    with a 64-point output grid when the source is held (a grid needs one)
+    and, unless t_stop is None, a stop condition that ends the run at t_stop
+    from inside the loop."""
     tables, x0 = case
     n = len(tables)
     make = rational_loop if variant == CONTROL_LOOP else rational_diff_error
     src = make(tables, disturbance=disturbance)
     through = _CountingLoop(src.variant, src.horizon, src.gains, src.disturbance)
-    opts = IntegrationOptions(output_grid=OutputGrid("uniform", 64))
+    opts = IntegrationOptions(output_grid=OutputGrid("uniform", 64)) if held else None
     stop = None if t_stop is None else (lambda t, x: t >= t_stop)
     runs = []
     for model in (src, through):
@@ -1413,7 +1444,7 @@ def test_fused_step_equals_the_call_through_step(case, variant, held, disturbanc
     if t_stop is not None:
         assert a.termination.kind == EVENT
         assert _event_time(a, stop) == pytest.approx(t_stop, abs=1e-11)
-    assert len(a.ts) > len(a.knot_ts)  # grid points fall inside steps
+    assert (len(a.ts) > len(a.knot_ts)) == held  # grid points fall inside steps
 
 
 def test_recorded_noise_is_not_aliased():
@@ -1431,24 +1462,28 @@ _INTERIOR = IntegrationOptions(output_grid=OutputGrid(kind="uniform", count=700)
 
 
 @pytest.mark.parametrize("model, noise, opts, stop", [
-    (reference_loop(), lambda: _BarrierNoise(2, 0.37), None, None),
+    (reference_loop(), lambda: _HeldLatchingNoise(2, 0.37), None, None),
     (differentiator_error_model(), lambda: _WaveNoise(None), None, None),
-    # a uniform grid of two points: t0 and t_end, both knots
-    (reference_loop(), lambda: _WaveNoise(2), _ENDS_ONLY, None),
+    # a uniform grid of two points: t0 and t_end, both knots (a grid needs a
+    # held source)
+    (reference_loop(), lambda: _FixedNoise([1e-3, -1e-3]), _ENDS_ONLY, None),
     # t_end lies past the event, outside the span
-    (reference_loop(), lambda: _BarrierNoise(2, 0.37), _ENDS_ONLY, lambda t, x: x[0] <= 0.25),
+    (reference_loop(), lambda: _HeldLatchingNoise(2, 0.37), _ENDS_ONLY,
+     lambda t, x: x[0] <= 0.25),
     (differentiator_error_model(), lambda: _WaveNoise(None), None, lambda t, x: x[0] <= 0.5),
 ], ids=["held_switch", "queried_scalar", "grid_on_knots", "grid_outside_event_span", "event"])
 def test_sample_table_without_grid_samples_is_the_knot_table(model, noise, opts, stop):
     x0 = np.array([1.0, 0.0])
-    traj = integrate(model, noise(), x0, 0.0, 0.9, opts, stop_condition=stop)
+    source = noise()
+    traj = integrate(model, source, x0, 0.0, 0.9, opts, stop_condition=stop)
     assert (traj.termination.kind == EVENT) == (stop is not None)
     assert traj.ts.tobytes() == traj.knot_ts.tobytes()
     assert traj.xs.tobytes() == traj.knot_xs.tobytes()
-    # the knot noise, as the rows of a run with grid samples inside steps record it
-    dense = integrate(model, noise(), x0, 0.0, 0.9, _INTERIOR, stop_condition=stop)
-    assert dense.knot_ts.tobytes() == traj.knot_ts.tobytes() and len(dense.ts) > len(traj.ts)
-    assert traj.etas.tobytes() == dense.etas[np.isin(dense.ts, dense.knot_ts)].tobytes()
+    if source.held:
+        # the knot noise, as the rows of a run with grid samples inside steps record it
+        dense = integrate(model, noise(), x0, 0.0, 0.9, _INTERIOR, stop_condition=stop)
+        assert dense.knot_ts.tobytes() == traj.knot_ts.tobytes() and len(dense.ts) > len(traj.ts)
+        assert traj.etas.tobytes() == dense.etas[np.isin(dense.ts, dense.knot_ts)].tobytes()
     assert traj.etas.shape == (len(traj.ts), 2 if model.variant == CONTROL_LOOP else 1)
     knots = [a.copy() for a in (traj.knot_ts, traj.knot_xs)]
     traj.ts[:] = -1.0
@@ -1515,7 +1550,8 @@ def test_step_state_is_state_at_bit_for_bit():
 
 def _gain_record_runs():
     """(model, trajectory) pairs over both variants, both grid kinds, a
-    switching source on each variant and a stop-event run."""
+    switching source on each variant (on a grid where it is held) and a
+    stop-event run."""
     loop, diff = reference_loop(), differentiator_error_model()
     uniform = IntegrationOptions(output_grid=OutputGrid(kind="uniform", count=700))
     geometric = IntegrationOptions(output_grid=OutputGrid(kind="geometric", count=700))
@@ -1526,8 +1562,7 @@ def _gain_record_runs():
         (loop, integrate(loop, None, np.array([1.0, 0.0]), 0.0, 0.9, uniform,
                          stop_condition=lambda t, x: x[0] <= 0.25)),
         (diff, integrate(diff, None, x0, 0.0, 1.0 - 1e-6, uniform)),
-        (diff, integrate(diff, differentiator_divergence_noise(1e-3), x0, 0.0, 1.0 - 1e-6,
-                         geometric)),
+        (diff, integrate(diff, differentiator_divergence_noise(1e-3), x0, 0.0, 1.0 - 1e-6)),
     ]
 
 
@@ -1580,9 +1615,11 @@ def test_options_validation():
 
 
 def test_stop_condition_gets_a_committed_state_as_a_list_of_floats():
-    """On every noise kind, with grid points queried inside steps, each call
-    of stop_condition receives a committed knot's state as a list of floats."""
+    """On every noise kind, with grid points inside steps where the source is
+    held, each call of stop_condition receives a committed knot's state as a
+    list of floats."""
     runs = [(reference_loop(), lambda: None),
+            (reference_loop(), lambda: _HeldLatchingNoise(2, 0.37)),
             (reference_loop(), lambda: _BarrierNoise(2, 0.37)),
             (differentiator_error_model(), lambda: differentiator_divergence_noise(1e-2)),
             (differentiator_error_model(), lambda: _WaveNoise(None))]
@@ -1594,7 +1631,9 @@ def test_stop_condition_gets_a_committed_state_as_a_list_of_floats():
             calls.append((t, x, [type(v) for v in x]))
             return t >= 0.9
 
-        traj = integrate(model, noise(), np.array([1.0, -0.5]), 0.0, 0.99, grid, stop)
+        source = noise()
+        opts = grid if source is None or source.held else None
+        traj = integrate(model, source, np.array([1.0, -0.5]), 0.0, 0.99, opts, stop)
         assert traj.termination.kind == EVENT
         assert len(calls) == len(traj.knot_ts) - 1
         for (t, x, types), kt, kx in zip(calls, traj.knot_ts[1:], traj.knot_xs[1:]):
