@@ -240,6 +240,9 @@ SCENARIOS: dict[str, list[str]] = {
     "attack_controller_terminal_no_plan": ["attack", "--attack.kind", "controller-terminal",
                                            "--system.gains", "-2,1; -3,1; -1,1",
                                            "--attack.eta_bar", "0.01", "--attack.epsilon", "0.5"],
+    # the ramp at eta_bar 1e-7 starts after T - attack.rho: a config error
+    "attack_diff_terminal_ramp_past_rho": ["attack", "--attack.kind", "diff-terminal",
+                                           "--attack.eta_bar", "1e-7", "--attack.epsilon", "1"],
     # the plan window at eta_bar 1e-6 lies inside attack.rho: a config error
     "attack_controller_terminal_plan_past_rho": ["attack", "--attack.kind", "controller-terminal",
                                                  "--attack.eta_bar", "1e-6",
@@ -279,6 +282,7 @@ EXPECTED_EXIT: dict[str, int] = {
     "attack_controller_terminal_late_s": 1,
     "attack_controller_terminal_plan_past_rho": 1,
     "attack_controller_terminal_no_plan": 1,
+    "attack_diff_terminal_ramp_past_rho": 1,
     "workaround_stop_time_max_norm_50": 2,
     "workaround_deadzone_max_norm_50": 2,
     "verify_max_norm_2": 2,

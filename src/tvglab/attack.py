@@ -541,9 +541,9 @@ def _ladder_verdict(peaks) -> bool:
 
 def run_divergence_attack(model: SystemModel, eta_bar: float, thresholds=None,
                           targets=None, delta: Optional[float] = None, x0=None,
-                          t_end: Optional[float] = None,
                           opts: Optional[IntegrationOptions] = None) -> AttackOutcome:
-    """Drive the model with the matching divergence noise and check the ladder.
+    """Drive the model with the matching divergence noise from t = 0 to the
+    integration floor T - rho_min and check the ladder.
 
     The verdict passes when every threshold is crossed at strictly
     increasing times, as detect_peaks locates them on the dense output.  A
@@ -553,7 +553,6 @@ def run_divergence_attack(model: SystemModel, eta_bar: float, thresholds=None,
     """
     opts = opts or IntegrationOptions()
     T = model.horizon.T
-    t_end = T - model.horizon.rho_min if t_end is None else t_end
     thresholds = default_ladder(eta_bar) if thresholds is None else tuple(thresholds)
     # a bad ladder, or one the start already climbs, is rejected before the run
     first = _threshold_ladder(thresholds, "thresholds")[0]
@@ -569,7 +568,7 @@ def run_divergence_attack(model: SystemModel, eta_bar: float, thresholds=None,
     if start >= first:
         raise ValueError(f"the start norm {start!r} is not below the first threshold {first!r} "
                          "of attack.thresholds")
-    traj = integrate(model, noise, x0, 0.0, t_end, opts)
+    traj = integrate(model, noise, x0, 0.0, T - model.horizon.rho_min, opts)
     peaks = tuple(detect_peaks(traj, thresholds))
     verdict = _ladder_verdict(peaks)
     notes = ""
@@ -640,8 +639,14 @@ def terminal_ramp_gain(model: SystemModel) -> float:
 
 def _ramp_run(model: SystemModel, noise: TerminalRampNoise, x0, rho: float,
               opts: Optional[IntegrationOptions]) -> tuple[Trajectory, np.ndarray]:
-    """Run a ramp attack from x0 at t = 0 to T - rho: its trajectory and terminal state."""
-    traj = integrate(model, noise, np.asarray(x0, dtype=float), 0.0, model.horizon.T - rho,
+    """Run a ramp attack from x0 at t = 0 to T - rho: its trajectory and terminal state.
+    A ramp that does not start before T - rho, which the run would never see,
+    raises ValueError."""
+    T = model.horizon.T
+    if not noise.s < T - rho:
+        raise ValueError(f"the ramp starts at s={noise.s!r}, not before T - rho = {T - rho!r} "
+                         f"(attack.rho = {rho!r})")
+    traj = integrate(model, noise, np.asarray(x0, dtype=float), 0.0, T - rho,
                      opts or IntegrationOptions())
     _require_complete(traj)
     return traj, terminal_state(traj, rho)

@@ -11,7 +11,6 @@ whose right-hand side the integrator and the analysis routines share.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -86,7 +85,7 @@ class RationalGain:
             acc = np.zeros(len(u))  # 0.0 + -0.0 is 0.0, as in the scalar sum
             for c, p in self.terms:
                 # c / 1.0 is c and v**1 is v; Python's ** per element beyond,
-                # as the compiled rhs does (numpy's power rounds differently)
+                # as the scalar sum does (numpy's power rounds differently)
                 acc = acc + (c if p == 0 else c / np.array(u if p == 1 else [v**p for v in u]))
         return acc
 
@@ -290,82 +289,6 @@ class ZeroNoise(NoiseSource):
         return self._zero
 
 
-def _rhs_lines(variant: str, orders: tuple[tuple[int, ...], ...], zero_disturbance: bool,
-               u: str = "T - ts"):
-    """(params, noise, lines, derivative): one rhs evaluation as source lines
-    on the time ts, state s<i> and noise e<i> (control loop) or e, raising as
-    SystemModel.rhs does; the constants they read (T, disturbance, channel
-    i's coefficients c<i>_<j>), the noise's unpacking target and the n
-    derivative expressions.  The gains are evaluated at the distance to the
-    deadline given by the expression u, T - ts unless a caller knows it more
-    exactly.  Each gain sums c / u**p from 0.0 in table order with Python's
-    ** (numpy's power rounds otherwise), as value_at does; c stands for
-    c / u**0 and c / u for c / u**1, the same bits.  A finiteness check on v
-    reads v - v == 0.0, False exactly for +-inf and NaN.  A power that
-    underflows to 0.0 raises ZeroDivisionError."""
-    n = len(orders)
-    coefs = [[f"c{i}_{j}" for j in range(len(ps))] for i, ps in enumerate(orders)]
-    gains = ["(0.0" + "".join(f" + {c}" + ("" if p == 0 else " / u" if p == 1 else f" / u{p}")
-                              for c, p in zip(cs, ps)) + ")"
-             for cs, ps in zip(coefs, orders)]
-    lines = [f"u = {u}",
-             "if u <= 0.0:",
-             '    raise ValueError(f"gains evaluated at t={ts!r} >= deadline T={T!r}")',
-             # adding the zero disturbance still turns a -0.0 output into 0.0
-             f"d = {'0.0' if zero_disturbance else 'disturbance(ts)'}",
-             *(f"u{p} = u**{p}" for p in sorted({p for ps in orders for p in ps if p > 1}))]
-    params = "T, disturbance, " + "".join(f"{c}, " for cs in coefs for c in cs)
-    if variant == CONTROL_LOOP:
-        lines += ["out = 0.0" + "".join(f" + {g} * (s{i} + e{i})" for i, g in enumerate(gains)),
-                  "if not out - out == 0.0:",
-                  '    raise NumericalFailure(f"controller output not finite at t={ts!r}")']
-        return params, "".join(f"e{i}, " for i in range(n)), lines, [*(f"s{i}" for i in range(1, n)), "out + d"]
-    lines += ["y = s0 + e",
-              *(f"p{i} = {g} * y" for i, g in enumerate(gains)),
-              "if not (" + " and ".join(f"p{i} - p{i} == 0.0" for i in range(n)) + "):",
-              '    raise NumericalFailure(f"injection output not finite at t={ts!r}")']
-    return params, "e", lines, [*(f"s{i + 1} + p{i}" for i in range(n - 1)), f"d + p{n - 1}"]
-
-
-@functools.lru_cache(maxsize=128)
-def _rhs_factory(variant: str, orders: tuple[tuple[int, ...], ...], zero_disturbance: bool):
-    """Compile SystemModel.rhs for one table shape: the variant, each
-    channel's pole orders and whether the disturbance is zero.
-
-    Returns make(T, disturbance, *coefficients), which binds one model's
-    constants by name and returns its right-hand side.  The generated
-    source holds only indices and pole orders, so models of one shape share
-    the compiled code.  Its arithmetic is _rhs_lines', which integrate's
-    fused loop runs too; a gain power that underflows to 0.0 raises
-    NumericalFailure here.
-    """
-    n = len(orders)
-    params, noise, lines, derivative = _rhs_lines(variant, orders, zero_disturbance)
-    src = [f"def make({params}):",
-           "    def rhs(ts, x, eta):",
-           "        try:",
-           "            " + "".join(f"s{i}, " for i in range(n)) + "= x if type(x) is list else x.tolist()",
-           "        except ValueError:",
-           f'            raise ValueError(f"x has {{len(x)}} components; the model has {n} channels") from None']
-    if variant == CONTROL_LOOP:
-        src += [f"        if type(eta) is not list or len(eta) != {n}:",
-                "            eta = np.asarray(eta, dtype=float)",
-                f"            if eta.shape != ({n},):",
-                f"                eta = np.broadcast_to(eta, ({n},))  # raises as x + eta would",
-                "            eta = eta.tolist()",
-                f"        {noise} = eta"]
-    else:
-        src.append(f"        {noise} = eta if type(eta) is float else np.asarray(eta, dtype=float).item()")
-    src += ["        try:", *(f"            {line}" for line in lines),
-            "        except ZeroDivisionError:",
-            '            raise NumericalFailure(f"gain power underflows to 0.0 at t={ts!r}") from None',
-            f"        return [{', '.join(derivative)}]",
-            "    return rhs"]
-    scope = {"np": np, "NumericalFailure": NumericalFailure}
-    exec(compile("\n".join(src), f"<rhs {variant} {orders}>", "exec"), scope)
-    return scope["make"]
-
-
 # gain table kinds each variant accepts
 _VARIANT_KINDS = {CONTROL_LOOP: (REFERENCE, RATIONAL_TVG), DIFF_ERROR: (PT_DIFF2, RATIONAL_TVG)}
 
@@ -394,19 +317,12 @@ class SystemModel:
         object.__setattr__(self, "_T", self.horizon.T)
         object.__setattr__(self, "_control", self.variant == CONTROL_LOOP)
         object.__setattr__(self, "_channels", self.gains.gains)
-        # the table shape, which picks the compiled code, and the constants
-        # it binds; integrate's fused loop takes the same pair
-        terms = [g.terms for g in self.gains.gains]
-        orders = tuple(tuple(int(p) for _, p in ts) for ts in terms)
-        p = max((p for ps in orders for p in ps), default=0)
+        p = max((p for g in self._channels for _, p in g.terms), default=0)
         try:  # (T - t)**p, a Python float power, is largest at t = 0
             self._T ** p
         except OverflowError:
             raise ValueError(f"gain pole order {p} overflows at T={self._T!r}: "
                              f"(T - t)**{p} is beyond the float range") from None
-        object.__setattr__(self, "_shape", (self.variant, orders, self.disturbance.kind == "zero"))
-        object.__setattr__(self, "_consts", (self._T, self.disturbance, *(c for ts in terms for c, _ in ts)))
-        object.__setattr__(self, "_rhs", _rhs_factory(*self._shape)(*self._consts))
 
     @property
     def n(self) -> int:
@@ -429,14 +345,47 @@ class SystemModel:
         and an x of the wrong length; raises NumericalFailure where the
         output is not finite or a gain power underflows to 0.0.
 
-        The body is straight-line code generated once per table shape (see
-        _rhs_factory): it does the float operations of a loop over the
-        table's channels and terms, in the same order, so every result is
-        bit for bit that loop's.  integrate fuses the same code into its
-        loop, so it calls this method only where a subclass or a wrapper on
-        the class overrides it.
+        Each gain is RationalGain.value_at at u = T - t: c / u**p summed
+        from 0.0 in table order.  The control loop sums g_i * (x_i + eta_i)
+        from 0.0 in channel order.  integrate's fused loop runs the same
+        float operations in the same order as generated code
+        (integrate._rhs_lines), so every stage is bit for bit this method's
+        result; integrate calls the method itself at the start knot and at
+        each noise renewal, and at every stage only where a subclass or a
+        wrapper on the class overrides it.
         """
-        return self._rhs(t, x, eta)
+        n = len(self._channels)
+        s = x if type(x) is list else x.tolist()
+        if len(s) != n:
+            raise ValueError(f"x has {len(x)} components; the model has {n} channels")
+        if not self._control:
+            eta = eta if type(eta) is float else np.asarray(eta, dtype=float).item()
+        elif type(eta) is not list or len(eta) != n:
+            eta = np.asarray(eta, dtype=float)
+            if eta.shape != (n,):
+                eta = np.broadcast_to(eta, (n,))  # raises as x + eta would
+            eta = eta.tolist()
+        u = self._T - t
+        if u <= 0.0:
+            raise ValueError(f"gains evaluated at t={t!r} >= deadline T={self._T!r}")
+        # adding the zero disturbance still turns a -0.0 output into 0.0
+        d = self.disturbance(t)
+        try:
+            gains = [g.value_at(u) for g in self._channels]
+        except ZeroDivisionError:
+            raise NumericalFailure(f"gain power underflows to 0.0 at t={t!r}") from None
+        if self._control:
+            out = 0.0
+            for g, si, ei in zip(gains, s, eta):
+                out += g * (si + ei)
+            if not math.isfinite(out):
+                raise NumericalFailure(f"controller output not finite at t={t!r}")
+            return [*s[1:], out + d]
+        y = s[0] + eta
+        phi = [g * y for g in gains]
+        if not all(map(math.isfinite, phi)):
+            raise NumericalFailure(f"injection output not finite at t={t!r}")
+        return [*(si + p for si, p in zip(s[1:], phi)), d + phi[-1]]
 
     def gain_output(self, t, x, eta):
         """Scalar record of the algorithm output at (t, x): the controller

@@ -58,8 +58,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (CONTROL_LOOP, NoiseBoundViolation, NoiseSource, NumericalFailure, SystemModel,
-                   _rhs_lines)
+from .core import CONTROL_LOOP, NoiseBoundViolation, NoiseSource, NumericalFailure, SystemModel
 
 _MODEL_RHS = SystemModel.rhs  # as SystemModel defines it
 
@@ -103,18 +102,56 @@ _RUN = ("eta_at, bound, bound_slack, abs_tol, rel_tol, kappa, max_norm, max_tria
 _HELD, _SEGMENT, _QUERIED = "held", "segment", "queried"
 
 
+def _rhs_lines(variant: str, orders: tuple[tuple[int, ...], ...], zero_disturbance: bool,
+               u: str = "T - ts"):
+    """(params, noise, lines, derivative): one SystemModel.rhs evaluation as
+    source lines on the time ts, state s<i> and noise e<i> (control loop) or
+    e, with its float operations in its order and its errors; the constants
+    they read (T, disturbance, channel i's coefficients c<i>_<j>), the
+    noise's unpacking target and the n derivative expressions.  The gains
+    are evaluated at the distance to the deadline given by the expression
+    u, T - ts unless a caller knows it more exactly.  Each gain sums
+    c / u**p from 0.0 in table order with Python's ** (numpy's power rounds
+    otherwise), as value_at does; c stands for c / u**0 and c / u for
+    c / u**1, the same bits.  A finiteness check on v reads v - v == 0.0,
+    False exactly for +-inf and NaN.  A power that underflows to 0.0 raises
+    ZeroDivisionError."""
+    n = len(orders)
+    coefs = [[f"c{i}_{j}" for j in range(len(ps))] for i, ps in enumerate(orders)]
+    gains = ["(0.0" + "".join(f" + {c}" + ("" if p == 0 else " / u" if p == 1 else f" / u{p}")
+                              for c, p in zip(cs, ps)) + ")"
+             for cs, ps in zip(coefs, orders)]
+    lines = [f"u = {u}",
+             "if u <= 0.0:",
+             '    raise ValueError(f"gains evaluated at t={ts!r} >= deadline T={T!r}")',
+             # adding the zero disturbance still turns a -0.0 output into 0.0
+             f"d = {'0.0' if zero_disturbance else 'disturbance(ts)'}",
+             *(f"u{p} = u**{p}" for p in sorted({p for ps in orders for p in ps if p > 1}))]
+    params = "T, disturbance, " + "".join(f"{c}, " for cs in coefs for c in cs)
+    if variant == CONTROL_LOOP:
+        lines += ["out = 0.0" + "".join(f" + {g} * (s{i} + e{i})" for i, g in enumerate(gains)),
+                  "if not out - out == 0.0:",
+                  '    raise NumericalFailure(f"controller output not finite at t={ts!r}")']
+        return params, "".join(f"e{i}, " for i in range(n)), lines, [*(f"s{i}" for i in range(1, n)), "out + d"]
+    lines += ["y = s0 + e",
+              *(f"p{i} = {g} * y" for i, g in enumerate(gains)),
+              "if not (" + " and ".join(f"p{i} - p{i} == 0.0" for i in range(n)) + "):",
+              '    raise NumericalFailure(f"injection output not finite at t={ts!r}")']
+    return params, "e", lines, [*(f"s{i + 1} + p{i}" for i in range(n - 1)), f"d + p{n - 1}"]
+
+
 @functools.lru_cache(maxsize=128)
 def _loop_factory(n: int, noise_kind: str, shape=None):
     """Compile integrate's adaptive Dormand-Prince loop for n channels and a
     noise kind (_HELD, _SEGMENT or _QUERIED).
 
     With a SystemModel's shape (variant, pole orders, zero disturbance),
-    make(*run, *model._consts) binds a run's settings (named in _RUN) and
-    the model's constants by name, and every stage runs core._rhs_lines,
-    the model's compiled rhs, on float locals: bit for bit the loop that
-    calls rhs.  With shape None, make(*run, T, rhs) returns that loop, for a
-    class that overrides or wraps SystemModel.rhs: each stage calls
-    rhs(ts, xs, eta).  The segment kind needs the shape.
+    make(*run, T, disturbance, *coefficients) binds a run's settings (named
+    in _RUN) and the model's constants, its coefficients in table order, by
+    name, and every stage runs _rhs_lines on float locals: bit for bit the
+    loop that calls SystemModel.rhs.  With shape None, make(*run, T, rhs)
+    returns that loop, for a class that overrides or wraps SystemModel.rhs:
+    each stage calls rhs(ts, xs, eta).  The segment kind needs the shape.
 
     loop(t, x, f, eta, h_try, trials) steps from the knot (t, x, f), x and f
     lists of floats, and commits each accepted step: observe, the knot
@@ -606,28 +643,34 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
             a, b = float(a), float(b)
         return a, b, float(t_seg)
 
-    # the loop with the model's compiled right-hand side fused in, unless a
-    # subclass or a wrapper on the class (the benchmark tracer's, a test's)
-    # overrides the method: then every evaluation calls it, and a segment
-    # source is queried at every stage
+    # the loop with the model's right-hand side fused in, unless a subclass
+    # or a wrapper on the class (the benchmark tracer's, a test's) overrides
+    # the method: then every evaluation calls it, and a segment source is
+    # queried at every stage.  The table's shape picks the fused code, which
+    # binds the model's constants by name
     fused = type(model).rhs is _MODEL_RHS
-    rhs = model._rhs if fused else model.rhs
+    shape, consts = None, (T, model.rhs)
+    if fused:
+        terms = [g.terms for g in model.gains.gains]
+        shape = (model.variant, tuple(tuple(int(p) for _, p in ts) for ts in terms),
+                 model.disturbance.kind == "zero")
+        consts = (T, model.disturbance, *(c for ts in terms for c, _ in ts))
 
     # initial commitment: let the source latch its first segment, then record
     x = x.tolist()
     noise.observe(t0, x)
     eta = eta_at(t0, x)
-    f = rhs(t0, x, eta)
+    f = model.rhs(t0, x, eta)
     record(t0, x, f, [0.0] * n, eta)  # the start knot closes no step: the plain cubic
     # what the loop takes as its noise: the held value, the segment, or
     # nothing (a queried source)
     law = eta if held else segment_at(t0) if fused else None
     noise_kind = _HELD if held else _QUERIED if law is None else _SEGMENT
-    loop = _loop_factory(n, noise_kind, model._shape if fused else None)(
+    loop = _loop_factory(n, noise_kind, shape)(
         eta_at, noise.bound, bound_slack, opts.abs_tol, opts.rel_tol, opts.max_step_fraction,
         opts.max_norm, MAX_TRIAL_STEPS, t_end, noise.observe, noise.next_discontinuity,
         model.disturbance.next_discontinuity, stop_condition, knot_ts.append, knot_xs.extend,
-        knot_fs.extend, knot_ds.extend, record_eta, *(model._consts if fused else (T, rhs)))
+        knot_fs.extend, knot_ds.extend, record_eta, *consts)
 
     h_try = min(1e-3 * (t_end - t0), opts.max_step_fraction * (T - t0))
     t, h_try, trials = t0, max(h_try, min_step), 0
@@ -650,7 +693,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
                                  "one at the run's start")
         else:
             law = eta
-        f = rhs(t, x, eta)
+        f = model.rhs(t, x, eta)
         record(t, x, f, d, eta)
         if last >= opts.max_norm:
             kind = BLOW_UP

@@ -401,6 +401,23 @@ def test_attack_runners_reject_wrong_variant():
         run_controller_terminal_attack(differentiator_error_model(), 0.1, 0.5)
 
 
+@pytest.mark.parametrize("runner, model, eta_bar, rho, s", [
+    (run_differentiator_terminal_attack, differentiator_error_model(), 1e-7, 1e-6, 0.9999998),
+    (run_controller_ramp_attack, reference_loop(), 1e-7, 1e-6, 0.9999997),
+    (run_differentiator_terminal_attack, differentiator_error_model(), 0.1, 0.5, 0.8),
+    (run_differentiator_terminal_attack, differentiator_error_model(), 0.25, 0.5, 0.5),
+], ids=["diff_tiny_eta_bar", "controller_tiny_eta_bar", "diff_large_rho", "diff_s_on_T_minus_rho"])
+def test_ramp_attack_rejects_a_ramp_that_starts_at_or_after_T_minus_rho(monkeypatch, runner,
+                                                                         model, eta_bar, rho, s):
+    # the run would end before the ramp, with a verdict on noise it never saw
+    runs = []
+    monkeypatch.setattr(attack, "integrate", lambda *args, **kwargs: runs.append(args))
+    message = f"the ramp starts at s={s!r}, not before T - rho = {1.0 - rho!r} (attack.rho = {rho!r})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        runner(model, eta_bar, 1.0, np.array([1.0, 0.0]), rho=rho)
+    assert runs == []
+
+
 def test_divergence_attack_checks_its_thresholds_before_the_run(monkeypatch):
     runs = []
     monkeypatch.setattr(attack, "integrate", lambda *args, **kwargs: runs.append(args))

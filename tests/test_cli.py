@@ -252,6 +252,16 @@ _DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01
     (_CONTROLLER_TERMINAL + ["--attack.psi_init", "0,0"], "psi_init needs 1 values, got 2"),
     (_CONTROLLER_TERMINAL + ["--system.gains", "-0.5,1; -1,1"], _NO_PLAN),
     (_CONTROLLER_TERMINAL + ["--system.gains", "-2,1; -3,1; -1,1"], _NO_PLAN),
+    # a ramp that starts at or after T - rho would give a verdict on a run
+    # that never saw it
+    (["attack", "--attack.kind", "diff-terminal", "--attack.eta_bar", "1e-7", "--attack.epsilon", "1"],
+     "the ramp starts at s=0.9999998, not before T - rho = 0.999999 (attack.rho = 1e-06)"),
+    (["attack", "--attack.kind", "controller-terminal", "--attack.x0", "1,0", "--attack.eta_bar",
+      "1e-7", "--attack.epsilon", "1"],
+     "the ramp starts at s=0.9999997, not before T - rho = 0.999999 (attack.rho = 1e-06)"),
+    (["attack", "--attack.kind", "diff-terminal", "--attack.eta_bar", "0.1", "--attack.epsilon", "1",
+      "--attack.rho", "0.5"],
+     "the ramp starts at s=0.8, not before T - rho = 0.5 (attack.rho = 0.5)"),
 ], ids=["rho_min_past_T", "rho_min_below_min_step", "t_end_past_floor", "t_end_before_s",
         "negative_pole_order", "piecewise_unsorted", "piecewise_over_bound", "one_channel_table",
         "scan_rhos_increasing", "scan_rhos_empty", "scan_rhos_past_T", "shrink_rhos_increasing",
@@ -261,7 +271,7 @@ _DIVERGENCE = {kind: ["attack", "--attack.kind", kind, "--attack.eta_bar", "0.01
         "diff_targets_decreasing", "diff_target_zero", "diff_thresholds_decreasing",
         "diff_thresholds_empty", "controller_start_above_ladder", "diff_start_on_ladder",
         "ramp_order_3", "ramp_simple_poles", "psi_init_length", "no_plan_2",
-        "no_plan_3"])
+        "no_plan_3", "diff_ramp_past_rho", "controller_ramp_past_rho", "diff_ramp_past_large_rho"])
 def test_library_value_error_is_a_config_error(tmp_path, capsys, argv, message):
     # bad input the library rejects with ValueError, at parse time (while the
     # model is built) or when the scenario runs, exits 1 and writes nothing

@@ -1195,13 +1195,18 @@ def test_segment_loop_matches_its_numpy_reference_bit_for_bit():
         assert got.tobytes() == want.tobytes()
 
 
-# a control loop with n = 2..9 channels, each of up to two terms c / (T - t)**p
-# with p <= 1 (pole order 2 soon blows up or stiffens here), and its start
-_random_tables = st.integers(min_value=2, max_value=9).flatmap(lambda n: st.tuples(
-    st.lists(st.lists(st.tuples(st.floats(min_value=-2.0, max_value=0.5),
-                                st.integers(min_value=0, max_value=1)), max_size=2),
-             min_size=n, max_size=n),
-    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=n, max_size=n)))
+def _tables_to_order(p_max):
+    """A control loop with n = 2..9 channels, each of up to two terms
+    c / (T - t)**p with p <= p_max, and its start."""
+    return st.integers(min_value=2, max_value=9).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.tuples(st.floats(min_value=-2.0, max_value=0.5),
+                                    st.integers(min_value=0, max_value=p_max)), max_size=2),
+                 min_size=n, max_size=n),
+        st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=n, max_size=n)))
+
+
+# pole order 2 soon blows up or stiffens the runs to T - 1e-3
+_random_tables = _tables_to_order(1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1413,16 +1418,19 @@ _DISTURBANCES = [None, DisturbanceSpec(kind="constant", bound=0.1, value=-0.1),
                  DisturbanceSpec(kind="piecewise", bound=0.2, samples=((0.2, 0.2), (0.55, -0.1)))]
 
 
+# pole orders up to 3, so that the fused loop's u**p terms (p >= 2) meet
+# value_at's; the runs end at T - 0.08, before those orders stiffen the loop
 @settings(max_examples=60, deadline=None)
-@given(_random_tables, st.sampled_from([CONTROL_LOOP, DIFF_ERROR]), st.booleans(),
+@given(_tables_to_order(3), st.sampled_from([CONTROL_LOOP, DIFF_ERROR]), st.booleans(),
        st.sampled_from(_DISTURBANCES), st.sampled_from([None, 0.3, 0.9]))
 def test_fused_step_equals_the_call_through_step(case, variant, held, disturbance, t_stop):
     """A plain model runs the loop with its right-hand side fused in; the
-    same model through a class whose rhs calls the base method runs the loop
-    that calls rhs at every stage.  Both give the same run, bit for bit,
-    with a 64-point output grid when the source is held (a grid needs one)
-    and, unless t_stop is None, a stop condition that ends the run at t_stop
-    from inside the loop."""
+    same model through a class whose rhs calls the base method, plain
+    Python, runs the loop that calls rhs at every stage.  Both give the same
+    run, bit for bit and with the same trial steps, with a 64-point output
+    grid when the source is held (a grid needs one) and, unless t_stop is
+    None, a stop condition that ends the run at t_stop from inside the
+    loop."""
     tables, x0 = case
     n = len(tables)
     make = rational_loop if variant == CONTROL_LOOP else rational_diff_error
@@ -1435,12 +1443,13 @@ def test_fused_step_equals_the_call_through_step(case, variant, held, disturbanc
         vector = variant == CONTROL_LOOP
         noise = (_FixedNoise([1e-3 * (j + 1) for j in range(n)] if vector else -2e-3) if held
                  else _WaveNoise(n if vector else None))
-        runs.append(integrate(model, noise, np.array(x0), 0.0, 1.0 - 1e-3, opts, stop))
+        runs.append(integrate(model, noise, np.array(x0), 0.0, 0.92, opts, stop))
     a, b = runs
     assert through.calls >= 1 + 6 * (len(b.knot_ts) - 1)
-    for name in ("ts", "xs", "etas", "gains", "knot_ts", "knot_xs", "knot_fs", "knot_fl"):
+    for name in ("ts", "xs", "etas", "gains", "knot_ts", "knot_xs", "knot_fs", "knot_fl",
+                 "knot_ds"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    assert a.termination == b.termination
+    assert (a.termination, a.trials) == (b.termination, b.trials)
     if t_stop is not None:
         assert a.termination.kind == EVENT
         assert _event_time(a, stop) == pytest.approx(t_stop, abs=1e-11)
