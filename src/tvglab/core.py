@@ -229,6 +229,11 @@ class NoiseSource:
     next_discontinuity(t) announces the next known switching instant strictly
     after t (inf when none is scheduled) so the integrator can land on it;
     it is asked once per committed step, at the step's start.
+    A held source (see below) whose instance keeps this class's own
+    observe and next_discontinuity, as ZeroNoise does, never switches: it
+    is observed at the start state only and never asked for a
+    discontinuity.  Replacing either method on the instance, overriding it
+    in a subclass or wrapping it on this class restores both calls.
 
     segment(t) may promise more: None (the default) promises nothing, and
     the integrator queries value() at every Runge-Kutta stage.  (a, b, t0),
@@ -349,9 +354,12 @@ class SystemModel:
         from 0.0 in table order.  The control loop sums g_i * (x_i + eta_i)
         from 0.0 in channel order.  integrate's fused loop runs the same
         float operations in the same order as generated code
-        (integrate._rhs_lines), so every stage is bit for bit this method's
-        result; integrate calls the method itself at the start knot and at
-        each noise renewal, and at every stage only where a subclass or a
+        (integrate._rhs_lines), so every finite stage is bit for bit this
+        method's result.  Only its queried loop raises where this method
+        would on a non-finite output; the held and segment loops leave that
+        stage to the error test, which rejects the step as the raise does.
+        integrate calls the method itself at the start knot and at each
+        noise renewal, and at every stage only where a subclass or a
         wrapper on the class overrides it.
         """
         n = len(self._channels)

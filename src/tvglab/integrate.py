@@ -26,14 +26,16 @@ rounding a steep law (b up to 1e8 near T) turns into a noise error that
 the error estimate reads as truncation error.  State and FSAL derivative
 stay float locals from step to step, and its sums are unrolled float
 expressions in forward order, with no BLAS call, so a run rounds alike
-under every BLAS kernel.  It commits on lists of floats, which
-observe and stop_condition receive too; barriers are queried once per
-committed step, the blow-up check is the root of the float sum of squares,
-and the knot record is kept in flat float columns that become arrays once,
-at the end.  integrate itself re-enters the loop after each noise switch
-and each landed segment discontinuity.  A stop event ends the run at the
-knot of the first committed step whose end satisfies the condition; a
-caller locates the crossing inside that step with _earliest on _step_state.
+under every BLAS kernel.  observe and stop_condition receive the state as
+a list of floats; barriers are queried once per committed step (a held
+source that keeps NoiseSource's own observe and next_discontinuity is
+neither observed nor asked), the blow-up check is the root of the float
+sum of squares, and each commit records one row of floats, split into
+the knot columns once, at the end.  integrate itself re-enters the loop
+after each noise switch and each landed segment discontinuity.  A stop
+event ends the run at the knot of the first committed step whose end
+satisfies the condition; a caller locates the crossing inside that step
+with _earliest on _step_state.
 
 The loop keeps a knot record at every committed step: state, noise as
 queried (or as its segment gives it), the derivative's right and left
@@ -52,6 +54,7 @@ Without grid points strictly inside steps the sample table is the knot table.
 from __future__ import annotations
 
 import functools
+import linecache
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -61,6 +64,7 @@ import numpy as np
 from .core import CONTROL_LOOP, NoiseBoundViolation, NoiseSource, NumericalFailure, SystemModel
 
 _MODEL_RHS = SystemModel.rhs  # as SystemModel defines it
+_BASE_HOOKS = (NoiseSource.observe, NoiseSource.next_discontinuity)  # as NoiseSource does
 
 # Dormand-Prince 5(4) tableau; the 7th stage is the FSAL derivative.  Each
 # stage row is paired with its node c and weighs k[:len(row)].
@@ -92,8 +96,7 @@ _STEP_CONTROL = dict(SAFETY=0.9, ORDER=-0.2, MIN_SHRINK=0.2, FAIL_SHRINK=0.5, MA
 
 # what a run binds into its loop, in make's order
 _RUN = ("eta_at, bound, bound_slack, abs_tol, rel_tol, kappa, max_norm, max_trials, t_end, "
-        "observe, next_noise, next_dist, stop_condition, append_t, extend_x, extend_f, extend_d, "
-        "record_eta")
+        "observe, next_noise, next_dist, stop_condition, rec")
 
 
 # the noise kinds of a compiled loop: a held source's value, unpacked once
@@ -103,7 +106,7 @@ _HELD, _SEGMENT, _QUERIED = "held", "segment", "queried"
 
 
 def _rhs_lines(variant: str, orders: tuple[tuple[int, ...], ...], zero_disturbance: bool,
-               u: str = "T - ts"):
+               u: str = "T - ts", checked: bool = True):
     """(params, noise, lines, derivative): one SystemModel.rhs evaluation as
     source lines on the time ts, state s<i> and noise e<i> (control loop) or
     e, with its float operations in its order and its errors; the constants
@@ -113,9 +116,12 @@ def _rhs_lines(variant: str, orders: tuple[tuple[int, ...], ...], zero_disturban
     u, T - ts unless a caller knows it more exactly.  Each gain sums
     c / u**p from 0.0 in table order with Python's ** (numpy's power rounds
     otherwise), as value_at does; c stands for c / u**0 and c / u for
-    c / u**1, the same bits.  A finiteness check on v reads v - v == 0.0,
-    False exactly for +-inf and NaN.  A power that underflows to 0.0 raises
-    ZeroDivisionError."""
+    c / u**1, the same bits.  A zero disturbance is the literal 0.0, and
+    the control loop, whose output sums from 0.0 (never -0.0), adds none.
+    A power that underflows to 0.0 raises ZeroDivisionError.  Only if
+    checked does a non-finite output raise NumericalFailure, as rhs's does
+    (the check on v reads v - v == 0.0, False exactly for +-inf and NaN);
+    unchecked, it flows into the stage's derivative."""
     n = len(orders)
     coefs = [[f"c{i}_{j}" for j in range(len(ps))] for i, ps in enumerate(orders)]
     gains = ["(0.0" + "".join(f" + {c}" + ("" if p == 0 else " / u" if p == 1 else f" / u{p}")
@@ -124,67 +130,80 @@ def _rhs_lines(variant: str, orders: tuple[tuple[int, ...], ...], zero_disturban
     lines = [f"u = {u}",
              "if u <= 0.0:",
              '    raise ValueError(f"gains evaluated at t={ts!r} >= deadline T={T!r}")',
-             # adding the zero disturbance still turns a -0.0 output into 0.0
-             f"d = {'0.0' if zero_disturbance else 'disturbance(ts)'}",
+             *([] if zero_disturbance else ["d = disturbance(ts)"]),
              *(f"u{p} = u**{p}" for p in sorted({p for ps in orders for p in ps if p > 1}))]
+    # the differentiator's zero disturbance still turns a -0.0 output into 0.0
+    d = "0.0" if zero_disturbance else "d"
     params = "T, disturbance, " + "".join(f"{c}, " for cs in coefs for c in cs)
     if variant == CONTROL_LOOP:
-        lines += ["out = 0.0" + "".join(f" + {g} * (s{i} + e{i})" for i, g in enumerate(gains)),
-                  "if not out - out == 0.0:",
-                  '    raise NumericalFailure(f"controller output not finite at t={ts!r}")']
-        return params, "".join(f"e{i}, " for i in range(n)), lines, [*(f"s{i}" for i in range(1, n)), "out + d"]
-    lines += ["y = s0 + e",
-              *(f"p{i} = {g} * y" for i, g in enumerate(gains)),
-              "if not (" + " and ".join(f"p{i} - p{i} == 0.0" for i in range(n)) + "):",
-              '    raise NumericalFailure(f"injection output not finite at t={ts!r}")']
-    return params, "e", lines, [*(f"s{i + 1} + p{i}" for i in range(n - 1)), f"d + p{n - 1}"]
+        lines += ["out = 0.0" + "".join(f" + {g} * (s{i} + e{i})" for i, g in enumerate(gains))]
+        if checked:
+            lines += ["if not out - out == 0.0:",
+                      '    raise NumericalFailure(f"controller output not finite at t={ts!r}")']
+        return (params, "".join(f"e{i}, " for i in range(n)), lines,
+                [*(f"s{i}" for i in range(1, n)), "out" if zero_disturbance else "out + d"])
+    lines += ["y = s0 + e", *(f"p{i} = {g} * y" for i, g in enumerate(gains))]
+    if checked:
+        lines += ["if not (" + " and ".join(f"p{i} - p{i} == 0.0" for i in range(n)) + "):",
+                  '    raise NumericalFailure(f"injection output not finite at t={ts!r}")']
+    return params, "e", lines, [*(f"s{i + 1} + p{i}" for i in range(n - 1)), f"{d} + p{n - 1}"]
 
 
 @functools.lru_cache(maxsize=128)
-def _loop_factory(n: int, noise_kind: str, shape=None):
+def _loop_factory(n: int, noise_kind: str, shape=None, switching: bool = True):
     """Compile integrate's adaptive Dormand-Prince loop for n channels and a
     noise kind (_HELD, _SEGMENT or _QUERIED).
 
     With a SystemModel's shape (variant, pole orders, zero disturbance),
     make(*run, T, disturbance, *coefficients) binds a run's settings (named
     in _RUN) and the model's constants, its coefficients in table order, by
-    name, and every stage runs _rhs_lines on float locals: bit for bit the
-    loop that calls SystemModel.rhs.  With shape None, make(*run, T, rhs)
-    returns that loop, for a class that overrides or wraps SystemModel.rhs:
-    each stage calls rhs(ts, xs, eta).  The segment kind needs the shape.
+    name, and every stage runs _rhs_lines on float locals: the float
+    operations of the loop that calls SystemModel.rhs, in its order.  Only
+    the queried loop keeps rhs's finiteness test, since its next stage hands
+    the state to the source; in the held and segment loops a non-finite
+    stage makes err NaN or inf, which rejects the step as the raised
+    NumericalFailure does.  With shape None, make(*run, T, rhs) returns that
+    loop, for a class that overrides or wraps SystemModel.rhs: each stage
+    calls rhs(ts, xs, eta).  The segment kind needs the shape.  A held loop
+    that is not switching serves a source that keeps NoiseSource's own
+    observe and next_discontinuity: it neither observes the source nor asks
+    it for a barrier.
 
     loop(t, x, f, eta, h_try, trials) steps from the knot (t, x, f), x and f
-    lists of floats, and commits each accepted step: observe, the knot
-    record through the bound append/extend methods, the blow-up check on
-    the root of the float sum of squares.  It returns (kind, t, x, f, h_try,
-    trials, last) at the first of: t reaches t_end (REACHED_END), the trial
-    budget or the step floor runs out (STEP_BUDGET, STEP_UNDERFLOW), the
-    stop condition holds at a step's end (EVENT: the step is recorded but
-    neither observed nor checked for blow-up; last is None), observe reports
-    a switch or a segment loop's step lands on the source's announced
-    discontinuity (_RENEW, unrecorded; last is (norm, d, switched), d the
-    step's D column) or the norm reaches max_norm (BLOW_UP; last is the
-    norm); after those three, (t, x, f) is the step's end and f its left
-    limit.  stop_condition(t_new, x_new) is asked at every committed step,
-    with the state as a list of floats.
+    lists of floats, and commits each accepted step: observe, one
+    rec((t_new, state..., derivative..., D..., noise...)) call that adds the
+    step's row to the flat knot record, the blow-up check on the root of
+    the float sum of squares.  It
+    returns (kind, t, x, f, h_try, trials, last) at the first of: t reaches
+    t_end (REACHED_END), the trial budget or the step floor runs out
+    (STEP_BUDGET, STEP_UNDERFLOW), the stop condition holds at a step's end
+    (EVENT: the step is recorded but neither observed nor checked for
+    blow-up; last is None), observe reports a switch or a segment loop's
+    step lands on the source's announced discontinuity (_RENEW, unrecorded;
+    last is (norm, d, switched), d the step's D column) or the norm reaches
+    max_norm (BLOW_UP; last is the norm); after those three, (t, x, f) is
+    the step's end and f its left limit.  stop_condition(t_new, x_new) is
+    asked at every committed step, with the state as a list of floats.
     Channel j >= 2 (0-based) of the error norm is weighed by w<j-1>, the
     powers of w = (T - t)/T by repeated products, computed with the step
-    cap once per commit.  State and FSAL derivative stay float locals
-    between steps.  A held eta is unpacked once per call; a segment eta,
-    (a, b, t0) with a and b floats (differentiator) or lists of n floats
-    (control loop), too.  The segment loop takes the step as it lands, h =
-    t_new - t after the barrier clamp, and computes T - t and t - t0 once
-    per commit; each stage, FSAL included, takes its offset o from the step's
-    start (C_i * h, h for the FSAL stage), computes the noise a + b * ((t -
-    t0) + o) on floats, checks it against the bound as eta_at does, and
-    evaluates the gains at u = (T - t) - o in place of T - ts.
-    The stage time ts then serves only the error messages (and a nonzero
-    disturbance).  Otherwise eta_at is queried at each stage state, a fresh
-    list.  A
-    zero-disturbance shape asks for no disturbance barrier.  Every sum runs
-    over the nonzero tableau coefficients in forward order on Python
-    floats, so no BLAS kernel changes a bit.  The source holds names and
-    indices only.
+    cap once per commit.  State and FSAL derivative stay float locals from
+    step to step; lists of them are built only where they are handed out
+    (observe, stop_condition, a queried stage, a return).  A held eta is
+    unpacked once per call; a segment eta, (a, b, t0) with a and b floats
+    (differentiator) or lists of n floats (control loop), too.  The segment
+    loop takes the step as it lands, h = t_new - t after the barrier clamp,
+    and computes T - t and t - t0 once per commit; each stage, FSAL
+    included, takes its offset o from the step's start (C_i * h, h for the
+    FSAL stage), computes the noise a + b * ((t - t0) + o) on floats,
+    checks it against the bound as eta_at does, and evaluates the gains at
+    u = (T - t) - o in place of T - ts.  The stage time ts then serves only
+    the error messages (and a nonzero disturbance).  Otherwise eta_at is
+    queried at each stage state, a fresh list.  A zero-disturbance shape
+    asks for no disturbance barrier.  Every sum runs over the nonzero
+    tableau coefficients in forward order on Python floats, so no BLAS
+    kernel changes a bit.  The source holds names and indices only; it is
+    registered in linecache under the loop's file name, so tracebacks and
+    line profilers show its lines.
     """
     def names(prefix):
         return ", ".join(f"{prefix}{j}" for j in range(n))
@@ -197,66 +216,70 @@ def _loop_factory(n: int, noise_kind: str, shape=None):
         # channel j's forward sum of one tableau row over the stage derivatives
         return " + ".join(f"{c} * k{i}_{j}" for i, c in coefs)
 
-    params, noise, lines, out = _rhs_lines(*shape) if shape else ("T, rhs", None, None, None)
-    held, segment = noise_kind == _HELD, noise_kind == _SEGMENT
+    held, segment, queried = noise_kind == _HELD, noise_kind == _SEGMENT, noise_kind == _QUERIED
     control = shape is not None and shape[0] == CONTROL_LOOP
-    recorded = "eta_new"  # the noise a commit records: its last stage's
-    if segment:
-        # the noise channels e<j> (or e), each with its law na<j> + nb<j> * (tn + offset)
+    params, noise, lines, out = (_rhs_lines(*shape, checked=queried) if shape
+                                 else ("T, rhs", None, None, None))
+    if shape:
+        # the noise channels e<j> (or e); a segment's law is na<j> + nb<j> * (tn + offset)
         es = noise.replace(",", " ").split()
-        recorded = f"[{noise}]" if control else "e"
-        check = ["en = " + (f"hypot({', '.join(es)})" if control else "abs(e)"),
+        recorded = ", ".join(es)  # the noise a commit records: its last stage's
+        check = ["en = " + (f"hypot({recorded})" if control else "abs(e)"),
                  "if en > bound_slack:",
                  '    raise NoiseBoundViolation(f"noise bound violated at t={ts!r}: '
                  '|eta|={en!r} > {bound!r}")']
+    else:
+        # a list (control loop) or a float (differentiator), as eta_at gives it
+        v = "eta" if held else "eta_s"
+        recorded = f"*({v} if type({v}) is list else ({v},))"
 
-    def derivative(i, state, query):
-        # k<i>_0, ... at time ts on the stage channels s<j>, packed as state
+    def derivative(i):
+        # k<i>_0, ... at time ts on the stage channels s<j> (listed as xs)
         if shape is None:
-            return [f"{names(f'k{i}_')}, = rhs(ts, {state}, {query})"]
+            return [*([] if held else ["eta_s = eta_at(ts, xs)"]),
+                    f"{names(f'k{i}_')}, = rhs(ts, xs, {'eta' if held else 'eta_s'})"]
         if not segment:
-            return [*([] if held else [f"{noise} = {query}"]), *lines,
+            return [*([f"{noise} = eta_at(ts, xs)"] if queried else []), *lines,
                     *(f"k{i}_{j} = {v}" for j, v in enumerate(out))]
         # the stage's exact offset from the step's start, not the rounded ts:
         # the law at (t - nt) + offset, the gains at (T - t) - offset
         offset = "h" if i == 6 else f"C{i} * h"
         return [*(f"{v} = na{v[1:]} + nb{v[1:]} * (tn + {offset})" for v in es), *check,
-                *_rhs_lines(*shape, u=f"ut - {offset}")[2],
+                *_rhs_lines(*shape, u=f"ut - {offset}", checked=False)[2],
                 *(f"k{i}_{j} = {v}" for j, v in enumerate(out))]
 
+    # the five stages, then the FSAL stage at the step's end on the b row
+    stages = [(f"t + C{i} * h", nonzero(f"A{i}_", row))
+              for i, (_, row) in enumerate(_DP_STAGES, start=1)]
     body = []
-    for i, (_, row) in enumerate(_DP_STAGES, start=1):
-        coefs = nonzero(f"A{i}_", row)
-        body += [f"ts = t + C{i} * h",
+    for i, (ts, coefs) in enumerate([*stages, ("t_new", nonzero("B", _DP_B))], start=1):
+        body += [f"ts = {ts}",
                  *(f"s{j} = x{j} + h * ({weighted(coefs, j)})" for j in range(n)),
-                 *([] if shape and noise_kind != _QUERIED else [f"xs = [{names('s')}]"]),
-                 *derivative(i, "xs", "eta" if held else "eta_at(ts, xs)")]
-    b, e, d = nonzero("B", _DP_B), nonzero("E", _DP_E), nonzero("D", _DP_D)
-    body += ["ts = t_new",
-             *(f"s{j} = x{j} + h * ({weighted(b, j)})" for j in range(n)),
-             f"new = [{names('s')}]",
-             *([] if segment else [f"eta_new = {'eta' if held else 'eta_at(t_new, new)'}"]),
-             *derivative(6, "new", "eta_new"),
-             # b if b > a else a is max(a, b), NaN and signed zeros alike
-             *(line for j in range(n) for line in (
+                 *([] if shape and not queried else [f"xs = [{names('s')}]"]),
+                 *derivative(i)]
+    e, d = nonzero("E", _DP_E), nonzero("D", _DP_D)
+    body += [*(line for j in range(n) for line in (
+                 # b if b > a else a is max(a, b), NaN and signed zeros alike
                  f"a = abs(x{j})", f"b = abs(s{j})",
                  f"q{j} = h * ({weighted(e, j)}) / (abs_tol + rel_tol * (b if b > a else a))"
                  + (f" * w{j - 1}" if j >= 2 else ""))),
              "err = sqrt((" + " + ".join(f"q{j} * q{j}" for j in range(n)) + f") / {n})"]
     # the barrier: the run's end and the sources' announced discontinuities
-    barriers = "t_end, landing" if segment else "t_end, next_noise(t)"
+    barriers = ["t_end", *(["landing"] if segment else ["next_noise(t)"] if switching else [])]
     if not (shape and shape[2]):
-        barriers += ", next_dist(t)"
-    # a committed step's knot record
-    commit = ["append_t(t_new)", "extend_x(new)", "extend_f(f_new)", "extend_d(dense)",
-              f"record_eta({recorded})"]
+        barriers.append("next_dist(t)")
+    x, f = f"[{names('x')}]", f"[{names('k0_')}]"
+    x_new, f_new = f"[{names('s')}]", f"[{names('k6_')}]"
+    dense = ", ".join(f"h * ({weighted(d, j)})" for j in range(n))
+    # a committed step's row of the knot record
+    commit = f"rec((t_new, {names('s')}, {names('k6_')}, {dense}, {recorded}))"
     step = [
         "if trials == max_trials:",
-        "    return STEP_BUDGET, t, x, f, h_try, trials, None",
+        f"    return STEP_BUDGET, t, {x}, {f}, h_try, trials, None",
         "trials += 1",
         "if barrier is None:  # t and the sources' state change only at a commit",
         *(["    landing = next_noise(t)"] if segment else []),
-        f"    barrier = min({barriers})",
+        "    barrier = " + (f"min({', '.join(barriers)})" if len(barriers) > 1 else barriers[0]),
         "    h_cap = kappa * (T - t)",
         *(["    ut = T - t", "    tn = t - nt"] if segment else []),
         *(["    w1 = (T - t) / T"] if n >= 3 else []),
@@ -282,32 +305,32 @@ def _loop_factory(n: int, noise_kind: str, shape=None):
         "if not err <= ONE:",
         "    h_try = h * (FAIL_SHRINK if not isfinite(err) else max(MIN_SHRINK, SAFETY * err ** ORDER))",
         "    if h_try < max(FLOOR * (T - t), FLOOR_ULPS * ulp(t)):",
-        "        return STEP_UNDERFLOW, t, x, f, h_try, trials, None",
+        f"        return STEP_UNDERFLOW, t, {x}, {f}, h_try, trials, None",
         "    continue",
-        f"f_new = [{names('k6_')}]",
-        "dense = [" + ", ".join(f"h * ({weighted(d, j)})" for j in range(n)) + "]",
         # err <= 1 here, so the growth factor is at least 0.9
         "grow = MAX_GROW if err == ZERO else SAFETY * err ** ORDER",
         "h_try = h * (grow if grow < MAX_GROW else MAX_GROW)",
         # a stop event's step is recorded, but neither observed nor checked
         # for blow-up
-        "if stop_condition is not None and stop_condition(t_new, new):",
-        *(f"    {line}" for line in commit),
-        "    return EVENT, t_new, new, f_new, h_try, trials, None",
+        f"if stop_condition is not None and stop_condition(t_new, {x_new}):",
+        f"    {commit}",
+        f"    return EVENT, t_new, {x_new}, {f_new}, h_try, trials, None",
         "norm = sqrt(" + " + ".join(f"s{j} * s{j}" for j in range(n)) + ")",
-        "if observe(t_new, new):",
-        "    return _RENEW, t_new, new, f_new, h_try, trials, (norm, dense, True)",
+        *([f"if observe(t_new, {x_new}):",
+           f"    return _RENEW, t_new, {x_new}, {f_new}, h_try, trials, (norm, [{dense}], True)"]
+          if switching else []),
         # the segment holds up to its discontinuity, where integrate renews it
         *(["if t_new == landing:",
-           "    return _RENEW, t_new, new, f_new, h_try, trials, (norm, dense, False)"] if segment else []),
+           f"    return _RENEW, t_new, {x_new}, {f_new}, h_try, trials, (norm, [{dense}], False)"]
+          if segment else []),
         # without a switch the source still answers with the noise of the
         # last stage (the NoiseSource contract), so that value is recorded
-        *commit,
+        commit,
         "if norm >= max_norm:",
-        "    return BLOW_UP, t_new, new, f_new, h_try, trials, norm",
-        "t, x, f, barrier = t_new, new, f_new, None",
-        f"{names('x')}, = new",
-        f"{names('k0_')}, = f_new"]
+        f"    return BLOW_UP, t_new, {x_new}, {f_new}, h_try, trials, norm",
+        "t, barrier = t_new, None",
+        f"{names('x')} = {names('s')}",
+        f"{names('k0_')} = {names('k6_')}"]
     start = [f"{noise} = eta"] if shape and held else []
     if segment:
         start = ["na, nb, nt = eta"]
@@ -321,8 +344,11 @@ def _loop_factory(n: int, noise_kind: str, shape=None):
            "        barrier = None",
            "        while t < t_end:",
            *(f"            {line}" for line in step),
-           "        return REACHED_END, t, x, f, h_try, trials, None",
+           f"        return REACHED_END, t, {x}, {f}, h_try, trials, None",
            "    return loop"]
+    filename = f"<loop {n} {noise_kind}{'' if switching else ' unswitched'} {shape}>"
+    source = "\n".join(src)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     scope = {f"C{i}": c for i, (c, _) in enumerate(_DP_STAGES, start=1)}
     scope.update({f"A{i}_{r}": a for i, (_, row) in enumerate(_DP_STAGES, start=1)
                   for r, a in enumerate(row)},
@@ -334,7 +360,7 @@ def _loop_factory(n: int, noise_kind: str, shape=None):
                  NoiseBoundViolation=NoiseBoundViolation, REACHED_END=REACHED_END,
                  STEP_BUDGET=STEP_BUDGET, STEP_UNDERFLOW=STEP_UNDERFLOW, EVENT=EVENT,
                  BLOW_UP=BLOW_UP, _RENEW=_RENEW)
-    exec(compile("\n".join(src), f"<loop {n} {noise_kind} {shape}>", "exec"), scope)
+    exec(compile(source, filename, "exec"), scope)
     return scope["make"]
 
 
@@ -528,7 +554,8 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     """Integrate the model from (t0, x0) to t_end < T under the given noise.
 
     The noise source sees every committed step through observe(t, x) and its
-    announced discontinuities become exact step boundaries.  Returns a
+    announced discontinuities become exact step boundaries, unless it is a
+    held source that never switches (see NoiseSource).  Returns a
     Trajectory whose termination reports normal completion, norm escape
     (blow_up), error-control failure (step_underflow: a rejected step would
     shrink below 1e-10 (T - t) or 16 ulps of t, whichever is larger), a run
@@ -607,19 +634,14 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     if opts.output_grid is not None and not held:
         raise ValueError("an output grid needs a held noise source")
 
-    # the knot record as flat float columns, one entry per committed step:
-    # its time, state, derivative and the D of the step it closes, and the
-    # noise recorded with the knot's sample (n floats for the control loop,
-    # one for the differentiator)
-    knot_ts, knot_xs, knot_fs, knot_ds, knot_etas = [], [], [], [], []
-    record_eta = knot_etas.extend if is_control else knot_etas.append
+    # the knot record, one row per committed step in one flat list of
+    # floats: its time, state, derivative and the D of the step it closes,
+    # and the noise recorded with the knot's sample (n floats for the
+    # control loop, one for the differentiator)
+    knots: list[float] = []
 
     def record(t, x, f, d, eta):
-        knot_ts.append(t)
-        knot_xs.extend(x)
-        knot_fs.extend(f)
-        knot_ds.extend(d)
-        record_eta(eta)
+        knots.extend((t, *x, *f, *d, *(eta if is_control else (eta,))))
 
     switch_times: list[float] = []
     # knots where the loop returned to renew the noise (a switch, or a
@@ -666,11 +688,17 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     # nothing (a queried source)
     law = eta if held else segment_at(t0) if fused else None
     noise_kind = _HELD if held else _QUERIED if law is None else _SEGMENT
-    loop = _loop_factory(n, noise_kind, shape)(
+    # a held source whose instance keeps NoiseSource's own observe and
+    # next_discontinuity (ZeroNoise) never switches: its loop asks it for
+    # neither, as a zero disturbance is asked for no barrier.  A hook
+    # replaced on the instance or wrapped on the class (the benchmark
+    # tracer's) is asked as usual
+    switching = not held or _BASE_HOOKS != tuple(
+        getattr(hook, "__func__", None) for hook in (noise.observe, noise.next_discontinuity))
+    loop = _loop_factory(n, noise_kind, shape, switching)(
         eta_at, noise.bound, bound_slack, opts.abs_tol, opts.rel_tol, opts.max_step_fraction,
         opts.max_norm, MAX_TRIAL_STEPS, t_end, noise.observe, noise.next_discontinuity,
-        model.disturbance.next_discontinuity, stop_condition, knot_ts.append, knot_xs.extend,
-        knot_fs.extend, knot_ds.extend, record_eta, *consts)
+        model.disturbance.next_discontinuity, stop_condition, knots.extend, *consts)
 
     h_try = min(1e-3 * (t_end - t0), opts.max_step_fraction * (T - t0))
     t, h_try, trials = t0, max(h_try, min_step), 0
@@ -704,9 +732,9 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
         blow_up = BlowUpEvent(t=t, norm=last, channel=max(range(n), key=lambda j: abs(x[j])))
     termination = Termination(kind=kind, t=t, blow_up=blow_up)
 
-    kts = np.array(knot_ts, dtype=float)
-    kxs, kfs, kds, ketas = (np.array(col, dtype=float).reshape(len(kts), -1)
-                            for col in (knot_xs, knot_fs, knot_ds, knot_etas))
+    rows = np.array(knots, dtype=float).reshape(-1, 1 + 3 * n + (n if is_control else 1))
+    kts = rows[:, 0].copy()
+    kxs, kfs, kds, ketas = (col.copy() for col in np.split(rows[:, 1:], (n, 2 * n, 3 * n), axis=1))
     kfl = kfs.copy()
     if renewal_ts:
         kfl[np.searchsorted(kts, renewal_ts)] = renewal_fls

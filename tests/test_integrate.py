@@ -6,11 +6,12 @@ import os
 import re
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvglab.attack import (
@@ -572,6 +573,12 @@ def test_segment_leaving_its_bound_mid_step_fails_at_that_stage(make_model, n):
         assert (noise.calls == 1) == segment
         law = 0.0 + 0.1 * (t_fail - 0.05)
         assert eta == pytest.approx(law, rel=1e-14, abs=0.0) if segment else eta == law
+        if segment:
+            # raised by the compiled loop, whose source linecache holds
+            frame = traceback.extract_tb(info.value.__traceback__)[-1]
+            assert frame.filename.startswith("<loop ") and frame.line.startswith(
+                "raise NoiseBoundViolation(")
+            assert "raise NoiseBoundViolation" in "".join(traceback.format_exception(info.value))
 
 
 class _FixedNoise(NoiseSource):
@@ -663,6 +670,64 @@ def test_reference_run_work_is_pinned():
     assert traj.xs[-1][0] == 2.9999903096873546e-18
     # ZeroNoise is held: one query after the first observe serves the run
     assert noise.calls == 1
+
+
+def test_a_source_that_never_switches_is_observed_only_at_the_start():
+    # ZeroNoise keeps NoiseSource's own observe and next_discontinuity, which
+    # never switch: its loop neither observes it nor asks it for a barrier.
+    # The calls are counted by a profile hook, since replacing or wrapping
+    # a method would make the loop call it
+    hooks = {NoiseSource.observe.__code__: "observe",
+             NoiseSource.next_discontinuity.__code__: "next_discontinuity"}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in hooks:
+            calls.append((hooks[frame.f_code], frame.f_locals["t"]))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        traj = integrate(reference_loop(), None, np.array([1.0, 0.0]), 0.0, 0.5)
+    finally:
+        sys.setprofile(previous)
+    assert traj.completed and len(traj.knot_ts) > 10
+    assert calls == [("observe", 0.0)]
+
+
+@pytest.mark.parametrize("where", ["instance", "class"])
+def test_a_source_whose_observe_is_replaced_is_observed_at_every_commit(where, monkeypatch):
+    # as _count_queries replaces it on the instance, or the benchmark tracer
+    # wraps it on the class
+    noise, observed = ZeroNoise(2), []
+    observe = NoiseSource.observe
+    if where == "instance":
+        noise.observe = lambda t, x: observed.append(t) or observe(noise, t, x)
+    else:
+        monkeypatch.setattr(NoiseSource, "observe",
+                            lambda self, t, x: observed.append(t) or observe(self, t, x))
+    traj = integrate(reference_loop(), noise, np.array([1.0, 0.0]), 0.0, 0.5)
+    assert traj.completed
+    assert observed == traj.knot_ts.tolist()  # the start knot, then every committed step
+
+
+class _HeldBarrierNoise(ZeroNoise):
+    """ZeroNoise that announces one discontinuity, where it does not switch."""
+
+    def __init__(self, n, barrier):
+        super().__init__(n)
+        self.barrier = barrier
+
+    def next_discontinuity(self, t):
+        return self.barrier if t < self.barrier else math.inf
+
+
+def test_a_held_source_that_announces_a_discontinuity_has_it_landed_exactly():
+    traj = integrate(reference_loop(), _HeldBarrierNoise(2, 0.37), np.array([1.0, 0.0]), 0.0,
+                     0.9)
+    plain = integrate(reference_loop(), None, np.array([1.0, 0.0]), 0.0, 0.9)
+    assert traj.completed and 0.37 in traj.knot_ts.tolist()
+    assert 0.37 not in plain.knot_ts.tolist()
 
 
 def test_order_3_run_work_is_pinned():
@@ -1413,6 +1478,17 @@ class _WaveNoise(NoiseSource):
         return [0.5 * self.bound / self.n * math.sin(40.0 * t + j + x[j]) for j in range(self.n)]
 
 
+def test_a_non_finite_stage_never_reaches_a_queried_source():
+    # the gain -1e300 / u**2 drives the controller output past the float
+    # range inside every trial step; the queried loop's finiteness test
+    # rejects that stage before the next one hands its non-finite state to
+    # value(), where sin(inf) would raise ValueError: math domain error
+    model = rational_loop((((-1e300, 2),), ((-1.0, 1),)))
+    traj = integrate(model, _WaveNoise(2), np.array([1e-9, 0.0]), 0.0, 0.5)
+    assert traj.termination.kind == STEP_UNDERFLOW
+    assert len(traj.knot_ts) == 1
+
+
 _DISTURBANCES = [None, DisturbanceSpec(kind="constant", bound=0.1, value=-0.1),
                  DisturbanceSpec(kind="sinusoid", bound=0.1, amplitude=0.1, frequency=3.0),
                  DisturbanceSpec(kind="piecewise", bound=0.2, samples=((0.2, 0.2), (0.55, -0.1)))]
@@ -1423,6 +1499,9 @@ _DISTURBANCES = [None, DisturbanceSpec(kind="constant", bound=0.1, value=-0.1),
 @settings(max_examples=60, deadline=None)
 @given(_tables_to_order(3), st.sampled_from([CONTROL_LOOP, DIFF_ERROR]), st.booleans(),
        st.sampled_from(_DISTURBANCES), st.sampled_from([None, 0.3, 0.9]))
+# c / (T - t)**3 with c > 0 drives the loop past max_norm at t = 0.898
+@example(case=([[], [(0.5, 3)]], [0.0, 0.0]), variant=CONTROL_LOOP, held=False,
+         disturbance=_DISTURBANCES[1], t_stop=0.9)
 def test_fused_step_equals_the_call_through_step(case, variant, held, disturbance, t_stop):
     """A plain model runs the loop with its right-hand side fused in; the
     same model through a class whose rhs calls the base method, plain
@@ -1430,7 +1509,7 @@ def test_fused_step_equals_the_call_through_step(case, variant, held, disturbanc
     run, bit for bit and with the same trial steps, with a 64-point output
     grid when the source is held (a grid needs one) and, unless t_stop is
     None, a stop condition that ends the run at t_stop from inside the
-    loop."""
+    loop, unless a table with a positive coefficient blows it up first."""
     tables, x0 = case
     n = len(tables)
     make = rational_loop if variant == CONTROL_LOOP else rational_diff_error
@@ -1450,9 +1529,11 @@ def test_fused_step_equals_the_call_through_step(case, variant, held, disturbanc
                  "knot_ds"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert (a.termination, a.trials) == (b.termination, b.trials)
-    if t_stop is not None:
+    if t_stop is not None and a.t_last >= t_stop:
         assert a.termination.kind == EVENT
         assert _event_time(a, stop) == pytest.approx(t_stop, abs=1e-11)
+    elif t_stop is not None:
+        assert a.termination.kind == BLOW_UP
     assert (len(a.ts) > len(a.knot_ts)) == held  # grid points fall inside steps
 
 
