@@ -157,6 +157,15 @@ SCENARIOS: dict[str, list[str]] = {
     "workaround_deadzone_inside_noise": ["workaround", "--workaround.variant", "deadzone",
                                          "--workaround.ics", "0.004,0; -0.004,0",
                                          "--workaround.noise_eta_bar", "0.01"],
+    # the divergence noise has one channel per state channel of the loop
+    "workaround_stop_time_noise_order_3": ["workaround", "--workaround.variant", "stop-time",
+                                           "--system.gains", "-60,3; -36,2; -9,1",
+                                           "--workaround.ics", "1,0,0; 2,0,0; 5,0,0",
+                                           "--workaround.noise_eta_bar", "1e-2"],
+    "workaround_deadzone_noise_order_3": ["workaround", "--workaround.variant", "deadzone",
+                                          "--system.gains", "-60,3; -36,2; -9,1",
+                                          "--workaround.ics", "1,0,0; 2,0,0; 5,0,0",
+                                          "--workaround.noise_eta_bar", "1e-2"],
     # branches of the runners and artifact writers: failed cases, nan cells,
     # empty ladders, notes, plots and every non-zero exit code
     "verify_max_norm_2": ["verify-deadline", "--integration.max_norm", "2"],
@@ -186,6 +195,10 @@ SCENARIOS: dict[str, list[str]] = {
     "verify_ics_wrong_length": ["verify-deadline", "--deadline.ics", "1,0,0"],
     "workaround_ics_wrong_length": ["workaround", "--workaround.variant", "stop-time",
                                     "--workaround.ics", "1,0,0"],
+    # the divergence noise drives the control loop only
+    "workaround_noise_diff_error": ["workaround", "--workaround.variant", "deadzone",
+                                    "--system.variant", "diff_error",
+                                    "--workaround.noise_eta_bar", "1e-2"],
     "attack_controller_ramp_x0_wrong_length": ["attack", "--attack.kind", "controller-terminal",
                                                "--attack.x0", "1,0,0", "--attack.eta_bar", "0.01",
                                                "--attack.epsilon", "0.5"],
@@ -260,6 +273,7 @@ EXPECTED_EXIT: dict[str, int] = {
     "sim_x0_wrong_length": 1,
     "verify_ics_wrong_length": 1,
     "workaround_ics_wrong_length": 1,
+    "workaround_noise_diff_error": 1,
     "attack_controller_ramp_x0_wrong_length": 1,
     "attack_diff_terminal_x0_wrong_length": 1,
     "sim_n_mismatch": 1,

@@ -25,7 +25,6 @@ from .core import (
 )
 from .integrate import (
     IntegrationOptions,
-    OutputGrid,
     integrate,
     terminal_state,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "rational_loop",
     "reference_loop",
     "IntegrationOptions",
-    "OutputGrid",
     "integrate",
     "terminal_state",
     "instability_witness_time",

@@ -459,9 +459,8 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
     stops at the first knot inside the box.  The gain at entry uses the
     noise of the entry step (a held source's recorded value), and the entry
     state is the dense output there.  noise is a zero-argument factory
-    called once per case, or None.  The runs take no output grid.
+    called once per case, or None.
     """
-    opts = replace(opts or IntegrationOptions(), output_grid=None)
     fresh_noise = _noise_factory(model, noise)
     if width <= 0.0:
         raise ValueError("width must be positive")
@@ -495,7 +494,6 @@ def evaluate_deadzone(model: SystemModel, width: float, initial_conditions: Sequ
                     continue
                 entry_t, k = entry
                 entry_x = probe.state_at(entry_t)
-                # without a grid, the probe's sample table is its knot table
                 eta = (probe.etas[k] if case_noise.held
                        else case_noise.value(entry_t, entry_x.tolist()))
                 gain = abs(float(model.gain_output(entry_t, entry_x, eta)))

@@ -51,7 +51,7 @@ from .core import (
     NumericalFailure,
     SystemModel,
 )
-from .integrate import IntegrationOptions, OutputGrid, Trajectory, integrate
+from .integrate import IntegrationOptions, Trajectory, integrate
 from .oracle import SolverCheckReport, verify_solver_against_oracle
 from .attack import (
     controller_divergence_noise,
@@ -702,6 +702,10 @@ def _cross_validate(cfg: ExperimentConfig, violations: list[str]) -> None:
     if (scenario.startswith("attack.") or scenario == "falsify-stability") \
             and cfg.values["system.variant"] != required:
         violations.append(f"scenario {scenario} requires system.variant = {required}")
+    if scenario.startswith("workaround.") and cfg.values["workaround.noise_eta_bar"] is not None \
+            and cfg.values["system.variant"] != CONTROL_LOOP:
+        violations.append("workaround.noise_eta_bar: the divergence noise needs "
+                          f"system.variant = {CONTROL_LOOP}")
     if scenario.startswith("attack.") and cfg.values.get("attack.eta_bar") is None:
         violations.append(f"scenario {scenario} requires attack.eta_bar")
     if scenario in ("attack.controller-terminal", "attack.diff-terminal") \
@@ -761,12 +765,11 @@ def build_model(cfg: ExperimentConfig) -> SystemModel:
                                                                  *signal.params))
 
 
-def build_options(cfg: ExperimentConfig, grid: Optional[OutputGrid] = None) -> IntegrationOptions:
+def build_options(cfg: ExperimentConfig) -> IntegrationOptions:
     return IntegrationOptions(rel_tol=cfg.values["integration.rel_tol"],
                               abs_tol=cfg.values["integration.abs_tol"],
                               max_norm=cfg.values["integration.max_norm"],
-                              max_step_fraction=cfg.values["integration.max_step_fraction"],
-                              output_grid=grid)
+                              max_step_fraction=cfg.values["integration.max_step_fraction"])
 
 
 # ---------------------------------------------------------------------------
@@ -785,18 +788,42 @@ def _trajectory_header(n: int, eta_cols: int) -> list[str]:
             "gain_out"]
 
 
-def write_trajectory_csv(path: str, traj: Trajectory, cfg: Optional[ExperimentConfig] = None,
+def trajectory_rows(model: SystemModel, traj: Trajectory, grid: Sequence[float] = ()) -> dict:
+    """The columns of a trajectory CSV, as parse_trajectory_csv returns
+    them: "ts", "xs", "etas" and "gains".  The rows are the knots, and each
+    grid point strictly inside a step, after the knot that opens that step,
+    with its state from traj.state_at and its noise from that knot.  The
+    gains column is one batched model.gain_output call over all rows; a
+    non-finite entry raises NumericalFailure."""
+    ts, xs, etas = traj.ts, traj.xs, traj.etas
+    points = np.asarray(grid, dtype=float)
+    points = points[(points > traj.t0) & (points < traj.t_last)]
+    opening = np.searchsorted(ts, points, side="right") - 1
+    inside = ts[opening] != points
+    points, opening = points[inside], opening[inside]
+    if len(points):
+        ts = np.insert(ts, opening + 1, points)
+        xs = np.insert(xs, opening + 1, traj.state_at(points), axis=0)
+        etas = np.insert(etas, opening + 1, etas[opening], axis=0)
+    gains = model.gain_output(ts, xs, etas)
+    if not np.all(np.isfinite(gains)):
+        raise NumericalFailure("non-finite value in integration record")
+    return {"ts": ts, "xs": xs, "etas": etas, "gains": gains}
+
+
+def write_trajectory_csv(path: str, rows: dict, cfg: Optional[ExperimentConfig] = None,
                          extra_comments: Sequence[str] = ()) -> None:
-    """Write the config echo, extra_comments, the header and one row of
-    %.16e text (the text of fmt) per sample.  Rows come from the vectorised
+    """Write the config echo, extra_comments, the header and one line of
+    %.16e text (the text of fmt) per row of the columns rows (as
+    trajectory_rows gives them).  Lines come from the vectorised
     _format_rows, _CSV_BLOCK_ROWS at a time; a row it cannot prove goes to
     the scalar _format_row."""
     lines = []
     if cfg is not None:
         lines.extend(config_echo_lines(cfg))
     lines.extend(extra_comments)
-    lines.append(",".join(_trajectory_header(traj.n, traj.etas.shape[1])))
-    data = np.column_stack((traj.ts, traj.xs, traj.etas, traj.gains))
+    lines.append(",".join(_trajectory_header(rows["xs"].shape[1], rows["etas"].shape[1])))
+    data = np.column_stack((rows["ts"], rows["xs"], rows["etas"], rows["gains"]))
     blocks = (_format_rows(data[i:i + _CSV_BLOCK_ROWS])
               for i in range(0, len(data), _CSV_BLOCK_ROWS))
     _write_lines(path, lines, blocks)
@@ -932,7 +959,7 @@ def oracle_table(report: SolverCheckReport) -> list[str]:
     return _table(["s", "xi1", "xi2", "max_rel_error"], rows)
 
 
-def maybe_write_plot(path: str, traj: Trajectory, enabled: bool) -> None:
+def maybe_write_plot(path: str, rows: dict, enabled: bool) -> None:
     """Log-scale plot of the state norm against time, near the deadline."""
     if not enabled:
         return
@@ -944,9 +971,9 @@ def maybe_write_plot(path: str, traj: Trajectory, enabled: bool) -> None:
         print("plot requested but matplotlib is not installed; skipping", file=sys.stderr)
         return
     matplotlib.rcParams["svg.hashsalt"] = "tvglab"
-    norms = np.linalg.norm(traj.xs, axis=1)
+    norms = np.linalg.norm(rows["xs"], axis=1)
     fig, ax = plt.subplots(figsize=(7.0, 4.0))
-    ax.semilogy(traj.ts, np.maximum(norms, 1e-300))
+    ax.semilogy(rows["ts"], np.maximum(norms, 1e-300))
     ax.set_xlabel("t")
     ax.set_ylabel("state norm")
     ax.grid(True, which="both", alpha=0.3)
@@ -968,7 +995,8 @@ class ScenarioResult:
 
     facts are the run's (label, text) lines in order; record is the
     library's result (a report, an attack outcome or a trajectory).  The
-    CSV holds the record's trajectory, or else table (its header and rows).
+    CSV holds the record's trajectory, with a row at each grid point that
+    falls strictly inside a step, or else table (its header and rows).
     error, when set, is printed to stderr after the artifacts are written.
     """
 
@@ -978,6 +1006,7 @@ class ScenarioResult:
     record: object
     table: Sequence[str] = ()
     error: str = ""
+    grid: Sequence[float] = ()
 
     @property
     def trajectory(self) -> Optional[Trajectory]:
@@ -999,17 +1028,19 @@ def _write_summary(cfg: ExperimentConfig, out_dir: str, stem: str, facts: Sequen
 
 def _write_result(cfg: ExperimentConfig, out_dir: str, stem: str, result: ScenarioResult) -> None:
     """Write a result as <prefix>_<stem>.csv and its summary.  The CSV holds
-    the config echo, one '# label: text' line per fact, then the trajectory
-    or the table; a trajectory gets the SVG plot too when output.plot is
-    set."""
+    the config echo, one '# label: text' line per fact, then the
+    trajectory's rows (trajectory_rows on the config's model, built before
+    any file is opened) or the table; a trajectory gets the SVG plot too
+    when output.plot is set."""
     path = _out_path(cfg, out_dir, stem)
     comments = [f"# {label}: {text}" for label, text in result.facts]
     traj = result.trajectory
     if traj is None:
         _write_lines(path, config_echo_lines(cfg) + comments + list(result.table))
     else:
-        write_trajectory_csv(path, traj, cfg, comments)
-        maybe_write_plot(_out_path(cfg, out_dir, stem, "svg"), traj, cfg.values["output.plot"])
+        rows = trajectory_rows(build_model(cfg), traj, result.grid)
+        write_trajectory_csv(path, rows, cfg, comments)
+        maybe_write_plot(_out_path(cfg, out_dir, stem, "svg"), rows, cfg.values["output.plot"])
     _write_summary(cfg, out_dir, stem, result.facts)
 
 
@@ -1019,12 +1050,14 @@ def _case_failures(cases: Sequence) -> list[Fact]:
 
 def _run_simulate(cfg: ExperimentConfig) -> ScenarioResult:
     model = build_model(cfg)
-    grid = OutputGrid(kind=cfg.values["sim.grid"], count=cfg.values["sim.grid_count"])
-    opts = build_options(cfg, grid=grid)
+    T, s, count = model.horizon.T, cfg.values["sim.s"], cfg.values["sim.grid_count"]
     t_end = cfg.values["sim.t_end"]
-    t_end = model.horizon.T - model.horizon.rho_min if t_end is None else t_end
+    t_end = T - model.horizon.rho_min if t_end is None else t_end
     x0 = np.asarray(cfg.values["sim.x0"], dtype=float)
-    traj = integrate(model, None, x0, cfg.values["sim.s"], t_end, opts)
+    traj = integrate(model, None, x0, s, t_end, build_options(cfg))
+    # the CSV's grid: uniform in t or geometric in T - t
+    grid = (np.linspace(s, t_end, count) if cfg.values["sim.grid"] == "uniform"
+            else T - np.geomspace(T - s, T - t_end, count))
     final = traj.xs[-1]
     facts = [("variant", model.variant),
              ("span", f"[{fmt(traj.t0)}, {fmt(traj.t_last)}]"),
@@ -1033,7 +1066,8 @@ def _run_simulate(cfg: ExperimentConfig) -> ScenarioResult:
              ("final norm", fmt(math.hypot(*final)))]
     return ScenarioResult("simulate", facts, EXIT_OK if traj.completed else EXIT_NUMERICAL, traj,
                           error="" if traj.completed
-                          else f"simulate: integration ended early: {traj.termination.kind}")
+                          else f"simulate: integration ended early: {traj.termination.kind}",
+                          grid=grid)
 
 
 def _run_verify_deadline(cfg: ExperimentConfig) -> ScenarioResult:
@@ -1135,7 +1169,7 @@ def _run_workaround(cfg: ExperimentConfig) -> ScenarioResult:
     noise_bound = cfg.values["workaround.noise_eta_bar"]
     noise = None
     if noise_bound is not None:
-        noise = lambda: controller_divergence_noise(noise_bound, T=model.horizon.T)
+        noise = lambda: controller_divergence_noise(noise_bound, n=model.n, T=model.horizon.T)
     if kind == "stop-time":
         report = evaluate_stop_time(model, cfg.values["workaround.t_stop"],
                                     cfg.values["workaround.ics"], noise=noise, opts=opts)
@@ -1257,20 +1291,20 @@ def _selftest(cfg: ExperimentConfig, out_dir: str) -> int:
 def run(cfg: ExperimentConfig) -> int:
     """Execute the configured scenario, write its artifacts and return the
     process exit code.  A scenario runner returns before anything is
-    written, so a scenario that raises writes nothing (selftest writes each
-    check as it goes)."""
+    written, and _write_result raises before it opens a file, so a scenario
+    that raises writes nothing (selftest writes each check as it goes)."""
     out_dir = os.environ.get(OUTPUT_DIR_ENV) or cfg.values["output.dir"]
     try:
         if cfg.scenario == "selftest":
             return _selftest(cfg, out_dir)
         result = _RUNNERS[cfg.scenario.split(".", 1)[0]](cfg)
+        _write_result(cfg, out_dir, result.stem, result)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalFailure, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _write_result(cfg, out_dir, result.stem, result)
     if result.error:
         print(result.error, file=sys.stderr)
     return result.exit_code

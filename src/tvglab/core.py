@@ -258,11 +258,9 @@ class NoiseSource:
     same value for every (t, x) until observe() returns True.  The
     integrator then queries and checks a held source once after the first
     observe() and once after each switch, and reuses that value for every
-    stage and sample; only a held source can serve an output grid, whose
-    rows carry the noise recorded at the knot that opens their step.  A
-    control-loop source may return an array or a list of exactly n floats
-    (anything else raises ValueError at the query); a list is recorded as
-    it is, so the source must not change it later.
+    stage and knot.  A control-loop source may return an array or a list
+    of exactly n floats (anything else raises ValueError at the query); a
+    list is recorded as it is, so the source must not change it later.
     """
 
     bound: float = 0.0
@@ -423,8 +421,8 @@ class SystemModel:
             else:
                 y = xs[:, 0] + etas[:, 0]
                 phi = np.column_stack([g.value_at(us) * y for g in self._channels])
-                # ties keep the first channel and the first NaN wins, so the
-                # sample record rejects it
+                # ties keep the first channel and the first NaN wins, so a
+                # finiteness check on the record rejects it
                 out = phi[np.arange(len(ts)), np.argmax(np.abs(phi), axis=1)]
         return float(out[0]) if scalar else out
 

@@ -44,11 +44,8 @@ between is DOPRI5's continuous extension (Hairer, Norsett & Wanner, section
 II.6): the cubic Hermite interpolant of the step's end states and
 derivatives plus
 theta^2 (1 - theta)^2 D, where D = h * sum(d_i k_i) over the step's stages
-is computed on floats when the step is accepted.  An optional output grid
-(held noise only) is filled in one batched pass after the last step: the
-evaluator of Trajectory.state_at over the knot record, merged with the knot
-rows by index, each row with the noise of the knot that opens its step.
-Without grid points strictly inside steps the sample table is the knot table.
+is computed on floats when the step is accepted.  The knot record is all
+that integrate returns: every other time is read from this dense output.
 """
 
 from __future__ import annotations
@@ -378,26 +375,6 @@ MAX_TRIAL_STEPS = 100_000
 
 
 @dataclass(frozen=True)
-class OutputGrid:
-    """Requested dense-output grid: "uniform" in t or "geometric" in (T - t)."""
-
-    kind: str
-    count: int
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "geometric"):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
-        if self.count < 2:
-            raise ValueError("grid count must be at least 2")
-
-    def points(self, t0: float, t_end: float, T: float) -> np.ndarray:
-        if self.kind == "uniform":
-            return np.linspace(t0, t_end, self.count)
-        u = np.geomspace(T - t0, T - t_end, self.count)
-        return T - u
-
-
-@dataclass(frozen=True)
 class IntegrationOptions:
     """Tolerances and safety rails for one integration run.
 
@@ -409,7 +386,6 @@ class IntegrationOptions:
     abs_tol: float = 1e-12
     max_norm: float = 1e9
     max_step_fraction: float = 0.1
-    output_grid: Optional[OutputGrid] = None
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
@@ -438,29 +414,21 @@ class Termination:
 
 @dataclass
 class Trajectory:
-    """Committed solution record of one integration run.
+    """Committed solution record of one integration run: one knot per
+    committed step's end, at strictly increasing times.
 
-    ts/xs/etas/gains hold the sample table (strictly increasing times):
-    every committed step plus any requested grid points (held noise only),
-    with the noise recorded at each knot, or at the knot that opens a grid
-    point's step, and the scalar algorithm output.  Unless
-    grid points fall strictly inside steps, the sample table is the knot
-    table: ts and xs equal knot_ts and knot_xs bit for bit, in arrays of
-    their own.  The gains column comes from one batched
-    SystemModel.gain_output call over the whole table after the last step;
-    a non-finite entry raises NumericalFailure then.
-
-    The knot record holds each committed step's end: knot_fs is the
-    derivative's right limit there, knot_fl its left limit; they differ
-    only at a noise switch, where knot_fs uses the post-switch noise, and
-    where a segment's law jumps at a landed discontinuity.
+    ts, xs and etas are the knots' times, states and noise as recorded
+    there (the post-switch noise at a switch); knot_ts and knot_xs are the
+    same arrays as ts and xs.  knot_fs is the derivative's right limit at
+    each knot, knot_fl its left limit; they differ only at a noise switch,
+    where knot_fs uses the post-switch noise, and where a segment's law
+    jumps at a landed discontinuity.
     knot_ds is the D of DOPRI5's continuous extension for the step the knot
     closes, 0 only at the start knot.  state_at interpolates each step by
     the cubic Hermite from its opening knot's state and right limit to its
     closing knot's state and left limit, plus theta^2 (1 - theta)^2 times
-    the closing knot's D.  Grid samples come from the same evaluator, so
-    they equal state_at at their times bit for bit.  A run stopped by its
-    stop condition ends at a full step, like any other.
+    the closing knot's D.  A run stopped by its stop condition ends at a
+    full step, like any other.
 
     trials counts the run's trial steps, accepted and rejected, as they
     count against MAX_TRIAL_STEPS; a run without a rejected step has one
@@ -470,9 +438,6 @@ class Trajectory:
     ts: np.ndarray
     xs: np.ndarray
     etas: np.ndarray
-    gains: np.ndarray
-    knot_ts: np.ndarray
-    knot_xs: np.ndarray
     knot_fs: np.ndarray
     knot_fl: np.ndarray
     knot_ds: np.ndarray
@@ -484,6 +449,14 @@ class Trajectory:
     T: float
     rho_min: float
     n: int
+
+    @property
+    def knot_ts(self) -> np.ndarray:
+        return self.ts
+
+    @property
+    def knot_xs(self) -> np.ndarray:
+        return self.xs
 
     def state_at(self, t):
         """Dense-output state at time(s) t within [t0, t_last]."""
@@ -565,7 +538,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     where it holds.  The crossing inside that step is the caller's to
     locate, e.g. by _earliest on the step's dense output.  A held source
     (NoiseSource.held) is queried once after the first observe and once
-    after each switch, and that value serves every stage and sample until
+    after each switch, and that value serves every stage and knot until
     the next switch.  A source that gives a segment (NoiseSource.segment)
     is queried and its segment read at the same knots and after each step
     that lands on its next_discontinuity; the fused loop evaluates the
@@ -576,10 +549,8 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     run of the same source queried at every stage bit for bit, but the more
     accurate of the two near T.  Any other source, and a segment source
     under a model class that overrides rhs, is queried at every RK stage,
-    with the stage state as a list of floats.  An output grid needs a held
-    source (ValueError before any query with another); a grid row carries
-    the noise recorded at the knot that opens its step.  Each noise value
-    is checked against the source's bound; a violation raises
+    with the stage state as a list of floats.  Each noise value is checked
+    against the source's bound; a violation raises
     NoiseBoundViolation; a control-loop noise or segment that is not n
     floats, or a differentiator noise that is not a scalar, raises
     ValueError.
@@ -611,7 +582,7 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     def eta_at(t, state):
         """The noise queried at (t, state), checked against its bound: a
         list of n floats for the control loop, a float for the
-        differentiator.  Stages and sample records use it alike."""
+        differentiator.  Stages and knot records use it alike."""
         e = noise.value(t, state)
         if is_control:
             if type(e) is not list:
@@ -631,13 +602,10 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
                 f"noise bound violated at t={t!r}: |eta|={norm!r} > {noise.bound!r}")
         return e
 
-    if opts.output_grid is not None and not held:
-        raise ValueError("an output grid needs a held noise source")
-
     # the knot record, one row per committed step in one flat list of
     # floats: its time, state, derivative and the D of the step it closes,
-    # and the noise recorded with the knot's sample (n floats for the
-    # control loop, one for the differentiator)
+    # and the noise recorded there (n floats for the control loop, one
+    # for the differentiator)
     knots: list[float] = []
 
     def record(t, x, f, d, eta):
@@ -738,32 +706,10 @@ def integrate(model: SystemModel, noise: Optional[NoiseSource], x0, t0: float, t
     kfl = kfs.copy()
     if renewal_ts:
         kfl[np.searchsorted(kts, renewal_ts)] = renewal_fls
-    # the sample table: the knot rows, and the grid points strictly inside
-    # steps merged in after the knot that opens their step, with its noise
-    gts = ()
-    if opts.output_grid is not None:
-        gts = opts.output_grid.points(t0, t_end, T)
-        gts = gts[(gts > t0) & (gts < t)]
-        opening = np.searchsorted(kts, gts, side="right") - 1
-        inside = kts[opening] != gts
-        gts, opening = gts[inside], opening[inside]
-    if not len(gts):  # the knot table, in arrays of its own
-        ts_arr, xs_arr, etas_arr = kts.copy(), kxs.copy(), ketas
-    else:
-        at = opening + 1
-        ts_arr = np.insert(kts, at, gts)
-        xs_arr = np.insert(kxs, at, _dense_states(kts, kxs, kfs, kfl, kds, opening, gts), axis=0)
-        etas_arr = np.insert(ketas, at, ketas[opening], axis=0)
-    gains = model.gain_output(ts_arr, xs_arr, etas_arr)
-    if not np.all(np.isfinite(gains)):
-        raise NumericalFailure("non-finite value in integration record")
     return Trajectory(
-        ts=ts_arr,
-        xs=xs_arr,
-        etas=etas_arr,
-        gains=gains,
-        knot_ts=kts,
-        knot_xs=kxs,
+        ts=kts,
+        xs=kxs,
+        etas=ketas,
         knot_fs=kfs,
         knot_fl=kfl,
         knot_ds=kds,

@@ -26,8 +26,8 @@ from tvglab.core import (
     rational_loop,
     reference_loop,
 )
-from tvglab.integrate import (EVENT, REACHED_END, IntegrationOptions, OutputGrid, Termination,
-                              Trajectory, _earliest, integrate)
+from tvglab.integrate import (EVENT, REACHED_END, IntegrationOptions, Termination, Trajectory,
+                              _earliest, integrate)
 from tvglab.oracle import reference_solution
 
 analysis = importlib.import_module("tvglab.analysis")
@@ -405,23 +405,17 @@ class _QueriedNoise(NoiseSource):
 
 def test_deadzone_queries_a_source_that_is_not_held_with_a_list_at_entry():
     # the entry's noise is the source's value at the entry state, which it
-    # gets as a list of floats like every query integrate makes; the probe
-    # takes no output grid, which a source that is not held could not serve
+    # gets as a list of floats like every query integrate makes
     model = reference_loop(rho_min=1e-6)
-    grid = IntegrationOptions(output_grid=OutputGrid("uniform", 500))
-    sources, reports = [], []
+    sources = []
 
     def fresh():
         sources.append(_QueriedNoise())
         return sources[-1]
 
-    for opts in (None, grid):
-        reports.append(evaluate_deadzone(model, 1e-2, ((1.0, 0.0),), noise=fresh, opts=opts))
-    assert reports[0] == reports[1]
-    case = reports[0].cases[0]
+    case = evaluate_deadzone(model, 1e-2, ((1.0, 0.0),), noise=fresh).cases[0]
     assert case.entered
-    for noise in sources:
-        assert noise.lists and all(noise.lists)
+    assert len(sources) == 1 and sources[0].lists and all(sources[0].lists)
     eta = [1e-4 * math.tanh(case.entry_state[0]), 0.0]
     assert case.gain_at_entry == abs(float(model.gain_output(case.entry_time,
                                                              np.array(case.entry_state), eta)))
@@ -448,9 +442,8 @@ def test_deadzone_entry_at_the_event_knot_that_ends_the_run():
     # x1 = 1e-2, and its root is 1.0 exactly: the entry is the event knot
     ts, xs = np.array([0.0, 0.5]), np.array([[2e-2, 0.0], [1e-2, 0.0]])
     fs = np.array([[-2e-2, 0.0], [-2e-2, 0.0]])
-    probe = Trajectory(ts=ts, xs=xs, etas=np.zeros((2, 2)), gains=np.zeros(2), knot_ts=ts,
-                       knot_xs=xs, knot_fs=fs, knot_fl=fs, knot_ds=np.zeros((2, 2)), t0=0.0,
-                       t_last=0.5,
+    probe = Trajectory(ts=ts, xs=xs, etas=np.zeros((2, 2)), knot_fs=fs, knot_fl=fs,
+                       knot_ds=np.zeros((2, 2)), t0=0.0, t_last=0.5,
                        termination=Termination(kind=EVENT, t=0.5), trials=1, switch_times=(),
                        T=1.0, rho_min=0.0, n=2)
     assert _box_entry(probe, 1e-2) == (0.5, 0)
@@ -466,8 +459,8 @@ def test_deadzone_entry_inside_a_step_comes_from_the_d_term():
     fs, ds = np.zeros((2, 2)), np.array([[0.0, 0.0], [-0.32, 0.0]])
 
     def probe(ds):
-        return Trajectory(ts=ts, xs=xs, etas=np.zeros((2, 2)), gains=np.zeros(2), knot_ts=ts,
-                          knot_xs=xs, knot_fs=fs, knot_fl=fs, knot_ds=ds, t0=0.0, t_last=0.5,
+        return Trajectory(ts=ts, xs=xs, etas=np.zeros((2, 2)), knot_fs=fs, knot_fl=fs,
+                          knot_ds=ds, t0=0.0, t_last=0.5,
                           termination=Termination(kind=REACHED_END, t=0.5), trials=1,
                           switch_times=(), T=1.0, rho_min=0.0, n=2)
 

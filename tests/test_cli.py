@@ -23,10 +23,11 @@ from tvglab.cli import (
     main,
     parse_config,
     parse_trajectory_csv,
+    trajectory_rows,
     write_trajectory_csv,
 )
-from tvglab.core import DisturbanceSpec, GainTable, differentiator_error_model, reference_loop
-from tvglab.integrate import IntegrationOptions, OutputGrid, integrate
+from tvglab.core import DisturbanceSpec, GainTable, reference_loop
+from tvglab.integrate import integrate
 
 
 def test_fmt_round_trips_reference_values():
@@ -147,6 +148,10 @@ _REFERENCE_AT_T2 = ["simulate", "--system.T", "2", "--sim.x0", "1,0"]
      "deadline.ics: the model has 2 channels, got 1.0,0.0,0.0; 2.0"),
     (["workaround", "--workaround.variant", "stop-time", "--workaround.ics", "1,0,0"],
      "workaround.ics: the model has 2 channels, got 1.0,0.0,0.0"),
+    # the divergence noise drives the control loop only
+    (["workaround", "--workaround.variant", "deadzone", "--system.variant", "diff_error",
+      "--workaround.noise_eta_bar", "1e-2"],
+     "workaround.noise_eta_bar: the divergence noise needs system.variant = control_loop"),
     (["attack", "--attack.kind", "controller-terminal", "--attack.eta_bar", "0.01",
       "--attack.epsilon", "0.5", "--attack.x0", "1,0,0"],
      "attack.x0: the model has 2 channels, got 1.0,0.0,0.0"),
@@ -169,7 +174,8 @@ _REFERENCE_AT_T2 = ["simulate", "--system.T", "2", "--sim.x0", "1,0"]
 ], ids=["reference_at_T2", "deadline_starts_out_of_range",
         "deadline_starts_empty", "deadline_ics_empty", "workaround_ics_empty",
         "sim_x0_length", "deadline_ics_length", "workaround_ics_length",
-        "controller_ramp_x0_length", "diff_terminal_x0_length", "zero_table_x0_length",
+        "workaround_noise_diff_error", "controller_ramp_x0_length", "diff_terminal_x0_length",
+        "zero_table_x0_length",
         "rational_table_x0_length", "gain_power_overflow",
         *[f"removed_{key}" for key, _ in _REMOVED_KEYS],
         *[f"bad_form_{value}" for _, value, _ in _BAD_FORMS]])
@@ -405,36 +411,30 @@ def test_flag_problems_are_config_errors(capsys, flags, fragment):
 
 def test_parse_config_choice_validation():
     with pytest.raises(ConfigError) as err:
-        parse_config("scenario = verify-deadline\nsim.grid = cubic\n")
-    assert any("sim.grid" in m for m in err.value.violations)
+        parse_config("scenario = verify-deadline\nsim.grid = cubic\nsim.grid_count = 1\n")
+    assert any("sim.grid must be one of" in m for m in err.value.violations)
+    assert any("sim.grid_count must lie in [2, " in m for m in err.value.violations)
 
 
 def test_trajectory_csv_round_trip_is_bit_exact(tmp_path):
     model = reference_loop()
-    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.97,
-                     IntegrationOptions(output_grid=OutputGrid(kind="geometric", count=50)))
+    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.97)
+    rows = trajectory_rows(model, traj, 1.0 - np.geomspace(1.0, 0.03, 50))
+    assert len(rows["ts"]) > len(traj.ts)
     path = str(tmp_path / "traj.csv")
-    write_trajectory_csv(path, traj, None, ["# note: round trip fixture"])
+    write_trajectory_csv(path, rows, None, ["# note: round trip fixture"])
     parsed = parse_trajectory_csv(path)
     assert parsed["header"] == ["t", "x1", "x2", "eta1", "eta2", "gain_out"]
-    assert np.array_equal(parsed["ts"], traj.ts)
-    assert np.array_equal(parsed["xs"], traj.xs)
-    assert np.array_equal(parsed["etas"], traj.etas)
-    assert np.array_equal(parsed["gains"], traj.gains)
+    _assert_same_table(parsed, rows)
     assert "# note: round trip fixture" in parsed["comments"]
 
 
-_MODELS = {"control_loop": reference_loop, "diff_error": differentiator_error_model}
-
-
-def _table_trajectory(variant, values):
-    """A trajectory of the given variant whose sample table rows are filled,
-    row by row, from values (t, x1, x2, eta..., gain_out)."""
-    base = integrate(_MODELS[variant](), None, np.array([1.0, 0.0]), 0.0, 0.5)
-    cols = 4 + base.etas.shape[1]
+def _table_rows(variant, values):
+    """The trajectory CSV columns of a two-channel model of the given
+    variant, filled row by row from values (t, x1, x2, eta..., gain_out)."""
+    cols = 6 if variant == "control_loop" else 5
     data = np.asarray(values, dtype=float).reshape(-1, cols)
-    return dataclasses.replace(base, ts=data[:, 0], xs=data[:, 1:3], etas=data[:, 3:-1],
-                               gains=data[:, -1])
+    return {"ts": data[:, 0], "xs": data[:, 1:3], "etas": data[:, 3:-1], "gains": data[:, -1]}
 
 
 def _body(path):
@@ -443,10 +443,10 @@ def _body(path):
     return lines[1:]
 
 
-def _assert_same_table(parsed, traj):
+def _assert_same_table(parsed, rows):
     for key in ("ts", "xs", "etas", "gains"):
-        assert parsed[key].shape == getattr(traj, key).shape
-        assert parsed[key].tobytes() == getattr(traj, key).tobytes()
+        assert parsed[key].shape == rows[key].shape
+        assert parsed[key].tobytes() == rows[key].tobytes()
 
 
 @pytest.mark.parametrize("variant", ["control_loop", "diff_error"])
@@ -456,24 +456,24 @@ def test_trajectory_csv_rows_are_fmt_text(tmp_path, variant):
             -1.7976931348623157e308, 0.0, -5e-324]
     cols = 6 if variant == "control_loop" else 5
     # every value in every column, over more rows than one written block
-    traj = _table_trajectory(variant, [np.roll(edge, k)[:cols] for k in range(1100)])
+    columns = _table_rows(variant, [np.roll(edge, k)[:cols] for k in range(1100)])
     path = str(tmp_path / "edge.csv")
-    write_trajectory_csv(path, traj)
-    rows = np.column_stack([traj.ts, traj.xs, traj.etas, traj.gains])
-    assert _body(path) == [",".join(fmt(v) for v in row) for row in rows]
-    _assert_same_table(parse_trajectory_csv(path), traj)
+    write_trajectory_csv(path, columns)
+    table = np.column_stack([columns["ts"], columns["xs"], columns["etas"], columns["gains"]])
+    assert _body(path) == [",".join(fmt(v) for v in row) for row in table]
+    _assert_same_table(parse_trajectory_csv(path), columns)
 
 
 @pytest.mark.parametrize("variant", ["control_loop", "diff_error"])
 def test_one_row_trajectory_csv_parses_to_a_table(tmp_path, variant):
     cols = 6 if variant == "control_loop" else 5
-    traj = _table_trajectory(variant, [0.5 + k for k in range(cols)])
+    columns = _table_rows(variant, [0.5 + k for k in range(cols)])
     path = str(tmp_path / "one.csv")
-    write_trajectory_csv(path, traj)
+    write_trajectory_csv(path, columns)
     parsed = parse_trajectory_csv(path)
     assert parsed["xs"].shape == (1, 2)
     assert parsed["etas"].shape == (1, cols - 4)
-    _assert_same_table(parsed, traj)
+    _assert_same_table(parsed, columns)
 
 
 @settings(max_examples=100, deadline=None)
@@ -481,10 +481,10 @@ def test_one_row_trajectory_csv_parses_to_a_table(tmp_path, variant):
     lambda b: (b >> 52) & 0x7FF != 0x7FF), min_size=6, max_size=120))
 def test_trajectory_csv_round_trips_random_bit_patterns(tmp_path_factory, bits):
     values = np.array(bits[:len(bits) // 6 * 6], dtype=np.uint64).view(np.float64)
-    traj = _table_trajectory("control_loop", values)
+    columns = _table_rows("control_loop", values)
     path = str(tmp_path_factory.getbasetemp() / "bits.csv")
-    write_trajectory_csv(path, traj)
-    _assert_same_table(parse_trajectory_csv(path), traj)
+    write_trajectory_csv(path, columns)
+    _assert_same_table(parse_trajectory_csv(path), columns)
 
 
 # any 64-bit pattern (NaN, infinities, subnormals), or a normal value of
@@ -499,9 +499,9 @@ _ANY_BITS = st.one_of(
 @given(st.lists(_ANY_BITS, min_size=6, max_size=120))
 def test_trajectory_csv_rows_are_fmt_text_for_any_bit_pattern(tmp_path_factory, bits):
     values = np.array(bits[:len(bits) // 6 * 6], dtype=np.uint64).view(np.float64)
-    traj = _table_trajectory("control_loop", values)
+    columns = _table_rows("control_loop", values)
     path = str(tmp_path_factory.getbasetemp() / "any_bits.csv")
-    write_trajectory_csv(path, traj)
+    write_trajectory_csv(path, columns)
     assert _body(path) == [",".join(fmt(v) for v in row) for row in values.reshape(-1, 6)]
 
 
@@ -532,10 +532,10 @@ def test_trajectory_csv_mixes_kernel_rows_and_fallback_rows(tmp_path, monkeypatc
         if r % 5 == 0:
             row[r % 6] = fallback[(r // 5) % len(fallback)]
         rows.append(row)
-    traj = _table_trajectory("control_loop", rows)
+    columns = _table_rows("control_loop", rows)
     path = str(tmp_path / "mixed.csv")
     formatted = _count_fallback_rows(monkeypatch)
-    write_trajectory_csv(path, traj)
+    write_trajectory_csv(path, columns)
     assert _body(path) == [",".join(fmt(v) for v in row) for row in rows]
     assert len(formatted) == 220
 
@@ -561,9 +561,9 @@ def _bits(*values):
                     1e-100, -3.5e123, 1e-281))
 def test_trajectory_csv_reads_any_bit_pattern_as_float_does(tmp_path_factory, bits):
     values = np.array(bits[:len(bits) // 6 * 6], dtype=np.uint64).view(np.float64)
-    traj = _table_trajectory("control_loop", values)
+    columns = _table_rows("control_loop", values)
     path = str(tmp_path_factory.getbasetemp() / "read_bits.csv")
-    write_trajectory_csv(path, traj)
+    write_trajectory_csv(path, columns)
     table = _table(parse_trajectory_csv(path))
     expected = np.array([float(tok) for tok in _tokens(path)]).reshape(table.shape)
     assert table.tobytes() == expected.tobytes()
@@ -617,13 +617,15 @@ def test_trajectory_csv_reader_mixes_kernel_tokens_and_fallback_tokens(tmp_path,
 
 
 def _real_table_lines(tmp_path, rows=3000):
-    """The lines of a written trajectory CSV of rows rows, several blocks long."""
-    traj = integrate(reference_loop(), None, np.array([1.0, 0.0]), 0.0, 0.97,
-                     IntegrationOptions(output_grid=OutputGrid(kind="uniform", count=rows)))
+    """A written trajectory CSV's columns and lines, on a uniform grid of
+    rows points, several blocks long."""
+    model = reference_loop()
+    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.97)
+    table = trajectory_rows(model, traj, np.linspace(0.0, 0.97, rows))
     path = str(tmp_path / "real.csv")
-    write_trajectory_csv(path, traj, None, ["# note: before the header"])
+    write_trajectory_csv(path, table, None, ["# note: before the header"])
     with open(path, encoding="utf-8") as fh:
-        return traj, fh.read().split("\n")
+        return table, fh.read().split("\n")
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -669,23 +671,23 @@ def test_trajectory_csv_rows_narrower_than_the_header_are_rejected(tmp_path):
 
 @pytest.mark.parametrize("variant", ["control_loop", "diff_error"])
 def test_header_only_trajectory_csv_gives_empty_columns(tmp_path, variant):
-    traj = _table_trajectory(variant, [])
+    columns = _table_rows(variant, [])
     path = str(tmp_path / "empty.csv")
-    write_trajectory_csv(path, traj, None, ["# note: no samples"])
+    write_trajectory_csv(path, columns, None, ["# note: no samples"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         parsed = parse_trajectory_csv(path)
     assert parsed["comments"] == ["# note: no samples"]
     assert parsed["ts"].shape == parsed["gains"].shape == (0,)
     assert parsed["xs"].shape == (0, 2)
-    assert parsed["etas"].shape == (0, traj.etas.shape[1])
+    assert parsed["etas"].shape == (0, columns["etas"].shape[1])
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_trajectory_csv_reader_skips_blank_lines_and_collects_comments(tmp_path, newline):
     # '#' lines are comments wherever they stand, blank lines are skipped, a
     # row drops its text from '#' on, and a missing last newline is no fault
-    traj, lines = _real_table_lines(tmp_path)
+    columns, lines = _real_table_lines(tmp_path)
     lines[2 + 900] += "  # inline"
     lines[2 + 700:2 + 700] = ["", "# note: between rows", ""]
     lines[2:2] = ["", "# note: after the header"]
@@ -696,7 +698,7 @@ def test_trajectory_csv_reader_skips_blank_lines_and_collects_comments(tmp_path,
     assert parsed["header"] == ["t", "x1", "x2", "eta1", "eta2", "gain_out"]
     assert parsed["comments"] == ["# note: before the header", "# note: after the header",
                                   "# note: between rows"]
-    _assert_same_table(parsed, traj)
+    _assert_same_table(parsed, columns)
 
 
 @pytest.mark.parametrize("argv", [
@@ -909,6 +911,51 @@ def test_workaround_subcommand(tmp_path):
     text = (tmp_path / "tvglab_workaround_stop_time.csv").read_text()
     assert "# fit: slope = " in text
     assert "xi1,xi2,residual_x1,residual_x2,residual_norm" in text
+
+
+@pytest.mark.parametrize("variant", ["stop-time", "deadzone"])
+def test_noisy_workaround_runs_on_every_channel_count(tmp_path, variant):
+    # the divergence noise has one channel per state channel: two-channel
+    # noise on the order-3 loop was a shape error, exit 1
+    assert main(["workaround", "--workaround.variant", variant,
+                 "--system.gains", "-60,3; -36,2; -9,1", "--workaround.ics", "1,0,0; 2,0,0; 5,0,0",
+                 "--workaround.noise_eta_bar", "1e-2", "--output.dir", str(tmp_path)]) == 0
+    summary = (tmp_path / f"tvglab_workaround_{variant.replace('-', '_')}_summary.txt").read_text()
+    assert "noisy: True" in summary
+    if variant == "stop-time":
+        r_squared = float(summary.rpartition("r_squared = ")[2].split()[0])
+        assert r_squared > 0.999
+    else:
+        assert "no entry before T - rho_min for cases: 0, 1, 2" in summary
+
+
+def test_trajectory_rows_take_state_at_and_the_noise_of_the_opening_knot():
+    model = reference_loop()
+    traj = integrate(model, attack.controller_divergence_noise(1e-2), np.array([1.0, -0.5]),
+                     0.0, 1.0 - 1e-9)
+    assert traj.switch_times
+    # grid points at step midpoints, on every knot, and at and past t_last
+    mids = 0.5 * (traj.ts[1:] + traj.ts[:-1])
+    rows = trajectory_rows(model, traj, np.concatenate([mids, traj.ts, [traj.t_last, 1.0]]))
+    ts, xs, etas = rows["ts"], rows["xs"], rows["etas"]
+    assert len(ts) == len(traj.ts) + len(mids) and np.all(np.diff(ts) > 0.0)
+    knots = np.isin(ts, traj.ts)
+    assert ts[knots].tobytes() == traj.ts.tobytes()
+    assert xs[knots].tobytes() == traj.xs.tobytes() and etas[knots].tobytes() == traj.etas.tobytes()
+    assert ts[~knots].tobytes() == mids.tobytes()
+    assert xs[~knots].tobytes() == traj.state_at(mids).tobytes()
+    # the noise of the knot that opens the step, not of the switch that closes it
+    assert etas[~knots].tobytes() == traj.etas[:-1].tobytes()
+    assert not np.array_equal(traj.etas[:-1], traj.etas[1:])
+
+
+def test_non_finite_gain_column_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.SystemModel, "gain_output",
+                        lambda self, t, x, eta: np.full(np.shape(t), np.nan))
+    assert main(["simulate", "--sim.x0", "1,0", "--output.dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: non-finite value in integration record"]
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
 def test_gain_scan_and_falsify_subcommands(tmp_path):

@@ -25,6 +25,7 @@ from tvglab.core import (
     rational_loop,
     reference_loop,
 )
+from tvglab.cli import trajectory_rows
 from tvglab.integrate import integrate
 
 
@@ -413,8 +414,8 @@ def _channels_output(channels):
 
 
 class _ZeroRhsModel(SystemModel):
-    """Model whose right-hand side is zero, so only the sample record sees a
-    non-finite gain output."""
+    """Model whose right-hand side is zero, so only the gain column of the
+    trajectory CSV's rows sees a non-finite gain output."""
 
     def rhs(self, t, x, eta):
         return np.zeros(self.n)
@@ -425,8 +426,10 @@ def test_gain_output_first_nan_beats_a_larger_finite_channel():
     assert math.isnan(_channels_output([_NAN_CHANNEL, ((5.0, 0),)]))
     src = rational_diff_error([((5.0, 0),), _NAN_CHANNEL])
     model = _ZeroRhsModel(src.variant, src.horizon, src.gains)
+    traj = integrate(model, None, np.array([1.0, 0.0]), 0.5, 0.9)  # computes no gain output
+    assert traj.completed
     with pytest.raises(NumericalFailure, match="non-finite"):
-        integrate(model, None, np.array([1.0, 0.0]), 0.5, 0.9)
+        trajectory_rows(model, traj)
 
 
 def test_gain_output_keeps_the_sign_of_inf():

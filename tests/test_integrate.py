@@ -48,7 +48,6 @@ from tvglab.integrate import (
     STEP_BUDGET,
     STEP_UNDERFLOW,
     IntegrationOptions,
-    OutputGrid,
     _earliest,
     _require_complete,
     _step_state,
@@ -56,6 +55,7 @@ from tvglab.integrate import (
     integrate,
     terminal_state,
 )
+from tvglab.cli import main, parse_trajectory_csv, trajectory_rows
 from tvglab.oracle import reference_solution
 
 # the module itself: the package exports its integrate function under the
@@ -94,9 +94,7 @@ def _scaled_error(n, ts, xs, exact):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_closed_loop_matches_closed_form(n):
     x0 = np.eye(n)[0]
-    grid = OutputGrid(kind="geometric", count=101)
-    traj = integrate(rational_loop(_EULER_TABLES[n]), None, x0, 0.0, 1.0 - 1e-9,
-                     IntegrationOptions(output_grid=grid))
+    traj = integrate(rational_loop(_EULER_TABLES[n]), None, x0, 0.0, 1.0 - 1e-9)
     assert traj.completed
     assert traj.termination.kind == REACHED_END
     assert _scaled_error(n, traj.ts, traj.xs, _euler_states(n, x0, traj.ts)) <= 1e-9
@@ -123,15 +121,23 @@ def test_dense_output_between_steps(n):
         traj.state_at(1.0 - 1e-10)
 
 
-def test_output_grid_kinds():
-    model = reference_loop()
-    uni = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.9,
-                    IntegrationOptions(output_grid=OutputGrid(kind="uniform", count=33)))
-    for t in np.linspace(0.0, 0.9, 33):
-        assert np.min(np.abs(uni.ts - t)) < 1e-12
-    geo = integrate(model, None, np.array([1.0, 0.0]), 0.0, 1.0 - 1e-6,
-                    IntegrationOptions(output_grid=OutputGrid(kind="geometric", count=33)))
-    assert geo.ts[-1] == pytest.approx(1.0 - 1e-6, abs=1e-15)
+def _grid(kind, count, t0, t_end, T=1.0):
+    """The points of tvglab simulate's grid: uniform in t or geometric in T - t."""
+    if kind == "uniform":
+        return np.linspace(t0, t_end, count)
+    return T - np.geomspace(T - t0, T - t_end, count)
+
+
+def test_output_grid_kinds(tmp_path):
+    # the rows of simulate's CSV hold every grid point, the ends included
+    for kind, t_end in (("uniform", 0.9), ("geometric", 1.0 - 1e-6)):
+        assert main(["simulate", "--sim.x0", "1,0", "--sim.grid", kind, "--sim.grid_count", "33",
+                     "--sim.t_end", repr(t_end), "--output.dir", str(tmp_path),
+                     "--output.prefix", kind]) == 0
+        ts = parse_trajectory_csv(str(tmp_path / f"{kind}_simulate.csv"))["ts"]
+        points = _grid(kind, 33, 0.0, t_end)
+        assert np.all(np.isin(points, ts))
+        assert ts[0] == 0.0 and ts[-1] == t_end
 
 
 def test_steps_shrink_toward_deadline():
@@ -266,63 +272,68 @@ def test_segment_jump_at_a_barrier_is_landed_on_the_pre_barrier_law():
 @pytest.mark.parametrize("model", [reference_loop(), differentiator_error_model()],
                          ids=["control_loop", "diff_error"])
 def test_grid_samples_are_the_dense_output(model, kind):
-    grid = OutputGrid(kind=kind, count=3000)
     t_end = 1.0 - 1e-6
-    traj = integrate(model, None, np.array([1.0, -0.5]), 0.0, t_end,
-                     IntegrationOptions(output_grid=grid))
-    assert np.all(np.diff(traj.ts) > 0.0)
-    between = np.isin(traj.ts, traj.knot_ts, invert=True)
-    points = grid.points(0.0, t_end, 1.0)
+    traj = integrate(model, None, np.array([1.0, -0.5]), 0.0, t_end)
+    points = _grid(kind, 3000, 0.0, t_end)
+    rows = trajectory_rows(model, traj, points)
+    ts, xs = rows["ts"], rows["xs"]
+    assert np.all(np.diff(ts) > 0.0)
+    between = np.isin(ts, traj.knot_ts, invert=True)
     expected = points[(points > 0.0) & (points < t_end)]
-    np.testing.assert_array_equal(traj.ts[between], np.setdiff1d(expected, traj.knot_ts))
+    np.testing.assert_array_equal(ts[between], np.setdiff1d(expected, traj.knot_ts))
     assert np.count_nonzero(between) > 2500
     # bit for bit: the same cubic Hermite as state_at, on the same knots
-    assert traj.xs[between].tobytes() == traj.state_at(traj.ts[between]).tobytes()
+    assert xs[between].tobytes() == traj.state_at(ts[between]).tobytes()
+    assert xs[~between].tobytes() == traj.xs.tobytes()
 
 
 def test_grid_point_on_a_knot_or_switch_is_recorded_once():
-    grid = IntegrationOptions(output_grid=OutputGrid("uniform", 3))
-    assert grid.output_grid.points(0.0, 0.75, 1.0)[1] == 0.375
+    grid = _grid("uniform", 3, 0.0, 0.75)
+    assert grid[1] == 0.375
     # a disturbance whose only sample, of value 0, is at 0.375 puts a knot
     # there and leaves the noise-free run held
     landing = DisturbanceSpec(kind="piecewise", bound=0.0, samples=((0.375, 0.0),))
-    traj = integrate(reference_loop(landing), None, np.array([1.0, 0.0]), 0.0, 0.75, grid)
+    model = reference_loop(landing)
+    traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.75)
     assert 0.375 in traj.knot_ts
-    assert np.count_nonzero(traj.ts == 0.375) == 1
-    assert np.all(np.diff(traj.ts) > 0.0)
+    rows = trajectory_rows(model, traj, grid)
+    assert rows["ts"].tobytes() == traj.ts.tobytes()
 
     model = reference_loop()
     noise = _HeldLatchingNoise(2, 0.375)
-    traj = integrate(model, noise, np.array([1.0, 0.0]), 0.0, 0.75, grid)
+    traj = integrate(model, noise, np.array([1.0, 0.0]), 0.0, 0.75)
     assert traj.switch_times == (0.375,)
-    assert np.count_nonzero(traj.ts == 0.375) == 1
-    assert np.all(np.diff(traj.ts) > 0.0)
+    rows = trajectory_rows(model, traj, grid)
+    assert rows["ts"].tobytes() == traj.ts.tobytes()
+    assert np.count_nonzero(rows["ts"] == 0.375) == 1
     # the one record at the switch holds the right-limit noise
-    assert np.all(traj.etas[traj.ts == 0.375] == -0.01)
+    assert np.all(rows["etas"][rows["ts"] == 0.375] == -0.01)
 
 
 def test_grid_points_of_the_event_step_precede_the_event_sample():
     model = reference_loop()
-    grid = OutputGrid(kind="uniform", count=20001)
     traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.99,
-                     IntegrationOptions(output_grid=grid),
                      stop_condition=lambda t, x: x[0] <= 0.25)
     assert traj.termination.kind == EVENT
     t_ev = traj.termination.t
     step_start = traj.knot_ts[-2]
-    assert traj.ts[-1] == t_ev and traj.knot_ts[-1] == t_ev
-    assert np.all(np.diff(traj.ts) > 0.0)
-    points = grid.points(0.0, 0.99, 1.0)
+    assert traj.knot_ts[-1] == t_ev
+    points = _grid("uniform", 20001, 0.0, 0.99)
+    ts = trajectory_rows(model, traj, points)["ts"]
+    assert ts[-1] == t_ev
+    assert np.all(np.diff(ts) > 0.0)
     inside = points[(points > step_start) & (points < t_ev)]
     assert inside.size >= 2
-    np.testing.assert_array_equal(traj.ts[-1 - inside.size:-1], inside)
-    assert traj.ts[-2 - inside.size] == step_start
+    np.testing.assert_array_equal(ts[-1 - inside.size:-1], inside)
+    assert ts[-2 - inside.size] == step_start
+    # a grid point at or past t_last adds no row
+    assert len(trajectory_rows(model, traj, [t_ev, 0.99])["ts"]) == len(traj.ts)
 
 
 _GRID_RUNS = {
     "switching_held": (reference_loop, lambda: controller_divergence_noise(1e-2),
-                       OutputGrid("geometric", 3000), 1.0 - 1e-9, None),
-    "stop_event_held": (reference_loop, lambda: None, OutputGrid("uniform", 20001), 0.99,
+                       _grid("geometric", 3000, 0.0, 1.0 - 1e-9), 1.0 - 1e-9, None),
+    "stop_event_held": (reference_loop, lambda: None, _grid("uniform", 20001, 0.0, 0.99), 0.99,
                         lambda t, x: x[0] <= 0.25),
 }
 
@@ -330,31 +341,33 @@ _GRID_RUNS = {
 @pytest.mark.parametrize("run", list(_GRID_RUNS))
 def test_grid_samples_equal_state_at_in_every_run_kind(run):
     make_model, make_noise, grid, t_end, stop = _GRID_RUNS[run]
-    noise = make_noise()
-    traj = integrate(make_model(), noise, np.array([1.0, -0.5]), 0.0, t_end,
-                     IntegrationOptions(output_grid=grid), stop_condition=stop)
+    model = make_model()
+    traj = integrate(model, make_noise(), np.array([1.0, -0.5]), 0.0, t_end, stop_condition=stop)
     assert (traj.termination.kind == EVENT) == (stop is not None)
-    between = np.isin(traj.ts, traj.knot_ts, invert=True)
+    rows = trajectory_rows(model, traj, grid)
+    between = np.isin(rows["ts"], traj.knot_ts, invert=True)
     # grid points fall on the steps that matter here: those ending at a
     # switch, or the step ending at the event
     ends = traj.switch_times if stop is None else (traj.t_last,)
     assert ends
-    closing = np.searchsorted(traj.knot_ts, traj.ts[between])
+    closing = np.searchsorted(traj.knot_ts, rows["ts"][between])
     assert set(traj.knot_ts[closing]) >= set(ends)
-    assert traj.xs[between].tobytes() == traj.state_at(traj.ts[between]).tobytes()
+    assert rows["xs"][between].tobytes() == traj.state_at(rows["ts"][between]).tobytes()
 
 
 def test_held_grid_noise_is_the_value_of_its_segment():
-    traj = integrate(reference_loop(), controller_divergence_noise(1e-2), np.array([1.0, -0.5]),
-                     0.0, 1.0 - 1e-9,
-                     IntegrationOptions(output_grid=OutputGrid("geometric", 3000)))
-    between = np.isin(traj.ts, traj.knot_ts, invert=True)
+    model = reference_loop()
+    traj = integrate(model, controller_divergence_noise(1e-2), np.array([1.0, -0.5]),
+                     0.0, 1.0 - 1e-9)
+    rows = trajectory_rows(model, traj, _grid("geometric", 3000, 0.0, 1.0 - 1e-9))
+    ts, etas = rows["ts"], rows["etas"]
+    between = np.isin(ts, traj.knot_ts, invert=True)
     edges = (traj.t0, *traj.switch_times, math.inf)
     assert len(edges) == 9
     for a, b in zip(edges, edges[1:]):
-        segment = (traj.ts >= a) & (traj.ts < b)
+        segment = (ts >= a) & (ts < b)
         assert np.count_nonzero(segment & between) > 0
-        assert np.all(traj.etas[segment] == traj.etas[traj.ts == a])
+        assert np.all(etas[segment] == etas[ts == a])
 
 
 class _LatchingNoise(_BarrierNoise):
@@ -395,7 +408,8 @@ def test_switch_sample_records_the_post_switch_noise():
     knot = int(np.flatnonzero(traj.knot_ts == 0.375)[0])
     x_sw = traj.knot_xs[knot]
     np.testing.assert_array_equal(traj.knot_fs[knot], model.rhs(0.375, x_sw, np.full(2, -0.01)))
-    assert traj.gains[at][0] == model.gain_output(0.375, x_sw, np.full(2, -0.01))
+    gains = trajectory_rows(model, traj)["gains"]
+    assert gains[at][0] == model.gain_output(0.375, x_sw, np.full(2, -0.01))
 
 
 
@@ -844,7 +858,7 @@ def test_method_path_and_direct_kernel_give_the_same_run(run):
     a, b = (integrate(model, make_noise(), np.array(x0), 0.0, 1.0 - 1e-9)
             for model in (src, counted))
     assert counted.calls >= 1 + 6 * (len(b.knot_ts) - 1)
-    for name in ("ts", "xs", "etas", "gains", "knot_ts", "knot_xs", "knot_fs", "knot_fl"):
+    for name in ("ts", "xs", "etas", "knot_fs", "knot_fl"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert a.switch_times == b.switch_times and a.termination == b.termination
 
@@ -948,9 +962,9 @@ def test_stage_queries_get_the_stage_state_as_a_list_of_floats():
     """Every value and observe call integrate makes gets the state as a list
     of floats: a queried source (neither held nor a segment) at each stage
     and at the committed steps, the start and the switches among them, with
-    the fused and the call-through step querying alike; a held source on an
-    output grid; and a segment or queried source in a run that a stop event
-    ends.  observe sees every knot but the event's."""
+    the fused and the call-through step querying alike; a held source; and
+    a segment or queried source in a run that a stop event ends.  observe
+    sees every knot but the event's."""
     src = differentiator_error_model()
     x0 = np.array([1.0, -0.5])
     counted, logs = _CountingLoop(src.variant, src.horizon, src.gains), []
@@ -964,11 +978,10 @@ def test_stage_queries_get_the_stage_state_as_a_list_of_floats():
         assert [t for call, t, _ in noise.log if call == "observe"] == traj.knot_ts.tolist()
         logs.append([entry for entry in noise.log if entry[0] == "value"])
     assert logs[0] == logs[1] and len(logs[1]) == counted.calls
-    # a held source on a grid: queried after the first observe and each switch
+    # a held source: queried after the first observe and each switch
     noise = _log_calls(controller_divergence_noise(1e-2))
-    traj = integrate(reference_loop(), noise, x0, 0.0, 1.0 - 1e-9,
-                     IntegrationOptions(output_grid=OutputGrid("geometric", 3000)))
-    assert len(traj.ts) > len(traj.knot_ts) and len(traj.switch_times) == 7
+    traj = integrate(reference_loop(), noise, x0, 0.0, 1.0 - 1e-9)
+    assert len(traj.switch_times) == 7
     assert all(floats for *_, floats in noise.log)
     assert [t for call, t, _ in noise.log if call == "value"] == [0.0, *traj.switch_times]
     assert [t for call, t, _ in noise.log if call == "observe"] == traj.knot_ts.tolist()
@@ -1040,7 +1053,8 @@ _HELD_SOURCES = {
 }
 _RUN_KINDS = {
     "plain": {},
-    "uniform_grid": {"opts": IntegrationOptions(output_grid=OutputGrid("uniform", 2001))},
+    # the held run's CSV rows with a uniform grid's points inside steps
+    "uniform_grid": {"grid": _grid("uniform", 2001, 0.0, 1.0 - 1e-9)},
     # fires after five of the divergence noise's seven switches
     "stop_condition": {"stop_condition": lambda t, x: t >= 0.9998 and abs(x[0]) <= 0.25},
 }
@@ -1050,21 +1064,23 @@ _RUN_KINDS = {
 @pytest.mark.parametrize("source", list(_HELD_SOURCES))
 def test_held_source_gives_the_run_of_per_stage_queries(source, run):
     make_model, make_noise = _HELD_SOURCES[source]
+    kwargs = dict(_RUN_KINDS[run])
+    grid = kwargs.pop("grid", ())
+    model = make_model()
     trajs = []
     for held in (True, False):
         noise = make_noise()
         assert noise.held
         noise.held = held  # False: the same source, queried at every stage
-        # a grid needs a held source: the queried run records the knots only
-        kwargs = {k: v for k, v in _RUN_KINDS[run].items() if held or k != "opts"}
-        trajs.append(integrate(make_model(), noise, np.array([1.0, -0.5]), 0.0, 1.0 - 1e-9,
-                               **kwargs))
+        trajs.append(integrate(model, noise, np.array([1.0, -0.5]), 0.0, 1.0 - 1e-9, **kwargs))
     a, b = trajs
     assert (a.termination.kind == EVENT) == (run == "stop_condition")
-    knots = np.isin(a.ts, a.knot_ts)
+    # the held run's rows, grid points included, against the queried run's knots
+    rows_a, rows_b = trajectory_rows(model, a, grid), trajectory_rows(model, b)
+    knots = np.isin(rows_a["ts"], a.knot_ts)
     assert np.all(knots) == (run != "uniform_grid")
     for name in ("ts", "xs", "etas", "gains"):
-        assert getattr(a, name)[knots].tobytes() == getattr(b, name).tobytes(), name
+        assert rows_a[name][knots].tobytes() == rows_b[name].tobytes(), name
     for name in ("knot_ts", "knot_xs", "knot_fs"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert np.array(a.switch_times).tobytes() == np.array(b.switch_times).tobytes()
@@ -1110,36 +1126,6 @@ def test_segment_source_gives_the_run_of_per_stage_queries(source, run):
     assert np.max(np.abs(xa - xb)) <= 1e-12 * np.max(np.abs(xb))
     # the segment run queries at renewals and the event only
     assert calls[0] <= 3 + len(a.switch_times) < calls[1]
-
-
-# sources that are not held, each with a grid, an end and a stop condition
-_UNHELD_GRID_RUNS = {
-    "barrier": (reference_loop, lambda: _BarrierNoise(2, 0.37), OutputGrid("uniform", 2001),
-                0.9, None),
-    "not_held": (differentiator_error_model, lambda: differentiator_divergence_noise(1e-2),
-                 OutputGrid("geometric", 3000), 1.0 - 1e-9, None),
-    "stop_event_not_held": (reference_loop, lambda: _BarrierNoise(2, 0.37),
-                            OutputGrid("uniform", 20001), 0.99, lambda t, x: x[0] <= 0.25),
-    **{name: (make_model, make_noise, OutputGrid("uniform", 2001), 1.0 - 1e-9, None)
-       for name, (make_model, make_noise) in _SEGMENT_SOURCES.items()},
-}
-
-
-@pytest.mark.parametrize("run", list(_UNHELD_GRID_RUNS))
-def test_a_grid_with_a_source_that_is_not_held_raises_before_any_query(run):
-    """Grid rows carry the noise recorded at the knot that opens their step,
-    which only a held source answers for every point of the step: any other
-    source is refused before integrate calls observe or value."""
-    make_model, make_noise, grid, t_end, stop = _UNHELD_GRID_RUNS[run]
-    noise = make_noise()
-    assert not noise.held
-    log = []
-    noise.value = lambda t, x: log.append(("value", t))
-    noise.observe = lambda t, x: log.append(("observe", t))
-    with pytest.raises(ValueError, match="an output grid needs a held noise source"):
-        integrate(make_model(), noise, np.array([1.0, -0.5]), 0.0, t_end,
-                  IntegrationOptions(output_grid=grid), stop_condition=stop)
-    assert log == []
 
 
 def test_held_source_over_its_bound_fails_on_the_first_query():
@@ -1506,8 +1492,7 @@ def test_fused_step_equals_the_call_through_step(case, variant, held, disturbanc
     """A plain model runs the loop with its right-hand side fused in; the
     same model through a class whose rhs calls the base method, plain
     Python, runs the loop that calls rhs at every stage.  Both give the same
-    run, bit for bit and with the same trial steps, with a 64-point output
-    grid when the source is held (a grid needs one) and, unless t_stop is
+    run, bit for bit and with the same trial steps, with, unless t_stop is
     None, a stop condition that ends the run at t_stop from inside the
     loop, unless a table with a positive coefficient blows it up first."""
     tables, x0 = case
@@ -1515,18 +1500,16 @@ def test_fused_step_equals_the_call_through_step(case, variant, held, disturbanc
     make = rational_loop if variant == CONTROL_LOOP else rational_diff_error
     src = make(tables, disturbance=disturbance)
     through = _CountingLoop(src.variant, src.horizon, src.gains, src.disturbance)
-    opts = IntegrationOptions(output_grid=OutputGrid("uniform", 64)) if held else None
     stop = None if t_stop is None else (lambda t, x: t >= t_stop)
     runs = []
     for model in (src, through):
         vector = variant == CONTROL_LOOP
         noise = (_FixedNoise([1e-3 * (j + 1) for j in range(n)] if vector else -2e-3) if held
                  else _WaveNoise(n if vector else None))
-        runs.append(integrate(model, noise, np.array(x0), 0.0, 0.92, opts, stop))
+        runs.append(integrate(model, noise, np.array(x0), 0.0, 0.92, stop_condition=stop))
     a, b = runs
     assert through.calls >= 1 + 6 * (len(b.knot_ts) - 1)
-    for name in ("ts", "xs", "etas", "gains", "knot_ts", "knot_xs", "knot_fs", "knot_fl",
-                 "knot_ds"):
+    for name in ("ts", "xs", "etas", "knot_fs", "knot_fl", "knot_ds"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert (a.termination, a.trials) == (b.termination, b.trials)
     if t_stop is not None and a.t_last >= t_stop:
@@ -1534,7 +1517,6 @@ def test_fused_step_equals_the_call_through_step(case, variant, held, disturbanc
         assert _event_time(a, stop) == pytest.approx(t_stop, abs=1e-11)
     elif t_stop is not None:
         assert a.termination.kind == BLOW_UP
-    assert (len(a.ts) > len(a.knot_ts)) == held  # grid points fall inside steps
 
 
 def test_recorded_noise_is_not_aliased():
@@ -1547,38 +1529,35 @@ def test_recorded_noise_is_not_aliased():
     assert np.all(traj.etas[after] == -0.01)
 
 
-_ENDS_ONLY = IntegrationOptions(output_grid=OutputGrid(kind="uniform", count=2))
-_INTERIOR = IntegrationOptions(output_grid=OutputGrid(kind="uniform", count=700))
+_ENDS_ONLY = _grid("uniform", 2, 0.0, 0.9)
+_INTERIOR = _grid("uniform", 700, 0.0, 0.9)
 
 
-@pytest.mark.parametrize("model, noise, opts, stop", [
-    (reference_loop(), lambda: _HeldLatchingNoise(2, 0.37), None, None),
-    (differentiator_error_model(), lambda: _WaveNoise(None), None, None),
-    # a uniform grid of two points: t0 and t_end, both knots (a grid needs a
-    # held source)
+@pytest.mark.parametrize("model, noise, grid, stop", [
+    (reference_loop(), lambda: _HeldLatchingNoise(2, 0.37), (), None),
+    (differentiator_error_model(), lambda: _WaveNoise(None), (), None),
+    # a uniform grid of two points: t0 and t_end, both knots
     (reference_loop(), lambda: _FixedNoise([1e-3, -1e-3]), _ENDS_ONLY, None),
     # t_end lies past the event, outside the span
     (reference_loop(), lambda: _HeldLatchingNoise(2, 0.37), _ENDS_ONLY,
      lambda t, x: x[0] <= 0.25),
-    (differentiator_error_model(), lambda: _WaveNoise(None), None, lambda t, x: x[0] <= 0.5),
+    (differentiator_error_model(), lambda: _WaveNoise(None), (), lambda t, x: x[0] <= 0.5),
 ], ids=["held_switch", "queried_scalar", "grid_on_knots", "grid_outside_event_span", "event"])
-def test_sample_table_without_grid_samples_is_the_knot_table(model, noise, opts, stop):
-    x0 = np.array([1.0, 0.0])
+def test_sample_table_without_grid_samples_is_the_knot_table(model, noise, grid, stop):
     source = noise()
-    traj = integrate(model, source, x0, 0.0, 0.9, opts, stop_condition=stop)
+    traj = integrate(model, source, np.array([1.0, 0.0]), 0.0, 0.9, stop_condition=stop)
     assert (traj.termination.kind == EVENT) == (stop is not None)
-    assert traj.ts.tobytes() == traj.knot_ts.tobytes()
-    assert traj.xs.tobytes() == traj.knot_xs.tobytes()
-    if source.held:
-        # the knot noise, as the rows of a run with grid samples inside steps record it
-        dense = integrate(model, noise(), x0, 0.0, 0.9, _INTERIOR, stop_condition=stop)
-        assert dense.knot_ts.tobytes() == traj.knot_ts.tobytes() and len(dense.ts) > len(traj.ts)
-        assert traj.etas.tobytes() == dense.etas[np.isin(dense.ts, dense.knot_ts)].tobytes()
+    # the trajectory is its knot record: ts and xs are knot_ts and knot_xs
+    assert traj.ts is traj.knot_ts and traj.xs is traj.knot_xs
     assert traj.etas.shape == (len(traj.ts), 2 if model.variant == CONTROL_LOOP else 1)
-    knots = [a.copy() for a in (traj.knot_ts, traj.knot_xs)]
-    traj.ts[:] = -1.0
-    traj.xs[:] = -1.0
-    assert [a.tobytes() for a in (traj.knot_ts, traj.knot_xs)] == [a.tobytes() for a in knots]
+    rows = trajectory_rows(model, traj, grid)
+    for name in ("ts", "xs", "etas"):
+        assert rows[name].tobytes() == getattr(traj, name).tobytes(), name
+    if source.held:
+        # the knot noise, as the rows with grid points inside steps record it
+        dense = trajectory_rows(model, traj, _INTERIOR)
+        assert len(dense["ts"]) > len(traj.ts)
+        assert traj.etas.tobytes() == dense["etas"][np.isin(dense["ts"], traj.ts)].tobytes()
 
 
 def test_terminal_state_reads_the_requested_distance():
@@ -1593,8 +1572,7 @@ def test_terminal_state_reads_the_requested_distance():
 
 def test_detect_peaks_reports_first_crossings():
     model = open_loop_chain()
-    traj = integrate(model, None, np.array([0.0, 1.0]), 0.0, 0.9,
-                     IntegrationOptions(output_grid=OutputGrid(kind="uniform", count=1001)))
+    traj = integrate(model, None, np.array([0.0, 1.0]), 0.0, 0.9)
     # norm grows from 1 toward sqrt(0.81 + 1) ~ 1.345 on this span
     crossings = detect_peaks(traj, (1.1, 1.3, 2.0))
     assert crossings[0][0] == 1.1 and crossings[0][1] is not None
@@ -1639,32 +1617,35 @@ def test_step_state_is_state_at_bit_for_bit():
 
 
 def _gain_record_runs():
-    """(model, trajectory) pairs over both variants, both grid kinds, a
-    switching source on each variant (on a grid where it is held) and a
-    stop-event run."""
+    """(model, trajectory, grid) triples over both variants, both grid
+    kinds, a switching source on each variant and a stop-event run."""
     loop, diff = reference_loop(), differentiator_error_model()
-    uniform = IntegrationOptions(output_grid=OutputGrid(kind="uniform", count=700))
-    geometric = IntegrationOptions(output_grid=OutputGrid(kind="geometric", count=700))
+    uniform = _grid("uniform", 700, 0.0, 1.0 - 1e-6)
+    geometric = _grid("geometric", 700, 0.0, 1.0 - 1e-6)
     x0 = np.array([1.0, -0.5])
     return [
-        (loop, integrate(loop, None, x0, 0.0, 1.0 - 1e-6, geometric)),
-        (loop, integrate(loop, controller_divergence_noise(0.01), x0, 0.0, 1.0 - 1e-6, uniform)),
-        (loop, integrate(loop, None, np.array([1.0, 0.0]), 0.0, 0.9, uniform,
-                         stop_condition=lambda t, x: x[0] <= 0.25)),
-        (diff, integrate(diff, None, x0, 0.0, 1.0 - 1e-6, uniform)),
-        (diff, integrate(diff, differentiator_divergence_noise(1e-3), x0, 0.0, 1.0 - 1e-6)),
+        (loop, integrate(loop, None, x0, 0.0, 1.0 - 1e-6), geometric),
+        (loop, integrate(loop, controller_divergence_noise(0.01), x0, 0.0, 1.0 - 1e-6), uniform),
+        (loop, integrate(loop, None, np.array([1.0, 0.0]), 0.0, 0.9,
+                         stop_condition=lambda t, x: x[0] <= 0.25),
+         _grid("uniform", 700, 0.0, 0.9)),
+        (diff, integrate(diff, None, x0, 0.0, 1.0 - 1e-6), uniform),
+        (diff, integrate(diff, differentiator_divergence_noise(1e-3), x0, 0.0, 1.0 - 1e-6), ()),
     ]
 
 
 def test_gain_record_matches_model_output():
-    """The batched gains column equals the scalar gain_output, bit for bit,
-    at every sample."""
+    """The batched gains column of the CSV rows equals the scalar
+    gain_output, bit for bit, at every row."""
     runs = _gain_record_runs()
     assert runs[1][1].switch_times and runs[4][1].switch_times
     assert runs[2][1].termination.kind == EVENT
-    for model, traj in runs:
-        expected = [model.gain_output(t, x, e) for t, x, e in zip(traj.ts, traj.xs, traj.etas)]
-        assert traj.gains.tobytes() == np.array(expected).tobytes()
+    for model, traj, grid in runs:
+        rows = trajectory_rows(model, traj, grid)
+        assert len(rows["ts"]) > len(traj.ts) or not len(grid)
+        expected = [model.gain_output(t, x, e)
+                    for t, x, e in zip(rows["ts"], rows["xs"], rows["etas"])]
+        assert rows["gains"].tobytes() == np.array(expected).tobytes()
 
 
 class _CountingModel(SystemModel):
@@ -1680,16 +1661,20 @@ class _CountingModel(SystemModel):
 
 
 def test_one_gain_output_call_per_run():
+    """integrate makes no gain_output call; the CSV rows take exactly one,
+    over all rows."""
     src = reference_loop()
     model = _CountingModel(src.variant, src.horizon, src.gains)
-    grid = IntegrationOptions(output_grid=OutputGrid(kind="geometric", count=300))
     traj = integrate(model, controller_divergence_noise(0.01), np.array([1.0, 0.0]),
-                     0.0, 1.0 - 1e-6, grid)
-    assert model.gain_calls == [traj.ts.shape]
+                     0.0, 1.0 - 1e-6)
+    assert model.gain_calls == []
+    rows = trajectory_rows(model, traj, _grid("geometric", 300, 0.0, 1.0 - 1e-6))
+    assert len(rows["ts"]) > len(traj.ts) and model.gain_calls == [rows["ts"].shape]
     model.gain_calls.clear()
     traj = integrate(model, None, np.array([1.0, 0.0]), 0.0, 0.9,
                      stop_condition=lambda t, x: x[0] <= 0.25)
-    assert traj.termination.kind == EVENT
+    assert traj.termination.kind == EVENT and model.gain_calls == []
+    trajectory_rows(model, traj)
     assert model.gain_calls == [traj.ts.shape]
 
 
@@ -1698,22 +1683,16 @@ def test_options_validation():
         IntegrationOptions(rel_tol=0.0)
     with pytest.raises(ValueError):
         IntegrationOptions(max_step_fraction=1.5)
-    with pytest.raises(ValueError):
-        OutputGrid(kind="log", count=10)
-    with pytest.raises(ValueError):
-        OutputGrid(kind="uniform", count=1)
 
 
 def test_stop_condition_gets_a_committed_state_as_a_list_of_floats():
-    """On every noise kind, with grid points inside steps where the source is
-    held, each call of stop_condition receives a committed knot's state as a
-    list of floats."""
+    """On every noise kind each call of stop_condition receives a committed
+    knot's state as a list of floats."""
     runs = [(reference_loop(), lambda: None),
             (reference_loop(), lambda: _HeldLatchingNoise(2, 0.37)),
             (reference_loop(), lambda: _BarrierNoise(2, 0.37)),
             (differentiator_error_model(), lambda: differentiator_divergence_noise(1e-2)),
             (differentiator_error_model(), lambda: _WaveNoise(None))]
-    grid = IntegrationOptions(output_grid=OutputGrid("uniform", 700))
     for model, noise in runs:
         calls = []
 
@@ -1721,9 +1700,7 @@ def test_stop_condition_gets_a_committed_state_as_a_list_of_floats():
             calls.append((t, x, [type(v) for v in x]))
             return t >= 0.9
 
-        source = noise()
-        opts = grid if source is None or source.held else None
-        traj = integrate(model, source, np.array([1.0, -0.5]), 0.0, 0.99, opts, stop)
+        traj = integrate(model, noise(), np.array([1.0, -0.5]), 0.0, 0.99, stop_condition=stop)
         assert traj.termination.kind == EVENT
         assert len(calls) == len(traj.knot_ts) - 1
         for (t, x, types), kt, kx in zip(calls, traj.knot_ts[1:], traj.knot_xs[1:]):
